@@ -2,19 +2,16 @@
 """Measure the eps-order of the ansatz residual with and without corrections.
 
 For each eps the envelope is evolved to the slow-time horizon and the
-first-order-system residual norm is evaluated at a few slow times; the
-log-log slope over the sweep shows ~eps^3 without the third-generation
-corrections and ~eps^4 with them.
+first-order-system residual norm is evaluated at a few slow times
+(harness.residual_sweep); the log-log slope over the sweep shows ~eps^3
+without the third-generation corrections and ~eps^4 with them.
 """
 
 import argparse
 
 import numpy as np
 
-from fput2d.ansatz import nls_problem_for, residual_norm
-from fput2d.dispersion import WaveVector, nls_coefficients
-from fput2d.harness import fit_order
-from fput2d.nls import evolve, gaussian_field
+from fput2d.harness import ExperimentPlan, fit_order, residual_sweep
 
 
 def main():
@@ -25,25 +22,15 @@ def main():
                     metavar=("K_PI", "L_PI"))
     args = ap.parse_args()
 
-    disp = nls_coefficients(WaveVector(np.pi * args.carrier[0], np.pi * args.carrier[1]))
-    env_variant = "displacement" if args.variant == "displacement" else "strain_u"
-    table = {True: [], False: []}
-    for eps in args.eps:
-        n = int(np.ceil(40.0 / eps / 4) * 4)
-        env0 = gaussian_field(eps * n, 256, variant=env_variant)
-        envs = evolve(env0, nls_problem_for(disp, env_variant, 1e-3), 1.0,
-                      sample_times=[0.0, 0.5, 1.0])
-        for flag in (True, False):
-            val = max(
-                residual_norm(env, disp, eps, env.slow_time / eps**2, n,
-                              args.variant, flag, method="fft")
-                for env in envs
-            )
-            table[flag].append(val)
-        print(f"eps={eps:5.3f}  without={table[False][-1]:.4e}  "
-              f"with={table[True][-1]:.4e}")
-    for flag, label in ((False, "without"), (True, "with")):
-        slope, ci, _ = fit_order(args.eps, table[flag])
+    plan = ExperimentPlan(carrier_k=np.pi * args.carrier[0],
+                          carrier_l=np.pi * args.carrier[1],
+                          variant=args.variant, eps_list=tuple(args.eps))
+    rows = residual_sweep(plan)
+    for row in rows:
+        print(f"eps={row['eps']:5.3f}  without={row['without_corrections']:.4e}  "
+              f"with={row['with_corrections']:.4e}")
+    for label in ("without", "with"):
+        slope, ci, _ = fit_order(args.eps, [r[f"{label}_corrections"] for r in rows])
         print(f"order {label} corrections: {slope:.3f}  (95% {ci[0]:.2f}..{ci[1]:.2f})")
 
 

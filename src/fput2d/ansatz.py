@@ -15,10 +15,11 @@ right-hand side, so the residual of the lattice equations on the ansatz can be
 measured without finite-difference contamination.
 
 Lattice sites are labeled m, n in {-N/2, ..., N/2 - 1}; array index (i, j)
-maps to (m, n) = (i - N/2, j - N/2).  The envelope is evaluated at the scaled
-moving-frame points either by periodic bicubic interpolation (default) or by
-exact FFT resampling when the lattice and envelope tori are commensurate
-(eps * N equal to the box length).
+maps to (m, n) = (i - N/2, j - N/2).  The lattice and envelope tori are
+commensurate (eps * N equals the box length), so the envelope is evaluated at
+the scaled moving-frame points by exact FFT resampling: a phase shift for the
+moving frame, then zero-padding or truncation of the spectrum to the N x N
+lattice grid.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .dispersion import (
     DispersionData,
@@ -40,35 +40,18 @@ from .nls import (
     NlsProblem,
     envelope_rhs_arrays,
     envelope_rhs_derivative,
+    linear_symbol,
 )
 
 DEFAULT_DELTA_PROJ = 1e-9
 
 
 class FootprintExceeded(ValueError):
-    """The lattice's scaled footprint eps*N does not fit the envelope box."""
+    """The lattice's scaled footprint eps*N differs from the envelope box."""
 
 
 class MissingB(ValueError):
     """Strain ansatz at k0 = 0 needs the B envelope (the A field vanishes)."""
-
-
-@dataclass
-class CorrectionSet:
-    """Correction amplitude fields on the envelope grid.
-
-    a_* feed the primary field's harmonics (strain-u or displacement);
-    b_* feed the strain-v harmonics and are None for the displacement variant
-    or when the corresponding envelope is identically zero.
-    """
-
-    a_1m1: np.ndarray | None
-    a_13: np.ndarray | None
-    a_1m3: np.ndarray | None
-    b_1m1: np.ndarray | None = None
-    b_13: np.ndarray | None = None
-    b_1m3: np.ndarray | None = None
-    include: bool = True
 
 
 @dataclass
@@ -109,12 +92,6 @@ def nls_problem_for(disp: DispersionData, variant: str, dT: float = 1e-3) -> Nls
     return NlsProblem(disp.hessian, gamma_tilde(disp, variant), dT)
 
 
-def _env_symbol(env: EnvelopeField, hess: np.ndarray) -> np.ndarray:
-    k = env.wavenumbers_1d()
-    kx, ky = np.meshgrid(k, k, indexing="ij")
-    return 0.5 * (hess[0, 0] * kx**2 + 2 * hess[0, 1] * kx * ky + hess[1, 1] * ky**2)
-
-
 class _Harmonics:
     """Per-variant list of (eps-order, harmonic, C, dC/dT, d2C/dT2) fields."""
 
@@ -128,12 +105,13 @@ class _Harmonics:
             raise MissingB("carrier has k0 = 0; supply the B envelope (strain_v)")
 
         if variant == "displacement":
-            gam = gamma_tilde(disp, "displacement")
+            prob = nls_problem_for(disp, "displacement")
         elif primary_is_b:
-            gam = gamma_tilde(disp, "strain_v")
+            prob = nls_problem_for(disp, "strain_v")
         else:
-            gam = gamma_tilde(disp, "strain_u")
-        symbol = _env_symbol(env, disp.hessian)
+            prob = nls_problem_for(disp, "strain_u")
+        symbol = linear_symbol(env, prob)
+        gam = prob.nonlin_coeff
         a = env.a
         f = envelope_rhs_arrays(a, symbol, gam)
         f_t = envelope_rhs_derivative(a, f, symbol, gam)
@@ -180,74 +158,6 @@ class _Harmonics:
             raise ValueError(f"unknown variant {variant!r}")
 
 
-def correction_set(env: EnvelopeField, disp: DispersionData, variant: str) -> CorrectionSet:
-    """Correction amplitude fields as scalar coefficients times triple products."""
-    kv = disp.carrier
-
-    def triple(kind: str, p: np.ndarray):
-        co = correction_coefficients(kv, kind)
-        return (
-            8 * co.c_1m1 * p * np.conj(p) ** 2,
-            8 * co.c_13 * p**3,
-            8 * co.c_1m3 * np.conj(p) ** 3,
-        )
-
-    if variant == "displacement":
-        a1m1, a13, a1m3 = triple("displacement", env.a)
-        return CorrectionSet(a_1m1=a1m1, a_13=a13, a_1m3=a1m3)
-    if disp.axis_degenerate_k:
-        if env.variant != "strain_v":
-            raise MissingB("carrier has k0 = 0; supply the B envelope (strain_v)")
-        b1m1, b13, b1m3 = triple("strain_v", env.a)
-        return CorrectionSet(a_1m1=None, a_13=None, a_1m3=None,
-                             b_1m1=b1m1, b_13=b13, b_1m3=b1m3)
-    a1m1, a13, a1m3 = triple("strain_u", env.a)
-    if disp.axis_degenerate_l:
-        return CorrectionSet(a_1m1=a1m1, a_13=a13, a_1m3=a1m3)
-    b = amplitude_ratio_b_over_a(kv) * env.a
-    b1m1, b13, b1m3 = triple("strain_v", b)
-    return CorrectionSet(a_1m1=a1m1, a_13=a13, a_1m3=a1m3,
-                         b_1m1=b1m1, b_13=b13, b_1m3=b1m3)
-
-
-def _lattice_coordinates(env: EnvelopeField, eps: float, t: float, n_side: int,
-                         group_velocity: tuple[float, float]):
-    m = np.arange(n_side) - n_side // 2
-    cx, cy = group_velocity
-    x = eps * (m + cx * t)
-    y = eps * (m + cy * t)
-    return x, y
-
-
-def _check_footprint(env: EnvelopeField, eps: float, n_side: int):
-    if eps * n_side > env.box_length * (1 + 1e-9):
-        raise FootprintExceeded(
-            f"eps*N = {eps * n_side:.6f} exceeds the envelope box {env.box_length}"
-        )
-
-
-def eval_envelope(fields: list[np.ndarray], env: EnvelopeField, eps: float, t: float,
-                  n_side: int, group_velocity: tuple[float, float],
-                  method: str = "bicubic") -> list[np.ndarray]:
-    """Evaluate envelope-grid fields at the lattice's scaled moving-frame points."""
-    _check_footprint(env, eps, n_side)
-    if method == "bicubic":
-        x, y = _lattice_coordinates(env, eps, t, n_side, group_velocity)
-        ix = (x + env.box_length / 2) / env.spacing
-        iy = (y + env.box_length / 2) / env.spacing
-        ci, cj = np.meshgrid(ix, iy, indexing="ij")
-        coords = np.array([ci, cj])
-        out = []
-        for f in fields:
-            re = map_coordinates(f.real, coords, order=3, mode="grid-wrap")
-            im = map_coordinates(f.imag, coords, order=3, mode="grid-wrap")
-            out.append(re + 1j * im)
-        return out
-    if method == "fft":
-        return _eval_envelope_fft(fields, env, eps, t, n_side, group_velocity)
-    raise ValueError(f"unknown envelope evaluation method {method!r}")
-
-
 def _respec(coeffs: np.ndarray, n_out: int) -> np.ndarray:
     """Zero-pad or truncate centered Fourier coefficients to an n_out grid."""
     m = coeffs.shape[0]
@@ -262,10 +172,17 @@ def _respec(coeffs: np.ndarray, n_out: int) -> np.ndarray:
     return np.fft.ifftshift(out)
 
 
-def _eval_envelope_fft(fields, env, eps, t, n_side, group_velocity):
-    # exact trigonometric resampling: needs commensurate tori (eps*N = L)
+def eval_envelope(fields: list[np.ndarray], env: EnvelopeField, eps: float, t: float,
+                  n_side: int, group_velocity: tuple[float, float]) -> list[np.ndarray]:
+    """Evaluate envelope-grid fields at the lattice's scaled moving-frame points.
+
+    Exact trigonometric resampling; it needs commensurate tori, eps * N equal
+    to the envelope box length.
+    """
     if abs(eps * n_side - env.box_length) > 1e-9 * env.box_length:
-        raise ValueError("fft envelope evaluation needs eps * n_side = box length")
+        raise FootprintExceeded(
+            f"eps*N = {eps * n_side:.6f} differs from the envelope box {env.box_length}"
+        )
     cx, cy = group_velocity
     k1 = env.wavenumbers_1d()
     half = env.box_length / 2
@@ -283,7 +200,7 @@ def _eval_envelope_fft(fields, env, eps, t, n_side, group_velocity):
 
 def _assemble_branches(env: EnvelopeField, disp: DispersionData, eps: float,
                        t: float, n_side: int, variant: str, corrections: bool,
-                       depth: int, method: str) -> dict[str, list[np.ndarray]]:
+                       depth: int) -> dict[str, list[np.ndarray]]:
     """Complex positive-branch sums sum_terms eps^p C e^{i j theta} per field.
 
     Returns, per field kind, the branch field and its exact time derivatives
@@ -297,7 +214,7 @@ def _assemble_branches(env: EnvelopeField, disp: DispersionData, eps: float,
     cx, cy = disp.group_velocity
     harmonics = _Harmonics(env, disp, variant, corrections)
 
-    # per-term envelope-grid combinations; interpolation is linear, so the
+    # per-term envelope-grid combinations; resampling is linear, so the
     # chain-rule combinations are formed on the envelope grid first
     k = env.wavenumbers_1d()
     kxg, kyg = np.meshgrid(k, k, indexing="ij")
@@ -330,7 +247,7 @@ def _assemble_branches(env: EnvelopeField, disp: DispersionData, eps: float,
         entry["n_fields"] = n_fields
         layout.append(entry)
 
-    sampled = eval_envelope(to_eval, env, eps, t, n_side, (cx, cy), method)
+    sampled = eval_envelope(to_eval, env, eps, t, n_side, (cx, cy))
 
     mvals = np.arange(n_side) - n_side // 2
     mm, nn = np.meshgrid(mvals, mvals, indexing="ij")
@@ -352,14 +269,14 @@ def _assemble_branches(env: EnvelopeField, disp: DispersionData, eps: float,
 
 def sample_ansatz(env: EnvelopeField, disp: DispersionData, eps: float, t: float,
                   n_side: int, variant: str, corrections: bool = False,
-                  depth: int = 1, method: str = "bicubic") -> AnsatzSample:
+                  depth: int = 1) -> AnsatzSample:
     """Sample the ansatz (and derivatives to `depth`) on the N x N lattice.
 
     depth 0 gives fields only, 1 adds first time derivatives, 2 adds second
     time derivatives.
     """
     acc = _assemble_branches(env, disp, eps, t, n_side, variant, corrections,
-                             depth, method)
+                             depth)
     sample = AnsatzSample(eps=eps, carrier=disp.carrier, t=t, variant=variant)
     if variant == "displacement":
         sample.psi_q = acc["displacement"][0].real
@@ -423,8 +340,7 @@ def compat_project(u_hat: np.ndarray, ut_hat: np.ndarray, v_hat: np.ndarray,
 def build_initial_data(env: EnvelopeField, disp: DispersionData, eps: float,
                        n_side: int, form: str, corrections: bool = False,
                        projection: str = "oblique",
-                       delta_proj: float = DEFAULT_DELTA_PROJ,
-                       method: str = "bicubic"):
+                       delta_proj: float = DEFAULT_DELTA_PROJ):
     """Lattice initial data matching the ansatz at t = 0.
 
     Strain form samples (psi_u, psi_v) and their exact velocities and projects
@@ -434,13 +350,13 @@ def build_initial_data(env: EnvelopeField, disp: DispersionData, eps: float,
     """
     if form == "displacement":
         s = sample_ansatz(env, disp, eps, 0.0, n_side, "displacement",
-                          corrections, depth=1, method=method)
+                          corrections, depth=1)
         state = LatticeState("displacement", 0.0, q=s.psi_q, w=s.psi_qt)
         return state, {"degenerate_modes": 0, "max_projection_displacement": 0.0}
     if form != "strain":
         raise ValueError(f"unknown form {form!r}")
     s = sample_ansatz(env, disp, eps, 0.0, n_side, "strain",
-                      corrections, depth=1, method=method)
+                      corrections, depth=1)
     spectra = [np.fft.fft2(f) for f in (s.psi_u, s.psi_ut, s.psi_v, s.psi_vt)]
     (pu, put, pv, pvt), diag = compat_project(*spectra, delta_proj=delta_proj,
                                               mode=projection)
@@ -479,8 +395,7 @@ def _lattice_multipliers(n: int):
 
 
 def residual_norm(env: EnvelopeField, disp: DispersionData, eps: float, t: float,
-                  n_side: int, variant: str, with_corrections: bool,
-                  method: str = "bicubic") -> float:
+                  n_side: int, variant: str, with_corrections: bool) -> float:
     """L1-of-DFT norm of the first-order-system defect on the ansatz at time t.
 
     The diagonalized system splits each field into branches evolving by
@@ -493,7 +408,7 @@ def residual_norm(env: EnvelopeField, disp: DispersionData, eps: float, t: float
     branch-resolved residual exhibits the extra cancellation order.)
     """
     acc = _assemble_branches(env, disp, eps, t, n_side, variant,
-                             with_corrections, depth=1, method=method)
+                             with_corrections, depth=1)
     n = n_side
     _, _, wx2, wy2, w, inv_8iw, rho_u, rho_v = _lattice_multipliers(n)
 

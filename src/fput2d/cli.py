@@ -19,19 +19,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .ansatz import FootprintExceeded, MissingB, nls_problem_for, residual_norm
+from .ansatz import FootprintExceeded, MissingB
 from .config import SCHEMA, ConfigError, config_hash, load_config, to_plan
 from .dispersion import Resonant, ZeroFrequency, nls_coefficients
 from .harness import (
     DegenerateFit,
     NonResonantCarrierRequired,
     fit_order,
+    residual_sweep,
     run_single,
     run_sweep,
 )
 from .io import DiagnosticsCsv, write_manifest, write_snapshot
 from .lattice import UnstableStep
-from .nls import EnvelopeBlowup, evolve, gaussian_field
+from .nls import EnvelopeBlowup
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -199,33 +200,7 @@ def cmd_sweep(cfg, out_dir: Path) -> int:
 
 
 def cmd_residual(cfg, out_dir: Path) -> int:
-    plan = to_plan(cfg)
-    disp = nls_coefficients_from(cfg)
-    env_variant = "displacement" if cfg.variant == "displacement" else "strain_u"
-    rows = []
-    for eps in plan.eps_list:
-        n = plan.n_side(eps)
-        box = eps * n
-        env0 = gaussian_field(box, plan.grid_side, plan.amplitude, plan.sigma,
-                              variant=env_variant)
-        slow_times = [f * plan.t0 for f in plan.residual_fractions]
-        envs = evolve(env0, nls_problem_for(disp, env_variant, plan.dt_slow),
-                      plan.t0, sample_times=slow_times,
-                      blowup_guard=plan.blowup_guard)
-        per_time = {"with": [], "without": []}
-        for env in envs:
-            t = env.slow_time / eps**2
-            for label, flag in (("with", True), ("without", False)):
-                per_time[label].append(
-                    residual_norm(env, disp, eps, t, n, cfg.variant, flag,
-                                  method=plan.envelope_eval)
-                )
-        rows.append({
-            "eps": eps,
-            "with_corrections": max(per_time["with"]),
-            "without_corrections": max(per_time["without"]),
-            "per_time": per_time,
-        })
+    rows = residual_sweep(to_plan(cfg))
     eps_values = [r["eps"] for r in rows]
     report = {"per_eps": rows, "metadata": {"config_hash": config_hash(cfg)}}
     code = EXIT_OK

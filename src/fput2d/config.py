@@ -47,7 +47,6 @@ SCHEMA: dict[str, tuple] = {
     "residual_fractions": ([0.0, 0.5, 1.0], "float_list", "residual sampling as fractions of T0"),
     "projection": ("oblique", "str", "compatibility projection: oblique | orthogonal"),
     "delta_res": (1e-8, "float", "non-resonance margin"),
-    "envelope_eval": ("bicubic", "str", "envelope sampling: bicubic | fft"),
     "pass_threshold": (1.8, "float", "minimum fitted order for a passing sweep"),
     "residual_order_min_with": (3.6, "float", "residual-order bar with corrections"),
     "residual_order_min_without": (2.7, "float", "residual-order bar without corrections"),
@@ -184,7 +183,6 @@ def to_plan(cfg: RunConfig):
         dt_override=cfg.dt or None,
         n_side_override=cfg.n_side or None,
         projection=cfg.projection,
-        envelope_eval=cfg.envelope_eval,
         pass_threshold=cfg.pass_threshold,
         error_over_eps2_bound=cfg.error_over_eps2_bound,
         workers=cfg.workers,

@@ -37,7 +37,7 @@ from .lattice import (
     integrate,
     perturbed_force,
 )
-from .nls import edge_mass_fraction, evolve, gaussian_field, h4_proxy, mass
+from .nls import EnvelopeField, edge_mass_fraction, evolve, gaussian_field, h4_proxy, mass
 
 DEFAULT_PASS_THRESHOLD = 1.8
 DEFAULT_ERROR_FLOOR = 1e-10
@@ -76,7 +76,6 @@ class ExperimentPlan:
     dt_override: float | None = None
     n_side_override: int | None = None
     projection: str = "oblique"
-    envelope_eval: str = "bicubic"
     pass_threshold: float = DEFAULT_PASS_THRESHOLD
     error_floor: float = DEFAULT_ERROR_FLOOR
     error_over_eps2_bound: float = 50.0
@@ -129,6 +128,23 @@ def _force_for(plan: ExperimentPlan, eps: float, n_side: int) -> ForceLaw:
     return ForceLaw(kind=plan.force_kind, eps=eps)
 
 
+def _initial_envelope(plan: ExperimentPlan, eps: float) -> tuple[int, EnvelopeField]:
+    """Lattice side at eps and the T = 0 envelope on the matching torus."""
+    n = plan.n_side(eps)
+    box = eps * n  # commensurate tori: the moving envelope window wraps exactly
+    env_variant = "displacement" if plan.variant == "displacement" else "strain_u"
+    if plan.envelope_kind == "gaussian":
+        env0 = gaussian_field(box, plan.grid_side, plan.amplitude, plan.sigma,
+                              variant=env_variant)
+    elif plan.envelope_kind == "constant":
+        # spatially uniform envelope: the ansatz reduces to a plane wave
+        arr = np.full((plan.grid_side, plan.grid_side), plan.amplitude, dtype=complex)
+        env0 = EnvelopeField(box, arr, variant=env_variant)
+    else:
+        raise ValueError(f"unknown envelope kind {plan.envelope_kind!r}")
+    return n, env0
+
+
 def run_single(plan: ExperimentPlan, eps: float, keep_state_indices=()) -> dict:
     """One eps run; returns a JSON-ready record.
 
@@ -141,29 +157,16 @@ def run_single(plan: ExperimentPlan, eps: float, keep_state_indices=()) -> dict:
         raise NonResonantCarrierRequired(
             f"carrier ({plan.carrier_k}, {plan.carrier_l}) violates non-resonance"
         )
-    n = plan.n_side(eps)
-    box = eps * n  # commensurate tori: the moving envelope window wraps exactly
+    n, env0 = _initial_envelope(plan, eps)
     dt = plan.dt(eps)
-    env_variant = "displacement" if plan.variant == "displacement" else "strain_u"
-    if plan.envelope_kind == "gaussian":
-        env0 = gaussian_field(box, plan.grid_side, plan.amplitude, plan.sigma,
-                              variant=env_variant)
-    elif plan.envelope_kind == "constant":
-        # spatially uniform envelope: the ansatz reduces to a plane wave
-        from .nls import EnvelopeField
-
-        arr = np.full((plan.grid_side, plan.grid_side), plan.amplitude, dtype=complex)
-        env0 = EnvelopeField(box, arr, variant=env_variant)
-    else:
-        raise ValueError(f"unknown envelope kind {plan.envelope_kind!r}")
-    prob = nls_problem_for(disp, env_variant, plan.dt_slow)
+    prob = nls_problem_for(disp, env0.variant, plan.dt_slow)
     slow_times = np.linspace(0.0, plan.t0, plan.sample_count)
     envs = evolve(env0, prob, plan.t0, sample_times=slow_times,
                   blowup_guard=plan.blowup_guard)
 
     state, proj_diag = build_initial_data(
         env0, disp, eps, n, plan.variant, corrections=plan.corrections,
-        projection=plan.projection, method=plan.envelope_eval,
+        projection=plan.projection,
     )
     force = _force_for(plan, eps, n)
 
@@ -183,7 +186,7 @@ def run_single(plan: ExperimentPlan, eps: float, keep_state_indices=()) -> dict:
         idx[0] += 1
         env_i = envs[i]
         s = sample_ansatz(env_i, disp, eps, st.time, n, plan.variant, depth=1,
-                          corrections=False, method=plan.envelope_eval)
+                          corrections=False)
         if plan.variant == "displacement":
             err = float(np.max(np.abs(st.q - s.psi_q) + np.abs(st.w - s.psi_qt)))
             e_now = energy(st, force)
@@ -207,7 +210,7 @@ def run_single(plan: ExperimentPlan, eps: float, keep_state_indices=()) -> dict:
             residuals.append(
                 [float(st.time),
                  residual_norm(env_i, disp, eps, st.time, n, plan.variant,
-                               plan.corrections, method=plan.envelope_eval)]
+                               plan.corrections)]
             )
 
     integrate(state, force, dt, slow_times / eps**2, observe)
@@ -221,7 +224,7 @@ def run_single(plan: ExperimentPlan, eps: float, keep_state_indices=()) -> dict:
     record = {
         "eps": eps,
         "n_side": n,
-        "box_length": box,
+        "box_length": env0.box_length,
         "dt": dt,
         "times": times,
         "sup_errors": sup_errors,
@@ -247,12 +250,15 @@ def fit_order(eps_values, max_errors, error_floor: float = DEFAULT_ERROR_FLOOR):
     """Least-squares slope of log(error) against log(eps).
 
     Returns (slope, (lo95, hi95), fit_residual).  Raises DegenerateFit when
-    the errors sit at the measurement floor or carry no eps dependence.
+    the errors sit at the measurement floor or carry no eps dependence, and
+    ValueError when an error is not finite.
     """
     eps_values = np.asarray(eps_values, dtype=float)
     max_errors = np.asarray(max_errors, dtype=float)
     if len(eps_values) < 3:
         raise ValueError("order fitting needs at least 3 eps points")
+    if not np.all(np.isfinite(max_errors)):
+        raise ValueError(f"order fitting needs finite errors, got {max_errors.tolist()}")
     if np.any(max_errors <= error_floor):
         raise DegenerateFit("errors at or below the measurement floor")
     res = stats.linregress(np.log(eps_values), np.log(max_errors))
@@ -263,6 +269,35 @@ def fit_order(eps_values, max_errors, error_floor: float = DEFAULT_ERROR_FLOOR):
     fit_vals = res.slope * np.log(eps_values) + res.intercept
     fit_residual = float(np.sqrt(np.mean((np.log(max_errors) - fit_vals) ** 2)))
     return float(res.slope), (float(ci[0]), float(ci[1])), fit_residual
+
+
+def residual_sweep(plan: ExperimentPlan) -> list[dict]:
+    """Residual norms over the eps sweep, with and without corrections.
+
+    At each eps the envelope is evolved to the slow times
+    plan.residual_fractions * T0 and ansatz.residual_norm is taken at the
+    matching lattice times; each row carries the per-time values and their
+    maxima.
+    """
+    disp = nls_coefficients(plan.carrier, plan.delta_res)
+    rows = []
+    for eps in plan.eps_list:
+        n, env0 = _initial_envelope(plan, eps)
+        envs = evolve(env0, nls_problem_for(disp, env0.variant, plan.dt_slow),
+                      plan.t0, sample_times=[f * plan.t0 for f in plan.residual_fractions],
+                      blowup_guard=plan.blowup_guard)
+        per_time = {
+            label: [residual_norm(env, disp, eps, env.slow_time / eps**2, n,
+                                  plan.variant, flag) for env in envs]
+            for label, flag in (("with", True), ("without", False))
+        }
+        rows.append({
+            "eps": eps,
+            "with_corrections": max(per_time["with"]),
+            "without_corrections": max(per_time["without"]),
+            "per_time": per_time,
+        })
+    return rows
 
 
 def _worker(args):
@@ -311,16 +346,17 @@ def run_sweep(plan: ExperimentPlan) -> dict:
         },
     }
     errors = [r["max_sup_error"] for r in records]
+    within_bound = all(r["error_over_eps2"] <= plan.error_over_eps2_bound for r in records)
     try:
         slope, ci, fit_res = fit_order(plan.eps_list, errors, plan.error_floor)
         report["fitted_order"] = slope
         report["fit_interval_95"] = list(ci)
         report["fit_residual"] = fit_res
-        report["pass"] = bool(slope >= plan.pass_threshold)
+        report["pass"] = bool(slope >= plan.pass_threshold and within_bound)
     except DegenerateFit:
         report["degenerate_fit"] = True
         # a run pinned at the floor everywhere is a trivial pass (nothing to fit)
-        report["pass"] = bool(all(e <= plan.error_floor for e in errors))
+        report["pass"] = bool(all(e <= plan.error_floor for e in errors) and within_bound)
     return report
 
 

@@ -174,7 +174,8 @@ class LatticeState:
         )
 
     def max_amplitude(self) -> float:
-        return max(float(np.max(np.abs(a))) for a in self.arrays())
+        """Largest |value| over the state arrays; NaN if any entry is NaN."""
+        return float(np.max([np.max(np.abs(a)) for a in self.arrays()]))
 
 
 def strain_from_displacement(state: LatticeState) -> LatticeState:
@@ -246,7 +247,7 @@ def verlet_step(state: LatticeState, force: ForceLaw, dt: float,
     for d, a in zip(vel, a1):
         d += 0.5 * dt * a
     out.time = state.time + dt
-    if out.max_amplitude() > OVERFLOW_GUARD:
+    if not out.max_amplitude() <= OVERFLOW_GUARD:  # a NaN state trips it too
         raise UnstableStep(f"amplitude exceeded {OVERFLOW_GUARD} at t = {out.time}")
     return out
 

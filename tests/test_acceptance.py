@@ -9,15 +9,9 @@ import numpy as np
 import pytest
 
 from conftest import measure_mode_frequencies, smooth_random_field
-from fput2d.ansatz import (
-    build_initial_data,
-    compat_project,
-    nls_problem_for,
-    residual_norm,
-    sample_ansatz,
-)
+from fput2d.ansatz import build_initial_data, compat_project
 from fput2d.dispersion import WaveVector, nls_coefficients, omega
-from fput2d.harness import ExperimentPlan, fit_order, run_sweep
+from fput2d.harness import ExperimentPlan, fit_order, residual_sweep, run_sweep
 from fput2d.lattice import (
     ForceLaw,
     LatticeState,
@@ -175,23 +169,9 @@ def test_criterion_05_nls_solver():
 
 
 def test_criterion_06_residual_orders():
-    disp = nls_coefficients(KV)
-    rows = {True: [], False: []}
-    for eps in EPS_SWEEP:
-        n = int(np.ceil(40.0 / eps / 4) * 4)
-        env0 = gaussian_field(eps * n, 256)
-        slow_times = [0.0, 0.5, 1.0]
-        envs = evolve(env0, nls_problem_for(disp, "strain_u", 1e-3), 1.0,
-                      sample_times=slow_times)
-        for flag in (True, False):
-            vals = [
-                residual_norm(env, disp, eps, env.slow_time / eps**2, n,
-                              "strain", flag, method="fft")
-                for env in envs
-            ]
-            rows[flag].append(max(vals))
-    order_with, _, _ = fit_order(EPS_SWEEP, rows[True])
-    order_without, _, _ = fit_order(EPS_SWEEP, rows[False])
+    rows = residual_sweep(ExperimentPlan(eps_list=EPS_SWEEP))
+    order_with, _, _ = fit_order(EPS_SWEEP, [r["with_corrections"] for r in rows])
+    order_without, _, _ = fit_order(EPS_SWEEP, [r["without_corrections"] for r in rows])
     ok = order_with >= 3.6 and order_without >= 2.7
     _line(6, ok,
           f"residual orders: with corrections {order_with:.2f} >= 3.6, "

@@ -11,9 +11,9 @@ import pytest
 from fput2d.ansatz import (
     FootprintExceeded,
     MissingB,
+    _Harmonics,
     build_initial_data,
     compat_project,
-    correction_set,
     eval_envelope,
     gamma_tilde,
     l1_dft_norm,
@@ -28,6 +28,13 @@ from fput2d.nls import EnvelopeField, evolve, gaussian_field
 PIH = np.pi / 2
 KV = WaveVector(PIH, PIH)
 DISP = nls_coefficients(KV)
+
+
+def periodic_gaussian(box, x, y, sigma=4.0):
+    """exp(-(X^2 + Y^2)/sigma^2) summed over its nearest periodic images."""
+    xx, yy = np.meshgrid(x, y, indexing="ij")
+    return sum(np.exp(-((xx + i * box) ** 2 + (yy + j * box) ** 2) / sigma**2)
+               for i in (-1, 0, 1) for j in (-1, 0, 1))
 
 
 def constant_env(value, box, m=8, variant="strain_u"):
@@ -135,12 +142,9 @@ class TestExactDerivatives:
         h = 1e-4
         env_p = evolved_copy(env, DISP, var_env, eps**2 * h)
         env_m = evolved_copy(env, DISP, var_env, -(eps**2) * h)
-        s = sample_ansatz(env, DISP, eps, t0, n, variant, corrections, depth=1,
-                          method="fft")
-        sp = sample_ansatz(env_p, DISP, eps, t0 + h, n, variant, corrections,
-                           method="fft")
-        sm = sample_ansatz(env_m, DISP, eps, t0 - h, n, variant, corrections,
-                           method="fft")
+        s = sample_ansatz(env, DISP, eps, t0, n, variant, corrections, depth=1)
+        sp = sample_ansatz(env_p, DISP, eps, t0 + h, n, variant, corrections)
+        sm = sample_ansatz(env_m, DISP, eps, t0 - h, n, variant, corrections)
         if variant == "displacement":
             fd = (sp.psi_q - sm.psi_q) / (2 * h)
             assert np.max(np.abs(fd - s.psi_qt)) < 1e-6
@@ -158,47 +162,58 @@ class TestExactDerivatives:
         h = 1e-4
         env_p = evolved_copy(env, DISP, "strain_u", eps**2 * h)
         env_m = evolved_copy(env, DISP, "strain_u", -(eps**2) * h)
-        s = sample_ansatz(env, DISP, eps, t0, n, "strain", True, depth=2,
-                          method="fft")
-        sp = sample_ansatz(env_p, DISP, eps, t0 + h, n, "strain", True, depth=1,
-                           method="fft")
-        sm = sample_ansatz(env_m, DISP, eps, t0 - h, n, "strain", True, depth=1,
-                           method="fft")
+        s = sample_ansatz(env, DISP, eps, t0, n, "strain", True, depth=2)
+        sp = sample_ansatz(env_p, DISP, eps, t0 + h, n, "strain", True, depth=1)
+        sm = sample_ansatz(env_m, DISP, eps, t0 - h, n, "strain", True, depth=1)
         fd_u = (sp.psi_ut - sm.psi_ut) / (2 * h)
         assert np.max(np.abs(fd_u - s.psi_utt)) < 1e-5
 
 
 class TestEnvelopeEvaluation:
-    def test_fft_matches_bicubic(self):
-        env = gaussian_field(40.0, 256)
-        eps, n = 0.2, 200
-        fields = [env.a, env.a * np.exp(1j * 0.3)]
-        t = 7.7
-        a = eval_envelope(fields, env, eps, t, n, (0.5, 0.5), "bicubic")
-        b = eval_envelope(fields, env, eps, t, n, (0.5, 0.5), "fft")
-        for fa, fb in zip(a, b):
-            assert np.max(np.abs(fa - fb)) < 1e-5
+    @staticmethod
+    def periodic_env(box, m):
+        env = gaussian_field(box, m)
+        x = env.coords_1d()
+        env.a = periodic_gaussian(box, x, x).astype(complex)
+        return env
+
+    @staticmethod
+    def exact_at_lattice(box, eps, t, n, velocity):
+        # the wrapped moving-frame points of the lattice sites
+        m = np.arange(n) - n // 2
+        x = (eps * (m + velocity[0] * t) + box / 2) % box - box / 2
+        y = (eps * (m + velocity[1] * t) + box / 2) % box - box / 2
+        return periodic_gaussian(box, x, y)
+
+    def test_matches_closed_form_gaussian(self):
+        env = self.periodic_env(40.0, 256)
+        eps, n, t = 0.2, 200, 7.7
+        phase = np.exp(1j * 0.3)
+        out = eval_envelope([env.a, env.a * phase], env, eps, t, n, (0.5, 0.5))
+        exact = self.exact_at_lattice(40.0, eps, t, n, (0.5, 0.5))
+        assert np.max(np.abs(out[0] - exact)) < 1e-12
+        assert np.max(np.abs(out[1] - phase * exact)) < 1e-12
 
     def test_fft_exact_on_grid_points(self):
         # at t = 0 with N = M the maps are the identity modulo origins
         m = 128
         env = gaussian_field(25.6, m)
-        out = eval_envelope([env.a], env, 0.2, 0.0, m, (0.5, 0.5), "fft")[0]
+        out = eval_envelope([env.a], env, 0.2, 0.0, m, (0.5, 0.5))[0]
         assert np.max(np.abs(out - env.a)) < 1e-12
 
     def test_fft_requires_commensurate(self):
         env = gaussian_field(40.0, 128)
-        with pytest.raises(ValueError):
-            eval_envelope([env.a], env, 0.21, 0.0, 100, (0.5, 0.5), "fft")
+        with pytest.raises(FootprintExceeded):
+            eval_envelope([env.a], env, 0.21, 0.0, 100, (0.5, 0.5))
 
     def test_wraparound_periodicity(self):
-        # moving-frame offsets that wrap the torus agree between backends
-        env = gaussian_field(25.6, 128)
+        # moving-frame offsets that wrap the torus match the periodic closed form
+        env = self.periodic_env(25.6, 128)
         eps, n = 0.2, 128
         t = 180.0  # eps*cx*t = 18 > L/2: the window has wrapped
-        a = eval_envelope([env.a], env, eps, t, n, (0.5, 0.5), "bicubic")[0]
-        b = eval_envelope([env.a], env, eps, t, n, (0.5, 0.5), "fft")[0]
-        assert np.max(np.abs(a - b)) < 1e-5
+        out = eval_envelope([env.a], env, eps, t, n, (0.5, 0.5))[0]
+        exact = self.exact_at_lattice(25.6, eps, t, n, (0.5, 0.5))
+        assert np.max(np.abs(out - exact)) < 1e-12
 
 
 class TestCompatProjection:
@@ -340,28 +355,36 @@ class TestCorrectionSet:
 
         env = gaussian_field(32.0, 64, amplitude=0.7)
         env.a = env.a * np.exp(0.2j)
-        cs = correction_set(env, DISP, "strain")
+        terms = {(kind, j): c
+                 for _, j, c, _, _, kind in _Harmonics(env, DISP, "strain", True).terms}
         co = correction_coefficients(KV, "strain_u")
         p = env.a
-        assert np.allclose(cs.a_1m1, 8 * co.c_1m1 * p * np.conj(p) ** 2, atol=1e-14)
-        assert np.allclose(cs.a_13, 8 * co.c_13 * p**3, atol=1e-14)
-        assert np.allclose(cs.a_1m3, 8 * co.c_1m3 * np.conj(p) ** 3, atol=1e-14)
-        assert cs.b_1m1 is not None
+        assert np.allclose(terms["strain_u", -1], 8 * co.c_1m1 * p * np.conj(p) ** 2,
+                           atol=1e-14)
+        assert np.allclose(terms["strain_u", 3], 8 * co.c_13 * p**3, atol=1e-14)
+        assert np.allclose(terms["strain_u", -3], 8 * co.c_1m3 * np.conj(p) ** 3,
+                           atol=1e-14)
+        assert ("strain_v", -1) in terms
 
     def test_sampled_difference_matches_manual(self):
         # with a constant envelope the correction contribution has a closed form
+        from fput2d.dispersion import correction_coefficients
+
         eps, n = 0.05, 16
         c = 0.6 + 0.2j
         env = constant_env(c, eps * n)
         s0 = sample_ansatz(env, DISP, eps, 0.0, n, "strain")
         s1 = sample_ansatz(env, DISP, eps, 0.0, n, "strain", corrections=True)
-        cs = correction_set(env, DISP, "strain")
+        co = correction_coefficients(KV, "strain_u")
+        a_1m1 = 8 * co.c_1m1 * c * np.conj(c) ** 2
+        a_13 = 8 * co.c_13 * c**3
+        a_1m3 = 8 * co.c_1m3 * np.conj(c) ** 3
         m = np.arange(n) - n // 2
         mm, nn = np.meshgrid(m, m, indexing="ij")
         th = PIH * (mm + nn)
         manual = eps**3 * (
-            np.real(cs.a_1m1[0, 0] * np.exp(-1j * th))
-            + np.real((cs.a_13[0, 0] + np.conj(cs.a_1m3[0, 0])) * np.exp(3j * th))
+            np.real(a_1m1 * np.exp(-1j * th))
+            + np.real((a_13 + np.conj(a_1m3)) * np.exp(3j * th))
         )
         assert np.allclose(s1.psi_u - s0.psi_u, manual, atol=1e-14)
 

@@ -229,11 +229,21 @@ class TestSweepCommand:
         assert rep1 == rep2
         assert rep1["fitted_order"] is not None
 
+    def test_error_over_eps2_bound_enforced_exit_4(self, tmp_path, capsys):
+        # the smoke grid fits order ~1.7; a lowered bar makes the order pass,
+        # so only the error/eps^2 bound can fail the sweep
+        order_ok = TINY + ["--set", "pass_threshold=1.0"]
+        assert main(["sweep", "--out", str(tmp_path / "a")] + order_ok) == 0
+        code = main(["sweep", "--out", str(tmp_path / "b")] + order_ok
+                    + ["--set", "error_over_eps2_bound=1e-9"])
+        assert code == 4
+        report = json.loads((tmp_path / "b" / "report.json").read_text())
+        assert report["fitted_order"] >= 1.0 and report["pass"] is False
+
 
 class TestResidualCommand:
     def test_writes_report(self, tmp_path, capsys):
-        code = main(["residual", "--out", str(tmp_path)] + TINY
-                    + ["--set", "envelope_eval=fft"])
+        code = main(["residual", "--out", str(tmp_path)] + TINY)
         report = json.loads((tmp_path / "residual_report.json").read_text())
         assert code in (0, 4)  # the coarse smoke grid need not meet the bars
         assert len(report["per_eps"]) == 3

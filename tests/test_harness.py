@@ -60,6 +60,11 @@ class TestFitOrder:
         with pytest.raises(ValueError):
             fit_order([0.2, 0.1], [0.04, 0.01])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_errors_rejected(self, bad):
+        with pytest.raises(ValueError):
+            fit_order([0.2, 0.14, 0.1], [0.04, bad, 0.01])
+
 
 class TestPlanRules:
     def test_n_side_multiple_of_four(self):

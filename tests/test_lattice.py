@@ -129,6 +129,15 @@ class TestVerlet:
         with pytest.raises(UnstableStep):
             verlet_step(displacement_state(8, q=q), BASE, 0.1)
 
+    def test_nan_state_trips_guard(self):
+        vt = np.zeros((8, 8))
+        vt[2, 3] = np.nan
+        state = LatticeState("strain", u=np.zeros((8, 8)), v=np.zeros((8, 8)),
+                             ut=np.zeros((8, 8)), vt=vt)
+        assert np.isnan(state.max_amplitude())  # NaN in the last array counts too
+        with pytest.raises(UnstableStep):
+            verlet_step(state, BASE, 0.1)
+
     def test_translation_equivariance(self):
         rng = np.random.default_rng(2)
         q = smooth_random_field(16, rng, 0.2)

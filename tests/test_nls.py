@@ -6,6 +6,8 @@ and a brute-force RK4 integration of the Fourier-truncated semidiscrete
 system at a tiny step.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -15,19 +17,25 @@ from fput2d.nls import (
     EnvelopeField,
     NlsProblem,
     edge_mass_fraction,
-    envelope_rhs,
     envelope_rhs_arrays,
     evolve,
     gaussian_field,
     h4_proxy,
-    linear_halfstep,
     linear_symbol,
     mass,
-    nonlinear_step,
-    strang_step,
 )
 
 H_CENTER = hessian(WaveVector(np.pi / 2, np.pi / 2))
+H_ZERO = np.zeros((2, 2))
+
+
+def flow(field: EnvelopeField, prob: NlsProblem, span: float) -> EnvelopeField:
+    """The field after evolve marches it by span from its current slow time.
+
+    The smooth-norm guard is off: white-noise fields exceed it at once.
+    """
+    t_end = field.slow_time + span
+    return evolve(field, prob, t_end, sample_times=[t_end], blowup_guard=np.inf)[-1]
 
 
 def gaussian_free_oracle(field0: EnvelopeField, hess: np.ndarray, sigma: float,
@@ -68,10 +76,11 @@ def rk4_oracle(field0: EnvelopeField, prob: NlsProblem, t_final: float, dt: floa
 
 
 class TestLinearHalfstep:
+    # gamma = 0 leaves only the exact linear flow in evolve's Strang sweep
     def test_constant_unchanged(self):
         f = EnvelopeField(32.0, np.full((64, 64), 2.5 + 1j))
-        prob = NlsProblem(H_CENTER, -3j, dT=0.01)
-        out = linear_halfstep(f, prob)
+        prob = NlsProblem(H_CENTER, 0j, dT=0.01)
+        out = flow(f, prob, prob.dT / 2)
         assert np.allclose(out.a, f.a, atol=1e-13)
 
     def test_single_mode_phase(self):
@@ -80,9 +89,9 @@ class TestLinearHalfstep:
         x = f0.coords_1d()
         xx, yy = np.meshgrid(x, x, indexing="ij")
         kvec = 2 * np.pi * np.array([3, -5]) / L
-        prob = NlsProblem(H_CENTER, -3j, dT=0.02)
+        prob = NlsProblem(H_CENTER, 0j, dT=0.02)
         f0.a = np.exp(1j * (kvec[0] * xx + kvec[1] * yy))
-        out = linear_halfstep(f0, prob)
+        out = flow(f0, prob, prob.dT / 2)
         sigma = 0.5 * kvec @ H_CENTER @ kvec
         expected = np.exp(1j * (prob.dT / 2) * sigma) * f0.a
         assert np.allclose(out.a, expected, atol=1e-12)
@@ -108,21 +117,22 @@ class TestLinearHalfstep:
 
 
 class TestNonlinearStep:
+    # a zero Hessian (or a constant field) leaves only the pointwise rotation
     def test_zero(self):
         f = EnvelopeField(16.0, np.zeros((32, 32), dtype=complex))
-        out = nonlinear_step(f, NlsProblem(H_CENTER, -3j), 0.5)
+        out = flow(f, NlsProblem(H_ZERO, -3j, dT=0.5), 0.5)
         assert np.all(out.a == 0)
 
     def test_modulus_invariant(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
         f = EnvelopeField(12.0, a)
-        out = nonlinear_step(f, NlsProblem(H_CENTER, -3j), 0.3)
+        out = flow(f, NlsProblem(H_ZERO, -3j, dT=0.3), 0.3)
         assert np.allclose(np.abs(out.a), np.abs(a), atol=1e-14)
 
     def test_constant_exact_rotation(self):
         f = EnvelopeField(16.0, np.ones((32, 32), dtype=complex))
-        out = nonlinear_step(f, NlsProblem(H_CENTER, -3j), 0.1)
+        out = flow(f, NlsProblem(H_CENTER, -3j, dT=0.1), 0.1)
         assert np.allclose(out.a, np.exp(-0.3j), atol=1e-14)
 
     def test_real_coefficient_rejected(self):
@@ -135,9 +145,8 @@ class TestStrang:
         f = gaussian_field(40.0, 128)
         prob = NlsProblem(H_CENTER, -3j, dT=1e-3)
         m0 = mass(f)
-        for _ in range(1000):
-            f = strang_step(f, prob)
-        assert abs(mass(f) - m0) / m0 < 1e-12
+        out = flow(f, prob, 1000 * prob.dT)
+        assert abs(mass(out) - m0) / m0 < 1e-12
 
     def test_self_convergence_order(self):
         # errors at dT and dT/2 against a dT/16 reference
@@ -207,6 +216,23 @@ class TestEvolve:
         with pytest.raises(EnvelopeBlowup):
             evolve(f, NlsProblem(H_CENTER, -3j, dT=1e-3), 1.0, sample_times=[1.0])
 
+    def test_blowup_reports_time_of_trip(self):
+        # the guard sits just above the initial proxy, so the t = 0 check
+        # passes and a later in-sweep check trips it
+        f = gaussian_field(40.0, 128, amplitude=4.0)
+        guard = 1.01 * h4_proxy(f)
+        with pytest.raises(EnvelopeBlowup) as info:
+            evolve(f, NlsProblem(H_CENTER, -3j, dT=1e-3), 1.0, sample_times=[1.0],
+                   blowup_guard=guard)
+        reported = float(re.search(r"T = ([-\d.]+)", str(info.value)).group(1))
+        assert 0.0 < reported < 1.0
+
+    def test_nan_envelope_trips_guard(self):
+        a = gaussian_field(40.0, 128).a
+        a[3, 5] = np.nan
+        with pytest.raises(EnvelopeBlowup):
+            evolve(EnvelopeField(40.0, a), NlsProblem(H_CENTER, -3j, dT=1e-3), 0.1)
+
     def test_b_envelope_consistency(self):
         # evolving B0 = ratio * A0 with 4*gamma_b must track ratio * (A evolved
         # with 4*gamma_a): the cross relation gamma_b = gamma_a wx^2/wy^2 makes
@@ -240,12 +266,13 @@ class TestDiagnostics:
         assert edge_mass_fraction(f) > 0.1
 
     def test_envelope_rhs_matches_limit(self):
-        # finite-difference check of the rhs via one tiny strang step
+        # finite-difference check of the rhs via one tiny Strang step of evolve
         f = gaussian_field(32.0, 64, amplitude=0.5)
         prob = NlsProblem(H_CENTER, -3j, dT=1e-6)
-        stepped = strang_step(f, prob)
+        stepped = flow(f, prob, prob.dT)
         fd = (stepped.a - f.a) / prob.dT
-        assert np.max(np.abs(fd - envelope_rhs(f, prob))) < 1e-6
+        rhs = envelope_rhs_arrays(f.a, linear_symbol(f, prob), prob.nonlin_coeff)
+        assert np.max(np.abs(fd - rhs)) < 1e-6
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
