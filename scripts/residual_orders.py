@@ -9,8 +9,6 @@ without the third-generation corrections and ~eps^4 with them.
 
 import argparse
 
-import numpy as np
-
 from fput2d.harness import ExperimentPlan, fit_order, residual_sweep
 
 
@@ -22,8 +20,7 @@ def main():
                     metavar=("K_PI", "L_PI"))
     args = ap.parse_args()
 
-    plan = ExperimentPlan(carrier_k=np.pi * args.carrier[0],
-                          carrier_l=np.pi * args.carrier[1],
+    plan = ExperimentPlan(carrier_k_pi=args.carrier[0], carrier_l_pi=args.carrier[1],
                           variant=args.variant, eps_list=tuple(args.eps))
     rows = residual_sweep(plan)
     for row in rows:

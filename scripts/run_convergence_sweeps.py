@@ -7,10 +7,9 @@ writes one report JSON per experiment.  Expect ~5-10 minutes on a laptop.
 """
 
 import argparse
-import json
 from pathlib import Path
 
-from fput2d.harness import ExperimentPlan, run_sweep
+from fput2d.harness import ExperimentPlan, report_to_json, run_sweep
 
 
 def main():
@@ -32,7 +31,7 @@ def main():
         plan = ExperimentPlan(eps_list=tuple(args.eps), workers=args.workers, **kw)
         report = run_sweep(plan)
         path = out / f"report_{name}.json"
-        path.write_text(json.dumps(report, indent=2, default=float))
+        path.write_text(report_to_json(report))
         print(f"{name:13s} fitted order {report['fitted_order']:.3f} "
               f"pass={report['pass']} -> {path}")
 

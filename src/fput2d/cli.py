@@ -20,12 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from .ansatz import FootprintExceeded, MissingB
-from .config import SCHEMA, ConfigError, config_hash, load_config, to_plan
+from .config import ConfigError, ExperimentPlan, keys_help, load_plan, thread_cap
 from .dispersion import Resonant, ZeroFrequency, nls_coefficients
 from .harness import (
     DegenerateFit,
     NonResonantCarrierRequired,
     fit_order,
+    report_to_json,
     residual_sweep,
     run_single,
     run_sweep,
@@ -43,18 +44,11 @@ EXIT_ACCEPTANCE = 4
 SOLVER_ERRORS = (EnvelopeBlowup, UnstableStep, FootprintExceeded, MissingB, Resonant)
 
 
-def _schema_epilog() -> str:
-    lines = ["config keys (file or --set key=value):"]
-    for key, (default, tag, help_text) in SCHEMA.items():
-        lines.append(f"  {key:28s} {tag:10s} default={default!r}  {help_text}")
-    return "\n".join(lines)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fput2d",
         description="2D cubic FPUT lattice vs NLS wave-packet approximation laboratory",
-        epilog=_schema_epilog(),
+        epilog=keys_help(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -73,9 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_coeffs(cfg) -> int:
+def cmd_coeffs(plan: ExperimentPlan) -> int:
     try:
-        data = nls_coefficients_from(cfg)
+        data = nls_coefficients(plan.carrier, plan.delta_res)
     except ZeroFrequency as e:
         print(json.dumps({"error": "ZeroFrequency", "message": str(e)}))
         return EXIT_CARRIER
@@ -98,81 +92,48 @@ def cmd_coeffs(cfg) -> int:
     return EXIT_OK
 
 
-def nls_coefficients_from(cfg):
-    from .dispersion import WaveVector
-
-    return nls_coefficients(WaveVector(cfg.carrier_k, cfg.carrier_l), cfg.delta_res)
-
-
-def cmd_simulate(cfg, out_dir: Path) -> int:
-    plan = to_plan(cfg)
-    eps = cfg.eps
-    n_snap = max(int(cfg.snapshots), 0)
-    snap_idx = tuple(
-        sorted({int(round(f)) for f in np.linspace(0, plan.sample_count - 1, n_snap)})
-    ) if n_snap else ()
-    record = run_single(plan, eps, keep_state_indices=snap_idx)
+def cmd_simulate(plan: ExperimentPlan, out_dir: Path) -> int:
+    snap_idx = tuple(sorted(
+        {int(round(f)) for f in np.linspace(0, plan.sample_count - 1, plan.snapshots)}
+    ))
+    record = run_single(plan, plan.eps, keep_state_indices=snap_idx)
     states = record.pop("_states", {})
     env_final = record.pop("_env_final", None)
     files = []
-    if cfg.write_snapshots:
-        for i, st in sorted(states.items()):
-            path = out_dir / f"state_{i:03d}.snap"
-            write_snapshot(path, st)
-            files.append(path.name)
-        if env_final is not None:
-            path = out_dir / "envelope_final.snap"
-            write_snapshot(path, env_final)
-            files.append(path.name)
-    if cfg.write_csv:
-        path = out_dir / "lattice_diag.csv"
-        nan = float("nan")
-        with DiagnosticsCsv(path, ["t", "energy", "compat_defect", "max_amp"]) as csv_out:
-            for t, e, d, amp in record["lattice_diag"]:
-                csv_out.write(t, e if e is not None else nan,
-                              d if d is not None else nan, amp)
+    for i, st in sorted(states.items()):
+        path = out_dir / f"state_{i:03d}.snap"
+        write_snapshot(path, st)
         files.append(path.name)
-        path = out_dir / "envelope_diag.csv"
-        with DiagnosticsCsv(path, ["T", "mass", "h4proxy", "max_amp"]) as csv_out:
-            for row in record["envelope_diag"]:
-                csv_out.write(*row)
+    if env_final is not None:
+        path = out_dir / "envelope_final.snap"
+        write_snapshot(path, env_final)
         files.append(path.name)
+    path = out_dir / "lattice_diag.csv"
+    nan = float("nan")
+    with DiagnosticsCsv(path, ["t", "energy", "compat_defect", "max_amp"]) as csv_out:
+        for t, e, d, amp in record["lattice_diag"]:
+            csv_out.write(t, e if e is not None else nan,
+                          d if d is not None else nan, amp)
+    files.append(path.name)
+    path = out_dir / "envelope_diag.csv"
+    with DiagnosticsCsv(path, ["T", "mass", "h4proxy", "max_amp"]) as csv_out:
+        for row in record["envelope_diag"]:
+            csv_out.write(*row)
+    files.append(path.name)
     summary = out_dir / "summary.json"
-    summary.write_text(json.dumps(record, indent=2, default=float))
+    summary.write_text(report_to_json(record))
     files.append(summary.name)
-    write_manifest(out_dir, "simulate", config_hash(cfg), files + ["manifest.json"])
-    print(f"simulate: eps={eps} max_sup_error={record['max_sup_error']:.6e} "
+    write_manifest(out_dir, "simulate", plan.hash(), files + ["manifest.json"])
+    print(f"simulate: eps={plan.eps} max_sup_error={record['max_sup_error']:.6e} "
           f"-> {summary}")
     return EXIT_OK
 
 
-def cmd_sweep(cfg, out_dir: Path) -> int:
-    if cfg.synthetic_errors:
-        # self-test path: fit precomputed errors, no runs
-        try:
-            slope, ci, fit_res = fit_order(cfg.eps_list, cfg.synthetic_errors)
-            passed = slope >= cfg.pass_threshold
-            degenerate = False
-        except DegenerateFit:
-            slope, ci, fit_res = None, None, None
-            passed = all(e <= 1e-10 for e in cfg.synthetic_errors)
-            degenerate = True
-        report = {
-            "plan": {"synthetic": True, "eps_list": list(cfg.eps_list)},
-            "per_eps": [{"eps": e, "max_sup_error": err}
-                        for e, err in zip(cfg.eps_list, cfg.synthetic_errors)],
-            "fitted_order": slope,
-            "fit_interval_95": ci,
-            "fit_residual": fit_res,
-            "degenerate_fit": degenerate,
-            "pass": bool(passed),
-            "metadata": {"config_hash": config_hash(cfg)},
-        }
-    else:
-        report = run_sweep(to_plan(cfg))
+def cmd_sweep(plan: ExperimentPlan, out_dir: Path) -> int:
+    report = run_sweep(plan)
     files = []
     report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(report, indent=2, default=float))
+    report_path.write_text(report_to_json(report))
     files.append(report_path.name)
     tsv = out_dir / "order_fit.tsv"
     with open(tsv, "w") as fh:
@@ -181,34 +142,28 @@ def cmd_sweep(cfg, out_dir: Path) -> int:
             if rec["max_sup_error"] > 0:
                 fh.write(f"{np.log(rec['eps'])!r}\t{np.log(rec['max_sup_error'])!r}\n")
     files.append(tsv.name)
-    if cfg.write_csv:
-        for rec in report["per_eps"]:
-            if "times" not in rec:
-                continue
-            path = out_dir / f"errors_eps_{rec['eps']:g}.csv"
-            with DiagnosticsCsv(path, ["t", "sup_error"]) as csv_out:
-                for t, e in zip(rec["times"], rec["sup_errors"]):
-                    csv_out.write(t, e)
-            files.append(path.name)
-    write_manifest(out_dir, "sweep", config_hash(cfg), files + ["manifest.json"])
+    for rec in report["per_eps"]:
+        path = out_dir / f"errors_eps_{rec['eps']:g}.csv"
+        with DiagnosticsCsv(path, ["t", "sup_error"]) as csv_out:
+            for t, e in zip(rec["times"], rec["sup_errors"]):
+                csv_out.write(t, e)
+        files.append(path.name)
+    write_manifest(out_dir, "sweep", plan.hash(), files + ["manifest.json"])
     order = report["fitted_order"]
     print(f"sweep: fitted_order={order if order is None else round(order, 4)} "
           f"pass={report['pass']} -> {report_path}")
-    if report["degenerate_fit"] and not report["pass"]:
-        return EXIT_ACCEPTANCE
     return EXIT_OK if report["pass"] else EXIT_ACCEPTANCE
 
 
-def cmd_residual(cfg, out_dir: Path) -> int:
-    rows = residual_sweep(to_plan(cfg))
+def cmd_residual(plan: ExperimentPlan, out_dir: Path) -> int:
+    rows = residual_sweep(plan)
     eps_values = [r["eps"] for r in rows]
-    report = {"per_eps": rows, "metadata": {"config_hash": config_hash(cfg)}}
+    report = {"per_eps": rows, "metadata": {"config_hash": plan.hash()}}
     code = EXIT_OK
     try:
-        for label, bar_key in (("with_corrections", "residual_order_min_with"),
-                               ("without_corrections", "residual_order_min_without")):
+        for label, bar in (("with_corrections", plan.residual_order_min_with),
+                           ("without_corrections", plan.residual_order_min_without)):
             slope, ci, _ = fit_order(eps_values, [r[label] for r in rows])
-            bar = cfg.values[bar_key]
             report[f"order_{label}"] = slope
             report[f"pass_{label}"] = bool(slope >= bar)
             if slope < bar:
@@ -217,8 +172,8 @@ def cmd_residual(cfg, out_dir: Path) -> int:
         report["degenerate_fit"] = str(e)
         code = EXIT_ACCEPTANCE
     path = out_dir / "residual_report.json"
-    path.write_text(json.dumps(report, indent=2, default=float))
-    write_manifest(out_dir, "residual", config_hash(cfg), [path.name, "manifest.json"])
+    path.write_text(report_to_json(report))
+    write_manifest(out_dir, "residual", plan.hash(), [path.name, "manifest.json"])
     print(f"residual: orders with={report.get('order_with_corrections')} "
           f"without={report.get('order_without_corrections')} -> {path}")
     return code
@@ -228,45 +183,37 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, args.overrides)
+        plan = load_plan(args.config, args.overrides)
+        thread_cap()  # the sweep pool reads FPUT2D_THREADS; check it before any work
+        if args.command in ("sweep", "residual") and len(plan.eps_list) < 3:
+            raise ConfigError(f"{args.command} needs at least 3 eps values")
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 
     if args.command == "coeffs":
         try:
-            return cmd_coeffs(cfg)
+            return cmd_coeffs(plan)
         except SOLVER_ERRORS as e:
             print(json.dumps({"error": type(e).__name__, "message": str(e)}))
             return EXIT_SOLVER
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir)
         if args.command == "sweep":
-            if not cfg.synthetic_errors:
-                if len(cfg.eps_list) < 3:
-                    print("config error: sweep needs at least 3 eps values",
-                          file=sys.stderr)
-                    return EXIT_CONFIG
-                try:
-                    data = nls_coefficients_from(cfg)
-                except ZeroFrequency as e:
-                    print(f"carrier error: {e}", file=sys.stderr)
-                    return EXIT_CARRIER
-                if not data.nonresonant:
-                    print("carrier violates the non-resonance condition; refusing to run",
-                          file=sys.stderr)
-                    return EXIT_CARRIER
-            return cmd_sweep(cfg, out_dir)
+            data = nls_coefficients(plan.carrier, plan.delta_res)
+            if not data.nonresonant:
+                print("carrier violates the non-resonance condition; refusing to run",
+                      file=sys.stderr)
+                return EXIT_CARRIER
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if args.command == "simulate":
+            return cmd_simulate(plan, out_dir)
+        if args.command == "sweep":
+            return cmd_sweep(plan, out_dir)
         if args.command == "residual":
-            return cmd_residual(cfg, out_dir)
-    except NonResonantCarrierRequired as e:
-        print(f"carrier error: {e}", file=sys.stderr)
-        return EXIT_CARRIER
-    except ZeroFrequency as e:
+            return cmd_residual(plan, out_dir)
+    except (NonResonantCarrierRequired, ZeroFrequency) as e:
         print(f"carrier error: {e}", file=sys.stderr)
         return EXIT_CARRIER
     except SOLVER_ERRORS as e:

@@ -1,191 +1,216 @@
-"""Declarative run configuration.
+"""Run configuration: the ExperimentPlan schema and its loader.
 
-A run is described by one JSON or YAML file of flat keys; every key has a
-typed default below and unknown keys are rejected (no silent typo
-acceptance).  Command-line --set key=value overrides are applied after the
-file.  Carrier components are given in multiples of pi so that the standard
-quarter-pi carriers are exact in config text.
+A run is described by one JSON or YAML file of flat keys plus command-line
+--set key=value overrides, applied after the file.  The keys are the fields
+of ExperimentPlan; each field's metadata carries its help text and, where
+one applies, the rule its value must meet.  load_plan converts every value
+to the type of the field's default and rejects unknown keys, unreadable
+values and broken rules with ConfigError, before any work starts.  Carrier
+components are given in multiples of pi so that the standard quarter-pi
+carriers are exact in config text.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
-from dataclasses import dataclass, field
+import os
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-
 import yaml
+
+from .dispersion import WaveVector
+from .lattice import DT_MAX
 
 
 class ConfigError(ValueError):
     pass
 
 
-# key -> (default, type tag, help)
-SCHEMA: dict[str, tuple] = {
-    "carrier_k_pi": (0.5, "float", "carrier k0 in units of pi"),
-    "carrier_l_pi": (0.5, "float", "carrier l0 in units of pi"),
-    "variant": ("strain", "str", "strain | displacement"),
-    "eps": (0.2, "float", "single-run modulation parameter"),
-    "eps_list": ([0.2, 0.14, 0.1], "float_list", "descending sweep values in (0, 0.5)"),
-    "t0": (1.0, "float", "slow-time horizon T0"),
-    "box_length": (40.0, "float", "envelope box side L"),
-    "grid_side": (256, "int", "envelope grid side M (power of two)"),
-    "n_side": (0, "int", "lattice side override; 0 = rule ceil(L/eps) to multiple of 4"),
-    "dt": (0.0, "float", "lattice step override; 0 = rule"),
-    "dt_rule": ("eps15_over4", "str", "lattice step rule: eps15_over4 | eps_over4"),
-    "dt_slow": (1e-3, "float", "envelope splitting step dT"),
-    "corrections": (False, "bool", "include third-generation corrections"),
-    "force_kind": ("cubic_baseline", "str", "cubic_baseline | perturbed | linear"),
-    "coeff_bound": (1.0, "float", "sup bound for per-bond perturbation coefficients"),
-    "seed": (2026, "int", "RNG seed for perturbation draws"),
-    "amplitude": (1.0, "float", "envelope amplitude a"),
-    "sigma": (4.0, "float", "Gaussian envelope width"),
-    "envelope_kind": ("gaussian", "str", "gaussian | constant"),
-    "sample_count": (21, "int", "number of slow-time sample points"),
-    "residual_fractions": ([0.0, 0.5, 1.0], "float_list", "residual sampling as fractions of T0"),
-    "projection": ("oblique", "str", "compatibility projection: oblique | orthogonal"),
-    "delta_res": (1e-8, "float", "non-resonance margin"),
-    "pass_threshold": (1.8, "float", "minimum fitted order for a passing sweep"),
-    "residual_order_min_with": (3.6, "float", "residual-order bar with corrections"),
-    "residual_order_min_without": (2.7, "float", "residual-order bar without corrections"),
-    "error_over_eps2_bound": (50.0, "float", "sanity cap on sup_error / eps^2"),
-    "workers": (0, "int", "eps-parallel workers; 0 = auto (FPUT2D_THREADS caps)"),
-    "blowup_guard": (1e4, "float", "H4-proxy guard for the envelope solve"),
-    "snapshots": (3, "int", "lattice snapshots written by simulate"),
-    "write_csv": (True, "bool", "emit diagnostics CSV files"),
-    "write_snapshots": (True, "bool", "emit binary snapshots"),
-    "synthetic_errors": ([], "float_list", "self-test: fit these errors instead of running"),
-}
+_POSITIVE = ("positive", lambda v: v > 0)
+_NON_NEGATIVE = ("non-negative", lambda v: v >= 0)
 
 
-def _coerce(key: str, value, tag: str):
+def _key(default, help_text: str, rule: str = "", ok=None):
+    """A config key: its default, its help and an optional (rule, predicate)."""
+    return field(default=default, metadata={"help": help_text, "rule": rule, "ok": ok})
+
+
+def _choice(default, help_text: str, *choices: str):
+    return _key(default, help_text, "one of " + " | ".join(choices), lambda v: v in choices)
+
+
+@dataclass
+class ExperimentPlan:
+    """Everything a run or a sweep needs; plain values only, safe to pickle and hash."""
+
+    carrier_k_pi: float = _key(0.5, "carrier k0 in units of pi")
+    carrier_l_pi: float = _key(0.5, "carrier l0 in units of pi")
+    variant: str = _choice("strain", "lattice form", "strain", "displacement")
+    eps: float = _key(0.2, "single-run modulation parameter", "in (0, 0.5)",
+                      lambda v: 0 < v < 0.5)
+    eps_list: tuple = _key((0.2, 0.14, 0.1), "descending sweep values in (0, 0.5)")
+    t0: float = _key(1.0, "slow-time horizon T0", *_POSITIVE)
+    box_length: float = _key(40.0, "envelope box side L", *_POSITIVE)
+    grid_side: int = _key(256, "envelope grid side M", "a power of two",
+                          lambda m: m >= 2 and m & (m - 1) == 0)
+    n_side: int = _key(0, "lattice side; 0 = rule ceil(L/eps) to a multiple of 4",
+                       *_NON_NEGATIVE)
+    dt: float = _key(0.0, "lattice step; 0 = rule eps^1.5/4", f"in [0, {DT_MAX}]",
+                     lambda v: 0 <= v <= DT_MAX)
+    dt_slow: float = _key(1e-3, "envelope splitting step dT", *_POSITIVE)
+    corrections: bool = _key(False, "include third-generation corrections")
+    force_kind: str = _choice("cubic_baseline", "lattice force law",
+                              "cubic_baseline", "perturbed", "linear")
+    coeff_bound: float = _key(1.0, "sup bound for per-bond perturbation coefficients",
+                              *_NON_NEGATIVE)
+    seed: int = _key(2026, "RNG seed for perturbation draws")
+    amplitude: float = _key(1.0, "envelope amplitude a")
+    sigma: float = _key(4.0, "Gaussian envelope width", *_POSITIVE)
+    envelope_kind: str = _choice("gaussian", "initial envelope", "gaussian", "constant")
+    sample_count: int = _key(21, "number of slow-time sample points", *_POSITIVE)
+    residual_fractions: tuple = _key(
+        (0.0, 0.5, 1.0), "residual sampling as fractions of T0", "ascending in [0, 1]",
+        lambda fs: len(fs) > 0 and list(fs) == sorted(fs) and all(0 <= f <= 1 for f in fs))
+    projection: str = _choice("oblique", "compatibility projection", "oblique", "orthogonal")
+    delta_res: float = _key(1e-8, "non-resonance margin", *_NON_NEGATIVE)
+    pass_threshold: float = _key(1.8, "minimum fitted order for a passing sweep")
+    residual_order_min_with: float = _key(3.6, "residual-order bar with corrections")
+    residual_order_min_without: float = _key(2.7, "residual-order bar without corrections")
+    error_over_eps2_bound: float = _key(50.0, "sanity cap on sup_error / eps^2")
+    workers: int = _key(0, "eps-parallel workers; 0 = auto (FPUT2D_THREADS caps)",
+                        *_NON_NEGATIVE)
+    blowup_guard: float = _key(1e4, "H4-proxy guard for the envelope solve", *_POSITIVE)
+    snapshots: int = _key(3, "lattice snapshots written by simulate", *_NON_NEGATIVE)
+
+    def __post_init__(self):
+        if len(self.eps_list) < 1:
+            raise ValueError("at least one eps is required")
+        if any(not 0 < e < 0.5 for e in self.eps_list):
+            raise ValueError("eps values must lie in (0, 0.5)")
+        if list(self.eps_list) != sorted(self.eps_list, reverse=True):
+            raise ValueError("eps_list must be descending")
+
+    @property
+    def carrier(self) -> WaveVector:
+        return WaveVector(self.carrier_k_pi * np.pi, self.carrier_l_pi * np.pi)
+
+    def n_side_for(self, eps: float) -> int:
+        # multiple of 4 keeps the standard quarter-pi carriers exactly
+        # periodic on the lattice
+        return self.n_side or int(np.ceil(self.box_length / eps / 4) * 4)
+
+    def dt_for(self, eps: float) -> float:
+        # integrator phase error over T0/eps^2 steps then scales as eps^3,
+        # one order below the eps^2 measurement target
+        return self.dt or eps**1.5 / 4
+
+    def hash(self) -> str:
+        payload = json.dumps(asdict(self), sort_keys=True, default=float)
+        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def _type_name(default) -> str:
+    return "float list" if isinstance(default, tuple) else type(default).__name__
+
+
+def keys_help() -> str:
+    """One line per config key: name, type, default, help and rule."""
+    lines = ["config keys (file or --set key=value):"]
+    for f in fields(ExperimentPlan):
+        rule = f"  ({f.metadata['rule']})" if f.metadata["rule"] else ""
+        lines.append(f"  {f.name:28s} {_type_name(f.default):10s} "
+                     f"default={f.default!r}  {f.metadata['help']}{rule}")
+    return "\n".join(lines)
+
+
+def _number(value, kind):
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise TypeError
+    if kind is int and isinstance(value, float) and value != int(value):
+        raise TypeError
+    return kind(value)
+
+
+def _convert(key: str, value, default):
+    """value read as the type of the key's default."""
+    kind = type(default)
     try:
-        if tag == "float":
-            if isinstance(value, bool):
-                raise TypeError
-            return float(value)
-        if tag == "int":
-            if isinstance(value, bool) or (isinstance(value, float) and value != int(value)):
-                raise TypeError
-            return int(value)
-        if tag == "bool":
-            if isinstance(value, bool):
-                return value
-            if isinstance(value, str):
-                if value.lower() in ("true", "1", "yes"):
-                    return True
-                if value.lower() in ("false", "0", "no"):
-                    return False
-            raise TypeError
-        if tag == "str":
-            if not isinstance(value, str):
-                raise TypeError
-            return value
-        if tag == "float_list":
+        if kind is tuple:
             if isinstance(value, str):
                 value = [v for v in value.split(",") if v.strip()]
             if not isinstance(value, (list, tuple)):
                 raise TypeError
-            return [float(v) for v in value]
-    except (TypeError, ValueError):
-        raise ConfigError(f"config key {key!r}: cannot read {value!r} as {tag}")
-    raise ConfigError(f"unknown schema tag {tag}")
+            return tuple(_number(v, float) for v in value)
+        if kind is bool:
+            if isinstance(value, str):
+                value = {"true": True, "1": True, "yes": True,
+                         "false": False, "0": False, "no": False}.get(value.lower(), value)
+            if not isinstance(value, bool):
+                raise TypeError
+            return value
+        if kind is str:
+            if not isinstance(value, str):
+                raise TypeError
+            return value
+        return _number(value, kind)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(
+            f"config key {key!r}: cannot read {value!r} as {_type_name(default)}"
+        ) from None
 
 
-@dataclass
-class RunConfig:
-    values: dict = field(default_factory=dict)
-
-    def __getattr__(self, key):
-        values = object.__getattribute__(self, "values")
-        if key in values:
-            return values[key]
-        raise AttributeError(key)
-
-    @property
-    def carrier_k(self) -> float:
-        return self.values["carrier_k_pi"] * np.pi
-
-    @property
-    def carrier_l(self) -> float:
-        return self.values["carrier_l_pi"] * np.pi
-
-
-def default_config() -> RunConfig:
-    return RunConfig({k: v for k, (v, _, _) in SCHEMA.items()})
-
-
-def load_config(path: str | None, overrides=()) -> RunConfig:
-    """Read the config file (if any) and apply --set overrides."""
-    values = {k: v for k, (v, _, _) in SCHEMA.items()}
-    if path is not None:
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file {path} does not exist")
+def _read_file(path: str) -> dict:
+    p = Path(path)
+    try:
         text = p.read_text()
         if p.suffix in (".yaml", ".yml"):
             data = yaml.safe_load(text) or {}
         else:
-            try:
-                data = json.loads(text)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"{path}: {e}")
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: top level must be a mapping")
-        for key, value in data.items():
-            if key not in SCHEMA:
-                raise ConfigError(f"unknown config key {key!r}")
-            values[key] = _coerce(key, value, SCHEMA[key][1])
+            data = json.loads(text)
+    except (OSError, ValueError, yaml.YAMLError) as e:
+        raise ConfigError(f"{path}: {e}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: top level must be a mapping")
+    return data
+
+
+def load_plan(path: str | None = None, overrides=()) -> ExperimentPlan:
+    """Read the config file (if any), apply --set overrides and check every key."""
+    raw = _read_file(path) if path is not None else {}
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        key = key.strip()
-        if key not in SCHEMA:
+        key, _, value = item.partition("=")
+        raw[key.strip()] = value.strip()
+    schema = {f.name: f for f in fields(ExperimentPlan)}
+    values = {}
+    for key, value in raw.items():
+        if key not in schema:
             raise ConfigError(f"unknown config key {key!r}")
-        values[key] = _coerce(key, raw.strip(), SCHEMA[key][1])
-    return RunConfig(values)
+        values[key] = _convert(key, value, schema[key].default)
+    try:
+        plan = ExperimentPlan(**values)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    for f in schema.values():
+        value = getattr(plan, f.name)
+        if f.metadata["ok"] is not None and not f.metadata["ok"](value):
+            raise ConfigError(f"config key {f.name!r}: {value!r} is not {f.metadata['rule']}")
+    return plan
 
 
-def config_hash(cfg: RunConfig) -> str:
-    import hashlib
-
-    return hashlib.sha256(
-        json.dumps(cfg.values, sort_keys=True, default=float).encode()
-    ).hexdigest()[:16]
-
-
-def to_plan(cfg: RunConfig):
-    """Translate a RunConfig into an ExperimentPlan."""
-    from .harness import ExperimentPlan
-
-    return ExperimentPlan(
-        carrier_k=cfg.carrier_k,
-        carrier_l=cfg.carrier_l,
-        variant=cfg.variant,
-        force_kind=cfg.force_kind,
-        coeff_bound=cfg.coeff_bound,
-        seed=cfg.seed,
-        eps_list=tuple(cfg.eps_list),
-        t0=cfg.t0,
-        box_length=cfg.box_length,
-        grid_side=cfg.grid_side,
-        dt_slow=cfg.dt_slow,
-        amplitude=cfg.amplitude,
-        sigma=cfg.sigma,
-        envelope_kind=cfg.envelope_kind,
-        corrections=cfg.corrections,
-        sample_count=cfg.sample_count,
-        residual_fractions=tuple(cfg.residual_fractions),
-        dt_rule=cfg.dt_rule,
-        dt_override=cfg.dt or None,
-        n_side_override=cfg.n_side or None,
-        projection=cfg.projection,
-        pass_threshold=cfg.pass_threshold,
-        error_over_eps2_bound=cfg.error_over_eps2_bound,
-        workers=cfg.workers,
-        delta_res=cfg.delta_res,
-        blowup_guard=cfg.blowup_guard,
-    )
+def thread_cap() -> int:
+    """Worker-pool cap: FPUT2D_THREADS if set, else the CPU count."""
+    raw = os.environ.get("FPUT2D_THREADS")
+    if not raw:
+        return os.cpu_count() or 1
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ConfigError(f"FPUT2D_THREADS={raw!r} is not an integer") from None
+    if cap < 1:
+        raise ConfigError(f"FPUT2D_THREADS={raw!r} must be at least 1")
+    return cap

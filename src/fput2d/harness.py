@@ -19,17 +19,17 @@ caps the width).
 from __future__ import annotations
 
 import json
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 from scipy import stats
 
 from . import __version__
 from .ansatz import build_initial_data, nls_problem_for, residual_norm, sample_ansatz
-from .dispersion import WaveVector, nls_coefficients
+from .config import ExperimentPlan, thread_cap
+from .dispersion import nls_coefficients
 from .lattice import (
     ForceLaw,
     compatibility_defect,
@@ -39,7 +39,6 @@ from .lattice import (
 )
 from .nls import EnvelopeField, edge_mass_fraction, evolve, gaussian_field, h4_proxy, mass
 
-DEFAULT_PASS_THRESHOLD = 1.8
 DEFAULT_ERROR_FLOOR = 1e-10
 
 
@@ -51,77 +50,6 @@ class NonResonantCarrierRequired(ValueError):
     """The sweep refuses carriers violating the non-resonance condition."""
 
 
-@dataclass
-class ExperimentPlan:
-    """Everything a sweep needs; plain values only, safe to pickle and hash."""
-
-    carrier_k: float = np.pi / 2
-    carrier_l: float = np.pi / 2
-    variant: str = "strain"
-    force_kind: str = "cubic_baseline"
-    coeff_bound: float = 1.0
-    seed: int = 2026
-    eps_list: tuple = (0.2, 0.14, 0.1)
-    t0: float = 1.0
-    box_length: float = 40.0
-    grid_side: int = 256
-    dt_slow: float = 1e-3
-    amplitude: float = 1.0
-    sigma: float = 4.0
-    envelope_kind: str = "gaussian"
-    corrections: bool = False
-    sample_count: int = 21
-    residual_fractions: tuple = (0.0, 0.5, 1.0)
-    dt_rule: str = "eps15_over4"
-    dt_override: float | None = None
-    n_side_override: int | None = None
-    projection: str = "oblique"
-    pass_threshold: float = DEFAULT_PASS_THRESHOLD
-    error_floor: float = DEFAULT_ERROR_FLOOR
-    error_over_eps2_bound: float = 50.0
-    workers: int = 0
-    delta_res: float = 1e-8
-    blowup_guard: float = 1e4
-
-    def __post_init__(self):
-        if len(self.eps_list) < 1:
-            raise ValueError("at least one eps is required")
-        if any(not 0 < e < 0.5 for e in self.eps_list):
-            raise ValueError("eps values must lie in (0, 0.5)")
-        if list(self.eps_list) != sorted(self.eps_list, reverse=True):
-            raise ValueError("eps_list must be descending")
-        if self.variant not in ("strain", "displacement"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-
-    @property
-    def carrier(self) -> WaveVector:
-        return WaveVector(self.carrier_k, self.carrier_l)
-
-    def n_side(self, eps: float) -> int:
-        if self.n_side_override:
-            return self.n_side_override
-        # multiple of 4 keeps the standard quarter-pi carriers exactly
-        # periodic on the lattice
-        return int(np.ceil(self.box_length / eps / 4) * 4)
-
-    def dt(self, eps: float) -> float:
-        if self.dt_override:
-            return self.dt_override
-        if self.dt_rule == "eps15_over4":
-            # integrator phase error over T0/eps^2 steps then scales as eps^3,
-            # one order below the eps^2 measurement target
-            return eps**1.5 / 4
-        if self.dt_rule == "eps_over4":
-            return eps / 4
-        raise ValueError(f"unknown dt rule {self.dt_rule!r}")
-
-    def hash(self) -> str:
-        import hashlib
-
-        payload = json.dumps(asdict(self), sort_keys=True, default=float)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
 def _force_for(plan: ExperimentPlan, eps: float, n_side: int) -> ForceLaw:
     if plan.force_kind == "perturbed":
         return perturbed_force(n_side, eps, plan.coeff_bound, plan.seed)
@@ -130,7 +58,7 @@ def _force_for(plan: ExperimentPlan, eps: float, n_side: int) -> ForceLaw:
 
 def _initial_envelope(plan: ExperimentPlan, eps: float) -> tuple[int, EnvelopeField]:
     """Lattice side at eps and the T = 0 envelope on the matching torus."""
-    n = plan.n_side(eps)
+    n = plan.n_side_for(eps)
     box = eps * n  # commensurate tori: the moving envelope window wraps exactly
     env_variant = "displacement" if plan.variant == "displacement" else "strain_u"
     if plan.envelope_kind == "gaussian":
@@ -155,10 +83,10 @@ def run_single(plan: ExperimentPlan, eps: float, keep_state_indices=()) -> dict:
     disp = nls_coefficients(plan.carrier, plan.delta_res)
     if not disp.nonresonant:
         raise NonResonantCarrierRequired(
-            f"carrier ({plan.carrier_k}, {plan.carrier_l}) violates non-resonance"
+            f"carrier ({plan.carrier.k}, {plan.carrier.l}) violates non-resonance"
         )
     n, env0 = _initial_envelope(plan, eps)
-    dt = plan.dt(eps)
+    dt = plan.dt_for(eps)
     prob = nls_problem_for(disp, env0.variant, plan.dt_slow)
     slow_times = np.linspace(0.0, plan.t0, plan.sample_count)
     envs = evolve(env0, prob, plan.t0, sample_times=slow_times,
@@ -246,7 +174,7 @@ def run_single(plan: ExperimentPlan, eps: float, keep_state_indices=()) -> dict:
     return record
 
 
-def fit_order(eps_values, max_errors, error_floor: float = DEFAULT_ERROR_FLOOR):
+def fit_order(eps_values, max_errors):
     """Least-squares slope of log(error) against log(eps).
 
     Returns (slope, (lo95, hi95), fit_residual).  Raises DegenerateFit when
@@ -259,7 +187,7 @@ def fit_order(eps_values, max_errors, error_floor: float = DEFAULT_ERROR_FLOOR):
         raise ValueError("order fitting needs at least 3 eps points")
     if not np.all(np.isfinite(max_errors)):
         raise ValueError(f"order fitting needs finite errors, got {max_errors.tolist()}")
-    if np.any(max_errors <= error_floor):
+    if np.any(max_errors <= DEFAULT_ERROR_FLOOR):
         raise DegenerateFit("errors at or below the measurement floor")
     res = stats.linregress(np.log(eps_values), np.log(max_errors))
     if abs(res.slope) < 0.1:
@@ -306,8 +234,7 @@ def _worker(args):
 
 
 def _pool_width(plan: ExperimentPlan) -> int:
-    cap = os.environ.get("FPUT2D_THREADS")
-    cap = int(cap) if cap else (os.cpu_count() or 1)
+    cap = thread_cap()
     want = plan.workers if plan.workers > 0 else min(len(plan.eps_list), cap)
     return max(1, min(want, cap))
 
@@ -348,7 +275,7 @@ def run_sweep(plan: ExperimentPlan) -> dict:
     errors = [r["max_sup_error"] for r in records]
     within_bound = all(r["error_over_eps2"] <= plan.error_over_eps2_bound for r in records)
     try:
-        slope, ci, fit_res = fit_order(plan.eps_list, errors, plan.error_floor)
+        slope, ci, fit_res = fit_order(plan.eps_list, errors)
         report["fitted_order"] = slope
         report["fit_interval_95"] = list(ci)
         report["fit_residual"] = fit_res
@@ -356,7 +283,7 @@ def run_sweep(plan: ExperimentPlan) -> dict:
     except DegenerateFit:
         report["degenerate_fit"] = True
         # a run pinned at the floor everywhere is a trivial pass (nothing to fit)
-        report["pass"] = bool(all(e <= plan.error_floor for e in errors) and within_bound)
+        report["pass"] = bool(all(e <= DEFAULT_ERROR_FLOOR for e in errors) and within_bound)
     return report
 
 

@@ -160,6 +160,8 @@ def evolve(field: EnvelopeField, prob: NlsProblem, t_final: float,
     sample_times = [float(t) for t in sample_times]
     if any(t < field.slow_time - 1e-12 or t > t_final + 1e-12 for t in sample_times):
         raise ValueError("sample times must lie in [T_current, T_final]")
+    if any(b < a for a, b in zip(sample_times, sample_times[1:])):
+        raise ValueError("sample times must be ascending")
 
     symbol = linear_symbol(field, prob)
     g = prob.nonlin_coeff

@@ -2,14 +2,19 @@
 
 import json
 import re
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fput2d import harness
 from fput2d.cli import build_parser, main
-from fput2d.config import SCHEMA, ConfigError, default_config, load_config, to_plan
+from fput2d.config import ConfigError, ExperimentPlan, load_plan
 from fput2d.io import read_snapshot, write_snapshot
-from fput2d.lattice import LatticeState
+from fput2d.lattice import DT_MAX, LatticeState
 from fput2d.nls import EnvelopeField
 
 TINY = [
@@ -22,49 +27,116 @@ TINY = [
 
 class TestConfig:
     def test_defaults(self):
-        cfg = default_config()
-        assert cfg.eps == 0.2
-        assert cfg.carrier_k == pytest.approx(np.pi / 2)
-        assert cfg.variant == "strain"
+        plan = load_plan()
+        assert plan == ExperimentPlan()
+        assert plan.eps == 0.2
+        assert plan.carrier.k == np.pi / 2 and plan.carrier.l == np.pi / 2
+        assert plan.variant == "strain"
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"epsilon_list": [0.2]}))
         with pytest.raises(ConfigError):
-            load_config(str(p))
+            load_plan(str(p))
 
     def test_yaml_and_json(self, tmp_path):
         y = tmp_path / "c.yaml"
         y.write_text("eps: 0.25\nvariant: displacement\n")
-        cfg = load_config(str(y))
-        assert cfg.eps == 0.25 and cfg.variant == "displacement"
+        plan = load_plan(str(y))
+        assert plan.eps == 0.25 and plan.variant == "displacement"
         j = tmp_path / "c.json"
         j.write_text('{"eps": 0.3}')
-        assert load_config(str(j)).eps == 0.3
+        assert load_plan(str(j)).eps == 0.3
 
     def test_set_overrides(self):
-        cfg = load_config(None, ["eps=0.11", "corrections=true", "eps_list=0.3,0.2,0.1"])
-        assert cfg.eps == 0.11
-        assert cfg.corrections is True
-        assert cfg.eps_list == [0.3, 0.2, 0.1]
+        plan = load_plan(None, ["eps=0.11", "corrections=true", "eps_list=0.3,0.2,0.1"])
+        assert plan.eps == 0.11
+        assert plan.corrections is True
+        assert plan.eps_list == (0.3, 0.2, 0.1)
 
     def test_bad_override(self):
         with pytest.raises(ConfigError):
-            load_config(None, ["eps=abc"])
+            load_plan(None, ["eps=abc"])
         with pytest.raises(ConfigError):
-            load_config(None, ["nosuchkey=1"])
+            load_plan(None, ["nosuchkey=1"])
 
     def test_type_checks(self, tmp_path):
-        p = tmp_path / "c.json"
-        p.write_text(json.dumps({"grid_side": "many"}))
-        with pytest.raises(ConfigError):
-            load_config(str(p))
+        for bad in ({"grid_side": "many"}, {"grid_side": 2.5}, {"corrections": 1},
+                    {"variant": 3}, {"eps": True}, {"eps_list": 0.2}):
+            p = tmp_path / "c.json"
+            p.write_text(json.dumps(bad))
+            with pytest.raises(ConfigError):
+                load_plan(str(p))
 
-    def test_to_plan(self):
-        plan = to_plan(load_config(None, ["variant=displacement", "eps_list=0.2,0.14,0.1"]))
+    def test_keys_are_plan_fields(self):
+        plan = load_plan(None, ["variant=displacement", "eps_list=0.2,0.14,0.1",
+                                "carrier_k_pi=0.25", "dt=0.01"])
         assert plan.variant == "displacement"
         assert plan.eps_list == (0.2, 0.14, 0.1)
-        assert plan.carrier_k == pytest.approx(np.pi / 2)
+        assert plan.carrier.k == 0.25 * np.pi and plan.carrier.l == 0.5 * np.pi
+        assert plan.dt_for(0.2) == 0.01
+
+    def test_residual_fractions_ascending_in_unit_interval(self):
+        assert load_plan(None, ["residual_fractions=0,0.25,1"]).residual_fractions == (
+            0.0, 0.25, 1.0)
+        for bad in ("1.0,0.5", "0,1.5", "-0.1,0.5", ""):
+            with pytest.raises(ConfigError):
+                load_plan(None, [f"residual_fractions={bad}"])
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+# one strategy per key; each draws only values the key's rule accepts
+VALID_VALUES = {
+    "carrier_k_pi": _finite(-1, 1),
+    "carrier_l_pi": _finite(-1, 1),
+    "variant": st.sampled_from(["strain", "displacement"]),
+    "eps": _finite(1e-3, 0.499),
+    "eps_list": st.lists(_finite(1e-3, 0.499), min_size=1, max_size=5).map(
+        lambda xs: tuple(sorted(xs, reverse=True))),
+    "t0": _finite(1e-3, 10),
+    "grid_side": st.sampled_from([8, 32, 256]),
+    "n_side": st.integers(0, 1000),
+    "dt": _finite(0, DT_MAX),
+    "corrections": st.booleans(),
+    "force_kind": st.sampled_from(["cubic_baseline", "perturbed", "linear"]),
+    "seed": st.integers(-2**40, 2**40),
+    "amplitude": _finite(-1e6, 1e6),
+    "residual_fractions": st.lists(_finite(0, 1), min_size=1, max_size=4).map(
+        lambda xs: tuple(sorted(xs))),
+    "delta_res": _finite(0, 1),
+    "error_over_eps2_bound": st.floats(allow_nan=False),
+    "snapshots": st.integers(0, 50),
+}
+
+
+class TestConfigProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.fixed_dictionaries({}, optional=VALID_VALUES))
+    def test_json_and_yaml_round_trip(self, tmp_path_factory, values):
+        plan = ExperimentPlan(**values)
+        data = json.loads(json.dumps(asdict(plan)))  # tuples become lists
+        tmp = tmp_path_factory.mktemp("rt")
+        (tmp / "p.json").write_text(json.dumps(data))
+        (tmp / "p.yaml").write_text(yaml.safe_dump(data))
+        for name in ("p.json", "p.yaml"):
+            back = load_plan(str(tmp / name))
+            assert back == plan
+            assert back.hash() == plan.hash()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([f.name for f in fields(ExperimentPlan)]), st.text())
+    def test_random_strings_load_or_raise_config_error(self, key, text):
+        # every key is typed: a stray '#' never reads as a number, a bool, a
+        # list of numbers or an allowed choice
+        with pytest.raises(ConfigError):
+            load_plan(None, [f"{key}={text}#"])
+        try:
+            load_plan(None, [f"{key}={text}"])
+        except ConfigError:
+            pass
 
 
 class TestSnapshots:
@@ -112,8 +184,8 @@ class TestHelpContract:
         with pytest.raises(SystemExit):
             parser.parse_args(["--help"])
         text = capsys.readouterr().out
-        listed = set(re.findall(r"^  (\w+)\s", text, flags=re.M))
-        assert listed == set(SCHEMA)
+        listed = re.findall(r"^  (\w+)\s", text, flags=re.M)
+        assert listed == [f.name for f in fields(ExperimentPlan)]
 
 
 class TestCoeffsCommand:
@@ -185,21 +257,32 @@ class TestSimulateCommand:
         assert "EnvelopeBlowup" in err
 
 
+def _synthetic_run_single(errors):
+    """run_single stand-in that returns the given max errors per eps."""
+    def fake(plan, eps, keep_state_indices=()):
+        err = errors[plan.eps_list.index(eps)]
+        return {"eps": eps, "times": [0.0], "sup_errors": [err], "max_sup_error": err,
+                "error_over_eps2": err / eps**2, "wall_time_s": 0.0}
+    return fake
+
+
 class TestSweepCommand:
-    def test_synthetic_self_test_pass(self, tmp_path, capsys):
-        code = main(["sweep", "--out", str(tmp_path),
-                     "--set", "eps_list=0.2,0.14,0.1",
-                     "--set", "synthetic_errors=0.04,0.0196,0.01"])
+    def test_synthetic_self_test_pass(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "run_single",
+                            _synthetic_run_single([0.04, 0.0196, 0.01]))
+        code = main(["sweep", "--out", str(tmp_path), "--set", "workers=1",
+                     "--set", "eps_list=0.2,0.14,0.1"])
         assert code == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["pass"] is True
         assert report["fitted_order"] == pytest.approx(2.0, abs=1e-9)
         assert (tmp_path / "order_fit.tsv").exists()
 
-    def test_synthetic_failing_order_exit_4(self, tmp_path, capsys):
-        code = main(["sweep", "--out", str(tmp_path),
-                     "--set", "eps_list=0.2,0.14,0.1",
-                     "--set", "synthetic_errors=0.04,0.028,0.02"])  # slope 1
+    def test_synthetic_failing_order_exit_4(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "run_single",
+                            _synthetic_run_single([0.04, 0.028, 0.02]))  # slope 1
+        code = main(["sweep", "--out", str(tmp_path), "--set", "workers=1",
+                     "--set", "eps_list=0.2,0.14,0.1"])
         assert code == 4
 
     def test_short_eps_list_config_error(self, tmp_path, capsys):
@@ -228,6 +311,9 @@ class TestSweepCommand:
         assert code1 == code2
         assert rep1 == rep2
         assert rep1["fitted_order"] is not None
+        assert (tmp_path / "a" / "order_fit.tsv").exists()
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert manifest["config_hash"] == rep1["metadata"]["config_hash"]
 
     def test_error_over_eps2_bound_enforced_exit_4(self, tmp_path, capsys):
         # the smoke grid fits order ~1.7; a lowered bar makes the order pass,
@@ -239,6 +325,38 @@ class TestSweepCommand:
         assert code == 4
         report = json.loads((tmp_path / "b" / "report.json").read_text())
         assert report["fitted_order"] >= 1.0 and report["pass"] is False
+
+
+BAD_INPUTS = [
+    ("sweep", ["variant=foo"], {}),
+    ("sweep", ["eps_list=0.1,0.14,0.2"], {}),
+    ("sweep", ["grid_side=100"], {}),
+    ("sweep", ["envelope_kind=foo"], {}),
+    ("sweep", ["force_kind=foo"], {}),
+    ("simulate", ["eps=0.7"], {}),
+    ("simulate", ["eps=0"], {}),
+    ("simulate", ["eps=0.5"], {}),
+    ("simulate", [f"dt={DT_MAX * 1.01}"], {}),
+    ("residual", ["eps_list=0.4,0.25"], {}),
+    ("residual", ["residual_fractions=1.0,0.5"], {}),
+    ("sweep", [], {"FPUT2D_THREADS": "abc"}),
+    ("sweep", [], {"FPUT2D_THREADS": "0"}),
+]
+
+
+@pytest.mark.parametrize("command, sets, env", BAD_INPUTS)
+def test_bad_input_rejected_before_work(tmp_path, capsys, monkeypatch, command, sets, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "out"
+    args = [command, "--out", str(out)]
+    for item in sets:
+        args += ["--set", item]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error:")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 class TestResidualCommand:

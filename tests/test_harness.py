@@ -70,15 +70,14 @@ class TestPlanRules:
     def test_n_side_multiple_of_four(self):
         plan = ExperimentPlan()
         for eps in (0.2, 0.14, 0.1, 0.07):
-            n = plan.n_side(eps)
+            n = plan.n_side_for(eps)
             assert n % 4 == 0
             assert eps * n >= plan.box_length - 1e-9
 
     def test_dt_rules(self):
-        plan = ExperimentPlan()
-        assert plan.dt(0.16) == pytest.approx(0.16**1.5 / 4)
-        plan2 = ExperimentPlan(dt_rule="eps_over4")
-        assert plan2.dt(0.16) == pytest.approx(0.04)
+        assert ExperimentPlan().dt_for(0.16) == 0.16**1.5 / 4
+        assert ExperimentPlan(dt=0.01).dt_for(0.16) == 0.01
+        assert ExperimentPlan(n_side=64).n_side_for(0.16) == 64
 
     def test_eps_list_validation(self):
         with pytest.raises(ValueError):
@@ -98,7 +97,7 @@ class TestRunSingle:
         assert rec["compat_defect_max"] < 1e-12
 
     def test_resonant_carrier_rejected(self):
-        plan = small_plan(carrier_k=2 * np.pi / 3, carrier_l=2 * np.pi / 3)
+        plan = small_plan(carrier_k_pi=2 / 3, carrier_l_pi=2 / 3)
         with pytest.raises(NonResonantCarrierRequired):
             run_single(plan, 0.25)
 
@@ -174,8 +173,8 @@ class TestDtSanity:
         # the largest eps: halving dt changes the measured error < 10%
         base = dict(eps_list=(0.2,), t0=0.5, sample_count=6, workers=1)
         e1 = run_single(ExperimentPlan(**base), 0.2)["max_sup_error"]
-        dt_half = ExperimentPlan(**base).dt(0.2) / 2
-        e2 = run_single(ExperimentPlan(**base, dt_override=dt_half), 0.2)["max_sup_error"]
+        dt_half = ExperimentPlan(**base).dt_for(0.2) / 2
+        e2 = run_single(ExperimentPlan(**base, dt=dt_half), 0.2)["max_sup_error"]
         assert abs(e1 - e2) / e1 < 0.10
 
 

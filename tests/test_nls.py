@@ -178,6 +178,11 @@ class TestEvolve:
         assert all(np.all(s.a == 0) for s in traj)
         assert [s.slow_time for s in traj] == [0.5, 1.0]
 
+    def test_sample_times_must_ascend(self):
+        f = EnvelopeField(32.0, np.zeros((64, 64), dtype=complex))
+        with pytest.raises(ValueError, match="ascending"):
+            evolve(f, NlsProblem(H_CENTER, -3j), 1.0, sample_times=[1.0, 0.5])
+
     def test_plane_wave_modulus_constant(self):
         m, L = 64, 32.0
         f = EnvelopeField(L, np.zeros((m, m), dtype=complex))
