@@ -6,7 +6,8 @@
     fput2d residual --config cfg.yaml --out dir [--set ...]
 
 Exit codes: 0 success, 1 config error, 2 inadmissible carrier, 3 solver
-error, 4 acceptance/order-fit failure.  FPUT2D_THREADS caps the worker pool.
+error (including a NaN or infinity in a report, which strict JSON cannot
+hold), 4 acceptance/order-fit failure.  FPUT2D_THREADS caps the worker pool.
 All outputs land under --out together with a manifest.json.
 """
 
@@ -24,6 +25,7 @@ from .config import ConfigError, ExperimentPlan, keys_help, load_plan, thread_ca
 from .dispersion import Resonant, ZeroFrequency, nls_coefficients
 from .harness import (
     DegenerateFit,
+    NonFiniteReport,
     NonResonantCarrierRequired,
     fit_order,
     report_to_json,
@@ -41,7 +43,8 @@ EXIT_CARRIER = 2
 EXIT_SOLVER = 3
 EXIT_ACCEPTANCE = 4
 
-SOLVER_ERRORS = (EnvelopeBlowup, UnstableStep, FootprintExceeded, MissingB, Resonant)
+SOLVER_ERRORS = (EnvelopeBlowup, UnstableStep, FootprintExceeded, MissingB, Resonant,
+                 NonFiniteReport)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,7 +5,9 @@ A run is described by one JSON or YAML file of flat keys plus command-line
 of ExperimentPlan; each field's metadata carries its help text and, where
 one applies, the rule its value must meet.  load_plan converts every value
 to the type of the field's default and rejects unknown keys, unreadable
-values and broken rules with ConfigError, before any work starts.  Carrier
+values and broken rules with ConfigError, before any work starts; one rule
+spans three keys: the envelope grid spacing eps*n_side/grid_side must not
+exceed 0.5 at eps and at every eps_list value.  Carrier
 components are given in multiples of pi so that the standard quarter-pi
 carriers are exact in config text.
 """
@@ -54,7 +56,8 @@ class ExperimentPlan:
     eps_list: tuple = _key((0.2, 0.14, 0.1), "descending sweep values in (0, 0.5)")
     t0: float = _key(1.0, "slow-time horizon T0", *_POSITIVE)
     box_length: float = _key(40.0, "envelope box side L", *_POSITIVE)
-    grid_side: int = _key(256, "envelope grid side M", "a power of two",
+    grid_side: int = _key(256, "envelope grid side M; needs eps*N/M <= 0.5 at every eps",
+                          "a power of two",
                           lambda m: m >= 2 and m & (m - 1) == 0)
     n_side: int = _key(0, "lattice side; 0 = rule ceil(L/eps) to a multiple of 4",
                        *_NON_NEGATIVE)
@@ -199,6 +202,14 @@ def load_plan(path: str | None = None, overrides=()) -> ExperimentPlan:
         value = getattr(plan, f.name)
         if f.metadata["ok"] is not None and not f.metadata["ok"](value):
             raise ConfigError(f"config key {f.name!r}: {value!r} is not {f.metadata['rule']}")
+    for eps in (plan.eps, *plan.eps_list):
+        # the envelope box is eps * n_side, sampled on grid_side points
+        spacing = eps * plan.n_side_for(eps) / plan.grid_side
+        if spacing > 0.5:
+            raise ConfigError(
+                f"config key 'grid_side': {plan.grid_side} is too coarse at eps = {eps}: "
+                f"envelope grid spacing eps*n_side/grid_side = {spacing:.4g} exceeds 0.5"
+            )
     return plan
 
 

@@ -50,6 +50,10 @@ class NonResonantCarrierRequired(ValueError):
     """The sweep refuses carriers violating the non-resonance condition."""
 
 
+class NonFiniteReport(ValueError):
+    """A report holds NaN or infinity, which strict JSON cannot carry."""
+
+
 def _force_for(plan: ExperimentPlan, eps: float, n_side: int) -> ForceLaw:
     if plan.force_kind == "perturbed":
         return perturbed_force(n_side, eps, plan.coeff_bound, plan.seed)
@@ -287,5 +291,29 @@ def run_sweep(plan: ExperimentPlan) -> dict:
     return report
 
 
+def _non_finite_path(value, path: str = "$") -> str | None:
+    """JSON path of the first NaN or infinite number inside value, else None."""
+    if isinstance(value, dict):
+        children = [(f"{path}.{k}", v) for k, v in value.items()]
+    elif isinstance(value, (list, tuple)):
+        children = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
+    elif isinstance(value, (float, np.floating)) and not np.isfinite(value):
+        return path
+    else:
+        return None
+    for child_path, child in children:
+        found = _non_finite_path(child, child_path)
+        if found is not None:
+            return found
+    return None
+
+
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, default=float)
+    """Strict JSON text of a report; raises NonFiniteReport on NaN or infinity."""
+    try:
+        return json.dumps(report, indent=2, default=float, allow_nan=False)
+    except ValueError:
+        path = _non_finite_path(report)
+        if path is None:
+            raise
+        raise NonFiniteReport(f"report value at {path} is not finite") from None

@@ -17,7 +17,18 @@ is invariant under the flow.  Array axis 0 is the m (x) index, axis 1 the n
 additionally require mean-zero row/column sums of u and v; the module tracks
 the constraint as a diagnostic and never inverts.
 
-The integrator is velocity Verlet (symplectic, second order, time reversible).
+Both forms share one stencil, the backward divergence of the bond forces
+
+    div = fx - S-x fx + fy - S-y fy,   (S-x f)_{m,n} = f_{m-1,n},
+
+with fx = W'(x-bond strain), fy = W'(y-bond strain).  The displacement
+acceleration is div itself; the strain accelerations are its forward
+differences d2u = S+x div - div and d2v = S+y div - div.
+
+The integrator is velocity Verlet (symplectic, second order, time reversible),
+stepped in place.  It is first-same-as-last (FSAL): the force at the end of a
+step is the force at the start of the next, so each step evaluates the force
+once.  The overflow guard checks every array after every step.
 """
 
 from __future__ import annotations
@@ -35,7 +46,9 @@ class FormMismatch(ValueError):
 
 
 class UnstableStep(RuntimeError):
-    """An array value exceeded the overflow guard during a step."""
+    """An array value left [-OVERFLOW_GUARD, OVERFLOW_GUARD] (or became NaN)
+    during a step; the message names the array, the site, the value and the
+    time."""
 
 
 @dataclass
@@ -78,12 +91,13 @@ class ForceLaw:
                 if np.max(np.abs(a)) > self.coeff_bound + 1e-15:
                     raise ValueError(f"coefficient magnitude exceeds bound {self.coeff_bound}")
 
-    def w_prime(self, u: np.ndarray, direction: str) -> np.ndarray:
-        """Evaluate the bond force on an array of bond strains."""
+    def w_prime(self, u: np.ndarray, direction: str,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """Evaluate the bond force on an array of bond strains (into out if given)."""
         if self.kind == "cubic_baseline":
-            return u - u * u * u
+            return np.subtract(u, u * u * u, out=out)
         if self.kind == "linear":
-            return u.copy()
+            return np.positive(u, out=out)  # a copy
         alpha, beta, gamma = (
             (self.alpha_x, self.beta_x, self.gamma_x)
             if direction == "x"
@@ -91,7 +105,8 @@ class ForceLaw:
         )
         e = self.eps
         u2 = u * u
-        return u * (1.0 + alpha * e**3) + beta * e**2 * u2 + (gamma * e - 1.0) * u2 * u
+        return np.add(u * (1.0 + alpha * e**3) + beta * e**2 * u2,
+                      (gamma * e - 1.0) * u2 * u, out=out)
 
     def w_potential(self, u: np.ndarray, direction: str) -> np.ndarray:
         """Antiderivative of the bond force, W(0) = 0."""
@@ -124,6 +139,9 @@ def perturbed_force(n_side: int, eps: float, coeff_bound: float, seed: int) -> F
         alpha_y=draw(), beta_y=draw(), gamma_y=draw(),
         coeff_bound=coeff_bound,
     )
+
+
+_ARRAY_NAMES = {"displacement": ("q", "w"), "strain": ("u", "v", "ut", "vt")}
 
 
 @dataclass
@@ -161,9 +179,7 @@ class LatticeState:
         return ref.shape[0]
 
     def arrays(self) -> tuple[np.ndarray, ...]:
-        if self.form == "displacement":
-            return (self.q, self.w)
-        return (self.u, self.v, self.ut, self.vt)
+        return tuple(getattr(self, name) for name in _ARRAY_NAMES[self.form])
 
     def copy(self) -> "LatticeState":
         if self.form == "displacement":
@@ -190,78 +206,122 @@ def strain_from_displacement(state: LatticeState) -> LatticeState:
     )
 
 
-def rhs_displacement(state: LatticeState, force: ForceLaw) -> np.ndarray:
-    """Acceleration field of the displacement formulation."""
+def _buffers(state: LatticeState) -> tuple[np.ndarray, ...]:
+    """Work arrays (fx, fy, div) of one force evaluation."""
+    n = state.n_side
+    return tuple(np.empty((n, n)) for _ in range(3))
+
+
+def _divergence(fx: np.ndarray, fy: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Backward divergence fx - S-x fx + fy - S-y fy: the net bond force per site."""
+    np.subtract(fx, np.roll(fx, 1, axis=0), out=out)
+    out += fy
+    out -= np.roll(fy, 1, axis=1)
+    return out
+
+
+def rhs_displacement(state: LatticeState, force: ForceLaw, out=None) -> np.ndarray:
+    """Acceleration field of the displacement formulation.
+
+    out, if given, holds the work arrays (fx, fy, div); the acceleration is
+    written into div and returned.
+    """
     if state.form != "displacement":
         raise FormMismatch("rhs_displacement needs displacement form")
+    fx, fy, div = out if out is not None else _buffers(state)
     q = state.q
-    fx = force.w_prime(np.roll(q, -1, axis=0) - q, "x")
-    fy = force.w_prime(np.roll(q, -1, axis=1) - q, "y")
-    return fx - np.roll(fx, 1, axis=0) + fy - np.roll(fy, 1, axis=1)
+    force.w_prime(np.roll(q, -1, axis=0) - q, "x", out=fx)
+    force.w_prime(np.roll(q, -1, axis=1) - q, "y", out=fy)
+    return _divergence(fx, fy, div)
 
 
-def rhs_strain(state: LatticeState, force: ForceLaw) -> tuple[np.ndarray, np.ndarray]:
-    """Acceleration fields (d2u/dt2, d2v/dt2) of the strain formulation."""
+def rhs_strain(state: LatticeState, force: ForceLaw,
+               out=None) -> tuple[np.ndarray, np.ndarray]:
+    """Acceleration fields (d2u/dt2, d2v/dt2) of the strain formulation.
+
+    They are the forward differences of the displacement acceleration div.
+    out, if given, holds the work arrays (fx, fy, div); the accelerations
+    are written over the spent bond forces fx and fy and returned.
+    """
     if state.form != "strain":
         raise FormMismatch("rhs_strain needs strain form")
-    fu = force.w_prime(state.u, "x")
-    fv = force.w_prime(state.v, "y")
-    d2u = (
-        np.roll(fu, -1, axis=0) - 2.0 * fu + np.roll(fu, 1, axis=0)
-        + np.roll(fv, -1, axis=0) - np.roll(fv, (-1, 1), axis=(0, 1))
-        - fv + np.roll(fv, 1, axis=1)
-    )
-    d2v = (
-        np.roll(fv, -1, axis=1) - 2.0 * fv + np.roll(fv, 1, axis=1)
-        + np.roll(fu, -1, axis=1) - np.roll(fu, (1, -1), axis=(0, 1))
-        - fu + np.roll(fu, 1, axis=0)
-    )
+    fx, fy, div = out if out is not None else _buffers(state)
+    _divergence(force.w_prime(state.u, "x", out=fx),
+                force.w_prime(state.v, "y", out=fy), div)
+    d2u = np.subtract(np.roll(div, -1, axis=0), div, out=fx)
+    d2v = np.subtract(np.roll(div, -1, axis=1), div, out=fy)
     return d2u, d2v
 
 
-def _accel(state: LatticeState, force: ForceLaw):
+def _accel(state: LatticeState, force: ForceLaw, buffers) -> tuple[np.ndarray, ...]:
+    # rhs_* are looked up as module globals on every call, so a wrapper put
+    # on them (a counter, a tracer) sees every force evaluation
     if state.form == "displacement":
-        return (rhs_displacement(state, force),)
-    return rhs_strain(state, force)
+        return (rhs_displacement(state, force, out=buffers),)
+    return rhs_strain(state, force, out=buffers)
 
 
-def verlet_step(state: LatticeState, force: ForceLaw, dt: float,
-                accel=None) -> LatticeState:
-    """One velocity-Verlet step; returns a new state advanced by dt.
+def _check_amplitude(state: LatticeState) -> None:
+    """Raise UnstableStep at the first entry outside the guard; NaN trips it."""
+    g = OVERFLOW_GUARD
+    for name in _ARRAY_NAMES[state.form]:
+        a = getattr(state, name)
+        if a.max() <= g and a.min() >= -g:  # False for NaN
+            continue
+        m, n = np.unravel_index(np.argmax(~(np.abs(a) <= g)), a.shape)
+        raise UnstableStep(f"{name} = {float(a[m, n])!r} at site (m, n) = ({m}, {n}), "
+                           f"t = {state.time}: outside the overflow guard |x| <= {g:g}")
 
-    Negative dt steps backwards (the scheme is time reversible).  `accel` may
-    pass a precomputed acceleration at the current positions.
+
+def _step(state: LatticeState, force: ForceLaw, dt: float, accel, buffers):
+    """Advance state in place by one velocity-Verlet step of size dt.
+
+    accel is the acceleration at the current positions; the acceleration at
+    the new positions is returned to start the next step (FSAL), so a step
+    costs one force evaluation.  It lives in buffers and is overwritten by
+    the next evaluation.
     """
     if abs(dt) > DT_MAX:
         raise ValueError(f"|dt| = {abs(dt)} exceeds dt_max = {DT_MAX}")
-    out = state.copy()
-    if state.form == "displacement":
-        pos, vel = (out.q,), (out.w,)
-    else:
-        pos, vel = (out.u, out.v), (out.ut, out.vt)
-    a0 = accel if accel is not None else _accel(state, force)
-    for p, d, a in zip(pos, vel, a0):
+    arrays = state.arrays()
+    half = len(arrays) // 2
+    pos, vel = arrays[:half], arrays[half:]
+    for p, d, a in zip(pos, vel, accel):
         d += 0.5 * dt * a
         p += dt * d
-    a1 = _accel(out, force)
-    for d, a in zip(vel, a1):
+    accel = _accel(state, force, buffers)
+    for d, a in zip(vel, accel):
         d += 0.5 * dt * a
-    out.time = state.time + dt
-    if not out.max_amplitude() <= OVERFLOW_GUARD:  # a NaN state trips it too
-        raise UnstableStep(f"amplitude exceeded {OVERFLOW_GUARD} at t = {out.time}")
+    state.time += dt
+    _check_amplitude(state)
+    return accel
+
+
+def verlet_step(state: LatticeState, force: ForceLaw, dt: float) -> LatticeState:
+    """One velocity-Verlet step; returns a new state advanced by dt.
+
+    The input state is left untouched.  Negative dt steps backwards (the
+    scheme is time reversible).
+    """
+    out = state.copy()
+    buffers = _buffers(out)
+    _step(out, force, dt, _accel(out, force, buffers), buffers)
     return out
 
 
 def integrate(state: LatticeState, force: ForceLaw, dt_max_step: float,
               sample_times, observer):
-    """March the state to each requested time, reusing end-of-step forces.
+    """March a copy of the state to each requested time, stepping in place.
 
     sample_times must be ascending and start at or after state.time; observer
     is called as observer(state) at every sample time (including t0 when it is
-    the first entry).
+    the first entry).  The observer receives the live state, which is valid
+    only during the call: the next step overwrites it, so an observer copies
+    any state it keeps.  Over S steps the force is evaluated S + 1 times.
     """
     current = state.copy()
-    accel = _accel(current, force)
+    buffers = _buffers(current)
+    accel = _accel(current, force, buffers)
     for t_target in sample_times:
         if t_target < current.time - 1e-12:
             raise ValueError("sample times must be ascending")
@@ -270,11 +330,7 @@ def integrate(state: LatticeState, force: ForceLaw, dt_max_step: float,
             n_steps = max(1, int(np.ceil(span / dt_max_step - 1e-12)))
             dt = span / n_steps
             for _ in range(n_steps):
-                # recompute accel only once per step: reuse the end-of-step
-                # force as the next start-of-step force
-                nxt = verlet_step(current, force, dt, accel=accel)
-                accel = _accel(nxt, force)
-                current = nxt
+                accel = _step(current, force, dt, accel, buffers)
             current.time = t_target
         observer(current)
     return current

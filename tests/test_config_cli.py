@@ -121,7 +121,14 @@ class TestConfigProperties:
         tmp = tmp_path_factory.mktemp("rt")
         (tmp / "p.json").write_text(json.dumps(data))
         (tmp / "p.yaml").write_text(yaml.safe_dump(data))
+        # the one rule across keys: the envelope grid spacing at every eps
+        fine = all(e * plan.n_side_for(e) / plan.grid_side <= 0.5
+                   for e in (plan.eps, *plan.eps_list))
         for name in ("p.json", "p.yaml"):
+            if not fine:
+                with pytest.raises(ConfigError, match="grid_side"):
+                    load_plan(str(tmp / name))
+                continue
             back = load_plan(str(tmp / name))
             assert back == plan
             assert back.hash() == plan.hash()
@@ -267,6 +274,19 @@ def _synthetic_run_single(errors):
 
 
 class TestSweepCommand:
+    def test_non_finite_report_exit_3(self, tmp_path, capsys, monkeypatch):
+        from fput2d import cli
+
+        report = {"per_eps": [{"eps": 0.2, "max_sup_error": float("nan")}], "pass": True}
+        monkeypatch.setattr(cli, "run_sweep", lambda plan: report)
+        code = main(["sweep", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert "NonFiniteReport" in err and "$.per_eps[0].max_sup_error" in err
+        assert not (tmp_path / "report.json").exists()
+
+
     def test_synthetic_self_test_pass(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(harness, "run_single",
                             _synthetic_run_single([0.04, 0.0196, 0.01]))
@@ -331,6 +351,8 @@ BAD_INPUTS = [
     ("sweep", ["variant=foo"], {}),
     ("sweep", ["eps_list=0.1,0.14,0.2"], {}),
     ("sweep", ["grid_side=100"], {}),
+    ("simulate", ["grid_side=8"], {}),  # spacing eps*N/M = 5 at the default eps
+    ("sweep", ["n_side=400", "eps_list=0.4,0.3,0.2"], {}),  # too coarse at 0.4 only
     ("sweep", ["envelope_kind=foo"], {}),
     ("sweep", ["force_kind=foo"], {}),
     ("simulate", ["eps=0.7"], {}),

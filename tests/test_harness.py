@@ -6,6 +6,7 @@ import pytest
 from fput2d.harness import (
     DegenerateFit,
     ExperimentPlan,
+    NonFiniteReport,
     NonResonantCarrierRequired,
     fit_order,
     report_to_json,
@@ -225,3 +226,19 @@ class TestRunSweep:
         serial = strip(run_sweep(small_plan(workers=1)))
         parallel = strip(run_sweep(small_plan(workers=2)))
         assert report_to_json(serial) == report_to_json(parallel)
+
+
+class TestReportJson:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, np.float64(-np.inf)])
+    def test_non_finite_value_named_by_path(self, bad):
+        report = {"per_eps": [{"eps": 0.2, "sup_errors": [0.1, 0.2]},
+                              {"eps": 0.1, "sup_errors": [0.05, bad]}],
+                  "pass": True}
+        with pytest.raises(NonFiniteReport, match=r"\$\.per_eps\[1\]\.sup_errors\[1\]"):
+            report_to_json(report)
+
+    def test_finite_report_is_strict_json(self):
+        import json
+
+        text = report_to_json({"a": [np.float64(0.5), None, 2], "b": {"c": 1e-300}})
+        assert json.loads(text) == {"a": [0.5, None, 2], "b": {"c": 1e-300}}

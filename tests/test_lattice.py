@@ -1,9 +1,12 @@
 """Tests for the FPUT lattice right-hand sides, integrator, and diagnostics."""
 
+import re
+
 import numpy as np
 import pytest
 
 from conftest import measure_mode_frequencies, smooth_random_field
+from fput2d import lattice
 from fput2d.dispersion import WaveVector, omega
 from fput2d.lattice import (
     ForceLaw,
@@ -27,6 +30,52 @@ def displacement_state(n=16, q=None, w=None, time=0.0):
     q = np.zeros((n, n)) if q is None else q
     w = np.zeros((n, n)) if w is None else w
     return LatticeState("displacement", time, q=q, w=w)
+
+
+def smooth_strain_state(n, seed, amplitude):
+    rng = np.random.default_rng(seed)
+    return strain_from_displacement(displacement_state(
+        n, q=smooth_random_field(n, rng, amplitude), w=smooth_random_field(n, rng, amplitude)))
+
+
+def second_difference_rhs_strain(u, v, force):
+    """The strain accelerations written out as second differences of the bond
+    forces (the reference for the shared divergence stencil)."""
+    fu = force.w_prime(u, "x")
+    fv = force.w_prime(v, "y")
+    d2u = (
+        np.roll(fu, -1, axis=0) - 2.0 * fu + np.roll(fu, 1, axis=0)
+        + np.roll(fv, -1, axis=0) - np.roll(fv, (-1, 1), axis=(0, 1))
+        - fv + np.roll(fv, 1, axis=1)
+    )
+    d2v = (
+        np.roll(fv, -1, axis=1) - 2.0 * fv + np.roll(fv, 1, axis=1)
+        + np.roll(fu, -1, axis=1) - np.roll(fu, (1, -1), axis=(0, 1))
+        - fu + np.roll(fu, 1, axis=0)
+    )
+    return d2u, d2v
+
+
+def reference_verlet(state, force, dt, n_steps):
+    """Plain velocity Verlet on the strain form, two force evaluations a step."""
+    u, v, ut, vt = (a.copy() for a in state.arrays())
+    for _ in range(n_steps):
+        au, av = second_difference_rhs_strain(u, v, force)
+        ut = ut + 0.5 * dt * au
+        vt = vt + 0.5 * dt * av
+        u = u + dt * ut
+        v = v + dt * vt
+        au, av = second_difference_rhs_strain(u, v, force)
+        ut = ut + 0.5 * dt * au
+        vt = vt + 0.5 * dt * av
+    return u, v, ut, vt
+
+
+FORCE_LAWS = {
+    "cubic": lambda n: BASE,
+    "linear": lambda n: ForceLaw(kind="linear"),
+    "perturbed": lambda n: perturbed_force(n, 0.2, 1.0, seed=11),
+}
 
 
 class TestRhsDisplacement:
@@ -86,6 +135,24 @@ class TestRhsStrain:
         assert np.allclose(d2u, np.roll(a, -1, axis=0) - a, atol=1e-15)
         assert np.allclose(d2v, np.roll(a, -1, axis=1) - a, atol=1e-15)
 
+    @pytest.mark.parametrize("law", sorted(FORCE_LAWS))
+    def test_shared_stencil_matches_second_differences(self, law):
+        n = 24
+        force = FORCE_LAWS[law](n)
+        s = smooth_strain_state(n, 12, 0.3)
+        got = rhs_strain(s, force)
+        want = second_difference_rhs_strain(s.u, s.v, force)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+    def test_out_buffers_receive_the_result(self):
+        s = smooth_strain_state(16, 13, 0.2)
+        out = tuple(np.full((16, 16), np.nan) for _ in range(3))
+        d2u, d2v = rhs_strain(s, BASE, out=out)
+        assert d2u is out[0] and d2v is out[1]
+        fresh = rhs_strain(s, BASE)
+        assert np.array_equal(d2u, fresh[0]) and np.array_equal(d2v, fresh[1])
+
     def test_plane_wave_linear_part(self):
         # small-amplitude compatible plane wave: d2u ~ -omega^2 u + O(amp^3)
         n, jx, jy = 16, 2, 2
@@ -120,6 +187,17 @@ class TestVerlet:
         assert np.max(np.abs(s2.w - s0.w)) < 1e-12
         assert s2.time == pytest.approx(0.0, abs=1e-15)
 
+    def test_returns_new_state_and_leaves_input(self):
+        s0 = smooth_strain_state(16, 14, 0.2)
+        before = [a.copy() for a in s0.arrays()]
+        s1 = verlet_step(s0, BASE, 0.1)
+        assert s1 is not s0 and s0.time == 0.0 and s1.time == pytest.approx(0.1)
+        assert all(np.array_equal(a, b) for a, b in zip(s0.arrays(), before))
+        assert not any(np.shares_memory(a, b) for a, b in zip(s0.arrays(), s1.arrays()))
+        s2 = verlet_step(s1, BASE, -0.1)
+        for a, b in zip(s2.arrays(), before):
+            assert np.max(np.abs(a - b)) < 1e-12
+
     def test_dt_cap(self):
         with pytest.raises(ValueError):
             verlet_step(displacement_state(), BASE, 0.7)
@@ -137,6 +215,33 @@ class TestVerlet:
         assert np.isnan(state.max_amplitude())  # NaN in the last array counts too
         with pytest.raises(UnstableStep):
             verlet_step(state, BASE, 0.1)
+
+    @pytest.mark.parametrize("form, name", [
+        ("displacement", "q"), ("displacement", "w"),
+        ("strain", "u"), ("strain", "v"), ("strain", "ut"), ("strain", "vt"),
+    ])
+    def test_guard_names_array_and_site(self, form, name):
+        s = smooth_strain_state(16, 15, 0.1)
+        if form == "displacement":
+            s = displacement_state(16, q=s.u, w=s.ut, time=1.5)
+        getattr(s, name)[5, 7] = np.nan
+        with pytest.raises(UnstableStep, match=re.escape(f"{name} = nan at site (m, n) = (5, 7)")):
+            lattice._check_amplitude(s)
+
+    def test_nan_planted_mid_run_is_reported_where_and_when(self):
+        # the observer holds the live state: a NaN put into u at t = 1 is in
+        # u at (5, 7) alone after the next drift, so the step ending at
+        # t = 1.1 trips the guard there
+        def plant(st):
+            if st.time == 1.0:
+                st.u[5, 7] = np.nan
+
+        with pytest.raises(UnstableStep) as info:
+            integrate(smooth_strain_state(16, 16, 0.1), BASE, 0.1,
+                      np.linspace(0, 2, 3), plant)
+        message = str(info.value)
+        assert "u = nan at site (m, n) = (5, 7)" in message
+        assert float(re.search(r"t = ([\d.]+)", message).group(1)) == pytest.approx(1.1)
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(2)
@@ -177,6 +282,33 @@ class TestVerlet:
         half_period = np.mean(np.diff(crossings))
         measured = np.pi / half_period
         assert abs(measured - w0) / w0 <= 10 * dt**2 * w0**2 / 12
+
+    @pytest.mark.parametrize("form", ["displacement", "strain"])
+    def test_one_force_evaluation_per_step(self, form, monkeypatch):
+        calls = []
+        for name in ("rhs_displacement", "rhs_strain"):
+            original = getattr(lattice, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(lattice, name, counted)
+        s = smooth_strain_state(16, 17, 0.1)
+        if form == "displacement":
+            s = displacement_state(16, q=s.u, w=s.ut)
+        # 3 + 4 + 5 steps over three sample segments, plus the sample at t0
+        final = integrate(s, BASE, 0.1, [0.0, 0.3, 0.7, 1.2], lambda st: None)
+        assert final.time == pytest.approx(1.2)
+        assert len(calls) == 12 + 1
+
+    def test_matches_reference_verlet_500_steps(self):
+        s = smooth_strain_state(24, 18, 0.3)
+        dt = 0.05
+        final = integrate(s, BASE, dt, [500 * dt], lambda st: None)
+        want = reference_verlet(s, BASE, (500 * dt) / 500, 500)
+        for got, ref in zip(final.arrays(), want):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_phase_slope_frequencies(self):
         measured, expected = measure_mode_frequencies(

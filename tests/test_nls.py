@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from fput2d.dispersion import WaveVector, amplitude_ratio_b_over_a, hessian, nls_coefficients
+from fput2d import nls
 from fput2d.nls import (
     EnvelopeBlowup,
     EnvelopeField,
@@ -261,6 +262,21 @@ class TestDiagnostics:
         # sum |A|^2 h^2 for a constant field is |c|^2 L^2
         f = EnvelopeField(16.0, np.full((64, 64), 0.5 + 0j))
         assert mass(f) == pytest.approx(0.25 * 16.0**2, rel=1e-12)
+
+    def test_spectral_h4_matches_h4_proxy(self):
+        # evolve reads the proxy off its spectrum, which carries a pending
+        # unimodular half-step factor; h4_proxy transforms the field itself
+        rng = np.random.default_rng(3)
+        f = gaussian_field(32.0, 64, amplitude=0.7)
+        k = 2 * np.pi * np.fft.fftfreq(64, d=f.spacing)
+        kx, ky = np.meshgrid(k, k, indexing="ij")
+        spectrum = np.fft.fft2(f.a) * (1 + 0.3 * rng.normal(size=(64, 64)))
+        spectrum *= np.exp(1j * rng.uniform(0, 2 * np.pi, size=(64, 64)))
+        field = EnvelopeField(f.box_length, np.fft.ifft2(spectrum))
+        want = h4_proxy(field)
+        for phase in (0.0, 0.37 * (kx**2 + ky**2)):
+            got = nls._h4_of_spectrum(spectrum * np.exp(1j * phase), nls._h4_weight(field), field)
+            assert abs(got - want) <= 1e-12 * want
 
     def test_edge_mass_small_for_gaussian(self):
         f = gaussian_field(40.0, 128)
