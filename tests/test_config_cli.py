@@ -351,8 +351,6 @@ BAD_INPUTS = [
     ("sweep", ["variant=foo"], {}),
     ("sweep", ["eps_list=0.1,0.14,0.2"], {}),
     ("sweep", ["grid_side=100"], {}),
-    ("simulate", ["grid_side=8"], {}),  # spacing eps*N/M = 5 at the default eps
-    ("sweep", ["n_side=400", "eps_list=0.4,0.3,0.2"], {}),  # too coarse at 0.4 only
     ("sweep", ["envelope_kind=foo"], {}),
     ("sweep", ["force_kind=foo"], {}),
     ("simulate", ["eps=0.7"], {}),
@@ -363,6 +361,8 @@ BAD_INPUTS = [
     ("residual", ["residual_fractions=1.0,0.5"], {}),
     ("sweep", [], {"FPUT2D_THREADS": "abc"}),
     ("sweep", [], {"FPUT2D_THREADS": "0"}),
+    ("simulate", ["grid_side=8"], {}),  # spacing eps*N/M = 5 at the default eps
+    ("sweep", ["n_side=400", "eps_list=0.4,0.3,0.2"], {}),  # too coarse at 0.4 only
 ]
 
 
