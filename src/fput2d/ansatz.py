@@ -19,7 +19,7 @@ maps to (m, n) = (i - N/2, j - N/2).  The lattice and envelope tori are
 commensurate (eps * N equals the box length), so the envelope is evaluated at
 the scaled moving-frame points by exact FFT resampling: a phase shift for the
 moving frame, then zero-padding or truncation of the spectrum to the N x N
-lattice grid.
+lattice grid.  All transforms are scipy.fft.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 
 from .dispersion import (
     DispersionData,
@@ -93,10 +94,14 @@ def nls_problem_for(disp: DispersionData, variant: str, dT: float = 1e-3) -> Nls
 
 
 class _Harmonics:
-    """Per-variant list of (eps-order, harmonic, C, dC/dT, d2C/dT2) fields."""
+    """Per-variant list of (eps-order, harmonic, C, dC/dT, d2C/dT2) fields.
+
+    The second slow-time derivatives cost two extra FFTs and are computed
+    only for depth >= 2; below that they are None.
+    """
 
     def __init__(self, env: EnvelopeField, disp: DispersionData, variant: str,
-                 corrections: bool):
+                 corrections: bool, depth: int = 2):
         # entries: (eps order, harmonic, C, dC/dT, d2C/dT2, field kind)
         self.terms: list[tuple] = []
         kv = disp.carrier
@@ -114,17 +119,19 @@ class _Harmonics:
         gam = prob.nonlin_coeff
         a = env.a
         f = envelope_rhs_arrays(a, symbol, gam)
-        f_t = envelope_rhs_derivative(a, f, symbol, gam)
+        f_t = envelope_rhs_derivative(a, f, symbol, gam) if depth >= 2 else None
 
-        def add_field_terms(kind: str, p: np.ndarray, p_t: np.ndarray, p_tt: np.ndarray):
+        def add_field_terms(kind: str, p: np.ndarray, p_t: np.ndarray,
+                            p_tt: np.ndarray | None):
+            tt = p_tt is not None
             # leading term 2 eps Re[P e^{i theta}]
-            self.terms.append((1, 1, 2 * p, 2 * p_t, 2 * p_tt, kind))
+            self.terms.append((1, 1, 2 * p, 2 * p_t, 2 * p_tt if tt else None, kind))
             if not corrections:
                 return
             co = correction_coefficients(kv, kind)
             pc = np.conj(p)
             pc_t = np.conj(p_t)
-            pc_tt = np.conj(p_tt)
+            pc_tt = np.conj(p_tt) if tt else None
             # first-harmonic correction eps^3 Re[C e^{-i theta}],
             # C = 8 c_1m1 P conj(P)^2
             w = 8 * co.c_1m1
@@ -132,17 +139,17 @@ class _Harmonics:
             c_t = w * (p_t * pc**2 + 2 * p * pc * pc_t)
             c_tt = w * (
                 p_tt * pc**2 + 4 * p_t * pc * pc_t + 2 * p * pc_t**2 + 2 * p * pc * pc_tt
-            )
+            ) if tt else None
             self.terms.append((3, -1, c, c_t, c_tt, kind))
             # third-harmonic corrections eps^3 [C3 e^{3 i theta} + Cm3 e^{-3 i theta}]
             # (both live on the positive branch; the conjugate partners ride
             # the negative branch)
             w3 = 8 * co.c_13
-            self.terms.append((3, 3, w3 * p**3, 3 * w3 * p * p * p_t,
-                               w3 * (6 * p * p_t**2 + 3 * p * p * p_tt), kind))
+            c3_tt = w3 * (6 * p * p_t**2 + 3 * p * p * p_tt) if tt else None
+            self.terms.append((3, 3, w3 * p**3, 3 * w3 * p * p * p_t, c3_tt, kind))
             wm3 = 8 * co.c_1m3
-            self.terms.append((3, -3, wm3 * pc**3, 3 * wm3 * pc * pc * pc_t,
-                               wm3 * (6 * pc * pc_t**2 + 3 * pc * pc * pc_tt), kind))
+            cm3_tt = wm3 * (6 * pc * pc_t**2 + 3 * pc * pc * pc_tt) if tt else None
+            self.terms.append((3, -3, wm3 * pc**3, 3 * wm3 * pc * pc * pc_t, cm3_tt, kind))
 
         if variant == "displacement":
             add_field_terms("displacement", a, f, f_t)
@@ -153,7 +160,8 @@ class _Harmonics:
                 add_field_terms("strain_u", a, f, f_t)
                 if not disp.axis_degenerate_l:
                     r = amplitude_ratio_b_over_a(kv)
-                    add_field_terms("strain_v", r * a, r * f, r * f_t)
+                    add_field_terms("strain_v", r * a, r * f,
+                                    r * f_t if f_t is not None else None)
         else:
             raise ValueError(f"unknown variant {variant!r}")
 
@@ -161,7 +169,7 @@ class _Harmonics:
 def _respec(coeffs: np.ndarray, n_out: int) -> np.ndarray:
     """Zero-pad or truncate centered Fourier coefficients to an n_out grid."""
     m = coeffs.shape[0]
-    cs = np.fft.fftshift(coeffs)
+    cs = fft.fftshift(coeffs)
     if n_out >= m:
         out = np.zeros((n_out, n_out), dtype=complex)
         lo = (n_out - m) // 2
@@ -169,7 +177,7 @@ def _respec(coeffs: np.ndarray, n_out: int) -> np.ndarray:
     else:
         lo = (m - n_out) // 2
         out = cs[lo:lo + n_out, lo:lo + n_out].copy()
-    return np.fft.ifftshift(out)
+    return fft.ifftshift(out)
 
 
 def eval_envelope(fields: list[np.ndarray], env: EnvelopeField, eps: float, t: float,
@@ -191,9 +199,9 @@ def eval_envelope(fields: list[np.ndarray], env: EnvelopeField, eps: float, t: f
     out = []
     m2 = env.grid_side**2
     for f in fields:
-        c = np.fft.fft2(f) * px[:, None] * py[None, :]
+        c = fft.fft2(f) * px[:, None] * py[None, :]
         c = _respec(c, n_side)
-        g = np.fft.ifft2(c) * (n_side**2 / m2)
+        g = fft.ifft2(c) * (n_side**2 / m2)
         out.append(np.roll(g, (n_side // 2, n_side // 2), axis=(0, 1)))
     return out
 
@@ -212,7 +220,7 @@ def _assemble_branches(env: EnvelopeField, disp: DispersionData, eps: float,
     kv = disp.carrier
     w0 = disp.omega0
     cx, cy = disp.group_velocity
-    harmonics = _Harmonics(env, disp, variant, corrections)
+    harmonics = _Harmonics(env, disp, variant, corrections, depth)
 
     # per-term envelope-grid combinations; resampling is linear, so the
     # chain-rule combinations are formed on the envelope grid first
@@ -223,18 +231,18 @@ def _assemble_branches(env: EnvelopeField, disp: DispersionData, eps: float,
     to_eval: list[np.ndarray] = []
     layout = []
     for order, j, c, c_t, c_tt, kind in harmonics.terms:
-        chat = np.fft.fft2(c)
+        chat = fft.fft2(c)
         entry = {"order": order, "j": j, "kind": kind, "base": len(to_eval)}
         to_eval.append(c)
         n_fields = 1
         if depth >= 1:
-            cgrad = np.fft.ifft2(1j * mu * chat)
+            cgrad = fft.ifft2(1j * mu * chat)
             g_t = 1j * j * w0 * c + eps * cgrad + eps**2 * c_t
             to_eval.append(g_t)
             n_fields += 1
         if depth >= 2:
-            cgrad2 = np.fft.ifft2(-(mu**2) * chat)
-            cgrad_t = np.fft.ifft2(1j * mu * np.fft.fft2(c_t))
+            cgrad2 = fft.ifft2(-(mu**2) * chat)
+            cgrad_t = fft.ifft2(1j * mu * fft.fft2(c_t))
             g_tt = (
                 -(j * w0) ** 2 * c
                 + 2j * j * w0 * (eps * cgrad + eps**2 * c_t)
@@ -310,7 +318,7 @@ def compat_project(u_hat: np.ndarray, ut_hat: np.ndarray, v_hat: np.ndarray,
     preserves the velocity compatibility relation.
     """
     n = u_hat.shape[0]
-    k = 2 * np.pi * np.fft.fftfreq(n)
+    k = 2 * np.pi * fft.fftfreq(n)
     a = (np.exp(1j * k) - 1.0)[:, None] * np.ones(n)[None, :]
     b = np.ones(n)[:, None] * (np.exp(1j * k) - 1.0)[None, :]
     if mode == "oblique":
@@ -357,10 +365,10 @@ def build_initial_data(env: EnvelopeField, disp: DispersionData, eps: float,
         raise ValueError(f"unknown form {form!r}")
     s = sample_ansatz(env, disp, eps, 0.0, n_side, "strain",
                       corrections, depth=1)
-    spectra = [np.fft.fft2(f) for f in (s.psi_u, s.psi_ut, s.psi_v, s.psi_vt)]
+    spectra = [fft.fft2(f) for f in (s.psi_u, s.psi_ut, s.psi_v, s.psi_vt)]
     (pu, put, pv, pvt), diag = compat_project(*spectra, delta_proj=delta_proj,
                                               mode=projection)
-    fields = [np.fft.ifft2(f).real for f in (pu, pv, put, pvt)]
+    fields = [fft.ifft2(f).real for f in (pu, pv, put, pvt)]
     moved = max(
         float(np.max(np.abs(fields[0] - s.psi_u))),
         float(np.max(np.abs(fields[1] - s.psi_v))),
@@ -376,11 +384,11 @@ def build_initial_data(env: EnvelopeField, disp: DispersionData, eps: float,
 def l1_dft_norm(field: np.ndarray) -> float:
     """Cell-measure-scaled l1 norm of the DFT; dominates the site sup norm."""
     n = field.shape[0]
-    return float(np.sum(np.abs(np.fft.fft2(field))) / n**2)
+    return float(np.sum(np.abs(fft.fft2(field))) / n**2)
 
 
 def _lattice_multipliers(n: int):
-    k = 2 * np.pi * np.fft.fftfreq(n)
+    k = 2 * np.pi * fft.fftfreq(n)
     kx = k[:, None] * np.ones(n)[None, :]
     ky = np.ones(n)[:, None] * k[None, :]
     wx2 = 2.0 - 2.0 * np.cos(kx)
@@ -413,7 +421,7 @@ def residual_norm(env: EnvelopeField, disp: DispersionData, eps: float, t: float
     _, _, wx2, wy2, w, inv_8iw, rho_u, rho_v = _lattice_multipliers(n)
 
     def mult(symbol, phys):
-        return np.fft.ifft2(symbol * np.fft.fft2(phys))
+        return fft.ifft2(symbol * fft.fft2(phys))
 
     if variant == "displacement":
         q1, dq1 = acc["displacement"][0], acc["displacement"][1]

@@ -12,8 +12,11 @@ log-log slope of the max-in-time error, and reports pass/fail against the
 expected quadratic order.
 
 Deterministic by construction: a plan plus seed fixes every array ever drawn.
-eps runs are independent and can execute in a process pool (FPUT2D_THREADS
-caps the width).
+The envelope depends on eps only through its box eps*N, so within one sweep
+the eps values whose boxes are the same float share one envelope solve and
+get bit-identical records to separate runs.  The groups run in a process pool
+(FPUT2D_THREADS caps the width); with more than one worker the smallest eps,
+the costliest run, is a task of its own.
 """
 
 from __future__ import annotations
@@ -60,42 +63,53 @@ def _force_for(plan: ExperimentPlan, eps: float, n_side: int) -> ForceLaw:
     return ForceLaw(kind=plan.force_kind, eps=eps)
 
 
-def _initial_envelope(plan: ExperimentPlan, eps: float) -> tuple[int, EnvelopeField]:
-    """Lattice side at eps and the T = 0 envelope on the matching torus."""
-    n = plan.n_side_for(eps)
-    box = eps * n  # commensurate tori: the moving envelope window wraps exactly
+def _envelope_box(plan: ExperimentPlan, eps: float) -> float:
+    """Side of the envelope torus at eps: the lattice footprint eps*N.
+
+    Commensurate tori: the moving envelope window wraps exactly.
+    """
+    return eps * plan.n_side_for(eps)
+
+
+def _initial_envelope(plan: ExperimentPlan, eps: float) -> EnvelopeField:
+    """The T = 0 envelope on the torus that matches the lattice at eps."""
+    box = _envelope_box(plan, eps)
     env_variant = "displacement" if plan.variant == "displacement" else "strain_u"
     if plan.envelope_kind == "gaussian":
-        env0 = gaussian_field(box, plan.grid_side, plan.amplitude, plan.sigma,
+        return gaussian_field(box, plan.grid_side, plan.amplitude, plan.sigma,
                               variant=env_variant)
-    elif plan.envelope_kind == "constant":
+    if plan.envelope_kind == "constant":
         # spatially uniform envelope: the ansatz reduces to a plane wave
         arr = np.full((plan.grid_side, plan.grid_side), plan.amplitude, dtype=complex)
-        env0 = EnvelopeField(box, arr, variant=env_variant)
-    else:
-        raise ValueError(f"unknown envelope kind {plan.envelope_kind!r}")
-    return n, env0
+        return EnvelopeField(box, arr, variant=env_variant)
+    raise ValueError(f"unknown envelope kind {plan.envelope_kind!r}")
 
 
-def run_single(plan: ExperimentPlan, eps: float, keep_state_indices=()) -> dict:
-    """One eps run; returns a JSON-ready record.
+def _by_box(plan: ExperimentPlan, eps_values) -> list[list[float]]:
+    """eps values grouped by their exact envelope box, in order of first appearance.
 
-    keep_state_indices requests lattice states at those sample indices; they
-    come back under the non-JSON key "_states" (the sweep never asks).
+    The envelope solve sees eps only through the box; every other input is
+    plan-wide, so the eps values of one group share one solve bit for bit.
     """
-    t_wall = time.time()
-    disp = nls_coefficients(plan.carrier, plan.delta_res)
-    if not disp.nonresonant:
-        raise NonResonantCarrierRequired(
-            f"carrier ({plan.carrier.k}, {plan.carrier.l}) violates non-resonance"
-        )
-    n, env0 = _initial_envelope(plan, eps)
-    dt = plan.dt_for(eps)
+    groups: dict[float, list[float]] = {}
+    for eps in eps_values:
+        groups.setdefault(_envelope_box(plan, eps), []).append(eps)
+    return list(groups.values())
+
+
+def _solve_envelope(plan: ExperimentPlan, disp, env0: EnvelopeField,
+                    sample_times) -> list[EnvelopeField]:
+    """The plan's envelope equation solved from env0, captured at sample_times."""
     prob = nls_problem_for(disp, env0.variant, plan.dt_slow)
-    slow_times = np.linspace(0.0, plan.t0, plan.sample_count)
-    envs = evolve(env0, prob, plan.t0, sample_times=slow_times,
+    return evolve(env0, prob, plan.t0, sample_times=sample_times,
                   blowup_guard=plan.blowup_guard)
 
+
+def _run_lattice(plan: ExperimentPlan, disp, eps: float, env0: EnvelopeField,
+                 envs: list[EnvelopeField], keep_state_indices=()) -> dict:
+    """The lattice run at eps against a solved envelope; its record has no wall time."""
+    n = plan.n_side_for(eps)
+    dt = plan.dt_for(eps)
     state, proj_diag = build_initial_data(
         env0, disp, eps, n, plan.variant, corrections=plan.corrections,
         projection=plan.projection,
@@ -145,7 +159,8 @@ def run_single(plan: ExperimentPlan, eps: float, keep_state_indices=()) -> dict:
                                plan.corrections)]
             )
 
-    integrate(state, force, dt, slow_times / eps**2, observe)
+    # the lattice is observed at the envelope's sample times
+    integrate(state, force, dt, np.array([e.slow_time for e in envs]) / eps**2, observe)
 
     envelope_diag = [
         [e.slow_time, mass(e), h4_proxy(e), float(np.max(np.abs(e.a)))]
@@ -170,12 +185,44 @@ def run_single(plan: ExperimentPlan, eps: float, keep_state_indices=()) -> dict:
         "envelope_edge_mass": edge_mass_fraction(envs[-1]),
         "degenerate_modes": proj_diag["degenerate_modes"],
         "projection_displacement": proj_diag["max_projection_displacement"],
-        "wall_time_s": time.time() - t_wall,
     }
     if kept_states:
         record["_states"] = kept_states
         record["_env_final"] = envs[-1]
     return record
+
+
+def _run_group(plan: ExperimentPlan, eps_values, keep_state_indices=()) -> list[dict]:
+    """Records of eps runs that share one envelope box, all on one envelope solve.
+
+    Each record's wall_time_s runs from the end of the previous run, so the
+    first one pays for the solve and the sum is the group's busy time.
+    """
+    t_wall = time.time()
+    disp = nls_coefficients(plan.carrier, plan.delta_res)
+    if not disp.nonresonant:
+        raise NonResonantCarrierRequired(
+            f"carrier ({plan.carrier.k}, {plan.carrier.l}) violates non-resonance"
+        )
+    env0 = _initial_envelope(plan, eps_values[0])
+    envs = _solve_envelope(plan, disp, env0, np.linspace(0.0, plan.t0, plan.sample_count))
+    records = []
+    for eps in eps_values:
+        record = _run_lattice(plan, disp, eps, env0, envs, keep_state_indices)
+        now = time.time()
+        record["wall_time_s"] = now - t_wall
+        t_wall = now
+        records.append(record)
+    return records
+
+
+def run_single(plan: ExperimentPlan, eps: float, keep_state_indices=()) -> dict:
+    """One eps run; returns a JSON-ready record.
+
+    keep_state_indices requests lattice states at those sample indices; they
+    come back under the non-JSON key "_states" (the sweep never asks).
+    """
+    return _run_group(plan, [eps], keep_state_indices)[0]
 
 
 def fit_order(eps_values, max_errors):
@@ -209,32 +256,32 @@ def residual_sweep(plan: ExperimentPlan) -> list[dict]:
     At each eps the envelope is evolved to the slow times
     plan.residual_fractions * T0 and ansatz.residual_norm is taken at the
     matching lattice times; each row carries the per-time values and their
-    maxima.
+    maxima.  eps values that share an envelope box share one solve.
     """
     disp = nls_coefficients(plan.carrier, plan.delta_res)
-    rows = []
-    for eps in plan.eps_list:
-        n, env0 = _initial_envelope(plan, eps)
-        envs = evolve(env0, nls_problem_for(disp, env0.variant, plan.dt_slow),
-                      plan.t0, sample_times=[f * plan.t0 for f in plan.residual_fractions],
-                      blowup_guard=plan.blowup_guard)
-        per_time = {
-            label: [residual_norm(env, disp, eps, env.slow_time / eps**2, n,
-                                  plan.variant, flag) for env in envs]
-            for label, flag in (("with", True), ("without", False))
-        }
-        rows.append({
-            "eps": eps,
-            "with_corrections": max(per_time["with"]),
-            "without_corrections": max(per_time["without"]),
-            "per_time": per_time,
-        })
-    return rows
+    rows = {}
+    for group in _by_box(plan, plan.eps_list):
+        envs = _solve_envelope(plan, disp, _initial_envelope(plan, group[0]),
+                               [f * plan.t0 for f in plan.residual_fractions])
+        for eps in group:
+            n = plan.n_side_for(eps)
+            per_time = {
+                label: [residual_norm(env, disp, eps, env.slow_time / eps**2, n,
+                                      plan.variant, flag) for env in envs]
+                for label, flag in (("with", True), ("without", False))
+            }
+            rows[eps] = {
+                "eps": eps,
+                "with_corrections": max(per_time["with"]),
+                "without_corrections": max(per_time["without"]),
+                "per_time": per_time,
+            }
+    return [rows[eps] for eps in plan.eps_list]
 
 
 def _worker(args):
-    plan_dict, eps = args
-    return run_single(ExperimentPlan(**plan_dict), eps)
+    plan_dict, eps_values = args
+    return _run_group(ExperimentPlan(**plan_dict), eps_values)
 
 
 def _pool_width(plan: ExperimentPlan) -> int:
@@ -243,23 +290,39 @@ def _pool_width(plan: ExperimentPlan) -> int:
     return max(1, min(want, cap))
 
 
+def _schedule(plan: ExperimentPlan, width: int) -> list[list[float]]:
+    """The sweep's tasks: eps groups that share an envelope box, smallest eps first.
+
+    With more than one worker the smallest eps, the costliest run, is a task
+    of its own: it alone sets the sweep's wall time, so nothing queues behind it.
+    """
+    ascending = sorted(plan.eps_list)
+    if width > 1:
+        return [ascending[:1]] + _by_box(plan, ascending[1:])
+    return _by_box(plan, ascending)
+
+
 def run_sweep(plan: ExperimentPlan) -> dict:
-    """Run every eps, fit the order, and assemble the report."""
+    """Run every eps, fit the order, and assemble the report.
+
+    eps values that share an envelope box share one envelope solve; with a
+    pool wider than one worker the smallest eps runs alone.  Records come
+    back in eps_list order.  The record whose run paid for a solve carries
+    its time in wall_time_s, so the records' wall times sum to the workers'
+    busy time.
+    """
     if len(plan.eps_list) < 3:
         raise ValueError("a sweep needs at least 3 eps values to fit an order")
     t_wall = time.time()
     width = _pool_width(plan)
-    if width > 1 and len(plan.eps_list) > 1:
-        # dispatch the smallest eps (most expensive run) first
-        order = sorted(range(len(plan.eps_list)), key=lambda i: plan.eps_list[i])
-        with ProcessPoolExecutor(max_workers=width) as pool:
-            done = list(pool.map(_worker,
-                                 [(asdict(plan), plan.eps_list[i]) for i in order]))
-        records = [None] * len(plan.eps_list)
-        for slot, rec in zip(order, done):
-            records[slot] = rec
+    tasks = _schedule(plan, width)
+    if width > 1:
+        with ProcessPoolExecutor(max_workers=min(width, len(tasks))) as pool:
+            done = list(pool.map(_worker, [(asdict(plan), task) for task in tasks]))
     else:
-        records = [run_single(plan, e) for e in plan.eps_list]
+        done = [_run_group(plan, task) for task in tasks]
+    by_eps = {rec["eps"]: rec for group in done for rec in group}
+    records = [by_eps[eps] for eps in plan.eps_list]
 
     report = {
         "plan": asdict(plan),

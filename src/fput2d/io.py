@@ -1,16 +1,21 @@
 """Snapshot and diagnostic file formats.
 
-Binary snapshot: little-endian header
+Binary snapshot, format version 2: little-endian header
 
-    magic   7 bytes  b"FPUT2D\\0"
-    version u32      format version (currently 1)
-    form    u8       0 = displacement, 1 = strain, 2 = envelope
-    N       u32      grid side
-    time    f64      simulation time (slow time for envelopes)
+    magic    7 bytes  b"FPUT2D\\0"
+    version  u32      format version (2)
+    form     u8       0 = displacement, 1 = strain, 2 = envelope
+    N        u32      grid side
+    time     f64      simulation time (slow time for envelopes)
+    box      f64      envelope box length L (0 for lattice states)
+    variant  u8       envelope variant: 0 = strain_u, 1 = strain_v,
+                      2 = displacement (0 for lattice states)
 
 followed by row-major f64 payload arrays: (q, w) for displacement,
 (u, v, ut, vt) for strain, and re/im interleaved samples for an envelope.
-Envelope box length is not part of the header; it travels in the run manifest.
+An envelope therefore reads back whole.  read_snapshot rejects other
+versions, and a file that ends before its header or payload does raises
+SnapshotTruncated.
 
 Diagnostics are plain CSV streams: lattice (t, energy, compat_defect,
 max_amp) and envelope (T, mass, h4proxy, max_amp).
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -29,9 +35,16 @@ from .lattice import LatticeState
 from .nls import EnvelopeField
 
 MAGIC = b"FPUT2D\x00"
-VERSION = 1
+VERSION = 2
+_HEADER = struct.Struct("<IBIddB")  # version, form, N, time, box, variant
 _FORM_CODE = {"displacement": 0, "strain": 1, "envelope": 2}
 _FORM_NAME = {v: k for k, v in _FORM_CODE.items()}
+_VARIANT_CODE = {"strain_u": 0, "strain_v": 1, "displacement": 2}
+_VARIANT_NAME = {v: k for k, v in _VARIANT_CODE.items()}
+
+
+class SnapshotTruncated(ValueError):
+    """A snapshot file ends before its header or payload does."""
 
 
 def write_snapshot(path, obj) -> None:
@@ -40,44 +53,55 @@ def write_snapshot(path, obj) -> None:
         form = obj.form
         n = obj.n_side
         t = obj.time
+        box, variant = 0.0, 0
         payload = [np.ascontiguousarray(a, dtype="<f8") for a in obj.arrays()]
     elif isinstance(obj, EnvelopeField):
         form = "envelope"
         n = obj.grid_side
         t = obj.slow_time
-        inter = np.empty((n, n, 2))
-        inter[:, :, 0] = obj.a.real
-        inter[:, :, 1] = obj.a.imag
-        payload = [np.ascontiguousarray(inter, dtype="<f8")]
+        box, variant = obj.box_length, _VARIANT_CODE[obj.variant]
+        payload = [np.ascontiguousarray(obj.a, dtype="<c16")]  # re/im interleaved
     else:
         raise TypeError(f"cannot snapshot {type(obj)!r}")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<IBId", VERSION, _FORM_CODE[form], n, t))
+        fh.write(_HEADER.pack(VERSION, _FORM_CODE[form], n, t, box, variant))
         for a in payload:
             fh.write(a.tobytes())
 
 
-def read_snapshot(path):
-    """Read a snapshot back into a LatticeState or EnvelopeField.
+def _read_exact(fh, size: int, path, what: str) -> bytes:
+    # sized against the file first, so a corrupt N allocates nothing
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if left < size:
+        raise SnapshotTruncated(f"{path}: file ends inside the {what} "
+                                f"({left} of {size} bytes)")
+    return fh.read(size)
 
-    Envelopes are returned with box_length = nan (recover it from the run
-    manifest) unless passed via the keyword-free convention of the caller.
-    """
+
+def read_snapshot(path):
+    """Read a snapshot back into a LatticeState or EnvelopeField."""
     with open(path, "rb") as fh:
-        magic = fh.read(7)
-        if magic != MAGIC:
+        magic = fh.read(len(MAGIC))
+        if not MAGIC.startswith(magic):
             raise ValueError(f"{path}: not a FPUT2D snapshot")
-        version, form_code, n, t = struct.unpack("<IBId", fh.read(struct.calcsize("<IBId")))
+        if len(magic) < len(MAGIC):
+            raise SnapshotTruncated(f"{path}: file ends inside the magic")
+        version, form_code, n, t, box, variant_code = _HEADER.unpack(
+            _read_exact(fh, _HEADER.size, path, "header"))
         if version != VERSION:
             raise ValueError(f"{path}: unsupported snapshot version {version}")
+        if form_code not in _FORM_NAME:
+            raise ValueError(f"{path}: unknown snapshot form code {form_code}")
         form = _FORM_NAME[form_code]
         count = {"displacement": 2, "strain": 4, "envelope": 1}[form]
         per = n * n * (2 if form == "envelope" else 1)
-        raw = np.frombuffer(fh.read(count * per * 8), dtype="<f8")
+        raw = np.frombuffer(_read_exact(fh, count * per * 8, path, "payload"), dtype="<f8")
     if form == "envelope":
-        inter = raw.reshape(n, n, 2)
-        return EnvelopeField(float("nan"), inter[:, :, 0] + 1j * inter[:, :, 1], t)
+        if variant_code not in _VARIANT_NAME:
+            raise ValueError(f"{path}: unknown envelope variant code {variant_code}")
+        return EnvelopeField(box, raw.view("<c16").reshape(n, n).copy(), t,
+                             _VARIANT_NAME[variant_code])
     arrays = [raw[i * per:(i + 1) * per].reshape(n, n).copy() for i in range(count)]
     if form == "displacement":
         return LatticeState("displacement", t, q=arrays[0], w=arrays[1])

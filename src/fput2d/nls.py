@@ -115,14 +115,14 @@ def linear_symbol(field: EnvelopeField, prob: NlsProblem) -> np.ndarray:
 
 def envelope_rhs_arrays(a: np.ndarray, symbol: np.ndarray, gamma: complex) -> np.ndarray:
     """dA/dT on the grid given a precomputed linear symbol."""
-    lin = np.fft.ifft2(1j * symbol * np.fft.fft2(a))
+    lin = fft.ifft2(1j * symbol * fft.fft2(a))
     return lin + gamma * np.abs(a) ** 2 * a
 
 
 def envelope_rhs_derivative(a: np.ndarray, da: np.ndarray, symbol: np.ndarray,
                             gamma: complex) -> np.ndarray:
     """Directional derivative of the right-hand side at a along da."""
-    lin = np.fft.ifft2(1j * symbol * np.fft.fft2(da))
+    lin = fft.ifft2(1j * symbol * fft.fft2(da))
     return lin + gamma * (2 * np.abs(a) ** 2 * da + a * a * np.conj(da))
 
 

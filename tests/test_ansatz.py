@@ -168,6 +168,30 @@ class TestExactDerivatives:
         fd_u = (sp.psi_ut - sm.psi_ut) / (2 * h)
         assert np.max(np.abs(fd_u - s.psi_utt)) < 1e-5
 
+    @pytest.mark.parametrize("corrections", [False, True])
+    @pytest.mark.parametrize("variant", ["strain", "displacement"])
+    def test_second_derivative_only_at_depth_2(self, monkeypatch, variant, corrections):
+        from fput2d import ansatz
+
+        calls = []
+        real = ansatz.envelope_rhs_derivative
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(ansatz, "envelope_rhs_derivative", counting)
+        var_env = "displacement" if variant == "displacement" else "strain_u"
+        env = gaussian_field(40.0, 128, amplitude=0.8, variant=var_env)
+        names = ["psi_q", "psi_qt"] if variant == "displacement" else [
+            "psi_u", "psi_v", "psi_ut", "psi_vt"]
+        s1 = sample_ansatz(env, DISP, 0.2, 0.7, 200, variant, corrections, depth=1)
+        assert calls == []
+        s2 = sample_ansatz(env, DISP, 0.2, 0.7, 200, variant, corrections, depth=2)
+        assert calls == [1]
+        for name in names:  # depth 1 outputs are unchanged bit for bit
+            assert np.array_equal(getattr(s1, name), getattr(s2, name))
+
 
 class TestEnvelopeEvaluation:
     @staticmethod

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from fput2d import harness
 from fput2d.cli import build_parser, main
 from fput2d.config import ConfigError, ExperimentPlan, load_plan
-from fput2d.io import read_snapshot, write_snapshot
+from fput2d.io import SnapshotTruncated, read_snapshot, write_snapshot
 from fput2d.lattice import DT_MAX, LatticeState
 from fput2d.nls import EnvelopeField
 
@@ -171,17 +171,79 @@ class TestSnapshots:
     def test_envelope_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)
         a = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
-        env = EnvelopeField(12.0, a, 0.75)
+        env = EnvelopeField(12.0, a, 0.75, variant="displacement")
         path = tmp_path / "e.snap"
         write_snapshot(path, env)
         back = read_snapshot(path)
         assert back.slow_time == 0.75
+        assert back.box_length == 12.0
+        assert back.variant == "displacement"
         assert np.array_equal(back.a, a)
 
     def test_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.snap"
         path.write_bytes(b"NOTASNAPFILE")
         with pytest.raises(ValueError):
+            read_snapshot(path)
+
+    def test_version_1_rejected(self, tmp_path):
+        path = tmp_path / "v1.snap"
+        write_snapshot(path, EnvelopeField(4.0, np.ones((8, 8))))
+        data = bytearray(path.read_bytes())
+        data[7:11] = (1).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="unsupported snapshot version 1"):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("keep", [0, 3, 7, 12, 30, 37, 100])
+    def test_truncated_file_named(self, tmp_path, keep):
+        path = tmp_path / "t.snap"
+        write_snapshot(path, EnvelopeField(4.0, np.ones((8, 8))))
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(SnapshotTruncated):
+            read_snapshot(path)
+
+
+def _grid(n):
+    return st.lists(st.floats(width=64), min_size=n * n, max_size=n * n).map(
+        lambda xs: np.array(xs).reshape(n, n))
+
+
+@st.composite
+def snapshot_objects(draw):
+    t = draw(st.floats(allow_nan=False))
+    kind = draw(st.sampled_from(["displacement", "strain", "envelope"]))
+    if kind == "envelope":
+        m = draw(st.sampled_from([2, 4, 8]))
+        box = draw(st.floats(min_value=1e-300, max_value=0.5 * m))
+        a = np.empty((m, m), dtype=complex)
+        a.real, a.imag = draw(_grid(m)), draw(_grid(m))
+        variant = draw(st.sampled_from(["strain_u", "strain_v", "displacement"]))
+        return EnvelopeField(box, a, t, variant)
+    n = draw(st.integers(8, 10))
+    names = ("q", "w") if kind == "displacement" else ("u", "v", "ut", "vt")
+    return LatticeState(kind, t, **{name: draw(_grid(n)) for name in names})
+
+
+class TestSnapshotProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(snapshot_objects(), st.data())
+    def test_round_trip_and_truncation(self, tmp_path_factory, obj, data):
+        path = tmp_path_factory.mktemp("snap") / "x.snap"
+        write_snapshot(path, obj)
+        back = read_snapshot(path)
+        assert type(back) is type(obj)
+        if isinstance(obj, EnvelopeField):
+            assert (back.box_length, back.slow_time, back.variant) == (
+                obj.box_length, obj.slow_time, obj.variant)
+            assert back.a.tobytes() == obj.a.tobytes()
+        else:
+            assert (back.form, back.time) == (obj.form, obj.time)
+            assert [a.tobytes() for a in back.arrays()] == [
+                a.tobytes() for a in obj.arrays()]
+        full = path.read_bytes()
+        path.write_bytes(full[:data.draw(st.integers(0, len(full) - 1))])
+        with pytest.raises(SnapshotTruncated):
             read_snapshot(path)
 
 
@@ -264,12 +326,16 @@ class TestSimulateCommand:
         assert "EnvelopeBlowup" in err
 
 
-def _synthetic_run_single(errors):
-    """run_single stand-in that returns the given max errors per eps."""
-    def fake(plan, eps, keep_state_indices=()):
-        err = errors[plan.eps_list.index(eps)]
-        return {"eps": eps, "times": [0.0], "sup_errors": [err], "max_sup_error": err,
-                "error_over_eps2": err / eps**2, "wall_time_s": 0.0}
+def _synthetic_runs(errors):
+    """Stand-in for the sweep's group runner that returns the given max errors per eps."""
+    def fake(plan, eps_values, keep_state_indices=()):
+        records = []
+        for eps in eps_values:
+            err = errors[plan.eps_list.index(eps)]
+            records.append({"eps": eps, "times": [0.0], "sup_errors": [err],
+                            "max_sup_error": err, "error_over_eps2": err / eps**2,
+                            "wall_time_s": 0.0})
+        return records
     return fake
 
 
@@ -288,8 +354,8 @@ class TestSweepCommand:
 
 
     def test_synthetic_self_test_pass(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(harness, "run_single",
-                            _synthetic_run_single([0.04, 0.0196, 0.01]))
+        monkeypatch.setattr(harness, "_run_group",
+                            _synthetic_runs([0.04, 0.0196, 0.01]))
         code = main(["sweep", "--out", str(tmp_path), "--set", "workers=1",
                      "--set", "eps_list=0.2,0.14,0.1"])
         assert code == 0
@@ -299,8 +365,8 @@ class TestSweepCommand:
         assert (tmp_path / "order_fit.tsv").exists()
 
     def test_synthetic_failing_order_exit_4(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(harness, "run_single",
-                            _synthetic_run_single([0.04, 0.028, 0.02]))  # slope 1
+        monkeypatch.setattr(harness, "_run_group",
+                            _synthetic_runs([0.04, 0.028, 0.02]))  # slope 1
         code = main(["sweep", "--out", str(tmp_path), "--set", "workers=1",
                      "--set", "eps_list=0.2,0.14,0.1"])
         assert code == 4

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fput2d import harness
 from fput2d.harness import (
     DegenerateFit,
     ExperimentPlan,
@@ -226,6 +227,70 @@ class TestRunSweep:
         serial = strip(run_sweep(small_plan(workers=1)))
         parallel = strip(run_sweep(small_plan(workers=2)))
         assert report_to_json(serial) == report_to_json(parallel)
+
+
+def _count_solves(monkeypatch) -> list[float]:
+    """Box lengths of the envelopes the harness solves, in call order."""
+    boxes = []
+    real = harness.evolve
+
+    def counting(field, *args, **kwargs):
+        boxes.append(field.box_length)
+        return real(field, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "evolve", counting)
+    return boxes
+
+
+class TestEnvelopeSharing:
+    # the acceptance and benchmark eps at the default box 40: short horizon,
+    # coarse envelope grid, same lattice sides and boxes
+    def quick_plan(self, **kw):
+        return ExperimentPlan(**{"t0": 0.05, "grid_side": 128, "sample_count": 3,
+                                 "workers": 1, **kw})
+
+    def test_schedules(self):
+        disp = ExperimentPlan(variant="displacement", eps_list=(0.25, 0.2, 0.16))
+        accept = ExperimentPlan(eps_list=(0.2, 0.14, 0.1))
+        assert harness._schedule(disp, 2) == [[0.16], [0.2, 0.25]]
+        assert harness._schedule(disp, 1) == [[0.16], [0.2, 0.25]]
+        assert harness._schedule(accept, 2) == [[0.1], [0.14], [0.2]]
+        assert harness._schedule(accept, 1) == [[0.1, 0.2], [0.14]]
+
+    def test_displacement_sweep_solves_twice(self, monkeypatch):
+        boxes = _count_solves(monkeypatch)
+        report = run_sweep(self.quick_plan(variant="displacement",
+                                           eps_list=(0.25, 0.2, 0.16)))
+        assert boxes == [0.16 * 252, 40.0]
+        assert [r["eps"] for r in report["per_eps"]] == [0.25, 0.2, 0.16]
+
+    def test_residual_sweep_solves_twice(self, monkeypatch):
+        boxes = _count_solves(monkeypatch)
+        rows = harness.residual_sweep(
+            self.quick_plan(eps_list=(0.2, 0.14, 0.1), residual_fractions=(0.0, 1.0)))
+        assert boxes == [40.0, 0.14 * 288]
+        assert [r["eps"] for r in rows] == [0.2, 0.14, 0.1]
+
+    def test_nearly_equal_boxes_solve_apart(self, monkeypatch):
+        # 0.2 and 0.1 share box 40.0, but 0.16*252 = 40.32 and
+        # 0.14*288 = 40.32000000000001 are different boxes
+        boxes = _count_solves(monkeypatch)
+        report = run_sweep(self.quick_plan(eps_list=(0.2, 0.16, 0.14, 0.1)))
+        assert boxes == [40.0, 40.32000000000001, 40.32]
+        assert [r["box_length"] for r in report["per_eps"]] == [
+            40.0, 40.32, 40.32000000000001, 40.0]
+
+    @pytest.mark.parametrize("variant", ["strain", "displacement"])
+    def test_grouped_records_match_single_runs(self, monkeypatch, variant):
+        # small_plan's 0.4 and 0.25 share box 8.0
+        plan = small_plan(variant=variant)
+        boxes = _count_solves(monkeypatch)
+        report = run_sweep(plan)
+        assert len(boxes) == 2
+        for rec in report["per_eps"]:
+            single = run_single(plan, rec["eps"])
+            rec.pop("wall_time_s"), single.pop("wall_time_s")
+            assert report_to_json(rec) == report_to_json(single)
 
 
 class TestReportJson:
