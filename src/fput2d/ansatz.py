@@ -9,10 +9,12 @@ The leading-order approximation for a strain/displacement field is
 optionally extended by the third-generation corrections at the harmonics
 e^{-i theta} and e^{+-3 i theta} whose amplitudes are scalar multiples of
 pointwise triple products of A and conj(A) (the products realize the triple
-convolutions of the Fourier-space derivation).  Exact time derivatives are
-assembled by the chain rule, with dA/dT supplied by the envelope equation's
-right-hand side, so the residual of the lattice equations on the ansatz can be
-measured without finite-difference contamination.
+convolutions of the Fourier-space derivation).  The sampler returns the fields
+and their exact first time derivatives, assembled by the chain rule with dA/dT
+supplied by the envelope equation's right-hand side: the lattice is compared
+against both, and the first-order-system residual on the ansatz is measured
+from them without finite-difference contamination.  Strain-form initial data
+are moved onto the compatible subspace by the oblique modewise projection.
 
 Lattice sites are labeled m, n in {-N/2, ..., N/2 - 1}; array index (i, j)
 maps to (m, n) = (i - N/2, j - N/2).  The lattice and envelope tori are
@@ -40,11 +42,10 @@ from .nls import (
     EnvelopeField,
     NlsProblem,
     envelope_rhs_arrays,
-    envelope_rhs_derivative,
     linear_symbol,
 )
 
-DEFAULT_DELTA_PROJ = 1e-9
+DELTA_PROJ = 1e-9
 
 
 class FootprintExceeded(ValueError):
@@ -57,7 +58,7 @@ class MissingB(ValueError):
 
 @dataclass
 class AnsatzSample:
-    """Ansatz fields (and exact time derivatives) sampled on the lattice."""
+    """Ansatz fields and their exact first time derivatives on the lattice."""
 
     eps: float
     carrier: WaveVector
@@ -67,11 +68,8 @@ class AnsatzSample:
     psi_v: np.ndarray | None = None
     psi_ut: np.ndarray | None = None
     psi_vt: np.ndarray | None = None
-    psi_utt: np.ndarray | None = None
-    psi_vtt: np.ndarray | None = None
     psi_q: np.ndarray | None = None
     psi_qt: np.ndarray | None = None
-    psi_qtt: np.ndarray | None = None
 
 
 def gamma_tilde(disp: DispersionData, variant: str) -> complex:
@@ -93,77 +91,59 @@ def nls_problem_for(disp: DispersionData, variant: str, dT: float = 1e-3) -> Nls
     return NlsProblem(disp.hessian, gamma_tilde(disp, variant), dT)
 
 
-class _Harmonics:
-    """Per-variant list of (eps-order, harmonic, C, dC/dT, d2C/dT2) fields.
+def _harmonic_terms(env: EnvelopeField, disp: DispersionData, variant: str,
+                    corrections: bool) -> list[tuple]:
+    """Per-variant list of (eps order, harmonic, C, dC/dT, field kind) terms."""
+    terms: list[tuple] = []
+    kv = disp.carrier
+    primary_is_b = disp.axis_degenerate_k
+    if variant == "strain" and primary_is_b and env.variant != "strain_v":
+        raise MissingB("carrier has k0 = 0; supply the B envelope (strain_v)")
 
-    The second slow-time derivatives cost two extra FFTs and are computed
-    only for depth >= 2; below that they are None.
-    """
+    if variant == "displacement":
+        prob = nls_problem_for(disp, "displacement")
+    elif primary_is_b:
+        prob = nls_problem_for(disp, "strain_v")
+    else:
+        prob = nls_problem_for(disp, "strain_u")
+    a = env.a
+    f = envelope_rhs_arrays(a, linear_symbol(env, prob), prob.nonlin_coeff)
 
-    def __init__(self, env: EnvelopeField, disp: DispersionData, variant: str,
-                 corrections: bool, depth: int = 2):
-        # entries: (eps order, harmonic, C, dC/dT, d2C/dT2, field kind)
-        self.terms: list[tuple] = []
-        kv = disp.carrier
-        primary_is_b = disp.axis_degenerate_k
-        if variant == "strain" and primary_is_b and env.variant != "strain_v":
-            raise MissingB("carrier has k0 = 0; supply the B envelope (strain_v)")
+    def add_field_terms(kind: str, p: np.ndarray, p_t: np.ndarray):
+        # leading term 2 eps Re[P e^{i theta}]
+        terms.append((1, 1, 2 * p, 2 * p_t, kind))
+        if not corrections:
+            return
+        co = correction_coefficients(kv, kind)
+        pc = np.conj(p)
+        pc_t = np.conj(p_t)
+        # first-harmonic correction eps^3 Re[C e^{-i theta}],
+        # C = 8 c_1m1 P conj(P)^2
+        w = 8 * co.c_1m1
+        c = w * p * pc**2
+        c_t = w * (p_t * pc**2 + 2 * p * pc * pc_t)
+        terms.append((3, -1, c, c_t, kind))
+        # third-harmonic corrections eps^3 [C3 e^{3 i theta} + Cm3 e^{-3 i theta}]
+        # (both live on the positive branch; the conjugate partners ride
+        # the negative branch)
+        w3 = 8 * co.c_13
+        terms.append((3, 3, w3 * p**3, 3 * w3 * p * p * p_t, kind))
+        wm3 = 8 * co.c_1m3
+        terms.append((3, -3, wm3 * pc**3, 3 * wm3 * pc * pc * pc_t, kind))
 
-        if variant == "displacement":
-            prob = nls_problem_for(disp, "displacement")
-        elif primary_is_b:
-            prob = nls_problem_for(disp, "strain_v")
+    if variant == "displacement":
+        add_field_terms("displacement", a, f)
+    elif variant == "strain":
+        if primary_is_b:
+            add_field_terms("strain_v", a, f)
         else:
-            prob = nls_problem_for(disp, "strain_u")
-        symbol = linear_symbol(env, prob)
-        gam = prob.nonlin_coeff
-        a = env.a
-        f = envelope_rhs_arrays(a, symbol, gam)
-        f_t = envelope_rhs_derivative(a, f, symbol, gam) if depth >= 2 else None
-
-        def add_field_terms(kind: str, p: np.ndarray, p_t: np.ndarray,
-                            p_tt: np.ndarray | None):
-            tt = p_tt is not None
-            # leading term 2 eps Re[P e^{i theta}]
-            self.terms.append((1, 1, 2 * p, 2 * p_t, 2 * p_tt if tt else None, kind))
-            if not corrections:
-                return
-            co = correction_coefficients(kv, kind)
-            pc = np.conj(p)
-            pc_t = np.conj(p_t)
-            pc_tt = np.conj(p_tt) if tt else None
-            # first-harmonic correction eps^3 Re[C e^{-i theta}],
-            # C = 8 c_1m1 P conj(P)^2
-            w = 8 * co.c_1m1
-            c = w * p * pc**2
-            c_t = w * (p_t * pc**2 + 2 * p * pc * pc_t)
-            c_tt = w * (
-                p_tt * pc**2 + 4 * p_t * pc * pc_t + 2 * p * pc_t**2 + 2 * p * pc * pc_tt
-            ) if tt else None
-            self.terms.append((3, -1, c, c_t, c_tt, kind))
-            # third-harmonic corrections eps^3 [C3 e^{3 i theta} + Cm3 e^{-3 i theta}]
-            # (both live on the positive branch; the conjugate partners ride
-            # the negative branch)
-            w3 = 8 * co.c_13
-            c3_tt = w3 * (6 * p * p_t**2 + 3 * p * p * p_tt) if tt else None
-            self.terms.append((3, 3, w3 * p**3, 3 * w3 * p * p * p_t, c3_tt, kind))
-            wm3 = 8 * co.c_1m3
-            cm3_tt = wm3 * (6 * pc * pc_t**2 + 3 * pc * pc * pc_tt) if tt else None
-            self.terms.append((3, -3, wm3 * pc**3, 3 * wm3 * pc * pc * pc_t, cm3_tt, kind))
-
-        if variant == "displacement":
-            add_field_terms("displacement", a, f, f_t)
-        elif variant == "strain":
-            if primary_is_b:
-                add_field_terms("strain_v", a, f, f_t)
-            else:
-                add_field_terms("strain_u", a, f, f_t)
-                if not disp.axis_degenerate_l:
-                    r = amplitude_ratio_b_over_a(kv)
-                    add_field_terms("strain_v", r * a, r * f,
-                                    r * f_t if f_t is not None else None)
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
+            add_field_terms("strain_u", a, f)
+            if not disp.axis_degenerate_l:
+                r = amplitude_ratio_b_over_a(kv)
+                add_field_terms("strain_v", r * a, r * f)
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    return terms
 
 
 def _respec(coeffs: np.ndarray, n_out: int) -> np.ndarray:
@@ -207,12 +187,12 @@ def eval_envelope(fields: list[np.ndarray], env: EnvelopeField, eps: float, t: f
 
 
 def _assemble_branches(env: EnvelopeField, disp: DispersionData, eps: float,
-                       t: float, n_side: int, variant: str, corrections: bool,
-                       depth: int) -> dict[str, list[np.ndarray]]:
+                       t: float, n_side: int, variant: str,
+                       corrections: bool) -> dict[str, list[np.ndarray]]:
     """Complex positive-branch sums sum_terms eps^p C e^{i j theta} per field.
 
-    Returns, per field kind, the branch field and its exact time derivatives
-    up to `depth`.  The real ansatz fields are the real parts; the negative
+    Returns, per field kind, the branch field and its exact first time
+    derivative.  The real ansatz fields are the real parts; the negative
     branch is the complex conjugate.
     """
     if not 0 < eps < 1:
@@ -220,40 +200,19 @@ def _assemble_branches(env: EnvelopeField, disp: DispersionData, eps: float,
     kv = disp.carrier
     w0 = disp.omega0
     cx, cy = disp.group_velocity
-    harmonics = _Harmonics(env, disp, variant, corrections, depth)
+    terms = _harmonic_terms(env, disp, variant, corrections)
 
     # per-term envelope-grid combinations; resampling is linear, so the
-    # chain-rule combinations are formed on the envelope grid first
+    # chain-rule combination is formed on the envelope grid first
     k = env.wavenumbers_1d()
     kxg, kyg = np.meshgrid(k, k, indexing="ij")
     mu = cx * kxg + cy * kyg
 
     to_eval: list[np.ndarray] = []
-    layout = []
-    for order, j, c, c_t, c_tt, kind in harmonics.terms:
-        chat = fft.fft2(c)
-        entry = {"order": order, "j": j, "kind": kind, "base": len(to_eval)}
-        to_eval.append(c)
-        n_fields = 1
-        if depth >= 1:
-            cgrad = fft.ifft2(1j * mu * chat)
-            g_t = 1j * j * w0 * c + eps * cgrad + eps**2 * c_t
-            to_eval.append(g_t)
-            n_fields += 1
-        if depth >= 2:
-            cgrad2 = fft.ifft2(-(mu**2) * chat)
-            cgrad_t = fft.ifft2(1j * mu * fft.fft2(c_t))
-            g_tt = (
-                -(j * w0) ** 2 * c
-                + 2j * j * w0 * (eps * cgrad + eps**2 * c_t)
-                + eps**2 * cgrad2
-                + 2 * eps**3 * cgrad_t
-                + eps**4 * c_tt
-            )
-            to_eval.append(g_tt)
-            n_fields += 1
-        entry["n_fields"] = n_fields
-        layout.append(entry)
+    for _, j, c, c_t, _ in terms:
+        cgrad = fft.ifft2(1j * mu * fft.fft2(c))
+        g_t = 1j * j * w0 * c + eps * cgrad + eps**2 * c_t
+        to_eval += [c, g_t]
 
     sampled = eval_envelope(to_eval, env, eps, t, n_side, (cx, cy))
 
@@ -264,76 +223,50 @@ def _assemble_branches(env: EnvelopeField, disp: DispersionData, eps: float,
     phases = {1: e1, -1: np.conj(e1), 3: e3, -3: np.conj(e3)}
 
     shape = (n_side, n_side)
-    acc: dict[str, list[np.ndarray]] = {}
-    for kind in ("strain_u", "strain_v", "displacement"):
-        acc[kind] = [np.zeros(shape, dtype=complex) for _ in range(depth + 1)]
-    for entry in layout:
-        ph = phases[entry["j"]]
-        scale = eps ** entry["order"]
-        for d in range(entry["n_fields"]):
-            acc[entry["kind"]][d] += scale * (sampled[entry["base"] + d] * ph)
+    acc = {kind: [np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)]
+           for kind in ("strain_u", "strain_v", "displacement")}
+    for i, (order, j, _, _, kind) in enumerate(terms):
+        for d in range(2):  # the field, then its time derivative
+            acc[kind][d] += eps**order * (sampled[2 * i + d] * phases[j])
     return acc
 
 
 def sample_ansatz(env: EnvelopeField, disp: DispersionData, eps: float, t: float,
-                  n_side: int, variant: str, corrections: bool = False,
-                  depth: int = 1) -> AnsatzSample:
-    """Sample the ansatz (and derivatives to `depth`) on the N x N lattice.
-
-    depth 0 gives fields only, 1 adds first time derivatives, 2 adds second
-    time derivatives.
-    """
-    acc = _assemble_branches(env, disp, eps, t, n_side, variant, corrections,
-                             depth)
+                  n_side: int, variant: str, corrections: bool = False) -> AnsatzSample:
+    """Sample the ansatz and its first time derivatives on the N x N lattice."""
+    acc = _assemble_branches(env, disp, eps, t, n_side, variant, corrections)
     sample = AnsatzSample(eps=eps, carrier=disp.carrier, t=t, variant=variant)
     if variant == "displacement":
         sample.psi_q = acc["displacement"][0].real
-        if depth >= 1:
-            sample.psi_qt = acc["displacement"][1].real
-        if depth >= 2:
-            sample.psi_qtt = acc["displacement"][2].real
+        sample.psi_qt = acc["displacement"][1].real
     else:
         sample.psi_u = acc["strain_u"][0].real
         sample.psi_v = acc["strain_v"][0].real
-        if depth >= 1:
-            sample.psi_ut = acc["strain_u"][1].real
-            sample.psi_vt = acc["strain_v"][1].real
-        if depth >= 2:
-            sample.psi_utt = acc["strain_u"][2].real
-            sample.psi_vtt = acc["strain_v"][2].real
+        sample.psi_ut = acc["strain_u"][1].real
+        sample.psi_vt = acc["strain_v"][1].real
     return sample
 
 
 def compat_project(u_hat: np.ndarray, ut_hat: np.ndarray, v_hat: np.ndarray,
-                   vt_hat: np.ndarray, delta_proj: float = DEFAULT_DELTA_PROJ,
-                   mode: str = "oblique"):
-    """Modewise projection onto the compatible subspace a V = b U.
+                   vt_hat: np.ndarray):
+    """Modewise oblique projection onto the compatible subspace a V = b U.
 
-    a = e^{ik} - 1, b = e^{il} - 1 per lattice mode.  The oblique mode is
+    a = e^{ik} - 1, b = e^{il} - 1 per lattice mode.  The map is
     (U, V) -> (a, b) (a U + b V)/(a^2 + b^2) and fixes its range; modes with
-    |a^2 + b^2| below delta_proj pass through unchanged and are counted in the
-    returned diagnostics.  The orthogonal mode divides by |a|^2 + |b|^2
-    instead (conjugated weights) and only the zero mode passes through.
-    Field and velocity spectra are projected with the same modewise map, which
-    preserves the velocity compatibility relation.
+    |a^2 + b^2| below DELTA_PROJ pass through unchanged and are counted in the
+    returned diagnostics.  Field and velocity spectra are projected with the
+    same modewise map, which preserves the velocity compatibility relation.
     """
     n = u_hat.shape[0]
     k = 2 * np.pi * fft.fftfreq(n)
     a = (np.exp(1j * k) - 1.0)[:, None] * np.ones(n)[None, :]
     b = np.ones(n)[:, None] * (np.exp(1j * k) - 1.0)[None, :]
-    if mode == "oblique":
-        denom = a * a + b * b
-        wa, wb = a, b
-    elif mode == "orthogonal":
-        denom = np.abs(a) ** 2 + np.abs(b) ** 2
-        wa, wb = np.conj(a), np.conj(b)
-    else:
-        raise ValueError(f"unknown projection mode {mode!r}")
-    keep = np.abs(denom) >= delta_proj
+    denom = a * a + b * b
+    keep = np.abs(denom) >= DELTA_PROJ
     safe = np.where(keep, denom, 1.0)
 
     def apply(uh, vh):
-        s = (wa * uh + wb * vh) / safe
+        s = (a * uh + b * vh) / safe
         return (
             np.where(keep, a * s, uh),
             np.where(keep, b * s, vh),
@@ -346,28 +279,23 @@ def compat_project(u_hat: np.ndarray, ut_hat: np.ndarray, v_hat: np.ndarray,
 
 
 def build_initial_data(env: EnvelopeField, disp: DispersionData, eps: float,
-                       n_side: int, form: str, corrections: bool = False,
-                       projection: str = "oblique",
-                       delta_proj: float = DEFAULT_DELTA_PROJ):
+                       n_side: int, form: str, corrections: bool = False):
     """Lattice initial data matching the ansatz at t = 0.
 
-    Strain form samples (psi_u, psi_v) and their exact velocities and projects
-    the four spectra onto the compatible subspace; the projection moves the
+    Strain form samples (psi_u, psi_v) and their exact velocities and applies
+    the oblique compat_project to the four spectra; the projection moves the
     state by O(eps^2) in sup norm.  Displacement form samples directly (no
     constraint).  Returns (state, diagnostics).
     """
     if form == "displacement":
-        s = sample_ansatz(env, disp, eps, 0.0, n_side, "displacement",
-                          corrections, depth=1)
+        s = sample_ansatz(env, disp, eps, 0.0, n_side, "displacement", corrections)
         state = LatticeState("displacement", 0.0, q=s.psi_q, w=s.psi_qt)
         return state, {"degenerate_modes": 0, "max_projection_displacement": 0.0}
     if form != "strain":
         raise ValueError(f"unknown form {form!r}")
-    s = sample_ansatz(env, disp, eps, 0.0, n_side, "strain",
-                      corrections, depth=1)
+    s = sample_ansatz(env, disp, eps, 0.0, n_side, "strain", corrections)
     spectra = [fft.fft2(f) for f in (s.psi_u, s.psi_ut, s.psi_v, s.psi_vt)]
-    (pu, put, pv, pvt), diag = compat_project(*spectra, delta_proj=delta_proj,
-                                              mode=projection)
+    (pu, put, pv, pvt), diag = compat_project(*spectra)
     fields = [fft.ifft2(f).real for f in (pu, pv, put, pvt)]
     moved = max(
         float(np.max(np.abs(fields[0] - s.psi_u))),
@@ -399,7 +327,7 @@ def _lattice_multipliers(n: int):
     inv_8iw[live] = 1.0 / (8j * w[live])  # bounded combinations only; (0,0) -> 0
     rho_u = (np.exp(1j * kx) - 1.0) * (1.0 - np.exp(-1j * ky))
     rho_v = (np.exp(1j * ky) - 1.0) * (1.0 - np.exp(-1j * kx))
-    return kx, ky, wx2, wy2, w, inv_8iw, rho_u, rho_v
+    return wx2, wy2, w, inv_8iw, rho_u, rho_v
 
 
 def residual_norm(env: EnvelopeField, disp: DispersionData, eps: float, t: float,
@@ -415,10 +343,8 @@ def residual_norm(env: EnvelopeField, disp: DispersionData, eps: float, t: float
     correction rides the carrier's own space-time phase there, so only the
     branch-resolved residual exhibits the extra cancellation order.)
     """
-    acc = _assemble_branches(env, disp, eps, t, n_side, variant,
-                             with_corrections, depth=1)
-    n = n_side
-    _, _, wx2, wy2, w, inv_8iw, rho_u, rho_v = _lattice_multipliers(n)
+    acc = _assemble_branches(env, disp, eps, t, n_side, variant, with_corrections)
+    wx2, wy2, w, inv_8iw, rho_u, rho_v = _lattice_multipliers(n_side)
 
     def mult(symbol, phys):
         return fft.ifft2(symbol * fft.fft2(phys))

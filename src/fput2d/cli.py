@@ -7,7 +7,8 @@
 
 Exit codes: 0 success, 1 config error, 2 inadmissible carrier, 3 solver
 error (including a NaN or infinity in a report, which strict JSON cannot
-hold), 4 acceptance/order-fit failure.  FPUT2D_THREADS caps the worker pool.
+hold), 4 acceptance/order-fit failure.  Codes 1 and 2 come before simulate,
+sweep or residual creates --out.  FPUT2D_THREADS caps the worker pool.
 All outputs land under --out together with a manifest.json.
 """
 
@@ -20,13 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .ansatz import FootprintExceeded, MissingB
+from .ansatz import FootprintExceeded
 from .config import ConfigError, ExperimentPlan, keys_help, load_plan, thread_cap
 from .dispersion import Resonant, ZeroFrequency, nls_coefficients
 from .harness import (
     DegenerateFit,
     NonFiniteReport,
     NonResonantCarrierRequired,
+    checked_dispersion,
     fit_order,
     report_to_json,
     residual_sweep,
@@ -43,8 +45,7 @@ EXIT_CARRIER = 2
 EXIT_SOLVER = 3
 EXIT_ACCEPTANCE = 4
 
-SOLVER_ERRORS = (EnvelopeBlowup, UnstableStep, FootprintExceeded, MissingB, Resonant,
-                 NonFiniteReport)
+SOLVER_ERRORS = (EnvelopeBlowup, UnstableStep, FootprintExceeded, Resonant, NonFiniteReport)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,12 +203,7 @@ def main(argv=None) -> int:
             return EXIT_SOLVER
 
     try:
-        if args.command == "sweep":
-            data = nls_coefficients(plan.carrier, plan.delta_res)
-            if not data.nonresonant:
-                print("carrier violates the non-resonance condition; refusing to run",
-                      file=sys.stderr)
-                return EXIT_CARRIER
+        checked_dispersion(plan)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":

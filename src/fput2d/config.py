@@ -66,7 +66,7 @@ class ExperimentPlan:
     dt_slow: float = _key(1e-3, "envelope splitting step dT", *_POSITIVE)
     corrections: bool = _key(False, "include third-generation corrections")
     force_kind: str = _choice("cubic_baseline", "lattice force law",
-                              "cubic_baseline", "perturbed", "linear")
+                              "cubic_baseline", "perturbed")
     coeff_bound: float = _key(1.0, "sup bound for per-bond perturbation coefficients",
                               *_NON_NEGATIVE)
     seed: int = _key(2026, "RNG seed for perturbation draws")
@@ -77,7 +77,6 @@ class ExperimentPlan:
     residual_fractions: tuple = _key(
         (0.0, 0.5, 1.0), "residual sampling as fractions of T0", "ascending in [0, 1]",
         lambda fs: len(fs) > 0 and list(fs) == sorted(fs) and all(0 <= f <= 1 for f in fs))
-    projection: str = _choice("oblique", "compatibility projection", "oblique", "orthogonal")
     delta_res: float = _key(1e-8, "non-resonance margin", *_NON_NEGATIVE)
     pass_threshold: float = _key(1.8, "minimum fitted order for a passing sweep")
     residual_order_min_with: float = _key(3.6, "residual-order bar with corrections")

@@ -193,11 +193,6 @@ def amplitude_ratio_b_over_a(kv: WaveVector) -> complex:
     return complex(b / a)
 
 
-def amplitude_b_from_a(kv: WaveVector, a_hat: np.ndarray) -> np.ndarray:
-    """Apply the compatibility ratio to an A-envelope (array or scalar)."""
-    return amplitude_ratio_b_over_a(kv) * np.asarray(a_hat, dtype=complex)
-
-
 def _rho(k: float, l: float) -> complex:
     # cross-coupling multiplier (e^{ik}-1)(1-e^{-il})
     return complex((np.exp(1j * k) - 1.0) * (1.0 - np.exp(-1j * l)))

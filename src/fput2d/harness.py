@@ -32,7 +32,7 @@ from scipy import stats
 from . import __version__
 from .ansatz import build_initial_data, nls_problem_for, residual_norm, sample_ansatz
 from .config import ExperimentPlan, thread_cap
-from .dispersion import nls_coefficients
+from .dispersion import DispersionData, nls_coefficients
 from .lattice import (
     ForceLaw,
     compatibility_defect,
@@ -50,11 +50,25 @@ class DegenerateFit(RuntimeError):
 
 
 class NonResonantCarrierRequired(ValueError):
-    """The sweep refuses carriers violating the non-resonance condition."""
+    """The plan's carrier is one no run can take: it violates non-resonance,
+    or it has k0 = 0 in the strain form, whose A envelope then vanishes."""
 
 
 class NonFiniteReport(ValueError):
     """A report holds NaN or infinity, which strict JSON cannot carry."""
+
+
+def checked_dispersion(plan: ExperimentPlan) -> DispersionData:
+    """The carrier's dispersion data; raises NonResonantCarrierRequired for a
+    carrier no run can take, before any work starts."""
+    disp = nls_coefficients(plan.carrier, plan.delta_res)
+    where = f"carrier ({plan.carrier.k}, {plan.carrier.l})"
+    if not disp.nonresonant:
+        raise NonResonantCarrierRequired(f"{where} violates non-resonance")
+    if plan.variant == "strain" and disp.axis_degenerate_k:
+        raise NonResonantCarrierRequired(
+            f"{where} has k0 = 0: the strain form's A envelope vanishes")
+    return disp
 
 
 def _force_for(plan: ExperimentPlan, eps: float, n_side: int) -> ForceLaw:
@@ -111,9 +125,7 @@ def _run_lattice(plan: ExperimentPlan, disp, eps: float, env0: EnvelopeField,
     n = plan.n_side_for(eps)
     dt = plan.dt_for(eps)
     state, proj_diag = build_initial_data(
-        env0, disp, eps, n, plan.variant, corrections=plan.corrections,
-        projection=plan.projection,
-    )
+        env0, disp, eps, n, plan.variant, corrections=plan.corrections)
     force = _force_for(plan, eps, n)
 
     residual_at = {
@@ -131,8 +143,7 @@ def _run_lattice(plan: ExperimentPlan, disp, eps: float, env0: EnvelopeField,
         i = idx[0]
         idx[0] += 1
         env_i = envs[i]
-        s = sample_ansatz(env_i, disp, eps, st.time, n, plan.variant, depth=1,
-                          corrections=False)
+        s = sample_ansatz(env_i, disp, eps, st.time, n, plan.variant)
         if plan.variant == "displacement":
             err = float(np.max(np.abs(st.q - s.psi_q) + np.abs(st.w - s.psi_qt)))
             e_now = energy(st, force)
@@ -199,11 +210,7 @@ def _run_group(plan: ExperimentPlan, eps_values, keep_state_indices=()) -> list[
     first one pays for the solve and the sum is the group's busy time.
     """
     t_wall = time.time()
-    disp = nls_coefficients(plan.carrier, plan.delta_res)
-    if not disp.nonresonant:
-        raise NonResonantCarrierRequired(
-            f"carrier ({plan.carrier.k}, {plan.carrier.l}) violates non-resonance"
-        )
+    disp = checked_dispersion(plan)
     env0 = _initial_envelope(plan, eps_values[0])
     envs = _solve_envelope(plan, disp, env0, np.linspace(0.0, plan.t0, plan.sample_count))
     records = []
@@ -258,7 +265,7 @@ def residual_sweep(plan: ExperimentPlan) -> list[dict]:
     matching lattice times; each row carries the per-time values and their
     maxima.  eps values that share an envelope box share one solve.
     """
-    disp = nls_coefficients(plan.carrier, plan.delta_res)
+    disp = checked_dispersion(plan)
     rows = {}
     for group in _by_box(plan, plan.eps_list):
         envs = _solve_envelope(plan, disp, _initial_envelope(plan, group[0]),

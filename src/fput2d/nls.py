@@ -31,6 +31,7 @@ from scipy import fft
 
 DEFAULT_DT_SLOW = 1e-3
 DEFAULT_BLOWUP_GUARD = 1e4
+CHECK_EVERY = 25  # split steps between H^4 guard checks inside a segment
 
 
 class EnvelopeBlowup(RuntimeError):
@@ -51,10 +52,11 @@ class EnvelopeField:
         m = self.a.shape[0]
         if self.a.ndim != 2 or self.a.shape[1] != m:
             raise ValueError("envelope grid must be square")
-        if m & (m - 1) != 0:
-            raise ValueError("grid side must be a power of two")
-        if self.box_length / m > 0.5:
-            raise ValueError("grid spacing L/M must be <= 0.5")
+        if m < 2 or m & (m - 1) != 0:
+            raise ValueError(f"grid side must be a power of two >= 2, got {m}")
+        # written so that a NaN box fails too
+        if not 0 < self.box_length / m <= 0.5:
+            raise ValueError(f"grid spacing L/M must be in (0, 0.5], got L = {self.box_length}")
         if self.variant not in ("strain_u", "strain_v", "displacement"):
             raise ValueError(f"unknown variant {self.variant!r}")
         self.a = np.ascontiguousarray(self.a, dtype=complex)
@@ -119,13 +121,6 @@ def envelope_rhs_arrays(a: np.ndarray, symbol: np.ndarray, gamma: complex) -> np
     return lin + gamma * np.abs(a) ** 2 * a
 
 
-def envelope_rhs_derivative(a: np.ndarray, da: np.ndarray, symbol: np.ndarray,
-                            gamma: complex) -> np.ndarray:
-    """Directional derivative of the right-hand side at a along da."""
-    lin = fft.ifft2(1j * symbol * fft.fft2(da))
-    return lin + gamma * (2 * np.abs(a) ** 2 * da + a * a * np.conj(da))
-
-
 def mass(field: EnvelopeField) -> float:
     """Discrete L^2 mass sum |A|^2 h^2."""
     return float(np.sum(np.abs(field.a) ** 2) * field.spacing**2)
@@ -166,13 +161,12 @@ def edge_mass_fraction(field: EnvelopeField, rim: float = 0.1) -> float:
 
 
 def evolve(field: EnvelopeField, prob: NlsProblem, t_final: float,
-           sample_times=None, blowup_guard: float = DEFAULT_BLOWUP_GUARD,
-           check_every: int = 25) -> list[EnvelopeField]:
+           sample_times=None, blowup_guard: float = DEFAULT_BLOWUP_GUARD) -> list[EnvelopeField]:
     """March to t_final, capturing the field at each requested slow time.
 
     The field stays in Fourier space for the whole march; consecutive linear
     half-steps are merged inside each sampling segment.  Raises
-    EnvelopeBlowup when the H^4 proxy, checked every check_every steps and
+    EnvelopeBlowup when the H^4 proxy, checked every CHECK_EVERY steps and
     at each sample time, exceeds blowup_guard or is NaN.
     """
     if sample_times is None:
@@ -221,7 +215,7 @@ def evolve(field: EnvelopeField, prob: NlsProblem, t_final: float,
                 a *= rotation
                 spectrum = fft.fft2(a, overwrite_x=True)
                 spectrum *= half if i == n - 1 else full
-                if (i + 1) % check_every == 0:
+                if (i + 1) % CHECK_EVERY == 0:
                     check(spectrum, t + (i + 1) * dt)
             t = t_target
         check(spectrum, t)

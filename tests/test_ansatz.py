@@ -11,7 +11,7 @@ import pytest
 from fput2d.ansatz import (
     FootprintExceeded,
     MissingB,
-    _Harmonics,
+    _harmonic_terms,
     build_initial_data,
     compat_project,
     eval_envelope,
@@ -63,7 +63,7 @@ def evolved_copy(env, disp, variant, dT_target):
 class TestSampling:
     def test_zero_envelope(self):
         env = constant_env(0.0, 1.6)
-        s = sample_ansatz(env, DISP, 0.1, 0.0, 16, "strain", depth=1)
+        s = sample_ansatz(env, DISP, 0.1, 0.0, 16, "strain")
         for f in (s.psi_u, s.psi_v, s.psi_ut, s.psi_vt):
             assert np.all(f == 0.0)
 
@@ -80,8 +80,8 @@ class TestSampling:
 
     def test_fields_real_and_finite(self):
         env = gaussian_field(40.0, 128)
-        s = sample_ansatz(env, DISP, 0.2, 3.7, 200, "strain", corrections=True, depth=2)
-        for f in (s.psi_u, s.psi_v, s.psi_ut, s.psi_vt, s.psi_utt, s.psi_vtt):
+        s = sample_ansatz(env, DISP, 0.2, 3.7, 200, "strain", corrections=True)
+        for f in (s.psi_u, s.psi_v, s.psi_ut, s.psi_vt):
             assert f.dtype == np.float64
             assert np.all(np.isfinite(f))
 
@@ -142,7 +142,7 @@ class TestExactDerivatives:
         h = 1e-4
         env_p = evolved_copy(env, DISP, var_env, eps**2 * h)
         env_m = evolved_copy(env, DISP, var_env, -(eps**2) * h)
-        s = sample_ansatz(env, DISP, eps, t0, n, variant, corrections, depth=1)
+        s = sample_ansatz(env, DISP, eps, t0, n, variant, corrections)
         sp = sample_ansatz(env_p, DISP, eps, t0 + h, n, variant, corrections)
         sm = sample_ansatz(env_m, DISP, eps, t0 - h, n, variant, corrections)
         if variant == "displacement":
@@ -153,44 +153,6 @@ class TestExactDerivatives:
             fd_v = (sp.psi_v - sm.psi_v) / (2 * h)
             assert np.max(np.abs(fd_u - s.psi_ut)) < 1e-6
             assert np.max(np.abs(fd_v - s.psi_vt)) < 1e-6
-
-    def test_psi_tt_centered_difference(self):
-        eps, n, t0 = 0.2, 200, 0.9
-        env0 = gaussian_field(40.0, 128, amplitude=0.8)
-        env = evolve(env0, nls_problem_for(DISP, "strain_u", 1e-3), eps**2 * t0,
-                     sample_times=[eps**2 * t0])[-1]
-        h = 1e-4
-        env_p = evolved_copy(env, DISP, "strain_u", eps**2 * h)
-        env_m = evolved_copy(env, DISP, "strain_u", -(eps**2) * h)
-        s = sample_ansatz(env, DISP, eps, t0, n, "strain", True, depth=2)
-        sp = sample_ansatz(env_p, DISP, eps, t0 + h, n, "strain", True, depth=1)
-        sm = sample_ansatz(env_m, DISP, eps, t0 - h, n, "strain", True, depth=1)
-        fd_u = (sp.psi_ut - sm.psi_ut) / (2 * h)
-        assert np.max(np.abs(fd_u - s.psi_utt)) < 1e-5
-
-    @pytest.mark.parametrize("corrections", [False, True])
-    @pytest.mark.parametrize("variant", ["strain", "displacement"])
-    def test_second_derivative_only_at_depth_2(self, monkeypatch, variant, corrections):
-        from fput2d import ansatz
-
-        calls = []
-        real = ansatz.envelope_rhs_derivative
-
-        def counting(*args):
-            calls.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(ansatz, "envelope_rhs_derivative", counting)
-        var_env = "displacement" if variant == "displacement" else "strain_u"
-        env = gaussian_field(40.0, 128, amplitude=0.8, variant=var_env)
-        names = ["psi_q", "psi_qt"] if variant == "displacement" else [
-            "psi_u", "psi_v", "psi_ut", "psi_vt"]
-        s1 = sample_ansatz(env, DISP, 0.2, 0.7, 200, variant, corrections, depth=1)
-        assert calls == []
-        s2 = sample_ansatz(env, DISP, 0.2, 0.7, 200, variant, corrections, depth=2)
-        assert calls == [1]
-        for name in names:  # depth 1 outputs are unchanged bit for bit
-            assert np.array_equal(getattr(s1, name), getattr(s2, name))
 
 
 class TestEnvelopeEvaluation:
@@ -285,7 +247,7 @@ class TestCompatProjection:
         u = np.zeros((n, n), dtype=complex)
         v = np.zeros((n, n), dtype=complex)
         u[1, 2] = 1.0  # fftfreq index 1 -> k = pi/2, index 2 -> l = pi
-        (pu, put, pv, pvt), _ = compat_project(u, u, v, v, delta_proj=1e-12)
+        (pu, put, pv, pvt), _ = compat_project(u, u, v, v)
         a = np.exp(1j * np.pi / 2) - 1
         b = np.exp(1j * np.pi) - 1
         expected_u = a * (a * 1.0) / (a * a + b * b)
@@ -303,15 +265,6 @@ class TestCompatProjection:
         out, _ = compat_project(*spectra)
         for s in out:
             assert np.max(np.abs(np.fft.ifft2(s).imag)) < 1e-12
-
-    def test_orthogonal_mode(self):
-        rng = np.random.default_rng(4)
-        spectra = self._random_spectra(32, rng)
-        once, diag = compat_project(*spectra, mode="orthogonal")
-        twice, _ = compat_project(*once, mode="orthogonal")
-        for x, y in zip(once, twice):
-            assert np.max(np.abs(x - y)) < 1e-12
-        assert diag["degenerate_modes"] == 1  # only the zero mode
 
     def test_degenerate_mode_count(self):
         rng = np.random.default_rng(5)
@@ -333,12 +286,6 @@ class TestInitialData:
         state, _ = build_initial_data(env, DISP, 0.2, 200, "strain")
         assert compatibility_defect(state) < 1e-12
 
-    def test_projected_state_compatible_orthogonal(self):
-        env = gaussian_field(40.0, 256)
-        state, _ = build_initial_data(env, DISP, 0.2, 200, "strain",
-                                      projection="orthogonal")
-        assert compatibility_defect(state) < 1e-13
-
     def test_projection_displacement_eps2(self):
         env = gaussian_field(40.0, 128)
         moved = {}
@@ -353,7 +300,7 @@ class TestInitialData:
         env = gaussian_field(40.0, 128, variant="displacement")
         disp_dd = nls_coefficients(KV)
         state, diag = build_initial_data(env, disp_dd, 0.2, 200, "displacement")
-        s = sample_ansatz(env, disp_dd, 0.2, 0.0, 200, "displacement", depth=1)
+        s = sample_ansatz(env, disp_dd, 0.2, 0.0, 200, "displacement")
         assert np.array_equal(state.q, s.psi_q)
         assert np.array_equal(state.w, s.psi_qt)
         assert diag["max_projection_displacement"] == 0.0
@@ -366,7 +313,7 @@ class TestInitialData:
         defects = {}
         for eps in (0.2, 0.1):
             n = int(round(40.0 / eps))
-            s = sample_ansatz(env, DISP, eps, 0.0, n, "strain", depth=1)
+            s = sample_ansatz(env, DISP, eps, 0.0, n, "strain")
             st = LatticeState("strain", 0.0, u=s.psi_u, v=s.psi_v, ut=s.psi_ut, vt=s.psi_vt)
             defects[eps] = compatibility_defect(st)
         ratio = defects[0.2] / defects[0.1]
@@ -380,7 +327,7 @@ class TestCorrectionSet:
         env = gaussian_field(32.0, 64, amplitude=0.7)
         env.a = env.a * np.exp(0.2j)
         terms = {(kind, j): c
-                 for _, j, c, _, _, kind in _Harmonics(env, DISP, "strain", True).terms}
+                 for _, j, c, _, kind in _harmonic_terms(env, DISP, "strain", True)}
         co = correction_coefficients(KV, "strain_u")
         p = env.a
         assert np.allclose(terms["strain_u", -1], 8 * co.c_1m1 * p * np.conj(p) ** 2,

@@ -2,6 +2,7 @@
 
 import json
 import re
+import struct
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -101,7 +102,7 @@ VALID_VALUES = {
     "n_side": st.integers(0, 1000),
     "dt": _finite(0, DT_MAX),
     "corrections": st.booleans(),
-    "force_kind": st.sampled_from(["cubic_baseline", "perturbed", "linear"]),
+    "force_kind": st.sampled_from(["cubic_baseline", "perturbed"]),
     "seed": st.integers(-2**40, 2**40),
     "amplitude": _finite(-1e6, 1e6),
     "residual_fractions": st.lists(_finite(0, 1), min_size=1, max_size=4).map(
@@ -193,6 +194,21 @@ class TestSnapshots:
         data[7:11] = (1).to_bytes(4, "little")
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="unsupported snapshot version 1"):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("offset, fmt, value", [
+        (12, "<I", 0),  # grid side N
+        (24, "<d", 0.0),  # box length L
+        (24, "<d", -1.0),
+        (24, "<d", float("nan")),
+    ], ids=["N=0", "box=0", "box=-1", "box=nan"])
+    def test_degenerate_envelope_header_rejected(self, tmp_path, offset, fmt, value):
+        path = tmp_path / "e.snap"
+        write_snapshot(path, EnvelopeField(4.0, np.ones((8, 8))))
+        data = bytearray(path.read_bytes())
+        struct.pack_into(fmt, data, offset, value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="^grid (side|spacing)"):
             read_snapshot(path)
 
     @pytest.mark.parametrize("keep", [0, 3, 7, 12, 30, 37, 100])
@@ -375,13 +391,6 @@ class TestSweepCommand:
         code = main(["sweep", "--out", str(tmp_path), "--set", "eps_list=0.2,0.1"])
         assert code == 1
 
-    def test_resonant_carrier_refused(self, tmp_path, capsys):
-        code = main(["sweep", "--out", str(tmp_path),
-                     "--set", "carrier_k_pi=0.666666666666666666",
-                     "--set", "carrier_l_pi=0.666666666666666666"])
-        assert code == 2
-        assert not (tmp_path / "report.json").exists()
-
     def test_real_tiny_sweep_and_idempotence(self, tmp_path, capsys):
         def run(sub):
             out = tmp_path / sub
@@ -429,6 +438,8 @@ BAD_INPUTS = [
     ("sweep", [], {"FPUT2D_THREADS": "0"}),
     ("simulate", ["grid_side=8"], {}),  # spacing eps*N/M = 5 at the default eps
     ("sweep", ["n_side=400", "eps_list=0.4,0.3,0.2"], {}),  # too coarse at 0.4 only
+    ("sweep", ["force_kind=linear"], {}),
+    ("sweep", ["projection=oblique"], {}),
 ]
 
 
@@ -443,6 +454,26 @@ def test_bad_input_rejected_before_work(tmp_path, capsys, monkeypatch, command, 
     assert main(args) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("config error:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+INADMISSIBLE_CARRIERS = {
+    "resonant": ["carrier_k_pi=0.666666666666666666", "carrier_l_pi=0.666666666666666666"],
+    "strain_k0": ["carrier_k_pi=0"],  # the strain form's A envelope vanishes
+}
+
+
+@pytest.mark.parametrize("carrier", INADMISSIBLE_CARRIERS)
+@pytest.mark.parametrize("command", ["simulate", "sweep", "residual"])
+def test_inadmissible_carrier_refused_before_work(tmp_path, capsys, command, carrier):
+    out = tmp_path / "out"
+    args = [command, "--out", str(out)]
+    for item in INADMISSIBLE_CARRIERS[carrier]:
+        args += ["--set", item]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("carrier error:")
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -11,6 +11,7 @@ from fput2d.harness import (
     NonResonantCarrierRequired,
     fit_order,
     report_to_json,
+    residual_sweep,
     run_single,
     run_sweep,
 )
@@ -102,6 +103,14 @@ class TestRunSingle:
         plan = small_plan(carrier_k_pi=2 / 3, carrier_l_pi=2 / 3)
         with pytest.raises(NonResonantCarrierRequired):
             run_single(plan, 0.25)
+        with pytest.raises(NonResonantCarrierRequired):
+            residual_sweep(plan)
+
+    def test_strain_k0_zero_rejected(self):
+        # the strain run builds only the A envelope, which vanishes at k0 = 0
+        with pytest.raises(NonResonantCarrierRequired, match="k0 = 0"):
+            run_single(small_plan(carrier_k_pi=0.0), 0.25)
+        run_single(small_plan(carrier_k_pi=0.0, variant="displacement"), 0.25)
 
     def test_smoke_record_fields(self):
         rec = run_single(small_plan(), 0.25)
