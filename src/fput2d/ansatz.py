@@ -2,26 +2,32 @@
 
 The leading-order approximation for a strain/displacement field is
 
-    psi_{m,n}(t) = 2 eps Re[ A(X, Y, T) e^{i theta} ],
+    psi_{m,n}(t) = 2 eps Re[ P(X, Y, T) e^{i theta} ],
     theta = k0 m + l0 n + omega0 t,
     X = eps (m + c_x t),  Y = eps (n + c_y t),  T = eps^2 t,
 
-optionally extended by the third-generation corrections at the harmonics
-e^{-i theta} and e^{+-3 i theta} whose amplitudes are scalar multiples of
-pointwise triple products of A and conj(A) (the products realize the triple
-convolutions of the Fourier-space derivation).  The sampler returns the fields
-and their exact first time derivatives, assembled by the chain rule with dA/dT
-supplied by the envelope equation's right-hand side: the lattice is compared
-against both, and the first-order-system residual on the ansatz is measured
-from them without finite-difference contamination.  Strain-form initial data
-are moved onto the compatible subspace by the oblique modewise projection.
+optionally extended by the third-generation corrections eps^3 Re[C_j e^{j i
+theta}] at the harmonics j = -1, 3, -3 whose amplitudes are scalar multiples
+of pointwise triple products of P and conj(P) (the products realize the triple
+convolutions of the Fourier-space derivation).  The strain-v envelope is
+B = r A with r = amplitude_ratio_b_over_a, so every term of every field is a
+scalar weight times one of four harmonic basis fields on the envelope grid:
+A, A conj(A)^2, A^3 and conj(A)^3 for j = 1, -1, 3, -3.  Each basis field
+is resampled once, however many fields use it.  The sampler returns the fields
+and their exact first time derivatives, assembled by the chain rule in Fourier
+space with dA/dT supplied by the envelope equation's right-hand side: the
+lattice is compared against both, and the first-order-system residual on the
+ansatz is measured from them without finite-difference contamination.
+Strain-form initial data are moved onto the compatible subspace by the
+oblique modewise projection.
 
 Lattice sites are labeled m, n in {-N/2, ..., N/2 - 1}; array index (i, j)
 maps to (m, n) = (i - N/2, j - N/2).  The lattice and envelope tori are
-commensurate (eps * N equals the box length), so the envelope is evaluated at
-the scaled moving-frame points by exact FFT resampling: a phase shift for the
-moving frame, then zero-padding or truncation of the spectrum to the N x N
-lattice grid.  All transforms are scipy.fft.
+commensurate (eps * N equals the box length L) and both grids start at -L/2,
+so lattice index i sits at envelope index i M/N.  The envelope is therefore
+evaluated at the scaled moving-frame points by exact FFT resampling: a phase
+shift for the moving frame, then zero-padding or truncation of the spectrum
+to the N x N lattice grid.  All transforms are scipy.fft.
 """
 
 from __future__ import annotations
@@ -33,12 +39,12 @@ from scipy import fft
 
 from .dispersion import (
     DispersionData,
-    WaveVector,
     amplitude_ratio_b_over_a,
     correction_coefficients,
 )
-from .lattice import LatticeState
+from .lattice import LatticeState, _divergence
 from .nls import (
+    DEFAULT_DT_SLOW,
     EnvelopeField,
     NlsProblem,
     envelope_rhs_arrays,
@@ -52,18 +58,10 @@ class FootprintExceeded(ValueError):
     """The lattice's scaled footprint eps*N differs from the envelope box."""
 
 
-class MissingB(ValueError):
-    """Strain ansatz at k0 = 0 needs the B envelope (the A field vanishes)."""
-
-
 @dataclass
 class AnsatzSample:
     """Ansatz fields and their exact first time derivatives on the lattice."""
 
-    eps: float
-    carrier: WaveVector
-    t: float
-    variant: str
     psi_u: np.ndarray | None = None
     psi_v: np.ndarray | None = None
     psi_ut: np.ndarray | None = None
@@ -76,74 +74,63 @@ def gamma_tilde(disp: DispersionData, variant: str) -> complex:
     """Cubic coefficient of the physical-space envelope equation per variant."""
     if variant in ("strain", "strain_u"):
         if disp.gamma_a is None:
-            raise MissingB("k0 = 0: no A envelope; use the strain_v variant")
+            raise ValueError("k0 = 0: the strain form's A envelope vanishes")
         return 4 * disp.gamma_a
-    if variant == "strain_v":
-        if disp.gamma_b is None:
-            raise ValueError("l0 = 0: the B envelope is identically zero")
-        return 4 * disp.gamma_b
     if variant == "displacement":
         return disp.gamma_q
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def nls_problem_for(disp: DispersionData, variant: str, dT: float = 1e-3) -> NlsProblem:
+def nls_problem_for(disp: DispersionData, variant: str,
+                    dT: float = DEFAULT_DT_SLOW) -> NlsProblem:
     return NlsProblem(disp.hessian, gamma_tilde(disp, variant), dT)
 
 
-def _harmonic_terms(env: EnvelopeField, disp: DispersionData, variant: str,
-                    corrections: bool) -> list[tuple]:
-    """Per-variant list of (eps order, harmonic, C, dC/dT, field kind) terms."""
-    terms: list[tuple] = []
-    kv = disp.carrier
-    primary_is_b = disp.axis_degenerate_k
-    if variant == "strain" and primary_is_b and env.variant != "strain_v":
-        raise MissingB("carrier has k0 = 0; supply the B envelope (strain_v)")
-
-    if variant == "displacement":
-        prob = nls_problem_for(disp, "displacement")
-    elif primary_is_b:
-        prob = nls_problem_for(disp, "strain_v")
-    else:
-        prob = nls_problem_for(disp, "strain_u")
+def _harmonics(env: EnvelopeField, disp: DispersionData, variant: str,
+               corrections: bool) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Envelope-grid basis field B_j of each harmonic e^{i j theta}, with dB_j/dT."""
+    prob = nls_problem_for(disp, variant)
     a = env.a
-    f = envelope_rhs_arrays(a, linear_symbol(env, prob), prob.nonlin_coeff)
+    a_t = envelope_rhs_arrays(a, linear_symbol(env, prob), prob.nonlin_coeff)
+    basis = {1: (a, a_t)}
+    if corrections:
+        ac, ac_t = np.conj(a), np.conj(a_t)
+        basis[-1] = (a * ac**2, a_t * ac**2 + 2 * a * ac * ac_t)
+        basis[3] = (a**3, 3 * a * a * a_t)
+        basis[-3] = (ac**3, 3 * ac * ac * ac_t)
+    return basis
 
-    def add_field_terms(kind: str, p: np.ndarray, p_t: np.ndarray):
-        # leading term 2 eps Re[P e^{i theta}]
-        terms.append((1, 1, 2 * p, 2 * p_t, kind))
-        if not corrections:
-            return
-        co = correction_coefficients(kv, kind)
-        pc = np.conj(p)
-        pc_t = np.conj(p_t)
-        # first-harmonic correction eps^3 Re[C e^{-i theta}],
-        # C = 8 c_1m1 P conj(P)^2
-        w = 8 * co.c_1m1
-        c = w * p * pc**2
-        c_t = w * (p_t * pc**2 + 2 * p * pc * pc_t)
-        terms.append((3, -1, c, c_t, kind))
-        # third-harmonic corrections eps^3 [C3 e^{3 i theta} + Cm3 e^{-3 i theta}]
-        # (both live on the positive branch; the conjugate partners ride
-        # the negative branch)
-        w3 = 8 * co.c_13
-        terms.append((3, 3, w3 * p**3, 3 * w3 * p * p * p_t, kind))
-        wm3 = 8 * co.c_1m3
-        terms.append((3, -3, wm3 * pc**3, 3 * wm3 * pc * pc * pc_t, kind))
 
+def _weights(disp: DispersionData, variant: str,
+             corrections: bool) -> dict[str, dict[int, complex]]:
+    """Per field kind, the scalar weight of each harmonic basis field.
+
+    A field 2 eps Re[P e^{i theta}] with P = r A weighs A by 2 r; its
+    corrections 8 c P conj(P)^2, 8 c P^3 and 8 c conj(P)^3 weigh the basis
+    products by 8 c r conj(r)^2, 8 c r^3 and 8 c conj(r)^3.  At l0 = 0 the
+    strain-v field vanishes and gets no terms.
+    """
+    kv = disp.carrier
     if variant == "displacement":
-        add_field_terms("displacement", a, f)
+        ratios = {"displacement": 1.0}
     elif variant == "strain":
-        if primary_is_b:
-            add_field_terms("strain_v", a, f)
-        else:
-            add_field_terms("strain_u", a, f)
-            if not disp.axis_degenerate_l:
-                r = amplitude_ratio_b_over_a(kv)
-                add_field_terms("strain_v", r * a, r * f)
+        ratios = {"strain_u": 1.0,
+                  "strain_v": None if disp.axis_degenerate_l else amplitude_ratio_b_over_a(kv)}
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return terms
+    weights: dict[str, dict[int, complex]] = {kind: {} for kind in ratios}
+    for kind, r in ratios.items():
+        if r is None:
+            continue
+        w = weights[kind]
+        w[1] = 2 * r
+        if corrections:
+            co = correction_coefficients(kv, kind)
+            rc = np.conj(r)
+            w[-1] = 8 * co.c_1m1 * r * rc**2
+            w[3] = 8 * co.c_13 * r**3
+            w[-3] = 8 * co.c_1m3 * rc**3
+    return weights
 
 
 def _respec(coeffs: np.ndarray, n_out: int) -> np.ndarray:
@@ -160,9 +147,10 @@ def _respec(coeffs: np.ndarray, n_out: int) -> np.ndarray:
     return fft.ifftshift(out)
 
 
-def eval_envelope(fields: list[np.ndarray], env: EnvelopeField, eps: float, t: float,
+def eval_envelope(spectra: list[np.ndarray], env: EnvelopeField, eps: float, t: float,
                   n_side: int, group_velocity: tuple[float, float]) -> list[np.ndarray]:
-    """Evaluate envelope-grid fields at the lattice's scaled moving-frame points.
+    """Evaluate envelope-grid fields, given by their DFTs, at the lattice's
+    scaled moving-frame points.
 
     Exact trigonometric resampling; it needs commensurate tori, eps * N equal
     to the envelope box length.
@@ -173,23 +161,15 @@ def eval_envelope(fields: list[np.ndarray], env: EnvelopeField, eps: float, t: f
         )
     cx, cy = group_velocity
     k1 = env.wavenumbers_1d()
-    half = env.box_length / 2
-    px = np.exp(1j * k1 * (eps * cx * t + half))
-    py = np.exp(1j * k1 * (eps * cy * t + half))
-    out = []
-    m2 = env.grid_side**2
-    for f in fields:
-        c = fft.fft2(f) * px[:, None] * py[None, :]
-        c = _respec(c, n_side)
-        g = fft.ifft2(c) * (n_side**2 / m2)
-        out.append(np.roll(g, (n_side // 2, n_side // 2), axis=(0, 1)))
-    return out
+    shift = np.exp(1j * eps * cx * t * k1)[:, None] * np.exp(1j * eps * cy * t * k1)[None, :]
+    scale = n_side**2 / env.grid_side**2
+    return [fft.ifft2(_respec(s * shift, n_side)) * scale for s in spectra]
 
 
 def _assemble_branches(env: EnvelopeField, disp: DispersionData, eps: float,
                        t: float, n_side: int, variant: str,
                        corrections: bool) -> dict[str, list[np.ndarray]]:
-    """Complex positive-branch sums sum_terms eps^p C e^{i j theta} per field.
+    """Complex positive-branch sums sum_j eps^p w_j B_j e^{i j theta} per field.
 
     Returns, per field kind, the branch field and its exact first time
     derivative.  The real ansatz fields are the real parts; the negative
@@ -200,34 +180,35 @@ def _assemble_branches(env: EnvelopeField, disp: DispersionData, eps: float,
     kv = disp.carrier
     w0 = disp.omega0
     cx, cy = disp.group_velocity
-    terms = _harmonic_terms(env, disp, variant, corrections)
+    weights = _weights(disp, variant, corrections)
+    basis = _harmonics(env, disp, variant, corrections)
 
-    # per-term envelope-grid combinations; resampling is linear, so the
-    # chain-rule combination is formed on the envelope grid first
+    # d/dt of B_j(X, Y, T) e^{i j theta} = e^{i j theta} times
+    # g_t = i j omega0 B_j + eps (c . grad) B_j + eps^2 dB_j/dT, here in Fourier space
     k = env.wavenumbers_1d()
-    kxg, kyg = np.meshgrid(k, k, indexing="ij")
-    mu = cx * kxg + cy * kyg
-
-    to_eval: list[np.ndarray] = []
-    for _, j, c, c_t, _ in terms:
-        cgrad = fft.ifft2(1j * mu * fft.fft2(c))
-        g_t = 1j * j * w0 * c + eps * cgrad + eps**2 * c_t
-        to_eval += [c, g_t]
-
-    sampled = eval_envelope(to_eval, env, eps, t, n_side, (cx, cy))
+    i_mu = 1j * (cx * k[:, None] + cy * k[None, :])
+    spectra: list[np.ndarray] = []
+    for j, (b, b_t) in basis.items():
+        b_hat = fft.fft2(b)
+        spectra += [b_hat, (1j * j * w0 + eps * i_mu) * b_hat + eps**2 * fft.fft2(b_t)]
+    sampled = eval_envelope(spectra, env, eps, t, n_side, (cx, cy))
 
     mvals = np.arange(n_side) - n_side // 2
-    mm, nn = np.meshgrid(mvals, mvals, indexing="ij")
-    e1 = np.exp(1j * (kv.k * mm + kv.l * nn + w0 * t))
+    e1 = np.exp(1j * (kv.k * mvals[:, None] + kv.l * mvals[None, :] + w0 * t))
     e3 = e1 * e1 * e1
     phases = {1: e1, -1: np.conj(e1), 3: e3, -3: np.conj(e3)}
+    # the field, then its time derivative, of each harmonic on the lattice
+    terms = {j: (sampled[2 * i] * phases[j], sampled[2 * i + 1] * phases[j])
+             for i, j in enumerate(basis)}
 
     shape = (n_side, n_side)
-    acc = {kind: [np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)]
-           for kind in ("strain_u", "strain_v", "displacement")}
-    for i, (order, j, _, _, kind) in enumerate(terms):
-        for d in range(2):  # the field, then its time derivative
-            acc[kind][d] += eps**order * (sampled[2 * i + d] * phases[j])
+    acc = {}
+    for kind, w in weights.items():
+        acc[kind] = [np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)]
+        for j, wj in w.items():
+            scale = eps ** (1 if j == 1 else 3) * wj
+            for d in range(2):
+                acc[kind][d] += scale * terms[j][d]
     return acc
 
 
@@ -235,16 +216,11 @@ def sample_ansatz(env: EnvelopeField, disp: DispersionData, eps: float, t: float
                   n_side: int, variant: str, corrections: bool = False) -> AnsatzSample:
     """Sample the ansatz and its first time derivatives on the N x N lattice."""
     acc = _assemble_branches(env, disp, eps, t, n_side, variant, corrections)
-    sample = AnsatzSample(eps=eps, carrier=disp.carrier, t=t, variant=variant)
     if variant == "displacement":
-        sample.psi_q = acc["displacement"][0].real
-        sample.psi_qt = acc["displacement"][1].real
-    else:
-        sample.psi_u = acc["strain_u"][0].real
-        sample.psi_v = acc["strain_v"][0].real
-        sample.psi_ut = acc["strain_u"][1].real
-        sample.psi_vt = acc["strain_v"][1].real
-    return sample
+        return AnsatzSample(psi_q=acc["displacement"][0].real,
+                            psi_qt=acc["displacement"][1].real)
+    return AnsatzSample(psi_u=acc["strain_u"][0].real, psi_v=acc["strain_v"][0].real,
+                        psi_ut=acc["strain_u"][1].real, psi_vt=acc["strain_v"][1].real)
 
 
 def compat_project(u_hat: np.ndarray, ut_hat: np.ndarray, v_hat: np.ndarray,
@@ -352,11 +328,9 @@ def residual_norm(env: EnvelopeField, disp: DispersionData, eps: float, t: float
     if variant == "displacement":
         q1, dq1 = acc["displacement"][0], acc["displacement"][1]
         q = 2 * q1.real  # Q_1 + Q_{-1}
-        bx = np.roll(q, -1, axis=0) - q
-        by = np.roll(q, -1, axis=1) - q
-        cx3 = bx**3
-        cy3 = by**3
-        n_phys = cx3 - np.roll(cx3, 1, axis=0) + cy3 - np.roll(cy3, 1, axis=1)
+        bx = np.diff(q, axis=0, append=q[:1])  # forward bond differences
+        by = np.diff(q, axis=1, append=q[:, :1])
+        n_phys = _divergence(bx**3, by**3, np.empty_like(q))
         res = -dq1 + mult(1j * w, q1) - mult(inv_8iw, n_phys)
         return 2 * l1_dft_norm(res)
 

@@ -23,8 +23,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .dispersion import WaveVector
+from .dispersion import DEFAULT_RESONANCE_MARGIN, WaveVector
 from .lattice import DT_MAX
+from .nls import DEFAULT_BLOWUP_GUARD, DEFAULT_DT_SLOW
 
 
 class ConfigError(ValueError):
@@ -63,7 +64,7 @@ class ExperimentPlan:
                        *_NON_NEGATIVE)
     dt: float = _key(0.0, "lattice step; 0 = rule eps^1.5/4", f"in [0, {DT_MAX}]",
                      lambda v: 0 <= v <= DT_MAX)
-    dt_slow: float = _key(1e-3, "envelope splitting step dT", *_POSITIVE)
+    dt_slow: float = _key(DEFAULT_DT_SLOW, "envelope splitting step dT", *_POSITIVE)
     corrections: bool = _key(False, "include third-generation corrections")
     force_kind: str = _choice("cubic_baseline", "lattice force law",
                               "cubic_baseline", "perturbed")
@@ -77,14 +78,15 @@ class ExperimentPlan:
     residual_fractions: tuple = _key(
         (0.0, 0.5, 1.0), "residual sampling as fractions of T0", "ascending in [0, 1]",
         lambda fs: len(fs) > 0 and list(fs) == sorted(fs) and all(0 <= f <= 1 for f in fs))
-    delta_res: float = _key(1e-8, "non-resonance margin", *_NON_NEGATIVE)
+    delta_res: float = _key(DEFAULT_RESONANCE_MARGIN, "non-resonance margin", *_NON_NEGATIVE)
     pass_threshold: float = _key(1.8, "minimum fitted order for a passing sweep")
     residual_order_min_with: float = _key(3.6, "residual-order bar with corrections")
     residual_order_min_without: float = _key(2.7, "residual-order bar without corrections")
     error_over_eps2_bound: float = _key(50.0, "sanity cap on sup_error / eps^2")
     workers: int = _key(0, "eps-parallel workers; 0 = auto (FPUT2D_THREADS caps)",
                         *_NON_NEGATIVE)
-    blowup_guard: float = _key(1e4, "H4-proxy guard for the envelope solve", *_POSITIVE)
+    blowup_guard: float = _key(DEFAULT_BLOWUP_GUARD, "H4-proxy guard for the envelope solve",
+                               *_POSITIVE)
     snapshots: int = _key(3, "lattice snapshots written by simulate", *_NON_NEGATIVE)
 
     def __post_init__(self):
@@ -100,8 +102,9 @@ class ExperimentPlan:
         return WaveVector(self.carrier_k_pi * np.pi, self.carrier_l_pi * np.pi)
 
     def n_side_for(self, eps: float) -> int:
-        # multiple of 4 keeps the standard quarter-pi carriers exactly
-        # periodic on the lattice
+        # a multiple of 4 keeps carriers at multiples of pi/2 exactly periodic
+        # on the lattice; k0 = pi/4 needs a multiple of 8, which the rule
+        # misses (eps 0.16 gives N = 252, k0 N = 63 pi): ROADMAP item 3
         return self.n_side or int(np.ceil(self.box_length / eps / 4) * 4)
 
     def dt_for(self, eps: float) -> float:

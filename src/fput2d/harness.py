@@ -27,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import __version__
 from .ansatz import build_initial_data, nls_problem_for, residual_norm, sample_ansatz
@@ -235,26 +235,36 @@ def run_single(plan: ExperimentPlan, eps: float, keep_state_indices=()) -> dict:
 def fit_order(eps_values, max_errors):
     """Least-squares slope of log(error) against log(eps).
 
-    Returns (slope, (lo95, hi95), fit_residual).  Raises DegenerateFit when
-    the errors sit at the measurement floor or carry no eps dependence, and
-    ValueError when an error is not finite.
+    Returns (slope, (lo95, hi95), fit_residual): the slope, its standard
+    error and the intercept follow scipy.stats.linregress formula for
+    formula, and the interval uses the Student t quantile at n - 2 degrees
+    of freedom.  Raises DegenerateFit when the errors sit at the measurement
+    floor or carry no eps dependence, and ValueError when an error is not
+    finite or every eps is the same.
     """
     eps_values = np.asarray(eps_values, dtype=float)
     max_errors = np.asarray(max_errors, dtype=float)
     if len(eps_values) < 3:
         raise ValueError("order fitting needs at least 3 eps points")
+    if np.amax(eps_values) == np.amin(eps_values):
+        raise ValueError("order fitting needs at least 2 distinct eps values")
     if not np.all(np.isfinite(max_errors)):
         raise ValueError(f"order fitting needs finite errors, got {max_errors.tolist()}")
     if np.any(max_errors <= DEFAULT_ERROR_FLOOR):
         raise DegenerateFit("errors at or below the measurement floor")
-    res = stats.linregress(np.log(eps_values), np.log(max_errors))
-    if abs(res.slope) < 0.1:
+    x, y = np.log(eps_values), np.log(max_errors)
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    slope = ssxym / ssxm
+    if abs(slope) < 0.1:
         raise DegenerateFit("errors carry no eps dependence")
-    t95 = stats.t.ppf(0.975, len(eps_values) - 2)
-    ci = (res.slope - t95 * res.stderr, res.slope + t95 * res.stderr)
-    fit_vals = res.slope * np.log(eps_values) + res.intercept
-    fit_residual = float(np.sqrt(np.mean((np.log(max_errors) - fit_vals) ** 2)))
-    return float(res.slope), (float(ci[0]), float(ci[1])), fit_residual
+    r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    df = len(x) - 2
+    stderr = np.sqrt((1 - r**2) * ssym / ssxm / df)
+    t95 = special.stdtrit(df, 0.975)
+    ci = (slope - t95 * stderr, slope + t95 * stderr)
+    fit_vals = slope * x + (np.mean(y) - slope * np.mean(x))
+    fit_residual = float(np.sqrt(np.mean((y - fit_vals) ** 2)))
+    return float(slope), (float(ci[0]), float(ci[1])), fit_residual
 
 
 def residual_sweep(plan: ExperimentPlan) -> list[dict]:

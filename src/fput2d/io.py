@@ -8,8 +8,9 @@ Binary snapshot, format version 2: little-endian header
     N        u32      grid side
     time     f64      simulation time (slow time for envelopes)
     box      f64      envelope box length L (0 for lattice states)
-    variant  u8       envelope variant: 0 = strain_u, 1 = strain_v,
-                      2 = displacement (0 for lattice states)
+    variant  u8       envelope variant: 0 = strain_u, 2 = displacement
+                      (0 for lattice states); code 1, the retired strain-v
+                      envelope, is rejected like any unknown code
 
 followed by row-major f64 payload arrays: (q, w) for displacement,
 (u, v, ut, vt) for strain, and re/im interleaved samples for an envelope.
@@ -39,7 +40,7 @@ VERSION = 2
 _HEADER = struct.Struct("<IBIddB")  # version, form, N, time, box, variant
 _FORM_CODE = {"displacement": 0, "strain": 1, "envelope": 2}
 _FORM_NAME = {v: k for k, v in _FORM_CODE.items()}
-_VARIANT_CODE = {"strain_u": 0, "strain_v": 1, "displacement": 2}
+_VARIANT_CODE = {"strain_u": 0, "displacement": 2}
 _VARIANT_NAME = {v: k for k, v in _VARIANT_CODE.items()}
 
 

@@ -57,7 +57,7 @@ class EnvelopeField:
         # written so that a NaN box fails too
         if not 0 < self.box_length / m <= 0.5:
             raise ValueError(f"grid spacing L/M must be in (0, 0.5], got L = {self.box_length}")
-        if self.variant not in ("strain_u", "strain_v", "displacement"):
+        if self.variant not in ("strain_u", "displacement"):
             raise ValueError(f"unknown variant {self.variant!r}")
         self.a = np.ascontiguousarray(self.a, dtype=complex)
 

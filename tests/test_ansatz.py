@@ -10,8 +10,8 @@ import pytest
 
 from fput2d.ansatz import (
     FootprintExceeded,
-    MissingB,
-    _harmonic_terms,
+    _harmonics,
+    _weights,
     build_initial_data,
     compat_project,
     eval_envelope,
@@ -21,13 +21,19 @@ from fput2d.ansatz import (
     residual_norm,
     sample_ansatz,
 )
-from fput2d.dispersion import WaveVector, nls_coefficients
+from fput2d.dispersion import (
+    WaveVector,
+    amplitude_ratio_b_over_a,
+    correction_coefficients,
+    nls_coefficients,
+)
 from fput2d.lattice import compatibility_defect
 from fput2d.nls import EnvelopeField, evolve, gaussian_field
 
 PIH = np.pi / 2
 KV = WaveVector(PIH, PIH)
 DISP = nls_coefficients(KV)
+KV_R = WaveVector(PIH, np.pi / 3)  # B/A ratio r != 1
 
 
 def periodic_gaussian(box, x, y, sigma=4.0):
@@ -96,19 +102,6 @@ class TestSampling:
         with pytest.raises(FootprintExceeded):
             sample_ansatz(env, DISP, 0.2, 0.0, 256, "strain")
 
-    def test_missing_b(self):
-        disp = nls_coefficients(WaveVector(0.0, PIH))
-        env = gaussian_field(40.0, 128, variant="strain_u")
-        with pytest.raises(MissingB):
-            sample_ansatz(env, disp, 0.2, 0.0, 200, "strain")
-
-    def test_degenerate_axis_b_primary(self):
-        disp = nls_coefficients(WaveVector(0.0, PIH))
-        env = gaussian_field(40.0, 128, variant="strain_v")
-        s = sample_ansatz(env, disp, 0.2, 0.0, 200, "strain", corrections=True)
-        assert np.all(s.psi_u == 0.0)
-        assert np.max(np.abs(s.psi_v)) > 0.1
-
     def test_degenerate_axis_l_no_v(self):
         disp = nls_coefficients(WaveVector(PIH, 0.0))
         env = gaussian_field(40.0, 128)
@@ -175,7 +168,8 @@ class TestEnvelopeEvaluation:
         env = self.periodic_env(40.0, 256)
         eps, n, t = 0.2, 200, 7.7
         phase = np.exp(1j * 0.3)
-        out = eval_envelope([env.a, env.a * phase], env, eps, t, n, (0.5, 0.5))
+        spec = np.fft.fft2(env.a)
+        out = eval_envelope([spec, spec * phase], env, eps, t, n, (0.5, 0.5))
         exact = self.exact_at_lattice(40.0, eps, t, n, (0.5, 0.5))
         assert np.max(np.abs(out[0] - exact)) < 1e-12
         assert np.max(np.abs(out[1] - phase * exact)) < 1e-12
@@ -184,20 +178,20 @@ class TestEnvelopeEvaluation:
         # at t = 0 with N = M the maps are the identity modulo origins
         m = 128
         env = gaussian_field(25.6, m)
-        out = eval_envelope([env.a], env, 0.2, 0.0, m, (0.5, 0.5))[0]
+        out = eval_envelope([np.fft.fft2(env.a)], env, 0.2, 0.0, m, (0.5, 0.5))[0]
         assert np.max(np.abs(out - env.a)) < 1e-12
 
     def test_fft_requires_commensurate(self):
         env = gaussian_field(40.0, 128)
         with pytest.raises(FootprintExceeded):
-            eval_envelope([env.a], env, 0.21, 0.0, 100, (0.5, 0.5))
+            eval_envelope([np.fft.fft2(env.a)], env, 0.21, 0.0, 100, (0.5, 0.5))
 
     def test_wraparound_periodicity(self):
         # moving-frame offsets that wrap the torus match the periodic closed form
         env = self.periodic_env(25.6, 128)
         eps, n = 0.2, 128
         t = 180.0  # eps*cx*t = 18 > L/2: the window has wrapped
-        out = eval_envelope([env.a], env, eps, t, n, (0.5, 0.5))[0]
+        out = eval_envelope([np.fft.fft2(env.a)], env, eps, t, n, (0.5, 0.5))[0]
         exact = self.exact_at_lattice(25.6, eps, t, n, (0.5, 0.5))
         assert np.max(np.abs(out - exact)) < 1e-12
 
@@ -320,44 +314,66 @@ class TestInitialData:
         assert 2.5 <= ratio <= 6.5
 
 
+def _manual_correction(kv, kind, ratio, c, eps, n):
+    """eps^3 Re[C_-1 e^{-i theta} + C_3 e^{3 i theta} + C_-3 e^{-3 i theta}]
+    at t = 0 for the constant field envelope P = ratio * c."""
+    co = correction_coefficients(kv, kind)
+    p = ratio * c
+    a_1m1 = 8 * co.c_1m1 * p * np.conj(p) ** 2
+    a_13 = 8 * co.c_13 * p**3
+    a_1m3 = 8 * co.c_1m3 * np.conj(p) ** 3
+    m = np.arange(n) - n // 2
+    mm, nn = np.meshgrid(m, m, indexing="ij")
+    th = kv.k * mm + kv.l * nn
+    return eps**3 * (
+        np.real(a_1m1 * np.exp(-1j * th))
+        + np.real((a_13 + np.conj(a_1m3)) * np.exp(3j * th))
+    )
+
+
 class TestCorrectionSet:
     def test_products_match_coefficients(self):
-        from fput2d.dispersion import correction_coefficients
-
+        # every term is a per-field weight times a harmonic basis field; the
+        # strain-v field P = r A weighs the products of A by powers of r
         env = gaussian_field(32.0, 64, amplitude=0.7)
         env.a = env.a * np.exp(0.2j)
-        terms = {(kind, j): c
-                 for _, j, c, _, kind in _harmonic_terms(env, DISP, "strain", True)}
-        co = correction_coefficients(KV, "strain_u")
-        p = env.a
-        assert np.allclose(terms["strain_u", -1], 8 * co.c_1m1 * p * np.conj(p) ** 2,
-                           atol=1e-14)
-        assert np.allclose(terms["strain_u", 3], 8 * co.c_13 * p**3, atol=1e-14)
-        assert np.allclose(terms["strain_u", -3], 8 * co.c_1m3 * np.conj(p) ** 3,
-                           atol=1e-14)
-        assert ("strain_v", -1) in terms
+        for kv in (KV, KV_R):
+            disp = nls_coefficients(kv)
+            basis = _harmonics(env, disp, "strain", True)
+            weights = _weights(disp, "strain", True)
+            for kind, ratio in (("strain_u", 1.0), ("strain_v", amplitude_ratio_b_over_a(kv))):
+                co = correction_coefficients(kv, kind)
+                p = ratio * env.a
+                want = {1: 2 * p, -1: 8 * co.c_1m1 * p * np.conj(p) ** 2,
+                        3: 8 * co.c_13 * p**3, -3: 8 * co.c_1m3 * np.conj(p) ** 3}
+                assert set(weights[kind]) == set(want)
+                for j, term in want.items():
+                    assert np.allclose(weights[kind][j] * basis[j][0], term, atol=1e-14)
 
     def test_sampled_difference_matches_manual(self):
         # with a constant envelope the correction contribution has a closed form
-        from fput2d.dispersion import correction_coefficients
-
         eps, n = 0.05, 16
         c = 0.6 + 0.2j
         env = constant_env(c, eps * n)
         s0 = sample_ansatz(env, DISP, eps, 0.0, n, "strain")
         s1 = sample_ansatz(env, DISP, eps, 0.0, n, "strain", corrections=True)
-        co = correction_coefficients(KV, "strain_u")
-        a_1m1 = 8 * co.c_1m1 * c * np.conj(c) ** 2
-        a_13 = 8 * co.c_13 * c**3
-        a_1m3 = 8 * co.c_1m3 * np.conj(c) ** 3
-        m = np.arange(n) - n // 2
-        mm, nn = np.meshgrid(m, m, indexing="ij")
-        th = PIH * (mm + nn)
-        manual = eps**3 * (
-            np.real(a_1m1 * np.exp(-1j * th))
-            + np.real((a_13 + np.conj(a_1m3)) * np.exp(3j * th))
-        )
+        manual = _manual_correction(KV, "strain_u", 1.0, c, eps, n)
         assert np.allclose(s1.psi_u - s0.psi_u, manual, atol=1e-14)
+
+    def test_sampled_v_difference_matches_manual(self):
+        # at (pi/2, pi/3) the strain-v envelope is B = r A with r != 1, so
+        # the closed form checks the r-weights of the psi_v corrections
+        eps, n = 0.05, 16
+        c = 0.6 + 0.2j
+        disp = nls_coefficients(KV_R)
+        r = amplitude_ratio_b_over_a(KV_R)
+        assert abs(r - 1) > 0.1
+        env = constant_env(c, eps * n)
+        s0 = sample_ansatz(env, disp, eps, 0.0, n, "strain")
+        s1 = sample_ansatz(env, disp, eps, 0.0, n, "strain", corrections=True)
+        manual = _manual_correction(KV_R, "strain_v", r, c, eps, n)
+        assert np.max(np.abs(manual)) > 1e-5
+        assert np.allclose(s1.psi_v - s0.psi_v, manual, atol=1e-14)
 
 
 class TestResidual:

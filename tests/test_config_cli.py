@@ -211,6 +211,16 @@ class TestSnapshots:
         with pytest.raises(ValueError, match="^grid (side|spacing)"):
             read_snapshot(path)
 
+    def test_retired_variant_code_rejected(self, tmp_path):
+        # code 1 named the strain-v envelope, which nothing evolves any more
+        path = tmp_path / "e.snap"
+        write_snapshot(path, EnvelopeField(4.0, np.ones((8, 8))))
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<B", data, 32, 1)  # the variant byte ends the header
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="unknown envelope variant code 1"):
+            read_snapshot(path)
+
     @pytest.mark.parametrize("keep", [0, 3, 7, 12, 30, 37, 100])
     def test_truncated_file_named(self, tmp_path, keep):
         path = tmp_path / "t.snap"
@@ -234,7 +244,7 @@ def snapshot_objects(draw):
         box = draw(st.floats(min_value=1e-300, max_value=0.5 * m))
         a = np.empty((m, m), dtype=complex)
         a.real, a.imag = draw(_grid(m)), draw(_grid(m))
-        variant = draw(st.sampled_from(["strain_u", "strain_v", "displacement"]))
+        variant = draw(st.sampled_from(["strain_u", "displacement"]))
         return EnvelopeField(box, a, t, variant)
     n = draw(st.integers(8, 10))
     names = ("q", "w") if kind == "displacement" else ("u", "v", "ut", "vt")

@@ -1,5 +1,10 @@
 """Tests for the experiment driver and order fitting."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -63,10 +68,25 @@ class TestFitOrder:
         with pytest.raises(ValueError):
             fit_order([0.2, 0.1], [0.04, 0.01])
 
+    def test_identical_eps_rejected(self):
+        with pytest.raises(ValueError, match="distinct eps"):
+            fit_order([0.2, 0.2, 0.2], [0.04, 0.03, 0.01])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_errors_rejected(self, bad):
         with pytest.raises(ValueError):
             fit_order([0.2, 0.14, 0.1], [0.04, bad, 0.01])
+
+
+    def test_cli_import_leaves_scipy_stats_out(self):
+        # the fit uses scipy.special only; scipy.stats is slow to import
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, fput2d.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip() == "False"
 
 
 class TestPlanRules:

@@ -249,7 +249,6 @@ class TestEvolve:
         a0 = gaussian_field(40.0, 128, amplitude=0.8)
         b0 = a0.copy()
         b0.a = r * a0.a
-        b0.variant = "strain_v"
         prob_a = NlsProblem(data.hessian, 4 * data.gamma_a, dT=1e-3)
         prob_b = NlsProblem(data.hessian, 4 * data.gamma_b, dT=1e-3)
         a_t = evolve(a0, prob_a, 0.5, sample_times=[0.5])[-1].a
