@@ -9,15 +9,16 @@ The leading-order approximation for a strain/displacement field is
 optionally extended by the third-generation corrections eps^3 Re[C_j e^{j i
 theta}] at the harmonics j = -1, 3, -3 whose amplitudes are scalar multiples
 of pointwise triple products of P and conj(P) (the products realize the triple
-convolutions of the Fourier-space derivation).  The strain-v envelope is
-B = r A with r = amplitude_ratio_b_over_a, so every term of every field is a
-scalar weight times one of four harmonic basis fields on the envelope grid:
-A, A conj(A)^2, A^3 and conj(A)^3 for j = 1, -1, 3, -3.  Each basis field
-is resampled once, however many fields use it.  The sampler returns the fields
-and their exact first time derivatives, assembled by the chain rule in Fourier
-space with dA/dT supplied by the envelope equation's right-hand side: the
-lattice is compared against both, and the first-order-system residual on the
-ansatz is measured from them without finite-difference contamination.
+convolutions of the Fourier-space derivation).  The fields are q (displacement
+form) or u and v (strain form, with v's envelope B = r A for
+r = amplitude_ratio_b_over_a), so every term of every field is a scalar weight
+times one of four harmonic basis fields on the envelope grid: A, A conj(A)^2,
+A^3 and conj(A)^3 for j = 1, -1, 3, -3.  Each is resampled once.
+sample_ansatz returns a LatticeState whose positions are the fields and whose
+velocities are their exact first time derivatives, assembled by the chain
+rule in Fourier space with dA/dT from the envelope equation's right-hand
+side: the lattice is compared against both, and the first-order-system
+residual is measured from them without finite-difference contamination.
 Strain-form initial data are moved onto the compatible subspace by the
 oblique modewise projection.
 
@@ -32,17 +33,16 @@ to the N x N lattice grid.  All transforms are scipy.fft.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import fft
 
 from .dispersion import (
     DispersionData,
+    WaveVector,
     amplitude_ratio_b_over_a,
     correction_coefficients,
 )
-from .lattice import LatticeState, _divergence
+from .lattice import _ARRAY_NAMES, LatticeState, _divergence, _forward_diff
 from .nls import (
     DEFAULT_DT_SLOW,
     EnvelopeField,
@@ -58,21 +58,9 @@ class FootprintExceeded(ValueError):
     """The lattice's scaled footprint eps*N differs from the envelope box."""
 
 
-@dataclass
-class AnsatzSample:
-    """Ansatz fields and their exact first time derivatives on the lattice."""
-
-    psi_u: np.ndarray | None = None
-    psi_v: np.ndarray | None = None
-    psi_ut: np.ndarray | None = None
-    psi_vt: np.ndarray | None = None
-    psi_q: np.ndarray | None = None
-    psi_qt: np.ndarray | None = None
-
-
 def gamma_tilde(disp: DispersionData, variant: str) -> complex:
     """Cubic coefficient of the physical-space envelope equation per variant."""
-    if variant in ("strain", "strain_u"):
+    if variant == "strain":
         if disp.gamma_a is None:
             raise ValueError("k0 = 0: the strain form's A envelope vanishes")
         return 4 * disp.gamma_a
@@ -101,31 +89,40 @@ def _harmonics(env: EnvelopeField, disp: DispersionData, variant: str,
     return basis
 
 
+def _positions(form: str) -> tuple[str, ...]:
+    """The position arrays of a lattice form, in LatticeState.arrays() order."""
+    names = _ARRAY_NAMES[form]
+    return names[:len(names) // 2]
+
+
 def _weights(disp: DispersionData, variant: str,
              corrections: bool) -> dict[str, dict[int, complex]]:
-    """Per field kind, the scalar weight of each harmonic basis field.
+    """Per position array of the form, the scalar weight of each harmonic
+    basis field.
 
     A field 2 eps Re[P e^{i theta}] with P = r A weighs A by 2 r; its
     corrections 8 c P conj(P)^2, 8 c P^3 and 8 c conj(P)^3 weigh the basis
-    products by 8 c r conj(r)^2, 8 c r^3 and 8 c conj(r)^3.  At l0 = 0 the
-    strain-v field vanishes and gets no terms.
+    products by 8 c r conj(r)^2, 8 c r^3 and 8 c conj(r)^3.  The v field is
+    the u field of the carrier with its axes swapped, so its coefficients c
+    are those of (l0, k0).  At l0 = 0 the v field vanishes and gets no terms.
     """
     kv = disp.carrier
     if variant == "displacement":
-        ratios = {"displacement": 1.0}
+        amplitudes = [(1.0, kv)]
     elif variant == "strain":
-        ratios = {"strain_u": 1.0,
-                  "strain_v": None if disp.axis_degenerate_l else amplitude_ratio_b_over_a(kv)}
+        r_v = None if disp.axis_degenerate_l else amplitude_ratio_b_over_a(kv)
+        amplitudes = [(1.0, kv), (r_v, WaveVector(kv.l, kv.k))]
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    weights: dict[str, dict[int, complex]] = {kind: {} for kind in ratios}
-    for kind, r in ratios.items():
+    fields = dict(zip(_positions(variant), amplitudes, strict=True))
+    weights: dict[str, dict[int, complex]] = {name: {} for name in fields}
+    for name, (r, kv_field) in fields.items():
         if r is None:
             continue
-        w = weights[kind]
+        w = weights[name]
         w[1] = 2 * r
         if corrections:
-            co = correction_coefficients(kv, kind)
+            co = correction_coefficients(kv_field, variant)
             rc = np.conj(r)
             w[-1] = 8 * co.c_1m1 * r * rc**2
             w[3] = 8 * co.c_13 * r**3
@@ -171,9 +168,9 @@ def _assemble_branches(env: EnvelopeField, disp: DispersionData, eps: float,
                        corrections: bool) -> dict[str, list[np.ndarray]]:
     """Complex positive-branch sums sum_j eps^p w_j B_j e^{i j theta} per field.
 
-    Returns, per field kind, the branch field and its exact first time
-    derivative.  The real ansatz fields are the real parts; the negative
-    branch is the complex conjugate.
+    Returns, per position array of the form, the branch field and its exact
+    first time derivative.  The real ansatz fields are the real parts; the
+    negative branch is the complex conjugate.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
@@ -203,27 +200,26 @@ def _assemble_branches(env: EnvelopeField, disp: DispersionData, eps: float,
 
     shape = (n_side, n_side)
     acc = {}
-    for kind, w in weights.items():
-        acc[kind] = [np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)]
+    for name, w in weights.items():
+        acc[name] = [np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)]
         for j, wj in w.items():
             scale = eps ** (1 if j == 1 else 3) * wj
             for d in range(2):
-                acc[kind][d] += scale * terms[j][d]
+                acc[name][d] += scale * terms[j][d]
     return acc
 
 
 def sample_ansatz(env: EnvelopeField, disp: DispersionData, eps: float, t: float,
-                  n_side: int, variant: str, corrections: bool = False) -> AnsatzSample:
-    """Sample the ansatz and its first time derivatives on the N x N lattice."""
+                  n_side: int, variant: str, corrections: bool = False) -> LatticeState:
+    """The ansatz on the N x N lattice as a state of form variant at time t:
+    positions are the psi fields, velocities their exact time derivatives."""
     acc = _assemble_branches(env, disp, eps, t, n_side, variant, corrections)
-    if variant == "displacement":
-        return AnsatzSample(psi_q=acc["displacement"][0].real,
-                            psi_qt=acc["displacement"][1].real)
-    return AnsatzSample(psi_u=acc["strain_u"][0].real, psi_v=acc["strain_v"][0].real,
-                        psi_ut=acc["strain_u"][1].real, psi_vt=acc["strain_v"][1].real)
+    names = _positions(variant)
+    return LatticeState.from_arrays(
+        variant, t, [acc[p][0].real for p in names] + [acc[p][1].real for p in names])
 
 
-def compat_project(u_hat: np.ndarray, ut_hat: np.ndarray, v_hat: np.ndarray,
+def compat_project(u_hat: np.ndarray, v_hat: np.ndarray, ut_hat: np.ndarray,
                    vt_hat: np.ndarray):
     """Modewise oblique projection onto the compatible subspace a V = b U.
 
@@ -232,6 +228,7 @@ def compat_project(u_hat: np.ndarray, ut_hat: np.ndarray, v_hat: np.ndarray,
     |a^2 + b^2| below DELTA_PROJ pass through unchanged and are counted in the
     returned diagnostics.  Field and velocity spectra are projected with the
     same modewise map, which preserves the velocity compatibility relation.
+    Spectra go in and come out in LatticeState.arrays() order.
     """
     n = u_hat.shape[0]
     k = 2 * np.pi * fft.fftfreq(n)
@@ -243,45 +240,28 @@ def compat_project(u_hat: np.ndarray, ut_hat: np.ndarray, v_hat: np.ndarray,
 
     def apply(uh, vh):
         s = (a * uh + b * vh) / safe
-        return (
-            np.where(keep, a * s, uh),
-            np.where(keep, b * s, vh),
-        )
+        return np.where(keep, a * s, uh), np.where(keep, b * s, vh)
 
-    pu, pv = apply(u_hat, v_hat)
-    put, pvt = apply(ut_hat, vt_hat)
-    diagnostics = {"degenerate_modes": int(np.count_nonzero(~keep))}
-    return (pu, put, pv, pvt), diagnostics
+    projected = (*apply(u_hat, v_hat), *apply(ut_hat, vt_hat))
+    return projected, {"degenerate_modes": int(np.count_nonzero(~keep))}
 
 
 def build_initial_data(env: EnvelopeField, disp: DispersionData, eps: float,
                        n_side: int, form: str, corrections: bool = False):
     """Lattice initial data matching the ansatz at t = 0.
 
-    Strain form samples (psi_u, psi_v) and their exact velocities and applies
-    the oblique compat_project to the four spectra; the projection moves the
-    state by O(eps^2) in sup norm.  Displacement form samples directly (no
-    constraint).  Returns (state, diagnostics).
+    The sampled ansatz at t = 0.  Displacement form takes it as it is (no
+    constraint).  Strain form applies the oblique compat_project to the
+    spectra of its four arrays; the projection moves the state by O(eps^2)
+    in sup norm.  Returns (state, diagnostics).
     """
+    s = sample_ansatz(env, disp, eps, 0.0, n_side, form, corrections)
     if form == "displacement":
-        s = sample_ansatz(env, disp, eps, 0.0, n_side, "displacement", corrections)
-        state = LatticeState("displacement", 0.0, q=s.psi_q, w=s.psi_qt)
-        return state, {"degenerate_modes": 0, "max_projection_displacement": 0.0}
-    if form != "strain":
-        raise ValueError(f"unknown form {form!r}")
-    s = sample_ansatz(env, disp, eps, 0.0, n_side, "strain", corrections)
-    spectra = [fft.fft2(f) for f in (s.psi_u, s.psi_ut, s.psi_v, s.psi_vt)]
-    (pu, put, pv, pvt), diag = compat_project(*spectra)
-    fields = [fft.ifft2(f).real for f in (pu, pv, put, pvt)]
-    moved = max(
-        float(np.max(np.abs(fields[0] - s.psi_u))),
-        float(np.max(np.abs(fields[1] - s.psi_v))),
-        float(np.max(np.abs(fields[2] - s.psi_ut))),
-        float(np.max(np.abs(fields[3] - s.psi_vt))),
-    )
-    diag["max_projection_displacement"] = moved
-    state = LatticeState("strain", 0.0, u=fields[0], v=fields[1],
-                         ut=fields[2], vt=fields[3])
+        return s, {"degenerate_modes": 0, "max_projection_displacement": 0.0}
+    spectra, diag = compat_project(*[fft.fft2(f) for f in s.arrays()])
+    state = LatticeState.from_arrays(form, 0.0, [fft.ifft2(f).real for f in spectra])
+    diag["max_projection_displacement"] = max(
+        float(np.max(np.abs(p - a))) for p, a in zip(state.arrays(), s.arrays()))
     return state, diag
 
 
@@ -326,16 +306,14 @@ def residual_norm(env: EnvelopeField, disp: DispersionData, eps: float, t: float
         return fft.ifft2(symbol * fft.fft2(phys))
 
     if variant == "displacement":
-        q1, dq1 = acc["displacement"][0], acc["displacement"][1]
+        q1, dq1 = acc["q"]
         q = 2 * q1.real  # Q_1 + Q_{-1}
-        bx = np.diff(q, axis=0, append=q[:1])  # forward bond differences
-        by = np.diff(q, axis=1, append=q[:, :1])
-        n_phys = _divergence(bx**3, by**3, np.empty_like(q))
+        n_phys = _divergence(_forward_diff(q, 0)**3, _forward_diff(q, 1)**3, np.empty_like(q))
         res = -dq1 + mult(1j * w, q1) - mult(inv_8iw, n_phys)
         return 2 * l1_dft_norm(res)
 
-    u1, du1 = acc["strain_u"][0], acc["strain_u"][1]
-    v1, dv1 = acc["strain_v"][0], acc["strain_v"][1]
+    u1, du1 = acc["u"]
+    v1, dv1 = acc["v"]
     cube_u = (2 * u1.real) ** 3
     cube_v = (2 * v1.real) ** 3
     res_u = (

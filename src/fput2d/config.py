@@ -54,7 +54,7 @@ class ExperimentPlan:
     variant: str = _choice("strain", "lattice form", "strain", "displacement")
     eps: float = _key(0.2, "single-run modulation parameter", "in (0, 0.5)",
                       lambda v: 0 < v < 0.5)
-    eps_list: tuple = _key((0.2, 0.14, 0.1), "descending sweep values in (0, 0.5)")
+    eps_list: tuple = _key((0.2, 0.14, 0.1), "strictly descending sweep values in (0, 0.5)")
     t0: float = _key(1.0, "slow-time horizon T0", *_POSITIVE)
     box_length: float = _key(40.0, "envelope box side L", *_POSITIVE)
     grid_side: int = _key(256, "envelope grid side M; needs eps*N/M <= 0.5 at every eps",
@@ -94,8 +94,8 @@ class ExperimentPlan:
             raise ValueError("at least one eps is required")
         if any(not 0 < e < 0.5 for e in self.eps_list):
             raise ValueError("eps values must lie in (0, 0.5)")
-        if list(self.eps_list) != sorted(self.eps_list, reverse=True):
-            raise ValueError("eps_list must be descending")
+        if any(a <= b for a, b in zip(self.eps_list, self.eps_list[1:])):
+            raise ValueError("eps_list must be strictly descending")
 
     @property
     def carrier(self) -> WaveVector:

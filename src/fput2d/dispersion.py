@@ -93,7 +93,7 @@ class CorrectionAmplitudeCoefficients:
     """Scalar factors mapping envelope triple products to the correction fields.
 
     With P the physical envelope of the field the coefficients feed (A for
-    strain-u and displacement, B for strain-v), the correction amplitudes are
+    strain u and displacement, B for strain v), the correction amplitudes are
 
         A_{1,-1} = c_1m1 * (2P) (2 conj P)^2
         A_{1,3}  = c_13  * (2P)^3
@@ -219,9 +219,10 @@ def correction_coefficients(
 ) -> CorrectionAmplitudeCoefficients:
     """Solve the three linear correction-amplitude equations at the carrier.
 
-    variant selects which field the coefficients feed: "strain" (alias
-    "strain_u") multiplies products of the A-envelope, "strain_v" products of
-    the B-envelope, "displacement" products of the displacement envelope.
+    variant selects which field the coefficients feed: "strain" multiplies
+    products of the A-envelope, "displacement" products of the displacement
+    envelope.  The strain v field's B-envelope takes the "strain"
+    coefficients of the carrier with its axes swapped, WaveVector(l0, k0).
     """
     w0, w3, denom_m1, denom_3, denom_m3 = _check_denominators(kv, delta_res)
     k0, l0 = kv.k, kv.l
@@ -232,27 +233,12 @@ def correction_coefficients(
         num_m1 = -3.0 * d_m1 / (8j * w0)
         num_3 = -d_3 / (8j * w3)
         num_m3 = -d_3 / (8j * w3)
-    elif variant in ("strain", "strain_u", "strain_v"):
-        if variant == "strain_v":
-            if omega_x_sq(l0) == 0.0:
-                raise AxisDegenerate("l0 = 0: the B envelope is identically zero")
-            own = lambda m: float(omega_x_sq(m * l0))
-            rho = lambda m: _rho(m * l0, m * k0)
-            ratio = (
-                complex(amplitude_ratio_b_over_a(WaveVector(l0, k0)))
-                if omega_x_sq(k0) != 0.0
-                else None
-            )
-        else:
-            if omega_x_sq(k0) == 0.0:
-                raise AxisDegenerate("k0 = 0: the A envelope is identically zero")
-            own = lambda m: float(omega_x_sq(m * k0))
-            rho = lambda m: _rho(m * k0, m * l0)
-            ratio = (
-                complex(amplitude_ratio_b_over_a(kv))
-                if omega_x_sq(l0) != 0.0
-                else None
-            )
+    elif variant == "strain":
+        if omega_x_sq(k0) == 0.0:
+            raise AxisDegenerate("k0 = 0: the A envelope is identically zero")
+        own = lambda m: float(omega_x_sq(m * k0))
+        rho = lambda m: _rho(m * k0, m * l0)
+        ratio = complex(amplitude_ratio_b_over_a(kv)) if omega_x_sq(l0) != 0.0 else None
         # cross term folds the other field's products via the amplitude ratio;
         # it drops entirely when the other envelope is identically zero.
         if ratio is None:

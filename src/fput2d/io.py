@@ -8,12 +8,12 @@ Binary snapshot, format version 2: little-endian header
     N        u32      grid side
     time     f64      simulation time (slow time for envelopes)
     box      f64      envelope box length L (0 for lattice states)
-    variant  u8       envelope variant: 0 = strain_u, 2 = displacement
+    variant  u8       envelope variant: 0 = strain, 2 = displacement
                       (0 for lattice states); code 1, the retired strain-v
                       envelope, is rejected like any unknown code
 
-followed by row-major f64 payload arrays: (q, w) for displacement,
-(u, v, ut, vt) for strain, and re/im interleaved samples for an envelope.
+followed by row-major f64 payload arrays: a lattice state's arrays(),
+(q, w) or (u, v, ut, vt), or re/im interleaved samples for an envelope.
 An envelope therefore reads back whole.  read_snapshot rejects other
 versions, and a file that ends before its header or payload does raises
 SnapshotTruncated.
@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import LatticeState
+from .lattice import _ARRAY_NAMES, LatticeState
 from .nls import EnvelopeField
 
 MAGIC = b"FPUT2D\x00"
@@ -40,7 +40,7 @@ VERSION = 2
 _HEADER = struct.Struct("<IBIddB")  # version, form, N, time, box, variant
 _FORM_CODE = {"displacement": 0, "strain": 1, "envelope": 2}
 _FORM_NAME = {v: k for k, v in _FORM_CODE.items()}
-_VARIANT_CODE = {"strain_u": 0, "displacement": 2}
+_VARIANT_CODE = {"strain": 0, "displacement": 2}
 _VARIANT_NAME = {v: k for k, v in _VARIANT_CODE.items()}
 
 
@@ -95,7 +95,7 @@ def read_snapshot(path):
         if form_code not in _FORM_NAME:
             raise ValueError(f"{path}: unknown snapshot form code {form_code}")
         form = _FORM_NAME[form_code]
-        count = {"displacement": 2, "strain": 4, "envelope": 1}[form]
+        count = 1 if form == "envelope" else len(_ARRAY_NAMES[form])
         per = n * n * (2 if form == "envelope" else 1)
         raw = np.frombuffer(_read_exact(fh, count * per * 8, path, "payload"), dtype="<f8")
     if form == "envelope":
@@ -104,9 +104,7 @@ def read_snapshot(path):
         return EnvelopeField(box, raw.view("<c16").reshape(n, n).copy(), t,
                              _VARIANT_NAME[variant_code])
     arrays = [raw[i * per:(i + 1) * per].reshape(n, n).copy() for i in range(count)]
-    if form == "displacement":
-        return LatticeState("displacement", t, q=arrays[0], w=arrays[1])
-    return LatticeState("strain", t, u=arrays[0], v=arrays[1], ut=arrays[2], vt=arrays[3])
+    return LatticeState.from_arrays(form, t, arrays)
 
 
 class DiagnosticsCsv:

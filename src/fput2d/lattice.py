@@ -144,6 +144,13 @@ def perturbed_force(n_side: int, eps: float, coeff_bound: float, seed: int) -> F
 _ARRAY_NAMES = {"displacement": ("q", "w"), "strain": ("u", "v", "ut", "vt")}
 
 
+def _names(form: str) -> tuple[str, ...]:
+    """The state arrays of a form, positions first, then their velocities."""
+    if form not in _ARRAY_NAMES:
+        raise ValueError(f"unknown form {form!r}")
+    return _ARRAY_NAMES[form]
+
+
 @dataclass
 class LatticeState:
     """Periodic N x N lattice state in displacement or strain form."""
@@ -158,12 +165,7 @@ class LatticeState:
     vt: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.form == "displacement":
-            arrays = (self.q, self.w)
-        elif self.form == "strain":
-            arrays = (self.u, self.v, self.ut, self.vt)
-        else:
-            raise ValueError(f"unknown form {self.form!r}")
+        arrays = self.arrays()
         if any(a is None for a in arrays):
             raise ValueError(f"{self.form} form is missing arrays")
         shape = arrays[0].shape
@@ -173,37 +175,39 @@ class LatticeState:
             if a.shape != shape:
                 raise ValueError("state arrays must share one shape")
 
+    @classmethod
+    def from_arrays(cls, form: str, time: float, arrays) -> "LatticeState":
+        """The state whose arrays(), in order, are arrays; a wrong count raises."""
+        return cls(form, time, **dict(zip(_names(form), arrays, strict=True)))
+
     @property
     def n_side(self) -> int:
-        ref = self.q if self.form == "displacement" else self.u
-        return ref.shape[0]
+        return self.arrays()[0].shape[0]
 
     def arrays(self) -> tuple[np.ndarray, ...]:
-        return tuple(getattr(self, name) for name in _ARRAY_NAMES[self.form])
+        return tuple(getattr(self, name) for name in _names(self.form))
 
     def copy(self) -> "LatticeState":
-        if self.form == "displacement":
-            return LatticeState("displacement", self.time, q=self.q.copy(), w=self.w.copy())
-        return LatticeState(
-            "strain", self.time,
-            u=self.u.copy(), v=self.v.copy(), ut=self.ut.copy(), vt=self.vt.copy(),
-        )
+        return LatticeState.from_arrays(self.form, self.time, [a.copy() for a in self.arrays()])
 
     def max_amplitude(self) -> float:
         """Largest |value| over the state arrays; NaN if any entry is NaN."""
         return float(np.max([np.max(np.abs(a)) for a in self.arrays()]))
 
 
+def _forward_diff(f: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Periodic forward difference S+ f - f along axis (into out if given)."""
+    rolled = np.roll(f, -1, axis=axis)
+    # without out, reuse the roll's buffer: a fresh result array's page faults cost more
+    return np.subtract(rolled, f, out=rolled if out is None else out)
+
+
 def strain_from_displacement(state: LatticeState) -> LatticeState:
     """Forward-difference a displacement state into the equivalent strain state."""
     if state.form != "displacement":
         raise FormMismatch("expected displacement form")
-    q, w = state.q, state.w
-    dx = lambda f: np.roll(f, -1, axis=0) - f
-    dy = lambda f: np.roll(f, -1, axis=1) - f
-    return LatticeState(
-        "strain", state.time, u=dx(q), v=dy(q), ut=dx(w), vt=dy(w)
-    )
+    return LatticeState.from_arrays("strain", state.time, [  # u, v, ut, vt
+        _forward_diff(f, axis) for f in (state.q, state.w) for axis in (0, 1)])
 
 
 def _buffers(state: LatticeState) -> tuple[np.ndarray, ...]:
@@ -229,9 +233,8 @@ def rhs_displacement(state: LatticeState, force: ForceLaw, out=None) -> np.ndarr
     if state.form != "displacement":
         raise FormMismatch("rhs_displacement needs displacement form")
     fx, fy, div = out if out is not None else _buffers(state)
-    q = state.q
-    force.w_prime(np.roll(q, -1, axis=0) - q, "x", out=fx)
-    force.w_prime(np.roll(q, -1, axis=1) - q, "y", out=fy)
+    force.w_prime(_forward_diff(state.q, 0), "x", out=fx)
+    force.w_prime(_forward_diff(state.q, 1), "y", out=fy)
     return _divergence(fx, fy, div)
 
 
@@ -248,9 +251,7 @@ def rhs_strain(state: LatticeState, force: ForceLaw,
     fx, fy, div = out if out is not None else _buffers(state)
     _divergence(force.w_prime(state.u, "x", out=fx),
                 force.w_prime(state.v, "y", out=fy), div)
-    d2u = np.subtract(np.roll(div, -1, axis=0), div, out=fx)
-    d2v = np.subtract(np.roll(div, -1, axis=1), div, out=fy)
-    return d2u, d2v
+    return _forward_diff(div, 0, out=fx), _forward_diff(div, 1, out=fy)
 
 
 def _accel(state: LatticeState, force: ForceLaw, buffers) -> tuple[np.ndarray, ...]:
@@ -340,13 +341,10 @@ def energy(state: LatticeState, force: ForceLaw) -> float:
     """Total energy sum(w^2)/2 + sum of bond potentials (displacement form)."""
     if state.form != "displacement":
         raise FormMismatch("energy is defined for the displacement form")
-    q = state.q
-    ux = np.roll(q, -1, axis=0) - q
-    uy = np.roll(q, -1, axis=1) - q
     return float(
         0.5 * np.sum(state.w**2)
-        + np.sum(force.w_potential(ux, "x"))
-        + np.sum(force.w_potential(uy, "y"))
+        + np.sum(force.w_potential(_forward_diff(state.q, 0), "x"))
+        + np.sum(force.w_potential(_forward_diff(state.q, 1), "y"))
     )
 
 
@@ -354,8 +352,6 @@ def compatibility_defect(state: LatticeState) -> float:
     """Max defect of the curl-free constraint, fields plus velocities."""
     if state.form != "strain":
         raise FormMismatch("compatibility defect is defined for the strain form")
-    dy = lambda f: np.roll(f, -1, axis=1) - f
-    dx = lambda f: np.roll(f, -1, axis=0) - f
-    d_field = np.max(np.abs(dy(state.u) - dx(state.v)))
-    d_vel = np.max(np.abs(dy(state.ut) - dx(state.vt)))
+    d_field = np.max(np.abs(_forward_diff(state.u, 1) - _forward_diff(state.v, 0)))
+    d_vel = np.max(np.abs(_forward_diff(state.ut, 1) - _forward_diff(state.vt, 0)))
     return float(d_field + d_vel)

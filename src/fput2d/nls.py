@@ -46,7 +46,7 @@ class EnvelopeField:
     box_length: float
     a: np.ndarray
     slow_time: float = 0.0
-    variant: str = "strain_u"
+    variant: str = "strain"
 
     def __post_init__(self):
         m = self.a.shape[0]
@@ -57,7 +57,7 @@ class EnvelopeField:
         # written so that a NaN box fails too
         if not 0 < self.box_length / m <= 0.5:
             raise ValueError(f"grid spacing L/M must be in (0, 0.5], got L = {self.box_length}")
-        if self.variant not in ("strain_u", "displacement"):
+        if self.variant not in ("strain", "displacement"):
             raise ValueError(f"unknown variant {self.variant!r}")
         self.a = np.ascontiguousarray(self.a, dtype=complex)
 
@@ -99,7 +99,7 @@ class NlsProblem:
 
 
 def gaussian_field(box_length: float, grid_side: int, amplitude: float = 1.0,
-                   sigma: float = 4.0, variant: str = "strain_u") -> EnvelopeField:
+                   sigma: float = 4.0, variant: str = "strain") -> EnvelopeField:
     """Standard initial envelope a * exp(-(X^2 + Y^2)/sigma^2)."""
     x = -box_length / 2 + (box_length / grid_side) * np.arange(grid_side)
     xx, yy = np.meshgrid(x, x, indexing="ij")

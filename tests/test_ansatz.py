@@ -43,7 +43,7 @@ def periodic_gaussian(box, x, y, sigma=4.0):
                for i in (-1, 0, 1) for j in (-1, 0, 1))
 
 
-def constant_env(value, box, m=8, variant="strain_u"):
+def constant_env(value, box, m=8, variant="strain"):
     return EnvelopeField(box, np.full((m, m), value, dtype=complex), variant=variant)
 
 
@@ -70,7 +70,7 @@ class TestSampling:
     def test_zero_envelope(self):
         env = constant_env(0.0, 1.6)
         s = sample_ansatz(env, DISP, 0.1, 0.0, 16, "strain")
-        for f in (s.psi_u, s.psi_v, s.psi_ut, s.psi_vt):
+        for f in s.arrays():
             assert np.all(f == 0.0)
 
     def test_constant_envelope_plane_wave(self):
@@ -80,14 +80,15 @@ class TestSampling:
         m = np.arange(n) - n // 2
         mm, nn = np.meshgrid(m, m, indexing="ij")
         expected = 0.02 * np.cos(PIH * (mm + nn))
-        assert np.allclose(s.psi_u, expected, atol=1e-12)
-        # symmetric carrier: B = A so psi_v matches
-        assert np.allclose(s.psi_v, expected, atol=1e-12)
+        assert np.allclose(s.u, expected, atol=1e-12)
+        # symmetric carrier: B = A so v matches
+        assert np.allclose(s.v, expected, atol=1e-12)
 
     def test_fields_real_and_finite(self):
         env = gaussian_field(40.0, 128)
         s = sample_ansatz(env, DISP, 0.2, 3.7, 200, "strain", corrections=True)
-        for f in (s.psi_u, s.psi_v, s.psi_ut, s.psi_vt):
+        assert (s.form, s.time) == ("strain", 3.7)
+        for f in s.arrays():
             assert f.dtype == np.float64
             assert np.all(np.isfinite(f))
 
@@ -95,7 +96,7 @@ class TestSampling:
         eps = 0.1
         env = gaussian_field(40.0, 128)
         s = sample_ansatz(env, DISP, eps, 0.0, 400, "strain", corrections=True)
-        assert np.max(np.abs(s.psi_u)) <= 2 * eps * np.max(np.abs(env.a)) + 30 * eps**3
+        assert np.max(np.abs(s.u)) <= 2 * eps * np.max(np.abs(env.a)) + 30 * eps**3
 
     def test_footprint_guard(self):
         env = gaussian_field(40.0, 128)
@@ -106,8 +107,8 @@ class TestSampling:
         disp = nls_coefficients(WaveVector(PIH, 0.0))
         env = gaussian_field(40.0, 128)
         s = sample_ansatz(env, disp, 0.2, 0.0, 200, "strain", corrections=True)
-        assert np.all(s.psi_v == 0.0)
-        assert np.max(np.abs(s.psi_u)) > 0.1
+        assert np.all(s.v == 0.0)
+        assert np.max(np.abs(s.u)) > 0.1
 
     def test_conjugation_closure_at_t0(self):
         # negating the carrier and conjugating the envelope reproduces the
@@ -119,8 +120,8 @@ class TestSampling:
         env_c = env.copy()
         env_c.a = np.conj(env.a)
         s2 = sample_ansatz(env_c, disp_neg, 0.2, 0.0, 200, "strain", corrections=True)
-        assert np.allclose(s1.psi_u, s2.psi_u, atol=1e-13)
-        assert np.allclose(s1.psi_v, s2.psi_v, atol=1e-13)
+        assert np.allclose(s1.u, s2.u, atol=1e-13)
+        assert np.allclose(s1.v, s2.v, atol=1e-13)
 
 
 class TestExactDerivatives:
@@ -128,24 +129,21 @@ class TestExactDerivatives:
     @pytest.mark.parametrize("variant", ["strain", "displacement"])
     def test_psi_t_centered_difference(self, variant, corrections):
         eps, n, t0 = 0.2, 200, 1.3
-        var_env = "displacement" if variant == "displacement" else "strain_u"
-        env0 = gaussian_field(40.0, 128, amplitude=0.8, variant=var_env)
-        env = evolve(env0, nls_problem_for(DISP, var_env, 1e-3), eps**2 * t0,
+        env0 = gaussian_field(40.0, 128, amplitude=0.8, variant=variant)
+        env = evolve(env0, nls_problem_for(DISP, variant, 1e-3), eps**2 * t0,
                      sample_times=[eps**2 * t0])[-1]
         h = 1e-4
-        env_p = evolved_copy(env, DISP, var_env, eps**2 * h)
-        env_m = evolved_copy(env, DISP, var_env, -(eps**2) * h)
+        env_p = evolved_copy(env, DISP, variant, eps**2 * h)
+        env_m = evolved_copy(env, DISP, variant, -(eps**2) * h)
         s = sample_ansatz(env, DISP, eps, t0, n, variant, corrections)
         sp = sample_ansatz(env_p, DISP, eps, t0 + h, n, variant, corrections)
         sm = sample_ansatz(env_m, DISP, eps, t0 - h, n, variant, corrections)
-        if variant == "displacement":
-            fd = (sp.psi_q - sm.psi_q) / (2 * h)
-            assert np.max(np.abs(fd - s.psi_qt)) < 1e-6
-        else:
-            fd_u = (sp.psi_u - sm.psi_u) / (2 * h)
-            fd_v = (sp.psi_v - sm.psi_v) / (2 * h)
-            assert np.max(np.abs(fd_u - s.psi_ut)) < 1e-6
-            assert np.max(np.abs(fd_v - s.psi_vt)) < 1e-6
+        # positions first, then their velocities
+        arrays, plus, minus = s.arrays(), sp.arrays(), sm.arrays()
+        half = len(arrays) // 2
+        for i in range(half):
+            fd = (plus[i] - minus[i]) / (2 * h)
+            assert np.max(np.abs(fd - arrays[half + i])) < 1e-6
 
 
 class TestEnvelopeEvaluation:
@@ -211,7 +209,7 @@ class TestCompatProjection:
 
     def test_output_compatible(self):
         rng = np.random.default_rng(1)
-        (pu, put, pv, pvt), _ = compat_project(*self._random_spectra(32, rng))
+        (pu, pv, put, pvt), _ = compat_project(*self._random_spectra(32, rng))
         n = 32
         k = 2 * np.pi * np.fft.fftfreq(n)
         a = (np.exp(1j * k) - 1)[:, None] * np.ones(n)
@@ -230,7 +228,7 @@ class TestCompatProjection:
         b = np.ones(n)[:, None] * (np.exp(1j * k) - 1)
         s = np.fft.fft2(rng.normal(size=(n, n)))
         u, v = a * s, b * s  # manifestly compatible: aV - bU = 0
-        (pu, put, pv, pvt), _ = compat_project(u, u, v, v)
+        (pu, pv, put, pvt), _ = compat_project(u, v, u, v)
         assert np.max(np.abs(pu - u)) < 1e-10 * np.max(np.abs(u))
         assert np.max(np.abs(pv - v)) < 1e-10 * np.max(np.abs(v))
 
@@ -241,7 +239,7 @@ class TestCompatProjection:
         u = np.zeros((n, n), dtype=complex)
         v = np.zeros((n, n), dtype=complex)
         u[1, 2] = 1.0  # fftfreq index 1 -> k = pi/2, index 2 -> l = pi
-        (pu, put, pv, pvt), _ = compat_project(u, u, v, v)
+        (pu, pv, put, pvt), _ = compat_project(u, v, u, v)
         a = np.exp(1j * np.pi / 2) - 1
         b = np.exp(1j * np.pi) - 1
         expected_u = a * (a * 1.0) / (a * a + b * b)
@@ -295,29 +293,26 @@ class TestInitialData:
         disp_dd = nls_coefficients(KV)
         state, diag = build_initial_data(env, disp_dd, 0.2, 200, "displacement")
         s = sample_ansatz(env, disp_dd, 0.2, 0.0, 200, "displacement")
-        assert np.array_equal(state.q, s.psi_q)
-        assert np.array_equal(state.w, s.psi_qt)
+        assert np.array_equal(state.q, s.q)
+        assert np.array_equal(state.w, s.w)
         assert diag["max_projection_displacement"] == 0.0
 
     def test_raw_ansatz_defect_eps2(self):
         # before projection the strain pair violates compatibility at O(eps^2)
-        from fput2d.lattice import LatticeState
-
         env = gaussian_field(40.0, 128)
         defects = {}
         for eps in (0.2, 0.1):
             n = int(round(40.0 / eps))
-            s = sample_ansatz(env, DISP, eps, 0.0, n, "strain")
-            st = LatticeState("strain", 0.0, u=s.psi_u, v=s.psi_v, ut=s.psi_ut, vt=s.psi_vt)
-            defects[eps] = compatibility_defect(st)
+            defects[eps] = compatibility_defect(sample_ansatz(env, DISP, eps, 0.0, n, "strain"))
         ratio = defects[0.2] / defects[0.1]
         assert 2.5 <= ratio <= 6.5
 
 
-def _manual_correction(kv, kind, ratio, c, eps, n):
+def _manual_correction(kv, kv_coeffs, ratio, c, eps, n):
     """eps^3 Re[C_-1 e^{-i theta} + C_3 e^{3 i theta} + C_-3 e^{-3 i theta}]
-    at t = 0 for the constant field envelope P = ratio * c."""
-    co = correction_coefficients(kv, kind)
+    at t = 0 for the constant field envelope P = ratio * c, with the strain
+    coefficients of the carrier kv_coeffs (kv for u, kv swapped for v)."""
+    co = correction_coefficients(kv_coeffs, "strain")
     p = ratio * c
     a_1m1 = 8 * co.c_1m1 * p * np.conj(p) ** 2
     a_13 = 8 * co.c_13 * p**3
@@ -334,21 +329,24 @@ def _manual_correction(kv, kind, ratio, c, eps, n):
 class TestCorrectionSet:
     def test_products_match_coefficients(self):
         # every term is a per-field weight times a harmonic basis field; the
-        # strain-v field P = r A weighs the products of A by powers of r
+        # v field P = r A weighs the products of A by powers of r, with the
+        # coefficients of the carrier with its axes swapped
         env = gaussian_field(32.0, 64, amplitude=0.7)
         env.a = env.a * np.exp(0.2j)
         for kv in (KV, KV_R):
             disp = nls_coefficients(kv)
             basis = _harmonics(env, disp, "strain", True)
             weights = _weights(disp, "strain", True)
-            for kind, ratio in (("strain_u", 1.0), ("strain_v", amplitude_ratio_b_over_a(kv))):
-                co = correction_coefficients(kv, kind)
+            for name, kv_coeffs, ratio in (("u", kv, 1.0),
+                                           ("v", WaveVector(kv.l, kv.k),
+                                            amplitude_ratio_b_over_a(kv))):
+                co = correction_coefficients(kv_coeffs, "strain")
                 p = ratio * env.a
                 want = {1: 2 * p, -1: 8 * co.c_1m1 * p * np.conj(p) ** 2,
                         3: 8 * co.c_13 * p**3, -3: 8 * co.c_1m3 * np.conj(p) ** 3}
-                assert set(weights[kind]) == set(want)
+                assert set(weights[name]) == set(want)
                 for j, term in want.items():
-                    assert np.allclose(weights[kind][j] * basis[j][0], term, atol=1e-14)
+                    assert np.allclose(weights[name][j] * basis[j][0], term, atol=1e-14)
 
     def test_sampled_difference_matches_manual(self):
         # with a constant envelope the correction contribution has a closed form
@@ -357,12 +355,12 @@ class TestCorrectionSet:
         env = constant_env(c, eps * n)
         s0 = sample_ansatz(env, DISP, eps, 0.0, n, "strain")
         s1 = sample_ansatz(env, DISP, eps, 0.0, n, "strain", corrections=True)
-        manual = _manual_correction(KV, "strain_u", 1.0, c, eps, n)
-        assert np.allclose(s1.psi_u - s0.psi_u, manual, atol=1e-14)
+        manual = _manual_correction(KV, KV, 1.0, c, eps, n)
+        assert np.allclose(s1.u - s0.u, manual, atol=1e-14)
 
     def test_sampled_v_difference_matches_manual(self):
         # at (pi/2, pi/3) the strain-v envelope is B = r A with r != 1, so
-        # the closed form checks the r-weights of the psi_v corrections
+        # the closed form checks the r-weights of the v corrections
         eps, n = 0.05, 16
         c = 0.6 + 0.2j
         disp = nls_coefficients(KV_R)
@@ -371,9 +369,9 @@ class TestCorrectionSet:
         env = constant_env(c, eps * n)
         s0 = sample_ansatz(env, disp, eps, 0.0, n, "strain")
         s1 = sample_ansatz(env, disp, eps, 0.0, n, "strain", corrections=True)
-        manual = _manual_correction(KV_R, "strain_v", r, c, eps, n)
+        manual = _manual_correction(KV_R, WaveVector(KV_R.l, KV_R.k), r, c, eps, n)
         assert np.max(np.abs(manual)) > 1e-5
-        assert np.allclose(s1.psi_v - s0.psi_v, manual, atol=1e-14)
+        assert np.allclose(s1.v - s0.v, manual, atol=1e-14)
 
 
 class TestResidual:
@@ -386,7 +384,7 @@ class TestResidual:
         n = 200
         env0 = gaussian_field(40.0, 256)
         t = 2.0
-        env = evolve(env0, nls_problem_for(DISP, "strain_u", 1e-3), eps**2 * t,
+        env = evolve(env0, nls_problem_for(DISP, "strain", 1e-3), eps**2 * t,
                      sample_times=[eps**2 * t])[-1]
         r_without = residual_norm(env, DISP, eps, t, n, "strain", False)
         r_with = residual_norm(env, DISP, eps, t, n, "strain", True)

@@ -95,7 +95,7 @@ VALID_VALUES = {
     "carrier_l_pi": _finite(-1, 1),
     "variant": st.sampled_from(["strain", "displacement"]),
     "eps": _finite(1e-3, 0.499),
-    "eps_list": st.lists(_finite(1e-3, 0.499), min_size=1, max_size=5).map(
+    "eps_list": st.lists(_finite(1e-3, 0.499), min_size=1, max_size=5, unique=True).map(
         lambda xs: tuple(sorted(xs, reverse=True))),
     "t0": _finite(1e-3, 10),
     "grid_side": st.sampled_from([8, 32, 256]),
@@ -244,7 +244,7 @@ def snapshot_objects(draw):
         box = draw(st.floats(min_value=1e-300, max_value=0.5 * m))
         a = np.empty((m, m), dtype=complex)
         a.real, a.imag = draw(_grid(m)), draw(_grid(m))
-        variant = draw(st.sampled_from(["strain_u", "displacement"]))
+        variant = draw(st.sampled_from(["strain", "displacement"]))
         return EnvelopeField(box, a, t, variant)
     n = draw(st.integers(8, 10))
     names = ("q", "w") if kind == "displacement" else ("u", "v", "ut", "vt")
@@ -450,6 +450,7 @@ BAD_INPUTS = [
     ("sweep", ["n_side=400", "eps_list=0.4,0.3,0.2"], {}),  # too coarse at 0.4 only
     ("sweep", ["force_kind=linear"], {}),
     ("sweep", ["projection=oblique"], {}),
+    ("sweep", ["eps_list=0.2,0.2,0.1"], {}),
 ]
 
 

@@ -267,7 +267,8 @@ class TestCorrectionCoefficients:
                 continue
             co = correction_coefficients(kv, "strain")
             assert co.c_1m1 == pytest.approx(data.gamma_a / (-2j * data.omega0), rel=1e-12)
-            cov = correction_coefficients(kv, "strain_v")
+            # the v field's coefficients are those of the swapped carrier
+            cov = correction_coefficients(WaveVector(kv.l, kv.k), "strain")
             assert cov.c_1m1 == pytest.approx(data.gamma_b / (-2j * data.omega0), rel=1e-12)
 
     def test_displacement_first_harmonic(self):

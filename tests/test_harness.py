@@ -107,6 +107,8 @@ class TestPlanRules:
             ExperimentPlan(eps_list=(0.1, 0.2))  # not descending
         with pytest.raises(ValueError):
             ExperimentPlan(eps_list=(0.6, 0.3, 0.1))  # out of range
+        with pytest.raises(ValueError):
+            ExperimentPlan(eps_list=(0.2, 0.2, 0.1))  # repeated
 
     def test_hash_stable(self):
         assert ExperimentPlan().hash() == ExperimentPlan().hash()

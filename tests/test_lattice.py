@@ -437,3 +437,11 @@ class TestStateValidation:
     def test_unknown_form(self):
         with pytest.raises(ValueError):
             LatticeState("velocity", q=np.zeros((8, 8)), w=np.zeros((8, 8)))
+
+    def test_from_arrays_rejects_wrong_count(self):
+        z = np.zeros((8, 8))
+        state = LatticeState.from_arrays("strain", 0.5, [z, z + 1, z + 2, z + 3])
+        assert state.time == 0.5 and np.all(state.ut == 2)
+        for form, count in (("displacement", 3), ("strain", 2), ("strain", 5)):
+            with pytest.raises(ValueError):
+                LatticeState.from_arrays(form, 0.0, [z] * count)
