@@ -9,13 +9,15 @@ values and broken rules with ConfigError, before any work starts; one rule
 spans three keys: the envelope grid spacing eps*n_side/grid_side must not
 exceed 0.5 at eps and at every eps_list value.  Carrier
 components are given in multiples of pi so that the standard quarter-pi
-carriers are exact in config text.
+carriers are exact in config text; each must have a small lattice period
+(carrier_period), which the lattice side N is then a multiple of.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -28,8 +30,27 @@ from .lattice import DT_MAX
 from .nls import DEFAULT_BLOWUP_GUARD, DEFAULT_DT_SLOW
 
 
+MAX_CARRIER_PERIOD = 64
+
+
 class ConfigError(ValueError):
     pass
+
+
+def carrier_period(k_pi: float) -> int:
+    """Lattice period of the carrier component k_pi * pi.
+
+    exp(i k_pi pi m) repeats every q sites, where k_pi/2 = p/q in lowest
+    terms.  Raises ValueError when no q <= MAX_CARRIER_PERIOD matches k_pi/2
+    to 1e-12.
+    """
+    half = k_pi / 2
+    if math.isfinite(half * MAX_CARRIER_PERIOD):
+        for q in range(1, MAX_CARRIER_PERIOD + 1):  # the first match is in lowest terms
+            if abs(half * q - round(half * q)) <= 1e-12 * q:
+                return q
+    raise ValueError(f"carrier component {k_pi!r} (units of pi) has no lattice period: "
+                     f"k_pi/2 is not p/q with q <= {MAX_CARRIER_PERIOD} to 1e-12")
 
 
 _POSITIVE = ("positive", lambda v: v > 0)
@@ -49,8 +70,8 @@ def _choice(default, help_text: str, *choices: str):
 class ExperimentPlan:
     """Everything a run or a sweep needs; plain values only, safe to pickle and hash."""
 
-    carrier_k_pi: float = _key(0.5, "carrier k0 in units of pi")
-    carrier_l_pi: float = _key(0.5, "carrier l0 in units of pi")
+    carrier_k_pi: float = _key(0.5, "carrier k0 in units of pi; k_pi/2 = p/q with q <= 64")
+    carrier_l_pi: float = _key(0.5, "carrier l0 in units of pi; l_pi/2 = p/q with q <= 64")
     variant: str = _choice("strain", "lattice form", "strain", "displacement")
     eps: float = _key(0.2, "single-run modulation parameter", "in (0, 0.5)",
                       lambda v: 0 < v < 0.5)
@@ -60,11 +81,13 @@ class ExperimentPlan:
     grid_side: int = _key(256, "envelope grid side M; needs eps*N/M <= 0.5 at every eps",
                           "a power of two",
                           lambda m: m >= 2 and m & (m - 1) == 0)
-    n_side: int = _key(0, "lattice side; 0 = rule ceil(L/eps) to a multiple of 4",
+    n_side: int = _key(0, "lattice side; 0 = rule ceil(L/eps) to a multiple of 4 and of "
+                          "the carrier's lattice periods",
                        *_NON_NEGATIVE)
     dt: float = _key(0.0, "lattice step; 0 = rule eps^1.5/4", f"in [0, {DT_MAX}]",
                      lambda v: 0 <= v <= DT_MAX)
-    dt_slow: float = _key(DEFAULT_DT_SLOW, "envelope splitting step dT", *_POSITIVE)
+    dt_slow: float = _key(DEFAULT_DT_SLOW, "envelope Strang step dT; the default moves "
+                          "max_sup_error by <= 7e-6 relative against dT = 1e-3", *_POSITIVE)
     corrections: bool = _key(False, "include third-generation corrections")
     force_kind: str = _choice("cubic_baseline", "lattice force law",
                               "cubic_baseline", "perturbed")
@@ -96,16 +119,21 @@ class ExperimentPlan:
             raise ValueError("eps values must lie in (0, 0.5)")
         if any(a <= b for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise ValueError("eps_list must be strictly descending")
+        for k_pi in (self.carrier_k_pi, self.carrier_l_pi):
+            carrier_period(k_pi)
 
     @property
     def carrier(self) -> WaveVector:
         return WaveVector(self.carrier_k_pi * np.pi, self.carrier_l_pi * np.pi)
 
     def n_side_for(self, eps: float) -> int:
-        # a multiple of 4 keeps carriers at multiples of pi/2 exactly periodic
-        # on the lattice; k0 = pi/4 needs a multiple of 8, which the rule
-        # misses (eps 0.16 gives N = 252, k0 N = 63 pi): ROADMAP item 3
-        return self.n_side or int(np.ceil(self.box_length / eps / 4) * 4)
+        # a multiple of both carrier periods closes the carrier plane wave on
+        # the torus (k0 = pi/4 needs 8: N = 252 would leave k0 N = 63 pi, a
+        # sign seam); the 4 keeps the N of the pi/2 carriers' earlier rule
+        if self.n_side:
+            return self.n_side
+        step = math.lcm(4, carrier_period(self.carrier_k_pi), carrier_period(self.carrier_l_pi))
+        return int(np.ceil(self.box_length / eps / step) * step)
 
     def dt_for(self, eps: float) -> float:
         # integrator phase error over T0/eps^2 steps then scales as eps^3,

@@ -61,7 +61,9 @@ class ForceLaw:
         W'(u) = u + alpha*eps^3*u + beta*eps^2*u^2 - u^3 + gamma*eps*u^3
 
     with N x N coefficient arrays per bond direction, all bounded by
-    coeff_bound in absolute value.
+    coeff_bound in absolute value, evaluated as u + u*(c1 + u*(c2 + c3*u)) with
+    c1 = alpha*eps^3, c2 = beta*eps^2, c3 = gamma*eps - 1 built once; the unit
+    term outside c1 keeps zero coefficients bit-identical to the cubic baseline.
     """
 
     kind: str = "cubic_baseline"
@@ -90,23 +92,31 @@ class ForceLaw:
                     raise ValueError("coefficient arrays must share one shape")
                 if np.max(np.abs(a)) > self.coeff_bound + 1e-15:
                     raise ValueError(f"coefficient magnitude exceeds bound {self.coeff_bound}")
+            e = self.eps
+            self._poly = {
+                "x": (self.alpha_x * e**3, self.beta_x * e**2, self.gamma_x * e - 1.0),
+                "y": (self.alpha_y * e**3, self.beta_y * e**2, self.gamma_y * e - 1.0),
+            }
 
     def w_prime(self, u: np.ndarray, direction: str,
                 out: np.ndarray | None = None) -> np.ndarray:
-        """Evaluate the bond force on an array of bond strains (into out if given)."""
-        if self.kind == "cubic_baseline":
-            return np.subtract(u, u * u * u, out=out)
+        """Evaluate the bond force on an array of bond strains, in place into out (not u)."""
+        if out is None:
+            out = np.empty_like(u)
         if self.kind == "linear":
             return np.positive(u, out=out)  # a copy
-        alpha, beta, gamma = (
-            (self.alpha_x, self.beta_x, self.gamma_x)
-            if direction == "x"
-            else (self.alpha_y, self.beta_y, self.gamma_y)
-        )
-        e = self.eps
-        u2 = u * u
-        return np.add(u * (1.0 + alpha * e**3) + beta * e**2 * u2,
-                      (gamma * e - 1.0) * u2 * u, out=out)
+        if self.kind == "cubic_baseline":
+            np.multiply(u, u, out=out)
+            out *= u
+            return np.subtract(u, out, out=out)
+        c1, c2, c3 = self._poly[direction]
+        np.multiply(c3, u, out=out)
+        out += c2
+        out *= u
+        out += c1
+        out *= u
+        out += u
+        return out
 
     def w_potential(self, u: np.ndarray, direction: str) -> np.ndarray:
         """Antiderivative of the bond force, W(0) = 0."""
@@ -115,17 +125,8 @@ class ForceLaw:
             return 0.5 * u2 - 0.25 * u2 * u2
         if self.kind == "linear":
             return 0.5 * u2
-        alpha, beta, gamma = (
-            (self.alpha_x, self.beta_x, self.gamma_x)
-            if direction == "x"
-            else (self.alpha_y, self.beta_y, self.gamma_y)
-        )
-        e = self.eps
-        return (
-            0.5 * u2 * (1.0 + alpha * e**3)
-            + beta * e**2 * u2 * u / 3.0
-            + (gamma * e - 1.0) * 0.25 * u2 * u2
-        )
+        c1, c2, c3 = self._poly[direction]
+        return u2 * (0.5 + 0.5 * c1 + u * (c2 / 3.0 + 0.25 * c3 * u))
 
 
 def perturbed_force(n_side: int, eps: float, coeff_bound: float, seed: int) -> ForceLaw:
@@ -196,10 +197,13 @@ class LatticeState:
 
 
 def _forward_diff(f: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Periodic forward difference S+ f - f along axis (into out if given)."""
-    rolled = np.roll(f, -1, axis=axis)
-    # without out, reuse the roll's buffer: a fresh result array's page faults cost more
-    return np.subtract(rolled, f, out=rolled if out is None else out)
+    """Periodic forward difference S+ f - f along axis (into out if given; out is not f)."""
+    if out is None:
+        out = np.empty_like(f)
+    g, o = (f, out) if axis == 0 else (f.T, out.T)
+    np.subtract(g[1:], g[:-1], out=o[:-1])
+    np.subtract(g[0], g[-1], out=o[-1])  # the wrap row
+    return out
 
 
 def strain_from_displacement(state: LatticeState) -> LatticeState:
@@ -217,24 +221,27 @@ def _buffers(state: LatticeState) -> tuple[np.ndarray, ...]:
 
 
 def _divergence(fx: np.ndarray, fy: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Backward divergence fx - S-x fx + fy - S-y fy: the net bond force per site."""
-    np.subtract(fx, np.roll(fx, 1, axis=0), out=out)
+    """Backward divergence fx - S-x fx + fy - S-y fy, the net bond force per site,
+    into out (neither fx nor fy)."""
+    np.subtract(fx[1:], fx[:-1], out=out[1:])
+    np.subtract(fx[0], fx[-1], out=out[0])  # the wrap row
     out += fy
-    out -= np.roll(fy, 1, axis=1)
+    out[:, 1:] -= fy[:, :-1]
+    out[:, 0] -= fy[:, -1]  # the wrap column
     return out
 
 
 def rhs_displacement(state: LatticeState, force: ForceLaw, out=None) -> np.ndarray:
     """Acceleration field of the displacement formulation.
 
-    out, if given, holds the work arrays (fx, fy, div); the acceleration is
-    written into div and returned.
+    out, if given, holds the work arrays (fx, fy, div); the bond differences
+    pass through div, and the acceleration is written into div and returned.
     """
     if state.form != "displacement":
         raise FormMismatch("rhs_displacement needs displacement form")
     fx, fy, div = out if out is not None else _buffers(state)
-    force.w_prime(_forward_diff(state.q, 0), "x", out=fx)
-    force.w_prime(_forward_diff(state.q, 1), "y", out=fy)
+    force.w_prime(_forward_diff(state.q, 0, out=div), "x", out=fx)
+    force.w_prime(_forward_diff(state.q, 1, out=div), "y", out=fy)
     return _divergence(fx, fy, div)
 
 
@@ -280,19 +287,21 @@ def _step(state: LatticeState, force: ForceLaw, dt: float, accel, buffers):
     accel is the acceleration at the current positions; the acceleration at
     the new positions is returned to start the next step (FSAL), so a step
     costs one force evaluation.  It lives in buffers and is overwritten by
-    the next evaluation.
+    the next evaluation.  Kick and drift increments go to the work array the
+    acceleration leaves free: fx in displacement form, div in strain form.
     """
     if abs(dt) > DT_MAX:
         raise ValueError(f"|dt| = {abs(dt)} exceeds dt_max = {DT_MAX}")
     arrays = state.arrays()
     half = len(arrays) // 2
     pos, vel = arrays[:half], arrays[half:]
+    work = buffers[0] if state.form == "displacement" else buffers[2]
     for p, d, a in zip(pos, vel, accel):
-        d += 0.5 * dt * a
-        p += dt * d
+        d += np.multiply(a, 0.5 * dt, out=work)
+        p += np.multiply(d, dt, out=work)
     accel = _accel(state, force, buffers)
     for d, a in zip(vel, accel):
-        d += 0.5 * dt * a
+        d += np.multiply(a, 0.5 * dt, out=work)
     state.time += dt
     _check_amplitude(state)
     return accel

@@ -89,10 +89,14 @@ def _finite(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
+# carrier components k_pi = 2p/q in [-1, 1] with a lattice period q <= 64
+_PERIODIC_CARRIER = st.integers(1, 64).flatmap(
+    lambda q: st.integers(-(q // 2), q // 2).map(lambda p: 2 * p / q))
+
 # one strategy per key; each draws only values the key's rule accepts
 VALID_VALUES = {
-    "carrier_k_pi": _finite(-1, 1),
-    "carrier_l_pi": _finite(-1, 1),
+    "carrier_k_pi": _PERIODIC_CARRIER,
+    "carrier_l_pi": _PERIODIC_CARRIER,
     "variant": st.sampled_from(["strain", "displacement"]),
     "eps": _finite(1e-3, 0.499),
     "eps_list": st.lists(_finite(1e-3, 0.499), min_size=1, max_size=5, unique=True).map(
@@ -451,6 +455,9 @@ BAD_INPUTS = [
     ("sweep", ["force_kind=linear"], {}),
     ("sweep", ["projection=oblique"], {}),
     ("sweep", ["eps_list=0.2,0.2,0.1"], {}),
+    ("simulate", ["carrier_k_pi=0.37"], {}),  # no lattice period q <= 64
+    # no lattice period comes first: the strain form would refuse k0 = 0 with exit 2
+    ("sweep", ["carrier_k_pi=0", "carrier_l_pi=0.333333333"], {}),
 ]
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fput2d import harness
+from fput2d.config import carrier_period
 from fput2d.harness import (
     DegenerateFit,
     ExperimentPlan,
@@ -96,6 +97,23 @@ class TestPlanRules:
             n = plan.n_side_for(eps)
             assert n % 4 == 0
             assert eps * n >= plan.box_length - 1e-9
+
+    def test_n_side_multiple_of_carrier_period(self):
+        # the carrier plane wave closes on the torus: k0 N and l0 N in 2 pi Z
+        for k_pi, l_pi in ((0.25, 0.5), (1 / 3, 0.5), (0.75, 0.75), (0.3, -2 / 3)):
+            plan = ExperimentPlan(carrier_k_pi=k_pi, carrier_l_pi=l_pi)
+            for eps in (0.25, 0.2, 0.16, 0.14, 0.1):
+                n = plan.n_side_for(eps)
+                assert n % 4 == 0 and eps * n >= plan.box_length - 1e-9
+                for c in (k_pi, l_pi):
+                    assert abs(np.exp(1j * np.pi * c * n) - 1) < 1e-9
+        assert ExperimentPlan(carrier_k_pi=0.25).n_side_for(0.16) == 256
+        # the pi/2 carriers keep the multiple-of-4 rule's N
+        assert ExperimentPlan().n_side_for(0.16) == 252
+        assert carrier_period(0.5) == 4 and carrier_period(1 / 3) == 6
+        for bad in (0.37, 0.333333333, float("nan"), 1e308):
+            with pytest.raises(ValueError, match="lattice period"):
+                carrier_period(bad)
 
     def test_dt_rules(self):
         assert ExperimentPlan().dt_for(0.16) == 0.16**1.5 / 4

@@ -385,7 +385,42 @@ class TestCompatibility:
         assert max(defects) / scale < 1e-11
 
 
+class TestStencil:
+    """The slice-based stencils against their np.roll formulas, bit for bit."""
+
+    @pytest.mark.parametrize("n", [8, 9, 32])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_forward_diff_matches_roll(self, n, axis):
+        f = np.random.default_rng(n + axis).normal(size=(n, n))
+        expected = np.roll(f, -1, axis=axis) - f
+        assert np.array_equal(lattice._forward_diff(f, axis), expected)
+        out = np.full_like(f, np.nan)
+        assert lattice._forward_diff(f, axis, out=out) is out
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("n", [8, 9, 32])
+    def test_divergence_matches_roll(self, n):
+        rng = np.random.default_rng(n)
+        fx, fy = rng.normal(size=(2, n, n))
+        expected = fx - np.roll(fx, 1, axis=0) + fy - np.roll(fy, 1, axis=1)
+        out = np.full_like(fx, np.nan)
+        assert lattice._divergence(fx, fy, out) is out
+        assert np.array_equal(out, expected)
+
+
 class TestPerturbedForce:
+    def test_polynomial_matches_expanded_form(self):
+        eps = 0.2
+        f = perturbed_force(16, eps, 1.0, seed=3)
+        u = np.random.default_rng(4).uniform(-0.8, 0.8, size=(16, 16))
+        for d in "xy":
+            a, b, g = (getattr(f, f"{name}_{d}") for name in ("alpha", "beta", "gamma"))
+            force = u + a * eps**3 * u + b * eps**2 * u**2 - u**3 + g * eps * u**3
+            potential = (u**2 / 2 + a * eps**3 * u**2 / 2 + b * eps**2 * u**3 / 3
+                         - u**4 / 4 + g * eps * u**4 / 4)
+            np.testing.assert_allclose(f.w_prime(u, d), force, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(f.w_potential(u, d), potential, rtol=1e-12, atol=0)
+
     def test_zero_coefficients_bitwise_baseline(self):
         n = 16
         z = np.zeros((n, n))

@@ -233,6 +233,20 @@ class TestEvolve:
         reported = float(re.search(r"T = ([-\d.]+)", str(info.value)).group(1))
         assert 0.0 < reported < 1.0
 
+    def test_guard_checks_on_slow_time_cadence(self):
+        # a step ten times coarser still checks inside the segment about every
+        # CHECK_INTERVAL of slow time, not every fixed number of steps
+        f = gaussian_field(40.0, 128, amplitude=4.0)
+        guard = 1.01 * h4_proxy(f)
+
+        def trip_time(dT):
+            with pytest.raises(EnvelopeBlowup) as info:
+                evolve(f, NlsProblem(H_CENTER, -3j, dT=dT), 1.0, sample_times=[1.0],
+                       blowup_guard=guard)
+            return float(re.search(r"T = ([-\d.]+)", str(info.value)).group(1))
+
+        assert trip_time(1e-2) <= trip_time(1e-3) + nls.CHECK_INTERVAL + 1e-2
+
     def test_nan_envelope_trips_guard(self):
         a = gaussian_field(40.0, 128).a
         a[3, 5] = np.nan
