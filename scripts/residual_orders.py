@@ -9,7 +9,8 @@ without the third-generation corrections and ~eps^4 with them.
 
 import argparse
 
-from fput2d.harness import ExperimentPlan, fit_order, residual_sweep
+from fput2d.config import ConfigError, load_plan
+from fput2d.harness import fit_order, residual_sweep
 
 
 def main():
@@ -20,8 +21,12 @@ def main():
                     metavar=("K_PI", "L_PI"))
     args = ap.parse_args()
 
-    plan = ExperimentPlan(carrier_k_pi=args.carrier[0], carrier_l_pi=args.carrier[1],
-                          variant=args.variant, eps_list=tuple(args.eps))
+    try:
+        plan = load_plan(None, [f"carrier_k_pi={args.carrier[0]!r}",
+                                f"carrier_l_pi={args.carrier[1]!r}", f"variant={args.variant}",
+                                "eps_list=" + ",".join(map(repr, args.eps))])
+    except ConfigError as e:
+        ap.error(str(e))
     rows = residual_sweep(plan)
     for row in rows:
         print(f"eps={row['eps']:5.3f}  without={row['without_corrections']:.4e}  "

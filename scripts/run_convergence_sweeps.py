@@ -9,7 +9,8 @@ writes one report JSON per experiment.  Expect ~5-10 minutes on a laptop.
 import argparse
 from pathlib import Path
 
-from fput2d.harness import ExperimentPlan, report_to_json, run_sweep
+from fput2d.config import ConfigError, load_plan
+from fput2d.harness import report_to_json, run_sweep
 
 
 def main():
@@ -18,17 +19,21 @@ def main():
     ap.add_argument("--eps", type=float, nargs="+", default=[0.2, 0.14, 0.1])
     ap.add_argument("--workers", type=int, default=0)
     args = ap.parse_args()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     experiments = {
-        "strain": dict(variant="strain"),
-        "displacement": dict(variant="displacement"),
-        "perturbed": dict(variant="displacement", force_kind="perturbed",
-                          coeff_bound=1.0, seed=2026),
+        "strain": ["variant=strain"],
+        "displacement": ["variant=displacement"],
+        "perturbed": ["variant=displacement", "force_kind=perturbed",
+                      "coeff_bound=1.0", "seed=2026"],
     }
-    for name, kw in experiments.items():
-        plan = ExperimentPlan(eps_list=tuple(args.eps), workers=args.workers, **kw)
+    common = ["eps_list=" + ",".join(map(repr, args.eps)), f"workers={args.workers}"]
+    try:
+        plans = {name: load_plan(None, common + sets) for name, sets in experiments.items()}
+    except ConfigError as e:
+        ap.error(str(e))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, plan in plans.items():
         report = run_sweep(plan)
         path = out / f"report_{name}.json"
         path.write_text(report_to_json(report))

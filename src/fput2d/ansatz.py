@@ -10,10 +10,13 @@ optionally extended by the third-generation corrections eps^3 Re[C_j e^{j i
 theta}] at the harmonics j = -1, 3, -3 whose amplitudes are scalar multiples
 of pointwise triple products of P and conj(P) (the products realize the triple
 convolutions of the Fourier-space derivation).  The fields are q (displacement
-form) or u and v (strain form, with v's envelope B = r A for
-r = amplitude_ratio_b_over_a), so every term of every field is a scalar weight
-times one of four harmonic basis fields on the envelope grid: A, A conj(A)^2,
-A^3 and conj(A)^3 for j = 1, -1, 3, -3.  Each is resampled once.
+form) or u and v (strain form).  The strain fields are forward differences of
+q, so each strain term is the displacement term of its harmonic j times the
+difference symbol e^{ijk} - 1 (k = k0 for u, l0 for v), rewritten in the
+strain envelope A = (e^{ik0} - 1) Q.  Every term of every field is thus a
+scalar weight times one of four harmonic basis fields on the envelope grid:
+A, A conj(A)^2, A^3 and conj(A)^3 for j = 1, -1, 3, -3.  Each is resampled
+once.
 sample_ansatz returns a LatticeState whose positions are the fields and whose
 velocities are their exact first time derivatives, assembled by the chain
 rule in Fourier space with dA/dT from the envelope equation's right-hand
@@ -36,12 +39,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import fft
 
-from .dispersion import (
-    DispersionData,
-    WaveVector,
-    amplitude_ratio_b_over_a,
-    correction_coefficients,
-)
+from .dispersion import DispersionData, correction_coefficients
 from .lattice import _ARRAY_NAMES, LatticeState, _divergence, _forward_diff
 from .nls import (
     DEFAULT_DT_SLOW,
@@ -95,39 +93,40 @@ def _positions(form: str) -> tuple[str, ...]:
     return names[:len(names) // 2]
 
 
+# (powers of A, powers of conj(A)) in the basis field of harmonic j
+_POWERS = {1: (1, 0), -1: (1, 2), 3: (3, 0), -3: (0, 3)}
+
+
 def _weights(disp: DispersionData, variant: str,
              corrections: bool) -> dict[str, dict[int, complex]]:
     """Per position array of the form, the scalar weight of each harmonic
     basis field.
 
-    A field 2 eps Re[P e^{i theta}] with P = r A weighs A by 2 r; its
-    corrections 8 c P conj(P)^2, 8 c P^3 and 8 c conj(P)^3 weigh the basis
-    products by 8 c r conj(r)^2, 8 c r^3 and 8 c conj(r)^3.  The v field is
-    the u field of the carrier with its axes swapped, so its coefficients c
-    are those of (l0, k0).  At l0 = 0 the v field vanishes and gets no terms.
+    The displacement field 2 eps Re[Q e^{i theta}] weighs Q by 2; its
+    corrections 8 c Q conj(Q)^2, 8 c Q^3 and 8 c conj(Q)^3 weigh the basis
+    products by 8 c, with c the displacement correction coefficients.  The
+    strain field along axis p forward-differences every harmonic j of q,
+    multiplying its term by e^{ijk_p} - 1; in the strain envelope A = a Q,
+    a = e^{ik0} - 1, a basis field with n+ factors A and n- factors conj(A)
+    is the displacement one times a^{n+} conj(a)^{n-}.  At l0 = 0 every v
+    weight is 0.
     """
-    kv = disp.carrier
+    w_q = {1: 2.0}
+    if corrections:
+        co = correction_coefficients(disp.carrier)
+        w_q.update({-1: 8 * co.c_1m1, 3: 8 * co.c_13, -3: 8 * co.c_1m3})
     if variant == "displacement":
-        amplitudes = [(1.0, kv)]
-    elif variant == "strain":
-        r_v = None if disp.axis_degenerate_l else amplitude_ratio_b_over_a(kv)
-        amplitudes = [(1.0, kv), (r_v, WaveVector(kv.l, kv.k))]
-    else:
+        return {"q": w_q}
+    if variant != "strain":
         raise ValueError(f"unknown variant {variant!r}")
-    fields = dict(zip(_positions(variant), amplitudes, strict=True))
-    weights: dict[str, dict[int, complex]] = {name: {} for name in fields}
-    for name, (r, kv_field) in fields.items():
-        if r is None:
-            continue
-        w = weights[name]
-        w[1] = 2 * r
-        if corrections:
-            co = correction_coefficients(kv_field, variant)
-            rc = np.conj(r)
-            w[-1] = 8 * co.c_1m1 * r * rc**2
-            w[3] = 8 * co.c_13 * r**3
-            w[-3] = 8 * co.c_1m3 * rc**3
-    return weights
+    kv = disp.carrier
+    a = np.exp(1j * kv.k) - 1.0
+    return {
+        name: {j: w * (np.exp(1j * j * k) - 1.0)
+               / (a ** _POWERS[j][0] * np.conj(a) ** _POWERS[j][1])
+               for j, w in w_q.items()}
+        for name, k in zip(_positions(variant), (kv.k, kv.l))
+    }
 
 
 def _respec(coeffs: np.ndarray, n_out: int) -> np.ndarray:
@@ -177,8 +176,8 @@ def _assemble_branches(env: EnvelopeField, disp: DispersionData, eps: float,
     kv = disp.carrier
     w0 = disp.omega0
     cx, cy = disp.group_velocity
-    weights = _weights(disp, variant, corrections)
     basis = _harmonics(env, disp, variant, corrections)
+    weights = _weights(disp, variant, corrections)
 
     # d/dt of B_j(X, Y, T) e^{i j theta} = e^{i j theta} times
     # g_t = i j omega0 B_j + eps (c . grad) B_j + eps^2 dB_j/dT, here in Fourier space
@@ -265,25 +264,19 @@ def build_initial_data(env: EnvelopeField, disp: DispersionData, eps: float,
     return state, diag
 
 
-def l1_dft_norm(field: np.ndarray) -> float:
-    """Cell-measure-scaled l1 norm of the DFT; dominates the site sup norm."""
-    n = field.shape[0]
-    return float(np.sum(np.abs(fft.fft2(field))) / n**2)
+def l1_dft_norm(spectrum: np.ndarray) -> float:
+    """Cell-measure-scaled l1 norm of a field's DFT; dominates the field's
+    site sup norm."""
+    return float(np.sum(np.abs(spectrum)) / spectrum.size)
 
 
 def _lattice_multipliers(n: int):
-    k = 2 * np.pi * fft.fftfreq(n)
-    kx = k[:, None] * np.ones(n)[None, :]
-    ky = np.ones(n)[:, None] * k[None, :]
-    wx2 = 2.0 - 2.0 * np.cos(kx)
-    wy2 = 2.0 - 2.0 * np.cos(ky)
-    w = np.sqrt(wx2 + wy2)
+    wk2 = 2.0 - 2.0 * np.cos(2 * np.pi * fft.fftfreq(n))
+    w = np.sqrt(wk2[:, None] + wk2[None, :])
     inv_8iw = np.zeros((n, n), dtype=complex)
     live = w > 0
     inv_8iw[live] = 1.0 / (8j * w[live])  # bounded combinations only; (0,0) -> 0
-    rho_u = (np.exp(1j * kx) - 1.0) * (1.0 - np.exp(-1j * ky))
-    rho_v = (np.exp(1j * ky) - 1.0) * (1.0 - np.exp(-1j * kx))
-    return wx2, wy2, w, inv_8iw, rho_u, rho_v
+    return w, inv_8iw
 
 
 def residual_norm(env: EnvelopeField, disp: DispersionData, eps: float, t: float,
@@ -292,36 +285,28 @@ def residual_norm(env: EnvelopeField, disp: DispersionData, eps: float, t: float
 
     The diagonalized system splits each field into branches evolving by
     +-i omega; the ansatz assigns every harmonic to the positive branch whose
-    residual is  -d(Psi_1)/dt + i omega Psi_1 + nonlinear terms,  measured in
-    the cell-scaled l1 norm of its DFT.  The negative branch is the complex
-    conjugate, contributing a factor 2.  (A naive second-order defect
-    d2(psi)/dt2 - RHS(psi) cannot see the branch structure: the first-harmonic
-    correction rides the carrier's own space-time phase there, so only the
-    branch-resolved residual exhibits the extra cancellation order.)
+    residual is  -d(Psi_1)/dt + i omega Psi_1 + N/(8 i omega),  measured in
+    the cell-scaled l1 norm of its DFT.  N is the cubic lattice term: the
+    divergence of the bond forces -b^3 for displacement, its forward
+    differences for strain, on the fields 2 Re Psi_1 = Psi_1 + Psi_-1.  The
+    negative branch is the complex conjugate, contributing a factor 2.  (A
+    naive second-order defect d2(psi)/dt2 - RHS(psi) cannot see the branch
+    structure: the first-harmonic correction rides the carrier's own
+    space-time phase there, so only the branch-resolved residual exhibits the
+    extra cancellation order.)
     """
     acc = _assemble_branches(env, disp, eps, t, n_side, variant, with_corrections)
-    wx2, wy2, w, inv_8iw, rho_u, rho_v = _lattice_multipliers(n_side)
-
-    def mult(symbol, phys):
-        return fft.ifft2(symbol * fft.fft2(phys))
-
-    if variant == "displacement":
-        q1, dq1 = acc["q"]
-        q = 2 * q1.real  # Q_1 + Q_{-1}
-        n_phys = _divergence(_forward_diff(q, 0)**3, _forward_diff(q, 1)**3, np.empty_like(q))
-        res = -dq1 + mult(1j * w, q1) - mult(inv_8iw, n_phys)
-        return 2 * l1_dft_norm(res)
-
-    u1, du1 = acc["u"]
-    v1, dv1 = acc["v"]
-    cube_u = (2 * u1.real) ** 3
-    cube_v = (2 * v1.real) ** 3
-    res_u = (
-        -du1 + mult(1j * w, u1)
-        + mult(wx2 * inv_8iw, cube_u) - mult(rho_u * inv_8iw, cube_v)
-    )
-    res_v = (
-        -dv1 + mult(1j * w, v1)
-        + mult(wy2 * inv_8iw, cube_v) - mult(rho_v * inv_8iw, cube_u)
-    )
-    return 2 * (l1_dft_norm(res_u) + l1_dft_norm(res_v))
+    w, inv_8iw = _lattice_multipliers(n_side)
+    names = _positions(variant)
+    fields = [2 * acc[p][0].real for p in names]
+    bonds = ([_forward_diff(fields[0], axis) for axis in (0, 1)]
+             if variant == "displacement" else fields)
+    div = _divergence(-bonds[0]**3, -bonds[1]**3, np.empty_like(fields[0]))
+    cubic = [div] if variant == "displacement" else [_forward_diff(div, 0),
+                                                     _forward_diff(div, 1)]
+    norm = 0.0
+    for p, n_cubic in zip(names, cubic):
+        psi1, dpsi1 = acc[p]
+        norm += l1_dft_norm(-fft.fft2(dpsi1) + 1j * w * fft.fft2(psi1)
+                            + inv_8iw * fft.fft2(n_cubic))
+    return 2 * norm

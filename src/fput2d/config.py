@@ -5,9 +5,10 @@ A run is described by one JSON or YAML file of flat keys plus command-line
 of ExperimentPlan; each field's metadata carries its help text and, where
 one applies, the rule its value must meet.  load_plan converts every value
 to the type of the field's default and rejects unknown keys, unreadable
-values and broken rules with ConfigError, before any work starts; one rule
-spans three keys: the envelope grid spacing eps*n_side/grid_side must not
-exceed 0.5 at eps and at every eps_list value.  Carrier
+values and broken rules with ConfigError, before any work starts; two rules
+span several keys: the envelope grid spacing eps*n_side/grid_side must not
+exceed 0.5 at eps and at every eps_list value, and an explicit n_side must be
+at least 8 and a multiple of the carrier's lattice periods.  Carrier
 components are given in multiples of pi so that the standard quarter-pi
 carriers are exact in config text; each must have a small lattice period
 (carrier_period), which the lattice side N is then a multiple of.
@@ -82,7 +83,8 @@ class ExperimentPlan:
                           "a power of two",
                           lambda m: m >= 2 and m & (m - 1) == 0)
     n_side: int = _key(0, "lattice side; 0 = rule ceil(L/eps) to a multiple of 4 and of "
-                          "the carrier's lattice periods",
+                          "the carrier's lattice periods; else >= 8 and a multiple of "
+                          "those periods",
                        *_NON_NEGATIVE)
     dt: float = _key(0.0, "lattice step; 0 = rule eps^1.5/4", f"in [0, {DT_MAX}]",
                      lambda v: 0 <= v <= DT_MAX)
@@ -232,6 +234,13 @@ def load_plan(path: str | None = None, overrides=()) -> ExperimentPlan:
         value = getattr(plan, f.name)
         if f.metadata["ok"] is not None and not f.metadata["ok"](value):
             raise ConfigError(f"config key {f.name!r}: {value!r} is not {f.metadata['rule']}")
+    period = math.lcm(carrier_period(plan.carrier_k_pi), carrier_period(plan.carrier_l_pi))
+    if plan.n_side and (plan.n_side < 8 or plan.n_side % period):
+        # the carrier plane wave must close on the torus (k0 N in 2 pi Z)
+        raise ConfigError(
+            f"config key 'n_side': {plan.n_side} is not 0, nor at least 8 and a multiple "
+            f"of {period}, the carrier's lattice period"
+        )
     for eps in (plan.eps, *plan.eps_list):
         # the envelope box is eps * n_side, sampled on grid_side points
         spacing = eps * plan.n_side_for(eps) / plan.grid_side

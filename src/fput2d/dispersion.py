@@ -6,13 +6,19 @@ The scalar lattice with nearest-neighbor coupling has the dispersion relation
     omega(k, l)  = sqrt(omega_x^2(k) + omega_y^2(l)),
 
 on the torus (-pi, pi]^2.  This module evaluates omega and its exact first and
-second derivatives, the cubic envelope (NLS) coefficients for the strain and
-displacement formulations, the amplitude ratio linking the two strain
-envelopes, the third-harmonic correction-amplitude solves, the non-resonance
-check 3*omega(k0) != omega(3*k0), and the cubic interaction kernels
+second derivatives, the cubic envelope (NLS) coefficient of the displacement
+q, the third-harmonic correction-amplitude solve, the non-resonance check
+3*omega(k0) != omega(3*k0), and the cubic interaction kernels
 
     n(k1, k2, k3) = (e^{ik1}-1)(e^{ik2}-1)(e^{ik3}-1) + c.c.
     D(kv1, kv2, kv3) = n(k1, k2, k3) + n(l1, l2, l3).
+
+The strain fields u = q_{m+1,n} - q_{m,n} and v = q_{m,n+1} - q_{m,n} are
+forward differences of q, so their envelopes are q's envelope times the
+difference symbols a = e^{ik0} - 1 and b = e^{il0} - 1.  Their cubic
+coefficients are therefore gamma_q / (4|a|^2) and gamma_q / (4|b|^2), and
+their corrections are the displacement ones seen through e^{ijk} - 1 (the
+ansatz builds them); there is one correction solve, the displacement one.
 
 Everything here is a pure function of value inputs; there is no shared state.
 """
@@ -28,10 +34,6 @@ DEFAULT_RESONANCE_MARGIN = 1e-8
 
 class ZeroFrequency(ValueError):
     """Operation requires omega(kv) > 0 but the carrier sits on a zero."""
-
-
-class AxisDegenerate(ValueError):
-    """Carrier component is 0 so the requested envelope is identically zero."""
 
 
 class Resonant(ValueError):
@@ -69,11 +71,13 @@ class WaveVector:
 class DispersionData:
     """Carrier-local dispersion data and envelope-equation coefficients.
 
-    gamma_a / gamma_b are the cubic coefficients of the strain envelopes A and
-    B (the physical-space envelope equation carries an extra factor 4 on
-    them); gamma_q is the full cubic coefficient of the displacement envelope
-    equation.  A coefficient is None when the corresponding carrier component
-    vanishes and the envelope is identically zero (axis-degenerate case).
+    gamma_q is the full cubic coefficient of the displacement envelope
+    equation.  gamma_a / gamma_b are the cubic coefficients of the strain
+    envelopes A = a Q and B = b Q (a = e^{ik0} - 1, b = e^{il0} - 1), that is
+    gamma_q / (4|a|^2) and gamma_q / (4|b|^2); the physical-space envelope
+    equation carries an extra factor 4 on them.  A strain coefficient is None
+    when its carrier component vanishes and the envelope is identically zero
+    (axis-degenerate case).
     """
 
     carrier: WaveVector
@@ -92,12 +96,15 @@ class DispersionData:
 class CorrectionAmplitudeCoefficients:
     """Scalar factors mapping envelope triple products to the correction fields.
 
-    With P the physical envelope of the field the coefficients feed (A for
-    strain u and displacement, B for strain v), the correction amplitudes are
+    With Q the physical displacement envelope, the correction amplitudes of q
+    are
 
-        A_{1,-1} = c_1m1 * (2P) (2 conj P)^2
-        A_{1,3}  = c_13  * (2P)^3
-        A_{1,-3} = c_1m3 * (2 conj P)^3
+        A_{1,-1} = c_1m1 * (2Q) (2 conj Q)^2
+        A_{1,3}  = c_13  * (2Q)^3
+        A_{1,-3} = c_1m3 * (2 conj Q)^3
+
+    The strain fields' amplitudes are these times e^{ijk} - 1 at harmonic j,
+    k = k0 for u and l0 for v.
 
     denom_* are the resolvent denominators i*m*omega0 - i*omega(m*k0),
     exposed for diagnostics and tests.
@@ -151,13 +158,6 @@ def nonresonance_check(kv: WaveVector, delta_res: float = DEFAULT_RESONANCE_MARG
     return bool(abs(3.0 * omega(kv) - w3) > delta_res)
 
 
-def _gamma_strain(own_sq: float, other_sq: float, w0: float) -> complex:
-    # (3 own / (8 i w0)) + (3 other^2 / (8 i own w0)); built from real pieces,
-    # a single multiplication by -1j at the end.
-    real_part = 3.0 * own_sq / (8.0 * w0) + 3.0 * other_sq**2 / (8.0 * own_sq * w0)
-    return -1j * real_part
-
-
 def nls_coefficients(kv: WaveVector, delta_res: float = DEFAULT_RESONANCE_MARGIN) -> DispersionData:
     """Assemble the full DispersionData record at a carrier wave vector."""
     if kv.is_zero:
@@ -167,9 +167,9 @@ def nls_coefficients(kv: WaveVector, delta_res: float = DEFAULT_RESONANCE_MARGIN
     wy2 = float(omega_x_sq(kv.l))
     deg_k = wx2 == 0.0
     deg_l = wy2 == 0.0
-    gamma_a = None if deg_k else _gamma_strain(wx2, wy2, w0)
-    gamma_b = None if deg_l else _gamma_strain(wy2, wx2, w0)
     gamma_q = -1j * 3.0 * (wx2**2 + wy2**2) / (2.0 * w0)
+    gamma_a = None if deg_k else gamma_q / (4 * wx2)  # |e^{ik0} - 1|^2 = wx2
+    gamma_b = None if deg_l else gamma_q / (4 * wy2)
     return DispersionData(
         carrier=kv,
         omega0=w0,
@@ -182,20 +182,6 @@ def nls_coefficients(kv: WaveVector, delta_res: float = DEFAULT_RESONANCE_MARGIN
         axis_degenerate_k=deg_k,
         axis_degenerate_l=deg_l,
     )
-
-
-def amplitude_ratio_b_over_a(kv: WaveVector) -> complex:
-    """Scalar ratio (e^{il0}-1)/(e^{ik0}-1) linking the strain envelopes B and A."""
-    a = np.exp(1j * kv.k) - 1.0
-    if a == 0.0:
-        raise AxisDegenerate("k0 = 0: B is the primary envelope, invert the relation")
-    b = np.exp(1j * kv.l) - 1.0
-    return complex(b / a)
-
-
-def _rho(k: float, l: float) -> complex:
-    # cross-coupling multiplier (e^{ik}-1)(1-e^{-il})
-    return complex((np.exp(1j * k) - 1.0) * (1.0 - np.exp(-1j * l)))
 
 
 def _check_denominators(kv: WaveVector, delta_res: float):
@@ -214,44 +200,16 @@ def _check_denominators(kv: WaveVector, delta_res: float):
 
 def correction_coefficients(
     kv: WaveVector,
-    variant: str,
     delta_res: float = DEFAULT_RESONANCE_MARGIN,
 ) -> CorrectionAmplitudeCoefficients:
-    """Solve the three linear correction-amplitude equations at the carrier.
-
-    variant selects which field the coefficients feed: "strain" multiplies
-    products of the A-envelope, "displacement" products of the displacement
-    envelope.  The strain v field's B-envelope takes the "strain"
-    coefficients of the carrier with its axes swapped, WaveVector(l0, k0).
-    """
+    """Solve the three linear correction-amplitude equations of the
+    displacement envelope at the carrier."""
     w0, w3, denom_m1, denom_3, denom_m3 = _check_denominators(kv, delta_res)
-    k0, l0 = kv.k, kv.l
-
-    if variant == "displacement":
-        d_m1 = kernel_D(kv, kv.negated(), kv.negated())
-        d_3 = kernel_D(kv, kv, kv)
-        num_m1 = -3.0 * d_m1 / (8j * w0)
-        num_3 = -d_3 / (8j * w3)
-        num_m3 = -d_3 / (8j * w3)
-    elif variant == "strain":
-        if omega_x_sq(k0) == 0.0:
-            raise AxisDegenerate("k0 = 0: the A envelope is identically zero")
-        own = lambda m: float(omega_x_sq(m * k0))
-        rho = lambda m: _rho(m * k0, m * l0)
-        ratio = complex(amplitude_ratio_b_over_a(kv)) if omega_x_sq(l0) != 0.0 else None
-        # cross term folds the other field's products via the amplitude ratio;
-        # it drops entirely when the other envelope is identically zero.
-        if ratio is None:
-            cross_m1 = cross_3 = cross_m3 = 0.0
-        else:
-            cross_m1 = rho(-1) * ratio * np.conj(ratio) ** 2
-            cross_3 = rho(3) * ratio**3
-            cross_m3 = rho(-3) * np.conj(ratio) ** 3
-        num_m1 = 3.0 * (own(1) - cross_m1) / (8j * w0)
-        num_3 = (own(3) - cross_3) / (8j * w3)
-        num_m3 = (own(3) - cross_m3) / (8j * w3)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    d_m1 = kernel_D(kv, kv.negated(), kv.negated())
+    d_3 = kernel_D(kv, kv, kv)
+    num_m1 = -3.0 * d_m1 / (8j * w0)
+    num_3 = -d_3 / (8j * w3)
+    num_m3 = -d_3 / (8j * w3)
 
     return CorrectionAmplitudeCoefficients(
         c_1m1=complex(num_m1 / denom_m1),

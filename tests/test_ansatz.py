@@ -21,14 +21,10 @@ from fput2d.ansatz import (
     residual_norm,
     sample_ansatz,
 )
-from fput2d.dispersion import (
-    WaveVector,
-    amplitude_ratio_b_over_a,
-    correction_coefficients,
-    nls_coefficients,
-)
+from fput2d.dispersion import WaveVector, nls_coefficients
 from fput2d.lattice import compatibility_defect
 from fput2d.nls import EnvelopeField, evolve, gaussian_field
+from test_dispersion import ratio_b_over_a, strain_correction_oracle
 
 PIH = np.pi / 2
 KV = WaveVector(PIH, PIH)
@@ -311,12 +307,13 @@ class TestInitialData:
 def _manual_correction(kv, kv_coeffs, ratio, c, eps, n):
     """eps^3 Re[C_-1 e^{-i theta} + C_3 e^{3 i theta} + C_-3 e^{-3 i theta}]
     at t = 0 for the constant field envelope P = ratio * c, with the strain
-    coefficients of the carrier kv_coeffs (kv for u, kv swapped for v)."""
-    co = correction_coefficients(kv_coeffs, "strain")
+    closed-form coefficients of the carrier kv_coeffs (kv for u, kv swapped
+    for v)."""
+    c_1m1, c_13, c_1m3 = strain_correction_oracle(kv_coeffs)
     p = ratio * c
-    a_1m1 = 8 * co.c_1m1 * p * np.conj(p) ** 2
-    a_13 = 8 * co.c_13 * p**3
-    a_1m3 = 8 * co.c_1m3 * np.conj(p) ** 3
+    a_1m1 = 8 * c_1m1 * p * np.conj(p) ** 2
+    a_13 = 8 * c_13 * p**3
+    a_1m3 = 8 * c_1m3 * np.conj(p) ** 3
     m = np.arange(n) - n // 2
     mm, nn = np.meshgrid(m, m, indexing="ij")
     th = kv.k * mm + kv.l * nn
@@ -328,9 +325,10 @@ def _manual_correction(kv, kv_coeffs, ratio, c, eps, n):
 
 class TestCorrectionSet:
     def test_products_match_coefficients(self):
-        # every term is a per-field weight times a harmonic basis field; the
-        # v field P = r A weighs the products of A by powers of r, with the
-        # coefficients of the carrier with its axes swapped
+        # every term is a per-field weight times a harmonic basis field; in
+        # the strain form's closed form the v field P = r A weighs the
+        # products of A by powers of r, with the coefficients of the carrier
+        # with its axes swapped
         env = gaussian_field(32.0, 64, amplitude=0.7)
         env.a = env.a * np.exp(0.2j)
         for kv in (KV, KV_R):
@@ -338,12 +336,11 @@ class TestCorrectionSet:
             basis = _harmonics(env, disp, "strain", True)
             weights = _weights(disp, "strain", True)
             for name, kv_coeffs, ratio in (("u", kv, 1.0),
-                                           ("v", WaveVector(kv.l, kv.k),
-                                            amplitude_ratio_b_over_a(kv))):
-                co = correction_coefficients(kv_coeffs, "strain")
+                                           ("v", WaveVector(kv.l, kv.k), ratio_b_over_a(kv))):
+                c_1m1, c_13, c_1m3 = strain_correction_oracle(kv_coeffs)
                 p = ratio * env.a
-                want = {1: 2 * p, -1: 8 * co.c_1m1 * p * np.conj(p) ** 2,
-                        3: 8 * co.c_13 * p**3, -3: 8 * co.c_1m3 * np.conj(p) ** 3}
+                want = {1: 2 * p, -1: 8 * c_1m1 * p * np.conj(p) ** 2,
+                        3: 8 * c_13 * p**3, -3: 8 * c_1m3 * np.conj(p) ** 3}
                 assert set(weights[name]) == set(want)
                 for j, term in want.items():
                     assert np.allclose(weights[name][j] * basis[j][0], term, atol=1e-14)
@@ -364,7 +361,7 @@ class TestCorrectionSet:
         eps, n = 0.05, 16
         c = 0.6 + 0.2j
         disp = nls_coefficients(KV_R)
-        r = amplitude_ratio_b_over_a(KV_R)
+        r = ratio_b_over_a(KV_R)
         assert abs(r - 1) > 0.1
         env = constant_env(c, eps * n)
         s0 = sample_ansatz(env, disp, eps, 0.0, n, "strain")
@@ -402,7 +399,7 @@ class TestL1Bridge:
         rng = np.random.default_rng(6)
         for _ in range(20):
             f = rng.normal(size=(32, 32))
-            assert np.max(np.abs(f)) <= l1_dft_norm(f) + 1e-12
+            assert np.max(np.abs(f)) <= l1_dft_norm(np.fft.fft2(f)) + 1e-12
 
 
 def test_gamma_tilde_values():

@@ -1,6 +1,7 @@
 """Config parsing, snapshot round-trips, and CLI contract tests."""
 
 import json
+import math
 import re
 import struct
 from dataclasses import asdict, fields
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from fput2d import harness
 from fput2d.cli import build_parser, main
-from fput2d.config import ConfigError, ExperimentPlan, load_plan
+from fput2d.config import ConfigError, ExperimentPlan, carrier_period, load_plan
 from fput2d.io import SnapshotTruncated, read_snapshot, write_snapshot
 from fput2d.lattice import DT_MAX, LatticeState
 from fput2d.nls import EnvelopeField
@@ -126,12 +127,15 @@ class TestConfigProperties:
         tmp = tmp_path_factory.mktemp("rt")
         (tmp / "p.json").write_text(json.dumps(data))
         (tmp / "p.yaml").write_text(yaml.safe_dump(data))
-        # the one rule across keys: the envelope grid spacing at every eps
-        fine = all(e * plan.n_side_for(e) / plan.grid_side <= 0.5
-                   for e in (plan.eps, *plan.eps_list))
+        # the rules across keys: an explicit n_side closes the carrier on the
+        # torus, and the envelope grid spacing holds at every eps
+        period = math.lcm(carrier_period(plan.carrier_k_pi), carrier_period(plan.carrier_l_pi))
+        side_ok = plan.n_side == 0 or (plan.n_side >= 8 and plan.n_side % period == 0)
+        fine = side_ok and all(e * plan.n_side_for(e) / plan.grid_side <= 0.5
+                               for e in (plan.eps, *plan.eps_list))
         for name in ("p.json", "p.yaml"):
             if not fine:
-                with pytest.raises(ConfigError, match="grid_side"):
+                with pytest.raises(ConfigError, match="grid_side" if side_ok else "n_side"):
                     load_plan(str(tmp / name))
                 continue
             back = load_plan(str(tmp / name))
@@ -458,6 +462,8 @@ BAD_INPUTS = [
     ("simulate", ["carrier_k_pi=0.37"], {}),  # no lattice period q <= 64
     # no lattice period comes first: the strain form would refuse k0 = 0 with exit 2
     ("sweep", ["carrier_k_pi=0", "carrier_l_pi=0.333333333"], {}),
+    ("simulate", ["n_side=5"], {}),  # below 8
+    ("simulate", ["n_side=250"], {}),  # k0 N = 125 pi at (pi/2, pi/2): a sign seam
 ]
 
 

@@ -2,7 +2,9 @@
 
 Derived expectations are computed here by independent oracles: central finite
 differences of omega for the derivatives, literal evaluation of the
-coefficient formulas, and direct complex arithmetic for the amplitude ratios.
+coefficient formulas, direct complex arithmetic for the amplitude ratios, and
+the strain form's own closed-form correction solve for the strain weights the
+ansatz derives from the displacement solve.
 """
 
 import numpy as np
@@ -10,12 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fput2d.ansatz import _weights, sample_ansatz
 from fput2d.dispersion import (
-    AxisDegenerate,
     Resonant,
     WaveVector,
     ZeroFrequency,
-    amplitude_ratio_b_over_a,
     correction_coefficients,
     group_velocity,
     hessian,
@@ -26,8 +27,55 @@ from fput2d.dispersion import (
     omega,
     wrap_angle,
 )
+from fput2d.nls import EnvelopeField
 
 PIH = np.pi / 2
+NAMED_CARRIERS = [WaveVector(PIH, PIH), WaveVector(PIH, np.pi / 3), WaveVector(PIH, np.pi / 4),
+                  WaveVector(np.pi / 4, np.pi / 4), WaveVector(3 * np.pi / 4, 3 * np.pi / 4),
+                  WaveVector(PIH, np.pi)]
+
+
+def ratio_b_over_a(kv):
+    """(e^{il0}-1)/(e^{ik0}-1): the strain v envelope over the u envelope."""
+    return (np.exp(1j * kv.l) - 1) / (np.exp(1j * kv.k) - 1)
+
+
+def strain_correction_oracle(kv):
+    """(c_1m1, c_13, c_1m3) of the strain u field in closed form.
+
+    Solved in the strain form itself: the own term omega_x^2(m k0) and the
+    cross term rho(m k0, m l0) r^{n+} conj(r)^{n-}, rho(k, l) = (e^{ik}-1)(1-e^{-il}),
+    folding the v field's products in through r = b/a, over 8 i omega and the
+    resolvent denominator i m omega0 - i omega(m k0).  The v field's
+    coefficients are those of the carrier with its axes swapped.
+    """
+    w0 = omega_raw(kv.k, kv.l)
+    w3 = omega_raw(3 * kv.k, 3 * kv.l)
+    own = lambda m: 2.0 - 2.0 * np.cos(m * kv.k)
+    rho = lambda m: (np.exp(1j * m * kv.k) - 1.0) * (1.0 - np.exp(-1j * m * kv.l))
+    r = ratio_b_over_a(kv)
+    num_m1 = 3.0 * (own(1) - rho(-1) * r * np.conj(r) ** 2) / (8j * w0)
+    num_3 = (own(3) - rho(3) * r**3) / (8j * w3)
+    num_m3 = (own(3) - rho(-3) * np.conj(r) ** 3) / (8j * w3)
+    return num_m1 / (-2j * w0), num_3 / (1j * (3 * w0 - w3)), num_m3 / (-1j * (3 * w0 + w3))
+
+
+def strain_weights_oracle(kv):
+    """Per strain field, the weight of each harmonic basis field of A.
+
+    The v envelope is B = r A, so B's products weigh A's by powers of r; at
+    l0 = 0, r = 0 and B vanishes.
+    """
+    out = {}
+    for name, kv_field, r in (("u", kv, 1.0), ("v", WaveVector(kv.l, kv.k), ratio_b_over_a(kv))):
+        if r == 0:
+            out[name] = dict.fromkeys((1, -1, 3, -3), 0.0)
+            continue
+        c_1m1, c_13, c_1m3 = strain_correction_oracle(kv_field)
+        rc = np.conj(r)
+        out[name] = {1: 2 * r, -1: 8 * c_1m1 * r * rc**2, 3: 8 * c_13 * r**3,
+                     -3: 8 * c_1m3 * rc**3}
+    return out
 
 
 def omega_raw(k, l):
@@ -230,34 +278,41 @@ class TestNonresonance:
         assert nonresonance_check(WaveVector(2 * np.pi / 3, 2 * np.pi / 3)) is False
 
 
+def first_harmonic_ratio(kv):
+    """The v field's first-harmonic weight over the u field's."""
+    w = _weights(nls_coefficients(kv), "strain", False)
+    return w["v"][1] / w["u"][1]
+
+
 class TestAmplitudeRatio:
     def test_equal_components(self):
-        assert amplitude_ratio_b_over_a(WaveVector(PIH, PIH)) == pytest.approx(1.0)
+        assert first_harmonic_ratio(WaveVector(PIH, PIH)) == pytest.approx(1.0)
 
     def test_degenerate_l(self):
-        assert amplitude_ratio_b_over_a(WaveVector(PIH, 0.0)) == pytest.approx(0.0)
+        assert first_harmonic_ratio(WaveVector(PIH, 0.0)) == 0.0
 
     def test_mixed(self):
         # (e^{i pi}-1)/(e^{i pi/2}-1) = -2/(i-1) = 1+i by direct arithmetic
-        expected = (np.exp(1j * np.pi) - 1) / (np.exp(1j * PIH) - 1)
-        got = amplitude_ratio_b_over_a(WaveVector(PIH, np.pi))
-        assert got == pytest.approx(expected, abs=1e-15)
+        got = first_harmonic_ratio(WaveVector(PIH, np.pi))
+        assert got == pytest.approx(ratio_b_over_a(WaveVector(PIH, np.pi)), abs=1e-15)
         assert got == pytest.approx(1 + 1j, abs=1e-12)
 
     def test_degenerate_k_raises(self):
-        with pytest.raises(AxisDegenerate):
-            amplitude_ratio_b_over_a(WaveVector(0.0, PIH))
+        # at k0 = 0 the A envelope vanishes and b/a has no value
+        env = EnvelopeField(1.6, np.ones((8, 8), dtype=complex))
+        with pytest.raises(ValueError, match="k0 = 0"):
+            sample_ansatz(env, nls_coefficients(WaveVector(0.0, PIH)), 0.1, 0.0, 16, "strain")
 
 
 class TestCorrectionCoefficients:
     def test_denominators_center(self):
-        co = correction_coefficients(WaveVector(PIH, PIH), "strain")
+        co = correction_coefficients(WaveVector(PIH, PIH))
         assert co.denom_m1 == pytest.approx(-4j, abs=1e-12)
         assert co.denom_3 == pytest.approx(4j, abs=1e-12)
         assert co.denom_m3 == pytest.approx(-8j, abs=1e-12)
 
     def test_first_harmonic_matches_gamma(self):
-        # the m=-1 solve collapses to gamma_a / (-2 i omega0)
+        # the m=-1 solve collapses to gamma / (-2 i omega0), field by field
         rng = np.random.default_rng(6)
         for kv in random_carriers(50, rng):
             if not nonresonance_check(kv):
@@ -265,22 +320,24 @@ class TestCorrectionCoefficients:
             data = nls_coefficients(kv)
             if data.axis_degenerate_k or data.axis_degenerate_l:
                 continue
-            co = correction_coefficients(kv, "strain")
-            assert co.c_1m1 == pytest.approx(data.gamma_a / (-2j * data.omega0), rel=1e-12)
-            # the v field's coefficients are those of the swapped carrier
-            cov = correction_coefficients(WaveVector(kv.l, kv.k), "strain")
-            assert cov.c_1m1 == pytest.approx(data.gamma_b / (-2j * data.omega0), rel=1e-12)
+            co = correction_coefficients(kv)
+            assert co.c_1m1 == pytest.approx(data.gamma_q / 4 / (-2j * data.omega0), rel=1e-12)
+            w = _weights(data, "strain", True)
+            assert w["u"][-1] == pytest.approx(8 * data.gamma_a / (-2j * data.omega0), rel=1e-12)
+            r = ratio_b_over_a(kv)
+            want_v = 8 * data.gamma_b * r * np.conj(r) ** 2 / (-2j * data.omega0)
+            assert w["v"][-1] == pytest.approx(want_v, rel=1e-12)
 
     def test_displacement_first_harmonic(self):
         kv = WaveVector(PIH, PIH)
-        co = correction_coefficients(kv, "displacement")
+        co = correction_coefficients(kv)
         d = kernel_D(kv, kv.negated(), kv.negated())
         expected = (-3.0 * d / (8j * 2.0)) / (-4j)
         assert co.c_1m1 == pytest.approx(expected, rel=1e-12)
 
     def test_resonant_carrier_rejected(self):
         with pytest.raises(Resonant):
-            correction_coefficients(WaveVector(2 * np.pi / 3, 2 * np.pi / 3), "strain")
+            correction_coefficients(WaveVector(2 * np.pi / 3, 2 * np.pi / 3))
 
     def test_denominator_carrier_evenness(self):
         # denominators depend on the carrier only through omega, which is even
@@ -289,8 +346,8 @@ class TestCorrectionCoefficients:
             if not nonresonance_check(kv):
                 continue
             try:
-                a = correction_coefficients(kv, "displacement")
-                b = correction_coefficients(kv.negated(), "displacement")
+                a = correction_coefficients(kv)
+                b = correction_coefficients(kv.negated())
             except Resonant:
                 continue
             assert a.denom_m1 == pytest.approx(b.denom_m1, abs=1e-13)
@@ -298,6 +355,39 @@ class TestCorrectionCoefficients:
             assert a.denom_m3 == pytest.approx(b.denom_m3, abs=1e-13)
             for d in (a.denom_m1, a.denom_3, a.denom_m3):
                 assert d.real == 0.0  # conj(d) = -d
+
+
+class TestStrainWeights:
+    """The strain weights, derived from the one displacement solve through the
+    difference symbols, against the strain form's own closed-form solve."""
+
+    def test_match_strain_closed_form(self):
+        rng = np.random.default_rng(13)
+        carriers = list(NAMED_CARRIERS)
+        checked = 0
+        while checked < 300 + len(NAMED_CARRIERS):
+            kv = carriers.pop(0) if carriers else random_carriers(1, rng)[0]
+            data = nls_coefficients(kv)
+            if not data.nonresonant or data.axis_degenerate_k or data.axis_degenerate_l:
+                continue
+            try:
+                got = _weights(data, "strain", True)
+            except Resonant:
+                continue
+            want = strain_weights_oracle(kv)
+            for name in ("u", "v"):
+                assert set(got[name]) == set(want[name])
+                for j, wj in want[name].items():
+                    assert abs(got[name][j] - wj) <= 1e-12 * abs(wj), (kv, name, j)
+            checked += 1
+
+    def test_v_weights_vanish_at_l0_zero(self):
+        kv = WaveVector(PIH, 0.0)
+        got = _weights(nls_coefficients(kv), "strain", True)
+        want = strain_weights_oracle(kv)
+        assert got["v"] == want["v"]  # every weight exactly 0
+        for j, wj in want["u"].items():
+            assert abs(got["u"][j] - wj) <= 1e-12 * abs(wj)
 
 
 class TestKernels:

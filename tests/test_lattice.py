@@ -407,6 +407,24 @@ class TestStencil:
         assert lattice._divergence(fx, fy, out) is out
         assert np.array_equal(out, expected)
 
+    def test_strain_stencil_fourier_symbols(self):
+        # the strain form's cubic residual term: forward differences of the
+        # divergence act on (fx, fy) by -wx2, rho_u along x and rho_v, -wy2
+        # along y, rho_u = (e^{ik}-1)(1-e^{-il}), rho_v = (e^{il}-1)(1-e^{-ik})
+        n = 16
+        fx, fy = np.random.default_rng(1).normal(size=(2, n, n))
+        k = 2 * np.pi * np.fft.fftfreq(n)
+        ex, ey = np.exp(1j * k)[:, None], np.exp(1j * k)[None, :]
+        wx2, wy2 = 2 - 2 * np.cos(k)[:, None], 2 - 2 * np.cos(k)[None, :]
+        rho_u = (ex - 1) * (1 - 1 / ey)
+        rho_v = (ey - 1) * (1 - 1 / ex)
+        fx_hat, fy_hat = np.fft.fft2(fx), np.fft.fft2(fy)
+        div = lattice._divergence(fx, fy, np.empty((n, n)))
+        for axis, (sx, sy) in enumerate([(-wx2, rho_u), (rho_v, -wy2)]):
+            got = np.fft.fft2(lattice._forward_diff(div, axis))
+            want = sx * fx_hat + sy * fy_hat
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
 
 class TestPerturbedForce:
     def test_polynomial_matches_expanded_form(self):

@@ -1,10 +1,13 @@
 """Smoke tests for scripts/: each one runs, in a subprocess, against the package.
 
-coefficients_table.py runs in full (it is cheap); the sweep scripts only
-parse their arguments, which still imports every name they use.
+coefficients_table.py runs in full (it is cheap), and so does
+residual_orders.py on a coarse eps sweep off the default carrier; the sweep
+scripts otherwise only parse their arguments, which still imports every name
+they use, and refuse a plan the config rejects with a usage error.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,3 +40,25 @@ def test_sweep_script_help(name):
     out = run_script(name, "--help")
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("usage:")
+
+
+@pytest.mark.parametrize("name", ["residual_orders.py", "run_convergence_sweeps.py"])
+def test_sweep_script_rejects_bad_eps(name, tmp_path):
+    out = run_script(name, "--eps", "0.1", "0.2", "0.3", *(
+        ["--out", str(tmp_path / "out")] if name == "run_convergence_sweeps.py" else []))
+    assert out.returncode == 2
+    err = out.stderr.splitlines()
+    assert err[0].startswith("usage:") and "strictly descending" in err[-1]
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("variant", ["strain", "displacement"])
+def test_residual_orders_off_default_carrier(variant):
+    # criterion 6's bars at (pi/2, pi/3), where the v field's cross term is live
+    out = run_script("residual_orders.py", "--eps", "0.45", "0.4", "0.35", "--variant", variant,
+                     "--carrier", "0.5", "0.3333333333333333")
+    assert out.returncode == 0, out.stderr
+    orders = dict(re.findall(r"order (with|without) corrections: ([-\d.]+)", out.stdout))
+    assert float(orders["with"]) >= 3.6
+    assert float(orders["without"]) >= 2.7
