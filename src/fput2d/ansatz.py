@@ -15,15 +15,16 @@ q, so each strain term is the displacement term of its harmonic j times the
 difference symbol e^{ijk} - 1 (k = k0 for u, l0 for v), rewritten in the
 strain envelope A = (e^{ik0} - 1) Q.  Every term of every field is thus a
 scalar weight times one of four harmonic basis fields on the envelope grid:
-A, A conj(A)^2, A^3 and conj(A)^3 for j = 1, -1, 3, -3.  Each is resampled
-once.
+A, A conj(A)^2, A^3 and conj(A)^3 for j = 1, -1, 3, -3.  Each is transformed
+and resampled once (without corrections: two FFTs on the envelope grid, two
+inverse FFTs on the lattice).
 sample_ansatz returns a LatticeState whose positions are the fields and whose
 velocities are their exact first time derivatives, assembled by the chain
 rule in Fourier space with dA/dT from the envelope equation's right-hand
 side: the lattice is compared against both, and the first-order-system
 residual is measured from them without finite-difference contamination.
-Strain-form initial data are moved onto the compatible subspace by the
-oblique modewise projection.
+Strain-form initial data are the displacements whose forward differences
+are the oblique modewise projection of the sampled strain fields.
 
 Lattice sites are labeled m, n in {-N/2, ..., N/2 - 1}; array index (i, j)
 maps to (m, n) = (i - N/2, j - N/2).  The lattice and envelope tori are
@@ -40,12 +41,18 @@ import numpy as np
 from scipy import fft
 
 from .dispersion import DispersionData, correction_coefficients
-from .lattice import _ARRAY_NAMES, LatticeState, _divergence, _forward_diff
+from .lattice import (
+    _ARRAY_NAMES,
+    LatticeState,
+    _divergence,
+    _forward_diff,
+    strain_from_displacement,
+)
 from .nls import (
     DEFAULT_DT_SLOW,
     EnvelopeField,
     NlsProblem,
-    envelope_rhs_arrays,
+    envelope_rhs_spectrum,
     linear_symbol,
 )
 
@@ -74,16 +81,20 @@ def nls_problem_for(disp: DispersionData, variant: str,
 
 def _harmonics(env: EnvelopeField, disp: DispersionData, variant: str,
                corrections: bool) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Envelope-grid basis field B_j of each harmonic e^{i j theta}, with dB_j/dT."""
+    """DFTs of the envelope-grid basis field B_j of each harmonic e^{i j theta}
+    and of dB_j/dT; B_1 = A takes two FFTs, of A and of the cubic term of dA/dT."""
     prob = nls_problem_for(disp, variant)
     a = env.a
-    a_t = envelope_rhs_arrays(a, linear_symbol(env, prob), prob.nonlin_coeff)
-    basis = {1: (a, a_t)}
+    a_hat = fft.fft2(a)
+    a_t_hat = envelope_rhs_spectrum(a, a_hat, linear_symbol(env, prob), prob.nonlin_coeff)
+    basis = {1: (a_hat, a_t_hat)}
     if corrections:
+        a_t = fft.ifft2(a_t_hat)
         ac, ac_t = np.conj(a), np.conj(a_t)
-        basis[-1] = (a * ac**2, a_t * ac**2 + 2 * a * ac * ac_t)
-        basis[3] = (a**3, 3 * a * a * a_t)
-        basis[-3] = (ac**3, 3 * ac * ac * ac_t)
+        for j, (b, b_t) in {-1: (a * ac**2, a_t * ac**2 + 2 * a * ac * ac_t),
+                            3: (a**3, 3 * a * a * a_t),
+                            -3: (ac**3, 3 * ac * ac * ac_t)}.items():
+            basis[j] = (fft.fft2(b), fft.fft2(b_t))
     return basis
 
 
@@ -130,17 +141,20 @@ def _weights(disp: DispersionData, variant: str,
 
 
 def _respec(coeffs: np.ndarray, n_out: int) -> np.ndarray:
-    """Zero-pad or truncate centered Fourier coefficients to an n_out grid."""
+    """Zero-pad or truncate centered Fourier coefficients to an n_out grid by
+    index selection: per axis, the c = min(M, n_out) central modes in fftshift
+    order go where ifftshift puts the n_out grid's c central modes."""
     m = coeffs.shape[0]
-    cs = fft.fftshift(coeffs)
-    if n_out >= m:
-        out = np.zeros((n_out, n_out), dtype=complex)
-        lo = (n_out - m) // 2
-        out[lo:lo + m, lo:lo + m] = cs
-    else:
-        lo = (m - n_out) // 2
-        out = cs[lo:lo + n_out, lo:lo + n_out].copy()
-    return fft.ifftshift(out)
+    c = min(m, n_out)
+    r = np.arange(c)
+    dst = (r + (n_out - c) // 2 - n_out // 2) % n_out
+    src = np.zeros(n_out, dtype=int)  # the input mode each output mode reads
+    src[dst] = (r + (m - c) // 2 - m // 2) % m
+    pad = np.ones(n_out, dtype=bool)
+    pad[dst] = False
+    out = coeffs.take(src, axis=0).take(src, axis=1)
+    out[pad] = out[:, pad] = 0.0
+    return out
 
 
 def eval_envelope(spectra: list[np.ndarray], env: EnvelopeField, eps: float, t: float,
@@ -157,9 +171,9 @@ def eval_envelope(spectra: list[np.ndarray], env: EnvelopeField, eps: float, t: 
         )
     cx, cy = group_velocity
     k1 = env.wavenumbers_1d()
-    shift = np.exp(1j * eps * cx * t * k1)[:, None] * np.exp(1j * eps * cy * t * k1)[None, :]
     scale = n_side**2 / env.grid_side**2
-    return [fft.ifft2(_respec(s * shift, n_side)) * scale for s in spectra]
+    shift = np.outer(scale * np.exp(1j * eps * cx * t * k1), np.exp(1j * eps * cy * t * k1))
+    return [fft.ifft2(_respec(s * shift, n_side), overwrite_x=True) for s in spectra]
 
 
 def _assemble_branches(env: EnvelopeField, disp: DispersionData, eps: float,
@@ -184,28 +198,21 @@ def _assemble_branches(env: EnvelopeField, disp: DispersionData, eps: float,
     k = env.wavenumbers_1d()
     i_mu = 1j * (cx * k[:, None] + cy * k[None, :])
     spectra: list[np.ndarray] = []
-    for j, (b, b_t) in basis.items():
-        b_hat = fft.fft2(b)
-        spectra += [b_hat, (1j * j * w0 + eps * i_mu) * b_hat + eps**2 * fft.fft2(b_t)]
+    for j, (b_hat, b_t_hat) in basis.items():
+        spectra += [b_hat, (1j * j * w0 + eps * i_mu) * b_hat + eps**2 * b_t_hat]
     sampled = eval_envelope(spectra, env, eps, t, n_side, (cx, cy))
 
+    # the field, then its time derivative, of each harmonic on the lattice,
+    # times its carrier phase e^{i j theta}, an outer product over m and n
     mvals = np.arange(n_side) - n_side // 2
-    e1 = np.exp(1j * (kv.k * mvals[:, None] + kv.l * mvals[None, :] + w0 * t))
-    e3 = e1 * e1 * e1
-    phases = {1: e1, -1: np.conj(e1), 3: e3, -3: np.conj(e3)}
-    # the field, then its time derivative, of each harmonic on the lattice
-    terms = {j: (sampled[2 * i] * phases[j], sampled[2 * i + 1] * phases[j])
-             for i, j in enumerate(basis)}
+    terms = {}
+    for i, j in enumerate(basis):
+        phase = np.outer(np.exp(1j * j * (kv.k * mvals + w0 * t)), np.exp(1j * j * kv.l * mvals))
+        terms[j] = [np.multiply(f, phase, out=f) for f in sampled[2 * i:2 * i + 2]]
 
-    shape = (n_side, n_side)
-    acc = {}
-    for name, w in weights.items():
-        acc[name] = [np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)]
-        for j, wj in w.items():
-            scale = eps ** (1 if j == 1 else 3) * wj
-            for d in range(2):
-                acc[name][d] += scale * terms[j][d]
-    return acc
+    return {name: [sum(eps ** (1 if j == 1 else 3) * wj * terms[j][d] for j, wj in w.items())
+                   for d in range(2)]
+            for name, w in weights.items()}
 
 
 def sample_ansatz(env: EnvelopeField, disp: DispersionData, eps: float, t: float,
@@ -216,6 +223,26 @@ def sample_ansatz(env: EnvelopeField, disp: DispersionData, eps: float, t: float
     names = _positions(variant)
     return LatticeState.from_arrays(
         variant, t, [acc[p][0].real for p in names] + [acc[p][1].real for p in names])
+
+
+def _difference_symbol(n: int):
+    """e^{ik} - 1 at the n lattice wavenumbers k, and the mask of the (k, l)
+    modes the projection keeps, |a^2 + b^2| >= DELTA_PROJ for a = e^{ik} - 1,
+    b = e^{il} - 1."""
+    e = np.exp(2j * np.pi * fft.fftfreq(n)) - 1.0
+    return e, np.abs(e[:, None] ** 2 + e[None, :] ** 2) >= DELTA_PROJ
+
+
+def _lift(u_hat: np.ndarray, v_hat: np.ndarray, e, keep) -> np.ndarray:
+    """Spectrum of the periodic mean-zero displacement whose forward
+    differences are the compatible part of the strain pair (U, V): on kept
+    modes s = (a U + b V)/(a^2 + b^2), which compat_project maps to (a s, b s);
+    on the other degenerate modes U/a (V/b where a = 0)."""
+    a, b = e[:, None], e[None, :]
+    q = (a * u_hat + b * v_hat) / np.where(keep, a * a + b * b, 1.0)
+    for m, n in np.argwhere(~keep):  # (0, 0), where a = b = 0, is the mean
+        q[m, n] = u_hat[m, n] / e[m] if e[m] else v_hat[m, n] / e[n] if e[n] else 0.0
+    return q
 
 
 def compat_project(u_hat: np.ndarray, v_hat: np.ndarray, ut_hat: np.ndarray,
@@ -229,17 +256,11 @@ def compat_project(u_hat: np.ndarray, v_hat: np.ndarray, ut_hat: np.ndarray,
     same modewise map, which preserves the velocity compatibility relation.
     Spectra go in and come out in LatticeState.arrays() order.
     """
-    n = u_hat.shape[0]
-    k = 2 * np.pi * fft.fftfreq(n)
-    a = (np.exp(1j * k) - 1.0)[:, None] * np.ones(n)[None, :]
-    b = np.ones(n)[:, None] * (np.exp(1j * k) - 1.0)[None, :]
-    denom = a * a + b * b
-    keep = np.abs(denom) >= DELTA_PROJ
-    safe = np.where(keep, denom, 1.0)
+    e, keep = _difference_symbol(u_hat.shape[0])
 
     def apply(uh, vh):
-        s = (a * uh + b * vh) / safe
-        return np.where(keep, a * s, uh), np.where(keep, b * s, vh)
+        s = _lift(uh, vh, e, keep)
+        return np.where(keep, e[:, None] * s, uh), np.where(keep, e[None, :] * s, vh)
 
     projected = (*apply(u_hat, v_hat), *apply(ut_hat, vt_hat))
     return projected, {"degenerate_modes": int(np.count_nonzero(~keep))}
@@ -247,21 +268,25 @@ def compat_project(u_hat: np.ndarray, v_hat: np.ndarray, ut_hat: np.ndarray,
 
 def build_initial_data(env: EnvelopeField, disp: DispersionData, eps: float,
                        n_side: int, form: str, corrections: bool = False):
-    """Lattice initial data matching the ansatz at t = 0.
+    """Displacement-form lattice initial data matching the ansatz at t = 0.
 
     The sampled ansatz at t = 0.  Displacement form takes it as it is (no
-    constraint).  Strain form applies the oblique compat_project to the
-    spectra of its four arrays; the projection moves the state by O(eps^2)
-    in sup norm.  Returns (state, diagnostics).
+    constraint).  Strain form lifts the spectra of its four arrays to the
+    (q, w) whose forward differences are their oblique projection; the
+    projection moves the strain state by O(eps^2) in sup norm.  Returns
+    (state, diagnostics).
     """
     s = sample_ansatz(env, disp, eps, 0.0, n_side, form, corrections)
     if form == "displacement":
         return s, {"degenerate_modes": 0, "max_projection_displacement": 0.0}
-    spectra, diag = compat_project(*[fft.fft2(f) for f in s.arrays()])
-    state = LatticeState.from_arrays(form, 0.0, [fft.ifft2(f).real for f in spectra])
-    diag["max_projection_displacement"] = max(
-        float(np.max(np.abs(p - a))) for p, a in zip(state.arrays(), s.arrays()))
-    return state, diag
+    e, keep = _difference_symbol(n_side)
+    u_hat, v_hat, ut_hat, vt_hat = (fft.fft2(f) for f in s.arrays())
+    state = LatticeState("displacement", 0.0, q=fft.ifft2(_lift(u_hat, v_hat, e, keep)).real,
+                         w=fft.ifft2(_lift(ut_hat, vt_hat, e, keep)).real)
+    moved = max(float(np.max(np.abs(p - r)))
+                for p, r in zip(strain_from_displacement(state).arrays(), s.arrays()))
+    return state, {"degenerate_modes": int(np.count_nonzero(~keep)),
+                   "max_projection_displacement": moved}
 
 
 def l1_dft_norm(spectrum: np.ndarray) -> float:

@@ -1,34 +1,26 @@
 """Time integration of the cubic FPUT lattice on a periodic N x N grid.
 
-Two equivalent formulations are supported.  In displacement form the state is
-(q, w = dq/dt) and the acceleration at a site is the four-bond force balance
+Every run steps one ODE, the displacement form: the state is (q, w = dq/dt)
+and the acceleration at a site is the four-bond force balance
 
     a_{m,n} = W'(q_{m+1,n}-q_{m,n}) - W'(q_{m,n}-q_{m-1,n})
-            + W'(q_{m,n+1}-q_{m,n}) - W'(q_{m,n}-q_{m,n-1}).
+            + W'(q_{m,n+1}-q_{m,n}) - W'(q_{m,n}-q_{m,n-1}),
 
-In strain form the state is (u, v, du/dt, dv/dt) with u_{m,n} = q_{m+1,n}-q_{m,n},
-v_{m,n} = q_{m,n+1}-q_{m,n}; the two second-order stencils follow by
-differencing the displacement balance, and the discrete curl-free constraint
+the backward divergence div = fx - S-x fx + fy - S-y fy of the bond forces
+fx = W'(x-bond strain), fy = W'(y-bond strain), (S-x f)_{m,n} = f_{m-1,n}.
+Array axis 0 is the m (x) index, axis 1 the n (y) index.  The strain form
+(u, v, du/dt, dv/dt), u_{m,n} = q_{m+1,n}-q_{m,n}, v_{m,n} = q_{m,n+1}-q_{m,n},
+is the forward difference of a displacement state (strain_from_displacement):
+its accelerations are the forward differences of div, and it satisfies the
+discrete curl-free constraint u_{m,n+1} - u_{m,n} = v_{m+1,n} - v_{m,n},
+which compatibility_defect measures.
 
-    u_{m,n+1} - u_{m,n} = v_{m+1,n} - v_{m,n}
-
-is invariant under the flow.  Array axis 0 is the m (x) index, axis 1 the n
-(y) index.  Inverting the strain map back to periodic displacements would
-additionally require mean-zero row/column sums of u and v; the module tracks
-the constraint as a diagnostic and never inverts.
-
-Both forms share one stencil, the backward divergence of the bond forces
-
-    div = fx - S-x fx + fy - S-y fy,   (S-x f)_{m,n} = f_{m-1,n},
-
-with fx = W'(x-bond strain), fy = W'(y-bond strain).  The displacement
-acceleration is div itself; the strain accelerations are its forward
-differences d2u = S+x div - div and d2v = S+y div - div.
-
-The integrator is velocity Verlet (symplectic, second order, time reversible),
-stepped in place.  It is first-same-as-last (FSAL): the force at the end of a
-step is the force at the start of the next, so each step evaluates the force
-once.  The overflow guard checks every array after every step.
+The integrator is velocity Verlet (symplectic, second order, time reversible)
+stepped in place in its leapfrog form: between two observations the closing
+half-kick of one step and the opening half-kick of the next are one full
+kick, and the force at the end of a step starts the next (FSAL), so a step
+costs one force evaluation.  The overflow guard checks both arrays every
+CHECK_EVERY steps and before every observation.
 """
 
 from __future__ import annotations
@@ -39,6 +31,7 @@ import numpy as np
 
 DT_MAX = 0.5  # stability margin below the linear CFL limit 2 / (2*sqrt(2))
 OVERFLOW_GUARD = 1e6
+CHECK_EVERY = 10  # steps between overflow-guard checks inside a march
 
 
 class FormMismatch(ValueError):
@@ -245,30 +238,6 @@ def rhs_displacement(state: LatticeState, force: ForceLaw, out=None) -> np.ndarr
     return _divergence(fx, fy, div)
 
 
-def rhs_strain(state: LatticeState, force: ForceLaw,
-               out=None) -> tuple[np.ndarray, np.ndarray]:
-    """Acceleration fields (d2u/dt2, d2v/dt2) of the strain formulation.
-
-    They are the forward differences of the displacement acceleration div.
-    out, if given, holds the work arrays (fx, fy, div); the accelerations
-    are written over the spent bond forces fx and fy and returned.
-    """
-    if state.form != "strain":
-        raise FormMismatch("rhs_strain needs strain form")
-    fx, fy, div = out if out is not None else _buffers(state)
-    _divergence(force.w_prime(state.u, "x", out=fx),
-                force.w_prime(state.v, "y", out=fy), div)
-    return _forward_diff(div, 0, out=fx), _forward_diff(div, 1, out=fy)
-
-
-def _accel(state: LatticeState, force: ForceLaw, buffers) -> tuple[np.ndarray, ...]:
-    # rhs_* are looked up as module globals on every call, so a wrapper put
-    # on them (a counter, a tracer) sees every force evaluation
-    if state.form == "displacement":
-        return (rhs_displacement(state, force, out=buffers),)
-    return rhs_strain(state, force, out=buffers)
-
-
 def _check_amplitude(state: LatticeState) -> None:
     """Raise UnstableStep at the first entry outside the guard; NaN trips it."""
     g = OVERFLOW_GUARD
@@ -281,67 +250,71 @@ def _check_amplitude(state: LatticeState) -> None:
                            f"t = {state.time}: outside the overflow guard |x| <= {g:g}")
 
 
-def _step(state: LatticeState, force: ForceLaw, dt: float, accel, buffers):
-    """Advance state in place by one velocity-Verlet step of size dt.
+def _march(state: LatticeState, force: ForceLaw, dt: float, n_steps: int, accel, buffers):
+    """Advance a displacement state in place by n_steps >= 1 Verlet steps of
+    size dt, with merged kicks and a guard check every CHECK_EVERY steps.
 
-    accel is the acceleration at the current positions; the acceleration at
-    the new positions is returned to start the next step (FSAL), so a step
-    costs one force evaluation.  It lives in buffers and is overwritten by
-    the next evaluation.  Kick and drift increments go to the work array the
-    acceleration leaves free: fx in displacement form, div in strain form.
+    accel, the acceleration at the current positions, lives in buffers; the
+    one at the new positions is returned for the next march (FSAL).  Kick and
+    drift increments go to fx, the work array the acceleration leaves free.
     """
     if abs(dt) > DT_MAX:
         raise ValueError(f"|dt| = {abs(dt)} exceeds dt_max = {DT_MAX}")
-    arrays = state.arrays()
-    half = len(arrays) // 2
-    pos, vel = arrays[:half], arrays[half:]
-    work = buffers[0] if state.form == "displacement" else buffers[2]
-    for p, d, a in zip(pos, vel, accel):
-        d += np.multiply(a, 0.5 * dt, out=work)
-        p += np.multiply(d, dt, out=work)
-    accel = _accel(state, force, buffers)
-    for d, a in zip(vel, accel):
-        d += np.multiply(a, 0.5 * dt, out=work)
-    state.time += dt
-    _check_amplitude(state)
+    q, w = state.q, state.w
+    work = buffers[0]
+    kick = 0.5 * dt
+    for i in range(n_steps):
+        w += np.multiply(accel, kick, out=work)
+        q += np.multiply(w, dt, out=work)
+        # looked up as a module global on every call, so a wrapper put on it
+        # (a counter, a tracer) sees every force evaluation
+        accel = rhs_displacement(state, force, out=buffers)
+        kick = dt
+        state.time += dt
+        if (i + 1) % CHECK_EVERY == 0:
+            _check_amplitude(state)
+    w += np.multiply(accel, 0.5 * dt, out=work)
     return accel
 
 
 def verlet_step(state: LatticeState, force: ForceLaw, dt: float) -> LatticeState:
-    """One velocity-Verlet step; returns a new state advanced by dt.
+    """One velocity-Verlet step of a displacement state; returns a new state
+    advanced by dt.
 
     The input state is left untouched.  Negative dt steps backwards (the
     scheme is time reversible).
     """
     out = state.copy()
     buffers = _buffers(out)
-    _step(out, force, dt, _accel(out, force, buffers), buffers)
+    _march(out, force, dt, 1, rhs_displacement(out, force, out=buffers), buffers)
+    _check_amplitude(out)
     return out
 
 
 def integrate(state: LatticeState, force: ForceLaw, dt_max_step: float,
               sample_times, observer):
-    """March a copy of the state to each requested time, stepping in place.
+    """March a copy of a displacement state to each requested time, stepping
+    in place.
 
     sample_times must be ascending and start at or after state.time; observer
     is called as observer(state) at every sample time (including t0 when it is
-    the first entry).  The observer receives the live state, which is valid
-    only during the call: the next step overwrites it, so an observer copies
-    any state it keeps.  Over S steps the force is evaluated S + 1 times.
+    the first entry), after the overflow guard has checked the state.  The
+    observer receives the live state, which is valid only during the call:
+    the next step overwrites it, so an observer copies any state it keeps.
+    Over S steps the force is evaluated S + 1 times.
     """
     current = state.copy()
     buffers = _buffers(current)
-    accel = _accel(current, force, buffers)
+    accel = rhs_displacement(current, force, out=buffers)
     for t_target in sample_times:
         if t_target < current.time - 1e-12:
             raise ValueError("sample times must be ascending")
         span = t_target - current.time
         if span > 1e-12:
             n_steps = max(1, int(np.ceil(span / dt_max_step - 1e-12)))
-            dt = span / n_steps
-            for _ in range(n_steps):
-                accel = _step(current, force, dt, accel, buffers)
+            accel = _march(current, force, span / n_steps, n_steps, accel, buffers)
             current.time = t_target
+        _check_amplitude(current)
         observer(current)
     return current
 

@@ -114,15 +114,16 @@ def gaussian_field(box_length: float, grid_side: int, amplitude: float = 1.0,
 def linear_symbol(field: EnvelopeField, prob: NlsProblem) -> np.ndarray:
     """sigma(K) = K^T H K / 2 on the field's Fourier grid."""
     k = field.wavenumbers_1d()
-    kx, ky = np.meshgrid(k, k, indexing="ij")
+    kx, ky = k[:, None], k[None, :]
     h = prob.hessian
     return 0.5 * (h[0, 0] * kx**2 + 2 * h[0, 1] * kx * ky + h[1, 1] * ky**2)
 
 
-def envelope_rhs_arrays(a: np.ndarray, symbol: np.ndarray, gamma: complex) -> np.ndarray:
-    """dA/dT on the grid given a precomputed linear symbol."""
-    lin = fft.ifft2(1j * symbol * fft.fft2(a))
-    return lin + gamma * np.abs(a) ** 2 * a
+def envelope_rhs_spectrum(a: np.ndarray, a_hat: np.ndarray, symbol: np.ndarray,
+                          gamma: complex) -> np.ndarray:
+    """DFT of dA/dT, i sigma F(A) + F(gamma |A|^2 A), from A on the grid, its
+    DFT a_hat and a precomputed linear symbol: one FFT."""
+    return 1j * symbol * a_hat + fft.fft2(gamma * np.abs(a) ** 2 * a)
 
 
 def mass(field: EnvelopeField) -> float:

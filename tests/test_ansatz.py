@@ -10,7 +10,10 @@ import pytest
 
 from fput2d.ansatz import (
     FootprintExceeded,
+    _difference_symbol,
     _harmonics,
+    _lift,
+    _respec,
     _weights,
     build_initial_data,
     compat_project,
@@ -22,7 +25,7 @@ from fput2d.ansatz import (
     sample_ansatz,
 )
 from fput2d.dispersion import WaveVector, nls_coefficients
-from fput2d.lattice import compatibility_defect
+from fput2d.lattice import compatibility_defect, strain_from_displacement
 from fput2d.nls import EnvelopeField, evolve, gaussian_field
 from test_dispersion import ratio_b_over_a, strain_correction_oracle
 
@@ -175,6 +178,21 @@ class TestEnvelopeEvaluation:
         out = eval_envelope([np.fft.fft2(env.a)], env, 0.2, 0.0, m, (0.5, 0.5))[0]
         assert np.max(np.abs(out - env.a)) < 1e-12
 
+    @pytest.mark.parametrize("m, n_out", [(16, 10), (16, 9), (16, 16), (16, 24), (16, 25),
+                                          (9, 4), (9, 9), (9, 16)])
+    def test_respec_matches_shift_formula(self, m, n_out):
+        # the fftshift / pad-or-crop / ifftshift formula, bit for bit
+        coeffs = np.random.default_rng(m * n_out).normal(size=(m, m, 2)) @ [1, 1j]
+        cs = np.fft.fftshift(coeffs)
+        if n_out >= m:
+            want = np.zeros((n_out, n_out), dtype=complex)
+            lo = (n_out - m) // 2
+            want[lo:lo + m, lo:lo + m] = cs
+        else:
+            lo = (m - n_out) // 2
+            want = cs[lo:lo + n_out, lo:lo + n_out]
+        assert np.array_equal(_respec(coeffs, n_out), np.fft.ifftshift(want))
+
     def test_fft_requires_commensurate(self):
         env = gaussian_field(40.0, 128)
         with pytest.raises(FootprintExceeded):
@@ -254,6 +272,23 @@ class TestCompatProjection:
         for s in out:
             assert np.max(np.abs(np.fft.ifft2(s).imag)) < 1e-12
 
+    def test_lift_differences_are_the_projection(self):
+        # a q_hat = U' and b q_hat = V' on kept modes; u = a q alone fixes q on
+        # the other degenerate modes, and the mean is 0
+        n = 32
+        u, v = self._random_spectra(n, np.random.default_rng(4))[:2]
+        e, keep = _difference_symbol(n)
+        q = _lift(u, v, e, keep)
+        (pu, pv, _, _), _ = compat_project(u, v, u, v)
+        a, b = e[:, None] * np.ones(n), np.ones(n)[:, None] * e[None, :]
+        assert np.max(np.abs((a * q - pu)[keep])) < 1e-12 * np.max(np.abs(pu))
+        assert np.max(np.abs((b * q - pv)[keep])) < 1e-12 * np.max(np.abs(pv))
+        lone = ~keep
+        lone[0, 0] = False
+        assert np.count_nonzero(lone) == 2  # (pi/2, -pi/2) and (-pi/2, pi/2)
+        assert np.max(np.abs((a * q - u)[lone])) < 1e-12 * np.max(np.abs(u))
+        assert q[0, 0] == 0.0
+
     def test_degenerate_mode_count(self):
         rng = np.random.default_rng(5)
         _, diag = compat_project(*self._random_spectra(32, rng))
@@ -264,15 +299,30 @@ class TestInitialData:
     def test_zero_envelope(self):
         env = constant_env(0.0, 3.2)
         state, diag = build_initial_data(env, DISP, 0.2, 16, "strain")
-        assert np.all(state.u == 0) and np.all(state.vt == 0)
+        assert state.form == "displacement"
+        assert np.all(state.q == 0) and np.all(state.w == 0)
         assert diag["max_projection_displacement"] == 0.0
 
     def test_projected_state_compatible(self):
-        # production envelope resolution; the residue lives on the handful of
-        # passed-through degenerate modes and sits below 1e-12 here
+        # a strain run starts from displacements, so its strain state is
+        # compatible up to the round-off of the differences
         env = gaussian_field(40.0, 256)
         state, _ = build_initial_data(env, DISP, 0.2, 200, "strain")
-        assert compatibility_defect(state) < 1e-12
+        assert compatibility_defect(strain_from_displacement(state)) <= 1e-15
+
+    @pytest.mark.parametrize("corrections", [False, True])
+    def test_lift_reproduces_projected_strain(self, corrections):
+        # the differences of the lifted (q, w) are the oblique projection of
+        # the sampled strain state, with the means of all four arrays at 0
+        env = gaussian_field(40.0, 256)
+        state, diag = build_initial_data(env, DISP, 0.2, 200, "strain", corrections)
+        raw = sample_ansatz(env, DISP, 0.2, 0.0, 200, "strain", corrections)
+        projected, _ = compat_project(*[np.fft.fft2(f) for f in raw.arrays()])
+        lifted = strain_from_displacement(state).arrays()
+        assert diag["degenerate_modes"] == 3
+        for got, want in zip(lifted, projected):
+            assert np.max(np.abs(got - np.fft.ifft2(want).real)) <= 1e-14
+            assert abs(np.mean(got)) <= 1e-17
 
     def test_projection_displacement_eps2(self):
         env = gaussian_field(40.0, 128)
@@ -343,7 +393,8 @@ class TestCorrectionSet:
                         3: 8 * c_13 * p**3, -3: 8 * c_1m3 * np.conj(p) ** 3}
                 assert set(weights[name]) == set(want)
                 for j, term in want.items():
-                    assert np.allclose(weights[name][j] * basis[j][0], term, atol=1e-14)
+                    field = np.fft.ifft2(basis[j][0])
+                    assert np.allclose(weights[name][j] * field, term, atol=1e-14)
 
     def test_sampled_difference_matches_manual(self):
         # with a constant envelope the correction contribution has a closed form

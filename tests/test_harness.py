@@ -158,7 +158,9 @@ class TestRunSingle:
         assert len(rec["times"]) == 5
         assert len(rec["sup_errors"]) == 5
         assert rec["sup_errors"][0] <= rec["max_sup_error"]
-        assert rec["compat_defect_max"] < 1e-4  # coarse smoke grid: degenerate-mode pass-through noise
+        # the strain run steps (q, w): its differences are compatible to round-off
+        assert rec["compat_defect_max"] <= 1e-15
+        assert rec["energy_drift"] is not None and rec["energy_drift"] < 1e-4
         assert rec["envelope_edge_mass"] < 1e-2
         assert len(rec["residual_norms"]) == 3
 

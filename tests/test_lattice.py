@@ -18,7 +18,6 @@ from fput2d.lattice import (
     integrate,
     perturbed_force,
     rhs_displacement,
-    rhs_strain,
     strain_from_displacement,
     verlet_step,
 )
@@ -32,15 +31,26 @@ def displacement_state(n=16, q=None, w=None, time=0.0):
     return LatticeState("displacement", time, q=q, w=w)
 
 
-def smooth_strain_state(n, seed, amplitude):
+def smooth_displacement_state(n, seed, amplitude):
     rng = np.random.default_rng(seed)
-    return strain_from_displacement(displacement_state(
-        n, q=smooth_random_field(n, rng, amplitude), w=smooth_random_field(n, rng, amplitude)))
+    return displacement_state(
+        n, q=smooth_random_field(n, rng, amplitude), w=smooth_random_field(n, rng, amplitude))
+
+
+def smooth_strain_state(n, seed, amplitude):
+    return strain_from_displacement(smooth_displacement_state(n, seed, amplitude))
+
+
+def strain_accelerations(state, force):
+    """(d2u/dt2, d2v/dt2) of the strain view of a displacement state: the
+    forward differences of the displacement acceleration."""
+    a = rhs_displacement(state, force)
+    return lattice._forward_diff(a, 0), lattice._forward_diff(a, 1)
 
 
 def second_difference_rhs_strain(u, v, force):
     """The strain accelerations written out as second differences of the bond
-    forces (the reference for the shared divergence stencil)."""
+    forces (the oracle for the differenced displacement acceleration)."""
     fu = force.w_prime(u, "x")
     fv = force.w_prime(v, "y")
     d2u = (
@@ -57,7 +67,8 @@ def second_difference_rhs_strain(u, v, force):
 
 
 def reference_verlet(state, force, dt, n_steps):
-    """Plain velocity Verlet on the strain form, two force evaluations a step."""
+    """Plain velocity Verlet on the strain form, two force evaluations a step;
+    returns the strain arrays (u, v, ut, vt)."""
     u, v, ut, vt = (a.copy() for a in state.arrays())
     for _ in range(n_steps):
         au, av = second_difference_rhs_strain(u, v, force)
@@ -106,15 +117,17 @@ class TestRhsDisplacement:
 
 
 class TestRhsStrain:
+    """The strain flow is the forward difference of the displacement flow:
+    its accelerations, the differences of rhs_displacement, against the
+    second-difference oracle."""
+
     def test_zero(self):
-        s = LatticeState("strain", u=np.zeros((8, 8)), v=np.zeros((8, 8)),
-                         ut=np.zeros((8, 8)), vt=np.zeros((8, 8)))
-        d2u, d2v = rhs_strain(s, BASE)
+        d2u, d2v = strain_accelerations(displacement_state(8), BASE)
         assert np.all(d2u == 0.0) and np.all(d2v == 0.0)
 
     def test_consistent_with_differenced_displacement(self):
-        # oracle: difference the displacement accelerations (the two systems
-        # are algebraically equivalent)
+        # oracle: the second-difference strain stencil on the differenced
+        # state (the two systems are algebraically equivalent)
         rng = np.random.default_rng(0)
         for amp in (0.3, 0.05):
             q = smooth_random_field(24, rng, amplitude=amp)
@@ -122,7 +135,7 @@ class TestRhsStrain:
             disp = displacement_state(24, q=q, w=w)
             strain = strain_from_displacement(disp)
             a = rhs_displacement(disp, BASE)
-            d2u, d2v = rhs_strain(strain, BASE)
+            d2u, d2v = second_difference_rhs_strain(strain.u, strain.v, BASE)
             assert np.allclose(d2u, np.roll(a, -1, axis=0) - a, atol=1e-13)
             assert np.allclose(d2v, np.roll(a, -1, axis=1) - a, atol=1e-13)
 
@@ -131,7 +144,8 @@ class TestRhsStrain:
         q[3, 5] = 0.1
         disp = displacement_state(q=q)
         a = rhs_displacement(disp, BASE)
-        d2u, d2v = rhs_strain(strain_from_displacement(disp), BASE)
+        strain = strain_from_displacement(disp)
+        d2u, d2v = second_difference_rhs_strain(strain.u, strain.v, BASE)
         assert np.allclose(d2u, np.roll(a, -1, axis=0) - a, atol=1e-15)
         assert np.allclose(d2v, np.roll(a, -1, axis=1) - a, atol=1e-15)
 
@@ -139,35 +153,33 @@ class TestRhsStrain:
     def test_shared_stencil_matches_second_differences(self, law):
         n = 24
         force = FORCE_LAWS[law](n)
-        s = smooth_strain_state(n, 12, 0.3)
-        got = rhs_strain(s, force)
+        disp = smooth_displacement_state(n, 12, 0.3)
+        s = strain_from_displacement(disp)
+        got = strain_accelerations(disp, force)
         want = second_difference_rhs_strain(s.u, s.v, force)
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
 
     def test_out_buffers_receive_the_result(self):
-        s = smooth_strain_state(16, 13, 0.2)
+        s = smooth_displacement_state(16, 13, 0.2)
         out = tuple(np.full((16, 16), np.nan) for _ in range(3))
-        d2u, d2v = rhs_strain(s, BASE, out=out)
-        assert d2u is out[0] and d2v is out[1]
-        fresh = rhs_strain(s, BASE)
-        assert np.array_equal(d2u, fresh[0]) and np.array_equal(d2v, fresh[1])
+        a = rhs_displacement(s, BASE, out=out)
+        assert a is out[2]
+        assert np.array_equal(a, rhs_displacement(s, BASE))
 
     def test_plane_wave_linear_part(self):
-        # small-amplitude compatible plane wave: d2u ~ -omega^2 u + O(amp^3)
+        # small-amplitude plane wave: d2u ~ -omega^2 u + O(amp^3)
         n, jx, jy = 16, 2, 2
         k, l = 2 * np.pi * jx / n, 2 * np.pi * jy / n
         w0 = omega(WaveVector(k, l))
         m = np.arange(n)
         x, y = np.meshgrid(m, m, indexing="ij")
         c = 0.005
-        ratio = (np.exp(1j * l) - 1) / (np.exp(1j * k) - 1)
-        u = 2 * c * np.cos(k * x + l * y)
-        v = 2 * np.real(ratio * c * np.exp(1j * (k * x + l * y)))
-        s = LatticeState("strain", u=u, v=v, ut=np.zeros((n, n)), vt=np.zeros((n, n)))
-        d2u, d2v = rhs_strain(s, BASE)
-        assert np.allclose(d2u, -w0**2 * u, atol=60 * c**3)
-        assert np.allclose(d2v, -w0**2 * v, atol=60 * c**3)
+        disp = displacement_state(n, q=2 * c * np.cos(k * x + l * y))
+        s = strain_from_displacement(disp)
+        d2u, d2v = strain_accelerations(disp, BASE)
+        assert np.allclose(d2u, -w0**2 * s.u, atol=60 * c**3)
+        assert np.allclose(d2v, -w0**2 * s.v, atol=60 * c**3)
 
 
 class TestVerlet:
@@ -188,7 +200,7 @@ class TestVerlet:
         assert s2.time == pytest.approx(0.0, abs=1e-15)
 
     def test_returns_new_state_and_leaves_input(self):
-        s0 = smooth_strain_state(16, 14, 0.2)
+        s0 = smooth_displacement_state(16, 14, 0.2)
         before = [a.copy() for a in s0.arrays()]
         s1 = verlet_step(s0, BASE, 0.1)
         assert s1 is not s0 and s0.time == 0.0 and s1.time == pytest.approx(0.1)
@@ -208,10 +220,9 @@ class TestVerlet:
             verlet_step(displacement_state(8, q=q), BASE, 0.1)
 
     def test_nan_state_trips_guard(self):
-        vt = np.zeros((8, 8))
-        vt[2, 3] = np.nan
-        state = LatticeState("strain", u=np.zeros((8, 8)), v=np.zeros((8, 8)),
-                             ut=np.zeros((8, 8)), vt=vt)
+        w = np.zeros((8, 8))
+        w[2, 3] = np.nan
+        state = displacement_state(8, w=w)
         assert np.isnan(state.max_amplitude())  # NaN in the last array counts too
         with pytest.raises(UnstableStep):
             verlet_step(state, BASE, 0.1)
@@ -229,19 +240,25 @@ class TestVerlet:
             lattice._check_amplitude(s)
 
     def test_nan_planted_mid_run_is_reported_where_and_when(self):
-        # the observer holds the live state: a NaN put into u at t = 1 is in
-        # u at (5, 7) alone after the next drift, so the step ending at
-        # t = 1.1 trips the guard there
+        # the observer holds the live state: a NaN put into q at (15, 15) at
+        # t = 1 spreads by at most one site a step, and the guard, checked
+        # every CHECK_EVERY steps inside a segment three times that long,
+        # reports it in q within CHECK_EVERY steps
+        dt, k = 0.1, lattice.CHECK_EVERY
+
         def plant(st):
             if st.time == 1.0:
-                st.u[5, 7] = np.nan
+                st.q[15, 15] = np.nan
 
         with pytest.raises(UnstableStep) as info:
-            integrate(smooth_strain_state(16, 16, 0.1), BASE, 0.1,
-                      np.linspace(0, 2, 3), plant)
-        message = str(info.value)
-        assert "u = nan at site (m, n) = (5, 7)" in message
-        assert float(re.search(r"t = ([\d.]+)", message).group(1)) == pytest.approx(1.1)
+            integrate(smooth_displacement_state(32, 16, 0.1), BASE, dt,
+                      [0.0, 1.0, 1.0 + 3 * k * dt], plant)
+        found = re.search(r"q = nan at site \(m, n\) = \((\d+), (\d+)\), t = ([\d.]+)",
+                          str(info.value))
+        assert found is not None, str(info.value)
+        m, n, t = int(found[1]), int(found[2]), float(found[3])
+        assert abs(m - 15) + abs(n - 15) <= k
+        assert 1.0 < t <= 1.0 + k * dt + 1e-12
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(2)
@@ -285,29 +302,52 @@ class TestVerlet:
 
     @pytest.mark.parametrize("form", ["displacement", "strain"])
     def test_one_force_evaluation_per_step(self, form, monkeypatch):
+        # a strain run steps (q, w) too and is observed through the differences
         calls = []
-        for name in ("rhs_displacement", "rhs_strain"):
-            original = getattr(lattice, name)
+        original = lattice.rhs_displacement
 
-            def counted(*args, _original=original, **kwargs):
-                calls.append(1)
-                return _original(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
 
-            monkeypatch.setattr(lattice, name, counted)
-        s = smooth_strain_state(16, 17, 0.1)
-        if form == "displacement":
-            s = displacement_state(16, q=s.u, w=s.ut)
+        monkeypatch.setattr(lattice, "rhs_displacement", counted)
+        seen = []
+        view = strain_from_displacement if form == "strain" else LatticeState.copy
         # 3 + 4 + 5 steps over three sample segments, plus the sample at t0
-        final = integrate(s, BASE, 0.1, [0.0, 0.3, 0.7, 1.2], lambda st: None)
+        final = integrate(smooth_displacement_state(16, 17, 0.1), BASE, 0.1,
+                          [0.0, 0.3, 0.7, 1.2], lambda st: seen.append(view(st)))
         assert final.time == pytest.approx(1.2)
         assert len(calls) == 12 + 1
+        assert [st.form for st in seen] == [form] * 4
+
+    def test_integrate_takes_displacement_form_only(self):
+        with pytest.raises(FormMismatch):
+            integrate(smooth_strain_state(16, 17, 0.1), BASE, 0.1, [0.5], lambda st: None)
+        with pytest.raises(FormMismatch):
+            verlet_step(smooth_strain_state(16, 17, 0.1), BASE, 0.1)
 
     def test_matches_reference_verlet_500_steps(self):
-        s = smooth_strain_state(24, 18, 0.3)
+        # the differenced displacement run against velocity Verlet on the
+        # strain form (unmerged kicks, the second-difference oracle)
+        disp = smooth_displacement_state(24, 18, 0.3)
         dt = 0.05
-        final = integrate(s, BASE, dt, [500 * dt], lambda st: None)
-        want = reference_verlet(s, BASE, (500 * dt) / 500, 500)
-        for got, ref in zip(final.arrays(), want):
+        final = integrate(disp, BASE, dt, [500 * dt], lambda st: None)
+        want = reference_verlet(strain_from_displacement(disp), BASE, (500 * dt) / 500, 500)
+        for got, ref in zip(strain_from_displacement(final).arrays(), want):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("law", sorted(FORCE_LAWS))
+    def test_integrate_matches_chained_verlet_steps(self, law):
+        # the merged kicks of one march against S separate steps, each with
+        # its own opening and closing half-kick
+        n, dt, steps = 16, 0.05, 3 * lattice.CHECK_EVERY + 7
+        force = FORCE_LAWS[law](n)
+        chained = smooth_displacement_state(n, 19, 0.3)
+        final = integrate(chained, force, dt, [steps * dt], lambda st: None)
+        for _ in range(steps):
+            chained = verlet_step(chained, force, dt)
+        assert final.time == pytest.approx(chained.time)
+        for got, ref in zip(final.arrays(), chained.arrays()):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_phase_slope_frequencies(self):
@@ -373,16 +413,28 @@ class TestCompatibility:
         assert compatibility_defect(s) > 0
 
     def test_defect_invariant_short_run(self):
+        # the strain-form oracle flow keeps the constraint, and the strain
+        # run, the differenced displacement run, follows it
         rng = np.random.default_rng(6)
         disp = displacement_state(
             16, q=smooth_random_field(16, rng, 0.2), w=smooth_random_field(16, rng, 0.2)
         )
-        s = strain_from_displacement(disp)
-        defects = []
-        integrate(s, BASE, 1e-2, np.linspace(0, 5, 26),
-                  lambda st: defects.append(compatibility_defect(st)))
-        scale = np.max(np.abs(s.u))
+        ref = strain_from_displacement(disp)
+        scale = np.max(np.abs(ref.u))
+        defects, gaps = [], []
+
+        def observe(st):
+            nonlocal ref
+            if st.time > ref.time:
+                ref = LatticeState.from_arrays(
+                    "strain", st.time, reference_verlet(ref, BASE, 1e-2, 20))
+            defects.append(compatibility_defect(ref))
+            gaps.append(max(np.max(np.abs(a - b)) for a, b in
+                            zip(strain_from_displacement(st).arrays(), ref.arrays())))
+
+        integrate(disp, BASE, 1e-2, np.linspace(0, 5, 26), observe)
         assert max(defects) / scale < 1e-11
+        assert max(gaps) / scale < 1e-11
 
 
 class TestStencil:
