@@ -79,14 +79,27 @@ def nls_problem_for(disp: DispersionData, variant: str,
     return NlsProblem(disp.hessian, gamma_tilde(disp, variant), dT)
 
 
-def _harmonics(env: EnvelopeField, disp: DispersionData, variant: str,
-               corrections: bool) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """DFTs of the envelope-grid basis field B_j of each harmonic e^{i j theta}
-    and of dB_j/dT; B_1 = A takes two FFTs, of A and of the cubic term of dA/dT."""
+def envelope_rhs(env: EnvelopeField, disp: DispersionData,
+                 variant: str) -> tuple[np.ndarray, complex]:
+    """What dA/dT needs besides A: the linear symbol of the variant's envelope
+    equation on env's grid, and its cubic coefficient.
+
+    Both depend only on the grid and the carrier, so a run that samples many
+    envelopes on one grid builds them once and passes them as rhs.
+    """
     prob = nls_problem_for(disp, variant)
+    return linear_symbol(env, prob), prob.nonlin_coeff
+
+
+def _harmonics(env: EnvelopeField, disp: DispersionData, variant: str,
+               corrections: bool, rhs=None) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """DFTs of the envelope-grid basis field B_j of each harmonic e^{i j theta}
+    and of dB_j/dT; B_1 = A takes two FFTs, of A and of the cubic term of dA/dT.
+    rhs is envelope_rhs on env's grid, built here when None."""
+    symbol, gamma = envelope_rhs(env, disp, variant) if rhs is None else rhs
     a = env.a
     a_hat = fft.fft2(a)
-    a_t_hat = envelope_rhs_spectrum(a, a_hat, linear_symbol(env, prob), prob.nonlin_coeff)
+    a_t_hat = envelope_rhs_spectrum(a, a_hat, symbol, gamma)
     basis = {1: (a_hat, a_t_hat)}
     if corrections:
         a_t = fft.ifft2(a_t_hat)
@@ -177,8 +190,8 @@ def eval_envelope(spectra: list[np.ndarray], env: EnvelopeField, eps: float, t: 
 
 
 def _assemble_branches(env: EnvelopeField, disp: DispersionData, eps: float,
-                       t: float, n_side: int, variant: str,
-                       corrections: bool) -> dict[str, list[np.ndarray]]:
+                       t: float, n_side: int, variant: str, corrections: bool,
+                       rhs) -> dict[str, list[np.ndarray]]:
     """Complex positive-branch sums sum_j eps^p w_j B_j e^{i j theta} per field.
 
     Returns, per position array of the form, the branch field and its exact
@@ -190,7 +203,7 @@ def _assemble_branches(env: EnvelopeField, disp: DispersionData, eps: float,
     kv = disp.carrier
     w0 = disp.omega0
     cx, cy = disp.group_velocity
-    basis = _harmonics(env, disp, variant, corrections)
+    basis = _harmonics(env, disp, variant, corrections, rhs)
     weights = _weights(disp, variant, corrections)
 
     # d/dt of B_j(X, Y, T) e^{i j theta} = e^{i j theta} times
@@ -216,10 +229,12 @@ def _assemble_branches(env: EnvelopeField, disp: DispersionData, eps: float,
 
 
 def sample_ansatz(env: EnvelopeField, disp: DispersionData, eps: float, t: float,
-                  n_side: int, variant: str, corrections: bool = False) -> LatticeState:
+                  n_side: int, variant: str, corrections: bool = False,
+                  rhs=None) -> LatticeState:
     """The ansatz on the N x N lattice as a state of form variant at time t:
-    positions are the psi fields, velocities their exact time derivatives."""
-    acc = _assemble_branches(env, disp, eps, t, n_side, variant, corrections)
+    positions are the psi fields, velocities their exact time derivatives.
+    rhs is envelope_rhs on env's grid, built here when None."""
+    acc = _assemble_branches(env, disp, eps, t, n_side, variant, corrections, rhs)
     names = _positions(variant)
     return LatticeState.from_arrays(
         variant, t, [acc[p][0].real for p in names] + [acc[p][1].real for p in names])
@@ -305,7 +320,7 @@ def _lattice_multipliers(n: int):
 
 
 def residual_norm(env: EnvelopeField, disp: DispersionData, eps: float, t: float,
-                  n_side: int, variant: str, with_corrections: bool) -> float:
+                  n_side: int, variant: str, with_corrections: bool, rhs=None) -> float:
     """L1-of-DFT norm of the first-order-system defect on the ansatz at time t.
 
     The diagonalized system splits each field into branches evolving by
@@ -318,9 +333,10 @@ def residual_norm(env: EnvelopeField, disp: DispersionData, eps: float, t: float
     naive second-order defect d2(psi)/dt2 - RHS(psi) cannot see the branch
     structure: the first-harmonic correction rides the carrier's own
     space-time phase there, so only the branch-resolved residual exhibits the
-    extra cancellation order.)
+    extra cancellation order.)  rhs is envelope_rhs on env's grid, built here
+    when None.
     """
-    acc = _assemble_branches(env, disp, eps, t, n_side, variant, with_corrections)
+    acc = _assemble_branches(env, disp, eps, t, n_side, variant, with_corrections, rhs)
     w, inv_8iw = _lattice_multipliers(n_side)
     names = _positions(variant)
     fields = [2 * acc[p][0].real for p in names]

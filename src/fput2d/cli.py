@@ -8,7 +8,9 @@
 Exit codes: 0 success, 1 config error, 2 inadmissible carrier, 3 solver
 error (including a NaN or infinity in a report, which strict JSON cannot
 hold), 4 acceptance/order-fit failure.  Codes 1 and 2 come before simulate,
-sweep or residual creates --out.  FPUT2D_THREADS caps the worker pool.
+sweep or residual creates --out.  FPUT2D_THREADS caps the worker pool and
+sets the single-run overlap: with 2 or more (the CPU count when unset),
+simulate solves the envelope in a second thread beside the lattice run.
 All outputs land under --out together with a manifest.json.
 """
 

@@ -253,7 +253,12 @@ def load_plan(path: str | None = None, overrides=()) -> ExperimentPlan:
 
 
 def thread_cap() -> int:
-    """Worker-pool cap: FPUT2D_THREADS if set, else the CPU count."""
+    """Thread cap: FPUT2D_THREADS if set, else the CPU count.
+
+    It caps the sweep's worker pool; divided by the pool width it is a run's
+    thread budget, which decides whether the envelope solve overlaps the
+    lattice run (harness._run_group).
+    """
     raw = os.environ.get("FPUT2D_THREADS")
     if not raw:
         return os.cpu_count() or 1

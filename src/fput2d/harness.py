@@ -19,11 +19,24 @@ the eps values whose boxes are the same float share one envelope solve and
 get bit-identical records to separate runs.  The groups run in a process pool
 (FPUT2D_THREADS caps the width); with more than one worker the smallest eps,
 the costliest run, is a task of its own.
+
+A run's thread budget is FPUT2D_THREADS (the CPU count when unset) divided
+by the width of the pool it runs in: the whole cap for run_single and a
+sweep without a pool, cap // width in a pool worker.  With a budget of 2 or
+more the envelope solve runs in a second thread and hands each sample over
+as it is captured, so the lattice run starts at once and waits only for a
+sample it needs that is not in yet; with a budget of 1 the solve runs to the
+end first.  The records are bit-identical either way.  A failing envelope
+takes precedence: when the solve and the lattice run both fail, the run
+raises EnvelopeBlowup, as it does when the solve runs first.  The solve's
+thread is joined before the run returns or raises.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
@@ -32,7 +45,13 @@ import numpy as np
 from scipy import special
 
 from . import __version__
-from .ansatz import build_initial_data, nls_problem_for, residual_norm, sample_ansatz
+from .ansatz import (
+    build_initial_data,
+    envelope_rhs,
+    nls_problem_for,
+    residual_norm,
+    sample_ansatz,
+)
 from .config import ExperimentPlan, thread_cap
 from .dispersion import DispersionData, nls_coefficients
 from .lattice import (
@@ -43,7 +62,7 @@ from .lattice import (
     perturbed_force,
     strain_from_displacement,
 )
-from .nls import EnvelopeField, edge_mass_fraction, evolve, gaussian_field, h4_proxy, mass
+from .nls import EnvelopeField, edge_mass_fraction, evolve, gaussian_field, mass
 
 DEFAULT_ERROR_FLOOR = 1e-10
 
@@ -114,16 +133,96 @@ def _by_box(plan: ExperimentPlan, eps_values) -> list[list[float]]:
 
 
 def _solve_envelope(plan: ExperimentPlan, disp, env0: EnvelopeField,
-                    sample_times) -> list[EnvelopeField]:
-    """The plan's envelope equation solved from env0, captured at sample_times."""
+                    sample_times, on_sample=None) -> list[EnvelopeField]:
+    """The plan's envelope equation solved from env0, captured at sample_times
+    (handed to on_sample as they are captured, when given)."""
     prob = nls_problem_for(disp, env0.variant, plan.dt_slow)
     return evolve(env0, prob, plan.t0, sample_times=sample_times,
-                  blowup_guard=plan.blowup_guard)
+                  blowup_guard=plan.blowup_guard, on_sample=on_sample)
 
 
-def _run_lattice(plan: ExperimentPlan, disp, eps: float, env0: EnvelopeField,
-                 envs: list[EnvelopeField], keep_state_indices=()) -> dict:
-    """The lattice run at eps against a solved envelope; its record has no wall time."""
+def _sample_times(plan: ExperimentPlan) -> np.ndarray:
+    """The slow times at which a run compares the lattice with the ansatz."""
+    return np.linspace(0.0, plan.t0, plan.sample_count)
+
+
+class _EnvelopeSamples:
+    """Envelope samples handed over, as the solve captures them, to the
+    lattice runs that observe them.
+
+    The solve calls put; an observer's get blocks only until its own sample
+    is in.  Each sample's envelope_diag row is taken at capture, with the
+    H^4 proxy the solve's guard read.
+    """
+
+    def __init__(self, count: int):
+        self.diag: list[list[float]] = []
+        self._last = count - 1
+        self._error: Exception | None = None
+        self._fields: list[EnvelopeField | None] = []
+        self._finished = False
+        self._changed = threading.Condition()
+
+    def put(self, field: EnvelopeField, h4: float) -> None:
+        row = [field.slow_time, mass(field), h4, float(np.max(np.abs(field.a)))]
+        with self._changed:
+            self._fields.append(field)
+            self.diag.append(row)
+            self._changed.notify_all()
+
+    def get(self, i: int, release: bool = False) -> EnvelopeField:
+        """Sample i once it is captured; raises the solve's error if the solve
+        failed first.  With release the hand-off drops sample i, unless it is
+        the final one."""
+        with self._changed:
+            self._changed.wait_for(lambda: len(self._fields) > i or self._finished)
+            if len(self._fields) <= i:
+                raise self._error
+            field = self._fields[i]
+            if release and i < self._last:
+                self._fields[i] = None
+        return field
+
+    def _produce(self, solve) -> None:
+        try:
+            solve(self.put)
+        except Exception as exc:  # raised again in the observing thread
+            with self._changed:
+                self._error = exc
+        finally:
+            with self._changed:
+                self._finished = True
+                self._changed.notify_all()
+
+    @contextlib.contextmanager
+    def producing(self, solve, overlap: bool):
+        """Run solve(put) to fill the hand-off: inline before the block, or,
+        with overlap, in a thread that runs beside it and is joined before
+        the block exits.  When both fail, the solve's error is the one
+        raised, as when the solve runs first."""
+        if not overlap:
+            solve(self.put)
+            yield self
+            return
+        producer = threading.Thread(target=self._produce, args=(solve,),
+                                    name="fput2d-envelope")
+        producer.start()
+        try:
+            yield self
+        except Exception:
+            producer.join()
+            if self._error is not None:
+                raise self._error
+            raise
+        finally:
+            producer.join()
+
+
+def _run_lattice(plan: ExperimentPlan, disp, eps: float, env0: EnvelopeField, rhs,
+                 samples: _EnvelopeSamples, keep_state_indices=(),
+                 release: bool = False) -> dict:
+    """The lattice run at eps against the envelope samples; its record has no
+    wall time.  With release it drops each sample once observed."""
     n = plan.n_side_for(eps)
     dt = plan.dt_for(eps)
     state, proj_diag = build_initial_data(
@@ -142,10 +241,10 @@ def _run_lattice(plan: ExperimentPlan, disp, eps: float, env0: EnvelopeField,
     def observe(st):
         i = idx[0]
         idx[0] += 1
-        env_i = envs[i]
+        env_i = samples.get(i, release)
         # the run steps (q, w); a strain run is observed through its differences
         view = strain_from_displacement(st) if strain else st
-        s = sample_ansatz(env_i, disp, eps, st.time, n, plan.variant)
+        s = sample_ansatz(env_i, disp, eps, st.time, n, plan.variant, rhs=rhs)
         err = float(np.max(sum(np.abs(a - b) for a, b in zip(view.arrays(), s.arrays()))))
         times.append(float(st.time))
         sup_errors.append(err)
@@ -158,16 +257,13 @@ def _run_lattice(plan: ExperimentPlan, disp, eps: float, env0: EnvelopeField,
             residuals.append(
                 [float(st.time),
                  residual_norm(env_i, disp, eps, st.time, n, plan.variant,
-                               plan.corrections)]
+                               plan.corrections, rhs)]
             )
 
-    # the lattice is observed at the envelope's sample times
-    integrate(state, force, dt, np.array([e.slow_time for e in envs]) / eps**2, observe)
-
-    envelope_diag = [
-        [e.slow_time, mass(e), h4_proxy(e), float(np.max(np.abs(e.a)))]
-        for e in envs
-    ]
+    # the lattice is observed at the envelope's sample times, taken from the
+    # plan so that the run starts before the solve has captured them all
+    integrate(state, force, dt, _sample_times(plan) / eps**2, observe)
+    env_final = samples.get(plan.sample_count - 1)
 
     max_err = max(sup_errors)
     e0 = energy(state, force)
@@ -182,37 +278,49 @@ def _run_lattice(plan: ExperimentPlan, disp, eps: float, env0: EnvelopeField,
         "error_over_eps2": max_err / eps**2,
         "residual_norms": residuals,
         "lattice_diag": lattice_diag,
-        "envelope_diag": envelope_diag,
+        "envelope_diag": [list(row) for row in samples.diag],
         "energy_drift": (max(abs(row[1] - e0) for row in lattice_diag) / abs(e0)
                          if abs(e0) > 0 else None),
         "compat_defect_max": max(row[2] for row in lattice_diag) if strain else None,
-        "envelope_edge_mass": edge_mass_fraction(envs[-1]),
+        "envelope_edge_mass": edge_mass_fraction(env_final),
         "degenerate_modes": proj_diag["degenerate_modes"],
         "projection_displacement": proj_diag["max_projection_displacement"],
     }
     if kept_states:
         record["_states"] = kept_states
-        record["_env_final"] = envs[-1]
+        record["_env_final"] = env_final
     return record
 
 
-def _run_group(plan: ExperimentPlan, eps_values, keep_state_indices=()) -> list[dict]:
+def _run_group(plan: ExperimentPlan, eps_values, keep_state_indices=(),
+               pool_width: int = 1) -> list[dict]:
     """Records of eps runs that share one envelope box, all on one envelope solve.
 
-    Each record's wall_time_s runs from the end of the previous run, so the
-    first one pays for the solve and the sum is the group's busy time.
+    The solve overlaps the lattice runs when the thread budget, thread_cap()
+    over pool_width, is 2 or more (see the module docstring); the last run
+    drops each sample once observed.  Each record's wall_time_s runs from
+    the end of the previous run, so the first one pays for the solve and the
+    sum is the group's busy time.
     """
     t_wall = time.time()
     disp = checked_dispersion(plan)
     env0 = _initial_envelope(plan, eps_values[0])
-    envs = _solve_envelope(plan, disp, env0, np.linspace(0.0, plan.t0, plan.sample_count))
+    samples = _EnvelopeSamples(plan.sample_count)
+
+    def solve(on_sample):
+        _solve_envelope(plan, disp, env0, _sample_times(plan), on_sample)
+
     records = []
-    for eps in eps_values:
-        record = _run_lattice(plan, disp, eps, env0, envs, keep_state_indices)
-        now = time.time()
-        record["wall_time_s"] = now - t_wall
-        t_wall = now
-        records.append(record)
+    with samples.producing(solve, overlap=thread_cap() // pool_width >= 2):
+        # built here, after an inline solve has freed its working arrays
+        rhs = envelope_rhs(env0, disp, plan.variant)
+        for k, eps in enumerate(eps_values):
+            record = _run_lattice(plan, disp, eps, env0, rhs, samples, keep_state_indices,
+                                  release=k == len(eps_values) - 1)
+            now = time.time()
+            record["wall_time_s"] = now - t_wall
+            t_wall = now
+            records.append(record)
     return records
 
 
@@ -273,11 +381,12 @@ def residual_sweep(plan: ExperimentPlan) -> list[dict]:
     for group in _by_box(plan, plan.eps_list):
         envs = _solve_envelope(plan, disp, _initial_envelope(plan, group[0]),
                                [f * plan.t0 for f in plan.residual_fractions])
+        rhs = envelope_rhs(envs[0], disp, plan.variant)
         for eps in group:
             n = plan.n_side_for(eps)
             per_time = {
                 label: [residual_norm(env, disp, eps, env.slow_time / eps**2, n,
-                                      plan.variant, flag) for env in envs]
+                                      plan.variant, flag, rhs) for env in envs]
                 for label, flag in (("with", True), ("without", False))
             }
             rows[eps] = {
@@ -290,8 +399,8 @@ def residual_sweep(plan: ExperimentPlan) -> list[dict]:
 
 
 def _worker(args):
-    plan_dict, eps_values = args
-    return _run_group(ExperimentPlan(**plan_dict), eps_values)
+    plan_dict, eps_values, pool_width = args
+    return _run_group(ExperimentPlan(**plan_dict), eps_values, pool_width=pool_width)
 
 
 def _pool_width(plan: ExperimentPlan) -> int:
@@ -327,8 +436,9 @@ def run_sweep(plan: ExperimentPlan) -> dict:
     width = _pool_width(plan)
     tasks = _schedule(plan, width)
     if width > 1:
-        with ProcessPoolExecutor(max_workers=min(width, len(tasks))) as pool:
-            done = list(pool.map(_worker, [(asdict(plan), task) for task in tasks]))
+        workers = min(width, len(tasks))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_worker, [(asdict(plan), task, workers) for task in tasks]))
     else:
         done = [_run_group(plan, task) for task in tasks]
     by_eps = {rec["eps"]: rec for group in done for rec in group}

@@ -257,23 +257,26 @@ def _march(state: LatticeState, force: ForceLaw, dt: float, n_steps: int, accel,
     accel, the acceleration at the current positions, lives in buffers; the
     one at the new positions is returned for the next march (FSAL).  Kick and
     drift increments go to fx, the work array the acceleration leaves free.
+    A state that overflows between two checks is reported by the guard, so
+    numpy's overflow and invalid-value warnings are off inside the march.
     """
     if abs(dt) > DT_MAX:
         raise ValueError(f"|dt| = {abs(dt)} exceeds dt_max = {DT_MAX}")
     q, w = state.q, state.w
     work = buffers[0]
     kick = 0.5 * dt
-    for i in range(n_steps):
-        w += np.multiply(accel, kick, out=work)
-        q += np.multiply(w, dt, out=work)
-        # looked up as a module global on every call, so a wrapper put on it
-        # (a counter, a tracer) sees every force evaluation
-        accel = rhs_displacement(state, force, out=buffers)
-        kick = dt
-        state.time += dt
-        if (i + 1) % CHECK_EVERY == 0:
-            _check_amplitude(state)
-    w += np.multiply(accel, 0.5 * dt, out=work)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            w += np.multiply(accel, kick, out=work)
+            q += np.multiply(w, dt, out=work)
+            # looked up as a module global on every call, so a wrapper put on
+            # it (a counter, a tracer) sees every force evaluation
+            accel = rhs_displacement(state, force, out=buffers)
+            kick = dt
+            state.time += dt
+            if (i + 1) % CHECK_EVERY == 0:
+                _check_amplitude(state)
+        w += np.multiply(accel, 0.5 * dt, out=work)
     return accel
 
 

@@ -166,7 +166,8 @@ def edge_mass_fraction(field: EnvelopeField, rim: float = 0.1) -> float:
 
 
 def evolve(field: EnvelopeField, prob: NlsProblem, t_final: float,
-           sample_times=None, blowup_guard: float = DEFAULT_BLOWUP_GUARD) -> list[EnvelopeField]:
+           sample_times=None, blowup_guard: float = DEFAULT_BLOWUP_GUARD,
+           on_sample=None) -> list[EnvelopeField]:
     """March to t_final, capturing the field at each requested slow time.
 
     The field stays in Fourier space for the whole march; consecutive linear
@@ -174,6 +175,10 @@ def evolve(field: EnvelopeField, prob: NlsProblem, t_final: float,
     EnvelopeBlowup when the H^4 proxy, checked about every CHECK_INTERVAL of
     slow time (at least once a step) and at each sample time, exceeds
     blowup_guard or is NaN.
+
+    Returns the captured fields.  With on_sample, each one is instead handed
+    over as it is captured, as on_sample(field, h4) with the H^4 proxy the
+    guard just read off its spectrum, and the returned list stays empty.
     """
     if sample_times is None:
         sample_times = [t_final]
@@ -191,13 +196,18 @@ def evolve(field: EnvelopeField, prob: NlsProblem, t_final: float,
     rotation = np.empty_like(spectrum)
     t = field.slow_time
     captured: list[EnvelopeField] = []
+    if on_sample is None:
+        def on_sample(sample, _h4):
+            captured.append(sample)
 
-    def check(spec, t_now):
+    def check(spec, t_now) -> float:
+        h4 = _h4_of_spectrum(spec, weight, field)
         # written so that a NaN proxy trips the guard too
-        if not _h4_of_spectrum(spec, weight, field) <= blowup_guard:
+        if not h4 <= blowup_guard:
             raise EnvelopeBlowup(
                 f"H4 proxy exceeded {blowup_guard} at T = {t_now:.6f}"
             )
+        return h4
 
     check(spectrum, t)
     for t_target in sample_times:
@@ -225,7 +235,6 @@ def evolve(field: EnvelopeField, prob: NlsProblem, t_final: float,
                 if (i + 1) % check_every == 0:
                     check(spectrum, t + (i + 1) * dt)
             t = t_target
-        check(spectrum, t)
-        captured.append(EnvelopeField(field.box_length, fft.ifft2(spectrum), t,
-                                      field.variant))
+        h4 = check(spectrum, t)
+        on_sample(EnvelopeField(field.box_length, fft.ifft2(spectrum), t, field.variant), h4)
     return captured

@@ -3,12 +3,16 @@
 import os
 import subprocess
 import sys
+import threading
+import time
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fput2d import harness
+from fput2d.cli import main
 from fput2d.config import carrier_period
 from fput2d.harness import (
     DegenerateFit,
@@ -21,6 +25,8 @@ from fput2d.harness import (
     run_single,
     run_sweep,
 )
+from fput2d.lattice import UnstableStep
+from fput2d.nls import EnvelopeBlowup, EnvelopeField
 
 PIH = np.pi / 2
 
@@ -281,7 +287,9 @@ class TestRunSweep:
 
 
 def _count_solves(monkeypatch) -> list[float]:
-    """Box lengths of the envelopes the harness solves, in call order."""
+    """Box lengths of the envelopes the harness solves, in call order; a
+    thread budget of 2 puts a sweep without a pool on the overlapped solve."""
+    monkeypatch.setenv("FPUT2D_THREADS", "2")
     boxes = []
     real = harness.evolve
 
@@ -342,6 +350,188 @@ class TestEnvelopeSharing:
             single = run_single(plan, rec["eps"])
             rec.pop("wall_time_s"), single.pop("wall_time_s")
             assert report_to_json(rec) == report_to_json(single)
+
+
+def _threads_left_by(run):
+    """Call run() and return the count of threads it left alive, and its
+    exception or None."""
+    before = threading.active_count()
+    try:
+        run()
+        raised = None
+    except Exception as exc:
+        raised = exc
+    return threading.active_count() - before, raised
+
+
+class TestOverlappedSolve:
+    # with a thread budget (FPUT2D_THREADS over the pool width) of 2 the
+    # envelope solve runs in a second thread beside the lattice runs
+
+    @pytest.mark.parametrize("variant", ["strain", "displacement"])
+    @pytest.mark.parametrize("corrections", [False, True])
+    def test_records_match_inline_solve(self, monkeypatch, variant, corrections):
+        plan = small_plan(variant=variant, corrections=corrections)
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("FPUT2D_THREADS", threads)
+            before = threading.active_count()
+            runs.append(run_single(plan, 0.25, keep_state_indices=(0, 2, 4)))
+            assert threading.active_count() == before
+        inline, overlapped = runs
+        for rec in runs:
+            rec.pop("wall_time_s")
+        states = [rec.pop("_states") for rec in runs]
+        finals = [rec.pop("_env_final") for rec in runs]
+        assert report_to_json(inline) == report_to_json(overlapped)
+        assert sorted(states[0]) == sorted(states[1]) == [0, 2, 4]
+        for i in states[0]:
+            for a, b in zip(states[0][i].arrays(), states[1][i].arrays(), strict=True):
+                assert np.array_equal(a, b)
+        assert np.array_equal(finals[0].a, finals[1].a)
+        assert finals[0].slow_time == finals[1].slow_time == plan.t0
+
+    def test_sweep_without_a_pool_leaves_no_thread(self, monkeypatch):
+        monkeypatch.setenv("FPUT2D_THREADS", "2")
+        left, raised = _threads_left_by(lambda: run_sweep(small_plan(workers=1)))
+        assert (left, raised) == (0, None)
+
+    def test_solve_thread_follows_the_budget(self, monkeypatch):
+        on_main, finished = [], []
+        real = harness.evolve
+
+        def recording(*args, **kwargs):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            out = real(*args, **kwargs)
+            time.sleep(0.2)  # a solve that ends after its last sample
+            finished.append(True)
+            return out
+
+        monkeypatch.setattr(harness, "evolve", recording)
+        plan = small_plan()
+        monkeypatch.setenv("FPUT2D_THREADS", "2")
+        before = threading.active_count()
+        run_single(plan, 0.25)
+        assert finished == [True] and threading.active_count() == before
+        harness._run_group(plan, [0.25], pool_width=2)  # a worker of a 2-wide pool
+        monkeypatch.setenv("FPUT2D_THREADS", "1")
+        run_single(plan, 0.25)
+        assert on_main == [False, True, True]
+
+    @pytest.mark.parametrize("guard", [1e-3, 10.0])
+    def test_envelope_blowup_keeps_the_inline_message(self, monkeypatch, guard):
+        # 1e-3 trips at T = 0; 10 trips at T ~ 0.13, after the lattice run
+        # has started (amplitude 1.5 keeps the lattice inside its guard)
+        plan = small_plan(amplitude=1.5, blowup_guard=guard)
+        messages = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("FPUT2D_THREADS", threads)
+            left, raised = _threads_left_by(lambda: run_single(plan, 0.25))
+            assert left == 0
+            assert type(raised) is EnvelopeBlowup
+            messages.append(str(raised))
+        assert messages[0] == messages[1]
+        assert f"exceeded {guard}" in messages[0]
+
+    def test_lattice_failure_raises_unstable_step(self, monkeypatch):
+        monkeypatch.setenv("FPUT2D_THREADS", "2")
+        left, raised = _threads_left_by(lambda: run_single(small_plan(amplitude=3.0), 0.25))
+        assert left == 0
+        assert type(raised) is UnstableStep
+
+    def test_failing_envelope_takes_precedence(self, monkeypatch):
+        # the lattice trips at t = 0.8 (T = 0.05) and the envelope at T ~ 0.17;
+        # the solve raises only after the lattice has failed, so the order
+        # of the two failures is fixed
+        lattice_failed = threading.Event()
+        real_evolve, real_integrate = harness.evolve, harness.integrate
+
+        def late_evolve(*args, **kwargs):
+            try:
+                return real_evolve(*args, **kwargs)
+            except EnvelopeBlowup:
+                lattice_failed.wait(timeout=30)
+                raise
+
+        def integrate(*args, **kwargs):
+            try:
+                return real_integrate(*args, **kwargs)
+            except UnstableStep:
+                lattice_failed.set()
+                raise
+
+        monkeypatch.setattr(harness, "evolve", late_evolve)
+        monkeypatch.setattr(harness, "integrate", integrate)
+        monkeypatch.setenv("FPUT2D_THREADS", "2")
+        left, raised = _threads_left_by(
+            lambda: run_single(small_plan(amplitude=3.0, blowup_guard=300.0), 0.25))
+        assert lattice_failed.is_set()
+        assert left == 0
+        assert type(raised) is EnvelopeBlowup
+        assert "exceeded 300.0" in str(raised)
+
+    @pytest.mark.parametrize("amplitude, guard", [(1.5, 10), (80, 1e4)])
+    def test_simulate_exits_3_on_envelope_blowup(self, monkeypatch, tmp_path, capsys,
+                                                  recwarn, amplitude, guard):
+        # at amplitude 80 the lattice run overflows too, before the solve
+        # fails; its guard reports that, with no numpy warnings
+        monkeypatch.setenv("FPUT2D_THREADS", "2")
+        before = threading.active_count()
+        code = main(["simulate", "--out", str(tmp_path), "--set", "eps=0.25",
+                     "--set", "eps_list=0.4,0.32,0.25", "--set", "t0=0.2",
+                     "--set", "box_length=8", "--set", "grid_side=32",
+                     "--set", "sigma=1.5", "--set", f"amplitude={amplitude}",
+                     "--set", f"blowup_guard={guard}", "--set", "sample_count=5"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert len(err.splitlines()) == 1 and "EnvelopeBlowup" in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert threading.active_count() == before
+
+    @staticmethod
+    def _sample(k: int) -> EnvelopeField:
+        return EnvelopeField(2.0, np.full((4, 4), k, dtype=complex), 0.01 * k)
+
+    def test_observer_waits_only_for_its_own_sample(self):
+        samples = harness._EnvelopeSamples(2)
+        observed = threading.Event()
+
+        def solve(on_sample):
+            on_sample(self._sample(0), 0.0)
+            if not observed.wait(timeout=30):
+                raise TimeoutError("sample 0 was not handed over before sample 1")
+            on_sample(self._sample(1), 0.0)
+
+        with samples.producing(solve, overlap=True):
+            assert samples.get(0).slow_time == 0.0
+            observed.set()
+            assert samples.get(1).slow_time == 0.01
+
+    def test_hand_off_under_frequent_switches_releases_samples(self):
+        # a short switch interval interleaves the solve and the observer at
+        # many more points than a run does
+        count = 300
+        samples = harness._EnvelopeSamples(count)
+        refs = []
+
+        def solve(on_sample):
+            for k in range(count):
+                field = self._sample(k)
+                refs.append(weakref.ref(field))
+                on_sample(field, float(k))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with samples.producing(solve, overlap=True):
+                got = [samples.get(i, release=True).a[0, 0].real for i in range(count)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == list(range(count))
+        assert [row[2] for row in samples.diag] == list(range(count))
+        # the observed samples are gone; the final one stays for the record
+        assert all(ref() is None for ref in refs[:-1])
+        assert samples.get(count - 1) is refs[-1]()
 
 
 class TestReportJson:

@@ -253,6 +253,21 @@ class TestEvolve:
         with pytest.raises(EnvelopeBlowup):
             evolve(EnvelopeField(40.0, a), NlsProblem(H_CENTER, -3j, dT=1e-3), 0.1)
 
+    def test_on_sample_streams_the_captured_fields(self):
+        # the streamed fields are the listed ones bit for bit, each with the
+        # H^4 proxy of its spectrum, and the solve keeps no list of its own
+        f = gaussian_field(40.0, 128, amplitude=0.8)
+        prob = NlsProblem(H_CENTER, -3j, dT=1e-2)
+        times = [0.0, 0.05, 0.1]
+        listed = evolve(f, prob, 0.1, sample_times=times)
+        streamed = []
+        assert evolve(f, prob, 0.1, sample_times=times,
+                      on_sample=lambda g, h4: streamed.append((g, h4))) == []
+        assert [g.slow_time for g, _ in streamed] == times
+        for want, (got, h4) in zip(listed, streamed, strict=True):
+            assert np.array_equal(got.a, want.a)
+            assert abs(h4 - h4_proxy(want)) <= 1e-12 * h4_proxy(want)
+
     def test_b_envelope_consistency(self):
         # evolving B0 = ratio * A0 with 4*gamma_b must track ratio * (A evolved
         # with 4*gamma_a): the cross relation gamma_b = gamma_a wx^2/wy^2 makes
