@@ -3,7 +3,8 @@
 
 Runs the strain sweep, the displacement sweep, and the perturbed-force
 displacement sweep at eps in {0.2, 0.14, 0.1}, fits the error orders, and
-writes one report JSON per experiment.  Expect ~5-10 minutes on a laptop.
+writes one report JSON per experiment.  The three sweeps took 106 s on a
+2-core machine (2 pool workers).
 """
 
 import argparse

@@ -31,6 +31,7 @@ from .harness import (
     NonFiniteReport,
     NonResonantCarrierRequired,
     checked_dispersion,
+    envelope_box,
     fit_order,
     report_to_json,
     residual_sweep,
@@ -98,6 +99,11 @@ def cmd_coeffs(plan: ExperimentPlan) -> int:
     return EXIT_OK
 
 
+def _boxes(plan: ExperimentPlan, eps_values) -> list[tuple[float, float]]:
+    """(eps, envelope box length eps*N) of each eps a command runs."""
+    return [(eps, envelope_box(plan, eps)) for eps in eps_values]
+
+
 def cmd_simulate(plan: ExperimentPlan, out_dir: Path) -> int:
     snap_idx = tuple(sorted(
         {int(round(f)) for f in np.linspace(0, plan.sample_count - 1, plan.snapshots)}
@@ -129,7 +135,8 @@ def cmd_simulate(plan: ExperimentPlan, out_dir: Path) -> int:
     summary = out_dir / "summary.json"
     summary.write_text(report_to_json(record))
     files.append(summary.name)
-    write_manifest(out_dir, "simulate", plan.hash(), files + ["manifest.json"])
+    write_manifest(out_dir, "simulate", plan.hash(), files + ["manifest.json"],
+                   _boxes(plan, [plan.eps]))
     print(f"simulate: eps={plan.eps} max_sup_error={record['max_sup_error']:.6e} "
           f"-> {summary}")
     return EXIT_OK
@@ -154,7 +161,8 @@ def cmd_sweep(plan: ExperimentPlan, out_dir: Path) -> int:
             for t, e in zip(rec["times"], rec["sup_errors"]):
                 csv_out.write(t, e)
         files.append(path.name)
-    write_manifest(out_dir, "sweep", plan.hash(), files + ["manifest.json"])
+    write_manifest(out_dir, "sweep", plan.hash(), files + ["manifest.json"],
+                   _boxes(plan, plan.eps_list))
     order = report["fitted_order"]
     print(f"sweep: fitted_order={order if order is None else round(order, 4)} "
           f"pass={report['pass']} -> {report_path}")
@@ -179,7 +187,8 @@ def cmd_residual(plan: ExperimentPlan, out_dir: Path) -> int:
         code = EXIT_ACCEPTANCE
     path = out_dir / "residual_report.json"
     path.write_text(report_to_json(report))
-    write_manifest(out_dir, "residual", plan.hash(), [path.name, "manifest.json"])
+    write_manifest(out_dir, "residual", plan.hash(), [path.name, "manifest.json"],
+                   _boxes(plan, plan.eps_list))
     print(f"residual: orders with={report.get('order_with_corrections')} "
           f"without={report.get('order_without_corrections')} -> {path}")
     return code

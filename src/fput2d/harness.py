@@ -99,7 +99,7 @@ def _force_for(plan: ExperimentPlan, eps: float, n_side: int) -> ForceLaw:
     return ForceLaw(kind=plan.force_kind, eps=eps)
 
 
-def _envelope_box(plan: ExperimentPlan, eps: float) -> float:
+def envelope_box(plan: ExperimentPlan, eps: float) -> float:
     """Side of the envelope torus at eps: the lattice footprint eps*N.
 
     Commensurate tori: the moving envelope window wraps exactly.
@@ -109,7 +109,7 @@ def _envelope_box(plan: ExperimentPlan, eps: float) -> float:
 
 def _initial_envelope(plan: ExperimentPlan, eps: float) -> EnvelopeField:
     """The T = 0 envelope on the torus that matches the lattice at eps."""
-    box = _envelope_box(plan, eps)
+    box = envelope_box(plan, eps)
     if plan.envelope_kind == "gaussian":
         return gaussian_field(box, plan.grid_side, plan.amplitude, plan.sigma,
                               variant=plan.variant)
@@ -128,7 +128,7 @@ def _by_box(plan: ExperimentPlan, eps_values) -> list[list[float]]:
     """
     groups: dict[float, list[float]] = {}
     for eps in eps_values:
-        groups.setdefault(_envelope_box(plan, eps), []).append(eps)
+        groups.setdefault(envelope_box(plan, eps), []).append(eps)
     return list(groups.values())
 
 

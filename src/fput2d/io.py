@@ -27,11 +27,14 @@ from __future__ import annotations
 import csv
 import json
 import os
+import platform
 import struct
 from pathlib import Path
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .lattice import _ARRAY_NAMES, LatticeState
 from .nls import EnvelopeField
 
@@ -132,11 +135,17 @@ class DiagnosticsCsv:
         self.close()
 
 
-def write_manifest(out_dir, command: str, config_hash: str, files) -> Path:
+def write_manifest(out_dir, command: str, config_hash: str, files, envelope_boxes) -> Path:
+    """Write manifest.json: the command, the plan hash, the package, Python,
+    numpy and scipy versions, the envelope box length of each (eps, box) pair
+    in envelope_boxes, and the files of the output directory."""
     path = Path(out_dir) / "manifest.json"
     manifest = {
         "command": command,
         "config_hash": config_hash,
+        "versions": {"fput2d": __version__, "python": platform.python_version(),
+                     "numpy": np.__version__, "scipy": scipy.__version__},
+        "envelope_boxes": [{"eps": eps, "box_length": box} for eps, box in envelope_boxes],
         "files": sorted(str(f) for f in files),
     }
     path.write_text(json.dumps(manifest, indent=2))

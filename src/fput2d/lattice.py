@@ -15,6 +15,16 @@ its accelerations are the forward differences of div, and it satisfies the
 discrete curl-free constraint u_{m,n+1} - u_{m,n} = v_{m+1,n} - v_{m,n},
 which compatibility_defect measures.
 
+The stencils write each difference straight into a preallocated buffer and
+are bit-identical to the np.roll formulas.  A shift along axis 0 is a row
+slice.  A shift along axis 1 is one unit-stride pass over the flattened
+arrays, each element against its neighbour in memory; that pass crosses each
+row end, and the periodic wrap column is written over those entries.  The
+pass needs C-contiguous arrays: an input that is not is read through
+np.ascontiguousarray, a new result is allocated C-ordered, and an out that is
+not C-contiguous raises ValueError, since ravel() of one is a copy that the
+pass would fill and drop.
+
 The integrator is velocity Verlet (symplectic, second order, time reversible)
 stepped in place in its leapfrog form: between two observations the closing
 half-kick of one step and the opening half-kick of the next are one full
@@ -99,7 +109,7 @@ class ForceLaw:
         if self.kind == "linear":
             return np.positive(u, out=out)  # a copy
         if self.kind == "cubic_baseline":
-            np.multiply(u, u, out=out)
+            np.square(u, out=out)
             out *= u
             return np.subtract(u, out, out=out)
         c1, c2, c3 = self._poly[direction]
@@ -189,13 +199,32 @@ class LatticeState:
         return float(np.max([np.max(np.abs(a)) for a in self.arrays()]))
 
 
-def _forward_diff(f: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Periodic forward difference S+ f - f along axis (into out if given; out is not f)."""
+def _c_contiguous_out(out: np.ndarray | None, shape) -> np.ndarray:
+    """out, or a new float64 array of shape; a flat pass writes through
+    out.ravel(), which is a copy, not a view, unless out is C-contiguous."""
     if out is None:
-        out = np.empty_like(f)
-    g, o = (f, out) if axis == 0 else (f.T, out.T)
-    np.subtract(g[1:], g[:-1], out=o[:-1])
-    np.subtract(g[0], g[-1], out=o[-1])  # the wrap row
+        return np.empty(shape)
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous array")
+    return out
+
+
+def _forward_diff(f: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Periodic forward difference S+ f - f along axis (into out if given; out is not f).
+
+    Along axis 1 the difference is one pass over the flattened arrays, each
+    element minus its predecessor in memory; the pass crosses each row end,
+    and the wrap column f[:, 0] - f[:, -1] then overwrites those entries.
+    """
+    f = np.ascontiguousarray(f)
+    out = _c_contiguous_out(out, f.shape)
+    if axis == 0:
+        np.subtract(f[1:], f[:-1], out=out[:-1])
+        np.subtract(f[0], f[-1], out=out[-1])  # the wrap row
+    else:
+        flat, o = f.ravel(), out.ravel()
+        np.subtract(flat[1:], flat[:-1], out=o[:-1])
+        np.subtract(f[:, 0], f[:, -1], out=out[:, -1])  # the wrap column
     return out
 
 
@@ -215,12 +244,20 @@ def _buffers(state: LatticeState) -> tuple[np.ndarray, ...]:
 
 def _divergence(fx: np.ndarray, fy: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Backward divergence fx - S-x fx + fy - S-y fy, the net bond force per site,
-    into out (neither fx nor fy)."""
+    into out (neither fx nor fy).
+
+    The S-y fy term is one flat pass that subtracts from each element its
+    predecessor in memory; column 0, where that pass crosses a row end, is
+    computed first with the wrap column fy[:, -1] and written back after.
+    """
+    fx, fy = np.ascontiguousarray(fx), np.ascontiguousarray(fy)
+    out = _c_contiguous_out(out, fx.shape)
     np.subtract(fx[1:], fx[:-1], out=out[1:])
     np.subtract(fx[0], fx[-1], out=out[0])  # the wrap row
     out += fy
-    out[:, 1:] -= fy[:, :-1]
-    out[:, 0] -= fy[:, -1]  # the wrap column
+    wrap = out[:, 0] - fy[:, -1]  # the wrap column
+    out.ravel()[1:] -= fy.ravel()[:-1]
+    out[:, 0] = wrap
     return out
 
 
@@ -255,20 +292,23 @@ def _march(state: LatticeState, force: ForceLaw, dt: float, n_steps: int, accel,
     size dt, with merged kicks and a guard check every CHECK_EVERY steps.
 
     accel, the acceleration at the current positions, lives in buffers; the
-    one at the new positions is returned for the next march (FSAL).  Kick and
-    drift increments go to fx, the work array the acceleration leaves free.
-    A state that overflows between two checks is reported by the guard, so
-    numpy's overflow and invalid-value warnings are off inside the march.
+    one at the new positions is returned for the next march (FSAL).  Inside
+    a step the kick scales accel in place and the drift increment overwrites
+    it, since the force evaluation rebuilds it next; the closing half-kick
+    goes through fx, the work array the acceleration leaves free, so the
+    returned accel is intact.  A state that overflows between two checks is
+    reported by the guard, so numpy's overflow and invalid-value warnings are
+    off inside the march.
     """
     if abs(dt) > DT_MAX:
         raise ValueError(f"|dt| = {abs(dt)} exceeds dt_max = {DT_MAX}")
     q, w = state.q, state.w
-    work = buffers[0]
     kick = 0.5 * dt
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
-            w += np.multiply(accel, kick, out=work)
-            q += np.multiply(w, dt, out=work)
+            accel *= kick
+            w += accel
+            q += np.multiply(w, dt, out=accel)
             # looked up as a module global on every call, so a wrapper put on
             # it (a counter, a tracer) sees every force evaluation
             accel = rhs_displacement(state, force, out=buffers)
@@ -276,7 +316,7 @@ def _march(state: LatticeState, force: ForceLaw, dt: float, n_steps: int, accel,
             state.time += dt
             if (i + 1) % CHECK_EVERY == 0:
                 _check_amplitude(state)
-        w += np.multiply(accel, 0.5 * dt, out=work)
+        w += np.multiply(accel, 0.5 * dt, out=buffers[0])
     return accel
 
 

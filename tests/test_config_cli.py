@@ -2,17 +2,19 @@
 
 import json
 import math
+import platform
 import re
 import struct
 from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+import scipy
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fput2d import harness
+from fput2d import __version__, harness
 from fput2d.cli import build_parser, main
 from fput2d.config import ConfigError, ExperimentPlan, carrier_period, load_plan
 from fput2d.io import SnapshotTruncated, read_snapshot, write_snapshot
@@ -25,6 +27,21 @@ TINY = [
     "--set", "sigma=1.5", "--set", "amplitude=0.8",
     "--set", "sample_count=5", "--set", "workers=1",
 ]
+
+
+def check_manifest(out_dir, command, overrides, eps_values):
+    """The manifest names the command, the four versions and, per eps run,
+    the envelope box length eps*N."""
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["versions"] == {
+        "fput2d": __version__, "python": platform.python_version(),
+        "numpy": np.__version__, "scipy": scipy.__version__}
+    plan = load_plan(None, overrides[1::2])
+    assert manifest["envelope_boxes"] == [
+        {"eps": eps, "box_length": eps * plan.n_side_for(eps)} for eps in eps_values]
+    assert "manifest.json" in manifest["files"]
+    return manifest
 
 
 class TestConfig:
@@ -337,7 +354,9 @@ class TestSimulateCommand:
         assert summary["max_sup_error"] == 0.0
         snaps = list(tmp_path.glob("state_*.snap"))
         assert len(snaps) >= 3
-        assert (tmp_path / "manifest.json").exists()
+        manifest = check_manifest(tmp_path, "simulate",
+                                  TINY + ["--set", "amplitude=0", "--set", "eps=0.25"], [0.25])
+        assert manifest["envelope_boxes"][0]["box_length"] == 8.0  # N = 32
         # diagnostic streams follow the documented column schemas
         lat = (tmp_path / "lattice_diag.csv").read_text().splitlines()
         assert lat[0] == "t,energy,compat_defect,max_amp"
@@ -425,7 +444,7 @@ class TestSweepCommand:
         assert rep1 == rep2
         assert rep1["fitted_order"] is not None
         assert (tmp_path / "a" / "order_fit.tsv").exists()
-        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        manifest = check_manifest(tmp_path / "a", "sweep", TINY, [0.4, 0.32, 0.25])
         assert manifest["config_hash"] == rep1["metadata"]["config_hash"]
 
     def test_error_over_eps2_bound_enforced_exit_4(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for the FPUT lattice right-hand sides, integrator, and diagnostics."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -320,6 +321,25 @@ class TestVerlet:
         assert len(calls) == 12 + 1
         assert [st.form for st in seen] == [form] * 4
 
+    @pytest.mark.parametrize("law", sorted(FORCE_LAWS))
+    def test_march_allocates_no_lattice_array(self, law):
+        # a step works in the state and its three buffers; a flat pass through
+        # a ravel() copy, or any N x N temporary, would show as a peak of at
+        # least one N x N float64 array
+        n = 64
+        state = smooth_displacement_state(n, 19, 0.1)
+        force = FORCE_LAWS[law](n)
+        buffers = lattice._buffers(state)
+        accel = lattice.rhs_displacement(state, force, out=buffers)
+        accel = lattice._march(state, force, 0.1, 1, accel, buffers)  # warm-up
+        tracemalloc.start()
+        try:
+            lattice._march(state, force, 0.1, 50, accel, buffers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
+
     def test_integrate_takes_displacement_form_only(self):
         with pytest.raises(FormMismatch):
             integrate(smooth_strain_state(16, 17, 0.1), BASE, 0.1, [0.5], lambda st: None)
@@ -437,27 +457,53 @@ class TestCompatibility:
         assert max(gaps) / scale < 1e-11
 
 
+# the C-ordered input and three that are not C-contiguous: ravel() of one of
+# those is a copy, so a flat pass into such an out would fill a copy and drop it
+LAYOUTS = {
+    "c": lambda a: a,
+    "fortran": np.asfortranarray,
+    "transposed": lambda a: a.T,
+    "complex_real": lambda a: (a + 1j).real,  # a strided view
+}
+
+
 class TestStencil:
-    """The slice-based stencils against their np.roll formulas, bit for bit."""
+    """The slice-based stencils against their np.roll formulas, bit for bit,
+    on each input layout."""
 
     @pytest.mark.parametrize("n", [8, 9, 32])
     @pytest.mark.parametrize("axis", [0, 1])
     def test_forward_diff_matches_roll(self, n, axis):
-        f = np.random.default_rng(n + axis).normal(size=(n, n))
-        expected = np.roll(f, -1, axis=axis) - f
-        assert np.array_equal(lattice._forward_diff(f, axis), expected)
-        out = np.full_like(f, np.nan)
-        assert lattice._forward_diff(f, axis, out=out) is out
-        assert np.array_equal(out, expected)
+        base = np.random.default_rng(n + axis).normal(size=(n, n))
+        for layout, view in LAYOUTS.items():
+            f = view(base)
+            expected = np.roll(f, -1, axis=axis) - f
+            got = lattice._forward_diff(f, axis)
+            assert got.flags.c_contiguous, layout
+            assert np.array_equal(got, expected), layout
+            out = np.full((n, n), np.nan)
+            assert lattice._forward_diff(f, axis, out=out) is out
+            assert np.array_equal(out, expected), layout
 
     @pytest.mark.parametrize("n", [8, 9, 32])
     def test_divergence_matches_roll(self, n):
-        rng = np.random.default_rng(n)
-        fx, fy = rng.normal(size=(2, n, n))
-        expected = fx - np.roll(fx, 1, axis=0) + fy - np.roll(fy, 1, axis=1)
-        out = np.full_like(fx, np.nan)
-        assert lattice._divergence(fx, fy, out) is out
-        assert np.array_equal(out, expected)
+        fields = np.random.default_rng(n).normal(size=(2, n, n))
+        for layout, view in LAYOUTS.items():
+            fx, fy = view(fields[0]), view(fields[1])
+            expected = fx - np.roll(fx, 1, axis=0) + fy - np.roll(fy, 1, axis=1)
+            out = np.full((n, n), np.nan)
+            assert lattice._divergence(fx, fy, out) is out
+            assert np.array_equal(out, expected), layout
+
+    @pytest.mark.parametrize("layout", ["fortran", "transposed", "complex_real"])
+    def test_out_that_is_not_c_contiguous_raises(self, layout):
+        f = np.random.default_rng(3).normal(size=(16, 16))
+        out = LAYOUTS[layout](np.zeros((16, 16)))
+        for axis in (0, 1):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                lattice._forward_diff(f, axis, out=out)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            lattice._divergence(f, f, out)
 
     def test_strain_stencil_fourier_symbols(self):
         # the strain form's cubic residual term: forward differences of the
