@@ -3,8 +3,8 @@
 
 Runs the strain sweep, the displacement sweep, and the perturbed-force
 displacement sweep at eps in {0.2, 0.14, 0.1}, fits the error orders, and
-writes one report JSON per experiment.  The three sweeps took 106 s on a
-2-core machine (2 pool workers).
+writes one report JSON per experiment.  The three sweeps took 85 s on a
+2-core machine (a pool of 2 threads in one process).
 """
 
 import argparse

@@ -8,9 +8,10 @@
 Exit codes: 0 success, 1 config error, 2 inadmissible carrier, 3 solver
 error (including a NaN or infinity in a report, which strict JSON cannot
 hold), 4 acceptance/order-fit failure.  Codes 1 and 2 come before simulate,
-sweep or residual creates --out.  FPUT2D_THREADS caps the worker pool and
-sets the single-run overlap: with 2 or more (the CPU count when unset),
-simulate solves the envelope in a second thread beside the lattice run.
+sweep or residual creates --out.  simulate and sweep run on one thread pool,
+workers wide and capped by FPUT2D_THREADS (the CPU count when unset; also the
+width at workers=0): with 2 or more threads the envelope solve runs beside the
+lattice runs that observe it.
 All outputs land under --out together with a manifest.json.
 """
 
@@ -199,7 +200,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         plan = load_plan(args.config, args.overrides)
-        thread_cap()  # the sweep pool reads FPUT2D_THREADS; check it before any work
+        thread_cap()  # the run's pool reads FPUT2D_THREADS; check it before any work
         if args.command in ("sweep", "residual") and len(plan.eps_list) < 3:
             raise ConfigError(f"{args.command} needs at least 3 eps values")
     except ConfigError as e:

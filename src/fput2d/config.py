@@ -108,7 +108,8 @@ class ExperimentPlan:
     residual_order_min_with: float = _key(3.6, "residual-order bar with corrections")
     residual_order_min_without: float = _key(2.7, "residual-order bar without corrections")
     error_over_eps2_bound: float = _key(50.0, "sanity cap on sup_error / eps^2")
-    workers: int = _key(0, "eps-parallel workers; 0 = auto (FPUT2D_THREADS caps)",
+    workers: int = _key(0, "threads running envelope solves and lattice runs; 0 = auto "
+                        "(FPUT2D_THREADS caps)",
                         *_NON_NEGATIVE)
     blowup_guard: float = _key(DEFAULT_BLOWUP_GUARD, "H4-proxy guard for the envelope solve",
                                *_POSITIVE)
@@ -255,9 +256,9 @@ def load_plan(path: str | None = None, overrides=()) -> ExperimentPlan:
 def thread_cap() -> int:
     """Thread cap: FPUT2D_THREADS if set, else the CPU count.
 
-    It caps the sweep's worker pool; divided by the pool width it is a run's
-    thread budget, which decides whether the envelope solve overlaps the
-    lattice run (harness._run_group).
+    It caps the width of the thread pool that runs a call's envelope solves
+    and lattice runs, and is that width when the plan's workers is 0
+    (harness._pool_width).
     """
     raw = os.environ.get("FPUT2D_THREADS")
     if not raw:

@@ -16,29 +16,32 @@ reports pass/fail against the expected quadratic order.
 Deterministic by construction: a plan plus seed fixes every array ever drawn.
 The envelope depends on eps only through its box eps*N, so within one sweep
 the eps values whose boxes are the same float share one envelope solve and
-get bit-identical records to separate runs.  The groups run in a process pool
-(FPUT2D_THREADS caps the width); with more than one worker the smallest eps,
-the costliest run, is a task of its own.
+get bit-identical records to separate runs.
 
-A run's thread budget is FPUT2D_THREADS (the CPU count when unset) divided
-by the width of the pool it runs in: the whole cap for run_single and a
-sweep without a pool, cap // width in a pool worker.  With a budget of 2 or
-more the envelope solve runs in a second thread and hands each sample over
-as it is captured, so the lattice run starts at once and waits only for a
-sample it needs that is not in yet; with a budget of 1 the solve runs to the
-end first.  The records are bit-identical either way.  A failing envelope
-takes precedence: when the solve and the lattice run both fail, the run
-raises EnvelopeBlowup, as it does when the solve runs first.  The solve's
-thread is joined before the run returns or raises.
+Every run_single and run_sweep call runs on one thread pool, plan.workers
+threads wide (FPUT2D_THREADS, the CPU count when unset, caps it and stands in
+for workers = 0).  Each group of eps runs that share a box is two tasks,
+submitted in order: the envelope solve, which hands each sample over as it is
+captured, then the group's lattice runs one after another, each waiting only
+for a sample it needs that is not in yet.  The pool takes tasks first in,
+first out, so a run never waits on a solve that has not started; with one
+thread each solve runs to the end before its runs start.  numpy and scipy.fft
+release the GIL inside their array loops, so the threads share the cores.
+With more than one thread the smallest eps of a sweep, the costliest run, is
+a group of its own.  The records are bit-identical at every width.  The first
+task to fail cancels every task not yet started, and the call raises the
+first failure in submission order: a failing envelope takes precedence over
+its failing runs, as when the solve runs first.  Every thread is joined
+before the call returns or raises.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+# ProcessPoolExecutor runs nothing here; bench/workloads.py:pool_peaks patches the name
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor  # noqa: F401
 from dataclasses import asdict
 
 import numpy as np
@@ -162,6 +165,7 @@ class _EnvelopeSamples:
         self._fields: list[EnvelopeField | None] = []
         self._finished = False
         self._changed = threading.Condition()
+        self.started: float | None = None  # wall clock at the start of the solve
 
     def put(self, field: EnvelopeField, h4: float) -> None:
         row = [field.slow_time, mass(field), h4, float(np.max(np.abs(field.a)))]
@@ -183,39 +187,20 @@ class _EnvelopeSamples:
                 self._fields[i] = None
         return field
 
-    def _produce(self, solve) -> None:
+    def produce(self, solve) -> None:
+        """Run solve(put) to fill the hand-off.  Its error is raised here and,
+        in get, to an observer waiting for a sample the solve never captured."""
+        self.started = time.time()
         try:
             solve(self.put)
-        except Exception as exc:  # raised again in the observing thread
+        except Exception as exc:
             with self._changed:
                 self._error = exc
+            raise
         finally:
             with self._changed:
                 self._finished = True
                 self._changed.notify_all()
-
-    @contextlib.contextmanager
-    def producing(self, solve, overlap: bool):
-        """Run solve(put) to fill the hand-off: inline before the block, or,
-        with overlap, in a thread that runs beside it and is joined before
-        the block exits.  When both fail, the solve's error is the one
-        raised, as when the solve runs first."""
-        if not overlap:
-            solve(self.put)
-            yield self
-            return
-        producer = threading.Thread(target=self._produce, args=(solve,),
-                                    name="fput2d-envelope")
-        producer.start()
-        try:
-            yield self
-        except Exception:
-            producer.join()
-            if self._error is not None:
-                raise self._error
-            raise
-        finally:
-            producer.join()
 
 
 def _run_lattice(plan: ExperimentPlan, disp, eps: float, env0: EnvelopeField, rhs,
@@ -292,36 +277,69 @@ def _run_lattice(plan: ExperimentPlan, disp, eps: float, env0: EnvelopeField, rh
     return record
 
 
-def _run_group(plan: ExperimentPlan, eps_values, keep_state_indices=(),
-               pool_width: int = 1) -> list[dict]:
-    """Records of eps runs that share one envelope box, all on one envelope solve.
-
-    The solve overlaps the lattice runs when the thread budget, thread_cap()
-    over pool_width, is 2 or more (see the module docstring); the last run
-    drops each sample once observed.  Each record's wall_time_s runs from
-    the end of the previous run, so the first one pays for the solve and the
-    sum is the group's busy time.
-    """
-    t_wall = time.time()
-    disp = checked_dispersion(plan)
+def _group_tasks(plan: ExperimentPlan, disp, eps_values, keep_state_indices=()) -> list:
+    """The two tasks of eps runs that share one envelope box: the solve, then
+    the lattice runs in order on its samples, the last of which drops each
+    sample once observed.  Each record's wall_time_s runs from the end of the
+    previous run, the first from the start of the solve, so the sum is the
+    group's busy time."""
     env0 = _initial_envelope(plan, eps_values[0])
     samples = _EnvelopeSamples(plan.sample_count)
 
-    def solve(on_sample):
-        _solve_envelope(plan, disp, env0, _sample_times(plan), on_sample)
+    def solve():
+        samples.produce(
+            lambda put: _solve_envelope(plan, disp, env0, _sample_times(plan), put))
 
-    records = []
-    with samples.producing(solve, overlap=thread_cap() // pool_width >= 2):
-        # built here, after an inline solve has freed its working arrays
+    def runs():
+        # built here, after a solve that ran first has freed its working arrays
         rhs = envelope_rhs(env0, disp, plan.variant)
+        records, t_wall = [], None
         for k, eps in enumerate(eps_values):
             record = _run_lattice(plan, disp, eps, env0, rhs, samples, keep_state_indices,
                                   release=k == len(eps_values) - 1)
             now = time.time()
-            record["wall_time_s"] = now - t_wall
+            # the solve has started by the time a run observes its first sample
+            record["wall_time_s"] = now - (samples.started if t_wall is None else t_wall)
             t_wall = now
             records.append(record)
-    return records
+        return records
+
+    return [solve, runs]
+
+
+def _run_tasks(width: int, tasks) -> list:
+    """The tasks' results, run in submission order on a pool `width` threads wide.
+
+    The first task to fail cancels every task not yet started; once the
+    started ones have ended, the first failure in submission order is raised.
+    """
+    submitting = threading.Lock()  # a failure cancels only once all are queued
+    with ThreadPoolExecutor(max_workers=width, thread_name_prefix="fput2d") as pool:
+        def guarded(task):
+            try:
+                return task()
+            except Exception:
+                with submitting:
+                    pool.shutdown(wait=False, cancel_futures=True)
+                raise
+
+        with submitting:
+            futures = [pool.submit(guarded, task) for task in tasks]
+    for future in futures:
+        if not future.cancelled() and future.exception() is not None:
+            raise future.exception()
+    return [future.result() for future in futures]
+
+
+def _run_groups(plan: ExperimentPlan, groups, width: int, keep_state_indices=()) -> list[dict]:
+    """Records of the eps groups, in group order, each group on one envelope
+    solve, all on one pool `width` threads wide (see the module docstring)."""
+    disp = checked_dispersion(plan)
+    tasks = [task for group in groups
+             for task in _group_tasks(plan, disp, group, keep_state_indices)]
+    done = _run_tasks(width, tasks)
+    # every second task is a group's runs; a solve returns None
+    return [record for records in done[1::2] for record in records]
 
 
 def run_single(plan: ExperimentPlan, eps: float, keep_state_indices=()) -> dict:
@@ -330,7 +348,7 @@ def run_single(plan: ExperimentPlan, eps: float, keep_state_indices=()) -> dict:
     keep_state_indices requests lattice states at those sample indices; they
     come back under the non-JSON key "_states" (the sweep never asks).
     """
-    return _run_group(plan, [eps], keep_state_indices)[0]
+    return _run_groups(plan, [[eps]], _pool_width(plan), keep_state_indices)[0]
 
 
 def fit_order(eps_values, max_errors):
@@ -398,21 +416,17 @@ def residual_sweep(plan: ExperimentPlan) -> list[dict]:
     return [rows[eps] for eps in plan.eps_list]
 
 
-def _worker(args):
-    plan_dict, eps_values, pool_width = args
-    return _run_group(ExperimentPlan(**plan_dict), eps_values, pool_width=pool_width)
-
-
 def _pool_width(plan: ExperimentPlan) -> int:
+    """Threads of a call's pool: plan.workers, capped by thread_cap(), which
+    is also the width when workers is 0."""
     cap = thread_cap()
-    want = plan.workers if plan.workers > 0 else min(len(plan.eps_list), cap)
-    return max(1, min(want, cap))
+    return min(plan.workers or cap, cap)
 
 
 def _schedule(plan: ExperimentPlan, width: int) -> list[list[float]]:
-    """The sweep's tasks: eps groups that share an envelope box, smallest eps first.
+    """The sweep's eps groups, each on one envelope box, smallest eps first.
 
-    With more than one worker the smallest eps, the costliest run, is a task
+    With more than one thread the smallest eps, the costliest run, is a group
     of its own: it alone sets the sweep's wall time, so nothing queues behind it.
     """
     ascending = sorted(plan.eps_list)
@@ -425,23 +439,16 @@ def run_sweep(plan: ExperimentPlan) -> dict:
     """Run every eps, fit the order, and assemble the report.
 
     eps values that share an envelope box share one envelope solve; with a
-    pool wider than one worker the smallest eps runs alone.  Records come
+    pool wider than one thread the smallest eps runs alone.  Records come
     back in eps_list order.  The record whose run paid for a solve carries
-    its time in wall_time_s, so the records' wall times sum to the workers'
+    its time in wall_time_s, so the records' wall times sum to the groups'
     busy time.
     """
     if len(plan.eps_list) < 3:
         raise ValueError("a sweep needs at least 3 eps values to fit an order")
     t_wall = time.time()
     width = _pool_width(plan)
-    tasks = _schedule(plan, width)
-    if width > 1:
-        workers = min(width, len(tasks))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_worker, [(asdict(plan), task, workers) for task in tasks]))
-    else:
-        done = [_run_group(plan, task) for task in tasks]
-    by_eps = {rec["eps"]: rec for group in done for rec in group}
+    by_eps = {rec["eps"]: rec for rec in _run_groups(plan, _schedule(plan, width), width)}
     records = [by_eps[eps] for eps in plan.eps_list]
 
     report = {

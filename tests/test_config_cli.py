@@ -381,9 +381,9 @@ class TestSimulateCommand:
 
 def _synthetic_runs(errors):
     """Stand-in for the sweep's group runner that returns the given max errors per eps."""
-    def fake(plan, eps_values, keep_state_indices=()):
+    def fake(plan, groups, width, keep_state_indices=()):
         records = []
-        for eps in eps_values:
+        for eps in (eps for group in groups for eps in group):
             err = errors[plan.eps_list.index(eps)]
             records.append({"eps": eps, "times": [0.0], "sup_errors": [err],
                             "max_sup_error": err, "error_over_eps2": err / eps**2,
@@ -407,7 +407,7 @@ class TestSweepCommand:
 
 
     def test_synthetic_self_test_pass(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(harness, "_run_group",
+        monkeypatch.setattr(harness, "_run_groups",
                             _synthetic_runs([0.04, 0.0196, 0.01]))
         code = main(["sweep", "--out", str(tmp_path), "--set", "workers=1",
                      "--set", "eps_list=0.2,0.14,0.1"])
@@ -418,7 +418,7 @@ class TestSweepCommand:
         assert (tmp_path / "order_fit.tsv").exists()
 
     def test_synthetic_failing_order_exit_4(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(harness, "_run_group",
+        monkeypatch.setattr(harness, "_run_groups",
                             _synthetic_runs([0.04, 0.028, 0.02]))  # slope 1
         code = main(["sweep", "--out", str(tmp_path), "--set", "workers=1",
                      "--set", "eps_list=0.2,0.14,0.1"])

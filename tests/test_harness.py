@@ -1,10 +1,10 @@
 """Tests for the experiment driver and order fitting."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
 import threading
-import time
 import weakref
 from pathlib import Path
 
@@ -222,6 +222,8 @@ class TestPoolWidth:
 
         monkeypatch.setenv("FPUT2D_THREADS", "1")
         assert _pool_width(ExperimentPlan(workers=8)) == 1
+        monkeypatch.setenv("FPUT2D_THREADS", "3")
+        assert _pool_width(ExperimentPlan(workers=0)) == 3
         monkeypatch.delenv("FPUT2D_THREADS")
         assert _pool_width(ExperimentPlan(workers=2)) <= 2
 
@@ -271,7 +273,8 @@ class TestRunSweep:
         b = strip(run_sweep(small_plan()))
         assert report_to_json(a) == report_to_json(b)
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
+        # every pool width gives the same report, from threads of this process
         def strip(rep):
             # drop timing and the execution-width knob; physics must match
             rep["metadata"].pop("wall_time_s")
@@ -281,15 +284,29 @@ class TestRunSweep:
                 r.pop("wall_time_s")
             return rep
 
-        serial = strip(run_sweep(small_plan(workers=1)))
-        parallel = strip(run_sweep(small_plan(workers=2)))
-        assert report_to_json(serial) == report_to_json(parallel)
+        observers = []
+        real = harness.integrate
+
+        def integrate(*args, **kwargs):
+            observers.append((os.getpid(), len(multiprocessing.active_children())))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "integrate", integrate)
+        for variant in ("strain", "displacement"):
+            texts = set()
+            for workers in (1, 2):
+                for threads in ("1", "2", "3"):
+                    monkeypatch.setenv("FPUT2D_THREADS", threads)
+                    observers.clear()
+                    left, raised = _threads_left_by(lambda: texts.add(report_to_json(
+                        strip(run_sweep(small_plan(variant=variant, workers=workers))))))
+                    assert (left, raised) == (0, None)
+                    assert observers == [(os.getpid(), 0)] * 3
+            assert len(texts) == 1
 
 
 def _count_solves(monkeypatch) -> list[float]:
-    """Box lengths of the envelopes the harness solves, in call order; a
-    thread budget of 2 puts a sweep without a pool on the overlapped solve."""
-    monkeypatch.setenv("FPUT2D_THREADS", "2")
+    """Box lengths of the envelopes the harness solves, in call order."""
     boxes = []
     real = harness.evolve
 
@@ -339,6 +356,47 @@ class TestEnvelopeSharing:
         assert [r["box_length"] for r in report["per_eps"]] == [
             40.0, 40.32, 40.32000000000001, 40.0]
 
+    def test_failing_sweep_solves_no_further_group(self, monkeypatch):
+        # on one thread the first group, 0.25 and 0.4 on box 8.0, trips the
+        # lattice guard at eps 0.25; the group of 0.32 is never started
+        boxes = _count_solves(monkeypatch)
+        monkeypatch.setenv("FPUT2D_THREADS", "1")
+        with pytest.raises(UnstableStep):
+            run_sweep(small_plan(amplitude=3.0, workers=2))
+        assert boxes == [8.0]
+
+    def test_failing_sweep_cancels_the_queued_groups(self, monkeypatch):
+        # on two threads the groups are [0.25], [0.32] and [0.4]; the run at
+        # 0.25 raises only once the second solve has started, and that solve
+        # ends only after the failure, so the third group is still queued
+        boxes = _count_solves(monkeypatch)
+        second_solve, lattice_failed = threading.Event(), threading.Event()
+        counting, real_integrate = harness.evolve, harness.integrate
+
+        def evolve(*args, **kwargs):
+            out = counting(*args, **kwargs)
+            if len(boxes) == 2:
+                second_solve.set()
+                lattice_failed.wait(timeout=30)
+            return out
+
+        def integrate(*args, **kwargs):
+            try:
+                return real_integrate(*args, **kwargs)
+            except UnstableStep:
+                second_solve.wait(timeout=30)
+                lattice_failed.set()
+                raise
+
+        monkeypatch.setattr(harness, "evolve", evolve)
+        monkeypatch.setattr(harness, "integrate", integrate)
+        monkeypatch.setenv("FPUT2D_THREADS", "2")
+        left, raised = _threads_left_by(
+            lambda: run_sweep(small_plan(amplitude=3.0, workers=2)))
+        assert lattice_failed.is_set()
+        assert (left, type(raised)) == (0, UnstableStep)
+        assert boxes == [8.0, 0.32 * 28]
+
     @pytest.mark.parametrize("variant", ["strain", "displacement"])
     def test_grouped_records_match_single_runs(self, monkeypatch, variant):
         # small_plan's 0.4 and 0.25 share box 8.0
@@ -365,13 +423,13 @@ def _threads_left_by(run):
 
 
 class TestOverlappedSolve:
-    # with a thread budget (FPUT2D_THREADS over the pool width) of 2 the
-    # envelope solve runs in a second thread beside the lattice runs
+    # on a pool of 2 threads (workers=2 and FPUT2D_THREADS=2) the envelope
+    # solve runs beside the lattice runs; on 1 it runs to the end first
 
     @pytest.mark.parametrize("variant", ["strain", "displacement"])
     @pytest.mark.parametrize("corrections", [False, True])
     def test_records_match_inline_solve(self, monkeypatch, variant, corrections):
-        plan = small_plan(variant=variant, corrections=corrections)
+        plan = small_plan(variant=variant, corrections=corrections, workers=2)
         runs = []
         for threads in ("1", "2"):
             monkeypatch.setenv("FPUT2D_THREADS", threads)
@@ -397,32 +455,40 @@ class TestOverlappedSolve:
         assert (left, raised) == (0, None)
 
     def test_solve_thread_follows_the_budget(self, monkeypatch):
-        on_main, finished = [], []
-        real = harness.evolve
+        events = []
+        run_started = threading.Event()
+        real_evolve, real_integrate = harness.evolve, harness.integrate
 
-        def recording(*args, **kwargs):
-            on_main.append(threading.current_thread() is threading.main_thread())
-            out = real(*args, **kwargs)
-            time.sleep(0.2)  # a solve that ends after its last sample
-            finished.append(True)
+        def evolve(*args, **kwargs):
+            out = real_evolve(*args, **kwargs)
+            # a solve that ends after its last sample, and after the run has
+            # started if the run can start first
+            run_started.wait(timeout=1)
+            events.append("solve ends")
             return out
 
-        monkeypatch.setattr(harness, "evolve", recording)
-        plan = small_plan()
-        monkeypatch.setenv("FPUT2D_THREADS", "2")
-        before = threading.active_count()
-        run_single(plan, 0.25)
-        assert finished == [True] and threading.active_count() == before
-        harness._run_group(plan, [0.25], pool_width=2)  # a worker of a 2-wide pool
-        monkeypatch.setenv("FPUT2D_THREADS", "1")
-        run_single(plan, 0.25)
-        assert on_main == [False, True, True]
+        def integrate(*args, **kwargs):
+            events.append("run starts")
+            run_started.set()
+            return real_integrate(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "evolve", evolve)
+        monkeypatch.setattr(harness, "integrate", integrate)
+        plan = small_plan(workers=2)
+        for threads, order in (("1", ["solve ends", "run starts"]),
+                               ("2", ["run starts", "solve ends"])):
+            monkeypatch.setenv("FPUT2D_THREADS", threads)
+            events.clear()
+            run_started.clear()
+            left, raised = _threads_left_by(lambda: run_single(plan, 0.25))
+            assert (left, raised) == (0, None)
+            assert events == order
 
     @pytest.mark.parametrize("guard", [1e-3, 10.0])
     def test_envelope_blowup_keeps_the_inline_message(self, monkeypatch, guard):
         # 1e-3 trips at T = 0; 10 trips at T ~ 0.13, after the lattice run
         # has started (amplitude 1.5 keeps the lattice inside its guard)
-        plan = small_plan(amplitude=1.5, blowup_guard=guard)
+        plan = small_plan(amplitude=1.5, blowup_guard=guard, workers=2)
         messages = []
         for threads in ("1", "2"):
             monkeypatch.setenv("FPUT2D_THREADS", threads)
@@ -435,7 +501,8 @@ class TestOverlappedSolve:
 
     def test_lattice_failure_raises_unstable_step(self, monkeypatch):
         monkeypatch.setenv("FPUT2D_THREADS", "2")
-        left, raised = _threads_left_by(lambda: run_single(small_plan(amplitude=3.0), 0.25))
+        left, raised = _threads_left_by(
+            lambda: run_single(small_plan(amplitude=3.0, workers=2), 0.25))
         assert left == 0
         assert type(raised) is UnstableStep
 
@@ -464,7 +531,8 @@ class TestOverlappedSolve:
         monkeypatch.setattr(harness, "integrate", integrate)
         monkeypatch.setenv("FPUT2D_THREADS", "2")
         left, raised = _threads_left_by(
-            lambda: run_single(small_plan(amplitude=3.0, blowup_guard=300.0), 0.25))
+            lambda: run_single(small_plan(amplitude=3.0, blowup_guard=300.0, workers=2),
+                               0.25))
         assert lattice_failed.is_set()
         assert left == 0
         assert type(raised) is EnvelopeBlowup
@@ -502,10 +570,12 @@ class TestOverlappedSolve:
                 raise TimeoutError("sample 0 was not handed over before sample 1")
             on_sample(self._sample(1), 0.0)
 
-        with samples.producing(solve, overlap=True):
+        def observe():
             assert samples.get(0).slow_time == 0.0
             observed.set()
             assert samples.get(1).slow_time == 0.01
+
+        harness._run_tasks(2, [lambda: samples.produce(solve), observe])
 
     def test_hand_off_under_frequent_switches_releases_samples(self):
         # a short switch interval interleaves the solve and the observer at
@@ -523,8 +593,9 @@ class TestOverlappedSolve:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with samples.producing(solve, overlap=True):
-                got = [samples.get(i, release=True).a[0, 0].real for i in range(count)]
+            _, got = harness._run_tasks(2, [
+                lambda: samples.produce(solve),
+                lambda: [samples.get(i, release=True).a[0, 0].real for i in range(count)]])
         finally:
             sys.setswitchinterval(interval)
         assert got == list(range(count))
