@@ -27,8 +27,8 @@ for a sample it needs that is not in yet.  The pool takes tasks first in,
 first out, so a run never waits on a solve that has not started; with one
 thread each solve runs to the end before its runs start.  numpy and scipy.fft
 release the GIL inside their array loops, so the threads share the cores.
-With more than one thread the smallest eps of a sweep, the costliest run, is
-a group of its own.  The records are bit-identical at every width.  The first
+A sweep queues its groups smallest eps first, so its costliest run starts
+first.  The records are bit-identical at every width.  The first
 task to fail cancels every task not yet started, and the call raises the
 first failure in submission order: a failing envelope takes precedence over
 its failing runs, as when the solve runs first.  Every thread is joined
@@ -278,17 +278,18 @@ def _run_lattice(plan: ExperimentPlan, disp, eps: float, env0: EnvelopeField, rh
 
 
 def _group_tasks(plan: ExperimentPlan, disp, eps_values, keep_state_indices=()) -> list:
-    """The two tasks of eps runs that share one envelope box: the solve, then
-    the lattice runs in order on its samples, the last of which drops each
-    sample once observed.  Each record's wall_time_s runs from the end of the
-    previous run, the first from the start of the solve, so the sum is the
-    group's busy time."""
+    """The two tasks of eps runs that share one envelope box: the solve, which
+    returns no records, then the lattice runs in order on its samples, the
+    last of which drops each sample once observed.  Each record's wall_time_s
+    runs from the end of the previous run, the first from the start of the
+    solve, so the sum is the group's busy time."""
     env0 = _initial_envelope(plan, eps_values[0])
     samples = _EnvelopeSamples(plan.sample_count)
 
     def solve():
         samples.produce(
             lambda put: _solve_envelope(plan, disp, env0, _sample_times(plan), put))
+        return []
 
     def runs():
         # built here, after a solve that ran first has freed its working arrays
@@ -337,9 +338,7 @@ def _run_groups(plan: ExperimentPlan, groups, width: int, keep_state_indices=())
     disp = checked_dispersion(plan)
     tasks = [task for group in groups
              for task in _group_tasks(plan, disp, group, keep_state_indices)]
-    done = _run_tasks(width, tasks)
-    # every second task is a group's runs; a solve returns None
-    return [record for records in done[1::2] for record in records]
+    return [record for records in _run_tasks(width, tasks) for record in records]
 
 
 def run_single(plan: ExperimentPlan, eps: float, keep_state_indices=()) -> dict:
@@ -423,32 +422,24 @@ def _pool_width(plan: ExperimentPlan) -> int:
     return min(plan.workers or cap, cap)
 
 
-def _schedule(plan: ExperimentPlan, width: int) -> list[list[float]]:
-    """The sweep's eps groups, each on one envelope box, smallest eps first.
-
-    With more than one thread the smallest eps, the costliest run, is a group
-    of its own: it alone sets the sweep's wall time, so nothing queues behind it.
-    """
-    ascending = sorted(plan.eps_list)
-    if width > 1:
-        return [ascending[:1]] + _by_box(plan, ascending[1:])
-    return _by_box(plan, ascending)
+def _schedule(plan: ExperimentPlan) -> list[list[float]]:
+    """The sweep's eps groups, each on one envelope box, smallest eps first:
+    the costliest run starts first."""
+    return _by_box(plan, sorted(plan.eps_list))
 
 
 def run_sweep(plan: ExperimentPlan) -> dict:
     """Run every eps, fit the order, and assemble the report.
 
-    eps values that share an envelope box share one envelope solve; with a
-    pool wider than one thread the smallest eps runs alone.  Records come
-    back in eps_list order.  The record whose run paid for a solve carries
+    eps values that share an envelope box share one envelope solve.  Records
+    come back in eps_list order.  The record whose run paid for a solve carries
     its time in wall_time_s, so the records' wall times sum to the groups'
     busy time.
     """
     if len(plan.eps_list) < 3:
         raise ValueError("a sweep needs at least 3 eps values to fit an order")
     t_wall = time.time()
-    width = _pool_width(plan)
-    by_eps = {rec["eps"]: rec for rec in _run_groups(plan, _schedule(plan, width), width)}
+    by_eps = {rec["eps"]: rec for rec in _run_groups(plan, _schedule(plan), _pool_width(plan))}
     records = [by_eps[eps] for eps in plan.eps_list]
 
     report = {

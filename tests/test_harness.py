@@ -274,7 +274,8 @@ class TestRunSweep:
         assert report_to_json(a) == report_to_json(b)
 
     def test_parallel_matches_serial(self, monkeypatch):
-        # every pool width gives the same report, from threads of this process
+        # pool widths 1, 2 and 3 give the same report, from threads of this
+        # process, and FPUT2D_THREADS caps the width
         def strip(rep):
             # drop timing and the execution-width knob; physics must match
             rep["metadata"].pop("wall_time_s")
@@ -294,14 +295,15 @@ class TestRunSweep:
         monkeypatch.setattr(harness, "integrate", integrate)
         for variant in ("strain", "displacement"):
             texts = set()
-            for workers in (1, 2):
-                for threads in ("1", "2", "3"):
-                    monkeypatch.setenv("FPUT2D_THREADS", threads)
-                    observers.clear()
-                    left, raised = _threads_left_by(lambda: texts.add(report_to_json(
-                        strip(run_sweep(small_plan(variant=variant, workers=workers))))))
-                    assert (left, raised) == (0, None)
-                    assert observers == [(os.getpid(), 0)] * 3
+            for threads, workers in (("3", 1), ("3", 2), ("3", 3), ("1", 2)):
+                monkeypatch.setenv("FPUT2D_THREADS", threads)
+                plan = small_plan(variant=variant, workers=workers)
+                assert harness._pool_width(plan) == min(workers, int(threads))
+                observers.clear()
+                left, raised = _threads_left_by(lambda: texts.add(report_to_json(
+                    strip(run_sweep(plan)))))
+                assert (left, raised) == (0, None)
+                assert observers == [(os.getpid(), 0)] * 3
             assert len(texts) == 1
 
 
@@ -328,17 +330,19 @@ class TestEnvelopeSharing:
     def test_schedules(self):
         disp = ExperimentPlan(variant="displacement", eps_list=(0.25, 0.2, 0.16))
         accept = ExperimentPlan(eps_list=(0.2, 0.14, 0.1))
-        assert harness._schedule(disp, 2) == [[0.16], [0.2, 0.25]]
-        assert harness._schedule(disp, 1) == [[0.16], [0.2, 0.25]]
-        assert harness._schedule(accept, 2) == [[0.1], [0.14], [0.2]]
-        assert harness._schedule(accept, 1) == [[0.1, 0.2], [0.14]]
+        assert harness._schedule(disp) == [[0.16], [0.2, 0.25]]
+        assert harness._schedule(accept) == [[0.1, 0.2], [0.14]]
 
     def test_displacement_sweep_solves_twice(self, monkeypatch):
+        # at width 2 the group [0.2, 0.25] runs beside its own solve
         boxes = _count_solves(monkeypatch)
-        report = run_sweep(self.quick_plan(variant="displacement",
-                                           eps_list=(0.25, 0.2, 0.16)))
-        assert boxes == [0.16 * 252, 40.0]
-        assert [r["eps"] for r in report["per_eps"]] == [0.25, 0.2, 0.16]
+        for width in (1, 2):
+            boxes.clear()
+            monkeypatch.setenv("FPUT2D_THREADS", str(width))
+            report = run_sweep(self.quick_plan(variant="displacement", workers=width,
+                                               eps_list=(0.25, 0.2, 0.16)))
+            assert boxes == [0.16 * 252, 40.0]
+            assert [r["eps"] for r in report["per_eps"]] == [0.25, 0.2, 0.16]
 
     def test_residual_sweep_solves_twice(self, monkeypatch):
         boxes = _count_solves(monkeypatch)
@@ -366,12 +370,18 @@ class TestEnvelopeSharing:
         assert boxes == [8.0]
 
     def test_failing_sweep_cancels_the_queued_groups(self, monkeypatch):
-        # on two threads the groups are [0.25], [0.32] and [0.4]; the run at
+        # on two threads the groups are [0.25, 0.4] and [0.32]; the run at
         # 0.25 raises only once the second solve has started, and that solve
-        # ends only after the failure, so the third group is still queued
+        # ends only after the failure, so the runs of [0.32] are still queued
         boxes = _count_solves(monkeypatch)
         second_solve, lattice_failed = threading.Event(), threading.Event()
         counting, real_integrate = harness.evolve, harness.integrate
+        real_run = harness._run_lattice
+        runs = []
+
+        def run_lattice(plan, disp, eps, *args, **kwargs):
+            runs.append(eps)
+            return real_run(plan, disp, eps, *args, **kwargs)
 
         def evolve(*args, **kwargs):
             out = counting(*args, **kwargs)
@@ -390,24 +400,52 @@ class TestEnvelopeSharing:
 
         monkeypatch.setattr(harness, "evolve", evolve)
         monkeypatch.setattr(harness, "integrate", integrate)
+        monkeypatch.setattr(harness, "_run_lattice", run_lattice)
         monkeypatch.setenv("FPUT2D_THREADS", "2")
         left, raised = _threads_left_by(
             lambda: run_sweep(small_plan(amplitude=3.0, workers=2)))
         assert lattice_failed.is_set()
         assert (left, type(raised)) == (0, UnstableStep)
         assert boxes == [8.0, 0.32 * 28]
+        assert runs == [0.25]
 
     @pytest.mark.parametrize("variant", ["strain", "displacement"])
     def test_grouped_records_match_single_runs(self, monkeypatch, variant):
-        # small_plan's 0.4 and 0.25 share box 8.0
+        # small_plan's 0.25 and 0.4 share box 8.0; at width 2 the solve puts
+        # each sample only once the run at 0.25 has asked for it, so that run
+        # waits on every sample while the solve still writes and keeps it, and
+        # the run at 0.4 drops each one once observed
         plan = small_plan(variant=variant)
+        singles = [run_single(plan, eps) for eps in (0.25, 0.4)]
+        for rec in singles:
+            rec.pop("wall_time_s")
         boxes = _count_solves(monkeypatch)
-        report = run_sweep(plan)
-        assert len(boxes) == 2
-        for rec in report["per_eps"]:
-            single = run_single(plan, rec["eps"])
-            rec.pop("wall_time_s"), single.pop("wall_time_s")
-            assert report_to_json(rec) == report_to_json(single)
+        for width in (1, 2):
+            boxes.clear()
+            monkeypatch.setenv("FPUT2D_THREADS", str(width))
+            with monkeypatch.context() as m:
+                if width > 1:
+                    asked = [threading.Event() for _ in range(plan.sample_count)]
+                    real_get, real_put = harness._EnvelopeSamples.get, harness._EnvelopeSamples.put
+
+                    def get(samples, i, release=False):
+                        asked[i].set()
+                        return real_get(samples, i, release)
+
+                    def put(samples, field, h4):
+                        k = len(samples.diag)
+                        if not asked[k].wait(timeout=30):
+                            raise TimeoutError(f"sample {k} was put before a run asked for it")
+                        real_put(samples, field, h4)
+
+                    m.setattr(harness._EnvelopeSamples, "get", get)
+                    m.setattr(harness._EnvelopeSamples, "put", put)
+                records = harness._run_groups(plan, [[0.25, 0.4]], width)
+            assert boxes == [8.0]
+            for rec in records:
+                rec.pop("wall_time_s")
+            assert [report_to_json(rec) for rec in records] == [
+                report_to_json(rec) for rec in singles]
 
 
 def _threads_left_by(run):
