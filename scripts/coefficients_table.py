@@ -5,7 +5,7 @@ import argparse
 
 import numpy as np
 
-from fput2d.dispersion import WaveVector, nls_coefficients
+from fput2d.dispersion import WaveVector, nls_coefficients, omega_x_sq
 
 
 def main():
@@ -22,7 +22,9 @@ def main():
                 continue
             kv = WaveVector(np.pi * i / args.steps, np.pi * j / args.steps)
             d = nls_coefficients(kv)
-            ga = f"{d.gamma_a.imag:12.6f}" if d.gamma_a is not None else f"{'-':>12}"
+            # the strain envelope's cubic coefficient, as `fput2d coeffs` prints it
+            ga = (f"{'-':>12}" if d.axis_degenerate_k
+                  else f"{d.gamma_q.imag / (4 * omega_x_sq(kv.k)):12.6f}")
             print(f"{i/args.steps:8.3f} {j/args.steps:8.3f} {d.omega0:10.6f} "
                   f"{d.group_velocity[0]:8.4f} {d.group_velocity[1]:8.4f} "
                   f"{ga} {d.gamma_q.imag:12.6f} {str(d.nonresonant):>7}")

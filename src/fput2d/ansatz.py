@@ -1,26 +1,25 @@
 """Lattice-sampled wave-packet approximations built from an envelope field.
 
-The leading-order approximation for a strain/displacement field is
+The leading-order approximation for the displacement field is
 
-    psi_{m,n}(t) = 2 eps Re[ P(X, Y, T) e^{i theta} ],
+    q_{m,n}(t) = 2 eps Re[ Q(X, Y, T) e^{i theta} ],
     theta = k0 m + l0 n + omega0 t,
     X = eps (m + c_x t),  Y = eps (n + c_y t),  T = eps^2 t,
 
 optionally extended by the third-generation corrections eps^3 Re[C_j e^{j i
 theta}] at the harmonics j = -1, 3, -3 whose amplitudes are scalar multiples
-of pointwise triple products of P and conj(P) (the products realize the triple
+of pointwise triple products of Q and conj(Q) (the products realize the triple
 convolutions of the Fourier-space derivation).  The fields are q (displacement
 form) or u and v (strain form).  The strain fields are forward differences of
 q, so each strain term is the displacement term of its harmonic j times the
-difference symbol e^{ijk} - 1 (k = k0 for u, l0 for v), rewritten in the
-strain envelope A = (e^{ik0} - 1) Q.  Every term of every field is thus a
-scalar weight times one of four harmonic basis fields on the envelope grid:
-A, A conj(A)^2, A^3 and conj(A)^3 for j = 1, -1, 3, -3.  Each is transformed
-and resampled once (without corrections: two FFTs on the envelope grid, two
-inverse FFTs on the lattice).
+difference symbol e^{ijk} - 1 (k = k0 for u, l0 for v).  Every term of every
+field is thus a scalar weight times one of four harmonic basis fields of the
+one envelope Q on the envelope grid: Q, Q conj(Q)^2, Q^3 and conj(Q)^3 for
+j = 1, -1, 3, -3.  Each is transformed and resampled once (without
+corrections: two FFTs on the envelope grid, two inverse FFTs on the lattice).
 sample_ansatz returns a LatticeState whose positions are the fields and whose
 velocities are their exact first time derivatives, assembled by the chain
-rule in Fourier space with dA/dT from the envelope equation's right-hand
+rule in Fourier space with dQ/dT from the envelope equation's right-hand
 side: the lattice is compared against both, and the first-order-system
 residual is measured from them without finite-difference contamination.
 Strain-form initial data are the displacements whose forward differences
@@ -48,13 +47,7 @@ from .lattice import (
     _forward_diff,
     strain_from_displacement,
 )
-from .nls import (
-    DEFAULT_DT_SLOW,
-    EnvelopeField,
-    NlsProblem,
-    envelope_rhs_spectrum,
-    linear_symbol,
-)
+from .nls import EnvelopeField, NlsProblem, envelope_rhs_spectrum, linear_symbol
 
 DELTA_PROJ = 1e-9
 
@@ -63,40 +56,23 @@ class FootprintExceeded(ValueError):
     """The lattice's scaled footprint eps*N differs from the envelope box."""
 
 
-def gamma_tilde(disp: DispersionData, variant: str) -> complex:
-    """Cubic coefficient of the physical-space envelope equation per variant."""
-    if variant == "strain":
-        if disp.gamma_a is None:
-            raise ValueError("k0 = 0: the strain form's A envelope vanishes")
-        return 4 * disp.gamma_a
-    if variant == "displacement":
-        return disp.gamma_q
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def nls_problem_for(disp: DispersionData, variant: str,
-                    dT: float = DEFAULT_DT_SLOW) -> NlsProblem:
-    return NlsProblem(disp.hessian, gamma_tilde(disp, variant), dT)
-
-
-def envelope_rhs(env: EnvelopeField, disp: DispersionData,
-                 variant: str) -> tuple[np.ndarray, complex]:
-    """What dA/dT needs besides A: the linear symbol of the variant's envelope
-    equation on env's grid, and its cubic coefficient.
+def envelope_rhs(env: EnvelopeField, disp: DispersionData) -> tuple[np.ndarray, complex]:
+    """What dQ/dT needs besides Q: the linear symbol of the envelope equation
+    on env's grid, and its cubic coefficient.
 
     Both depend only on the grid and the carrier, so a run that samples many
     envelopes on one grid builds them once and passes them as rhs.
     """
-    prob = nls_problem_for(disp, variant)
+    prob = NlsProblem(disp.hessian, disp.gamma_q)
     return linear_symbol(env, prob), prob.nonlin_coeff
 
 
-def _harmonics(env: EnvelopeField, disp: DispersionData, variant: str,
-               corrections: bool, rhs=None) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+def _harmonics(env: EnvelopeField, disp: DispersionData, corrections: bool,
+               rhs=None) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """DFTs of the envelope-grid basis field B_j of each harmonic e^{i j theta}
-    and of dB_j/dT; B_1 = A takes two FFTs, of A and of the cubic term of dA/dT.
+    and of dB_j/dT; B_1 = Q takes two FFTs, of Q and of the cubic term of dQ/dT.
     rhs is envelope_rhs on env's grid, built here when None."""
-    symbol, gamma = envelope_rhs(env, disp, variant) if rhs is None else rhs
+    symbol, gamma = envelope_rhs(env, disp) if rhs is None else rhs
     a = env.a
     a_hat = fft.fft2(a)
     a_t_hat = envelope_rhs_spectrum(a, a_hat, symbol, gamma)
@@ -117,11 +93,7 @@ def _positions(form: str) -> tuple[str, ...]:
     return names[:len(names) // 2]
 
 
-# (powers of A, powers of conj(A)) in the basis field of harmonic j
-_POWERS = {1: (1, 0), -1: (1, 2), 3: (3, 0), -3: (0, 3)}
-
-
-def _weights(disp: DispersionData, variant: str,
+def _weights(disp: DispersionData, form: str,
              corrections: bool) -> dict[str, dict[int, complex]]:
     """Per position array of the form, the scalar weight of each harmonic
     basis field.
@@ -129,28 +101,21 @@ def _weights(disp: DispersionData, variant: str,
     The displacement field 2 eps Re[Q e^{i theta}] weighs Q by 2; its
     corrections 8 c Q conj(Q)^2, 8 c Q^3 and 8 c conj(Q)^3 weigh the basis
     products by 8 c, with c the displacement correction coefficients.  The
-    strain field along axis p forward-differences every harmonic j of q,
-    multiplying its term by e^{ijk_p} - 1; in the strain envelope A = a Q,
-    a = e^{ik0} - 1, a basis field with n+ factors A and n- factors conj(A)
-    is the displacement one times a^{n+} conj(a)^{n-}.  At l0 = 0 every v
-    weight is 0.
+    strain field along axis p forward-differences every harmonic j of q, so
+    its weight is the displacement one times e^{ijk_p} - 1.  At l0 = 0 every
+    v weight is 0, and at k0 = 0 every u weight.
     """
     w_q = {1: 2.0}
     if corrections:
         co = correction_coefficients(disp.carrier)
         w_q.update({-1: 8 * co.c_1m1, 3: 8 * co.c_13, -3: 8 * co.c_1m3})
-    if variant == "displacement":
+    if form == "displacement":
         return {"q": w_q}
-    if variant != "strain":
-        raise ValueError(f"unknown variant {variant!r}")
+    if form != "strain":
+        raise ValueError(f"unknown lattice form {form!r}")
     kv = disp.carrier
-    a = np.exp(1j * kv.k) - 1.0
-    return {
-        name: {j: w * (np.exp(1j * j * k) - 1.0)
-               / (a ** _POWERS[j][0] * np.conj(a) ** _POWERS[j][1])
-               for j, w in w_q.items()}
-        for name, k in zip(_positions(variant), (kv.k, kv.l))
-    }
+    return {name: {j: w * (np.exp(1j * j * k) - 1.0) for j, w in w_q.items()}
+            for name, k in zip(_positions(form), (kv.k, kv.l))}
 
 
 def _respec(coeffs: np.ndarray, n_out: int) -> np.ndarray:
@@ -203,7 +168,7 @@ def _assemble_branches(env: EnvelopeField, disp: DispersionData, eps: float,
     kv = disp.carrier
     w0 = disp.omega0
     cx, cy = disp.group_velocity
-    basis = _harmonics(env, disp, variant, corrections, rhs)
+    basis = _harmonics(env, disp, corrections, rhs)
     weights = _weights(disp, variant, corrections)
 
     # d/dt of B_j(X, Y, T) e^{i j theta} = e^{i j theta} times

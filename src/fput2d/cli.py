@@ -26,7 +26,7 @@ import numpy as np
 
 from .ansatz import FootprintExceeded
 from .config import ConfigError, ExperimentPlan, keys_help, load_plan, thread_cap
-from .dispersion import Resonant, ZeroFrequency, nls_coefficients
+from .dispersion import Resonant, ZeroFrequency, nls_coefficients, omega_x_sq
 from .harness import (
     DegenerateFit,
     NonFiniteReport,
@@ -81,13 +81,20 @@ def cmd_coeffs(plan: ExperimentPlan) -> int:
     except ZeroFrequency as e:
         print(json.dumps({"error": "ZeroFrequency", "message": str(e)}))
         return EXIT_CARRIER
+    # the strain envelopes' cubic coefficients gamma_q / (4 |e^{ik} - 1|^2) at
+    # k = k0 and l0 (their physical-space equation carries a factor 4 on
+    # them); null where the carrier component is 0
+    gamma_a_im, gamma_b_im = (
+        None if degenerate else data.gamma_q.imag / (4 * omega_x_sq(k))
+        for k, degenerate in ((data.carrier.k, data.axis_degenerate_k),
+                              (data.carrier.l, data.axis_degenerate_l)))
     payload = {
         "omega0": data.omega0,
         "cx": data.group_velocity[0],
         "cy": data.group_velocity[1],
         "hess": [list(map(float, row)) for row in data.hessian],
-        "gamma_a_im": None if data.gamma_a is None else data.gamma_a.imag,
-        "gamma_b_im": None if data.gamma_b is None else data.gamma_b.imag,
+        "gamma_a_im": gamma_a_im,
+        "gamma_b_im": gamma_b_im,
         "gamma_q_im": data.gamma_q.imag,
         "nonresonant": data.nonresonant,
         "axis_degenerate_k": data.axis_degenerate_k,

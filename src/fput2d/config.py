@@ -96,7 +96,8 @@ class ExperimentPlan:
     coeff_bound: float = _key(1.0, "sup bound for per-bond perturbation coefficients",
                               *_NON_NEGATIVE)
     seed: int = _key(2026, "RNG seed for perturbation draws")
-    amplitude: float = _key(1.0, "envelope amplitude a")
+    amplitude: float = _key(1.0, "peak of the initial envelope: of Q in the displacement "
+                            "form, of the strain envelope (e^{ik0} - 1) Q in the strain form")
     sigma: float = _key(4.0, "Gaussian envelope width", *_POSITIVE)
     envelope_kind: str = _choice("gaussian", "initial envelope", "gaussian", "constant")
     sample_count: int = _key(21, "number of slow-time sample points", *_POSITIVE)
@@ -111,7 +112,8 @@ class ExperimentPlan:
     workers: int = _key(0, "threads running envelope solves and lattice runs; 0 = auto "
                         "(FPUT2D_THREADS caps)",
                         *_NON_NEGATIVE)
-    blowup_guard: float = _key(DEFAULT_BLOWUP_GUARD, "H4-proxy guard for the envelope solve",
+    blowup_guard: float = _key(DEFAULT_BLOWUP_GUARD, "bound on the H4 proxy of the envelope Q "
+                               "in the envelope solve",
                                *_POSITIVE)
     snapshots: int = _key(3, "lattice snapshots written by simulate", *_NON_NEGATIVE)
 

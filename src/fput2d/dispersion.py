@@ -14,11 +14,11 @@ q, the third-harmonic correction-amplitude solve, the non-resonance check
     D(kv1, kv2, kv3) = n(k1, k2, k3) + n(l1, l2, l3).
 
 The strain fields u = q_{m+1,n} - q_{m,n} and v = q_{m,n+1} - q_{m,n} are
-forward differences of q, so their envelopes are q's envelope times the
-difference symbols a = e^{ik0} - 1 and b = e^{il0} - 1.  Their cubic
-coefficients are therefore gamma_q / (4|a|^2) and gamma_q / (4|b|^2), and
-their corrections are the displacement ones seen through e^{ijk} - 1 (the
-ansatz builds them); there is one correction solve, the displacement one.
+forward differences of q, so their envelopes are q's envelope Q times the
+difference symbols a = e^{ik0} - 1 and b = e^{il0} - 1, and their
+corrections are the displacement ones seen through e^{ijk} - 1 (the ansatz
+builds them).  Both forms therefore need one envelope equation, Q's, with
+cubic coefficient gamma_q, and one correction solve, the displacement one.
 
 Everything here is a pure function of value inputs; there is no shared state.
 """
@@ -69,23 +69,18 @@ class WaveVector:
 
 @dataclass(frozen=True)
 class DispersionData:
-    """Carrier-local dispersion data and envelope-equation coefficients.
+    """Carrier-local dispersion data and the envelope-equation coefficients.
 
-    gamma_q is the full cubic coefficient of the displacement envelope
-    equation.  gamma_a / gamma_b are the cubic coefficients of the strain
-    envelopes A = a Q and B = b Q (a = e^{ik0} - 1, b = e^{il0} - 1), that is
-    gamma_q / (4|a|^2) and gamma_q / (4|b|^2); the physical-space envelope
-    equation carries an extra factor 4 on them.  A strain coefficient is None
-    when its carrier component vanishes and the envelope is identically zero
-    (axis-degenerate case).
+    gamma_q is the cubic coefficient of the displacement envelope equation,
+    the one envelope equation of both lattice forms.  axis_degenerate_k/l
+    flag a vanishing carrier component, where the strain field along that
+    axis has no first harmonic.
     """
 
     carrier: WaveVector
     omega0: float
     group_velocity: tuple[float, float]
     hessian: np.ndarray
-    gamma_a: complex | None
-    gamma_b: complex | None
     gamma_q: complex
     nonresonant: bool
     axis_degenerate_k: bool
@@ -165,22 +160,16 @@ def nls_coefficients(kv: WaveVector, delta_res: float = DEFAULT_RESONANCE_MARGIN
     w0 = omega(kv)
     wx2 = float(omega_x_sq(kv.k))
     wy2 = float(omega_x_sq(kv.l))
-    deg_k = wx2 == 0.0
-    deg_l = wy2 == 0.0
     gamma_q = -1j * 3.0 * (wx2**2 + wy2**2) / (2.0 * w0)
-    gamma_a = None if deg_k else gamma_q / (4 * wx2)  # |e^{ik0} - 1|^2 = wx2
-    gamma_b = None if deg_l else gamma_q / (4 * wy2)
     return DispersionData(
         carrier=kv,
         omega0=w0,
         group_velocity=group_velocity(kv),
         hessian=hessian(kv),
-        gamma_a=gamma_a,
-        gamma_b=gamma_b,
         gamma_q=gamma_q,
         nonresonant=nonresonance_check(kv, delta_res),
-        axis_degenerate_k=deg_k,
-        axis_degenerate_l=deg_l,
+        axis_degenerate_k=wx2 == 0.0,
+        axis_degenerate_l=wy2 == 0.0,
     )
 
 

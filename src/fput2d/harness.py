@@ -48,13 +48,7 @@ import numpy as np
 from scipy import special
 
 from . import __version__
-from .ansatz import (
-    build_initial_data,
-    envelope_rhs,
-    nls_problem_for,
-    residual_norm,
-    sample_ansatz,
-)
+from .ansatz import build_initial_data, envelope_rhs, residual_norm, sample_ansatz
 from .config import ExperimentPlan, thread_cap
 from .dispersion import DispersionData, nls_coefficients
 from .lattice import (
@@ -65,7 +59,7 @@ from .lattice import (
     perturbed_force,
     strain_from_displacement,
 )
-from .nls import EnvelopeField, edge_mass_fraction, evolve, gaussian_field, mass
+from .nls import EnvelopeField, NlsProblem, edge_mass_fraction, evolve, gaussian_field, mass
 
 DEFAULT_ERROR_FLOOR = 1e-10
 
@@ -76,7 +70,8 @@ class DegenerateFit(RuntimeError):
 
 class NonResonantCarrierRequired(ValueError):
     """The plan's carrier is one no run can take: it violates non-resonance,
-    or it has k0 = 0 in the strain form, whose A envelope then vanishes."""
+    or it has k0 = 0 in the strain form, whose u field then vanishes, so
+    amplitude cannot set its envelope."""
 
 
 class NonFiniteReport(ValueError):
@@ -92,7 +87,7 @@ def checked_dispersion(plan: ExperimentPlan) -> DispersionData:
         raise NonResonantCarrierRequired(f"{where} violates non-resonance")
     if plan.variant == "strain" and disp.axis_degenerate_k:
         raise NonResonantCarrierRequired(
-            f"{where} has k0 = 0: the strain form's A envelope vanishes")
+            f"{where} has k0 = 0: the strain form's u field vanishes there")
     return disp
 
 
@@ -111,16 +106,21 @@ def envelope_box(plan: ExperimentPlan, eps: float) -> float:
 
 
 def _initial_envelope(plan: ExperimentPlan, eps: float) -> EnvelopeField:
-    """The T = 0 envelope on the torus that matches the lattice at eps."""
+    """The T = 0 displacement envelope Q on the torus that matches the lattice
+    at eps.  plan.amplitude is the peak of Q in the displacement form and of
+    the strain envelope (e^{ik0} - 1) Q in the strain form."""
     box = envelope_box(plan, eps)
     if plan.envelope_kind == "gaussian":
-        return gaussian_field(box, plan.grid_side, plan.amplitude, plan.sigma,
-                              variant=plan.variant)
-    if plan.envelope_kind == "constant":
+        env = gaussian_field(box, plan.grid_side, plan.amplitude, plan.sigma)
+    elif plan.envelope_kind == "constant":
         # spatially uniform envelope: the ansatz reduces to a plane wave
-        arr = np.full((plan.grid_side, plan.grid_side), plan.amplitude, dtype=complex)
-        return EnvelopeField(box, arr, variant=plan.variant)
-    raise ValueError(f"unknown envelope kind {plan.envelope_kind!r}")
+        env = EnvelopeField(box, np.full((plan.grid_side, plan.grid_side), plan.amplitude,
+                                         dtype=complex))
+    else:
+        raise ValueError(f"unknown envelope kind {plan.envelope_kind!r}")
+    if plan.variant == "strain":
+        env.a /= np.exp(1j * plan.carrier.k) - 1.0
+    return env
 
 
 def _by_box(plan: ExperimentPlan, eps_values) -> list[list[float]]:
@@ -137,9 +137,9 @@ def _by_box(plan: ExperimentPlan, eps_values) -> list[list[float]]:
 
 def _solve_envelope(plan: ExperimentPlan, disp, env0: EnvelopeField,
                     sample_times, on_sample=None) -> list[EnvelopeField]:
-    """The plan's envelope equation solved from env0, captured at sample_times
+    """The envelope equation solved from env0, captured at sample_times
     (handed to on_sample as they are captured, when given)."""
-    prob = nls_problem_for(disp, env0.variant, plan.dt_slow)
+    prob = NlsProblem(disp.hessian, disp.gamma_q, plan.dt_slow)
     return evolve(env0, prob, plan.t0, sample_times=sample_times,
                   blowup_guard=plan.blowup_guard, on_sample=on_sample)
 
@@ -293,7 +293,7 @@ def _group_tasks(plan: ExperimentPlan, disp, eps_values, keep_state_indices=()) 
 
     def runs():
         # built here, after a solve that ran first has freed its working arrays
-        rhs = envelope_rhs(env0, disp, plan.variant)
+        rhs = envelope_rhs(env0, disp)
         records, t_wall = [], None
         for k, eps in enumerate(eps_values):
             record = _run_lattice(plan, disp, eps, env0, rhs, samples, keep_state_indices,
@@ -398,7 +398,7 @@ def residual_sweep(plan: ExperimentPlan) -> list[dict]:
     for group in _by_box(plan, plan.eps_list):
         envs = _solve_envelope(plan, disp, _initial_envelope(plan, group[0]),
                                [f * plan.t0 for f in plan.residual_fractions])
-        rhs = envelope_rhs(envs[0], disp, plan.variant)
+        rhs = envelope_rhs(envs[0], disp)
         for eps in group:
             n = plan.n_side_for(eps)
             per_time = {

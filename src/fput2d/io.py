@@ -1,22 +1,20 @@
 """Snapshot and diagnostic file formats.
 
-Binary snapshot, format version 2: little-endian header
+Binary snapshot, format version 3: little-endian header, 32 bytes
 
     magic    7 bytes  b"FPUT2D\\0"
-    version  u32      format version (2)
+    version  u32      format version (3)
     form     u8       0 = displacement, 1 = strain, 2 = envelope
     N        u32      grid side
     time     f64      simulation time (slow time for envelopes)
     box      f64      envelope box length L (0 for lattice states)
-    variant  u8       envelope variant: 0 = strain, 2 = displacement
-                      (0 for lattice states); code 1, the retired strain-v
-                      envelope, is rejected like any unknown code
 
 followed by row-major f64 payload arrays: a lattice state's arrays(),
 (q, w) or (u, v, ut, vt), or re/im interleaved samples for an envelope.
-An envelope therefore reads back whole.  read_snapshot rejects other
-versions, and a file that ends before its header or payload does raises
-SnapshotTruncated.
+An envelope is always the displacement envelope Q, in both lattice forms,
+so it reads back whole.  read_snapshot rejects other versions (a version 2
+strain-form envelope held the strain envelope (e^{ik0} - 1) Q instead), and
+a file that ends before its header or payload does raises SnapshotTruncated.
 
 Diagnostics are plain CSV streams: lattice (t, energy, compat_defect,
 max_amp) and envelope (T, mass, h4proxy, max_amp).
@@ -39,12 +37,10 @@ from .lattice import _ARRAY_NAMES, LatticeState
 from .nls import EnvelopeField
 
 MAGIC = b"FPUT2D\x00"
-VERSION = 2
-_HEADER = struct.Struct("<IBIddB")  # version, form, N, time, box, variant
+VERSION = 3
+_HEADER = struct.Struct("<IBIdd")  # version, form, N, time, box
 _FORM_CODE = {"displacement": 0, "strain": 1, "envelope": 2}
 _FORM_NAME = {v: k for k, v in _FORM_CODE.items()}
-_VARIANT_CODE = {"strain": 0, "displacement": 2}
-_VARIANT_NAME = {v: k for k, v in _VARIANT_CODE.items()}
 
 
 class SnapshotTruncated(ValueError):
@@ -57,19 +53,19 @@ def write_snapshot(path, obj) -> None:
         form = obj.form
         n = obj.n_side
         t = obj.time
-        box, variant = 0.0, 0
+        box = 0.0
         payload = [np.ascontiguousarray(a, dtype="<f8") for a in obj.arrays()]
     elif isinstance(obj, EnvelopeField):
         form = "envelope"
         n = obj.grid_side
         t = obj.slow_time
-        box, variant = obj.box_length, _VARIANT_CODE[obj.variant]
+        box = obj.box_length
         payload = [np.ascontiguousarray(obj.a, dtype="<c16")]  # re/im interleaved
     else:
         raise TypeError(f"cannot snapshot {type(obj)!r}")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(_HEADER.pack(VERSION, _FORM_CODE[form], n, t, box, variant))
+        fh.write(_HEADER.pack(VERSION, _FORM_CODE[form], n, t, box))
         for a in payload:
             fh.write(a.tobytes())
 
@@ -91,7 +87,7 @@ def read_snapshot(path):
             raise ValueError(f"{path}: not a FPUT2D snapshot")
         if len(magic) < len(MAGIC):
             raise SnapshotTruncated(f"{path}: file ends inside the magic")
-        version, form_code, n, t, box, variant_code = _HEADER.unpack(
+        version, form_code, n, t, box = _HEADER.unpack(
             _read_exact(fh, _HEADER.size, path, "header"))
         if version != VERSION:
             raise ValueError(f"{path}: unsupported snapshot version {version}")
@@ -102,10 +98,7 @@ def read_snapshot(path):
         per = n * n * (2 if form == "envelope" else 1)
         raw = np.frombuffer(_read_exact(fh, count * per * 8, path, "payload"), dtype="<f8")
     if form == "envelope":
-        if variant_code not in _VARIANT_NAME:
-            raise ValueError(f"{path}: unknown envelope variant code {variant_code}")
-        return EnvelopeField(box, raw.view("<c16").reshape(n, n).copy(), t,
-                             _VARIANT_NAME[variant_code])
+        return EnvelopeField(box, raw.view("<c16").reshape(n, n).copy(), t)
     arrays = [raw[i * per:(i + 1) * per].reshape(n, n).copy() for i in range(count)]
     return LatticeState.from_arrays(form, t, arrays)
 

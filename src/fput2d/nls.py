@@ -1,19 +1,21 @@
 """Split-step Fourier solver for the 2D envelope equation.
 
-The envelope A(X, Y, T) lives on a periodic box of side L sampled on an M x M
-grid and evolves in slow time by
+The envelope Q(X, Y, T) of the lattice displacement q lives on a periodic box
+of side L sampled on an M x M grid and evolves in slow time by
 
-    dA/dT = -(i/2) (dX, dY) H (dX, dY)^T A + gamma |A|^2 A,
+    dQ/dT = -(i/2) (dX, dY) H (dX, dY)^T Q + gamma |Q|^2 Q,
 
 with H the 2x2 dispersion Hessian at the carrier and gamma purely imaginary.
-In Fourier space the linear part is the diagonal multiplier exp(i dT sigma(K))
-with sigma = K^T H K / 2, integrated exactly; the nonlinear part is an exact
-pointwise phase rotation A -> A exp(i Im(gamma) |A|^2 dT) since |A| is
-invariant, built from the real phase Re(A)^2 + Im(A)^2.  Strang composition
-of the two exact sub-flows is second-order accurate and conserves the
-discrete mass exactly up to roundoff.  evolve keeps the envelope in Fourier
-space between steps: each step is one in-place inverse/forward FFT pair
-(scipy.fft) around the rotation, and consecutive linear half-steps merge.
+Both forms of the lattice solve this one equation: the strain envelope
+(e^{ik0} - 1) Q is a constant multiple of Q.  In Fourier space the linear
+part is the diagonal multiplier exp(i dT sigma(K)) with sigma = K^T H K / 2,
+integrated exactly; the nonlinear part is an exact pointwise phase rotation
+Q -> Q exp(i Im(gamma) |Q|^2 dT) since |Q| is invariant, built from the real
+phase Re(Q)^2 + Im(Q)^2.  Strang composition of the two exact sub-flows is
+second-order accurate and conserves the discrete mass exactly up to
+roundoff.  evolve keeps the envelope in Fourier space between steps: each
+step is one in-place inverse/forward FFT pair (scipy.fft) around the
+rotation, and consecutive linear half-steps merge.
 The default DEFAULT_DT_SLOW = 1e-2 moves the lattice runs' max sup error, an
 O(eps^2) ~ 1e-2 quantity, by <= 6.7e-6 relative against dT = 1e-3 (Strang is
 second order for cubic NLS: Lubich, Math. Comp. 77, 2008).
@@ -50,7 +52,6 @@ class EnvelopeField:
     box_length: float
     a: np.ndarray
     slow_time: float = 0.0
-    variant: str = "strain"
 
     def __post_init__(self):
         m = self.a.shape[0]
@@ -61,8 +62,6 @@ class EnvelopeField:
         # written so that a NaN box fails too
         if not 0 < self.box_length / m <= 0.5:
             raise ValueError(f"grid spacing L/M must be in (0, 0.5], got L = {self.box_length}")
-        if self.variant not in ("strain", "displacement"):
-            raise ValueError(f"unknown variant {self.variant!r}")
         self.a = np.ascontiguousarray(self.a, dtype=complex)
 
     @property
@@ -103,12 +102,11 @@ class NlsProblem:
 
 
 def gaussian_field(box_length: float, grid_side: int, amplitude: float = 1.0,
-                   sigma: float = 4.0, variant: str = "strain") -> EnvelopeField:
+                   sigma: float = 4.0) -> EnvelopeField:
     """Standard initial envelope a * exp(-(X^2 + Y^2)/sigma^2)."""
     x = -box_length / 2 + (box_length / grid_side) * np.arange(grid_side)
     xx, yy = np.meshgrid(x, x, indexing="ij")
-    return EnvelopeField(box_length, amplitude * np.exp(-(xx**2 + yy**2) / sigma**2),
-                         variant=variant)
+    return EnvelopeField(box_length, amplitude * np.exp(-(xx**2 + yy**2) / sigma**2))
 
 
 def linear_symbol(field: EnvelopeField, prob: NlsProblem) -> np.ndarray:
@@ -121,13 +119,13 @@ def linear_symbol(field: EnvelopeField, prob: NlsProblem) -> np.ndarray:
 
 def envelope_rhs_spectrum(a: np.ndarray, a_hat: np.ndarray, symbol: np.ndarray,
                           gamma: complex) -> np.ndarray:
-    """DFT of dA/dT, i sigma F(A) + F(gamma |A|^2 A), from A on the grid, its
+    """DFT of dQ/dT, i sigma F(Q) + F(gamma |Q|^2 Q), from Q on the grid, its
     DFT a_hat and a precomputed linear symbol: one FFT."""
     return 1j * symbol * a_hat + fft.fft2(gamma * np.abs(a) ** 2 * a)
 
 
 def mass(field: EnvelopeField) -> float:
-    """Discrete L^2 mass sum |A|^2 h^2."""
+    """Discrete L^2 mass sum |Q|^2 h^2."""
     return float(np.sum(np.abs(field.a) ** 2) * field.spacing**2)
 
 
@@ -222,7 +220,7 @@ def evolve(field: EnvelopeField, prob: NlsProblem, t_final: float,
             spectrum *= half
             for i in range(n):
                 a = fft.ifft2(spectrum, overwrite_x=True)
-                # phase = Im(gamma) |A|^2 dt; rotation.real is scratch until cos
+                # phase = Im(gamma) |Q|^2 dt; rotation.real is scratch until cos
                 np.multiply(a.real, a.real, out=phase)
                 np.multiply(a.imag, a.imag, out=rotation.real)
                 phase += rotation.real
@@ -236,5 +234,5 @@ def evolve(field: EnvelopeField, prob: NlsProblem, t_final: float,
                     check(spectrum, t + (i + 1) * dt)
             t = t_target
         h4 = check(spectrum, t)
-        on_sample(EnvelopeField(field.box_length, fft.ifft2(spectrum), t, field.variant), h4)
+        on_sample(EnvelopeField(field.box_length, fft.ifft2(spectrum), t), h4)
     return captured

@@ -18,20 +18,19 @@ from fput2d.ansatz import (
     build_initial_data,
     compat_project,
     eval_envelope,
-    gamma_tilde,
     l1_dft_norm,
-    nls_problem_for,
     residual_norm,
     sample_ansatz,
 )
 from fput2d.dispersion import WaveVector, nls_coefficients
 from fput2d.lattice import compatibility_defect, strain_from_displacement
-from fput2d.nls import EnvelopeField, evolve, gaussian_field
+from fput2d.nls import EnvelopeField, NlsProblem, evolve, gaussian_field
 from test_dispersion import ratio_b_over_a, strain_correction_oracle
 
 PIH = np.pi / 2
 KV = WaveVector(PIH, PIH)
 DISP = nls_coefficients(KV)
+A_KV = np.exp(1j * KV.k) - 1  # the strain envelope of u is A_KV Q
 KV_R = WaveVector(PIH, np.pi / 3)  # B/A ratio r != 1
 
 
@@ -42,24 +41,22 @@ def periodic_gaussian(box, x, y, sigma=4.0):
                for i in (-1, 0, 1) for j in (-1, 0, 1))
 
 
-def constant_env(value, box, m=8, variant="strain"):
-    return EnvelopeField(box, np.full((m, m), value, dtype=complex), variant=variant)
+def constant_env(value, box, m=8):
+    return EnvelopeField(box, np.full((m, m), value, dtype=complex))
 
 
-def evolved_copy(env, disp, variant, dT_target):
+def evolved_copy(env, disp, dT_target):
     """Advance a copy of the envelope by dT_target (possibly negative)."""
     if dT_target == 0.0:
         return env.copy()
-    prob = nls_problem_for(disp, variant, dT=abs(dT_target) / 2)
+    prob = NlsProblem(disp.hessian, disp.gamma_q, dT=abs(dT_target) / 2)
     if dT_target > 0:
         return evolve(env, prob, env.slow_time + dT_target,
                       sample_times=[env.slow_time + dT_target])[-1]
-    # step backwards: A(T0 - s) solves the equation with negated Hessian and
+    # step backwards: Q(T0 - s) solves the equation with negated Hessian and
     # conjugated cubic coefficient, integrated forward by |dT|
-    from fput2d.nls import NlsProblem
-
     prob_b = NlsProblem(-prob.hessian, np.conj(prob.nonlin_coeff), prob.dT)
-    start = EnvelopeField(env.box_length, env.a.copy(), 0.0, env.variant)
+    start = EnvelopeField(env.box_length, env.a.copy(), 0.0)
     out = evolve(start, prob_b, -dT_target, sample_times=[-dT_target])[-1]
     out.slow_time = env.slow_time + dT_target
     return out
@@ -74,7 +71,7 @@ class TestSampling:
 
     def test_constant_envelope_plane_wave(self):
         eps, n = 0.01, 16
-        env = constant_env(1.0, eps * n)
+        env = constant_env(1.0 / A_KV, eps * n)  # the strain envelope A_KV Q is 1
         s = sample_ansatz(env, DISP, eps, 0.0, n, "strain")
         m = np.arange(n) - n // 2
         mm, nn = np.meshgrid(m, m, indexing="ij")
@@ -95,7 +92,7 @@ class TestSampling:
         eps = 0.1
         env = gaussian_field(40.0, 128)
         s = sample_ansatz(env, DISP, eps, 0.0, 400, "strain", corrections=True)
-        assert np.max(np.abs(s.u)) <= 2 * eps * np.max(np.abs(env.a)) + 30 * eps**3
+        assert np.max(np.abs(s.u)) <= 2 * eps * np.max(np.abs(A_KV * env.a)) + 30 * eps**3
 
     def test_footprint_guard(self):
         env = gaussian_field(40.0, 128)
@@ -128,12 +125,12 @@ class TestExactDerivatives:
     @pytest.mark.parametrize("variant", ["strain", "displacement"])
     def test_psi_t_centered_difference(self, variant, corrections):
         eps, n, t0 = 0.2, 200, 1.3
-        env0 = gaussian_field(40.0, 128, amplitude=0.8, variant=variant)
-        env = evolve(env0, nls_problem_for(DISP, variant, 1e-3), eps**2 * t0,
+        env0 = gaussian_field(40.0, 128, amplitude=0.8)
+        env = evolve(env0, NlsProblem(DISP.hessian, DISP.gamma_q, 1e-3), eps**2 * t0,
                      sample_times=[eps**2 * t0])[-1]
         h = 1e-4
-        env_p = evolved_copy(env, DISP, variant, eps**2 * h)
-        env_m = evolved_copy(env, DISP, variant, -(eps**2) * h)
+        env_p = evolved_copy(env, DISP, eps**2 * h)
+        env_m = evolved_copy(env, DISP, -(eps**2) * h)
         s = sample_ansatz(env, DISP, eps, t0, n, variant, corrections)
         sp = sample_ansatz(env_p, DISP, eps, t0 + h, n, variant, corrections)
         sm = sample_ansatz(env_m, DISP, eps, t0 - h, n, variant, corrections)
@@ -335,7 +332,7 @@ class TestInitialData:
         assert 2.5 <= ratio <= 6.5  # eps^2 scaling gives 4
 
     def test_displacement_form_direct(self):
-        env = gaussian_field(40.0, 128, variant="displacement")
+        env = gaussian_field(40.0, 128)
         disp_dd = nls_coefficients(KV)
         state, diag = build_initial_data(env, disp_dd, 0.2, 200, "displacement")
         s = sample_ansatz(env, disp_dd, 0.2, 0.0, 200, "displacement")
@@ -375,20 +372,20 @@ def _manual_correction(kv, kv_coeffs, ratio, c, eps, n):
 
 class TestCorrectionSet:
     def test_products_match_coefficients(self):
-        # every term is a per-field weight times a harmonic basis field; in
-        # the strain form's closed form the v field P = r A weighs the
-        # products of A by powers of r, with the coefficients of the carrier
-        # with its axes swapped
+        # every term is a per-field weight times a harmonic basis field of Q;
+        # the strain form's closed form is written in the strain envelopes
+        # A = a Q, a = e^{ik0} - 1, and B = r A, with the coefficients of the
+        # carrier with its axes swapped for v
         env = gaussian_field(32.0, 64, amplitude=0.7)
         env.a = env.a * np.exp(0.2j)
         for kv in (KV, KV_R):
             disp = nls_coefficients(kv)
-            basis = _harmonics(env, disp, "strain", True)
+            basis = _harmonics(env, disp, True)
             weights = _weights(disp, "strain", True)
             for name, kv_coeffs, ratio in (("u", kv, 1.0),
                                            ("v", WaveVector(kv.l, kv.k), ratio_b_over_a(kv))):
                 c_1m1, c_13, c_1m3 = strain_correction_oracle(kv_coeffs)
-                p = ratio * env.a
+                p = ratio * (np.exp(1j * kv.k) - 1) * env.a
                 want = {1: 2 * p, -1: 8 * c_1m1 * p * np.conj(p) ** 2,
                         3: 8 * c_13 * p**3, -3: 8 * c_1m3 * np.conj(p) ** 3}
                 assert set(weights[name]) == set(want)
@@ -400,7 +397,7 @@ class TestCorrectionSet:
         # with a constant envelope the correction contribution has a closed form
         eps, n = 0.05, 16
         c = 0.6 + 0.2j
-        env = constant_env(c, eps * n)
+        env = constant_env(c / A_KV, eps * n)  # the strain envelope A_KV Q is c
         s0 = sample_ansatz(env, DISP, eps, 0.0, n, "strain")
         s1 = sample_ansatz(env, DISP, eps, 0.0, n, "strain", corrections=True)
         manual = _manual_correction(KV, KV, 1.0, c, eps, n)
@@ -414,7 +411,7 @@ class TestCorrectionSet:
         disp = nls_coefficients(KV_R)
         r = ratio_b_over_a(KV_R)
         assert abs(r - 1) > 0.1
-        env = constant_env(c, eps * n)
+        env = constant_env(c / (np.exp(1j * KV_R.k) - 1), eps * n)
         s0 = sample_ansatz(env, disp, eps, 0.0, n, "strain")
         s1 = sample_ansatz(env, disp, eps, 0.0, n, "strain", corrections=True)
         manual = _manual_correction(KV_R, WaveVector(KV_R.l, KV_R.k), r, c, eps, n)
@@ -432,7 +429,7 @@ class TestResidual:
         n = 200
         env0 = gaussian_field(40.0, 256)
         t = 2.0
-        env = evolve(env0, nls_problem_for(DISP, "strain", 1e-3), eps**2 * t,
+        env = evolve(env0, NlsProblem(DISP.hessian, DISP.gamma_q, 1e-3), eps**2 * t,
                      sample_times=[eps**2 * t])[-1]
         r_without = residual_norm(env, DISP, eps, t, n, "strain", False)
         r_with = residual_norm(env, DISP, eps, t, n, "strain", True)
@@ -440,7 +437,7 @@ class TestResidual:
 
     def test_displacement_residual_finite(self):
         eps, n = 0.2, 200
-        env = gaussian_field(40.0, 256, variant="displacement")
+        env = gaussian_field(40.0, 256)
         r = residual_norm(env, DISP, eps, 0.0, n, "displacement", True)
         assert 0 < r < 1.0
 
@@ -452,7 +449,3 @@ class TestL1Bridge:
             f = rng.normal(size=(32, 32))
             assert np.max(np.abs(f)) <= l1_dft_norm(np.fft.fft2(f)) + 1e-12
 
-
-def test_gamma_tilde_values():
-    assert gamma_tilde(DISP, "strain") == pytest.approx(-3j, abs=1e-13)
-    assert gamma_tilde(DISP, "displacement") == pytest.approx(-6j, abs=1e-13)

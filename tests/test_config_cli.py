@@ -197,13 +197,13 @@ class TestSnapshots:
     def test_envelope_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)
         a = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
-        env = EnvelopeField(12.0, a, 0.75, variant="displacement")
+        env = EnvelopeField(12.0, a, 0.75)
         path = tmp_path / "e.snap"
         write_snapshot(path, env)
+        assert path.stat().st_size == 32 + a.size * 16  # the header has no variant byte
         back = read_snapshot(path)
         assert back.slow_time == 0.75
         assert back.box_length == 12.0
-        assert back.variant == "displacement"
         assert np.array_equal(back.a, a)
 
     def test_magic_rejected(self, tmp_path):
@@ -236,16 +236,17 @@ class TestSnapshots:
         with pytest.raises(ValueError, match="^grid (side|spacing)"):
             read_snapshot(path)
 
-    def test_retired_variant_code_rejected(self, tmp_path):
-        # code 1 named the strain-v envelope, which nothing evolves any more
-        path = tmp_path / "e.snap"
-        write_snapshot(path, EnvelopeField(4.0, np.ones((8, 8))))
-        data = bytearray(path.read_bytes())
-        struct.pack_into("<B", data, 32, 1)  # the variant byte ends the header
-        path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match="unknown envelope variant code 1"):
+    def test_version_2_rejected(self, tmp_path):
+        # a version 2 envelope ends its header with a variant byte, and in the
+        # strain form it holds the strain envelope (e^{ik0} - 1) Q, not Q
+        path = tmp_path / "v2.snap"
+        header = struct.pack("<IBIddB", 2, 2, 8, 0.0, 4.0, 0)  # version, form, N, t, L, variant
+        path.write_bytes(b"FPUT2D\0" + header + np.ones((8, 8), dtype="<c16").tobytes())
+        with pytest.raises(ValueError, match="unsupported snapshot version 2"):
             read_snapshot(path)
 
+    # cuts inside the 7-byte magic (0, 3), the 25 header bytes after it (7, 12,
+    # 30) and the payload from byte 32 on (37, 100)
     @pytest.mark.parametrize("keep", [0, 3, 7, 12, 30, 37, 100])
     def test_truncated_file_named(self, tmp_path, keep):
         path = tmp_path / "t.snap"
@@ -269,8 +270,7 @@ def snapshot_objects(draw):
         box = draw(st.floats(min_value=1e-300, max_value=0.5 * m))
         a = np.empty((m, m), dtype=complex)
         a.real, a.imag = draw(_grid(m)), draw(_grid(m))
-        variant = draw(st.sampled_from(["strain", "displacement"]))
-        return EnvelopeField(box, a, t, variant)
+        return EnvelopeField(box, a, t)
     n = draw(st.integers(8, 10))
     names = ("q", "w") if kind == "displacement" else ("u", "v", "ut", "vt")
     return LatticeState(kind, t, **{name: draw(_grid(n)) for name in names})
@@ -285,8 +285,7 @@ class TestSnapshotProperties:
         back = read_snapshot(path)
         assert type(back) is type(obj)
         if isinstance(obj, EnvelopeField):
-            assert (back.box_length, back.slow_time, back.variant) == (
-                obj.box_length, obj.slow_time, obj.variant)
+            assert (back.box_length, back.slow_time) == (obj.box_length, obj.slow_time)
             assert back.a.tobytes() == obj.a.tobytes()
         else:
             assert (back.form, back.time) == (obj.form, obj.time)
@@ -503,7 +502,7 @@ def test_bad_input_rejected_before_work(tmp_path, capsys, monkeypatch, command, 
 
 INADMISSIBLE_CARRIERS = {
     "resonant": ["carrier_k_pi=0.666666666666666666", "carrier_l_pi=0.666666666666666666"],
-    "strain_k0": ["carrier_k_pi=0"],  # the strain form's A envelope vanishes
+    "strain_k0": ["carrier_k_pi=0"],  # the strain form's u field vanishes
 }
 
 

@@ -7,12 +7,16 @@ the strain form's own closed-form correction solve for the strain weights the
 ansatz derives from the displacement solve.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fput2d.ansatz import _weights, sample_ansatz
+from fput2d.cli import cmd_coeffs
+from fput2d.config import ExperimentPlan
 from fput2d.dispersion import (
     Resonant,
     WaveVector,
@@ -60,12 +64,19 @@ def strain_correction_oracle(kv):
     return num_m1 / (-2j * w0), num_3 / (1j * (3 * w0 - w3)), num_m3 / (-1j * (3 * w0 + w3))
 
 
-def strain_weights_oracle(kv):
-    """Per strain field, the weight of each harmonic basis field of A.
+# (powers of the envelope, powers of its conjugate) in the basis field of harmonic j
+BASIS_POWERS = {1: (1, 0), -1: (1, 2), 3: (3, 0), -3: (0, 3)}
 
-    The v envelope is B = r A, so B's products weigh A's by powers of r; at
-    l0 = 0, r = 0 and B vanishes.
+
+def strain_weights_oracle(kv):
+    """Per strain field, the weight of each harmonic basis field of Q.
+
+    The closed form is written in the strain envelopes A = a Q, a = e^{ik0} - 1,
+    and B = r A: B's products weigh A's by powers of r, and an A-basis field
+    with n+ factors A and n- factors conj(A) is the Q-basis one times
+    a^{n+} conj(a)^{n-}.  At l0 = 0, r = 0 and B vanishes.
     """
+    a = np.exp(1j * kv.k) - 1
     out = {}
     for name, kv_field, r in (("u", kv, 1.0), ("v", WaveVector(kv.l, kv.k), ratio_b_over_a(kv))):
         if r == 0:
@@ -73,9 +84,16 @@ def strain_weights_oracle(kv):
             continue
         c_1m1, c_13, c_1m3 = strain_correction_oracle(kv_field)
         rc = np.conj(r)
-        out[name] = {1: 2 * r, -1: 8 * c_1m1 * r * rc**2, 3: 8 * c_13 * r**3,
-                     -3: 8 * c_1m3 * rc**3}
+        in_a = {1: 2 * r, -1: 8 * c_1m1 * r * rc**2, 3: 8 * c_13 * r**3, -3: 8 * c_1m3 * rc**3}
+        out[name] = {j: w * a ** BASIS_POWERS[j][0] * np.conj(a) ** BASIS_POWERS[j][1]
+                     for j, w in in_a.items()}
     return out
+
+
+def printed_coeffs(capsys, k_pi, l_pi):
+    """The JSON that `fput2d coeffs` prints at the carrier (k_pi, l_pi) pi."""
+    cmd_coeffs(ExperimentPlan(carrier_k_pi=k_pi, carrier_l_pi=l_pi))
+    return json.loads(capsys.readouterr().out)
 
 
 def omega_raw(k, l):
@@ -203,51 +221,51 @@ class TestDerivatives:
 
 
 class TestNlsCoefficients:
-    def test_gamma_a_center(self):
-        # literal evaluation of the two-term coefficient formula
+    def test_gamma_a_center(self, capsys):
+        # literal evaluation of the two-term coefficient formula of the strain
+        # envelope (e^{ik0} - 1) Q, against gamma_q / (4 wx^2) and coeffs
         w0 = omega_raw(PIH, PIH)
         wx2 = 2.0 - 2.0 * np.cos(PIH)
         wy2 = 2.0 - 2.0 * np.cos(PIH)
         expected = 3 * wx2 / (8j * w0) + 3 * wy2**2 / (8j * wx2 * w0)
-        data = nls_coefficients(WaveVector(PIH, PIH))
-        assert data.gamma_a == pytest.approx(expected, abs=1e-15)
-        assert data.gamma_a == pytest.approx(-0.75j, abs=1e-14)
+        gamma_a = nls_coefficients(WaveVector(PIH, PIH)).gamma_q / (4 * wx2)
+        assert gamma_a == pytest.approx(expected, abs=1e-15)
+        assert gamma_a == pytest.approx(-0.75j, abs=1e-14)
+        assert printed_coeffs(capsys, 0.5, 0.5)["gamma_a_im"] == pytest.approx(-0.75, abs=1e-14)
 
     def test_gamma_q_center(self):
         data = nls_coefficients(WaveVector(PIH, PIH))
         # -3i (wx^4 + wy^4) / (2 w0) with wx^4 = wy^4 = 4, w0 = 2
         assert data.gamma_q == pytest.approx(-6.0j, abs=1e-14)
 
-    def test_gamma_b_symmetric_carrier(self):
-        data = nls_coefficients(WaveVector(PIH, PIH))
-        assert data.gamma_b == pytest.approx(data.gamma_a, abs=1e-15)
+    def test_gamma_b_symmetric_carrier(self, capsys):
+        out = printed_coeffs(capsys, 0.5, 0.5)
+        assert out["gamma_b_im"] == out["gamma_a_im"]
 
     def test_gammas_purely_imaginary(self):
         rng = np.random.default_rng(3)
         for kv in random_carriers(300, rng):
-            data = nls_coefficients(kv)
-            for g in (data.gamma_a, data.gamma_b, data.gamma_q):
-                if g is not None:
-                    assert g.real == 0.0
+            assert nls_coefficients(kv).gamma_q.real == 0.0
 
-    def test_gamma_cross_relation(self):
-        # gamma_b * wy^2 = gamma_a * wx^2 whenever both are defined
-        rng = np.random.default_rng(4)
-        for kv in random_carriers(300, rng):
-            data = nls_coefficients(kv)
-            if data.gamma_a is None or data.gamma_b is None:
-                continue
-            wx2 = 2.0 - 2.0 * np.cos(kv.k)
-            wy2 = 2.0 - 2.0 * np.cos(kv.l)
-            assert data.gamma_b * wy2 == pytest.approx(data.gamma_a * wx2, rel=1e-12)
+    def test_gamma_cross_relation(self, capsys):
+        # coeffs prints Im(gamma_q) / (4 wx^2) and Im(gamma_q) / (4 wy^2), so
+        # gamma_b * wy^2 = gamma_a * wx^2 = gamma_q / 4 whenever both are printed
+        for k_pi in np.arange(-7, 9) / 8:
+            for l_pi in (0.25, 1 / 3, 0.5, 0.75, 1.0):
+                out = printed_coeffs(capsys, k_pi, l_pi)
+                if out["gamma_a_im"] is None:
+                    assert k_pi == 0.0
+                    continue
+                wx2 = 2.0 - 2.0 * np.cos(k_pi * np.pi)
+                wy2 = 2.0 - 2.0 * np.cos(l_pi * np.pi)
+                assert out["gamma_b_im"] * wy2 == pytest.approx(out["gamma_a_im"] * wx2, rel=1e-12)
+                assert out["gamma_a_im"] * wx2 == pytest.approx(out["gamma_q_im"] / 4, rel=1e-12)
 
     def test_axis_degenerate_flags(self):
         data = nls_coefficients(WaveVector(PIH, 0.0))
         assert data.axis_degenerate_l and not data.axis_degenerate_k
-        assert data.gamma_b is None and data.gamma_a is not None
         data = nls_coefficients(WaveVector(0.0, PIH))
         assert data.axis_degenerate_k and not data.axis_degenerate_l
-        assert data.gamma_a is None and data.gamma_b is not None
 
     def test_zero_carrier_rejected(self):
         with pytest.raises(ZeroFrequency):
@@ -297,11 +315,12 @@ class TestAmplitudeRatio:
         assert got == pytest.approx(ratio_b_over_a(WaveVector(PIH, np.pi)), abs=1e-15)
         assert got == pytest.approx(1 + 1j, abs=1e-12)
 
-    def test_degenerate_k_raises(self):
-        # at k0 = 0 the A envelope vanishes and b/a has no value
+    def test_degenerate_k_zero_u(self):
+        # at k0 = 0 every u weight e^{ij0} - 1 is 0: u and ut vanish exactly
         env = EnvelopeField(1.6, np.ones((8, 8), dtype=complex))
-        with pytest.raises(ValueError, match="k0 = 0"):
-            sample_ansatz(env, nls_coefficients(WaveVector(0.0, PIH)), 0.1, 0.0, 16, "strain")
+        s = sample_ansatz(env, nls_coefficients(WaveVector(0.0, PIH)), 0.1, 0.0, 16, "strain")
+        assert np.all(s.u == 0.0) and np.all(s.ut == 0.0)
+        assert np.max(np.abs(s.v)) > 0.1
 
 
 class TestCorrectionCoefficients:
@@ -312,7 +331,9 @@ class TestCorrectionCoefficients:
         assert co.denom_m3 == pytest.approx(-8j, abs=1e-12)
 
     def test_first_harmonic_matches_gamma(self):
-        # the m=-1 solve collapses to gamma / (-2 i omega0), field by field
+        # the m=-1 solve collapses to gamma / (-2 i omega0), field by field;
+        # gamma_a = gamma_q / (4 wx^2) and gamma_b weigh the A-basis field
+        # A conj(A)^2, which is a conj(a)^2 times the Q-basis one
         rng = np.random.default_rng(6)
         for kv in random_carriers(50, rng):
             if not nonresonance_check(kv):
@@ -323,9 +344,14 @@ class TestCorrectionCoefficients:
             co = correction_coefficients(kv)
             assert co.c_1m1 == pytest.approx(data.gamma_q / 4 / (-2j * data.omega0), rel=1e-12)
             w = _weights(data, "strain", True)
-            assert w["u"][-1] == pytest.approx(8 * data.gamma_a / (-2j * data.omega0), rel=1e-12)
+            a = np.exp(1j * kv.k) - 1
+            to_q = a * np.conj(a) ** 2
+            gamma_a = data.gamma_q / (4 * (2.0 - 2.0 * np.cos(kv.k)))
+            gamma_b = data.gamma_q / (4 * (2.0 - 2.0 * np.cos(kv.l)))
+            want_u = 8 * gamma_a / (-2j * data.omega0) * to_q
+            assert w["u"][-1] == pytest.approx(want_u, rel=1e-12)
             r = ratio_b_over_a(kv)
-            want_v = 8 * data.gamma_b * r * np.conj(r) ** 2 / (-2j * data.omega0)
+            want_v = 8 * gamma_b * r * np.conj(r) ** 2 / (-2j * data.omega0) * to_q
             assert w["v"][-1] == pytest.approx(want_v, rel=1e-12)
 
     def test_displacement_first_harmonic(self):

@@ -153,7 +153,7 @@ class TestRunSingle:
             residual_sweep(plan)
 
     def test_strain_k0_zero_rejected(self):
-        # the strain run builds only the A envelope, which vanishes at k0 = 0
+        # at k0 = 0 the strain form's u field vanishes, so amplitude cannot set Q
         with pytest.raises(NonResonantCarrierRequired, match="k0 = 0"):
             run_single(small_plan(carrier_k_pi=0.0), 0.25)
         run_single(small_plan(carrier_k_pi=0.0, variant="displacement"), 0.25)

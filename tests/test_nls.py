@@ -268,21 +268,19 @@ class TestEvolve:
             assert np.array_equal(got.a, want.a)
             assert abs(h4 - h4_proxy(want)) <= 1e-12 * h4_proxy(want)
 
-    def test_b_envelope_consistency(self):
-        # evolving B0 = ratio * A0 with 4*gamma_b must track ratio * (A evolved
-        # with 4*gamma_a): the cross relation gamma_b = gamma_a wx^2/wy^2 makes
-        # the two equations identical on the constraint manifold
-        kv = WaveVector(np.pi / 2, np.pi / 3)
-        data = nls_coefficients(kv)
-        r = (np.exp(1j * kv.l) - 1) / (np.exp(1j * kv.k) - 1)
-        a0 = gaussian_field(40.0, 128, amplitude=0.8)
-        b0 = a0.copy()
-        b0.a = r * a0.a
-        prob_a = NlsProblem(data.hessian, 4 * data.gamma_a, dT=1e-3)
-        prob_b = NlsProblem(data.hessian, 4 * data.gamma_b, dT=1e-3)
-        a_t = evolve(a0, prob_a, 0.5, sample_times=[0.5])[-1].a
-        b_t = evolve(b0, prob_b, 0.5, sample_times=[0.5])[-1].a
-        assert np.max(np.abs(b_t - r * a_t)) < 1e-9
+    @pytest.mark.parametrize("k_pi, l_pi", [(1 / 2, 1 / 2), (1 / 2, 1 / 4), (3 / 4, 3 / 4),
+                                            (1 / 4, 1 / 4), (1 / 2, 1 / 3)])
+    def test_strain_envelope_is_a_times_q(self, k_pi, l_pi):
+        # the strain envelope A = a Q, a = e^{ik0} - 1, solves the Q equation
+        # with the cubic coefficient gamma_q / |a|^2, so every run solves Q:
+        # evolving A0 and Q0 = A0 / a gives A = a Q to round-off
+        data = nls_coefficients(WaveVector(k_pi * np.pi, l_pi * np.pi))
+        a = np.exp(1j * k_pi * np.pi) - 1
+        a0 = gaussian_field(40.0, 128)
+        q0 = EnvelopeField(a0.box_length, a0.a / a)
+        a_t = evolve(a0, NlsProblem(data.hessian, data.gamma_q / abs(a) ** 2), 1.0)[-1].a
+        q_t = evolve(q0, NlsProblem(data.hessian, data.gamma_q), 1.0)[-1].a
+        assert np.max(np.abs(a_t - a * q_t)) <= 1e-13 * np.max(np.abs(a_t))
 
 
 class TestDiagnostics:
