@@ -22,8 +22,10 @@ velocities are their exact first time derivatives, assembled by the chain
 rule in Fourier space with dQ/dT from the envelope equation's right-hand
 side: the lattice is compared against both, and the first-order-system
 residual is measured from them without finite-difference contamination.
-Strain-form initial data are the displacements whose forward differences
-are the oblique modewise projection of the sampled strain fields.
+Strain-form initial data are the displacements q whose forward differences
+project the sampled strain spectra (U, V) onto compatible pairs: per lattice
+mode (U, V) -> (a s, b s), a = e^{ik} - 1, b = e^{il} - 1, s the spectrum of
+q (_lift gives s, on the degenerate modes too).
 
 Lattice sites are labeled m, n in {-N/2, ..., N/2 - 1}; array index (i, j)
 maps to (m, n) = (i - N/2, j - N/2).  The lattice and envelope tori are
@@ -214,36 +216,16 @@ def _difference_symbol(n: int):
 
 
 def _lift(u_hat: np.ndarray, v_hat: np.ndarray, e, keep) -> np.ndarray:
-    """Spectrum of the periodic mean-zero displacement whose forward
-    differences are the compatible part of the strain pair (U, V): on kept
-    modes s = (a U + b V)/(a^2 + b^2), which compat_project maps to (a s, b s);
-    on the other degenerate modes U/a (V/b where a = 0)."""
+    """Spectrum s of the periodic mean-zero displacement whose forward
+    differences (a s, b s) are the projection of the strain pair (U, V): on
+    kept modes s = (a U + b V)/(a^2 + b^2); on the degenerate modes other than
+    (0, 0), which are (pi/2, -pi/2) and (-pi/2, pi/2) when 4 divides N, U/a
+    (V/b where a = 0), so U stays and V becomes (b/a) U."""
     a, b = e[:, None], e[None, :]
     q = (a * u_hat + b * v_hat) / np.where(keep, a * a + b * b, 1.0)
     for m, n in np.argwhere(~keep):  # (0, 0), where a = b = 0, is the mean
         q[m, n] = u_hat[m, n] / e[m] if e[m] else v_hat[m, n] / e[n] if e[n] else 0.0
     return q
-
-
-def compat_project(u_hat: np.ndarray, v_hat: np.ndarray, ut_hat: np.ndarray,
-                   vt_hat: np.ndarray):
-    """Modewise oblique projection onto the compatible subspace a V = b U.
-
-    a = e^{ik} - 1, b = e^{il} - 1 per lattice mode.  The map is
-    (U, V) -> (a, b) (a U + b V)/(a^2 + b^2) and fixes its range; modes with
-    |a^2 + b^2| below DELTA_PROJ pass through unchanged and are counted in the
-    returned diagnostics.  Field and velocity spectra are projected with the
-    same modewise map, which preserves the velocity compatibility relation.
-    Spectra go in and come out in LatticeState.arrays() order.
-    """
-    e, keep = _difference_symbol(u_hat.shape[0])
-
-    def apply(uh, vh):
-        s = _lift(uh, vh, e, keep)
-        return np.where(keep, e[:, None] * s, uh), np.where(keep, e[None, :] * s, vh)
-
-    projected = (*apply(u_hat, v_hat), *apply(ut_hat, vt_hat))
-    return projected, {"degenerate_modes": int(np.count_nonzero(~keep))}
 
 
 def build_initial_data(env: EnvelopeField, disp: DispersionData, eps: float,
@@ -252,9 +234,9 @@ def build_initial_data(env: EnvelopeField, disp: DispersionData, eps: float,
 
     The sampled ansatz at t = 0.  Displacement form takes it as it is (no
     constraint).  Strain form lifts the spectra of its four arrays to the
-    (q, w) whose forward differences are their oblique projection; the
-    projection moves the strain state by O(eps^2) in sup norm.  Returns
-    (state, diagnostics).
+    (q, w) whose forward differences are their projection onto compatible
+    pairs (see the module docstring); the projection moves the strain state
+    by O(eps^2) in sup norm.  Returns (state, diagnostics).
     """
     s = sample_ansatz(env, disp, eps, 0.0, n_side, form, corrections)
     if form == "displacement":

@@ -95,7 +95,7 @@ class ExperimentPlan:
                               "cubic_baseline", "perturbed")
     coeff_bound: float = _key(1.0, "sup bound for per-bond perturbation coefficients",
                               *_NON_NEGATIVE)
-    seed: int = _key(2026, "RNG seed for perturbation draws")
+    seed: int = _key(2026, "RNG seed for perturbation draws", *_NON_NEGATIVE)
     amplitude: float = _key(1.0, "peak of the initial envelope: of Q in the displacement "
                             "form, of the strain envelope (e^{ik0} - 1) Q in the strain form")
     sigma: float = _key(4.0, "Gaussian envelope width", *_POSITIVE)
@@ -169,11 +169,14 @@ def _number(value, kind):
         raise TypeError
     if kind is int and isinstance(value, float) and value != int(value):
         raise TypeError
-    return kind(value)
+    number = kind(value)
+    if kind is float and not math.isfinite(number):
+        raise ValueError  # NaN passes every rule's comparison; infinity overflows later work
+    return number
 
 
 def _convert(key: str, value, default):
-    """value read as the type of the key's default."""
+    """value read as the type of the key's default; floats must be finite."""
     kind = type(default)
     try:
         if kind is tuple:
@@ -196,7 +199,8 @@ def _convert(key: str, value, default):
         return _number(value, kind)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(
-            f"config key {key!r}: cannot read {value!r} as {_type_name(default)}"
+            f"config key {key!r}: cannot read {value!r} as "
+            f"{'finite ' if kind in (float, tuple) else ''}{_type_name(default)}"
         ) from None
 
 

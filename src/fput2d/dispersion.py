@@ -100,17 +100,11 @@ class CorrectionAmplitudeCoefficients:
 
     The strain fields' amplitudes are these times e^{ijk} - 1 at harmonic j,
     k = k0 for u and l0 for v.
-
-    denom_* are the resolvent denominators i*m*omega0 - i*omega(m*k0),
-    exposed for diagnostics and tests.
     """
 
     c_1m1: complex
     c_13: complex
     c_1m3: complex
-    denom_m1: complex
-    denom_3: complex
-    denom_m3: complex
 
 
 def omega_x_sq(k):
@@ -204,9 +198,6 @@ def correction_coefficients(
         c_1m1=complex(num_m1 / denom_m1),
         c_13=complex(num_3 / denom_3),
         c_1m3=complex(num_m3 / denom_m3),
-        denom_m1=complex(denom_m1),
-        denom_3=complex(denom_3),
-        denom_m3=complex(denom_m3),
     )
 
 

@@ -58,8 +58,8 @@ class UnstableStep(RuntimeError):
 class ForceLaw:
     """Bond force W'.
 
-    kind "cubic_baseline" is W'(u) = u - u^3; "linear" drops the cubic term
-    (diagnostic runs); "perturbed" applies per-bond perturbed forces
+    kind "cubic_baseline" is W'(u) = u - u^3; "perturbed" applies per-bond
+    perturbed forces
 
         W'(u) = u + alpha*eps^3*u + beta*eps^2*u^2 - u^3 + gamma*eps*u^3
 
@@ -80,7 +80,7 @@ class ForceLaw:
     coeff_bound: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("cubic_baseline", "perturbed", "linear"):
+        if self.kind not in ("cubic_baseline", "perturbed"):
             raise ValueError(f"unknown force kind {self.kind!r}")
         if self.kind == "perturbed":
             if not 0.0 < self.eps < 1.0:
@@ -106,8 +106,6 @@ class ForceLaw:
         """Evaluate the bond force on an array of bond strains, in place into out (not u)."""
         if out is None:
             out = np.empty_like(u)
-        if self.kind == "linear":
-            return np.positive(u, out=out)  # a copy
         if self.kind == "cubic_baseline":
             np.square(u, out=out)
             out *= u
@@ -126,8 +124,6 @@ class ForceLaw:
         u2 = u * u
         if self.kind == "cubic_baseline":
             return 0.5 * u2 - 0.25 * u2 * u2
-        if self.kind == "linear":
-            return 0.5 * u2
         c1, c2, c3 = self._poly[direction]
         return u2 * (0.5 + 0.5 * c1 + u * (c2 / 3.0 + 0.25 * c3 * u))
 
@@ -300,8 +296,8 @@ def _march(state: LatticeState, force: ForceLaw, dt: float, n_steps: int, accel,
     reported by the guard, so numpy's overflow and invalid-value warnings are
     off inside the march.
     """
-    if abs(dt) > DT_MAX:
-        raise ValueError(f"|dt| = {abs(dt)} exceeds dt_max = {DT_MAX}")
+    if dt > DT_MAX:
+        raise ValueError(f"dt = {dt} exceeds dt_max = {DT_MAX}")
     q, w = state.q, state.w
     kick = 0.5 * dt
     with np.errstate(over="ignore", invalid="ignore"):
@@ -318,20 +314,6 @@ def _march(state: LatticeState, force: ForceLaw, dt: float, n_steps: int, accel,
                 _check_amplitude(state)
         w += np.multiply(accel, 0.5 * dt, out=buffers[0])
     return accel
-
-
-def verlet_step(state: LatticeState, force: ForceLaw, dt: float) -> LatticeState:
-    """One velocity-Verlet step of a displacement state; returns a new state
-    advanced by dt.
-
-    The input state is left untouched.  Negative dt steps backwards (the
-    scheme is time reversible).
-    """
-    out = state.copy()
-    buffers = _buffers(out)
-    _march(out, force, dt, 1, rhs_displacement(out, force, out=buffers), buffers)
-    _check_amplitude(out)
-    return out
 
 
 def integrate(state: LatticeState, force: ForceLaw, dt_max_step: float,

@@ -30,7 +30,7 @@ every CHECK_INTERVAL of slow time whatever the step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft
@@ -78,9 +78,6 @@ class EnvelopeField:
 
     def wavenumbers_1d(self) -> np.ndarray:
         return 2 * np.pi * np.fft.fftfreq(self.grid_side, d=self.spacing)
-
-    def copy(self) -> "EnvelopeField":
-        return replace(self, a=self.a.copy())
 
 
 @dataclass(frozen=True)
@@ -147,15 +144,10 @@ def _h4_of_spectrum(spectrum: np.ndarray, weight: np.ndarray,
     return float(np.sqrt(np.sum((weight * ahat) ** 2) * dk**2))
 
 
-def h4_proxy(field: EnvelopeField) -> float:
-    """Fourier-weighted smooth-norm monitor with weight (1 + |K|^2)^2."""
-    return _h4_of_spectrum(fft.fft2(field.a), _h4_weight(field), field)
-
-
-def edge_mass_fraction(field: EnvelopeField, rim: float = 0.1) -> float:
-    """Mass fraction in the outer `rim` band of the box (wrap-around monitor)."""
+def edge_mass_fraction(field: EnvelopeField) -> float:
+    """Mass fraction where |X| or |Y| exceeds 0.45 L (wrap-around monitor)."""
     x = np.abs(field.coords_1d())
-    cut = field.box_length / 2 * (1 - rim)
+    cut = field.box_length / 2 * 0.9
     outer = (x[:, None] > cut) | (x[None, :] > cut)
     total = np.sum(np.abs(field.a) ** 2)
     if total == 0:

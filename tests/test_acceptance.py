@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from conftest import measure_mode_frequencies, smooth_random_field
-from test_lattice import reference_verlet
-from fput2d.ansatz import build_initial_data, compat_project
+from test_ansatz import run_projection
+from test_lattice import reference_verlet, reverse, step
+from fput2d.ansatz import build_initial_data
 from fput2d.dispersion import WaveVector, nls_coefficients, omega
 from fput2d.harness import ExperimentPlan, fit_order, residual_sweep, run_sweep
 from fput2d.lattice import (
@@ -20,7 +21,6 @@ from fput2d.lattice import (
     energy,
     integrate,
     strain_from_displacement,
-    verlet_step,
 )
 from fput2d.nls import EnvelopeField, NlsProblem, evolve, gaussian_field, mass
 
@@ -139,9 +139,9 @@ def test_criterion_04_symplectic_diagnostics():
         return max(drifts)
 
     ratio = max_drift(0.1) / max_drift(0.05)
+    # step, negate w, step, negate w: back to the start
     s0 = LatticeState("displacement", q=q.copy(), w=w.copy())
-    s1 = verlet_step(s0, force, 0.1)
-    s2 = verlet_step(s1, force, -0.1)
+    s2 = reverse(step(reverse(step(s0, force, 0.1)), force, 0.1))
     rev = max(np.max(np.abs(s2.q - q)), np.max(np.abs(s2.w - w)))
     ok = 3.0 <= ratio <= 5.0 and rev < 1e-12
     _line(4, ok,
@@ -231,9 +231,10 @@ def test_criterion_09_perturbed_force():
 def test_criterion_10_projection_contract():
     rng = np.random.default_rng(11)
     n = 64
+    # the projection build_initial_data makes: the lift, then its differences
     spectra = [np.fft.fft2(rng.normal(size=(n, n))) for _ in range(4)]
-    once, _ = compat_project(*spectra)
-    twice, _ = compat_project(*once)
+    once = run_projection(*spectra)
+    twice = run_projection(*once)
     scale = max(np.max(np.abs(a)) for a in once)
     idem = max(np.max(np.abs(a - b)) for a, b in zip(once, twice)) / scale
 

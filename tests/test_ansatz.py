@@ -16,14 +16,13 @@ from fput2d.ansatz import (
     _respec,
     _weights,
     build_initial_data,
-    compat_project,
     eval_envelope,
     l1_dft_norm,
     residual_norm,
     sample_ansatz,
 )
 from fput2d.dispersion import WaveVector, nls_coefficients
-from fput2d.lattice import compatibility_defect, strain_from_displacement
+from fput2d.lattice import LatticeState, compatibility_defect, strain_from_displacement
 from fput2d.nls import EnvelopeField, NlsProblem, evolve, gaussian_field
 from test_dispersion import ratio_b_over_a, strain_correction_oracle
 
@@ -45,10 +44,20 @@ def constant_env(value, box, m=8):
     return EnvelopeField(box, np.full((m, m), value, dtype=complex))
 
 
+def run_projection(u_hat, v_hat, ut_hat, vt_hat):
+    """The projection build_initial_data makes, on spectra of real fields in
+    LatticeState.arrays() order: each strain pair lifted to a displacement
+    spectrum, then the spectra of the lifted state's forward differences."""
+    e, keep = _difference_symbol(u_hat.shape[0])
+    q, w = (np.fft.ifft2(_lift(f, g, e, keep)).real for f, g in ((u_hat, v_hat), (ut_hat, vt_hat)))
+    lifted = LatticeState("displacement", q=q, w=w)
+    return [np.fft.fft2(f) for f in strain_from_displacement(lifted).arrays()]
+
+
 def evolved_copy(env, disp, dT_target):
     """Advance a copy of the envelope by dT_target (possibly negative)."""
     if dT_target == 0.0:
-        return env.copy()
+        return EnvelopeField(env.box_length, env.a.copy(), env.slow_time)
     prob = NlsProblem(disp.hessian, disp.gamma_q, dT=abs(dT_target) / 2)
     if dT_target > 0:
         return evolve(env, prob, env.slow_time + dT_target,
@@ -113,8 +122,7 @@ class TestSampling:
         env.a = env.a * np.exp(0.4j)  # give the envelope a nontrivial phase
         s1 = sample_ansatz(env, DISP, 0.2, 0.0, 200, "strain", corrections=True)
         disp_neg = nls_coefficients(KV.negated())
-        env_c = env.copy()
-        env_c.a = np.conj(env.a)
+        env_c = EnvelopeField(env.box_length, np.conj(env.a))
         s2 = sample_ansatz(env_c, disp_neg, 0.2, 0.0, 200, "strain", corrections=True)
         assert np.allclose(s1.u, s2.u, atol=1e-13)
         assert np.allclose(s1.v, s2.v, atol=1e-13)
@@ -206,90 +214,100 @@ class TestEnvelopeEvaluation:
 
 
 class TestCompatProjection:
+    """The projection a strain run's initial data make (run_projection)."""
+
     def _random_spectra(self, n, rng):
         f = lambda: np.fft.fft2(rng.normal(size=(n, n)))
         return f(), f(), f(), f()
 
+    @staticmethod
+    def _symbols(n):
+        e = np.exp(2j * np.pi * np.fft.fftfreq(n)) - 1
+        return e[:, None] * np.ones(n), np.ones(n)[:, None] * e[None, :]
+
     def test_idempotent(self):
         rng = np.random.default_rng(0)
         spectra = self._random_spectra(32, rng)
-        once, _ = compat_project(*spectra)
-        twice, _ = compat_project(*once)
+        once = run_projection(*spectra)
+        twice = run_projection(*once)
         for x, y in zip(once, twice):
             assert np.max(np.abs(x - y)) < 1e-12
 
     def test_output_compatible(self):
+        # the constraint a*V = b*U holds on every mode, the degenerate ones too
         rng = np.random.default_rng(1)
-        (pu, pv, put, pvt), _ = compat_project(*self._random_spectra(32, rng))
-        n = 32
-        k = 2 * np.pi * np.fft.fftfreq(n)
-        a = (np.exp(1j * k) - 1)[:, None] * np.ones(n)
-        b = np.ones(n)[:, None] * (np.exp(1j * k) - 1)
-        # on non-degenerate modes the constraint a*V = b*U holds exactly
-        d = a * a + b * b
-        live = np.abs(d) >= 1e-9
-        assert np.max(np.abs((a * pv - b * pu)[live])) < 1e-10
-        assert np.max(np.abs((a * pvt - b * put)[live])) < 1e-10
+        pu, pv, put, pvt = run_projection(*self._random_spectra(32, rng))
+        a, b = self._symbols(32)
+        assert np.max(np.abs(a * pv - b * pu)) < 1e-10
+        assert np.max(np.abs(a * pvt - b * put)) < 1e-10
 
     def test_compatible_input_fixed(self):
         n = 32
         rng = np.random.default_rng(2)
-        k = 2 * np.pi * np.fft.fftfreq(n)
-        a = (np.exp(1j * k) - 1)[:, None] * np.ones(n)
-        b = np.ones(n)[:, None] * (np.exp(1j * k) - 1)
+        a, b = self._symbols(n)
         s = np.fft.fft2(rng.normal(size=(n, n)))
         u, v = a * s, b * s  # manifestly compatible: aV - bU = 0
-        (pu, pv, put, pvt), _ = compat_project(u, v, u, v)
+        pu, pv, put, pvt = run_projection(u, v, u, v)
         assert np.max(np.abs(pu - u)) < 1e-10 * np.max(np.abs(u))
         assert np.max(np.abs(pv - v)) < 1e-10 * np.max(np.abs(v))
 
     def test_single_mode_arithmetic(self):
         # mode (k, l) = (pi/2, pi): a = i - 1, b = -2, input (U, V) = (1, 0)
-        # gives U' = -2i/(4 - 2i) = 0.2 - 0.4i, V' = 0.6 - 0.2i
-        n = 4
-        u = np.zeros((n, n), dtype=complex)
+        # gives U' = -2i/(4 - 2i) = 0.2 - 0.4i, V' = 0.6 - 0.2i; the real
+        # field cos(k m + l n) puts U = n^2/2 on that mode and its conjugate
+        n = 8
+        m = np.arange(n)
+        u = np.fft.fft2(np.cos(np.pi / 2 * m[:, None] + np.pi * m[None, :]))
         v = np.zeros((n, n), dtype=complex)
-        u[1, 2] = 1.0  # fftfreq index 1 -> k = pi/2, index 2 -> l = pi
-        (pu, pv, put, pvt), _ = compat_project(u, v, u, v)
+        pu, pv, put, pvt = run_projection(u, v, u, v)
+        mode = (2, 4)  # fftfreq index 2 -> k = pi/2, index 4 -> l = pi
+        assert u[mode] == pytest.approx(n * n / 2, abs=1e-12)
         a = np.exp(1j * np.pi / 2) - 1
         b = np.exp(1j * np.pi) - 1
         expected_u = a * (a * 1.0) / (a * a + b * b)
         expected_v = b * (a * 1.0) / (a * a + b * b)
-        assert pu[1, 2] == pytest.approx(expected_u, abs=1e-14)
-        assert pv[1, 2] == pytest.approx(expected_v, abs=1e-14)
-        assert pu[1, 2] == pytest.approx(0.2 - 0.4j, abs=1e-12)
-        assert pv[1, 2] == pytest.approx(0.6 - 0.2j, abs=1e-12)
-        assert a * pv[1, 2] == pytest.approx(b * pu[1, 2], abs=1e-14)
+        assert pu[mode] / u[mode] == pytest.approx(expected_u, abs=1e-14)
+        assert pv[mode] / u[mode] == pytest.approx(expected_v, abs=1e-14)
+        assert pu[mode] / u[mode] == pytest.approx(0.2 - 0.4j, abs=1e-12)
+        assert pv[mode] / u[mode] == pytest.approx(0.6 - 0.2j, abs=1e-12)
+        assert a * pv[mode] == pytest.approx(b * pu[mode], abs=1e-12)
 
     def test_real_fields_stay_real(self):
+        # the lift of real fields' spectra is a real displacement, so the
+        # real part build_initial_data takes of its inverse FFT drops nothing
         rng = np.random.default_rng(3)
-        fields = [rng.normal(size=(32, 32)) for _ in range(4)]
-        spectra = [np.fft.fft2(f) for f in fields]
-        out, _ = compat_project(*spectra)
-        for s in out:
-            assert np.max(np.abs(np.fft.ifft2(s).imag)) < 1e-12
+        u, v, ut, vt = self._random_spectra(32, rng)
+        e, keep = _difference_symbol(32)
+        for f, g in ((u, v), (ut, vt)):
+            assert np.max(np.abs(np.fft.ifft2(_lift(f, g, e, keep)).imag)) < 1e-12
 
     def test_lift_differences_are_the_projection(self):
-        # a q_hat = U' and b q_hat = V' on kept modes; u = a q alone fixes q on
-        # the other degenerate modes, and the mean is 0
+        # on kept modes the differences of the lifted q are the oblique
+        # projection (a, b) (a U + b V)/(a^2 + b^2); on the two lone degenerate
+        # modes u = a q alone fixes q, so U stays and V becomes (b/a) U; the
+        # mean is 0
         n = 32
         u, v = self._random_spectra(n, np.random.default_rng(4))[:2]
-        e, keep = _difference_symbol(n)
-        q = _lift(u, v, e, keep)
-        (pu, pv, _, _), _ = compat_project(u, v, u, v)
-        a, b = e[:, None] * np.ones(n), np.ones(n)[:, None] * e[None, :]
-        assert np.max(np.abs((a * q - pu)[keep])) < 1e-12 * np.max(np.abs(pu))
-        assert np.max(np.abs((b * q - pv)[keep])) < 1e-12 * np.max(np.abs(pv))
+        _, keep = _difference_symbol(n)
+        a, b = self._symbols(n)
+        pu, pv, _, _ = run_projection(u, v, u, v)
+        s = (a * u + b * v) / np.where(keep, a * a + b * b, 1.0)
+        scale = np.max(np.abs(u))
+        assert np.max(np.abs((pu - a * s)[keep])) < 1e-12 * scale
+        assert np.max(np.abs((pv - b * s)[keep])) < 1e-12 * scale
         lone = ~keep
         lone[0, 0] = False
         assert np.count_nonzero(lone) == 2  # (pi/2, -pi/2) and (-pi/2, pi/2)
-        assert np.max(np.abs((a * q - u)[lone])) < 1e-12 * np.max(np.abs(u))
-        assert q[0, 0] == 0.0
+        assert np.max(np.abs((pu - u)[lone])) < 1e-12 * scale
+        assert np.max(np.abs((pv - b / np.where(lone, a, 1.0) * u)[lone])) < 1e-12 * scale
+        assert abs(pu[0, 0]) < 1e-12 * scale and abs(pv[0, 0]) < 1e-12 * scale
 
     def test_degenerate_mode_count(self):
-        rng = np.random.default_rng(5)
-        _, diag = compat_project(*self._random_spectra(32, rng))
-        assert diag["degenerate_modes"] >= 1
+        # (0, 0) always; the two lone modes (pi/2, -pi/2), (-pi/2, pi/2) when 4 | N
+        for n_side, count in ((16, 3), (18, 1)):
+            env = constant_env(0.0, 0.2 * n_side)
+            _, diag = build_initial_data(env, DISP, 0.2, n_side, "strain")
+            assert diag["degenerate_modes"] == count
 
 
 class TestInitialData:
@@ -309,12 +327,12 @@ class TestInitialData:
 
     @pytest.mark.parametrize("corrections", [False, True])
     def test_lift_reproduces_projected_strain(self, corrections):
-        # the differences of the lifted (q, w) are the oblique projection of
-        # the sampled strain state, with the means of all four arrays at 0
+        # the differences of the lifted (q, w) are the projection of the
+        # sampled strain state, with the means of all four arrays at 0
         env = gaussian_field(40.0, 256)
         state, diag = build_initial_data(env, DISP, 0.2, 200, "strain", corrections)
         raw = sample_ansatz(env, DISP, 0.2, 0.0, 200, "strain", corrections)
-        projected, _ = compat_project(*[np.fft.fft2(f) for f in raw.arrays()])
+        projected = run_projection(*[np.fft.fft2(f) for f in raw.arrays()])
         lifted = strain_from_displacement(state).arrays()
         assert diag["degenerate_modes"] == 3
         for got, want in zip(lifted, projected):

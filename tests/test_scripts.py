@@ -3,9 +3,11 @@
 coefficients_table.py runs in full (it is cheap), and so does
 residual_orders.py on a coarse eps sweep off the default carrier; the sweep
 scripts otherwise only parse their arguments, which still imports every name
-they use, and refuse a plan the config rejects with a usage error.
+they use, and refuse a plan the config rejects with a usage error.  One more
+check reads the package's source: program code reaches every public function.
 """
 
+import ast
 import os
 import re
 import subprocess
@@ -62,3 +64,27 @@ def test_residual_orders_off_default_carrier(variant):
     orders = dict(re.findall(r"order (with|without) corrections: ([-\d.]+)", out.stdout))
     assert float(orders["with"]) >= 3.6
     assert float(orders["without"]) >= 2.7
+
+
+# io.read_snapshot is the snapshot format's reader for users: the program
+# writes snapshots and never reads them back
+USER_ENTRY_POINTS = {"read_snapshot"}
+
+
+def test_every_public_function_is_reached_by_program_code():
+    # a public function only tests reach is a second path that runs never take
+    package = ROOT / "src" / "fput2d"
+    defined = {node.name: path.name
+               for path in package.glob("*.py")
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    referenced = {node.id if isinstance(node, ast.Name) else node.attr
+                  for path in [*package.glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, (ast.Name, ast.Attribute))}
+    # pyproject.toml's entry points, name = "module:function"
+    referenced |= set(re.findall(r'^\w+ = "[\w.]+:(\w+)"$',
+                                 (ROOT / "pyproject.toml").read_text(), flags=re.M))
+    unreached = {name: module for name, module in defined.items()
+                 if name not in referenced | USER_ENTRY_POINTS}
+    assert unreached == {}
