@@ -31,9 +31,25 @@ Lattice sites are labeled m, n in {-N/2, ..., N/2 - 1}; array index (i, j)
 maps to (m, n) = (i - N/2, j - N/2).  The lattice and envelope tori are
 commensurate (eps * N equals the box length L) and both grids start at -L/2,
 so lattice index i sits at envelope index i M/N.  The envelope is therefore
-evaluated at the scaled moving-frame points by exact FFT resampling: a phase
-shift for the moving frame, then zero-padding or truncation of the spectrum
-to the N x N lattice grid.  All transforms are scipy.fft.
+evaluated at the scaled moving-frame points by exact FFT resampling: the
+central modes of the envelope spectrum move to the N x N lattice grid
+(zero-padded or truncated), each gets the moving frame's phase shift, and one
+inverse FFT gives the lattice field.  All transforms are scipy.fft.
+
+An AnsatzWorkspace holds what one lattice run's samples share: the
+constants (the envelope equation's symbol and cubic coefficient, the group
+velocity term of the time derivative, the index blocks of the resampling,
+the carrier phase along n, the harmonic weights and the residual's lattice
+multipliers, all on the lattice's modes) and the buffers every sample is
+written into (one envelope-grid array, four lattice-grid complex arrays
+and the state's real arrays).  Between the envelope FFTs
+and the lattice inverse FFTs all arithmetic runs on the lattice's modes,
+in place, with the same floating-point operations per mode as on the
+envelope grid.  sample_ansatz and residual_norm take it as work; without
+one they build a throwaway workspace.  The state sample_ansatz returns from
+a workspace is live: its arrays are the workspace's, and the next call on
+that workspace (residual_norm too) overwrites them, so a caller copies what
+it keeps.  A workspace serves one thread.
 """
 
 from __future__ import annotations
@@ -58,35 +74,13 @@ class FootprintExceeded(ValueError):
     """The lattice's scaled footprint eps*N differs from the envelope box."""
 
 
-def envelope_rhs(env: EnvelopeField, disp: DispersionData) -> tuple[np.ndarray, complex]:
-    """What dQ/dT needs besides Q: the linear symbol of the envelope equation
-    on env's grid, and its cubic coefficient.
-
-    Both depend only on the grid and the carrier, so a run that samples many
-    envelopes on one grid builds them once and passes them as rhs.
-    """
-    prob = NlsProblem(disp.hessian, disp.gamma_q)
-    return linear_symbol(env, prob), prob.nonlin_coeff
-
-
-def _harmonics(env: EnvelopeField, disp: DispersionData, corrections: bool,
-               rhs=None) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """DFTs of the envelope-grid basis field B_j of each harmonic e^{i j theta}
-    and of dB_j/dT; B_1 = Q takes two FFTs, of Q and of the cubic term of dQ/dT.
-    rhs is envelope_rhs on env's grid, built here when None."""
-    symbol, gamma = envelope_rhs(env, disp) if rhs is None else rhs
-    a = env.a
-    a_hat = fft.fft2(a)
-    a_t_hat = envelope_rhs_spectrum(a, a_hat, symbol, gamma)
-    basis = {1: (a_hat, a_t_hat)}
-    if corrections:
-        a_t = fft.ifft2(a_t_hat)
-        ac, ac_t = np.conj(a), np.conj(a_t)
-        for j, (b, b_t) in {-1: (a * ac**2, a_t * ac**2 + 2 * a * ac * ac_t),
-                            3: (a**3, 3 * a * a * a_t),
-                            -3: (ac**3, 3 * ac * ac * ac_t)}.items():
-            basis[j] = (fft.fft2(b), fft.fft2(b_t))
-    return basis
+def _correction_products(a: np.ndarray, a_t: np.ndarray) -> dict[int, tuple]:
+    """The envelope-grid basis fields B_j of the correction harmonics j = -1,
+    3, -3, Q conj(Q)^2, Q^3 and conj(Q)^3, and dB_j/dT, from Q and dQ/dT."""
+    ac, ac_t = np.conj(a), np.conj(a_t)
+    return {-1: (a * ac**2, a_t * ac**2 + 2 * a * ac * ac_t),
+            3: (a**3, 3 * a * a * a_t),
+            -3: (ac**3, 3 * ac * ac * ac_t)}
 
 
 def _positions(form: str) -> tuple[str, ...]:
@@ -120,91 +114,225 @@ def _weights(disp: DispersionData, form: str,
             for name, k in zip(_positions(form), (kv.k, kv.l))}
 
 
-def _respec(coeffs: np.ndarray, n_out: int) -> np.ndarray:
-    """Zero-pad or truncate centered Fourier coefficients to an n_out grid by
-    index selection: per axis, the c = min(M, n_out) central modes in fftshift
-    order go where ifftshift puts the n_out grid's c central modes."""
-    m = coeffs.shape[0]
+def _resample_map(m: int, n_out: int):
+    """How centered Fourier coefficients of an m-point axis move to an
+    n_out-point axis (zero padding or truncation): per axis, the c =
+    min(m, n_out) central modes in fftshift order go where ifftshift puts the
+    n_out grid's c central modes.
+
+    Returns (blocks, pad, src): the (output, input) slice pairs along which
+    both index runs are contiguous (each wraps at most once, so there are at
+    most three), the mask of the output modes no input mode reaches (None when
+    there are none), and per output mode the input mode it reads (0 on pads).
+    """
     c = min(m, n_out)
     r = np.arange(c)
     dst = (r + (n_out - c) // 2 - n_out // 2) % n_out
-    src = np.zeros(n_out, dtype=int)  # the input mode each output mode reads
-    src[dst] = (r + (m - c) // 2 - m // 2) % m
+    src = (r + (m - c) // 2 - m // 2) % m
+    cuts = [0] + [i for i in range(1, c)
+                  if dst[i] != dst[i - 1] + 1 or src[i] != src[i - 1] + 1] + [c]
+    blocks = [(slice(dst[a], dst[b - 1] + 1), slice(src[a], src[b - 1] + 1))
+              for a, b in zip(cuts, cuts[1:])]
+    reads = np.zeros(n_out, dtype=int)
+    reads[dst] = src
     pad = np.ones(n_out, dtype=bool)
     pad[dst] = False
-    out = coeffs.take(src, axis=0).take(src, axis=1)
-    out[pad] = out[:, pad] = 0.0
+    return blocks, (pad if pad.any() else None), reads
+
+
+def _respec(coeffs: np.ndarray, out: np.ndarray, blocks) -> np.ndarray:
+    """Copy the central modes of coeffs into out along the blocks of
+    _resample_map; out's pad modes are left as they are."""
+    for dst_i, src_i in blocks:
+        for dst_j, src_j in blocks:
+            out[dst_i, dst_j] = coeffs[src_i, src_j]
     return out
 
 
-def eval_envelope(spectra: list[np.ndarray], env: EnvelopeField, eps: float, t: float,
-                  n_side: int, group_velocity: tuple[float, float]) -> list[np.ndarray]:
-    """Evaluate envelope-grid fields, given by their DFTs, at the lattice's
-    scaled moving-frame points.
-
-    Exact trigonometric resampling; it needs commensurate tori, eps * N equal
-    to the envelope box length.
-    """
-    if abs(eps * n_side - env.box_length) > 1e-9 * env.box_length:
-        raise FootprintExceeded(
-            f"eps*N = {eps * n_side:.6f} differs from the envelope box {env.box_length}"
-        )
-    cx, cy = group_velocity
-    k1 = env.wavenumbers_1d()
-    scale = n_side**2 / env.grid_side**2
-    shift = np.outer(scale * np.exp(1j * eps * cx * t * k1), np.exp(1j * eps * cy * t * k1))
-    return [fft.ifft2(_respec(s * shift, n_side), overwrite_x=True) for s in spectra]
+def _lattice_multipliers(n: int):
+    wk2 = 2.0 - 2.0 * np.cos(2 * np.pi * fft.fftfreq(n))
+    w = np.sqrt(wk2[:, None] + wk2[None, :])
+    inv_8iw = np.zeros((n, n), dtype=complex)
+    live = w > 0
+    inv_8iw[live] = 1.0 / (8j * w[live])  # bounded combinations only; (0,0) -> 0
+    return w, inv_8iw
 
 
-def _assemble_branches(env: EnvelopeField, disp: DispersionData, eps: float,
-                       t: float, n_side: int, variant: str, corrections: bool,
-                       rhs) -> dict[str, list[np.ndarray]]:
-    """Complex positive-branch sums sum_j eps^p w_j B_j e^{i j theta} per field.
+class AnsatzWorkspace:
+    """The constants and buffers that sample_ansatz and residual_norm share
+    over one lattice run: one envelope grid and box, carrier, eps, lattice
+    side and form (see the module docstring)."""
 
-    Returns, per position array of the form, the branch field and its exact
-    first time derivative.  The real ansatz fields are the real parts; the
-    negative branch is the complex conjugate.
-    """
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0, 1)")
-    kv = disp.carrier
-    w0 = disp.omega0
-    cx, cy = disp.group_velocity
-    basis = _harmonics(env, disp, corrections, rhs)
-    weights = _weights(disp, variant, corrections)
+    def __init__(self, env: EnvelopeField, disp: DispersionData, eps: float,
+                 n_side: int, form: str):
+        if not 0 < eps < 1:
+            raise ValueError("eps must be in (0, 1)")
+        if form not in _ARRAY_NAMES:
+            raise ValueError(f"unknown lattice form {form!r}")
+        if abs(eps * n_side - env.box_length) > 1e-9 * env.box_length:
+            raise FootprintExceeded(
+                f"eps*N = {eps * n_side:.6f} differs from the envelope box {env.box_length}"
+            )
+        m, n = env.grid_side, n_side
+        self.key = (env.box_length, m, disp.carrier, eps, n, form)
+        self.disp, self.eps, self.form = disp, eps, form
+        self._blocks, self._pad, reads = _resample_map(m, n)
+        self._prob = NlsProblem(disp.hessian, disp.gamma_q)
+        # per lattice mode: the envelope wavenumber it carries, and i times the
+        # envelope equation's linear symbol and the group-velocity symbol c . K
+        # (complex, so that no product with them casts a real array)
+        self._k = env.wavenumbers_1d()[reads]
+        symbol = _respec(linear_symbol(env, self._prob), np.zeros((n, n)), self._blocks)
+        self._i_symbol = 1j * symbol
+        cx, cy = disp.group_velocity
+        self._i_mu = 1j * (cx * self._k[:, None] + cy * self._k[None, :])
+        self._scale = n**2 / m**2
+        mvals = np.arange(n) - n // 2
+        kv = disp.carrier
+        self._km = kv.k * mvals
+        self._phase_n = {j: np.exp(1j * j * kv.l * mvals) for j in (1, -1, 3, -3)}
+        self._coefficients: dict[bool, dict[str, dict[int, complex]]] = {}
+        w, self._inv_8iw = _lattice_multipliers(n)
+        self._iw = 1j * w
+        self._env = np.empty((m, m), dtype=complex)
+        # lattice grid: harmonic 1's field and time derivative, and two scratch arrays
+        self._pos, self._vel, self._tmp, self._spare = (
+            np.zeros((n, n), dtype=complex) for _ in range(4))
+        self.arrays = tuple(np.empty((n, n)) for _ in _ARRAY_NAMES[form])
 
-    # d/dt of B_j(X, Y, T) e^{i j theta} = e^{i j theta} times
-    # g_t = i j omega0 B_j + eps (c . grad) B_j + eps^2 dB_j/dT, here in Fourier space
-    k = env.wavenumbers_1d()
-    i_mu = 1j * (cx * k[:, None] + cy * k[None, :])
-    spectra: list[np.ndarray] = []
-    for j, (b_hat, b_t_hat) in basis.items():
-        spectra += [b_hat, (1j * j * w0 + eps * i_mu) * b_hat + eps**2 * b_t_hat]
-    sampled = eval_envelope(spectra, env, eps, t, n_side, (cx, cy))
+    def coefficients(self, corrections: bool) -> dict[str, dict[int, complex]]:
+        """Per position array, eps^p times the weight of each harmonic (p = 1
+        for j = 1, 3 for the corrections), built on first use."""
+        if corrections not in self._coefficients:
+            self._coefficients[corrections] = {
+                name: {j: self.eps ** (1 if j == 1 else 3) * wj for j, wj in w.items()}
+                for name, w in _weights(self.disp, self.form, corrections).items()}
+        return self._coefficients[corrections]
 
-    # the field, then its time derivative, of each harmonic on the lattice,
-    # times its carrier phase e^{i j theta}, an outer product over m and n
-    mvals = np.arange(n_side) - n_side // 2
-    terms = {}
-    for i, j in enumerate(basis):
-        phase = np.outer(np.exp(1j * j * (kv.k * mvals + w0 * t)), np.exp(1j * j * kv.l * mvals))
-        terms[j] = [np.multiply(f, phase, out=f) for f in sampled[2 * i:2 * i + 2]]
+    def real_scratch(self) -> np.ndarray:
+        """The spare complex array's memory as a C-contiguous real N x N array."""
+        n = self._spare.shape[0]
+        return self._spare.view(np.float64).reshape(2, n, n)[0]
 
-    return {name: [sum(eps ** (1 if j == 1 else 3) * wj * terms[j][d] for j, wj in w.items())
-                   for d in range(2)]
-            for name, w in weights.items()}
+    def harmonics(self, env: EnvelopeField, t: float,
+                  corrections: bool) -> list[tuple[int, tuple[np.ndarray, np.ndarray]]]:
+        """Per harmonic j: its basis field B_j(X, Y, T) e^{i j theta} on the
+        lattice at time t and that product's exact time derivative.
+
+        Harmonic 1 is written into the workspace; the corrections' are new
+        arrays.  dQ/dT is i sigma Q + gamma |Q|^2 Q (nls.envelope_rhs_spectrum),
+        here with the cubic term's DFT moved to the lattice's modes first.
+        """
+        a, e = env.a, self._env
+        # gamma |Q|^2 Q, with |Q|^2 in e's real part and e's imaginary part 0:
+        # the complex array a real one casts to, so the product is the same
+        np.abs(a, out=e.real)
+        np.square(e.real, out=e.real)
+        e.imag = 0.0
+        np.multiply(self._prob.nonlin_coeff, e, out=e)
+        e *= a
+        _respec(fft.fft2(e, overwrite_x=True), self._vel, self._blocks)
+        np.copyto(e, a)
+        a_hat = fft.fft2(e, overwrite_x=True)
+        _respec(a_hat, self._pos, self._blocks)
+        self._vel += np.multiply(self._i_symbol, self._pos, out=self._tmp)
+        basis = [(1, (self._pos, self._vel))]
+        if corrections:
+            a_t = fft.ifft2(envelope_rhs_spectrum(a, a_hat, linear_symbol(env, self._prob),
+                                                  self._prob.nonlin_coeff))
+            basis += [(j, tuple(_respec(fft.fft2(f), np.zeros_like(self._pos), self._blocks)
+                                for f in fields))
+                      for j, fields in _correction_products(a, a_t).items()]
+        w0 = self.disp.omega0
+        for j, (b_hat, b_t_hat) in basis:
+            self._time_derivative(j, b_hat, b_t_hat)
+            self.resample([b_hat, b_t_hat], t)
+            # times the carrier phase e^{i j theta}, an outer product over m and n
+            phase = np.outer(np.exp(1j * j * (self._km + w0 * t)), self._phase_n[j],
+                             out=self._tmp)
+            b_hat *= phase
+            b_t_hat *= phase
+        return basis
+
+    def _time_derivative(self, j: int, b_hat: np.ndarray, b_t_hat: np.ndarray) -> None:
+        """b_t_hat, the DFT of dB_j/dT, becomes in place the DFT of
+        g_t = i j omega0 B_j + eps (c . grad) B_j + eps^2 dB_j/dT, so that
+        d/dt of B_j(X, Y, T) e^{i j theta} = e^{i j theta} g_t."""
+        # complex products keep the operand order of the formula: with fused
+        # multiply-adds, a * b and b * a can differ in the last bit
+        tmp = self._tmp
+        np.multiply(self.eps**2, b_t_hat, out=b_t_hat)
+        np.multiply(self.eps, self._i_mu, out=tmp)
+        tmp += 1j * j * self.disp.omega0
+        tmp *= b_hat
+        b_t_hat += tmp
+
+    def resample(self, spectra: list[np.ndarray], t: float) -> None:
+        """Envelope-grid fields, given by their DFTs already moved to the
+        lattice's modes, evaluated in place at the lattice's scaled
+        moving-frame points at time t: the frame's phase shift, the pad modes
+        zeroed, then the inverse FFT."""
+        eps, k = self.eps, self._k
+        cx, cy = self.disp.group_velocity
+        shift = np.outer(self._scale * np.exp(1j * eps * cx * t * k),
+                         np.exp(1j * eps * cy * t * k), out=self._tmp)
+        for s in spectra:
+            s *= shift
+            if self._pad is not None:
+                s[self._pad] = s[:, self._pad] = 0.0
+            field = fft.ifft2(s, overwrite_x=True)
+            if not np.may_share_memory(field, s):  # scipy.fft works in place here
+                s[...] = field
+
+
+def _workspace(work: AnsatzWorkspace | None, env: EnvelopeField, disp: DispersionData,
+               eps: float, n_side: int, form: str) -> AnsatzWorkspace:
+    """work, checked against the call's arguments, or a new workspace."""
+    if work is None:
+        return AnsatzWorkspace(env, disp, eps, n_side, form)
+    if work.key != (env.box_length, env.grid_side, disp.carrier, eps, n_side, form):
+        raise ValueError("the workspace was built for another grid, carrier, eps, "
+                         "lattice side or form")
+    return work
+
+
+def _branch(coefficients: dict[int, complex], basis, d: int, out: np.ndarray) -> np.ndarray:
+    """The complex branch sum_j coefficients[j] * (basis field j, or its time
+    derivative for d = 1) in harmonic order, into out; a second harmonic takes
+    a new scratch array."""
+    scratch = None
+    for k, (j, fields) in enumerate(basis):
+        if k == 0:
+            np.multiply(coefficients[j], fields[d], out=out)
+        else:
+            if scratch is None:
+                scratch = np.empty_like(out)
+            out += np.multiply(coefficients[j], fields[d], out=scratch)
+    return out
+
+
+def _real_branches(work: AnsatzWorkspace, basis, coefficients, names, d: int, outs) -> None:
+    """Per name, the real part of its branch into its out: of 0 + the branch,
+    as a sum that starts at 0 gives it."""
+    for name, out in zip(names, outs):
+        np.add(_branch(coefficients[name], basis, d, work._tmp).real, 0.0, out=out)
 
 
 def sample_ansatz(env: EnvelopeField, disp: DispersionData, eps: float, t: float,
                   n_side: int, variant: str, corrections: bool = False,
-                  rhs=None) -> LatticeState:
+                  work: AnsatzWorkspace | None = None) -> LatticeState:
     """The ansatz on the N x N lattice as a state of form variant at time t:
-    positions are the psi fields, velocities their exact time derivatives.
-    rhs is envelope_rhs on env's grid, built here when None."""
-    acc = _assemble_branches(env, disp, eps, t, n_side, variant, corrections, rhs)
+    positions are the psi fields, velocities their exact time derivatives,
+    the real parts of the complex positive-branch sums
+    sum_j eps^p w_j B_j e^{i j theta}.  From a workspace the state is live
+    (see the module docstring)."""
+    work = _workspace(work, env, disp, eps, n_side, variant)
+    basis = work.harmonics(env, t, corrections)
     names = _positions(variant)
-    return LatticeState.from_arrays(
-        variant, t, [acc[p][0].real for p in names] + [acc[p][1].real for p in names])
+    for d in range(2):  # the fields, then their time derivatives
+        _real_branches(work, basis, work.coefficients(corrections), names, d,
+                       work.arrays[d * len(names):])
+    return LatticeState.from_arrays(variant, t, work.arrays)
 
 
 def _difference_symbol(n: int):
@@ -229,45 +357,40 @@ def _lift(u_hat: np.ndarray, v_hat: np.ndarray, e, keep) -> np.ndarray:
 
 
 def build_initial_data(env: EnvelopeField, disp: DispersionData, eps: float,
-                       n_side: int, form: str, corrections: bool = False):
+                       n_side: int, form: str, corrections: bool = False,
+                       work: AnsatzWorkspace | None = None):
     """Displacement-form lattice initial data matching the ansatz at t = 0.
 
-    The sampled ansatz at t = 0.  Displacement form takes it as it is (no
+    The sampled ansatz at t = 0.  Displacement form takes a copy of it (no
     constraint).  Strain form lifts the spectra of its four arrays to the
     (q, w) whose forward differences are their projection onto compatible
     pairs (see the module docstring); the projection moves the strain state
-    by O(eps^2) in sup norm.  Returns (state, diagnostics).
+    by O(eps^2) in sup norm.  The state owns its arrays.  Returns (state,
+    diagnostics).
     """
-    s = sample_ansatz(env, disp, eps, 0.0, n_side, form, corrections)
+    s = sample_ansatz(env, disp, eps, 0.0, n_side, form, corrections, work)
     if form == "displacement":
-        return s, {"degenerate_modes": 0, "max_projection_displacement": 0.0}
+        return s.copy(), {"degenerate_modes": 0, "max_projection_displacement": 0.0}
     e, keep = _difference_symbol(n_side)
     u_hat, v_hat, ut_hat, vt_hat = (fft.fft2(f) for f in s.arrays())
-    state = LatticeState("displacement", 0.0, q=fft.ifft2(_lift(u_hat, v_hat, e, keep)).real,
-                         w=fft.ifft2(_lift(ut_hat, vt_hat, e, keep)).real)
+    state = LatticeState("displacement", 0.0,
+                         q=fft.ifft2(_lift(u_hat, v_hat, e, keep)).real.copy(),
+                         w=fft.ifft2(_lift(ut_hat, vt_hat, e, keep)).real.copy())
     moved = max(float(np.max(np.abs(p - r)))
                 for p, r in zip(strain_from_displacement(state).arrays(), s.arrays()))
     return state, {"degenerate_modes": int(np.count_nonzero(~keep)),
                    "max_projection_displacement": moved}
 
 
-def l1_dft_norm(spectrum: np.ndarray) -> float:
+def l1_dft_norm(spectrum: np.ndarray, out: np.ndarray | None = None) -> float:
     """Cell-measure-scaled l1 norm of a field's DFT; dominates the field's
-    site sup norm."""
-    return float(np.sum(np.abs(spectrum)) / spectrum.size)
-
-
-def _lattice_multipliers(n: int):
-    wk2 = 2.0 - 2.0 * np.cos(2 * np.pi * fft.fftfreq(n))
-    w = np.sqrt(wk2[:, None] + wk2[None, :])
-    inv_8iw = np.zeros((n, n), dtype=complex)
-    live = w > 0
-    inv_8iw[live] = 1.0 / (8j * w[live])  # bounded combinations only; (0,0) -> 0
-    return w, inv_8iw
+    site sup norm.  out, if given, takes |spectrum|."""
+    return float(np.sum(np.abs(spectrum, out=out)) / spectrum.size)
 
 
 def residual_norm(env: EnvelopeField, disp: DispersionData, eps: float, t: float,
-                  n_side: int, variant: str, with_corrections: bool, rhs=None) -> float:
+                  n_side: int, variant: str, with_corrections: bool,
+                  work: AnsatzWorkspace | None = None) -> float:
     """L1-of-DFT norm of the first-order-system defect on the ansatz at time t.
 
     The diagonalized system splits each field into branches evolving by
@@ -280,21 +403,37 @@ def residual_norm(env: EnvelopeField, disp: DispersionData, eps: float, t: float
     naive second-order defect d2(psi)/dt2 - RHS(psi) cannot see the branch
     structure: the first-harmonic correction rides the carrier's own
     space-time phase there, so only the branch-resolved residual exhibits the
-    extra cancellation order.)  rhs is envelope_rhs on env's grid, built here
-    when None.
+    extra cancellation order.)  A workspace's state arrays serve as scratch.
     """
-    acc = _assemble_branches(env, disp, eps, t, n_side, variant, with_corrections, rhs)
-    w, inv_8iw = _lattice_multipliers(n_side)
+    work = _workspace(work, env, disp, eps, n_side, variant)
+    basis = work.harmonics(env, t, with_corrections)
+    coefficients = work.coefficients(with_corrections)
     names = _positions(variant)
-    fields = [2 * acc[p][0].real for p in names]
-    bonds = ([_forward_diff(fields[0], axis) for axis in (0, 1)]
-             if variant == "displacement" else fields)
-    div = _divergence(-bonds[0]**3, -bonds[1]**3, np.empty_like(fields[0]))
-    cubic = [div] if variant == "displacement" else [_forward_diff(div, 0),
-                                                     _forward_diff(div, 1)]
+    real = work.arrays  # the state arrays, free until the next sample
+    # the fields 2 Re Psi_1, then the cubic term N of each
+    fields = real[:len(names)]
+    _real_branches(work, basis, coefficients, names, 0, fields)
+    for field in fields:
+        field *= 2
+    if variant == "displacement":
+        bonds = [_forward_diff(fields[0], 0, out=real[1]),
+                 _forward_diff(fields[0], 1, out=work.real_scratch())]
+    else:
+        bonds = fields
+    for b in bonds:
+        np.negative(np.power(b, 3, out=b), out=b)
+    div = _divergence(bonds[0], bonds[1], real[0] if variant == "displacement" else real[2])
+    cubic = [div] if variant == "displacement" else [_forward_diff(div, 0, out=real[0]),
+                                                     _forward_diff(div, 1, out=real[1])]
     norm = 0.0
-    for p, n_cubic in zip(names, cubic):
-        psi1, dpsi1 = acc[p]
-        norm += l1_dft_norm(-fft.fft2(dpsi1) + 1j * w * fft.fft2(psi1)
-                            + inv_8iw * fft.fft2(n_cubic))
+    for name, n_cubic in zip(names, cubic):
+        spectrum = fft.fft2(_branch(coefficients[name], basis, 1, work._tmp), overwrite_x=True)
+        np.negative(spectrum, out=spectrum)
+        psi1_hat = fft.fft2(_branch(coefficients[name], basis, 0, work._spare), overwrite_x=True)
+        np.multiply(work._iw, psi1_hat, out=psi1_hat)
+        spectrum += psi1_hat
+        cubic_hat = fft.fft2(n_cubic)
+        spectrum += np.multiply(work._inv_8iw, cubic_hat, out=cubic_hat)
+        del cubic_hat  # a new array: dropped before the next name's
+        norm += l1_dft_norm(spectrum, out=real[-1])
     return 2 * norm

@@ -9,7 +9,9 @@ deviation
     sup_m,n ( |u - s.u| + |v - s.v| + |ut - s.ut| + |vt - s.vt| )
 
 against the leading-order ansatz s, sampled as a lattice state, at ~20
-sample times (the displacement form sums |q - s.q| + |w - s.w|).  A sweep
+sample times (the displacement form sums |q - s.q| + |w - s.w|).  A run
+samples through one ansatz workspace (ansatz.AnsatzWorkspace) and writes
+its strain view and diagnostics into arrays it builds once.  A sweep
 runs several eps values, fits the log-log slope of the max-in-time error, and
 reports pass/fail against the expected quadratic order.
 
@@ -48,7 +50,7 @@ import numpy as np
 from scipy import special
 
 from . import __version__
-from .ansatz import build_initial_data, envelope_rhs, residual_norm, sample_ansatz
+from .ansatz import AnsatzWorkspace, build_initial_data, residual_norm, sample_ansatz
 from .config import ExperimentPlan, thread_cap
 from .dispersion import DispersionData, nls_coefficients
 from .lattice import (
@@ -203,16 +205,24 @@ class _EnvelopeSamples:
                 self._changed.notify_all()
 
 
-def _run_lattice(plan: ExperimentPlan, disp, eps: float, env0: EnvelopeField, rhs,
+def _run_lattice(plan: ExperimentPlan, disp, eps: float, env0: EnvelopeField,
                  samples: _EnvelopeSamples, keep_state_indices=(),
                  release: bool = False) -> dict:
     """The lattice run at eps against the envelope samples; its record has no
-    wall time.  With release it drops each sample once observed."""
+    wall time.  With release it drops each sample once observed.
+
+    The run's ansatz workspace, strain view and diagnostic work arrays are
+    built once and rewritten at every observation, so an observation after
+    the first allocates no lattice-sized array except the one spectrum of
+    each residual (scipy.fft writes a real input's DFT into a new array).
+    """
     n = plan.n_side_for(eps)
     dt = plan.dt_for(eps)
+    work = AnsatzWorkspace(env0, disp, eps, n, plan.variant)
     state, proj_diag = build_initial_data(
-        env0, disp, eps, n, plan.variant, corrections=plan.corrections)
+        env0, disp, eps, n, plan.variant, corrections=plan.corrections, work=work)
     force = _force_for(plan, eps, n)
+    scratch = tuple(np.empty((n, n)) for _ in range(3))
 
     residual_at = {
         int(round(f * (plan.sample_count - 1))) for f in plan.residual_fractions
@@ -221,6 +231,7 @@ def _run_lattice(plan: ExperimentPlan, disp, eps: float, env0: EnvelopeField, rh
     times, sup_errors, residuals = [], [], []
     lattice_diag = []  # rows: t, energy, compat_defect (strain only), max_amp
     strain = plan.variant == "strain"
+    strain_view = strain_from_displacement(state) if strain else None
     idx = [0]
 
     def observe(st):
@@ -228,13 +239,19 @@ def _run_lattice(plan: ExperimentPlan, disp, eps: float, env0: EnvelopeField, rh
         idx[0] += 1
         env_i = samples.get(i, release)
         # the run steps (q, w); a strain run is observed through its differences
-        view = strain_from_displacement(st) if strain else st
-        s = sample_ansatz(env_i, disp, eps, st.time, n, plan.variant, rhs=rhs)
-        err = float(np.max(sum(np.abs(a - b) for a, b in zip(view.arrays(), s.arrays()))))
+        view = strain_from_displacement(st, out=strain_view) if strain else st
+        s = sample_ansatz(env_i, disp, eps, st.time, n, plan.variant, work=work)
+        # the sample is the workspace's live state: its arrays take |view - s|,
+        # summed into the first in the order of the arrays
+        deviations = [np.abs(np.subtract(a, b, out=b), out=b)
+                      for a, b in zip(view.arrays(), s.arrays())]
+        for d in deviations[1:]:
+            deviations[0] += d
+        err = float(np.max(deviations[0]))
         times.append(float(st.time))
         sup_errors.append(err)
-        lattice_diag.append([float(st.time), energy(st, force),
-                             compatibility_defect(view) if strain else None,
+        lattice_diag.append([float(st.time), energy(st, force, scratch),
+                             compatibility_defect(view, scratch) if strain else None,
                              view.max_amplitude()])
         if i in keep_state_indices:
             kept_states[i] = view.copy()
@@ -242,7 +259,7 @@ def _run_lattice(plan: ExperimentPlan, disp, eps: float, env0: EnvelopeField, rh
             residuals.append(
                 [float(st.time),
                  residual_norm(env_i, disp, eps, st.time, n, plan.variant,
-                               plan.corrections, rhs)]
+                               plan.corrections, work)]
             )
 
     # the lattice is observed at the envelope's sample times, taken from the
@@ -251,7 +268,7 @@ def _run_lattice(plan: ExperimentPlan, disp, eps: float, env0: EnvelopeField, rh
     env_final = samples.get(plan.sample_count - 1)
 
     max_err = max(sup_errors)
-    e0 = energy(state, force)
+    e0 = energy(state, force, scratch)
     record = {
         "eps": eps,
         "n_side": n,
@@ -292,11 +309,9 @@ def _group_tasks(plan: ExperimentPlan, disp, eps_values, keep_state_indices=()) 
         return []
 
     def runs():
-        # built here, after a solve that ran first has freed its working arrays
-        rhs = envelope_rhs(env0, disp)
         records, t_wall = [], None
         for k, eps in enumerate(eps_values):
-            record = _run_lattice(plan, disp, eps, env0, rhs, samples, keep_state_indices,
+            record = _run_lattice(plan, disp, eps, env0, samples, keep_state_indices,
                                   release=k == len(eps_values) - 1)
             now = time.time()
             # the solve has started by the time a run observes its first sample
@@ -398,12 +413,12 @@ def residual_sweep(plan: ExperimentPlan) -> list[dict]:
     for group in _by_box(plan, plan.eps_list):
         envs = _solve_envelope(plan, disp, _initial_envelope(plan, group[0]),
                                [f * plan.t0 for f in plan.residual_fractions])
-        rhs = envelope_rhs(envs[0], disp)
         for eps in group:
             n = plan.n_side_for(eps)
+            work = AnsatzWorkspace(envs[0], disp, eps, n, plan.variant)
             per_time = {
                 label: [residual_norm(env, disp, eps, env.slow_time / eps**2, n,
-                                      plan.variant, flag, rhs) for env in envs]
+                                      plan.variant, flag, work) for env in envs]
                 for label, flag in (("with", True), ("without", False))
             }
             rows[eps] = {

@@ -119,13 +119,31 @@ class ForceLaw:
         out += u
         return out
 
-    def w_potential(self, u: np.ndarray, direction: str) -> np.ndarray:
-        """Antiderivative of the bond force, W(0) = 0."""
-        u2 = u * u
+    def w_potential(self, u: np.ndarray, direction: str, buffers=None) -> np.ndarray:
+        """Antiderivative of the bond force, W(0) = 0, on an array of bond
+        strains: 0.5 u^2 - 0.25 u^4, or u^2 (0.5 + 0.5 c1 + u (c2/3 + 0.25 c3 u)).
+
+        buffers, if given, is (out, scratch), neither of them u; the value is
+        written into out and returned.
+        """
+        out, scratch = buffers if buffers is not None else (np.empty_like(u), np.empty_like(u))
         if self.kind == "cubic_baseline":
-            return 0.5 * u2 - 0.25 * u2 * u2
+            u2 = np.multiply(u, u, out=scratch)
+            np.multiply(0.25, u2, out=out)
+            out *= u2
+            u2 *= 0.5
+            return np.subtract(u2, out, out=out)
         c1, c2, c3 = self._poly[direction]
-        return u2 * (0.5 + 0.5 * c1 + u * (c2 / 3.0 + 0.25 * c3 * u))
+        np.multiply(0.25, c3, out=scratch)
+        scratch *= u
+        np.divide(c2, 3.0, out=out)
+        out += scratch
+        np.multiply(u, out, out=scratch)
+        np.multiply(0.5, c1, out=out)
+        out += 0.5
+        out += scratch
+        out *= np.multiply(u, u, out=scratch)
+        return out
 
 
 def perturbed_force(n_side: int, eps: float, coeff_bound: float, seed: int) -> ForceLaw:
@@ -191,8 +209,13 @@ class LatticeState:
         return LatticeState.from_arrays(self.form, self.time, [a.copy() for a in self.arrays()])
 
     def max_amplitude(self) -> float:
-        """Largest |value| over the state arrays; NaN if any entry is NaN."""
-        return float(np.max([np.max(np.abs(a)) for a in self.arrays()]))
+        """Largest |value| over the state arrays; NaN if any entry is NaN.
+
+        max |x| is max(max x, -min x), so no |x| array is made; both
+        reductions and np.maximum pass NaN on, and abs() turns the -0.0 of an
+        all-zero state into 0.0.
+        """
+        return abs(float(np.max([np.maximum(a.max(), -a.min()) for a in self.arrays()])))
 
 
 def _c_contiguous_out(out: np.ndarray | None, shape) -> np.ndarray:
@@ -224,12 +247,20 @@ def _forward_diff(f: np.ndarray, axis: int, out: np.ndarray | None = None) -> np
     return out
 
 
-def strain_from_displacement(state: LatticeState) -> LatticeState:
-    """Forward-difference a displacement state into the equivalent strain state."""
+def strain_from_displacement(state: LatticeState,
+                             out: LatticeState | None = None) -> LatticeState:
+    """Forward-difference a displacement state into the equivalent strain
+    state: into out's arrays and time if given (a strain state), else new ones."""
     if state.form != "displacement":
         raise FormMismatch("expected displacement form")
-    return LatticeState.from_arrays("strain", state.time, [  # u, v, ut, vt
-        _forward_diff(f, axis) for f in (state.q, state.w) for axis in (0, 1)])
+    if out is None:
+        n = state.n_side
+        out = LatticeState.from_arrays("strain", state.time, [np.empty((n, n)) for _ in range(4)])
+    for (f, axis), o in zip([(f, axis) for f in (state.q, state.w) for axis in (0, 1)],
+                            out.arrays()):  # u, v, ut, vt
+        _forward_diff(f, axis, out=o)
+    out.time = state.time
+    return out
 
 
 def _buffers(state: LatticeState) -> tuple[np.ndarray, ...]:
@@ -344,21 +375,32 @@ def integrate(state: LatticeState, force: ForceLaw, dt_max_step: float,
     return current
 
 
-def energy(state: LatticeState, force: ForceLaw) -> float:
-    """Total energy sum(w^2)/2 + sum of bond potentials (displacement form)."""
+def energy(state: LatticeState, force: ForceLaw, buffers=None) -> float:
+    """Total energy sum(w^2)/2 + sum of bond potentials (displacement form).
+
+    buffers, if given, holds three N x N work arrays (as _buffers makes).
+    """
     if state.form != "displacement":
         raise FormMismatch("energy is defined for the displacement form")
-    return float(
-        0.5 * np.sum(state.w**2)
-        + np.sum(force.w_potential(_forward_diff(state.q, 0), "x"))
-        + np.sum(force.w_potential(_forward_diff(state.q, 1), "y"))
-    )
+    bonds, out, scratch = buffers if buffers is not None else _buffers(state)
+    total = 0.5 * np.sum(np.square(state.w, out=out))
+    for axis, direction in ((0, "x"), (1, "y")):
+        total += np.sum(force.w_potential(_forward_diff(state.q, axis, out=bonds), direction,
+                                          (out, scratch)))
+    return float(total)
 
 
-def compatibility_defect(state: LatticeState) -> float:
-    """Max defect of the curl-free constraint, fields plus velocities."""
+def compatibility_defect(state: LatticeState, buffers=None) -> float:
+    """Max defect of the curl-free constraint, fields plus velocities.
+
+    buffers, if given, holds at least two N x N work arrays.
+    """
     if state.form != "strain":
         raise FormMismatch("compatibility defect is defined for the strain form")
-    d_field = np.max(np.abs(_forward_diff(state.u, 1) - _forward_diff(state.v, 0)))
-    d_vel = np.max(np.abs(_forward_diff(state.ut, 1) - _forward_diff(state.vt, 0)))
-    return float(d_field + d_vel)
+    a, b = buffers[:2] if buffers is not None else _buffers(state)[:2]
+
+    def defect(f, g):
+        d = np.subtract(_forward_diff(f, 1, out=a), _forward_diff(g, 0, out=b), out=a)
+        return np.max(np.abs(d, out=d))
+
+    return float(defect(state.u, state.v) + defect(state.ut, state.vt))

@@ -156,7 +156,7 @@ def edge_mass_fraction(field: EnvelopeField) -> float:
 
 
 def evolve(field: EnvelopeField, prob: NlsProblem, t_final: float,
-           sample_times=None, blowup_guard: float = DEFAULT_BLOWUP_GUARD,
+           sample_times, blowup_guard: float = DEFAULT_BLOWUP_GUARD,
            on_sample=None) -> list[EnvelopeField]:
     """March to t_final, capturing the field at each requested slow time.
 
@@ -170,8 +170,6 @@ def evolve(field: EnvelopeField, prob: NlsProblem, t_final: float,
     over as it is captured, as on_sample(field, h4) with the H^4 proxy the
     guard just read off its spectrum, and the returned list stays empty.
     """
-    if sample_times is None:
-        sample_times = [t_final]
     sample_times = [float(t) for t in sample_times]
     if any(t < field.slow_time - 1e-12 or t > t_final + 1e-12 for t in sample_times):
         raise ValueError("sample times must lie in [T_current, T_final]")

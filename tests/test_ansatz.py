@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 
 from fput2d.ansatz import (
+    AnsatzWorkspace,
     FootprintExceeded,
+    _correction_products,
     _difference_symbol,
-    _harmonics,
     _lift,
+    _resample_map,
     _respec,
     _weights,
     build_initial_data,
-    eval_envelope,
     l1_dft_norm,
     residual_norm,
     sample_ansatz,
@@ -52,6 +53,16 @@ def run_projection(u_hat, v_hat, ut_hat, vt_hat):
     q, w = (np.fft.ifft2(_lift(f, g, e, keep)).real for f, g in ((u_hat, v_hat), (ut_hat, vt_hat)))
     lifted = LatticeState("displacement", q=q, w=w)
     return [np.fft.fft2(f) for f in strain_from_displacement(lifted).arrays()]
+
+
+def eval_envelope(spectra, env, eps, t, n):
+    """The resampling a sample runs: each envelope-grid DFT's central modes
+    moved to the lattice's modes, then evaluated at the lattice's moving-frame
+    points at time t (DISP's group velocity)."""
+    work = AnsatzWorkspace(env, DISP, eps, n, "displacement")
+    fields = [_respec(s, np.zeros((n, n), dtype=complex), work._blocks) for s in spectra]
+    work.resample(fields, t)
+    return fields
 
 
 def evolved_copy(env, disp, dT_target):
@@ -171,8 +182,8 @@ class TestEnvelopeEvaluation:
         eps, n, t = 0.2, 200, 7.7
         phase = np.exp(1j * 0.3)
         spec = np.fft.fft2(env.a)
-        out = eval_envelope([spec, spec * phase], env, eps, t, n, (0.5, 0.5))
-        exact = self.exact_at_lattice(40.0, eps, t, n, (0.5, 0.5))
+        out = eval_envelope([spec, spec * phase], env, eps, t, n)
+        exact = self.exact_at_lattice(40.0, eps, t, n, DISP.group_velocity)
         assert np.max(np.abs(out[0] - exact)) < 1e-12
         assert np.max(np.abs(out[1] - phase * exact)) < 1e-12
 
@@ -180,13 +191,14 @@ class TestEnvelopeEvaluation:
         # at t = 0 with N = M the maps are the identity modulo origins
         m = 128
         env = gaussian_field(25.6, m)
-        out = eval_envelope([np.fft.fft2(env.a)], env, 0.2, 0.0, m, (0.5, 0.5))[0]
+        out = eval_envelope([np.fft.fft2(env.a)], env, 0.2, 0.0, m)[0]
         assert np.max(np.abs(out - env.a)) < 1e-12
 
     @pytest.mark.parametrize("m, n_out", [(16, 10), (16, 9), (16, 16), (16, 24), (16, 25),
                                           (9, 4), (9, 9), (9, 16)])
     def test_respec_matches_shift_formula(self, m, n_out):
-        # the fftshift / pad-or-crop / ifftshift formula, bit for bit
+        # the fftshift / pad-or-crop / ifftshift formula, bit for bit; the
+        # blocks write every mode but the pad modes, which stay as they were
         coeffs = np.random.default_rng(m * n_out).normal(size=(m, m, 2)) @ [1, 1j]
         cs = np.fft.fftshift(coeffs)
         if n_out >= m:
@@ -196,20 +208,27 @@ class TestEnvelopeEvaluation:
         else:
             lo = (m - n_out) // 2
             want = cs[lo:lo + n_out, lo:lo + n_out]
-        assert np.array_equal(_respec(coeffs, n_out), np.fft.ifftshift(want))
+        blocks, pad, _ = _resample_map(m, n_out)
+        assert len(blocks) <= 3 and (pad is None) == (n_out <= m)
+        got = _respec(coeffs, np.full((n_out, n_out), np.nan + 0j), blocks)
+        padded = np.zeros(n_out, dtype=bool) if pad is None else pad
+        unreached = padded[:, None] | padded[None, :]
+        assert np.all(np.isnan(got[unreached])) and not np.any(np.isnan(got[~unreached]))
+        got[unreached] = 0.0
+        assert np.array_equal(got, np.fft.ifftshift(want))
 
     def test_fft_requires_commensurate(self):
         env = gaussian_field(40.0, 128)
         with pytest.raises(FootprintExceeded):
-            eval_envelope([np.fft.fft2(env.a)], env, 0.21, 0.0, 100, (0.5, 0.5))
+            eval_envelope([np.fft.fft2(env.a)], env, 0.21, 0.0, 100)
 
     def test_wraparound_periodicity(self):
         # moving-frame offsets that wrap the torus match the periodic closed form
         env = self.periodic_env(25.6, 128)
         eps, n = 0.2, 128
         t = 180.0  # eps*cx*t = 18 > L/2: the window has wrapped
-        out = eval_envelope([np.fft.fft2(env.a)], env, eps, t, n, (0.5, 0.5))[0]
-        exact = self.exact_at_lattice(25.6, eps, t, n, (0.5, 0.5))
+        out = eval_envelope([np.fft.fft2(env.a)], env, eps, t, n)[0]
+        exact = self.exact_at_lattice(25.6, eps, t, n, DISP.group_velocity)
         assert np.max(np.abs(out - exact)) < 1e-12
 
 
@@ -398,7 +417,9 @@ class TestCorrectionSet:
         env.a = env.a * np.exp(0.2j)
         for kv in (KV, KV_R):
             disp = nls_coefficients(kv)
-            basis = _harmonics(env, disp, True)
+            # the basis fields of the harmonics 1, -1, 3, -3 on the envelope grid
+            basis = {1: env.a, **{j: b for j, (b, _) in
+                                  _correction_products(env.a, np.zeros_like(env.a)).items()}}
             weights = _weights(disp, "strain", True)
             for name, kv_coeffs, ratio in (("u", kv, 1.0),
                                            ("v", WaveVector(kv.l, kv.k), ratio_b_over_a(kv))):
@@ -408,8 +429,7 @@ class TestCorrectionSet:
                         3: 8 * c_13 * p**3, -3: 8 * c_1m3 * np.conj(p) ** 3}
                 assert set(weights[name]) == set(want)
                 for j, term in want.items():
-                    field = np.fft.ifft2(basis[j][0])
-                    assert np.allclose(weights[name][j] * field, term, atol=1e-14)
+                    assert np.allclose(weights[name][j] * basis[j], term, atol=1e-14)
 
     def test_sampled_difference_matches_manual(self):
         # with a constant envelope the correction contribution has a closed form
@@ -458,6 +478,73 @@ class TestResidual:
         env = gaussian_field(40.0, 256)
         r = residual_norm(env, DISP, eps, 0.0, n, "displacement", True)
         assert 0 < r < 1.0
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestWorkspace:
+    """One workspace serves every sample and residual of a run."""
+
+    @pytest.mark.parametrize("grid_side", [128, 64])  # N = 80 truncates, then pads
+    @pytest.mark.parametrize("variant", ["strain", "displacement"])
+    def test_reused_workspace_matches_fresh_calls(self, variant, grid_side):
+        # the states and residuals of a workspace reused over a sequence of
+        # calls, with and without corrections, equal bit for bit those of
+        # fresh calls: each call re-zeroes the pad modes the previous inverse
+        # FFT filled, and rewrites every buffer it reads
+        eps, n = 0.25, 80
+        env0 = gaussian_field(eps * n, grid_side, amplitude=0.8)
+        env0.a = env0.a * np.exp(0.3j)
+        envs = evolve(env0, NlsProblem(DISP.hessian, DISP.gamma_q), 0.1,
+                      sample_times=[0.0, 0.05, 0.1])
+        work = AnsatzWorkspace(env0, DISP, eps, n, variant)
+        for env in envs:
+            t = env.slow_time / eps**2
+            for corrections in (False, True, False):
+                got = sample_ansatz(env, DISP, eps, t, n, variant, corrections, work)
+                assert all(a is b for a, b in zip(got.arrays(), work.arrays))
+                want = sample_ansatz(env, DISP, eps, t, n, variant, corrections)
+                assert (got.form, got.time) == (want.form, want.time)
+                for g, w in zip(got.arrays(), want.arrays()):
+                    assert np.array_equal(_bits(g), _bits(w))
+                r_got = residual_norm(env, DISP, eps, t, n, variant, corrections, work)
+                r_want = residual_norm(env, DISP, eps, t, n, variant, corrections)
+                assert r_got.hex() == r_want.hex()
+
+    def test_state_is_live(self):
+        env = gaussian_field(20.0, 64)
+        work = AnsatzWorkspace(env, DISP, 0.25, 80, "strain")
+        first = sample_ansatz(env, DISP, 0.25, 0.0, 80, "strain", work=work)
+        kept = first.copy()
+        sample_ansatz(env, DISP, 0.25, 30.0, 80, "strain", work=work)
+        assert not np.array_equal(first.u, kept.u)  # overwritten by the next call
+
+    @pytest.mark.parametrize("variant", ["strain", "displacement"])
+    def test_initial_state_owns_its_arrays(self, variant):
+        env = gaussian_field(20.0, 64)
+        work = AnsatzWorkspace(env, DISP, 0.25, 80, variant)
+        state, _ = build_initial_data(env, DISP, 0.25, 80, variant, work=work)
+        kept = state.copy()
+        for a in state.arrays():
+            assert a.flags.owndata and a.flags.c_contiguous
+        sample_ansatz(env, DISP, 0.25, 30.0, 80, variant, work=work)
+        residual_norm(env, DISP, 0.25, 30.0, 80, variant, True, work)
+        for a, b in zip(state.arrays(), kept.arrays()):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("other", [
+        dict(eps=0.2, n_side=100), dict(n_side=88), dict(form="displacement"),
+        dict(disp=nls_coefficients(KV_R)), dict(grid_side=128)])
+    def test_workspace_of_another_run_rejected(self, other):
+        env = gaussian_field(20.0, 64)
+        work = AnsatzWorkspace(env, DISP, 0.25, 80, "strain")
+        call = dict(eps=0.25, n_side=80, form="strain", disp=DISP, grid_side=64)
+        call.update(other)
+        with pytest.raises(ValueError, match="workspace was built for another"):
+            sample_ansatz(gaussian_field(20.0, call["grid_side"]), call["disp"], call["eps"],
+                          0.0, call["n_side"], call["form"], work=work)
 
 
 class TestL1Bridge:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -208,6 +209,42 @@ class TestRunSingle:
         rec = run_single(plan, 0.1)
         assert rec["max_sup_error"] / 0.1**2 < 1.0
         assert rec["energy_drift"] is not None and rec["energy_drift"] < 1e-4
+
+    @pytest.mark.parametrize("variant, grid_side", [("strain", 256), ("displacement", 128)])
+    def test_observations_allocate_no_lattice_array(self, monkeypatch, variant, grid_side):
+        # an observation works in the run's ansatz workspace (N = 200 against
+        # an envelope grid of 256, then 128: truncation, then padding), its
+        # strain view and its work arrays, so after the first one any N x N
+        # float64 temporary would show as a peak of at least one such array;
+        # a residual observation also holds the DFT of each cubic term, which
+        # scipy.fft returns as a new N x N complex array.  numpy buffers the
+        # two broadcast operands of an outer product in 8192-element buffers
+        # (256 KiB complex, whatever N), which N = 200 puts below one array
+        plan = small_plan(variant=variant, box_length=40.0, grid_side=grid_side)
+        n = plan.n_side_for(0.2)
+        assert n == 200
+        real_integrate = harness.integrate
+        peaks = []
+
+        def integrate(state, force, dt, times, observer):
+            def measured(st):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                observer(st)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return real_integrate(state, force, dt, times, measured)
+
+        monkeypatch.setattr(harness, "integrate", integrate)
+        tracemalloc.start()
+        try:
+            run_single(plan, 0.2)
+        finally:
+            tracemalloc.stop()
+        lattice_array = n * n * 8
+        residual_at = {0, 2, 4}
+        assert len(peaks) == 5
+        for i, peak in enumerate(peaks[1:], start=1):
+            assert peak < lattice_array * (3 if i in residual_at else 1), (i, peak)
 
     def test_strain_displacement_same_scale(self):
         rs = run_single(small_plan(), 0.25)

@@ -227,6 +227,17 @@ class TestVerlet:
         with pytest.raises(UnstableStep):
             step(displacement_state(8, q=q), BASE, 0.1)
 
+    def test_max_amplitude(self):
+        q = np.zeros((8, 8))
+        q[1, 2] = -0.75
+        w = np.full((8, 8), 0.5)
+        assert displacement_state(8, q=q, w=w).max_amplitude() == 0.75
+        # an all-zero state reads 0.0, never -0.0
+        zero = displacement_state(8, q=np.full((8, 8), -0.0), w=np.full((8, 8), -0.0))
+        assert str(zero.max_amplitude()) == "0.0"
+        q[3, 3] = np.nan
+        assert np.isnan(displacement_state(8, q=q, w=w).max_amplitude())
+
     def test_nan_state_trips_guard(self):
         w = np.zeros((8, 8))
         w[2, 3] = np.nan
@@ -419,6 +430,28 @@ class TestEnergy:
         with pytest.raises(FormMismatch):
             energy(s, BASE)
 
+    @pytest.mark.parametrize("law", sorted(FORCE_LAWS))
+    def test_buffered_matches_the_formula(self, law):
+        # the in-place evaluation keeps every operation of the expression
+        # form, so energies and potentials agree bit for bit
+        n = 32
+        state = smooth_displacement_state(n, 23, 0.4)
+        force = FORCE_LAWS[law](n)
+        for axis, d in ((0, "x"), (1, "y")):
+            u = np.roll(state.q, -1, axis=axis) - state.q
+            u2 = u * u
+            if force.kind == "cubic_baseline":
+                want = 0.5 * u2 - 0.25 * u2 * u2
+            else:
+                c1, c2, c3 = force._poly[d]
+                want = u2 * (0.5 + 0.5 * c1 + u * (c2 / 3.0 + 0.25 * c3 * u))
+            assert np.array_equal(force.w_potential(u, d), want)
+        want = float(0.5 * np.sum(state.w**2)
+                     + np.sum(force.w_potential(np.roll(state.q, -1, 0) - state.q, "x"))
+                     + np.sum(force.w_potential(np.roll(state.q, -1, 1) - state.q, "y")))
+        buffers = lattice._buffers(state)
+        assert energy(state, force, buffers) == energy(state, force) == want
+
 
 class TestCompatibility:
     def test_strain_of_displacement_is_compatible(self):
@@ -436,6 +469,15 @@ class TestCompatibility:
         expected = np.max(np.abs(np.roll(u, -1, axis=1) - u))
         assert compatibility_defect(s) == pytest.approx(expected, abs=1e-15)
         assert compatibility_defect(s) > 0
+
+    def test_buffered_matches_the_formula(self):
+        rng = np.random.default_rng(11)
+        s = LatticeState.from_arrays("strain", 0.0, [smooth_random_field(16, rng, 0.3)
+                                                     for _ in range(4)])
+        want = float(np.max(np.abs((np.roll(s.u, -1, 1) - s.u) - (np.roll(s.v, -1, 0) - s.v)))
+                     + np.max(np.abs((np.roll(s.ut, -1, 1) - s.ut)
+                                     - (np.roll(s.vt, -1, 0) - s.vt))))
+        assert compatibility_defect(s, lattice._buffers(s)) == compatibility_defect(s) == want
 
     def test_defect_invariant_short_run(self):
         # the strain-form oracle flow keeps the constraint, and the strain
@@ -489,6 +531,16 @@ class TestStencil:
             out = np.full((n, n), np.nan)
             assert lattice._forward_diff(f, axis, out=out) is out
             assert np.array_equal(out, expected), layout
+
+    def test_strain_view_written_into_out(self):
+        disp = smooth_displacement_state(16, 12, 0.3)
+        disp.time = 1.5
+        out = strain_from_displacement(displacement_state(16))
+        arrays = out.arrays()
+        assert strain_from_displacement(disp, out=out) is out and out.time == 1.5
+        want = [np.roll(f, -1, axis) - f for f in (disp.q, disp.w) for axis in (0, 1)]
+        for got, same, w in zip(out.arrays(), arrays, want):
+            assert got is same and np.array_equal(got, w)
 
     @pytest.mark.parametrize("n", [8, 9, 32])
     def test_divergence_matches_roll(self, n):

@@ -259,7 +259,7 @@ class TestEvolve:
         a = gaussian_field(40.0, 128).a
         a[3, 5] = np.nan
         with pytest.raises(EnvelopeBlowup):
-            evolve(EnvelopeField(40.0, a), NlsProblem(H_CENTER, -3j, dT=1e-3), 0.1)
+            evolve(EnvelopeField(40.0, a), NlsProblem(H_CENTER, -3j, dT=1e-3), 0.1, [0.1])
 
     def test_on_sample_streams_the_captured_fields(self):
         # the streamed fields are the listed ones bit for bit, each with the
@@ -286,8 +286,8 @@ class TestEvolve:
         a = np.exp(1j * k_pi * np.pi) - 1
         a0 = gaussian_field(40.0, 128)
         q0 = EnvelopeField(a0.box_length, a0.a / a)
-        a_t = evolve(a0, NlsProblem(data.hessian, data.gamma_q / abs(a) ** 2), 1.0)[-1].a
-        q_t = evolve(q0, NlsProblem(data.hessian, data.gamma_q), 1.0)[-1].a
+        a_t = evolve(a0, NlsProblem(data.hessian, data.gamma_q / abs(a) ** 2), 1.0, [1.0])[-1].a
+        q_t = evolve(q0, NlsProblem(data.hessian, data.gamma_q), 1.0, [1.0])[-1].a
         assert np.max(np.abs(a_t - a * q_t)) <= 1e-13 * np.max(np.abs(a_t))
 
 
