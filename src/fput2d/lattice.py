@@ -256,8 +256,8 @@ def strain_from_displacement(state: LatticeState,
     if out is None:
         n = state.n_side
         out = LatticeState.from_arrays("strain", state.time, [np.empty((n, n)) for _ in range(4)])
-    for (f, axis), o in zip([(f, axis) for f in (state.q, state.w) for axis in (0, 1)],
-                            out.arrays()):  # u, v, ut, vt
+    differences = [(f, axis) for f in (state.q, state.w) for axis in (0, 1)]  # u, v, ut, vt
+    for (f, axis), o in zip(differences, out.arrays()):
         _forward_diff(f, axis, out=o)
     out.time = state.time
     return out

@@ -7,6 +7,7 @@ projection example against direct complex arithmetic.
 
 import numpy as np
 import pytest
+from scipy import fft as scipy_fft
 
 from fput2d.ansatz import (
     AnsatzWorkspace,
@@ -24,7 +25,14 @@ from fput2d.ansatz import (
 )
 from fput2d.dispersion import WaveVector, nls_coefficients
 from fput2d.lattice import LatticeState, compatibility_defect, strain_from_displacement
-from fput2d.nls import EnvelopeField, NlsProblem, evolve, gaussian_field
+from fput2d.nls import (
+    EnvelopeField,
+    NlsProblem,
+    envelope_rhs_spectrum,
+    evolve,
+    gaussian_field,
+    linear_symbol,
+)
 from test_dispersion import ratio_b_over_a, strain_correction_oracle
 
 PIH = np.pi / 2
@@ -484,6 +492,68 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def reference_branches(env, disp, eps, t, n, form, corrections):
+    """Per position array, the complex branch sum and its time derivative in
+    the expression form on the envelope grid: every harmonic's spectra
+    shifted to the moving frame, gathered to the lattice grid by np.take and
+    inverse transformed, times the carrier phase, weighted and summed.  The
+    workspace's in-place arithmetic on the lattice's modes must match it bit
+    for bit (complex products in the same operand order)."""
+    prob = NlsProblem(disp.hessian, disp.gamma_q)
+    a = env.a
+    a_hat = scipy_fft.fft2(a)
+    a_t_hat = envelope_rhs_spectrum(a, a_hat, linear_symbol(env, prob), prob.nonlin_coeff)
+    basis = {1: (a_hat, a_t_hat)}
+    if corrections:
+        a_t = scipy_fft.ifft2(a_t_hat)
+        basis.update({j: (scipy_fft.fft2(b), scipy_fft.fft2(b_t))
+                      for j, (b, b_t) in _correction_products(a, a_t).items()})
+    m, k = env.grid_side, env.wavenumbers_1d()
+    (cx, cy), kv, w0 = disp.group_velocity, disp.carrier, disp.omega0
+    i_mu = 1j * (cx * k[:, None] + cy * k[None, :])
+    shift = np.outer(n**2 / m**2 * np.exp(1j * eps * cx * t * k), np.exp(1j * eps * cy * t * k))
+    c = min(m, n)
+    r = np.arange(c)
+    dst = (r + (n - c) // 2 - n // 2) % n
+    src = np.zeros(n, dtype=int)
+    src[dst] = (r + (m - c) // 2 - m // 2) % m
+    pad = np.ones(n, dtype=bool)
+    pad[dst] = False
+
+    def resample(spectrum):
+        out = (spectrum * shift).take(src, axis=0).take(src, axis=1)
+        out[pad] = out[:, pad] = 0.0
+        return scipy_fft.ifft2(out)
+
+    mvals = np.arange(n) - n // 2
+    terms = {}
+    for j, (b_hat, b_t_hat) in basis.items():
+        phase = np.outer(np.exp(1j * j * (kv.k * mvals + w0 * t)), np.exp(1j * j * kv.l * mvals))
+        terms[j] = [resample(b_hat) * phase,
+                    resample((1j * j * w0 + eps * i_mu) * b_hat + eps**2 * b_t_hat) * phase]
+    return {name: [sum(eps ** (1 if j == 1 else 3) * wj * terms[j][d] for j, wj in w.items())
+                   for d in range(2)]
+            for name, w in _weights(disp, form, corrections).items()}
+
+
+def reference_residual(env, disp, eps, t, n, form, corrections):
+    """residual_norm in the expression form, on reference_branches."""
+    acc = reference_branches(env, disp, eps, t, n, form, corrections)
+    wk2 = 2.0 - 2.0 * np.cos(2 * np.pi * scipy_fft.fftfreq(n))
+    w = np.sqrt(wk2[:, None] + wk2[None, :])
+    inv_8iw = np.zeros((n, n), dtype=complex)
+    inv_8iw[w > 0] = 1.0 / (8j * w[w > 0])
+    fields = [2 * psi1.real for psi1, _ in acc.values()]
+    bonds = ([np.roll(fields[0], -1, axis) - fields[0] for axis in (0, 1)]
+             if form == "displacement" else fields)
+    fx, fy = -bonds[0]**3, -bonds[1]**3
+    div = fx - np.roll(fx, 1, axis=0) + fy - np.roll(fy, 1, axis=1)
+    cubic = [div] if form == "displacement" else [np.roll(div, -1, axis) - div for axis in (0, 1)]
+    return 2 * sum(l1_dft_norm(-scipy_fft.fft2(dpsi1) + 1j * w * scipy_fft.fft2(psi1)
+                               + inv_8iw * scipy_fft.fft2(n_cubic))
+                   for (psi1, dpsi1), n_cubic in zip(acc.values(), cubic))
+
+
 class TestWorkspace:
     """One workspace serves every sample and residual of a run."""
 
@@ -512,6 +582,25 @@ class TestWorkspace:
                 r_got = residual_norm(env, DISP, eps, t, n, variant, corrections, work)
                 r_want = residual_norm(env, DISP, eps, t, n, variant, corrections)
                 assert r_got.hex() == r_want.hex()
+
+    @pytest.mark.parametrize("corrections", [False, True])
+    @pytest.mark.parametrize("grid_side", [128, 64])
+    @pytest.mark.parametrize("variant", ["strain", "displacement"])
+    def test_matches_the_expression_form(self, variant, grid_side, corrections):
+        eps, n, t = 0.25, 80, 7.3
+        env = gaussian_field(eps * n, grid_side, amplitude=0.8)
+        env.a = env.a * np.exp(0.3j)
+        disp = nls_coefficients(KV_R)
+        work = AnsatzWorkspace(env, disp, eps, n, variant)
+        want = reference_branches(env, disp, eps, t, n, variant, corrections)
+        for _ in range(2):  # a fresh workspace, then a used one
+            got = sample_ansatz(env, disp, eps, t, n, variant, corrections, work)
+            half = len(got.arrays()) // 2
+            for i, (psi1, dpsi1) in enumerate(want.values()):
+                assert np.array_equal(_bits(got.arrays()[i]), _bits(psi1.real))
+                assert np.array_equal(_bits(got.arrays()[half + i]), _bits(dpsi1.real))
+            assert (residual_norm(env, disp, eps, t, n, variant, corrections, work).hex()
+                    == reference_residual(env, disp, eps, t, n, variant, corrections).hex())
 
     def test_state_is_live(self):
         env = gaussian_field(20.0, 64)

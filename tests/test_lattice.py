@@ -233,8 +233,9 @@ class TestVerlet:
         w = np.full((8, 8), 0.5)
         assert displacement_state(8, q=q, w=w).max_amplitude() == 0.75
         # an all-zero state reads 0.0, never -0.0
-        zero = displacement_state(8, q=np.full((8, 8), -0.0), w=np.full((8, 8), -0.0))
-        assert str(zero.max_amplitude()) == "0.0"
+        for zero in (0.0, -0.0):
+            state = displacement_state(8, q=np.full((8, 8), zero), w=np.full((8, 8), zero))
+            assert str(state.max_amplitude()) == "0.0"
         q[3, 3] = np.nan
         assert np.isnan(displacement_state(8, q=q, w=w).max_amplitude())
 
