@@ -244,15 +244,17 @@ class AnsatzWorkspace:
                                 for f in fields))
                       for j, fields in _correction_products(a, a_t).items()]
         w0 = self.disp.omega0
+        harmonics = []
         for j, (b_hat, b_t_hat) in basis:
             self._time_derivative(j, b_hat, b_t_hat)
-            self.resample([b_hat, b_t_hat], t)
+            field, derivative = self.resample([b_hat, b_t_hat], t)
             # times the carrier phase e^{i j theta}, an outer product over m and n
             phase = np.outer(np.exp(1j * j * (self._km + w0 * t)), self._phase_n[j],
                              out=self._tmp)
-            b_hat *= phase
-            b_t_hat *= phase
-        return basis
+            field *= phase
+            derivative *= phase
+            harmonics.append((j, (field, derivative)))
+        return harmonics
 
     def _time_derivative(self, j: int, b_hat: np.ndarray, b_t_hat: np.ndarray) -> None:
         """b_t_hat, the DFT of dB_j/dT, becomes in place the DFT of
@@ -267,22 +269,23 @@ class AnsatzWorkspace:
         tmp *= b_hat
         b_t_hat += tmp
 
-    def resample(self, spectra: list[np.ndarray], t: float) -> None:
+    def resample(self, spectra: list[np.ndarray], t: float) -> list[np.ndarray]:
         """Envelope-grid fields, given by their DFTs already moved to the
-        lattice's modes, evaluated in place at the lattice's scaled
-        moving-frame points at time t: the frame's phase shift, the pad modes
-        zeroed, then the inverse FFT."""
+        lattice's modes, evaluated at the lattice's scaled moving-frame points
+        at time t: the frame's phase shift and the pad modes zeroed in place,
+        then the inverse FFT, which scipy.fft computes in the spectrum's own
+        array (C-ordered complex, overwrite_x)."""
         eps, k = self.eps, self._k
         cx, cy = self.disp.group_velocity
         shift = np.outer(self._scale * np.exp(1j * eps * cx * t * k),
                          np.exp(1j * eps * cy * t * k), out=self._tmp)
+        fields = []
         for s in spectra:
             s *= shift
             if self._pad is not None:
                 s[self._pad] = s[:, self._pad] = 0.0
-            field = fft.ifft2(s, overwrite_x=True)
-            if not np.may_share_memory(field, s):  # scipy.fft works in place here
-                s[...] = field
+            fields.append(fft.ifft2(s, overwrite_x=True))
+        return fields
 
 
 def _workspace(work: AnsatzWorkspace | None, env: EnvelopeField, disp: DispersionData,
@@ -311,11 +314,11 @@ def _branch(coefficients: dict[int, complex], basis, d: int, out: np.ndarray) ->
     return out
 
 
-def _real_branches(work: AnsatzWorkspace, basis, coefficients, names, d: int, outs) -> None:
-    """Per name, the real part of its branch into its out: of 0 + the branch,
-    as a sum that starts at 0 gives it."""
+def _real_branches(basis, coefficients, names, d: int, outs, scratch: np.ndarray) -> None:
+    """Per name, the real part of its branch (built in the complex scratch)
+    into its out: of 0 + the branch, as a sum that starts at 0 gives it."""
     for name, out in zip(names, outs):
-        np.add(_branch(coefficients[name], basis, d, work._tmp).real, 0.0, out=out)
+        np.add(_branch(coefficients[name], basis, d, scratch).real, 0.0, out=out)
 
 
 def sample_ansatz(env: EnvelopeField, disp: DispersionData, eps: float, t: float,
@@ -330,8 +333,8 @@ def sample_ansatz(env: EnvelopeField, disp: DispersionData, eps: float, t: float
     basis = work.harmonics(env, t, corrections)
     names = _positions(variant)
     for d in range(2):  # the fields, then their time derivatives
-        _real_branches(work, basis, work.coefficients(corrections), names, d,
-                       work.arrays[d * len(names):])
+        _real_branches(basis, work.coefficients(corrections), names, d,
+                       work.arrays[d * len(names):], work._tmp)
     return LatticeState.from_arrays(variant, t, work.arrays)
 
 
@@ -412,7 +415,7 @@ def residual_norm(env: EnvelopeField, disp: DispersionData, eps: float, t: float
     real = work.arrays  # the state arrays, free until the next sample
     # the fields 2 Re Psi_1, then the cubic term N of each
     fields = real[:len(names)]
-    _real_branches(work, basis, coefficients, names, 0, fields)
+    _real_branches(basis, coefficients, names, 0, fields, work._tmp)
     for field in fields:
         field *= 2
     if variant == "displacement":

@@ -68,9 +68,8 @@ def eval_envelope(spectra, env, eps, t, n):
     moved to the lattice's modes, then evaluated at the lattice's moving-frame
     points at time t (DISP's group velocity)."""
     work = AnsatzWorkspace(env, DISP, eps, n, "displacement")
-    fields = [_respec(s, np.zeros((n, n), dtype=complex), work._blocks) for s in spectra]
-    work.resample(fields, t)
-    return fields
+    return work.resample([_respec(s, np.zeros((n, n), dtype=complex), work._blocks)
+                          for s in spectra], t)
 
 
 def evolved_copy(env, disp, dT_target):
