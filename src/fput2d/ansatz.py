@@ -45,11 +45,12 @@ written into (one envelope-grid array, four lattice-grid complex arrays
 and the state's real arrays).  Between the envelope FFTs
 and the lattice inverse FFTs all arithmetic runs on the lattice's modes,
 in place, with the same floating-point operations per mode as on the
-envelope grid.  sample_ansatz and residual_norm take it as work; without
-one they build a throwaway workspace.  The state sample_ansatz returns from
-a workspace is live: its arrays are the workspace's, and the next call on
-that workspace (residual_norm too) overwrites them, so a caller copies what
-it keeps.  A workspace serves one thread.
+envelope grid.  sample_ansatz, residual_norm and build_initial_data take it
+as their first argument and read the carrier, eps, lattice side and form
+from it; the envelope they are given must have its grid side and box.  The
+state sample_ansatz returns is live: its arrays are the workspace's, and
+the next call on that workspace (residual_norm too) overwrites them, so a
+caller copies what it keeps.  A workspace serves one thread.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from .lattice import (
     _forward_diff,
     strain_from_displacement,
 )
-from .nls import EnvelopeField, NlsProblem, envelope_rhs_spectrum, linear_symbol
+from .nls import EnvelopeField, NlsProblem, linear_symbol
 
 DELTA_PROJ = 1e-9
 
@@ -174,8 +175,8 @@ class AnsatzWorkspace:
                 f"eps*N = {eps * n_side:.6f} differs from the envelope box {env.box_length}"
             )
         m, n = env.grid_side, n_side
-        self.key = (env.box_length, m, disp.carrier, eps, n, form)
-        self.disp, self.eps, self.form = disp, eps, form
+        self.disp, self.eps, self.n_side, self.form = disp, eps, n, form
+        self._grid = (m, env.box_length)
         self._blocks, self._pad, reads = _resample_map(m, n)
         self._prob = NlsProblem(disp.hessian, disp.gamma_q)
         # per lattice mode: the envelope wavenumber it carries, and i times the
@@ -220,9 +221,12 @@ class AnsatzWorkspace:
         lattice at time t and that product's exact time derivative.
 
         Harmonic 1 is written into the workspace; the corrections' are new
-        arrays.  dQ/dT is i sigma Q + gamma |Q|^2 Q (nls.envelope_rhs_spectrum),
-        here with the cubic term's DFT moved to the lattice's modes first.
+        arrays.  dQ/dT is i sigma Q + gamma |Q|^2 Q, and one DFT of the cubic
+        term serves both: harmonic 1 takes its lattice modes, and the
+        corrections, which need dQ/dT on the envelope grid, keep it whole.
         """
+        if (env.grid_side, env.box_length) != self._grid:
+            raise ValueError("the envelope's grid side or box differs from the workspace's")
         a, e = env.a, self._env
         # gamma |Q|^2 Q, with |Q|^2 in e's real part and e's imaginary part 0:
         # the complex array a real one casts to, so the product is the same
@@ -231,15 +235,17 @@ class AnsatzWorkspace:
         e.imag = 0.0
         np.multiply(self._prob.nonlin_coeff, e, out=e)
         e *= a
-        _respec(fft.fft2(e, overwrite_x=True), self._vel, self._blocks)
+        # the corrections read it after e is rewritten: then it takes a new array
+        cubic_hat = fft.fft2(e, overwrite_x=not corrections)
+        _respec(cubic_hat, self._vel, self._blocks)
         np.copyto(e, a)
         a_hat = fft.fft2(e, overwrite_x=True)
         _respec(a_hat, self._pos, self._blocks)
         self._vel += np.multiply(self._i_symbol, self._pos, out=self._tmp)
         basis = [(1, (self._pos, self._vel))]
         if corrections:
-            a_t = fft.ifft2(envelope_rhs_spectrum(a, a_hat, linear_symbol(env, self._prob),
-                                                  self._prob.nonlin_coeff))
+            cubic_hat += 1j * linear_symbol(env, self._prob) * a_hat
+            a_t = fft.ifft2(cubic_hat, overwrite_x=True)
             basis += [(j, tuple(_respec(fft.fft2(f), np.zeros_like(self._pos), self._blocks)
                                 for f in fields))
                       for j, fields in _correction_products(a, a_t).items()]
@@ -288,17 +294,6 @@ class AnsatzWorkspace:
         return fields
 
 
-def _workspace(work: AnsatzWorkspace | None, env: EnvelopeField, disp: DispersionData,
-               eps: float, n_side: int, form: str) -> AnsatzWorkspace:
-    """work, checked against the call's arguments, or a new workspace."""
-    if work is None:
-        return AnsatzWorkspace(env, disp, eps, n_side, form)
-    if work.key != (env.box_length, env.grid_side, disp.carrier, eps, n_side, form):
-        raise ValueError("the workspace was built for another grid, carrier, eps, "
-                         "lattice side or form")
-    return work
-
-
 def _branch(coefficients: dict[int, complex], basis, d: int, out: np.ndarray) -> np.ndarray:
     """The complex branch sum_j coefficients[j] * (basis field j, or its time
     derivative for d = 1) in harmonic order, into out; a second harmonic takes
@@ -321,21 +316,19 @@ def _real_branches(basis, coefficients, names, d: int, outs, scratch: np.ndarray
         np.add(_branch(coefficients[name], basis, d, scratch).real, 0.0, out=out)
 
 
-def sample_ansatz(env: EnvelopeField, disp: DispersionData, eps: float, t: float,
-                  n_side: int, variant: str, corrections: bool = False,
-                  work: AnsatzWorkspace | None = None) -> LatticeState:
-    """The ansatz on the N x N lattice as a state of form variant at time t:
-    positions are the psi fields, velocities their exact time derivatives,
-    the real parts of the complex positive-branch sums
-    sum_j eps^p w_j B_j e^{i j theta}.  From a workspace the state is live
-    (see the module docstring)."""
-    work = _workspace(work, env, disp, eps, n_side, variant)
+def sample_ansatz(work: AnsatzWorkspace, env: EnvelopeField, t: float,
+                  corrections: bool = False) -> LatticeState:
+    """The ansatz of envelope env on the workspace's N x N lattice as a
+    state of its form at time t: positions are the psi fields, velocities
+    their exact time derivatives, the real parts of the complex
+    positive-branch sums sum_j eps^p w_j B_j e^{i j theta}.  The state is
+    live (see the module docstring)."""
     basis = work.harmonics(env, t, corrections)
-    names = _positions(variant)
+    names = _positions(work.form)
     for d in range(2):  # the fields, then their time derivatives
         _real_branches(basis, work.coefficients(corrections), names, d,
                        work.arrays[d * len(names):], work._tmp)
-    return LatticeState.from_arrays(variant, t, work.arrays)
+    return LatticeState.from_arrays(work.form, t, work.arrays)
 
 
 def _difference_symbol(n: int):
@@ -359,9 +352,7 @@ def _lift(u_hat: np.ndarray, v_hat: np.ndarray, e, keep) -> np.ndarray:
     return q
 
 
-def build_initial_data(env: EnvelopeField, disp: DispersionData, eps: float,
-                       n_side: int, form: str, corrections: bool = False,
-                       work: AnsatzWorkspace | None = None):
+def build_initial_data(work: AnsatzWorkspace, env: EnvelopeField, corrections: bool):
     """Displacement-form lattice initial data matching the ansatz at t = 0.
 
     The sampled ansatz at t = 0.  Displacement form takes a copy of it (no
@@ -371,10 +362,10 @@ def build_initial_data(env: EnvelopeField, disp: DispersionData, eps: float,
     by O(eps^2) in sup norm.  The state owns its arrays.  Returns (state,
     diagnostics).
     """
-    s = sample_ansatz(env, disp, eps, 0.0, n_side, form, corrections, work)
-    if form == "displacement":
+    s = sample_ansatz(work, env, 0.0, corrections)
+    if work.form == "displacement":
         return s.copy(), {"degenerate_modes": 0, "max_projection_displacement": 0.0}
-    e, keep = _difference_symbol(n_side)
+    e, keep = _difference_symbol(work.n_side)
     u_hat, v_hat, ut_hat, vt_hat = (fft.fft2(f) for f in s.arrays())
     state = LatticeState("displacement", 0.0,
                          q=fft.ifft2(_lift(u_hat, v_hat, e, keep)).real.copy(),
@@ -385,15 +376,14 @@ def build_initial_data(env: EnvelopeField, disp: DispersionData, eps: float,
                    "max_projection_displacement": moved}
 
 
-def l1_dft_norm(spectrum: np.ndarray, out: np.ndarray | None = None) -> float:
+def l1_dft_norm(spectrum: np.ndarray, out: np.ndarray) -> float:
     """Cell-measure-scaled l1 norm of a field's DFT; dominates the field's
-    site sup norm.  out, if given, takes |spectrum|."""
+    site sup norm.  out takes |spectrum|."""
     return float(np.sum(np.abs(spectrum, out=out)) / spectrum.size)
 
 
-def residual_norm(env: EnvelopeField, disp: DispersionData, eps: float, t: float,
-                  n_side: int, variant: str, with_corrections: bool,
-                  work: AnsatzWorkspace | None = None) -> float:
+def residual_norm(work: AnsatzWorkspace, env: EnvelopeField, t: float,
+                  with_corrections: bool) -> float:
     """L1-of-DFT norm of the first-order-system defect on the ansatz at time t.
 
     The diagonalized system splits each field into branches evolving by
@@ -406,28 +396,28 @@ def residual_norm(env: EnvelopeField, disp: DispersionData, eps: float, t: float
     naive second-order defect d2(psi)/dt2 - RHS(psi) cannot see the branch
     structure: the first-harmonic correction rides the carrier's own
     space-time phase there, so only the branch-resolved residual exhibits the
-    extra cancellation order.)  A workspace's state arrays serve as scratch.
+    extra cancellation order.)  The workspace's state arrays serve as scratch.
     """
-    work = _workspace(work, env, disp, eps, n_side, variant)
+    form = work.form
     basis = work.harmonics(env, t, with_corrections)
     coefficients = work.coefficients(with_corrections)
-    names = _positions(variant)
+    names = _positions(form)
     real = work.arrays  # the state arrays, free until the next sample
     # the fields 2 Re Psi_1, then the cubic term N of each
     fields = real[:len(names)]
     _real_branches(basis, coefficients, names, 0, fields, work._tmp)
     for field in fields:
         field *= 2
-    if variant == "displacement":
+    if form == "displacement":
         bonds = [_forward_diff(fields[0], 0, out=real[1]),
                  _forward_diff(fields[0], 1, out=work.real_scratch())]
     else:
         bonds = fields
     for b in bonds:
         np.negative(np.power(b, 3, out=b), out=b)
-    div = _divergence(bonds[0], bonds[1], real[0] if variant == "displacement" else real[2])
-    cubic = [div] if variant == "displacement" else [_forward_diff(div, 0, out=real[0]),
-                                                     _forward_diff(div, 1, out=real[1])]
+    div = _divergence(bonds[0], bonds[1], real[0] if form == "displacement" else real[2])
+    cubic = [div] if form == "displacement" else [_forward_diff(div, 0, out=real[0]),
+                                                  _forward_diff(div, 1, out=real[1])]
     norm = 0.0
     for name, n_cubic in zip(names, cubic):
         spectrum = fft.fft2(_branch(coefficients[name], basis, 1, work._tmp), overwrite_x=True)

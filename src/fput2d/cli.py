@@ -161,10 +161,12 @@ def cmd_sweep(plan: ExperimentPlan, out_dir: Path) -> int:
         fh.write("log_eps\tlog_maxerr\n")
         for rec in report["per_eps"]:
             if rec["max_sup_error"] > 0:
-                fh.write(f"{np.log(rec['eps'])!r}\t{np.log(rec['max_sup_error'])!r}\n")
+                fh.write(f"{float(np.log(rec['eps']))!r}\t"
+                         f"{float(np.log(rec['max_sup_error']))!r}\n")
     files.append(tsv.name)
     for rec in report["per_eps"]:
-        path = out_dir / f"errors_eps_{rec['eps']:g}.csv"
+        # repr round-trips, so distinct eps values never share a file
+        path = out_dir / f"errors_eps_{float(rec['eps'])!r}.csv"
         with DiagnosticsCsv(path, ["t", "sup_error"]) as csv_out:
             for t, e in zip(rec["times"], rec["sup_errors"]):
                 csv_out.write(t, e)

@@ -139,7 +139,7 @@ def hessian(kv: WaveVector) -> np.ndarray:
     return np.array([[hkk, hkl], [hkl, hll]])
 
 
-def nonresonance_check(kv: WaveVector, delta_res: float = DEFAULT_RESONANCE_MARGIN) -> bool:
+def nonresonance_check(kv: WaveVector, delta_res: float) -> bool:
     """True iff omega(3*kv) > 0 and |3*omega(kv) - omega(3*kv)| exceeds the margin."""
     w3 = omega(kv.scaled(3))
     if w3 <= delta_res:
@@ -201,17 +201,13 @@ def correction_coefficients(
     )
 
 
-def kernel_n(k1, k2, k3):
+def kernel_n(k1: float, k2: float, k3: float) -> float:
     """Cubic interaction kernel 2*Re[(e^{ik1}-1)(e^{ik2}-1)(e^{ik3}-1)].
 
-    Accepts scalars or broadcastable arrays; fully symmetric in its arguments
-    and bounded by C*|wrap(k1+k2+k3)|.
+    Fully symmetric in its arguments and bounded by C*|wrap(k1+k2+k3)|.
     """
-    p = (np.exp(1j * np.asarray(k1)) - 1.0) * (np.exp(1j * np.asarray(k2)) - 1.0) * (
-        np.exp(1j * np.asarray(k3)) - 1.0
-    )
-    out = 2.0 * p.real
-    return float(out) if np.isscalar(k1) and np.isscalar(k2) and np.isscalar(k3) else out
+    p = (np.exp(1j * k1) - 1.0) * (np.exp(1j * k2) - 1.0) * (np.exp(1j * k3) - 1.0)
+    return float(2.0 * p.real)
 
 
 def kernel_D(kv1: WaveVector, kv2: WaveVector, kv3: WaveVector) -> float:

@@ -206,8 +206,7 @@ class _EnvelopeSamples:
 
 
 def _run_lattice(plan: ExperimentPlan, disp, eps: float, env0: EnvelopeField,
-                 samples: _EnvelopeSamples, keep_state_indices=(),
-                 release: bool = False) -> dict:
+                 samples: _EnvelopeSamples, keep_state_indices, release: bool) -> dict:
     """The lattice run at eps against the envelope samples; its record has no
     wall time.  With release it drops each sample once observed.
 
@@ -219,8 +218,7 @@ def _run_lattice(plan: ExperimentPlan, disp, eps: float, env0: EnvelopeField,
     n = plan.n_side_for(eps)
     dt = plan.dt_for(eps)
     work = AnsatzWorkspace(env0, disp, eps, n, plan.variant)
-    state, proj_diag = build_initial_data(
-        env0, disp, eps, n, plan.variant, corrections=plan.corrections, work=work)
+    state, proj_diag = build_initial_data(work, env0, plan.corrections)
     force = _force_for(plan, eps, n)
     scratch = tuple(np.empty((n, n)) for _ in range(3))
 
@@ -240,7 +238,7 @@ def _run_lattice(plan: ExperimentPlan, disp, eps: float, env0: EnvelopeField,
         env_i = samples.get(i, release)
         # the run steps (q, w); a strain run is observed through its differences
         view = strain_from_displacement(st, out=strain_view) if strain else st
-        s = sample_ansatz(env_i, disp, eps, st.time, n, plan.variant, work=work)
+        s = sample_ansatz(work, env_i, st.time)
         # the sample is the workspace's live state: its arrays take |view - s|,
         # summed into the first in the order of the arrays
         deviations = [np.abs(np.subtract(a, b, out=b), out=b)
@@ -257,10 +255,7 @@ def _run_lattice(plan: ExperimentPlan, disp, eps: float, env0: EnvelopeField,
             kept_states[i] = view.copy()
         if i in residual_at:
             residuals.append(
-                [float(st.time),
-                 residual_norm(env_i, disp, eps, st.time, n, plan.variant,
-                               plan.corrections, work)]
-            )
+                [float(st.time), residual_norm(work, env_i, st.time, plan.corrections)])
 
     # the lattice is observed at the envelope's sample times, taken from the
     # plan so that the run starts before the solve has captured them all
@@ -294,7 +289,7 @@ def _run_lattice(plan: ExperimentPlan, disp, eps: float, env0: EnvelopeField,
     return record
 
 
-def _group_tasks(plan: ExperimentPlan, disp, eps_values, keep_state_indices=()) -> list:
+def _group_tasks(plan: ExperimentPlan, disp, eps_values, keep_state_indices) -> list:
     """The two tasks of eps runs that share one envelope box: the solve, which
     returns no records, then the lattice runs in order on its samples, the
     last of which drops each sample once observed.  Each record's wall_time_s
@@ -417,8 +412,8 @@ def residual_sweep(plan: ExperimentPlan) -> list[dict]:
             n = plan.n_side_for(eps)
             work = AnsatzWorkspace(envs[0], disp, eps, n, plan.variant)
             per_time = {
-                label: [residual_norm(env, disp, eps, env.slow_time / eps**2, n,
-                                      plan.variant, flag, work) for env in envs]
+                label: [residual_norm(work, env, env.slow_time / eps**2, flag)
+                        for env in envs]
                 for label, flag in (("with", True), ("without", False))
             }
             rows[eps] = {

@@ -21,9 +21,8 @@ slice.  A shift along axis 1 is one unit-stride pass over the flattened
 arrays, each element against its neighbour in memory; that pass crosses each
 row end, and the periodic wrap column is written over those entries.  The
 pass needs C-contiguous arrays: an input that is not is read through
-np.ascontiguousarray, a new result is allocated C-ordered, and an out that is
-not C-contiguous raises ValueError, since ravel() of one is a copy that the
-pass would fill and drop.
+np.ascontiguousarray, and an out that is not raises ValueError, since
+ravel() of one is a copy that the pass would fill and drop.
 
 The integrator is velocity Verlet (symplectic, second order, time reversible)
 stepped in place in its leapfrog form: between two observations the closing
@@ -101,11 +100,8 @@ class ForceLaw:
                 "y": (self.alpha_y * e**3, self.beta_y * e**2, self.gamma_y * e - 1.0),
             }
 
-    def w_prime(self, u: np.ndarray, direction: str,
-                out: np.ndarray | None = None) -> np.ndarray:
+    def w_prime(self, u: np.ndarray, direction: str, out: np.ndarray) -> np.ndarray:
         """Evaluate the bond force on an array of bond strains, in place into out (not u)."""
-        if out is None:
-            out = np.empty_like(u)
         if self.kind == "cubic_baseline":
             np.square(u, out=out)
             out *= u
@@ -119,14 +115,14 @@ class ForceLaw:
         out += u
         return out
 
-    def w_potential(self, u: np.ndarray, direction: str, buffers=None) -> np.ndarray:
+    def w_potential(self, u: np.ndarray, direction: str, buffers) -> np.ndarray:
         """Antiderivative of the bond force, W(0) = 0, on an array of bond
         strains: 0.5 u^2 - 0.25 u^4, or u^2 (0.5 + 0.5 c1 + u (c2/3 + 0.25 c3 u)).
 
-        buffers, if given, is (out, scratch), neither of them u; the value is
-        written into out and returned.
+        buffers is (out, scratch), neither of them u; the value is written
+        into out and returned.
         """
-        out, scratch = buffers if buffers is not None else (np.empty_like(u), np.empty_like(u))
+        out, scratch = buffers
         if self.kind == "cubic_baseline":
             u2 = np.multiply(u, u, out=scratch)
             np.multiply(0.25, u2, out=out)
@@ -218,25 +214,23 @@ class LatticeState:
         return abs(float(np.max([np.maximum(a.max(), -a.min()) for a in self.arrays()])))
 
 
-def _c_contiguous_out(out: np.ndarray | None, shape) -> np.ndarray:
-    """out, or a new float64 array of shape; a flat pass writes through
-    out.ravel(), which is a copy, not a view, unless out is C-contiguous."""
-    if out is None:
-        return np.empty(shape)
+def _c_contiguous_out(out: np.ndarray) -> np.ndarray:
+    """out, checked: a flat pass writes through out.ravel(), which is a
+    copy, not a view, unless out is C-contiguous."""
     if not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous array")
     return out
 
 
-def _forward_diff(f: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Periodic forward difference S+ f - f along axis (into out if given; out is not f).
+def _forward_diff(f: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """Periodic forward difference S+ f - f along axis, into out (not f).
 
     Along axis 1 the difference is one pass over the flattened arrays, each
     element minus its predecessor in memory; the pass crosses each row end,
     and the wrap column f[:, 0] - f[:, -1] then overwrites those entries.
     """
     f = np.ascontiguousarray(f)
-    out = _c_contiguous_out(out, f.shape)
+    out = _c_contiguous_out(out)
     if axis == 0:
         np.subtract(f[1:], f[:-1], out=out[:-1])
         np.subtract(f[0], f[-1], out=out[-1])  # the wrap row
@@ -278,7 +272,7 @@ def _divergence(fx: np.ndarray, fy: np.ndarray, out: np.ndarray) -> np.ndarray:
     computed first with the wrap column fy[:, -1] and written back after.
     """
     fx, fy = np.ascontiguousarray(fx), np.ascontiguousarray(fy)
-    out = _c_contiguous_out(out, fx.shape)
+    out = _c_contiguous_out(out)
     np.subtract(fx[1:], fx[:-1], out=out[1:])
     np.subtract(fx[0], fx[-1], out=out[0])  # the wrap row
     out += fy
@@ -288,15 +282,16 @@ def _divergence(fx: np.ndarray, fy: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def rhs_displacement(state: LatticeState, force: ForceLaw, out=None) -> np.ndarray:
+def rhs_displacement(state: LatticeState, force: ForceLaw, buffers) -> np.ndarray:
     """Acceleration field of the displacement formulation.
 
-    out, if given, holds the work arrays (fx, fy, div); the bond differences
-    pass through div, and the acceleration is written into div and returned.
+    buffers holds the work arrays (fx, fy, div), as _buffers makes them; the
+    bond differences pass through div, and the acceleration is written into
+    div and returned.
     """
     if state.form != "displacement":
         raise FormMismatch("rhs_displacement needs displacement form")
-    fx, fy, div = out if out is not None else _buffers(state)
+    fx, fy, div = buffers
     force.w_prime(_forward_diff(state.q, 0, out=div), "x", out=fx)
     force.w_prime(_forward_diff(state.q, 1, out=div), "y", out=fy)
     return _divergence(fx, fy, div)
@@ -338,7 +333,7 @@ def _march(state: LatticeState, force: ForceLaw, dt: float, n_steps: int, accel,
             q += np.multiply(w, dt, out=accel)
             # looked up as a module global on every call, so a wrapper put on
             # it (a counter, a tracer) sees every force evaluation
-            accel = rhs_displacement(state, force, out=buffers)
+            accel = rhs_displacement(state, force, buffers)
             kick = dt
             state.time += dt
             if (i + 1) % CHECK_EVERY == 0:
@@ -361,7 +356,7 @@ def integrate(state: LatticeState, force: ForceLaw, dt_max_step: float,
     """
     current = state.copy()
     buffers = _buffers(current)
-    accel = rhs_displacement(current, force, out=buffers)
+    accel = rhs_displacement(current, force, buffers)
     for t_target in sample_times:
         if t_target < current.time - 1e-12:
             raise ValueError("sample times must be ascending")
@@ -375,14 +370,14 @@ def integrate(state: LatticeState, force: ForceLaw, dt_max_step: float,
     return current
 
 
-def energy(state: LatticeState, force: ForceLaw, buffers=None) -> float:
+def energy(state: LatticeState, force: ForceLaw, buffers) -> float:
     """Total energy sum(w^2)/2 + sum of bond potentials (displacement form).
 
-    buffers, if given, holds three N x N work arrays (as _buffers makes).
+    buffers holds three N x N work arrays (as _buffers makes them).
     """
     if state.form != "displacement":
         raise FormMismatch("energy is defined for the displacement form")
-    bonds, out, scratch = buffers if buffers is not None else _buffers(state)
+    bonds, out, scratch = buffers
     total = 0.5 * np.sum(np.square(state.w, out=out))
     for axis, direction in ((0, "x"), (1, "y")):
         total += np.sum(force.w_potential(_forward_diff(state.q, axis, out=bonds), direction,
@@ -390,14 +385,14 @@ def energy(state: LatticeState, force: ForceLaw, buffers=None) -> float:
     return float(total)
 
 
-def compatibility_defect(state: LatticeState, buffers=None) -> float:
+def compatibility_defect(state: LatticeState, buffers) -> float:
     """Max defect of the curl-free constraint, fields plus velocities.
 
-    buffers, if given, holds at least two N x N work arrays.
+    buffers holds at least two N x N work arrays.
     """
     if state.form != "strain":
         raise FormMismatch("compatibility defect is defined for the strain form")
-    a, b = buffers[:2] if buffers is not None else _buffers(state)[:2]
+    a, b = buffers[:2]
 
     def defect(f, g):
         d = np.subtract(_forward_diff(f, 1, out=a), _forward_diff(g, 0, out=b), out=a)

@@ -98,8 +98,8 @@ class NlsProblem:
         object.__setattr__(self, "nonlin_coeff", complex(self.nonlin_coeff))
 
 
-def gaussian_field(box_length: float, grid_side: int, amplitude: float = 1.0,
-                   sigma: float = 4.0) -> EnvelopeField:
+def gaussian_field(box_length: float, grid_side: int, amplitude: float,
+                   sigma: float) -> EnvelopeField:
     """Standard initial envelope a * exp(-(X^2 + Y^2)/sigma^2)."""
     x = -box_length / 2 + (box_length / grid_side) * np.arange(grid_side)
     xx, yy = np.meshgrid(x, x, indexing="ij")
@@ -112,13 +112,6 @@ def linear_symbol(field: EnvelopeField, prob: NlsProblem) -> np.ndarray:
     kx, ky = k[:, None], k[None, :]
     h = prob.hessian
     return 0.5 * (h[0, 0] * kx**2 + 2 * h[0, 1] * kx * ky + h[1, 1] * ky**2)
-
-
-def envelope_rhs_spectrum(a: np.ndarray, a_hat: np.ndarray, symbol: np.ndarray,
-                          gamma: complex) -> np.ndarray:
-    """DFT of dQ/dT, i sigma F(Q) + F(gamma |Q|^2 Q), from Q on the grid, its
-    DFT a_hat and a precomputed linear symbol: one FFT."""
-    return 1j * symbol * a_hat + fft.fft2(gamma * np.abs(a) ** 2 * a)
 
 
 def mass(field: EnvelopeField) -> float:
@@ -156,8 +149,7 @@ def edge_mass_fraction(field: EnvelopeField) -> float:
 
 
 def evolve(field: EnvelopeField, prob: NlsProblem, t_final: float,
-           sample_times, blowup_guard: float = DEFAULT_BLOWUP_GUARD,
-           on_sample=None) -> list[EnvelopeField]:
+           sample_times, blowup_guard: float, on_sample=None) -> list[EnvelopeField]:
     """March to t_final, capturing the field at each requested slow time.
 
     The field stays in Fourier space for the whole march; consecutive linear

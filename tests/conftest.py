@@ -2,7 +2,28 @@
 
 import numpy as np
 
+from fput2d.ansatz import AnsatzWorkspace, build_initial_data, residual_norm, sample_ansatz
 from fput2d.lattice import LatticeState, integrate
+
+
+def work_arrays(n):
+    """Three N x N work arrays, as a run builds them for the lattice kernels."""
+    return tuple(np.empty((n, n)) for _ in range(3))
+
+
+def sample(env, disp, eps, t, n, form, corrections=False):
+    """The sampled ansatz at time t, through a workspace built for this call."""
+    return sample_ansatz(AnsatzWorkspace(env, disp, eps, n, form), env, t, corrections)
+
+
+def initial_data(env, disp, eps, n, form, corrections=False):
+    """build_initial_data through a workspace built for this call."""
+    return build_initial_data(AnsatzWorkspace(env, disp, eps, n, form), env, corrections)
+
+
+def residual(env, disp, eps, t, n, form, corrections):
+    """residual_norm through a workspace built for this call."""
+    return residual_norm(AnsatzWorkspace(env, disp, eps, n, form), env, t, corrections)
 
 
 def smooth_random_field(n, rng, amplitude=0.1, modes=3):

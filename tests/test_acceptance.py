@@ -8,10 +8,9 @@ runtime; their reports are shared through module-level caches.
 import numpy as np
 import pytest
 
-from conftest import measure_mode_frequencies, smooth_random_field
+from conftest import initial_data, measure_mode_frequencies, smooth_random_field, work_arrays
 from test_ansatz import run_projection
 from test_lattice import reference_verlet, reverse, step
-from fput2d.ansatz import build_initial_data
 from fput2d.dispersion import WaveVector, nls_coefficients, omega
 from fput2d.harness import ExperimentPlan, fit_order, residual_sweep, run_sweep
 from fput2d.lattice import (
@@ -22,7 +21,14 @@ from fput2d.lattice import (
     integrate,
     strain_from_displacement,
 )
-from fput2d.nls import EnvelopeField, NlsProblem, evolve, gaussian_field, mass
+from fput2d.nls import (
+    DEFAULT_BLOWUP_GUARD,
+    EnvelopeField,
+    NlsProblem,
+    evolve,
+    gaussian_field,
+    mass,
+)
 
 PIH = np.pi / 2
 KV = WaveVector(PIH, PIH)
@@ -104,6 +110,7 @@ def test_criterion_03_compatibility_invariance():
     ref = strain_from_displacement(disp)
     scale = max(np.max(np.abs(ref.u)), np.max(np.abs(ref.v)))
     defects, oracle_defects, gaps = [], [], []
+    buffers = work_arrays(n)
 
     def observe(st):
         nonlocal ref
@@ -111,8 +118,8 @@ def test_criterion_03_compatibility_invariance():
             ref = LatticeState.from_arrays("strain", st.time,
                                            reference_verlet(ref, force, 1e-2, 100))
         view = strain_from_displacement(st)
-        defects.append(compatibility_defect(view))
-        oracle_defects.append(compatibility_defect(ref))
+        defects.append(compatibility_defect(view, buffers))
+        oracle_defects.append(compatibility_defect(ref, buffers))
         gaps.append(max(np.max(np.abs(a - b)) for a, b in zip(view.arrays(), ref.arrays())))
 
     integrate(disp, force, 1e-2, np.linspace(0, 50, 51), observe)
@@ -129,13 +136,14 @@ def test_criterion_04_symplectic_diagnostics():
     q = smooth_random_field(n, rng, 0.2)
     w = smooth_random_field(n, rng, 0.2)
     force = ForceLaw()
+    buffers = work_arrays(n)
 
     def max_drift(dt):
         s = LatticeState("displacement", q=q.copy(), w=w.copy())
-        e0 = energy(s, force)
+        e0 = energy(s, force, buffers)
         drifts = []
         integrate(s, force, dt, np.linspace(0, 20, 201),
-                  lambda st: drifts.append(abs(energy(st, force) - e0)))
+                  lambda st: drifts.append(abs(energy(st, force, buffers) - e0)))
         return max(drifts)
 
     ratio = max_drift(0.1) / max_drift(0.05)
@@ -152,15 +160,17 @@ def test_criterion_04_symplectic_diagnostics():
 def test_criterion_05_nls_solver():
     h = nls_coefficients(KV).hessian
     # mass conservation over 1000 steps
-    f = gaussian_field(40.0, 128)
+    f = gaussian_field(40.0, 128, 1.0, 4.0)
     m0 = mass(f)
-    f_end = evolve(f, NlsProblem(h, -3j, dT=1e-3), 1.0, sample_times=[1.0])[-1]
+    f_end = evolve(f, NlsProblem(h, -3j, dT=1e-3), 1.0, sample_times=[1.0],
+                   blowup_guard=DEFAULT_BLOWUP_GUARD)[-1]
     mass_drift = abs(mass(f_end) - m0) / m0
 
     # linear Gaussian flow against the closed-form anisotropic evolution
     sigma, amp = 4.0, 1.0
     f0 = gaussian_field(40.0, 256, amp, sigma)
-    lin = evolve(f0, NlsProblem(h, 0j, dT=1e-2), 1.0, sample_times=[1.0])[-1]
+    lin = evolve(f0, NlsProblem(h, 0j, dT=1e-2), 1.0, sample_times=[1.0],
+                 blowup_guard=DEFAULT_BLOWUP_GUARD)[-1]
     evals, evecs = np.linalg.eigh(h)
     x = f0.coords_1d()
     xx, yy = np.meshgrid(x, x, indexing="ij")
@@ -172,11 +182,12 @@ def test_criterion_05_nls_solver():
     gauss_err = np.max(np.abs(lin.a - oracle))
 
     # Strang self-convergence against a dT/16 reference
-    f1 = gaussian_field(40.0, 128, amplitude=0.8)
+    f1 = gaussian_field(40.0, 128, amplitude=0.8, sigma=4.0)
     base = 4e-3
 
     def run(dt):
-        return evolve(f1, NlsProblem(h, -3j, dT=dt), 0.5, sample_times=[0.5])[-1].a
+        return evolve(f1, NlsProblem(h, -3j, dT=dt), 0.5, sample_times=[0.5],
+                      blowup_guard=DEFAULT_BLOWUP_GUARD)[-1].a
 
     ref = run(base / 16)
     order = np.log2(np.max(np.abs(run(base) - ref)) / np.max(np.abs(run(base / 2) - ref)))
@@ -239,12 +250,12 @@ def test_criterion_10_projection_contract():
     idem = max(np.max(np.abs(a - b)) for a, b in zip(once, twice)) / scale
 
     disp = nls_coefficients(KV)
-    env = gaussian_field(40.0, 256)
+    env = gaussian_field(40.0, 256, 1.0, 4.0)
     moved = []
     eps_values = (0.2, 0.1, 0.05)
     for eps in eps_values:
         n_side = int(np.ceil(40.0 / eps / 4) * 4)
-        _, diag = build_initial_data(env, disp, eps, n_side, "strain")
+        _, diag = initial_data(env, disp, eps, n_side, "strain")
         moved.append(diag["max_projection_displacement"])
     slope, _, _ = fit_order(eps_values, moved)
     ok = idem < 1e-12 and slope >= 1.8

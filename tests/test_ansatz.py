@@ -26,14 +26,16 @@ from fput2d.ansatz import (
 from fput2d.dispersion import WaveVector, nls_coefficients
 from fput2d.lattice import LatticeState, compatibility_defect, strain_from_displacement
 from fput2d.nls import (
+    DEFAULT_BLOWUP_GUARD,
     EnvelopeField,
     NlsProblem,
-    envelope_rhs_spectrum,
     evolve,
     gaussian_field,
     linear_symbol,
 )
+from conftest import initial_data, residual, sample, work_arrays
 from test_dispersion import ratio_b_over_a, strain_correction_oracle
+from test_nls import envelope_rhs_spectrum
 
 PIH = np.pi / 2
 KV = WaveVector(PIH, PIH)
@@ -79,12 +81,14 @@ def evolved_copy(env, disp, dT_target):
     prob = NlsProblem(disp.hessian, disp.gamma_q, dT=abs(dT_target) / 2)
     if dT_target > 0:
         return evolve(env, prob, env.slow_time + dT_target,
-                      sample_times=[env.slow_time + dT_target])[-1]
+                      sample_times=[env.slow_time + dT_target],
+                      blowup_guard=DEFAULT_BLOWUP_GUARD)[-1]
     # step backwards: Q(T0 - s) solves the equation with negated Hessian and
     # conjugated cubic coefficient, integrated forward by |dT|
     prob_b = NlsProblem(-prob.hessian, np.conj(prob.nonlin_coeff), prob.dT)
     start = EnvelopeField(env.box_length, env.a.copy(), 0.0)
-    out = evolve(start, prob_b, -dT_target, sample_times=[-dT_target])[-1]
+    out = evolve(start, prob_b, -dT_target, sample_times=[-dT_target],
+                 blowup_guard=DEFAULT_BLOWUP_GUARD)[-1]
     out.slow_time = env.slow_time + dT_target
     return out
 
@@ -92,14 +96,14 @@ def evolved_copy(env, disp, dT_target):
 class TestSampling:
     def test_zero_envelope(self):
         env = constant_env(0.0, 1.6)
-        s = sample_ansatz(env, DISP, 0.1, 0.0, 16, "strain")
+        s = sample(env, DISP, 0.1, 0.0, 16, "strain")
         for f in s.arrays():
             assert np.all(f == 0.0)
 
     def test_constant_envelope_plane_wave(self):
         eps, n = 0.01, 16
         env = constant_env(1.0 / A_KV, eps * n)  # the strain envelope A_KV Q is 1
-        s = sample_ansatz(env, DISP, eps, 0.0, n, "strain")
+        s = sample(env, DISP, eps, 0.0, n, "strain")
         m = np.arange(n) - n // 2
         mm, nn = np.meshgrid(m, m, indexing="ij")
         expected = 0.02 * np.cos(PIH * (mm + nn))
@@ -108,8 +112,8 @@ class TestSampling:
         assert np.allclose(s.v, expected, atol=1e-12)
 
     def test_fields_real_and_finite(self):
-        env = gaussian_field(40.0, 128)
-        s = sample_ansatz(env, DISP, 0.2, 3.7, 200, "strain", corrections=True)
+        env = gaussian_field(40.0, 128, 1.0, 4.0)
+        s = sample(env, DISP, 0.2, 3.7, 200, "strain", corrections=True)
         assert (s.form, s.time) == ("strain", 3.7)
         for f in s.arrays():
             assert f.dtype == np.float64
@@ -117,31 +121,31 @@ class TestSampling:
 
     def test_amplitude_budget(self):
         eps = 0.1
-        env = gaussian_field(40.0, 128)
-        s = sample_ansatz(env, DISP, eps, 0.0, 400, "strain", corrections=True)
+        env = gaussian_field(40.0, 128, 1.0, 4.0)
+        s = sample(env, DISP, eps, 0.0, 400, "strain", corrections=True)
         assert np.max(np.abs(s.u)) <= 2 * eps * np.max(np.abs(A_KV * env.a)) + 30 * eps**3
 
     def test_footprint_guard(self):
-        env = gaussian_field(40.0, 128)
+        env = gaussian_field(40.0, 128, 1.0, 4.0)
         with pytest.raises(FootprintExceeded):
-            sample_ansatz(env, DISP, 0.2, 0.0, 256, "strain")
+            sample(env, DISP, 0.2, 0.0, 256, "strain")
 
     def test_degenerate_axis_l_no_v(self):
         disp = nls_coefficients(WaveVector(PIH, 0.0))
-        env = gaussian_field(40.0, 128)
-        s = sample_ansatz(env, disp, 0.2, 0.0, 200, "strain", corrections=True)
+        env = gaussian_field(40.0, 128, 1.0, 4.0)
+        s = sample(env, disp, 0.2, 0.0, 200, "strain", corrections=True)
         assert np.all(s.v == 0.0)
         assert np.max(np.abs(s.u)) > 0.1
 
     def test_conjugation_closure_at_t0(self):
         # negating the carrier and conjugating the envelope reproduces the
         # identical field at t = 0 (corrections included)
-        env = gaussian_field(40.0, 128, amplitude=0.8)
+        env = gaussian_field(40.0, 128, amplitude=0.8, sigma=4.0)
         env.a = env.a * np.exp(0.4j)  # give the envelope a nontrivial phase
-        s1 = sample_ansatz(env, DISP, 0.2, 0.0, 200, "strain", corrections=True)
+        s1 = sample(env, DISP, 0.2, 0.0, 200, "strain", corrections=True)
         disp_neg = nls_coefficients(KV.negated())
         env_c = EnvelopeField(env.box_length, np.conj(env.a))
-        s2 = sample_ansatz(env_c, disp_neg, 0.2, 0.0, 200, "strain", corrections=True)
+        s2 = sample(env_c, disp_neg, 0.2, 0.0, 200, "strain", corrections=True)
         assert np.allclose(s1.u, s2.u, atol=1e-13)
         assert np.allclose(s1.v, s2.v, atol=1e-13)
 
@@ -151,15 +155,15 @@ class TestExactDerivatives:
     @pytest.mark.parametrize("variant", ["strain", "displacement"])
     def test_psi_t_centered_difference(self, variant, corrections):
         eps, n, t0 = 0.2, 200, 1.3
-        env0 = gaussian_field(40.0, 128, amplitude=0.8)
+        env0 = gaussian_field(40.0, 128, amplitude=0.8, sigma=4.0)
         env = evolve(env0, NlsProblem(DISP.hessian, DISP.gamma_q, 1e-3), eps**2 * t0,
-                     sample_times=[eps**2 * t0])[-1]
+                     sample_times=[eps**2 * t0], blowup_guard=DEFAULT_BLOWUP_GUARD)[-1]
         h = 1e-4
         env_p = evolved_copy(env, DISP, eps**2 * h)
         env_m = evolved_copy(env, DISP, -(eps**2) * h)
-        s = sample_ansatz(env, DISP, eps, t0, n, variant, corrections)
-        sp = sample_ansatz(env_p, DISP, eps, t0 + h, n, variant, corrections)
-        sm = sample_ansatz(env_m, DISP, eps, t0 - h, n, variant, corrections)
+        s = sample(env, DISP, eps, t0, n, variant, corrections)
+        sp = sample(env_p, DISP, eps, t0 + h, n, variant, corrections)
+        sm = sample(env_m, DISP, eps, t0 - h, n, variant, corrections)
         # positions first, then their velocities
         arrays, plus, minus = s.arrays(), sp.arrays(), sm.arrays()
         half = len(arrays) // 2
@@ -171,7 +175,7 @@ class TestExactDerivatives:
 class TestEnvelopeEvaluation:
     @staticmethod
     def periodic_env(box, m):
-        env = gaussian_field(box, m)
+        env = gaussian_field(box, m, 1.0, 4.0)
         x = env.coords_1d()
         env.a = periodic_gaussian(box, x, x).astype(complex)
         return env
@@ -197,7 +201,7 @@ class TestEnvelopeEvaluation:
     def test_fft_exact_on_grid_points(self):
         # at t = 0 with N = M the maps are the identity modulo origins
         m = 128
-        env = gaussian_field(25.6, m)
+        env = gaussian_field(25.6, m, 1.0, 4.0)
         out = eval_envelope([np.fft.fft2(env.a)], env, 0.2, 0.0, m)[0]
         assert np.max(np.abs(out - env.a)) < 1e-12
 
@@ -225,7 +229,7 @@ class TestEnvelopeEvaluation:
         assert np.array_equal(got, np.fft.ifftshift(want))
 
     def test_fft_requires_commensurate(self):
-        env = gaussian_field(40.0, 128)
+        env = gaussian_field(40.0, 128, 1.0, 4.0)
         with pytest.raises(FootprintExceeded):
             eval_envelope([np.fft.fft2(env.a)], env, 0.21, 0.0, 100)
 
@@ -332,14 +336,14 @@ class TestCompatProjection:
         # (0, 0) always; the two lone modes (pi/2, -pi/2), (-pi/2, pi/2) when 4 | N
         for n_side, count in ((16, 3), (18, 1)):
             env = constant_env(0.0, 0.2 * n_side)
-            _, diag = build_initial_data(env, DISP, 0.2, n_side, "strain")
+            _, diag = initial_data(env, DISP, 0.2, n_side, "strain")
             assert diag["degenerate_modes"] == count
 
 
 class TestInitialData:
     def test_zero_envelope(self):
         env = constant_env(0.0, 3.2)
-        state, diag = build_initial_data(env, DISP, 0.2, 16, "strain")
+        state, diag = initial_data(env, DISP, 0.2, 16, "strain")
         assert state.form == "displacement"
         assert np.all(state.q == 0) and np.all(state.w == 0)
         assert diag["max_projection_displacement"] == 0.0
@@ -347,17 +351,17 @@ class TestInitialData:
     def test_projected_state_compatible(self):
         # a strain run starts from displacements, so its strain state is
         # compatible up to the round-off of the differences
-        env = gaussian_field(40.0, 256)
-        state, _ = build_initial_data(env, DISP, 0.2, 200, "strain")
-        assert compatibility_defect(strain_from_displacement(state)) <= 1e-15
+        env = gaussian_field(40.0, 256, 1.0, 4.0)
+        state, _ = initial_data(env, DISP, 0.2, 200, "strain")
+        assert compatibility_defect(strain_from_displacement(state), work_arrays(200)) <= 1e-15
 
     @pytest.mark.parametrize("corrections", [False, True])
     def test_lift_reproduces_projected_strain(self, corrections):
         # the differences of the lifted (q, w) are the projection of the
         # sampled strain state, with the means of all four arrays at 0
-        env = gaussian_field(40.0, 256)
-        state, diag = build_initial_data(env, DISP, 0.2, 200, "strain", corrections)
-        raw = sample_ansatz(env, DISP, 0.2, 0.0, 200, "strain", corrections)
+        env = gaussian_field(40.0, 256, 1.0, 4.0)
+        state, diag = initial_data(env, DISP, 0.2, 200, "strain", corrections)
+        raw = sample(env, DISP, 0.2, 0.0, 200, "strain", corrections)
         projected = run_projection(*[np.fft.fft2(f) for f in raw.arrays()])
         lifted = strain_from_displacement(state).arrays()
         assert diag["degenerate_modes"] == 3
@@ -366,31 +370,32 @@ class TestInitialData:
             assert abs(np.mean(got)) <= 1e-17
 
     def test_projection_displacement_eps2(self):
-        env = gaussian_field(40.0, 128)
+        env = gaussian_field(40.0, 128, 1.0, 4.0)
         moved = {}
         for eps in (0.2, 0.1):
             n = int(round(40.0 / eps))
-            _, diag = build_initial_data(env, DISP, eps, n, "strain")
+            _, diag = initial_data(env, DISP, eps, n, "strain")
             moved[eps] = diag["max_projection_displacement"]
         ratio = moved[0.2] / moved[0.1]
         assert 2.5 <= ratio <= 6.5  # eps^2 scaling gives 4
 
     def test_displacement_form_direct(self):
-        env = gaussian_field(40.0, 128)
+        env = gaussian_field(40.0, 128, 1.0, 4.0)
         disp_dd = nls_coefficients(KV)
-        state, diag = build_initial_data(env, disp_dd, 0.2, 200, "displacement")
-        s = sample_ansatz(env, disp_dd, 0.2, 0.0, 200, "displacement")
+        state, diag = initial_data(env, disp_dd, 0.2, 200, "displacement")
+        s = sample(env, disp_dd, 0.2, 0.0, 200, "displacement")
         assert np.array_equal(state.q, s.q)
         assert np.array_equal(state.w, s.w)
         assert diag["max_projection_displacement"] == 0.0
 
     def test_raw_ansatz_defect_eps2(self):
         # before projection the strain pair violates compatibility at O(eps^2)
-        env = gaussian_field(40.0, 128)
+        env = gaussian_field(40.0, 128, 1.0, 4.0)
         defects = {}
         for eps in (0.2, 0.1):
             n = int(round(40.0 / eps))
-            defects[eps] = compatibility_defect(sample_ansatz(env, DISP, eps, 0.0, n, "strain"))
+            defects[eps] = compatibility_defect(sample(env, DISP, eps, 0.0, n, "strain"),
+                                                work_arrays(n))
         ratio = defects[0.2] / defects[0.1]
         assert 2.5 <= ratio <= 6.5
 
@@ -420,7 +425,7 @@ class TestCorrectionSet:
         # the strain form's closed form is written in the strain envelopes
         # A = a Q, a = e^{ik0} - 1, and B = r A, with the coefficients of the
         # carrier with its axes swapped for v
-        env = gaussian_field(32.0, 64, amplitude=0.7)
+        env = gaussian_field(32.0, 64, amplitude=0.7, sigma=4.0)
         env.a = env.a * np.exp(0.2j)
         for kv in (KV, KV_R):
             disp = nls_coefficients(kv)
@@ -443,8 +448,8 @@ class TestCorrectionSet:
         eps, n = 0.05, 16
         c = 0.6 + 0.2j
         env = constant_env(c / A_KV, eps * n)  # the strain envelope A_KV Q is c
-        s0 = sample_ansatz(env, DISP, eps, 0.0, n, "strain")
-        s1 = sample_ansatz(env, DISP, eps, 0.0, n, "strain", corrections=True)
+        s0 = sample(env, DISP, eps, 0.0, n, "strain")
+        s1 = sample(env, DISP, eps, 0.0, n, "strain", corrections=True)
         manual = _manual_correction(KV, KV, 1.0, c, eps, n)
         assert np.allclose(s1.u - s0.u, manual, atol=1e-14)
 
@@ -457,8 +462,8 @@ class TestCorrectionSet:
         r = ratio_b_over_a(KV_R)
         assert abs(r - 1) > 0.1
         env = constant_env(c / (np.exp(1j * KV_R.k) - 1), eps * n)
-        s0 = sample_ansatz(env, disp, eps, 0.0, n, "strain")
-        s1 = sample_ansatz(env, disp, eps, 0.0, n, "strain", corrections=True)
+        s0 = sample(env, disp, eps, 0.0, n, "strain")
+        s1 = sample(env, disp, eps, 0.0, n, "strain", corrections=True)
         manual = _manual_correction(KV_R, WaveVector(KV_R.l, KV_R.k), r, c, eps, n)
         assert np.max(np.abs(manual)) > 1e-5
         assert np.allclose(s1.v - s0.v, manual, atol=1e-14)
@@ -467,23 +472,23 @@ class TestCorrectionSet:
 class TestResidual:
     def test_zero_envelope(self):
         env = constant_env(0.0, 3.2)
-        assert residual_norm(env, DISP, 0.2, 0.0, 16, "strain", False) == 0.0
+        assert residual(env, DISP, 0.2, 0.0, 16, "strain", False) == 0.0
 
     def test_corrections_reduce_residual(self):
         eps = 0.2
         n = 200
-        env0 = gaussian_field(40.0, 256)
+        env0 = gaussian_field(40.0, 256, 1.0, 4.0)
         t = 2.0
         env = evolve(env0, NlsProblem(DISP.hessian, DISP.gamma_q, 1e-3), eps**2 * t,
-                     sample_times=[eps**2 * t])[-1]
-        r_without = residual_norm(env, DISP, eps, t, n, "strain", False)
-        r_with = residual_norm(env, DISP, eps, t, n, "strain", True)
+                     sample_times=[eps**2 * t], blowup_guard=DEFAULT_BLOWUP_GUARD)[-1]
+        r_without = residual(env, DISP, eps, t, n, "strain", False)
+        r_with = residual(env, DISP, eps, t, n, "strain", True)
         assert r_with < 0.5 * r_without
 
     def test_displacement_residual_finite(self):
         eps, n = 0.2, 200
-        env = gaussian_field(40.0, 256)
-        r = residual_norm(env, DISP, eps, 0.0, n, "displacement", True)
+        env = gaussian_field(40.0, 256, 1.0, 4.0)
+        r = residual(env, DISP, eps, 0.0, n, "displacement", True)
         assert 0 < r < 1.0
 
 
@@ -549,7 +554,7 @@ def reference_residual(env, disp, eps, t, n, form, corrections):
     div = fx - np.roll(fx, 1, axis=0) + fy - np.roll(fy, 1, axis=1)
     cubic = [div] if form == "displacement" else [np.roll(div, -1, axis) - div for axis in (0, 1)]
     return 2 * sum(l1_dft_norm(-scipy_fft.fft2(dpsi1) + 1j * w * scipy_fft.fft2(psi1)
-                               + inv_8iw * scipy_fft.fft2(n_cubic))
+                               + inv_8iw * scipy_fft.fft2(n_cubic), np.empty((n, n)))
                    for (psi1, dpsi1), n_cubic in zip(acc.values(), cubic))
 
 
@@ -560,26 +565,26 @@ class TestWorkspace:
     @pytest.mark.parametrize("variant", ["strain", "displacement"])
     def test_reused_workspace_matches_fresh_calls(self, variant, grid_side):
         # the states and residuals of a workspace reused over a sequence of
-        # calls, with and without corrections, equal bit for bit those of
-        # fresh calls: each call re-zeroes the pad modes the previous inverse
-        # FFT filled, and rewrites every buffer it reads
+        # calls, with and without corrections, equal bit for bit those of a
+        # fresh workspace per call: each call re-zeroes the pad modes the
+        # previous inverse FFT filled, and rewrites every buffer it reads
         eps, n = 0.25, 80
-        env0 = gaussian_field(eps * n, grid_side, amplitude=0.8)
+        env0 = gaussian_field(eps * n, grid_side, amplitude=0.8, sigma=4.0)
         env0.a = env0.a * np.exp(0.3j)
         envs = evolve(env0, NlsProblem(DISP.hessian, DISP.gamma_q), 0.1,
-                      sample_times=[0.0, 0.05, 0.1])
+                      sample_times=[0.0, 0.05, 0.1], blowup_guard=DEFAULT_BLOWUP_GUARD)
         work = AnsatzWorkspace(env0, DISP, eps, n, variant)
         for env in envs:
             t = env.slow_time / eps**2
             for corrections in (False, True, False):
-                got = sample_ansatz(env, DISP, eps, t, n, variant, corrections, work)
+                got = sample_ansatz(work, env, t, corrections)
                 assert all(a is b for a, b in zip(got.arrays(), work.arrays))
-                want = sample_ansatz(env, DISP, eps, t, n, variant, corrections)
+                want = sample(env, DISP, eps, t, n, variant, corrections)
                 assert (got.form, got.time) == (want.form, want.time)
                 for g, w in zip(got.arrays(), want.arrays()):
                     assert np.array_equal(_bits(g), _bits(w))
-                r_got = residual_norm(env, DISP, eps, t, n, variant, corrections, work)
-                r_want = residual_norm(env, DISP, eps, t, n, variant, corrections)
+                r_got = residual_norm(work, env, t, corrections)
+                r_want = residual(env, DISP, eps, t, n, variant, corrections)
                 assert r_got.hex() == r_want.hex()
 
     @pytest.mark.parametrize("corrections", [False, True])
@@ -587,52 +592,56 @@ class TestWorkspace:
     @pytest.mark.parametrize("variant", ["strain", "displacement"])
     def test_matches_the_expression_form(self, variant, grid_side, corrections):
         eps, n, t = 0.25, 80, 7.3
-        env = gaussian_field(eps * n, grid_side, amplitude=0.8)
+        env = gaussian_field(eps * n, grid_side, amplitude=0.8, sigma=4.0)
         env.a = env.a * np.exp(0.3j)
         disp = nls_coefficients(KV_R)
         work = AnsatzWorkspace(env, disp, eps, n, variant)
         want = reference_branches(env, disp, eps, t, n, variant, corrections)
         for _ in range(2):  # a fresh workspace, then a used one
-            got = sample_ansatz(env, disp, eps, t, n, variant, corrections, work)
+            got = sample_ansatz(work, env, t, corrections)
             half = len(got.arrays()) // 2
             for i, (psi1, dpsi1) in enumerate(want.values()):
                 assert np.array_equal(_bits(got.arrays()[i]), _bits(psi1.real))
                 assert np.array_equal(_bits(got.arrays()[half + i]), _bits(dpsi1.real))
-            assert (residual_norm(env, disp, eps, t, n, variant, corrections, work).hex()
+            assert (residual_norm(work, env, t, corrections).hex()
                     == reference_residual(env, disp, eps, t, n, variant, corrections).hex())
 
     def test_state_is_live(self):
-        env = gaussian_field(20.0, 64)
+        env = gaussian_field(20.0, 64, 1.0, 4.0)
         work = AnsatzWorkspace(env, DISP, 0.25, 80, "strain")
-        first = sample_ansatz(env, DISP, 0.25, 0.0, 80, "strain", work=work)
+        first = sample_ansatz(work, env, 0.0)
         kept = first.copy()
-        sample_ansatz(env, DISP, 0.25, 30.0, 80, "strain", work=work)
+        sample_ansatz(work, env, 30.0)
         assert not np.array_equal(first.u, kept.u)  # overwritten by the next call
 
     @pytest.mark.parametrize("variant", ["strain", "displacement"])
     def test_initial_state_owns_its_arrays(self, variant):
-        env = gaussian_field(20.0, 64)
+        env = gaussian_field(20.0, 64, 1.0, 4.0)
         work = AnsatzWorkspace(env, DISP, 0.25, 80, variant)
-        state, _ = build_initial_data(env, DISP, 0.25, 80, variant, work=work)
+        state, _ = build_initial_data(work, env, False)
         kept = state.copy()
         for a in state.arrays():
             assert a.flags.owndata and a.flags.c_contiguous
-        sample_ansatz(env, DISP, 0.25, 30.0, 80, variant, work=work)
-        residual_norm(env, DISP, 0.25, 30.0, 80, variant, True, work)
+        sample_ansatz(work, env, 30.0)
+        residual_norm(work, env, 30.0, True)
         for a, b in zip(state.arrays(), kept.arrays()):
             assert np.array_equal(a, b)
 
+    # envelopes of other runs: two finer grids, another box, a box one ulp
+    # off, and another grid and box
     @pytest.mark.parametrize("other", [
-        dict(eps=0.2, n_side=100), dict(n_side=88), dict(form="displacement"),
-        dict(disp=nls_coefficients(KV_R)), dict(grid_side=128)])
+        dict(grid_side=128), dict(grid_side=256), dict(box=25.0),
+        dict(box=np.nextafter(20.0, 21.0)), dict(grid_side=128, box=25.0)])
     def test_workspace_of_another_run_rejected(self, other):
-        env = gaussian_field(20.0, 64)
-        work = AnsatzWorkspace(env, DISP, 0.25, 80, "strain")
-        call = dict(eps=0.25, n_side=80, form="strain", disp=DISP, grid_side=64)
-        call.update(other)
-        with pytest.raises(ValueError, match="workspace was built for another"):
-            sample_ansatz(gaussian_field(20.0, call["grid_side"]), call["disp"], call["eps"],
-                          0.0, call["n_side"], call["form"], work=work)
+        # the workspace fixes the carrier, eps, lattice side and form; the
+        # envelope each call brings must have its grid side and box
+        work = AnsatzWorkspace(gaussian_field(20.0, 64, 1.0, 4.0), DISP, 0.25, 80, "strain")
+        env = gaussian_field(other.get("box", 20.0), other.get("grid_side", 64), 1.0, 4.0)
+        for call in (lambda: sample_ansatz(work, env, 0.0),
+                     lambda: residual_norm(work, env, 0.0, True),
+                     lambda: build_initial_data(work, env, False)):
+            with pytest.raises(ValueError, match="grid side or box differs"):
+                call()
 
 
 class TestL1Bridge:
@@ -640,5 +649,5 @@ class TestL1Bridge:
         rng = np.random.default_rng(6)
         for _ in range(20):
             f = rng.normal(size=(32, 32))
-            assert np.max(np.abs(f)) <= l1_dft_norm(np.fft.fft2(f)) + 1e-12
+            assert np.max(np.abs(f)) <= l1_dft_norm(np.fft.fft2(f), np.empty(f.shape)) + 1e-12
 

@@ -464,6 +464,27 @@ class TestSweepCommand:
         manifest = check_manifest(tmp_path / "a", "sweep", TINY, [0.4, 0.32, 0.25])
         assert manifest["config_hash"] == rep1["metadata"]["config_hash"]
 
+    def test_sweep_writes_one_errors_file_per_eps_and_a_float_fit_table(self, tmp_path, capsys):
+        # 0.4 and 0.3999999 print alike with 6 significant digits; each eps
+        # still gets its own errors file, and order_fit.tsv holds plain floats
+        eps_values = [0.4, 0.3999999, 0.32]
+        overrides = TINY + ["--set", "eps_list=" + ",".join(map(repr, eps_values))]
+        main(["sweep", "--out", str(tmp_path)] + overrides)
+        report = json.loads((tmp_path / "report.json").read_text())
+        manifest = check_manifest(tmp_path, "sweep", overrides, eps_values)
+        assert len(manifest["files"]) == len(set(manifest["files"]))
+        names = [f"errors_eps_{eps!r}.csv" for eps in eps_values]
+        assert sorted(f for f in manifest["files"] if f.startswith("errors_eps_")) == sorted(names)
+        for name, rec in zip(names, report["per_eps"]):
+            rows = (tmp_path / name).read_text().splitlines()
+            assert rows[0] == "t,sup_error"
+            assert [float(row.split(",")[1]) for row in rows[1:]] == rec["sup_errors"]
+        lines = (tmp_path / "order_fit.tsv").read_text().splitlines()
+        assert lines[0] == "log_eps\tlog_maxerr"
+        assert [tuple(float(v) for v in line.split("\t")) for line in lines[1:]] == [
+            (float(np.log(rec["eps"])), float(np.log(rec["max_sup_error"])))
+            for rec in report["per_eps"]]
+
     def test_error_over_eps2_bound_enforced_exit_4(self, tmp_path, capsys):
         # the smoke grid fits order ~1.7; a lowered bar makes the order pass,
         # so only the error/eps^2 bound can fail the sweep

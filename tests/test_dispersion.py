@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fput2d.ansatz import _weights, sample_ansatz
+from conftest import sample
+from fput2d.ansatz import _weights
 from fput2d.cli import cmd_coeffs
 from fput2d import dispersion
 from fput2d.config import ExperimentPlan
@@ -288,20 +289,21 @@ class TestNlsCoefficients:
 class TestNonresonance:
     def test_center_true(self):
         # 3*k0 wraps to (-pi/2, -pi/2): omega = 2 > 0 and 3*omega(k0) = 6 != 2
-        assert nonresonance_check(WaveVector(PIH, PIH)) is True
+        assert nonresonance_check(WaveVector(PIH, PIH), DEFAULT_RESONANCE_MARGIN) is True
 
     def test_origin_false(self):
-        assert nonresonance_check(WaveVector(0.0, 0.0)) is False
+        assert nonresonance_check(WaveVector(0.0, 0.0), DEFAULT_RESONANCE_MARGIN) is False
 
     def test_small_axis_carrier(self):
         kv = WaveVector(0.1, 0.0)
         gap = abs(3 * omega_raw(0.1, 0.0) - omega_raw(0.3, 0.0))
         assert gap > 1e-8
-        assert nonresonance_check(kv) is True
+        assert nonresonance_check(kv, DEFAULT_RESONANCE_MARGIN) is True
 
     def test_third_harmonic_zero(self):
         # 3 * (2pi/3) wraps to 0 in both components
-        assert nonresonance_check(WaveVector(2 * np.pi / 3, 2 * np.pi / 3)) is False
+        assert nonresonance_check(WaveVector(2 * np.pi / 3, 2 * np.pi / 3),
+                                  DEFAULT_RESONANCE_MARGIN) is False
 
 
 def first_harmonic_ratio(kv):
@@ -326,7 +328,7 @@ class TestAmplitudeRatio:
     def test_degenerate_k_zero_u(self):
         # at k0 = 0 every u weight e^{ij0} - 1 is 0: u and ut vanish exactly
         env = EnvelopeField(1.6, np.ones((8, 8), dtype=complex))
-        s = sample_ansatz(env, nls_coefficients(WaveVector(0.0, PIH)), 0.1, 0.0, 16, "strain")
+        s = sample(env, nls_coefficients(WaveVector(0.0, PIH)), 0.1, 0.0, 16, "strain")
         assert np.all(s.u == 0.0) and np.all(s.ut == 0.0)
         assert np.max(np.abs(s.v)) > 0.1
 
@@ -344,7 +346,7 @@ class TestCorrectionCoefficients:
         # A conj(A)^2, which is a conj(a)^2 times the Q-basis one
         rng = np.random.default_rng(6)
         for kv in random_carriers(50, rng):
-            if not nonresonance_check(kv):
+            if not nonresonance_check(kv, DEFAULT_RESONANCE_MARGIN):
                 continue
             data = nls_coefficients(kv)
             if data.axis_degenerate_k or data.axis_degenerate_l:
@@ -377,7 +379,7 @@ class TestCorrectionCoefficients:
         # denominators depend on the carrier only through omega, which is even
         rng = np.random.default_rng(7)
         for kv in random_carriers(50, rng):
-            if not nonresonance_check(kv):
+            if not nonresonance_check(kv, DEFAULT_RESONANCE_MARGIN):
                 continue
             try:
                 a = resolvent_denominators(kv)
@@ -449,17 +451,17 @@ class TestKernels:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(9)
         triples = rng.uniform(-np.pi, np.pi, size=(1000, 3))
-        base = kernel_n(triples[:, 0], triples[:, 1], triples[:, 2])
+        base = [kernel_n(*t) for t in triples]
         from itertools import permutations
 
         for p in permutations(range(3)):
-            perm = kernel_n(triples[:, p[0]], triples[:, p[1]], triples[:, p[2]])
+            perm = [kernel_n(*t[list(p)]) for t in triples]
             assert np.allclose(perm, base, atol=1e-13)
 
     def test_kernel_bound(self):
         rng = np.random.default_rng(10)
         triples = rng.uniform(-np.pi, np.pi, size=(100_000, 3))
-        vals = kernel_n(triples[:, 0], triples[:, 1], triples[:, 2])
+        vals = np.array([kernel_n(*t) for t in triples])
         s = wrap_angle(triples.sum(axis=1))
         assert np.all(np.abs(vals) <= 14.0 * np.abs(s) + 1e-12)
 

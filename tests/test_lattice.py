@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import measure_mode_frequencies, smooth_random_field
+from conftest import measure_mode_frequencies, smooth_random_field, work_arrays
 from fput2d import lattice
 from fput2d.dispersion import WaveVector, omega
 from fput2d.lattice import (
@@ -51,18 +51,28 @@ def smooth_strain_state(n, seed, amplitude):
     return strain_from_displacement(smooth_displacement_state(n, seed, amplitude))
 
 
+def acceleration(state, force):
+    """rhs_displacement into work arrays built for this call."""
+    return rhs_displacement(state, force, work_arrays(state.n_side))
+
+
+def forward_diff(f, axis):
+    """lattice._forward_diff into a new array."""
+    return lattice._forward_diff(f, axis, np.empty(f.shape))
+
+
 def strain_accelerations(state, force):
     """(d2u/dt2, d2v/dt2) of the strain view of a displacement state: the
     forward differences of the displacement acceleration."""
-    a = rhs_displacement(state, force)
-    return lattice._forward_diff(a, 0), lattice._forward_diff(a, 1)
+    a = acceleration(state, force)
+    return forward_diff(a, 0), forward_diff(a, 1)
 
 
 def second_difference_rhs_strain(u, v, force):
     """The strain accelerations written out as second differences of the bond
     forces (the oracle for the differenced displacement acceleration)."""
-    fu = force.w_prime(u, "x")
-    fv = force.w_prime(v, "y")
+    fu = force.w_prime(u, "x", np.empty_like(u))
+    fv = force.w_prime(v, "y", np.empty_like(v))
     d2u = (
         np.roll(fu, -1, axis=0) - 2.0 * fu + np.roll(fu, 1, axis=0)
         + np.roll(fv, -1, axis=0) - np.roll(fv, (-1, 1), axis=(0, 1))
@@ -100,14 +110,14 @@ FORCE_LAWS = {
 
 class TestRhsDisplacement:
     def test_zero(self):
-        assert np.all(rhs_displacement(displacement_state(), BASE) == 0.0)
+        assert np.all(acceleration(displacement_state(), BASE) == 0.0)
 
     def test_single_site_bump(self):
         # hand evaluation of the four-bond balance with W'(+-d) = +-d -+ d^3
         d = 0.1
         q = np.zeros((16, 16))
         q[0, 0] = d
-        a = rhs_displacement(displacement_state(q=q), BASE)
+        a = acceleration(displacement_state(q=q), BASE)
         assert a[0, 0] == pytest.approx(-4 * d + 4 * d**3, abs=1e-15)
         assert a[0, 0] == pytest.approx(-0.396, abs=1e-12)
         for site in ((1, 0), (15, 0), (0, 1), (0, 15)):
@@ -115,14 +125,14 @@ class TestRhsDisplacement:
         assert a[1, 0] == pytest.approx(0.099, abs=1e-12)
 
     def test_uniform_constant(self):
-        a = rhs_displacement(displacement_state(q=2.7 * np.ones((16, 16))), BASE)
+        a = acceleration(displacement_state(q=2.7 * np.ones((16, 16))), BASE)
         assert np.all(a == 0.0)
 
     def test_form_mismatch(self):
         s = LatticeState("strain", u=np.zeros((8, 8)), v=np.zeros((8, 8)),
                          ut=np.zeros((8, 8)), vt=np.zeros((8, 8)))
         with pytest.raises(FormMismatch):
-            rhs_displacement(s, BASE)
+            acceleration(s, BASE)
 
 
 class TestRhsStrain:
@@ -143,7 +153,7 @@ class TestRhsStrain:
             w = smooth_random_field(24, rng, amplitude=amp)
             disp = displacement_state(24, q=q, w=w)
             strain = strain_from_displacement(disp)
-            a = rhs_displacement(disp, BASE)
+            a = acceleration(disp, BASE)
             d2u, d2v = second_difference_rhs_strain(strain.u, strain.v, BASE)
             assert np.allclose(d2u, np.roll(a, -1, axis=0) - a, atol=1e-13)
             assert np.allclose(d2v, np.roll(a, -1, axis=1) - a, atol=1e-13)
@@ -152,7 +162,7 @@ class TestRhsStrain:
         q = np.zeros((16, 16))
         q[3, 5] = 0.1
         disp = displacement_state(q=q)
-        a = rhs_displacement(disp, BASE)
+        a = acceleration(disp, BASE)
         strain = strain_from_displacement(disp)
         d2u, d2v = second_difference_rhs_strain(strain.u, strain.v, BASE)
         assert np.allclose(d2u, np.roll(a, -1, axis=0) - a, atol=1e-15)
@@ -170,11 +180,13 @@ class TestRhsStrain:
             assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
 
     def test_out_buffers_receive_the_result(self):
+        # the acceleration lands in the last work array and does not depend
+        # on what the arrays held before
         s = smooth_displacement_state(16, 13, 0.2)
         out = tuple(np.full((16, 16), np.nan) for _ in range(3))
-        a = rhs_displacement(s, BASE, out=out)
+        a = rhs_displacement(s, BASE, out)
         assert a is out[2]
-        assert np.array_equal(a, rhs_displacement(s, BASE))
+        assert np.array_equal(a, acceleration(s, BASE))
 
     def test_plane_wave_linear_part(self):
         # small-amplitude plane wave: d2u ~ -omega^2 u + O(amp^3)
@@ -349,7 +361,7 @@ class TestVerlet:
         state = smooth_displacement_state(n, 19, 0.1)
         force = FORCE_LAWS[law](n)
         buffers = lattice._buffers(state)
-        accel = lattice.rhs_displacement(state, force, out=buffers)
+        accel = lattice.rhs_displacement(state, force, buffers)
         accel = lattice._march(state, force, 0.1, 1, accel, buffers)  # warm-up
         tracemalloc.start()
         try:
@@ -396,13 +408,13 @@ class TestVerlet:
 
 class TestEnergy:
     def test_zero(self):
-        assert energy(displacement_state(), BASE) == 0.0
+        assert energy(displacement_state(), BASE, work_arrays(16)) == 0.0
 
     def test_single_site_four_bonds(self):
         q = np.zeros((16, 16))
         q[0, 0] = 0.1
         # four bonds at |strain| 0.1, each worth 0.1^2/2 - 0.1^4/4
-        assert energy(displacement_state(q=q), BASE) == pytest.approx(
+        assert energy(displacement_state(q=q), BASE, work_arrays(16)) == pytest.approx(
             4 * 0.0049750, abs=1e-12
         )
 
@@ -411,15 +423,17 @@ class TestEnergy:
         q = smooth_random_field(16, rng, 0.2)
         w = smooth_random_field(16, rng, 0.2)
 
+        buffers = work_arrays(16)
+
         def max_drift(dt):
             drifts = []
-            e0 = energy(displacement_state(16, q=q, w=w), BASE)
+            e0 = energy(displacement_state(16, q=q, w=w), BASE, buffers)
             integrate(
                 displacement_state(16, q=q, w=w),
                 BASE,
                 dt,
                 np.linspace(0, 20, 201),
-                lambda s: drifts.append(abs(energy(s, BASE) - e0)),
+                lambda s: drifts.append(abs(energy(s, BASE, buffers) - e0)),
             )
             return max(drifts)
 
@@ -429,7 +443,7 @@ class TestEnergy:
     def test_form_mismatch(self):
         s = strain_from_displacement(displacement_state())
         with pytest.raises(FormMismatch):
-            energy(s, BASE)
+            energy(s, BASE, work_arrays(16))
 
     @pytest.mark.parametrize("law", sorted(FORCE_LAWS))
     def test_buffered_matches_the_formula(self, law):
@@ -446,12 +460,12 @@ class TestEnergy:
             else:
                 c1, c2, c3 = force._poly[d]
                 want = u2 * (0.5 + 0.5 * c1 + u * (c2 / 3.0 + 0.25 * c3 * u))
-            assert np.array_equal(force.w_potential(u, d), want)
+            assert np.array_equal(force.w_potential(u, d, work_arrays(n)[:2]), want)
         want = float(0.5 * np.sum(state.w**2)
-                     + np.sum(force.w_potential(np.roll(state.q, -1, 0) - state.q, "x"))
-                     + np.sum(force.w_potential(np.roll(state.q, -1, 1) - state.q, "y")))
-        buffers = lattice._buffers(state)
-        assert energy(state, force, buffers) == energy(state, force) == want
+                     + sum(np.sum(force.w_potential(np.roll(state.q, -1, axis) - state.q, d,
+                                                    work_arrays(n)[:2]))
+                           for axis, d in ((0, "x"), (1, "y"))))
+        assert energy(state, force, lattice._buffers(state)) == want
 
 
 class TestCompatibility:
@@ -460,7 +474,7 @@ class TestCompatibility:
         disp = displacement_state(
             16, q=smooth_random_field(16, rng, 0.3), w=smooth_random_field(16, rng, 0.3)
         )
-        assert compatibility_defect(strain_from_displacement(disp)) < 1e-14
+        assert compatibility_defect(strain_from_displacement(disp), work_arrays(16)) < 1e-14
 
     def test_incompatible_detected(self):
         rng = np.random.default_rng(5)
@@ -468,8 +482,8 @@ class TestCompatibility:
         z = np.zeros((16, 16))
         s = LatticeState("strain", u=u, v=z, ut=z, vt=z)
         expected = np.max(np.abs(np.roll(u, -1, axis=1) - u))
-        assert compatibility_defect(s) == pytest.approx(expected, abs=1e-15)
-        assert compatibility_defect(s) > 0
+        assert compatibility_defect(s, work_arrays(16)) == pytest.approx(expected, abs=1e-15)
+        assert compatibility_defect(s, work_arrays(16)) > 0
 
     def test_buffered_matches_the_formula(self):
         rng = np.random.default_rng(11)
@@ -478,7 +492,7 @@ class TestCompatibility:
         want = float(np.max(np.abs((np.roll(s.u, -1, 1) - s.u) - (np.roll(s.v, -1, 0) - s.v)))
                      + np.max(np.abs((np.roll(s.ut, -1, 1) - s.ut)
                                      - (np.roll(s.vt, -1, 0) - s.vt))))
-        assert compatibility_defect(s, lattice._buffers(s)) == compatibility_defect(s) == want
+        assert compatibility_defect(s, lattice._buffers(s)) == want
 
     def test_defect_invariant_short_run(self):
         # the strain-form oracle flow keeps the constraint, and the strain
@@ -496,7 +510,7 @@ class TestCompatibility:
             if st.time > ref.time:
                 ref = LatticeState.from_arrays(
                     "strain", st.time, reference_verlet(ref, BASE, 1e-2, 20))
-            defects.append(compatibility_defect(ref))
+            defects.append(compatibility_defect(ref, work_arrays(16)))
             gaps.append(max(np.max(np.abs(a - b)) for a, b in
                             zip(strain_from_displacement(st).arrays(), ref.arrays())))
 
@@ -526,9 +540,6 @@ class TestStencil:
         for layout, view in LAYOUTS.items():
             f = view(base)
             expected = np.roll(f, -1, axis=axis) - f
-            got = lattice._forward_diff(f, axis)
-            assert got.flags.c_contiguous, layout
-            assert np.array_equal(got, expected), layout
             out = np.full((n, n), np.nan)
             assert lattice._forward_diff(f, axis, out=out) is out
             assert np.array_equal(out, expected), layout
@@ -577,7 +588,7 @@ class TestStencil:
         fx_hat, fy_hat = np.fft.fft2(fx), np.fft.fft2(fy)
         div = lattice._divergence(fx, fy, np.empty((n, n)))
         for axis, (sx, sy) in enumerate([(-wx2, rho_u), (rho_v, -wy2)]):
-            got = np.fft.fft2(lattice._forward_diff(div, axis))
+            got = np.fft.fft2(forward_diff(div, axis))
             want = sx * fx_hat + sy * fy_hat
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -592,8 +603,10 @@ class TestPerturbedForce:
             force = u + a * eps**3 * u + b * eps**2 * u**2 - u**3 + g * eps * u**3
             potential = (u**2 / 2 + a * eps**3 * u**2 / 2 + b * eps**2 * u**3 / 3
                          - u**4 / 4 + g * eps * u**4 / 4)
-            np.testing.assert_allclose(f.w_prime(u, d), force, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(f.w_potential(u, d), potential, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(f.w_prime(u, d, np.empty_like(u)), force,
+                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose(f.w_potential(u, d, work_arrays(16)[:2]), potential,
+                                       rtol=1e-12, atol=0)
 
     def test_zero_coefficients_bitwise_baseline(self):
         n = 16
@@ -603,7 +616,7 @@ class TestPerturbedForce:
         rng = np.random.default_rng(7)
         q = smooth_random_field(n, rng, 0.3)
         s = displacement_state(n, q=q)
-        assert np.array_equal(rhs_displacement(s, pert), rhs_displacement(s, BASE))
+        assert np.array_equal(acceleration(s, pert), acceleration(s, BASE))
 
     def test_bound_enforced(self):
         n = 8
@@ -627,10 +640,11 @@ class TestPerturbedForce:
         q = smooth_random_field(n, rng, 0.2)
         w = smooth_random_field(n, rng, 0.2)
         s = displacement_state(n, q=q, w=w)
-        e0 = energy(s, f)
+        buffers = work_arrays(n)
+        e0 = energy(s, f, buffers)
         drifts = []
         integrate(s, f, 0.02, np.linspace(0, 10, 51),
-                  lambda st: drifts.append(abs(energy(st, f) - e0)))
+                  lambda st: drifts.append(abs(energy(st, f, buffers) - e0)))
         assert max(drifts) / abs(e0) < 1e-3
 
 

@@ -10,15 +10,16 @@ import re
 
 import numpy as np
 import pytest
+from scipy import fft as scipy_fft
 
 from fput2d.dispersion import WaveVector, hessian, nls_coefficients
 from fput2d import nls
 from fput2d.nls import (
+    DEFAULT_BLOWUP_GUARD,
     EnvelopeBlowup,
     EnvelopeField,
     NlsProblem,
     edge_mass_fraction,
-    envelope_rhs_spectrum,
     evolve,
     gaussian_field,
     linear_symbol,
@@ -38,6 +39,13 @@ def h4_proxy(field: EnvelopeField) -> float:
     a_hat = np.abs(np.fft.fft2(field.a)) * field.spacing**2 / (2 * np.pi) ** 2
     dk = 2 * np.pi / field.box_length
     return float(np.sqrt(np.sum(((1 + kx**2 + ky**2) ** 2 * a_hat) ** 2) * dk**2))
+
+
+def envelope_rhs_spectrum(a: np.ndarray, a_hat: np.ndarray, symbol: np.ndarray,
+                          gamma: complex) -> np.ndarray:
+    """The oracle of dQ/dT's DFT, i sigma F(Q) + F(gamma |Q|^2 Q), from Q on
+    the grid, its DFT a_hat and the linear symbol."""
+    return 1j * symbol * a_hat + scipy_fft.fft2(gamma * np.abs(a) ** 2 * a)
 
 
 def flow(field: EnvelopeField, prob: NlsProblem, span: float) -> EnvelopeField:
@@ -112,7 +120,7 @@ class TestLinearHalfstep:
         sigma, amp = 4.0, 1.0
         f = gaussian_field(40.0, 256, amp, sigma)
         prob = NlsProblem(H_CENTER, 0j, dT=0.01)
-        traj = evolve(f, prob, 1.0, sample_times=[1.0])
+        traj = evolve(f, prob, 1.0, sample_times=[1.0], blowup_guard=DEFAULT_BLOWUP_GUARD)
         oracle = gaussian_free_oracle(f, H_CENTER, sigma, amp, 1.0)
         assert np.max(np.abs(traj[-1].a - oracle)) < 1e-6
 
@@ -122,7 +130,7 @@ class TestLinearHalfstep:
         sigma, amp = 3.0, 0.7
         f = gaussian_field(40.0, 256, amp, sigma)
         prob = NlsProblem(h, 0j, dT=0.01)
-        traj = evolve(f, prob, 1.0, sample_times=[1.0])
+        traj = evolve(f, prob, 1.0, sample_times=[1.0], blowup_guard=DEFAULT_BLOWUP_GUARD)
         oracle = gaussian_free_oracle(f, h, sigma, amp, 1.0)
         assert np.max(np.abs(traj[-1].a - oracle)) < 1e-6
 
@@ -153,7 +161,7 @@ class TestNonlinearStep:
 
 class TestStrang:
     def test_mass_conserved_1000_steps(self):
-        f = gaussian_field(40.0, 128)
+        f = gaussian_field(40.0, 128, 1.0, 4.0)
         prob = NlsProblem(H_CENTER, -3j, dT=1e-3)
         m0 = mass(f)
         out = flow(f, prob, 1000 * prob.dT)
@@ -161,12 +169,13 @@ class TestStrang:
 
     def test_self_convergence_order(self):
         # errors at dT and dT/2 against a dT/16 reference
-        f0 = gaussian_field(40.0, 128, amplitude=0.8)
+        f0 = gaussian_field(40.0, 128, amplitude=0.8, sigma=4.0)
         base = 4e-3
 
         def run(dt):
             prob = NlsProblem(H_CENTER, -3j, dT=dt)
-            return evolve(f0, prob, 0.5, sample_times=[0.5])[-1].a
+            return evolve(f0, prob, 0.5, sample_times=[0.5],
+                          blowup_guard=DEFAULT_BLOWUP_GUARD)[-1].a
 
         ref = run(base / 16)
         e1 = np.max(np.abs(run(base) - ref))
@@ -175,9 +184,9 @@ class TestStrang:
         assert 1.9 <= order <= 2.1
 
     def test_against_rk4(self):
-        f0 = gaussian_field(32.0, 64, amplitude=0.5)
+        f0 = gaussian_field(32.0, 64, amplitude=0.5, sigma=4.0)
         prob = NlsProblem(H_CENTER, -3j, dT=1e-4)
-        got = evolve(f0, prob, 0.5, sample_times=[0.5])[-1].a
+        got = evolve(f0, prob, 0.5, sample_times=[0.5], blowup_guard=DEFAULT_BLOWUP_GUARD)[-1].a
         oracle = rk4_oracle(f0, NlsProblem(H_CENTER, -3j, dT=1e-3), 0.5, 1e-3)
         assert np.max(np.abs(got - oracle)) < 1e-8
 
@@ -185,14 +194,16 @@ class TestStrang:
 class TestEvolve:
     def test_zero_data(self):
         f = EnvelopeField(32.0, np.zeros((64, 64), dtype=complex))
-        traj = evolve(f, NlsProblem(H_CENTER, -3j), 1.0, sample_times=[0.5, 1.0])
+        traj = evolve(f, NlsProblem(H_CENTER, -3j), 1.0, sample_times=[0.5, 1.0],
+                      blowup_guard=DEFAULT_BLOWUP_GUARD)
         assert all(np.all(s.a == 0) for s in traj)
         assert [s.slow_time for s in traj] == [0.5, 1.0]
 
     def test_sample_times_must_ascend(self):
         f = EnvelopeField(32.0, np.zeros((64, 64), dtype=complex))
         with pytest.raises(ValueError, match="ascending"):
-            evolve(f, NlsProblem(H_CENTER, -3j), 1.0, sample_times=[1.0, 0.5])
+            evolve(f, NlsProblem(H_CENTER, -3j), 1.0, sample_times=[1.0, 0.5],
+                   blowup_guard=DEFAULT_BLOWUP_GUARD)
 
     def test_plane_wave_modulus_constant(self):
         m, L = 64, 32.0
@@ -200,40 +211,45 @@ class TestEvolve:
         x = f.coords_1d()
         xx, yy = np.meshgrid(x, x, indexing="ij")
         f.a = 0.5 * np.exp(1j * 2 * np.pi * (2 * xx - yy) / L)
-        traj = evolve(f, NlsProblem(H_CENTER, -3j, dT=1e-3), 1.0, sample_times=[1.0])
+        traj = evolve(f, NlsProblem(H_CENTER, -3j, dT=1e-3), 1.0, sample_times=[1.0],
+                      blowup_guard=DEFAULT_BLOWUP_GUARD)
         assert np.max(np.abs(np.abs(traj[-1].a) - 0.5)) < 1e-10
 
     def test_small_gaussian_bounded(self):
-        f = gaussian_field(40.0, 128)
-        traj = evolve(f, NlsProblem(H_CENTER, -3j, dT=1e-3), 1.0, sample_times=[1.0])
+        f = gaussian_field(40.0, 128, 1.0, 4.0)
+        traj = evolve(f, NlsProblem(H_CENTER, -3j, dT=1e-3), 1.0, sample_times=[1.0],
+                      blowup_guard=DEFAULT_BLOWUP_GUARD)
         assert h4_proxy(traj[-1]) < 100 * h4_proxy(f)
 
     def test_phase_rotation_equivariance(self):
-        f0 = gaussian_field(32.0, 64, amplitude=0.6)
+        f0 = gaussian_field(32.0, 64, amplitude=0.6, sigma=4.0)
         prob = NlsProblem(H_CENTER, -3j, dT=2e-3)
         theta = 0.7
         rotated = EnvelopeField(f0.box_length, np.exp(1j * theta) * f0.a)
-        a1 = evolve(rotated, prob, 0.2, sample_times=[0.2])[-1].a
-        a2 = np.exp(1j * theta) * evolve(f0, prob, 0.2, sample_times=[0.2])[-1].a
+        a1 = evolve(rotated, prob, 0.2, sample_times=[0.2], blowup_guard=DEFAULT_BLOWUP_GUARD)[-1].a
+        a2 = np.exp(1j * theta) * evolve(f0, prob, 0.2, sample_times=[0.2],
+                                         blowup_guard=DEFAULT_BLOWUP_GUARD)[-1].a
         assert np.max(np.abs(a1 - a2)) < 1e-13
 
     def test_translation_equivariance(self):
-        f0 = gaussian_field(32.0, 64, amplitude=0.6)
+        f0 = gaussian_field(32.0, 64, amplitude=0.6, sigma=4.0)
         prob = NlsProblem(H_CENTER, -3j, dT=2e-3)
         shifted = EnvelopeField(f0.box_length, np.roll(f0.a, (1, 0), axis=(0, 1)))
-        a1 = evolve(shifted, prob, 0.2, sample_times=[0.2])[-1].a
-        a2 = np.roll(evolve(f0, prob, 0.2, sample_times=[0.2])[-1].a, (1, 0), axis=(0, 1))
+        a1 = evolve(shifted, prob, 0.2, sample_times=[0.2], blowup_guard=DEFAULT_BLOWUP_GUARD)[-1].a
+        a2 = np.roll(evolve(f0, prob, 0.2, sample_times=[0.2],
+                            blowup_guard=DEFAULT_BLOWUP_GUARD)[-1].a, (1, 0), axis=(0, 1))
         assert np.max(np.abs(a1 - a2)) < 1e-13
 
     def test_blowup_guard_trips(self):
-        f = gaussian_field(40.0, 128, amplitude=40.0)
+        f = gaussian_field(40.0, 128, amplitude=40.0, sigma=4.0)
         with pytest.raises(EnvelopeBlowup):
-            evolve(f, NlsProblem(H_CENTER, -3j, dT=1e-3), 1.0, sample_times=[1.0])
+            evolve(f, NlsProblem(H_CENTER, -3j, dT=1e-3), 1.0, sample_times=[1.0],
+                   blowup_guard=DEFAULT_BLOWUP_GUARD)
 
     def test_blowup_reports_time_of_trip(self):
         # the guard sits just above the initial proxy, so the t = 0 check
         # passes and a later in-sweep check trips it
-        f = gaussian_field(40.0, 128, amplitude=4.0)
+        f = gaussian_field(40.0, 128, amplitude=4.0, sigma=4.0)
         guard = 1.01 * h4_proxy(f)
         with pytest.raises(EnvelopeBlowup) as info:
             evolve(f, NlsProblem(H_CENTER, -3j, dT=1e-3), 1.0, sample_times=[1.0],
@@ -244,7 +260,7 @@ class TestEvolve:
     def test_guard_checks_on_slow_time_cadence(self):
         # a step ten times coarser still checks inside the segment about every
         # CHECK_INTERVAL of slow time, not every fixed number of steps
-        f = gaussian_field(40.0, 128, amplitude=4.0)
+        f = gaussian_field(40.0, 128, amplitude=4.0, sigma=4.0)
         guard = 1.01 * h4_proxy(f)
 
         def trip_time(dT):
@@ -256,21 +272,23 @@ class TestEvolve:
         assert trip_time(1e-2) <= trip_time(1e-3) + nls.CHECK_INTERVAL + 1e-2
 
     def test_nan_envelope_trips_guard(self):
-        a = gaussian_field(40.0, 128).a
+        a = gaussian_field(40.0, 128, 1.0, 4.0).a
         a[3, 5] = np.nan
         with pytest.raises(EnvelopeBlowup):
-            evolve(EnvelopeField(40.0, a), NlsProblem(H_CENTER, -3j, dT=1e-3), 0.1, [0.1])
+            evolve(EnvelopeField(40.0, a), NlsProblem(H_CENTER, -3j, dT=1e-3), 0.1, [0.1],
+                   DEFAULT_BLOWUP_GUARD)
 
     def test_on_sample_streams_the_captured_fields(self):
         # the streamed fields are the listed ones bit for bit, each with the
         # H^4 proxy of its spectrum, and the solve keeps no list of its own
-        f = gaussian_field(40.0, 128, amplitude=0.8)
+        f = gaussian_field(40.0, 128, amplitude=0.8, sigma=4.0)
         prob = NlsProblem(H_CENTER, -3j, dT=1e-2)
         times = [0.0, 0.05, 0.1]
-        listed = evolve(f, prob, 0.1, sample_times=times)
+        listed = evolve(f, prob, 0.1, sample_times=times, blowup_guard=DEFAULT_BLOWUP_GUARD)
         streamed = []
         assert evolve(f, prob, 0.1, sample_times=times,
-                      on_sample=lambda g, h4: streamed.append((g, h4))) == []
+                      on_sample=lambda g, h4: streamed.append((g, h4)),
+                      blowup_guard=DEFAULT_BLOWUP_GUARD) == []
         assert [g.slow_time for g, _ in streamed] == times
         for want, (got, h4) in zip(listed, streamed, strict=True):
             assert np.array_equal(got.a, want.a)
@@ -284,10 +302,12 @@ class TestEvolve:
         # evolving A0 and Q0 = A0 / a gives A = a Q to round-off
         data = nls_coefficients(WaveVector(k_pi * np.pi, l_pi * np.pi))
         a = np.exp(1j * k_pi * np.pi) - 1
-        a0 = gaussian_field(40.0, 128)
+        a0 = gaussian_field(40.0, 128, 1.0, 4.0)
         q0 = EnvelopeField(a0.box_length, a0.a / a)
-        a_t = evolve(a0, NlsProblem(data.hessian, data.gamma_q / abs(a) ** 2), 1.0, [1.0])[-1].a
-        q_t = evolve(q0, NlsProblem(data.hessian, data.gamma_q), 1.0, [1.0])[-1].a
+        a_t = evolve(a0, NlsProblem(data.hessian, data.gamma_q / abs(a) ** 2), 1.0, [1.0],
+                     DEFAULT_BLOWUP_GUARD)[-1].a
+        q_t = evolve(q0, NlsProblem(data.hessian, data.gamma_q), 1.0, [1.0],
+                     DEFAULT_BLOWUP_GUARD)[-1].a
         assert np.max(np.abs(a_t - a * q_t)) <= 1e-13 * np.max(np.abs(a_t))
 
 
@@ -302,7 +322,7 @@ class TestDiagnostics:
         # unimodular half-step factor; the oracle h4_proxy transforms the
         # field itself
         rng = np.random.default_rng(3)
-        f = gaussian_field(32.0, 64, amplitude=0.7)
+        f = gaussian_field(32.0, 64, amplitude=0.7, sigma=4.0)
         k = 2 * np.pi * np.fft.fftfreq(64, d=f.spacing)
         kx, ky = np.meshgrid(k, k, indexing="ij")
         spectrum = np.fft.fft2(f.a) * (1 + 0.3 * rng.normal(size=(64, 64)))
@@ -314,7 +334,7 @@ class TestDiagnostics:
             assert abs(got - want) <= 1e-12 * want
 
     def test_edge_mass_small_for_gaussian(self):
-        f = gaussian_field(40.0, 128)
+        f = gaussian_field(40.0, 128, 1.0, 4.0)
         assert edge_mass_fraction(f) < 1e-8
 
     def test_edge_mass_detects_wide_field(self):
@@ -323,7 +343,7 @@ class TestDiagnostics:
 
     def test_envelope_rhs_matches_limit(self):
         # finite-difference check of the rhs via one tiny Strang step of evolve
-        f = gaussian_field(32.0, 64, amplitude=0.5)
+        f = gaussian_field(32.0, 64, amplitude=0.5, sigma=4.0)
         prob = NlsProblem(H_CENTER, -3j, dT=1e-6)
         stepped = flow(f, prob, prob.dT)
         fd = (stepped.a - f.a) / prob.dT

@@ -3,8 +3,9 @@
 coefficients_table.py runs in full (it is cheap), and so does
 residual_orders.py on a coarse eps sweep off the default carrier; the sweep
 scripts otherwise only parse their arguments, which still imports every name
-they use, and refuse a plan the config rejects with a usage error.  One more
-check reads the package's source: program code reaches every public function.
+they use, and refuse a plan the config rejects with a usage error.  Two more
+checks read the package's source: program code reaches every public
+function, and omits every parameter default in some call.
 """
 
 import ast
@@ -88,3 +89,63 @@ def test_every_public_function_is_reached_by_program_code():
     unreached = {name: module for name, module in defined.items()
                  if name not in referenced | USER_ENTRY_POINTS}
     assert unreached == {}
+
+
+# defaults that no program call omits but that stay, each with its reason
+KEPT_DEFAULTS = {
+    ("load_plan", "path"): "a user entry point: no config file means the defaults",
+    ("load_plan", "overrides"): "a user entry point: no --set overrides",
+    ("evolve", "on_sample"): "_solve_envelope passes its own, None for residual_sweep",
+}
+
+
+def _defaults(tree):
+    """(function name, parameter, positional index or None) of every default
+    of the module-level functions and the methods of module-level classes;
+    a method's index does not count self."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            functions = [(node, 0)]
+        elif isinstance(node, ast.ClassDef):
+            functions = [(f, 1) for f in node.body if isinstance(f, ast.FunctionDef)]
+        else:
+            continue
+        for f, bound in functions:
+            if f.name.startswith("__"):
+                continue
+            positional = f.args.posonlyargs + f.args.args
+            first = len(positional) - len(f.args.defaults)
+            for i, arg in enumerate(positional[first:], start=first):
+                yield f.name, arg.arg, i - bound
+            for arg, default in zip(f.args.kwonlyargs, f.args.kw_defaults):
+                if default is not None:
+                    yield f.name, arg.arg, None
+
+
+def _omits(call, param, index):
+    """Whether the call surely leaves param to its default: neither a
+    keyword nor a positional argument nor an unpacked one can carry it."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return False
+    if any(k.arg is None or k.arg == param for k in call.keywords):
+        return False
+    return index is None or len(call.args) <= index
+
+
+def test_every_parameter_default_is_omitted_by_program_code():
+    # a default that every call overrides is a second call shape only tests
+    # take; calls are matched by name, so a method's calls are those of any
+    # attribute of that name
+    package = ROOT / "src" / "fput2d"
+    defaults = [d for path in package.glob("*.py") for d in _defaults(ast.parse(path.read_text()))]
+    calls = {}
+    for path in [*package.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+                 *(ROOT / "bench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    never_omitted = {(name, param) for name, param, index in defaults
+                     if not any(_omits(c, param, index) for c in calls.get(name, []))}
+    assert never_omitted == set(KEPT_DEFAULTS)
