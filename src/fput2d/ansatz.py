@@ -34,7 +34,8 @@ so lattice index i sits at envelope index i M/N.  The envelope is therefore
 evaluated at the scaled moving-frame points by exact FFT resampling: the
 central modes of the envelope spectrum move to the N x N lattice grid
 (zero-padded or truncated), each gets the moving frame's phase shift, and one
-inverse FFT gives the lattice field.  All transforms are scipy.fft.
+inverse FFT gives the lattice field.  All transforms are nls._fft2 and
+nls._ifft2, in place.
 
 An AnsatzWorkspace holds what one lattice run's samples share: the
 constants (the envelope equation's symbol and cubic coefficient, the group
@@ -56,7 +57,6 @@ caller copies what it keeps.  A workspace serves one thread.
 from __future__ import annotations
 
 import numpy as np
-from scipy import fft
 
 from .dispersion import DispersionData, correction_coefficients
 from .lattice import (
@@ -66,7 +66,7 @@ from .lattice import (
     _forward_diff,
     strain_from_displacement,
 )
-from .nls import EnvelopeField, NlsProblem, linear_symbol
+from .nls import EnvelopeField, NlsProblem, _fft2, _ifft2, linear_symbol
 
 DELTA_PROJ = 1e-9
 
@@ -104,7 +104,7 @@ def _weights(disp: DispersionData, form: str,
     """
     w_q = {1: 2.0}
     if corrections:
-        co = correction_coefficients(disp.carrier)
+        co = correction_coefficients(disp.carrier, disp.delta_res)
         w_q.update({-1: 8 * co.c_1m1, 3: 8 * co.c_13, -3: 8 * co.c_1m3})
     if form == "displacement":
         return {"q": w_q}
@@ -151,7 +151,7 @@ def _respec(coeffs: np.ndarray, out: np.ndarray, blocks) -> np.ndarray:
 
 
 def _lattice_multipliers(n: int):
-    wk2 = 2.0 - 2.0 * np.cos(2 * np.pi * fft.fftfreq(n))
+    wk2 = 2.0 - 2.0 * np.cos(2 * np.pi * np.fft.fftfreq(n))
     w = np.sqrt(wk2[:, None] + wk2[None, :])
     inv_8iw = np.zeros((n, n), dtype=complex)
     live = w > 0
@@ -235,18 +235,18 @@ class AnsatzWorkspace:
         e.imag = 0.0
         np.multiply(self._prob.nonlin_coeff, e, out=e)
         e *= a
-        # the corrections read it after e is rewritten: then it takes a new array
-        cubic_hat = fft.fft2(e, overwrite_x=not corrections)
+        # the corrections read it after e is rewritten: then it takes a copy
+        cubic_hat = _fft2(e.copy() if corrections else e)
         _respec(cubic_hat, self._vel, self._blocks)
         np.copyto(e, a)
-        a_hat = fft.fft2(e, overwrite_x=True)
+        a_hat = _fft2(e)
         _respec(a_hat, self._pos, self._blocks)
         self._vel += np.multiply(self._i_symbol, self._pos, out=self._tmp)
         basis = [(1, (self._pos, self._vel))]
         if corrections:
             cubic_hat += 1j * linear_symbol(env, self._prob) * a_hat
-            a_t = fft.ifft2(cubic_hat, overwrite_x=True)
-            basis += [(j, tuple(_respec(fft.fft2(f), np.zeros_like(self._pos), self._blocks)
+            a_t = _ifft2(cubic_hat)
+            basis += [(j, tuple(_respec(_fft2(f), np.zeros_like(self._pos), self._blocks)
                                 for f in fields))
                       for j, fields in _correction_products(a, a_t).items()]
         w0 = self.disp.omega0
@@ -279,8 +279,7 @@ class AnsatzWorkspace:
         """Envelope-grid fields, given by their DFTs already moved to the
         lattice's modes, evaluated at the lattice's scaled moving-frame points
         at time t: the frame's phase shift and the pad modes zeroed in place,
-        then the inverse FFT, which scipy.fft computes in the spectrum's own
-        array (C-ordered complex, overwrite_x)."""
+        then the inverse FFT, in the spectrum's own array."""
         eps, k = self.eps, self._k
         cx, cy = self.disp.group_velocity
         shift = np.outer(self._scale * np.exp(1j * eps * cx * t * k),
@@ -290,7 +289,7 @@ class AnsatzWorkspace:
             s *= shift
             if self._pad is not None:
                 s[self._pad] = s[:, self._pad] = 0.0
-            fields.append(fft.ifft2(s, overwrite_x=True))
+            fields.append(_ifft2(s))
         return fields
 
 
@@ -335,7 +334,7 @@ def _difference_symbol(n: int):
     """e^{ik} - 1 at the n lattice wavenumbers k, and the mask of the (k, l)
     modes the projection keeps, |a^2 + b^2| >= DELTA_PROJ for a = e^{ik} - 1,
     b = e^{il} - 1."""
-    e = np.exp(2j * np.pi * fft.fftfreq(n)) - 1.0
+    e = np.exp(2j * np.pi * np.fft.fftfreq(n)) - 1.0
     return e, np.abs(e[:, None] ** 2 + e[None, :] ** 2) >= DELTA_PROJ
 
 
@@ -366,10 +365,10 @@ def build_initial_data(work: AnsatzWorkspace, env: EnvelopeField, corrections: b
     if work.form == "displacement":
         return s.copy(), {"degenerate_modes": 0, "max_projection_displacement": 0.0}
     e, keep = _difference_symbol(work.n_side)
-    u_hat, v_hat, ut_hat, vt_hat = (fft.fft2(f) for f in s.arrays())
+    u_hat, v_hat, ut_hat, vt_hat = (_fft2(f.astype(complex)) for f in s.arrays())
     state = LatticeState("displacement", 0.0,
-                         q=fft.ifft2(_lift(u_hat, v_hat, e, keep)).real.copy(),
-                         w=fft.ifft2(_lift(ut_hat, vt_hat, e, keep)).real.copy())
+                         q=_ifft2(_lift(u_hat, v_hat, e, keep)).real.copy(),
+                         w=_ifft2(_lift(ut_hat, vt_hat, e, keep)).real.copy())
     moved = max(float(np.max(np.abs(p - r)))
                 for p, r in zip(strain_from_displacement(state).arrays(), s.arrays()))
     return state, {"degenerate_modes": int(np.count_nonzero(~keep)),
@@ -420,13 +419,14 @@ def residual_norm(work: AnsatzWorkspace, env: EnvelopeField, t: float,
                                                   _forward_diff(div, 1, out=real[1])]
     norm = 0.0
     for name, n_cubic in zip(names, cubic):
-        spectrum = fft.fft2(_branch(coefficients[name], basis, 1, work._tmp), overwrite_x=True)
+        spectrum = _fft2(_branch(coefficients[name], basis, 1, work._tmp))
         np.negative(spectrum, out=spectrum)
-        psi1_hat = fft.fft2(_branch(coefficients[name], basis, 0, work._spare), overwrite_x=True)
+        psi1_hat = _fft2(_branch(coefficients[name], basis, 0, work._spare))
         np.multiply(work._iw, psi1_hat, out=psi1_hat)
         spectrum += psi1_hat
-        cubic_hat = fft.fft2(n_cubic)
+        # the cubic term's DFT, in the spare array psi1_hat no longer needs
+        np.copyto(work._spare, n_cubic)
+        cubic_hat = _fft2(work._spare)
         spectrum += np.multiply(work._inv_8iw, cubic_hat, out=cubic_hat)
-        del cubic_hat  # a new array: dropped before the next name's
         norm += l1_dft_norm(spectrum, out=real[-1])
     return 2 * norm

@@ -74,7 +74,8 @@ class DispersionData:
     gamma_q is the cubic coefficient of the displacement envelope equation,
     the one envelope equation of both lattice forms.  axis_degenerate_k/l
     flag a vanishing carrier component, where the strain field along that
-    axis has no first harmonic.
+    axis has no first harmonic.  delta_res is the resonance margin of the
+    non-resonance check, which the correction solve uses too.
     """
 
     carrier: WaveVector
@@ -85,6 +86,7 @@ class DispersionData:
     nonresonant: bool
     axis_degenerate_k: bool
     axis_degenerate_l: bool
+    delta_res: float
 
 
 @dataclass(frozen=True)
@@ -164,6 +166,7 @@ def nls_coefficients(kv: WaveVector, delta_res: float = DEFAULT_RESONANCE_MARGIN
         nonresonant=nonresonance_check(kv, delta_res),
         axis_degenerate_k=wx2 == 0.0,
         axis_degenerate_l=wy2 == 0.0,
+        delta_res=delta_res,
     )
 
 
@@ -181,12 +184,10 @@ def _check_denominators(kv: WaveVector, delta_res: float):
     return w0, w3, denom_m1, denom_3, denom_m3
 
 
-def correction_coefficients(
-    kv: WaveVector,
-    delta_res: float = DEFAULT_RESONANCE_MARGIN,
-) -> CorrectionAmplitudeCoefficients:
+def correction_coefficients(kv: WaveVector, delta_res: float) -> CorrectionAmplitudeCoefficients:
     """Solve the three linear correction-amplitude equations of the
-    displacement envelope at the carrier."""
+    displacement envelope at the carrier; raises Resonant for a denominator
+    below the resonance margin delta_res."""
     w0, w3, denom_m1, denom_3, denom_m3 = _check_denominators(kv, delta_res)
     d_m1 = kernel_D(kv, kv.negated(), kv.negated())
     d_3 = kernel_D(kv, kv, kv)

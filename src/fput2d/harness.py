@@ -27,8 +27,8 @@ submitted in order: the envelope solve, which hands each sample over as it is
 captured, then the group's lattice runs one after another, each waiting only
 for a sample it needs that is not in yet.  The pool takes tasks first in,
 first out, so a run never waits on a solve that has not started; with one
-thread each solve runs to the end before its runs start.  numpy and scipy.fft
-release the GIL inside their array loops, so the threads share the cores.
+thread each solve runs to the end before its runs start.  numpy releases
+the GIL inside its array loops and FFTs, so the threads share the cores.
 A sweep queues its groups smallest eps first, so its costliest run starts
 first.  The records are bit-identical at every width.  The first
 task to fail cancels every task not yet started, and the call raises the
@@ -47,12 +47,11 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor  # noqa: 
 from dataclasses import asdict
 
 import numpy as np
-from scipy import special
 
 from . import __version__
 from .ansatz import AnsatzWorkspace, build_initial_data, residual_norm, sample_ansatz
 from .config import ExperimentPlan, thread_cap
-from .dispersion import DispersionData, nls_coefficients
+from .dispersion import DispersionData, Resonant, correction_coefficients, nls_coefficients
 from .lattice import (
     ForceLaw,
     compatibility_defect,
@@ -82,7 +81,9 @@ class NonFiniteReport(ValueError):
 
 def checked_dispersion(plan: ExperimentPlan) -> DispersionData:
     """The carrier's dispersion data; raises NonResonantCarrierRequired for a
-    carrier no run can take, before any work starts."""
+    carrier no run can take, before any work starts.  That includes a
+    carrier the correction solve rejects at the plan's resonance margin: a
+    corrected run and every residual sweep need that solve."""
     disp = nls_coefficients(plan.carrier, plan.delta_res)
     where = f"carrier ({plan.carrier.k}, {plan.carrier.l})"
     if not disp.nonresonant:
@@ -90,6 +91,10 @@ def checked_dispersion(plan: ExperimentPlan) -> DispersionData:
     if plan.variant == "strain" and disp.axis_degenerate_k:
         raise NonResonantCarrierRequired(
             f"{where} has k0 = 0: the strain form's u field vanishes there")
+    try:
+        correction_coefficients(plan.carrier, plan.delta_res)
+    except Resonant as exc:
+        raise NonResonantCarrierRequired(f"{where}: {exc}") from None
     return disp
 
 
@@ -212,8 +217,7 @@ def _run_lattice(plan: ExperimentPlan, disp, eps: float, env0: EnvelopeField,
 
     The run's ansatz workspace, strain view and diagnostic work arrays are
     built once and rewritten at every observation, so an observation after
-    the first allocates no lattice-sized array except the one spectrum of
-    each residual (scipy.fft writes a real input's DFT into a new array).
+    the first allocates no lattice-sized array.
     """
     n = plan.n_side_for(eps)
     dt = plan.dt_for(eps)
@@ -370,6 +374,7 @@ def fit_order(eps_values, max_errors):
     floor or carry no eps dependence, and ValueError when an error is not
     finite or every eps is the same.
     """
+    from scipy import special  # imported here: only a sweep's fit needs it
     eps_values = np.asarray(eps_values, dtype=float)
     max_errors = np.asarray(max_errors, dtype=float)
     if len(eps_values) < 3:

@@ -7,7 +7,6 @@ projection example against direct complex arithmetic.
 
 import numpy as np
 import pytest
-from scipy import fft as scipy_fft
 
 from fput2d.ansatz import (
     AnsatzWorkspace,
@@ -29,6 +28,8 @@ from fput2d.nls import (
     DEFAULT_BLOWUP_GUARD,
     EnvelopeField,
     NlsProblem,
+    _fft2,
+    _ifft2,
     evolve,
     gaussian_field,
     linear_symbol,
@@ -496,21 +497,33 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def fft2(x):
+    """The package's 2D DFT of a copy of x cast to complex."""
+    return _fft2(np.array(x, dtype=complex))
+
+
+def ifft2(x):
+    """The package's inverse 2D DFT of a copy of x cast to complex."""
+    return _ifft2(np.array(x, dtype=complex))
+
+
 def reference_branches(env, disp, eps, t, n, form, corrections):
     """Per position array, the complex branch sum and its time derivative in
     the expression form on the envelope grid: every harmonic's spectra
     shifted to the moving frame, gathered to the lattice grid by np.take and
     inverse transformed, times the carrier phase, weighted and summed.  The
     workspace's in-place arithmetic on the lattice's modes must match it bit
-    for bit (complex products in the same operand order)."""
+    for bit (complex products in the same operand order).  It transforms with
+    the package's FFT, so it checks that arithmetic, not the FFT library;
+    tests/test_nls.py checks the FFT against scipy.fft."""
     prob = NlsProblem(disp.hessian, disp.gamma_q)
     a = env.a
-    a_hat = scipy_fft.fft2(a)
+    a_hat = fft2(a)
     a_t_hat = envelope_rhs_spectrum(a, a_hat, linear_symbol(env, prob), prob.nonlin_coeff)
     basis = {1: (a_hat, a_t_hat)}
     if corrections:
-        a_t = scipy_fft.ifft2(a_t_hat)
-        basis.update({j: (scipy_fft.fft2(b), scipy_fft.fft2(b_t))
+        a_t = ifft2(a_t_hat)
+        basis.update({j: (fft2(b), fft2(b_t))
                       for j, (b, b_t) in _correction_products(a, a_t).items()})
     m, k = env.grid_side, env.wavenumbers_1d()
     (cx, cy), kv, w0 = disp.group_velocity, disp.carrier, disp.omega0
@@ -527,7 +540,7 @@ def reference_branches(env, disp, eps, t, n, form, corrections):
     def resample(spectrum):
         out = (spectrum * shift).take(src, axis=0).take(src, axis=1)
         out[pad] = out[:, pad] = 0.0
-        return scipy_fft.ifft2(out)
+        return ifft2(out)
 
     mvals = np.arange(n) - n // 2
     terms = {}
@@ -543,7 +556,7 @@ def reference_branches(env, disp, eps, t, n, form, corrections):
 def reference_residual(env, disp, eps, t, n, form, corrections):
     """residual_norm in the expression form, on reference_branches."""
     acc = reference_branches(env, disp, eps, t, n, form, corrections)
-    wk2 = 2.0 - 2.0 * np.cos(2 * np.pi * scipy_fft.fftfreq(n))
+    wk2 = 2.0 - 2.0 * np.cos(2 * np.pi * np.fft.fftfreq(n))
     w = np.sqrt(wk2[:, None] + wk2[None, :])
     inv_8iw = np.zeros((n, n), dtype=complex)
     inv_8iw[w > 0] = 1.0 / (8j * w[w > 0])
@@ -553,8 +566,8 @@ def reference_residual(env, disp, eps, t, n, form, corrections):
     fx, fy = -bonds[0]**3, -bonds[1]**3
     div = fx - np.roll(fx, 1, axis=0) + fy - np.roll(fy, 1, axis=1)
     cubic = [div] if form == "displacement" else [np.roll(div, -1, axis) - div for axis in (0, 1)]
-    return 2 * sum(l1_dft_norm(-scipy_fft.fft2(dpsi1) + 1j * w * scipy_fft.fft2(psi1)
-                               + inv_8iw * scipy_fft.fft2(n_cubic), np.empty((n, n)))
+    return 2 * sum(l1_dft_norm(-fft2(dpsi1) + 1j * w * fft2(psi1)
+                               + inv_8iw * fft2(n_cubic), np.empty((n, n)))
                    for (psi1, dpsi1), n_cubic in zip(acc.values(), cubic))
 
 

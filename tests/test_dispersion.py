@@ -351,7 +351,7 @@ class TestCorrectionCoefficients:
             data = nls_coefficients(kv)
             if data.axis_degenerate_k or data.axis_degenerate_l:
                 continue
-            co = correction_coefficients(kv)
+            co = correction_coefficients(kv, DEFAULT_RESONANCE_MARGIN)
             assert co.c_1m1 == pytest.approx(data.gamma_q / 4 / (-2j * data.omega0), rel=1e-12)
             w = _weights(data, "strain", True)
             a = np.exp(1j * kv.k) - 1
@@ -366,14 +366,29 @@ class TestCorrectionCoefficients:
 
     def test_displacement_first_harmonic(self):
         kv = WaveVector(PIH, PIH)
-        co = correction_coefficients(kv)
+        co = correction_coefficients(kv, DEFAULT_RESONANCE_MARGIN)
         d = kernel_D(kv, kv.negated(), kv.negated())
         expected = (-3.0 * d / (8j * 2.0)) / (-4j)
         assert co.c_1m1 == pytest.approx(expected, rel=1e-12)
 
     def test_resonant_carrier_rejected(self):
         with pytest.raises(Resonant):
-            correction_coefficients(WaveVector(2 * np.pi / 3, 2 * np.pi / 3))
+            correction_coefficients(WaveVector(2 * np.pi / 3, 2 * np.pi / 3),
+                                    DEFAULT_RESONANCE_MARGIN)
+
+    def test_weights_solve_at_the_dispersion_margin(self):
+        # near the zero carrier 3 omega(k0) - omega(3 k0) is about k^3 = 1e-9:
+        # resonant at the default margin 1e-8, non-resonant at 1e-10, and the
+        # correction weights must be solved at the margin that admitted it
+        kv = WaveVector(1e-3, 0.0)
+        assert not nls_coefficients(kv).nonresonant
+        data = nls_coefficients(kv, 1e-10)
+        assert data.nonresonant and data.delta_res == 1e-10
+        with pytest.raises(Resonant):
+            correction_coefficients(kv, DEFAULT_RESONANCE_MARGIN)
+        co = correction_coefficients(kv, 1e-10)
+        got = _weights(data, "displacement", True)["q"]
+        assert got == {1: 2.0, -1: 8 * co.c_1m1, 3: 8 * co.c_13, -3: 8 * co.c_1m3}
 
     def test_denominator_carrier_evenness(self):
         # denominators depend on the carrier only through omega, which is even
