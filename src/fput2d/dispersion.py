@@ -62,10 +62,6 @@ class WaveVector:
     def negated(self) -> "WaveVector":
         return WaveVector(-self.k, -self.l)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.k == 0.0 and self.l == 0.0
-
 
 @dataclass(frozen=True)
 class DispersionData:
@@ -142,7 +138,14 @@ def hessian(kv: WaveVector) -> np.ndarray:
 
 
 def nonresonance_check(kv: WaveVector, delta_res: float) -> bool:
-    """True iff omega(3*kv) > 0 and |3*omega(kv) - omega(3*kv)| exceeds the margin."""
+    """True iff omega(3*kv) > 0 and |3*omega(kv) - omega(3*kv)| exceeds the margin.
+
+    Then correction_coefficients at the same margin takes the carrier: its
+    denominators are 2 omega(kv), 3 omega(kv) - omega(3*kv) and
+    3 omega(kv) + omega(3*kv), and omega(3*kv) <= 3 omega(kv) on the whole
+    torus (|sin 3x| <= 3 |sin x|), so 3 omega(kv) > omega(3*kv) + margin >
+    2 margin.
+    """
     w3 = omega(kv.scaled(3))
     if w3 <= delta_res:
         return False
@@ -151,9 +154,9 @@ def nonresonance_check(kv: WaveVector, delta_res: float) -> bool:
 
 def nls_coefficients(kv: WaveVector, delta_res: float = DEFAULT_RESONANCE_MARGIN) -> DispersionData:
     """Assemble the full DispersionData record at a carrier wave vector."""
-    if kv.is_zero:
-        raise ZeroFrequency("carrier (0, 0) has omega = 0")
     w0 = omega(kv)
+    if w0 == 0.0:
+        raise ZeroFrequency(f"carrier ({kv.k}, {kv.l}) has omega = 0")
     wx2 = float(omega_x_sq(kv.k))
     wy2 = float(omega_x_sq(kv.l))
     gamma_q = -1j * 3.0 * (wx2**2 + wy2**2) / (2.0 * w0)

@@ -51,7 +51,7 @@ import numpy as np
 from . import __version__
 from .ansatz import AnsatzWorkspace, build_initial_data, residual_norm, sample_ansatz
 from .config import ExperimentPlan, thread_cap
-from .dispersion import DispersionData, Resonant, correction_coefficients, nls_coefficients
+from .dispersion import DispersionData, nls_coefficients
 from .lattice import (
     ForceLaw,
     compatibility_defect,
@@ -81,9 +81,9 @@ class NonFiniteReport(ValueError):
 
 def checked_dispersion(plan: ExperimentPlan) -> DispersionData:
     """The carrier's dispersion data; raises NonResonantCarrierRequired for a
-    carrier no run can take, before any work starts.  That includes a
-    carrier the correction solve rejects at the plan's resonance margin: a
-    corrected run and every residual sweep need that solve."""
+    carrier no run can take, before any work starts.  A carrier that passes
+    non-resonance at the plan's margin also passes the correction solve at
+    it (see dispersion.nonresonance_check)."""
     disp = nls_coefficients(plan.carrier, plan.delta_res)
     where = f"carrier ({plan.carrier.k}, {plan.carrier.l})"
     if not disp.nonresonant:
@@ -91,10 +91,6 @@ def checked_dispersion(plan: ExperimentPlan) -> DispersionData:
     if plan.variant == "strain" and disp.axis_degenerate_k:
         raise NonResonantCarrierRequired(
             f"{where} has k0 = 0: the strain form's u field vanishes there")
-    try:
-        correction_coefficients(plan.carrier, plan.delta_res)
-    except Resonant as exc:
-        raise NonResonantCarrierRequired(f"{where}: {exc}") from None
     return disp
 
 

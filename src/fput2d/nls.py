@@ -47,6 +47,7 @@ def _fft2(a: np.ndarray) -> np.ndarray:
     passes a copy, and real data is first copied into a complex array.  One
     in-place 1D pass per axis costs what scipy.fft's overwrite_x transform
     does; numpy's fft2, which allocates its result, costs about twice that.
+    numpy.fft takes out= from numpy 2.0 on, the floor pyproject.toml sets.
     """
     _check_in_place(a)
     np.fft.fft(a, axis=1, out=a)

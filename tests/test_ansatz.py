@@ -36,7 +36,6 @@ from fput2d.nls import (
 )
 from conftest import initial_data, residual, sample, work_arrays
 from test_dispersion import ratio_b_over_a, strain_correction_oracle
-from test_nls import envelope_rhs_spectrum
 
 PIH = np.pi / 2
 KV = WaveVector(PIH, PIH)
@@ -519,7 +518,9 @@ def reference_branches(env, disp, eps, t, n, form, corrections):
     prob = NlsProblem(disp.hessian, disp.gamma_q)
     a = env.a
     a_hat = fft2(a)
-    a_t_hat = envelope_rhs_spectrum(a, a_hat, linear_symbol(env, prob), prob.nonlin_coeff)
+    # dQ/dT's DFT as test_nls.envelope_rhs_spectrum gives it, with the cubic
+    # term's DFT taken by the package's FFT
+    a_t_hat = 1j * linear_symbol(env, prob) * a_hat + fft2(prob.nonlin_coeff * np.abs(a) ** 2 * a)
     basis = {1: (a_hat, a_t_hat)}
     if corrections:
         a_t = ifft2(a_t_hat)

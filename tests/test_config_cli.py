@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from fput2d import __version__, harness
 from fput2d.cli import build_parser, main
 from fput2d.config import ConfigError, ExperimentPlan, carrier_period, load_plan
-from fput2d.dispersion import Resonant
 from fput2d.io import SnapshotTruncated, read_snapshot, write_snapshot
 from fput2d.lattice import DT_MAX, LatticeState
 from fput2d.nls import EnvelopeField
@@ -562,24 +561,6 @@ def test_inadmissible_carrier_refused_before_work(tmp_path, capsys, command, car
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("carrier error:")
     assert "Traceback" not in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["simulate", "sweep", "residual"])
-def test_carrier_the_correction_solve_rejects_refused_before_work(tmp_path, capsys,
-                                                                   monkeypatch, command):
-    # non-resonance and the correction solve read one margin, so no real
-    # carrier passes the one and fails the other; a refusing solve stands in
-    def refuse(kv, delta_res):
-        raise Resonant(f"correction denominator below margin {delta_res}")
-
-    monkeypatch.setattr(harness, "correction_coefficients", refuse)
-    out = tmp_path / "out"
-    args = [command, "--out", str(out), "--set", "corrections=true", "--set", "delta_res=1e-10"]
-    assert main(args) == 2
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("carrier error:")
-    assert "below margin 1e-10" in err and "Traceback" not in err
     assert not out.exists()
 
 

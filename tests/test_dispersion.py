@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import sample
@@ -279,6 +279,9 @@ class TestNlsCoefficients:
     def test_zero_carrier_rejected(self):
         with pytest.raises(ZeroFrequency):
             nls_coefficients(WaveVector(0.0, 0.0))
+        # 2 - 2 cos k rounds to 0 below |k| ~ 1e-8: refused, not divided by
+        with pytest.raises(ZeroFrequency):
+            nls_coefficients(WaveVector(1e-9, -1e-9))
 
     def test_omega0_positive(self):
         rng = np.random.default_rng(5)
@@ -304,6 +307,21 @@ class TestNonresonance:
         # 3 * (2pi/3) wraps to 0 in both components
         assert nonresonance_check(WaveVector(2 * np.pi / 3, 2 * np.pi / 3),
                                   DEFAULT_RESONANCE_MARGIN) is False
+
+    @given(
+        st.floats(-np.pi, np.pi, allow_nan=False),
+        st.floats(-np.pi, np.pi, allow_nan=False),
+    )
+    def test_correction_solve_takes_every_admitted_carrier(self, k, l):
+        # one margin serves both checks, so the harness needs no separate
+        # solve: at the tightest margin the check still passes, the solve
+        # must not raise Resonant (omega(k0) = 0 is refused before either)
+        kv = WaveVector(k, l)
+        w0, w3 = omega(kv), omega(kv.scaled(3))
+        margin = float(np.nextafter(min(w3, abs(3.0 * w0 - w3)), 0.0))
+        assume(w0 > 0.0 and margin > 0.0)
+        assert nls_coefficients(kv, margin).nonresonant is True
+        correction_coefficients(kv, margin)
 
 
 def first_harmonic_ratio(kv):
