@@ -412,9 +412,14 @@ def residual_norm(work: AnsatzWorkspace, env: EnvelopeField, t: float,
                  _forward_diff(fields[0], 1, out=work.real_scratch())]
     else:
         bonds = fields
+    # -b^3 as b^2 times -b (np.power is a scalar pow loop), with the array
+    # the divergence takes next as scratch: the bonds have left it free
+    div = real[0] if form == "displacement" else real[2]
     for b in bonds:
-        np.negative(np.power(b, 3, out=b), out=b)
-    div = _divergence(bonds[0], bonds[1], real[0] if form == "displacement" else real[2])
+        np.square(b, out=div)
+        np.negative(b, out=b)
+        b *= div
+    div = _divergence(bonds[0], bonds[1], div)
     cubic = [div] if form == "displacement" else [_forward_diff(div, 0, out=real[0]),
                                                   _forward_diff(div, 1, out=real[1])]
     norm = 0.0

@@ -22,23 +22,26 @@ get bit-identical records to separate runs.
 
 Every run_single and run_sweep call runs on one thread pool, plan.workers
 threads wide (FPUT2D_THREADS, the CPU count when unset, caps it and stands in
-for workers = 0).  Each group of eps runs that share a box is two tasks,
-submitted in order: the envelope solve, which hands each sample over as it is
-captured, then the group's lattice runs one after another, each waiting only
-for a sample it needs that is not in yet.  The pool takes tasks first in,
-first out, so a run never waits on a solve that has not started; with one
-thread each solve runs to the end before its runs start.  numpy releases
-the GIL inside its array loops and FFTs, so the threads share the cores.
-A sweep queues its groups smallest eps first, so its costliest run starts
-first.  The records are bit-identical at every width.  The first
-task to fail cancels every task not yet started, and the call raises the
-first failure in submission order: a failing envelope takes precedence over
-its failing runs, as when the solve runs first.  Every thread is joined
-before the call returns or raises.
+for workers = 0).  Each group of eps runs that share a box is one task per
+lattice run after the envelope solve's, submitted in order: the solve, which
+hands each sample over as it is captured, then the runs, smallest eps first,
+each waiting only for a sample it needs that is not in yet.  A sample is
+dropped once every run of its group has read it.  The pool takes tasks first
+in, first out, so a run never waits on a solve that has not started; with
+one thread each solve runs to the end before its runs start.  numpy releases
+the GIL inside its array loops and FFTs, so the threads share the cores, but
+their many short numpy calls still contend for it.  A sweep queues its
+groups smallest eps first, so its costliest run starts first, and a thread
+that ends a solve takes the next queued run, of any group.  The records are
+bit-identical at every width.  The first task to fail cancels every task not
+yet started, and the call raises the first failure in submission order: a
+failing envelope takes precedence over its failing runs, as when the solve
+runs first.  Every thread is joined before the call returns or raises.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import threading
 import time
@@ -157,13 +160,16 @@ class _EnvelopeSamples:
     lattice runs that observe them.
 
     The solve calls put; an observer's get blocks only until its own sample
-    is in.  Each sample's envelope_diag row is taken at capture, with the
-    H^4 proxy the solve's guard read.
+    is in.  Each sample but the final one is dropped once all `readers`
+    runs of the group have read it.  Each sample's envelope_diag row is
+    taken at capture, with the H^4 proxy the solve's guard read.
     """
 
-    def __init__(self, count: int):
+    def __init__(self, count: int, readers: int):
         self.diag: list[list[float]] = []
         self._last = count - 1
+        self._readers = readers
+        self._reads: list[int] = []
         self._error: Exception | None = None
         self._fields: list[EnvelopeField | None] = []
         self._finished = False
@@ -174,19 +180,20 @@ class _EnvelopeSamples:
         row = [field.slow_time, mass(field), h4, float(np.max(np.abs(field.a)))]
         with self._changed:
             self._fields.append(field)
+            self._reads.append(0)
             self.diag.append(row)
             self._changed.notify_all()
 
-    def get(self, i: int, release: bool = False) -> EnvelopeField:
+    def get(self, i: int) -> EnvelopeField:
         """Sample i once it is captured; raises the solve's error if the solve
-        failed first.  With release the hand-off drops sample i, unless it is
-        the final one."""
+        failed first.  The read counts toward dropping sample i."""
         with self._changed:
             self._changed.wait_for(lambda: len(self._fields) > i or self._finished)
             if len(self._fields) <= i:
                 raise self._error
             field = self._fields[i]
-            if release and i < self._last:
+            self._reads[i] += 1
+            if self._reads[i] == self._readers and i < self._last:
                 self._fields[i] = None
         return field
 
@@ -207,9 +214,9 @@ class _EnvelopeSamples:
 
 
 def _run_lattice(plan: ExperimentPlan, disp, eps: float, env0: EnvelopeField,
-                 samples: _EnvelopeSamples, keep_state_indices, release: bool) -> dict:
+                 samples: _EnvelopeSamples, keep_state_indices) -> dict:
     """The lattice run at eps against the envelope samples; its record has no
-    wall time.  With release it drops each sample once observed.
+    wall time.
 
     The run's ansatz workspace, strain view and diagnostic work arrays are
     built once and rewritten at every observation, so an observation after
@@ -235,7 +242,7 @@ def _run_lattice(plan: ExperimentPlan, disp, eps: float, env0: EnvelopeField,
     def observe(st):
         i = idx[0]
         idx[0] += 1
-        env_i = samples.get(i, release)
+        env_i = samples.get(i)
         # the run steps (q, w); a strain run is observed through its differences
         view = strain_from_displacement(st, out=strain_view) if strain else st
         s = sample_ansatz(work, env_i, st.time)
@@ -290,32 +297,26 @@ def _run_lattice(plan: ExperimentPlan, disp, eps: float, env0: EnvelopeField,
 
 
 def _group_tasks(plan: ExperimentPlan, disp, eps_values, keep_state_indices) -> list:
-    """The two tasks of eps runs that share one envelope box: the solve, which
-    returns no records, then the lattice runs in order on its samples, the
-    last of which drops each sample once observed.  Each record's wall_time_s
-    runs from the end of the previous run, the first from the start of the
-    solve, so the sum is the group's busy time."""
+    """The tasks of eps runs that share one envelope box: the solve, which
+    returns no records, then one task per lattice run, in the order of
+    eps_values, each returning its record in a list.  A sample is dropped
+    once every run has read it.  Each record's wall_time_s runs from the
+    start of the solve to the end of its own run."""
     env0 = _initial_envelope(plan, eps_values[0])
-    samples = _EnvelopeSamples(plan.sample_count)
+    samples = _EnvelopeSamples(plan.sample_count, len(eps_values))
 
     def solve():
         samples.produce(
             lambda put: _solve_envelope(plan, disp, env0, _sample_times(plan), put))
         return []
 
-    def runs():
-        records, t_wall = [], None
-        for k, eps in enumerate(eps_values):
-            record = _run_lattice(plan, disp, eps, env0, samples, keep_state_indices,
-                                  release=k == len(eps_values) - 1)
-            now = time.time()
-            # the solve has started by the time a run observes its first sample
-            record["wall_time_s"] = now - (samples.started if t_wall is None else t_wall)
-            t_wall = now
-            records.append(record)
-        return records
+    def run(eps):
+        record = _run_lattice(plan, disp, eps, env0, samples, keep_state_indices)
+        # the solve has started by the time a run observes its first sample
+        record["wall_time_s"] = time.time() - samples.started
+        return [record]
 
-    return [solve, runs]
+    return [solve, *(functools.partial(run, eps) for eps in eps_values)]
 
 
 def _run_tasks(width: int, tasks) -> list:
@@ -443,9 +444,9 @@ def run_sweep(plan: ExperimentPlan) -> dict:
     """Run every eps, fit the order, and assemble the report.
 
     eps values that share an envelope box share one envelope solve.  Records
-    come back in eps_list order.  The record whose run paid for a solve carries
-    its time in wall_time_s, so the records' wall times sum to the groups'
-    busy time.
+    come back in eps_list order.  A record's wall_time_s runs from the start
+    of its group's solve to the end of its own run, so the runs of one group
+    each count the solve and their wall times overlap.
     """
     if len(plan.eps_list) < 3:
         raise ValueError("a sweep needs at least 3 eps values to fit an order")

@@ -27,9 +27,20 @@ ravel() of one is a copy that the pass would fill and drop.
 The integrator is velocity Verlet (symplectic, second order, time reversible)
 stepped in place in its leapfrog form: between two observations the closing
 half-kick of one step and the opening half-kick of the next are one full
-kick, and the force at the end of a step starts the next (FSAL), so a step
-costs one force evaluation.  The overflow guard checks both arrays every
-CHECK_EVERY steps and before every observation.
+kick, and the force at the end of a march starts the next (FSAL), so a step
+costs one force evaluation.  A march between two observations steps the
+scaled variables r = h q and p = h^2 w, into which the state's own arrays
+are converted in place and back, so that a step is
+
+    p += div F(beta),  F(beta) = h^3 W'(beta / h) = beta (h^2 - beta^2),
+    r += p,
+
+with beta the forward differences of r: 13 passes over N x N arrays, on two
+work arrays (the bond strains and forces, and the bond law's scratch).  The
+work arrays and the stepped copy of the state start on cache lines, and the
+bond law runs in blocks of rows that stay in cache.  The overflow guard
+checks both arrays every CHECK_EVERY steps and before every observation, in
+the state's own units.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ import numpy as np
 DT_MAX = 0.5  # stability margin below the linear CFL limit 2 / (2*sqrt(2))
 OVERFLOW_GUARD = 1e6
 CHECK_EVERY = 10  # steps between overflow-guard checks inside a march
+LAW_BLOCK_BYTES = 2**18  # bond strains the bond law takes at a time, in whole rows
 
 
 class FormMismatch(ValueError):
@@ -63,9 +75,9 @@ class ForceLaw:
         W'(u) = u + alpha*eps^3*u + beta*eps^2*u^2 - u^3 + gamma*eps*u^3
 
     with N x N coefficient arrays per bond direction, all bounded by
-    coeff_bound in absolute value, evaluated as u + u*(c1 + u*(c2 + c3*u)) with
-    c1 = alpha*eps^3, c2 = beta*eps^2, c3 = gamma*eps - 1 built once; the unit
-    term outside c1 keeps zero coefficients bit-identical to the cubic baseline.
+    coeff_bound in absolute value, as W'(u) = u (1 + c1 + u (c2 + c3 u)) with
+    c1 = alpha*eps^3, c2 = beta*eps^2, c3 = gamma*eps - 1 built once; a march
+    evaluates it on scaled strains (scaled_coefficients).
     """
 
     kind: str = "cubic_baseline"
@@ -100,20 +112,26 @@ class ForceLaw:
                 "y": (self.alpha_y * e**3, self.beta_y * e**2, self.gamma_y * e - 1.0),
             }
 
-    def w_prime(self, u: np.ndarray, direction: str, out: np.ndarray) -> np.ndarray:
-        """Evaluate the bond force on an array of bond strains, in place into out (not u)."""
+    def scaled_coefficients(self, h: float, out) -> tuple[tuple, tuple]:
+        """Per direction (x, y), the coefficients (k1, k2, k3) of the law
+        h^3 W'(beta / h) = beta (k1 + beta (k2 + k3 beta)) on the scaled bond
+        strains beta = h u: (h^2 (1 + c1), h c2, c3), with k1 and k2 written
+        into out[direction]; (h^2, None, None) for the cubic law, whose
+        k2 = 0 and k3 = -1 the two-pass form beta (h^2 - beta^2) takes.  At
+        zero coefficients both forms round alike, bit for bit.
+        """
+        h2 = h * h
         if self.kind == "cubic_baseline":
-            np.square(u, out=out)
-            out *= u
-            return np.subtract(u, out, out=out)
-        c1, c2, c3 = self._poly[direction]
-        np.multiply(c3, u, out=out)
-        out += c2
-        out *= u
-        out += c1
-        out *= u
-        out += u
-        return out
+            return (h2, None, None), (h2, None, None)
+        coeffs = []
+        for d in "xy":
+            c1, c2, c3 = self._poly[d]
+            k1, k2 = out[d]
+            np.add(c1, 1.0, out=k1)
+            k1 *= h2
+            np.multiply(c2, h, out=k2)
+            coeffs.append((k1, k2, c3))
+        return tuple(coeffs)
 
     def w_potential(self, u: np.ndarray, direction: str, buffers) -> np.ndarray:
         """Antiderivative of the bond force, W(0) = 0, on an array of bond
@@ -257,12 +275,6 @@ def strain_from_displacement(state: LatticeState,
     return out
 
 
-def _buffers(state: LatticeState) -> tuple[np.ndarray, ...]:
-    """Work arrays (fx, fy, div) of one force evaluation."""
-    n = state.n_side
-    return tuple(np.empty((n, n)) for _ in range(3))
-
-
 def _divergence(fx: np.ndarray, fy: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Backward divergence fx - S-x fx + fy - S-y fy, the net bond force per site,
     into out (neither fx nor fy).
@@ -282,64 +294,176 @@ def _divergence(fx: np.ndarray, fy: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def rhs_displacement(state: LatticeState, force: ForceLaw, buffers) -> np.ndarray:
-    """Acceleration field of the displacement formulation.
+def _check_amplitude(state: LatticeState, scales=None) -> None:
+    """Raise UnstableStep at the first entry outside the guard; NaN trips it.
 
-    buffers holds the work arrays (fx, fy, div), as _buffers makes them; the
-    bond differences pass through div, and the acceleration is written into
-    div and returned.
+    scales, when given, holds the factor each array is held in (a march's
+    r = h q and p = h^2 w): the bound is scaled with it, and the message
+    gives the value in the state's own units.
     """
-    if state.form != "displacement":
-        raise FormMismatch("rhs_displacement needs displacement form")
-    fx, fy, div = buffers
-    force.w_prime(_forward_diff(state.q, 0, out=div), "x", out=fx)
-    force.w_prime(_forward_diff(state.q, 1, out=div), "y", out=fy)
-    return _divergence(fx, fy, div)
-
-
-def _check_amplitude(state: LatticeState) -> None:
-    """Raise UnstableStep at the first entry outside the guard; NaN trips it."""
     g = OVERFLOW_GUARD
-    for name in _ARRAY_NAMES[state.form]:
+    names = _ARRAY_NAMES[state.form]
+    for name, scale in zip(names, scales or (1.0,) * len(names)):
         a = getattr(state, name)
-        if a.max() <= g and a.min() >= -g:  # False for NaN
+        bound = g * scale
+        if a.max() <= bound and a.min() >= -bound:  # False for NaN
             continue
-        m, n = np.unravel_index(np.argmax(~(np.abs(a) <= g)), a.shape)
-        raise UnstableStep(f"{name} = {float(a[m, n])!r} at site (m, n) = ({m}, {n}), "
+        m, n = np.unravel_index(np.argmax(~(np.abs(a) <= bound)), a.shape)
+        raise UnstableStep(f"{name} = {float(a[m, n]) / scale!r} at site (m, n) = ({m}, {n}), "
                            f"t = {state.time}: outside the overflow guard |x| <= {g:g}")
 
 
-def _march(state: LatticeState, force: ForceLaw, dt: float, n_steps: int, accel, buffers):
-    """Advance a displacement state in place by n_steps >= 1 Verlet steps of
-    size dt, with merged kicks and a guard check every CHECK_EVERY steps.
+def _aligned_empty(shape: tuple[int, int]) -> np.ndarray:
+    """A new float64 array whose data starts on a 64-byte boundary, a cache
+    line: a pass that writes into a misaligned array splits its vector
+    stores across lines and can take twice as long."""
+    size = shape[0] * shape[1]
+    buf = np.empty(size + 7)
+    start = -buf.ctypes.data % 64 // 8
+    return buf[start:start + size].reshape(shape)
 
-    accel, the acceleration at the current positions, lives in buffers; the
-    one at the new positions is returned for the next march (FSAL).  Inside
-    a step the kick scales accel in place and the drift increment overwrites
-    it, since the force evaluation rebuilds it next; the closing half-kick
-    goes through fx, the work array the acceleration leaves free, so the
-    returned accel is intact.  A state that overflows between two checks is
-    reported by the guard, so numpy's overflow and invalid-value warnings are
-    off inside the march.
+
+def _aligned_copy(f: np.ndarray) -> np.ndarray:
+    out = _aligned_empty(f.shape)
+    np.copyto(out, f)
+    return out
+
+
+def _views(f: np.ndarray) -> tuple:
+    """The views the march's stencils take of one C-contiguous N x N array:
+    f, rows 1: and :-1, rows 0 and -1, columns 0 and -1, and the flattened
+    array from 1 and up to -1."""
+    flat = _c_contiguous_out(f).ravel()
+    return f, f[1:], f[:-1], f[0], f[-1], f[:, 0], f[:, -1], flat[1:], flat[:-1]
+
+
+class _Work:
+    """The work arrays of one integrate call.
+
+    a takes the bond strains and then the bond forces of a force evaluation;
+    b is the bond law's scratch inside a step and holds the force (FSAL)
+    from the end of one march to the start of the next, scaled for step h.
+    The bond law runs in blocks of at most LAW_BLOCK_BYTES of rows, so that
+    its three passes over a block stay in cache; while b takes a force, its
+    scratch is rows, at most half of an N x N array.  col takes the wrap
+    column of the y-bond pass, and k the perturbed law's coefficients
+    scaled for the march's step.
     """
-    if dt > DT_MAX:
-        raise ValueError(f"dt = {dt} exceeds dt_max = {DT_MAX}")
-    q, w = state.q, state.w
-    kick = 0.5 * dt
+
+    def __init__(self, n: int, force: ForceLaw):
+        self.a, self.b = _aligned_empty((n, n)), _aligned_empty((n, n))
+        self.block = max(1, LAW_BLOCK_BYTES // (8 * n))
+        self.rows = _aligned_empty((min(self.block, -(-n // 2)), n))
+        self.col = np.empty(n)
+        self.k = None if force.kind == "cubic_baseline" else {
+            d: (np.empty((n, n)), np.empty((n, n))) for d in "xy"}
+        self.h = 1.0
+
+    def laws(self, force: ForceLaw, h: float) -> tuple[list, list]:
+        """The bond law of each direction at step h, as blocks (beta, temp,
+        coefficients): with b as temp, then with rows."""
+        coeffs = force.scaled_coefficients(h, self.k)
+        return (_blocks(self.a, self.b, coeffs, self.block),
+                _blocks(self.a, self.rows, coeffs, self.rows.shape[0]))
+
+
+def _blocks(beta: np.ndarray, temp: np.ndarray, coeffs, rows: int) -> list:
+    """Per direction, the blocks of `rows` rows of beta, each with the first
+    rows of temp and its rows of the coefficient arrays."""
+    n = beta.shape[0]
+    return [[(beta[i:i + rows], temp[:min(rows, n - i)],
+              tuple(c[i:i + rows] if isinstance(c, np.ndarray) else c for c in k))
+             for i in range(0, n, rows)] for k in coeffs]
+
+
+def _bond_law(blocks) -> None:
+    """beta <- beta (k1 + beta (k2 + k3 beta)) in place, block by block, or
+    beta (k1 - beta^2) when k2 is None (the cubic law)."""
+    for beta, temp, (k1, k2, k3) in blocks:
+        if k2 is None:
+            np.square(beta, out=temp)
+            np.subtract(k1, temp, out=temp)
+        else:
+            np.multiply(k3, beta, out=temp)
+            temp += k2
+            temp *= beta
+            temp += k1
+        beta *= temp
+
+
+def _add_force(t, r, a, laws, col: np.ndarray) -> None:
+    """t += div F(beta), the force h^3 a(q) at positions r = h q: the bond
+    strains beta = S+ r - r go through a, which the bond laws (one per
+    direction) turn into the bond forces F, and F - S- F is added into t.
+
+    t, r and a are _views tuples.  Along axis 1 each difference is one flat
+    pass; the wrap column is written over the entries where the pass
+    crossed a row end, and col carries the target's column 0 across it.
+    """
+    t_, t1, _, t0, _, tc0, _, tf1, _ = t
+    _, r1, r_1, r0, rl, rc0, rcl, rf1, rf_1 = r
+    a_, _, a_1, _, al, _, acl, _, af_1 = a
+    law_x, law_y = laws
+    np.subtract(r1, r_1, out=a_1)
+    np.subtract(r0, rl, out=al)  # the wrap row
+    _bond_law(law_x)
+    t_ += a_
+    t1 -= a_1
+    t0 -= al
+    np.subtract(rf1, rf_1, out=af_1)
+    np.subtract(rc0, rcl, out=acl)  # the wrap column
+    _bond_law(law_y)
+    t_ += a_
+    np.subtract(tc0, acl, out=col)
+    tf1 -= af_1
+    tc0[...] = col
+
+
+def _force_into_b(r, work: _Work, laws) -> None:
+    """work.b <- the force at positions r (a _views tuple), through rows."""
+    work.b.fill(0.0)
+    _add_force(_views(work.b), r, _views(work.a), laws, work.col)
+
+
+def _march(state: LatticeState, force: ForceLaw, h: float, n_steps: int, work: _Work) -> None:
+    """Advance a displacement state in place by n_steps >= 1 Verlet steps of
+    size h, with merged kicks and a guard check every CHECK_EVERY steps.
+
+    The march steps the scaled variables r = h q and p = h^2 w, into which
+    the state's arrays are converted in place and back at the end.  A step
+    is then p += div F(beta), F(beta) = h^3 W'(beta / h) = beta (h^2 - beta^2)
+    for the cubic law, followed by r += p.  work.b holds the force at the
+    start (scaled for step work.h and rescaled to h) and takes the force at
+    the end, which the closing half-kick uses and the next march reuses
+    (FSAL).  A state that overflows between two checks is reported by the
+    guard, so numpy's overflow and invalid-value warnings are off inside.
+    """
+    if h > DT_MAX:
+        raise ValueError(f"dt = {h} exceeds dt_max = {DT_MAX}")
+    r, p, a, b = state.q, state.w, work.a, work.b
+    h2 = h * h
+    in_step, in_rows = work.laws(force, h)
+    rv, pv, av = _views(r), _views(p), _views(a)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            accel *= kick
-            w += accel
-            q += np.multiply(w, dt, out=accel)
+        r *= h
+        p *= h2
+        b *= 0.5 * (h / work.h) ** 3
+        p += b  # the opening half-kick
+        r += p
+        state.time += h
+        for i in range(2, n_steps + 1):
             # looked up as a module global on every call, so a wrapper put on
             # it (a counter, a tracer) sees every force evaluation
-            accel = rhs_displacement(state, force, buffers)
-            kick = dt
-            state.time += dt
-            if (i + 1) % CHECK_EVERY == 0:
-                _check_amplitude(state)
-        w += np.multiply(accel, 0.5 * dt, out=buffers[0])
-    return accel
+            _add_force(pv, rv, av, in_step, work.col)
+            r += p
+            state.time += h
+            if i % CHECK_EVERY == 0:
+                _check_amplitude(state, (h, h2))
+        _force_into_b(rv, work, in_rows)
+        p += np.multiply(b, 0.5, out=a)  # the closing half-kick
+        r /= h
+        p /= h2
+    work.h = h
 
 
 def integrate(state: LatticeState, force: ForceLaw, dt_max_step: float,
@@ -354,16 +478,21 @@ def integrate(state: LatticeState, force: ForceLaw, dt_max_step: float,
     the next step overwrites it, so an observer copies any state it keeps.
     Over S steps the force is evaluated S + 1 times.
     """
-    current = state.copy()
-    buffers = _buffers(current)
-    accel = rhs_displacement(current, force, buffers)
+    if state.form != "displacement":
+        raise FormMismatch("integrate needs displacement form")
+    current = LatticeState.from_arrays(state.form, state.time,
+                                       [_aligned_copy(f) for f in state.arrays()])
+    work = _Work(current.n_side, force)
+    # the force at t0 for step 1, where it is the acceleration; the first
+    # march rescales it to its own step
+    _force_into_b(_views(current.q), work, work.laws(force, 1.0)[1])
     for t_target in sample_times:
         if t_target < current.time - 1e-12:
             raise ValueError("sample times must be ascending")
         span = t_target - current.time
         if span > 1e-12:
             n_steps = max(1, int(np.ceil(span / dt_max_step - 1e-12)))
-            accel = _march(current, force, span / n_steps, n_steps, accel, buffers)
+            _march(current, force, span / n_steps, n_steps, work)
             current.time = t_target
         _check_amplitude(current)
         observer(current)

@@ -424,9 +424,12 @@ class TestEnvelopeSharing:
         assert boxes == [8.0]
 
     def test_failing_sweep_cancels_the_queued_groups(self, monkeypatch):
-        # on two threads the groups are [0.25, 0.4] and [0.32]; the run at
-        # 0.25 raises only once the second solve has started, and that solve
-        # ends only after the failure, so the runs of [0.32] are still queued
+        # on two threads the tasks are the solve of [0.25, 0.4], its two runs,
+        # then the solve of [0.32] and its run.  The run at 0.4 returns at
+        # once, so the thread that ends the first solve takes it and then the
+        # second solve; the run at 0.25 raises only once that solve has
+        # started, and the solve ends only after the failure, so the run of
+        # [0.32] is still queued
         boxes = _count_solves(monkeypatch)
         second_solve, lattice_failed = threading.Event(), threading.Event()
         counting, real_integrate = harness.evolve, harness.integrate
@@ -435,6 +438,8 @@ class TestEnvelopeSharing:
 
         def run_lattice(plan, disp, eps, *args, **kwargs):
             runs.append(eps)
+            if eps == 0.4:
+                return {"eps": eps}
             return real_run(plan, disp, eps, *args, **kwargs)
 
         def evolve(*args, **kwargs):
@@ -461,20 +466,39 @@ class TestEnvelopeSharing:
         assert lattice_failed.is_set()
         assert (left, type(raised)) == (0, UnstableStep)
         assert boxes == [8.0, 0.32 * 28]
-        assert runs == [0.25]
+        assert runs == [0.25, 0.4]
+
+    @pytest.mark.parametrize("variant", ["strain", "displacement"])
+    def test_sweep_records_match_at_every_width(self, monkeypatch, variant):
+        # the benchmark's eps 0.25/0.2/0.16: the group [0.2, 0.25] on box 40
+        # is three tasks, and widths 1, 2 and 3 run them one after another,
+        # beside one other task or all at once
+        texts = set()
+        for width in (1, 2, 3):
+            monkeypatch.setenv("FPUT2D_THREADS", str(width))
+            report = run_sweep(self.quick_plan(variant=variant, workers=width,
+                                               eps_list=(0.25, 0.2, 0.16)))
+            report["metadata"].pop("wall_time_s")
+            report["metadata"].pop("config_hash")
+            report["plan"].pop("workers")
+            for rec in report["per_eps"]:
+                assert rec.pop("wall_time_s") > 0
+            texts.add(report_to_json(report))
+        assert len(texts) == 1
 
     @pytest.mark.parametrize("variant", ["strain", "displacement"])
     def test_grouped_records_match_single_runs(self, monkeypatch, variant):
-        # small_plan's 0.25 and 0.4 share box 8.0; at width 2 the solve puts
-        # each sample only once the run at 0.25 has asked for it, so that run
-        # waits on every sample while the solve still writes and keeps it, and
-        # the run at 0.4 drops each one once observed
+        # small_plan's 0.25 and 0.4 share box 8.0, each run a task after the
+        # solve's; from width 2 the solve puts each sample only once a run
+        # has asked for it, so that run waits on every sample while the solve
+        # still writes and keeps it; at width 3 both runs read beside the
+        # solve, and a sample is dropped once both have read it
         plan = small_plan(variant=variant)
         singles = [run_single(plan, eps) for eps in (0.25, 0.4)]
         for rec in singles:
             rec.pop("wall_time_s")
         boxes = _count_solves(monkeypatch)
-        for width in (1, 2):
+        for width in (1, 2, 3):
             boxes.clear()
             monkeypatch.setenv("FPUT2D_THREADS", str(width))
             with monkeypatch.context() as m:
@@ -482,9 +506,9 @@ class TestEnvelopeSharing:
                     asked = [threading.Event() for _ in range(plan.sample_count)]
                     real_get, real_put = harness._EnvelopeSamples.get, harness._EnvelopeSamples.put
 
-                    def get(samples, i, release=False):
+                    def get(samples, i):
                         asked[i].set()
-                        return real_get(samples, i, release)
+                        return real_get(samples, i)
 
                     def put(samples, field, h4):
                         k = len(samples.diag)
@@ -630,6 +654,36 @@ class TestOverlappedSolve:
         assert type(raised) is EnvelopeBlowup
         assert "exceeded 300.0" in str(raised)
 
+    def test_failing_envelope_takes_precedence_over_its_runs(self, monkeypatch):
+        # small_plan's 0.25 and 0.4 share one solve, and on three threads both
+        # runs start beside it; the solve raises only after a run has failed,
+        # and the call still raises the solve's error
+        run_failed = threading.Event()
+        real_evolve, real_integrate = harness.evolve, harness.integrate
+
+        def late_evolve(*args, **kwargs):
+            try:
+                return real_evolve(*args, **kwargs)
+            except EnvelopeBlowup:
+                run_failed.wait(timeout=30)
+                raise
+
+        def integrate(*args, **kwargs):
+            try:
+                return real_integrate(*args, **kwargs)
+            except UnstableStep:
+                run_failed.set()
+                raise
+
+        monkeypatch.setattr(harness, "evolve", late_evolve)
+        monkeypatch.setattr(harness, "integrate", integrate)
+        plan = small_plan(amplitude=3.0, blowup_guard=300.0, workers=3)
+        left, raised = _threads_left_by(lambda: harness._run_groups(plan, [[0.25, 0.4]], 3))
+        assert run_failed.is_set()
+        assert left == 0
+        assert type(raised) is EnvelopeBlowup
+        assert "exceeded 300.0" in str(raised)
+
     @pytest.mark.parametrize("amplitude, guard", [(1.5, 10), (80, 1e4)])
     def test_simulate_exits_3_on_envelope_blowup(self, monkeypatch, tmp_path, capsys,
                                                   recwarn, amplitude, guard):
@@ -653,7 +707,7 @@ class TestOverlappedSolve:
         return EnvelopeField(2.0, np.full((4, 4), k, dtype=complex), 0.01 * k)
 
     def test_observer_waits_only_for_its_own_sample(self):
-        samples = harness._EnvelopeSamples(2)
+        samples = harness._EnvelopeSamples(2, 1)
         observed = threading.Event()
 
         def solve(on_sample):
@@ -673,7 +727,7 @@ class TestOverlappedSolve:
         # a short switch interval interleaves the solve and the observer at
         # many more points than a run does
         count = 300
-        samples = harness._EnvelopeSamples(count)
+        samples = harness._EnvelopeSamples(count, 1)
         refs = []
 
         def solve(on_sample):
@@ -687,12 +741,52 @@ class TestOverlappedSolve:
         try:
             _, got = harness._run_tasks(2, [
                 lambda: samples.produce(solve),
-                lambda: [samples.get(i, release=True).a[0, 0].real for i in range(count)]])
+                lambda: [samples.get(i).a[0, 0].real for i in range(count)]])
         finally:
             sys.setswitchinterval(interval)
         assert got == list(range(count))
         assert [row[2] for row in samples.diag] == list(range(count))
         # the observed samples are gone; the final one stays for the record
+        assert all(ref() is None for ref in refs[:-1])
+        assert samples.get(count - 1) is refs[-1]()
+
+
+    def test_two_readers_release_a_sample_once_both_have_read_it(self):
+        # the runs of one group read each sample; the first reads every one
+        # while the second waits, and every sample is still held; then the
+        # second reads them under frequent switches, and all but the final
+        # one are gone
+        count = 300
+        samples = harness._EnvelopeSamples(count, 2)
+        refs, first_done = [], threading.Event()
+        held_after_first = []
+
+        def solve(on_sample):
+            for k in range(count):
+                field = self._sample(k)
+                refs.append(weakref.ref(field))
+                on_sample(field, float(k))
+
+        def first():
+            got = [samples.get(i).a[0, 0].real for i in range(count)]
+            held_after_first.extend(ref() is not None for ref in refs)
+            first_done.set()
+            return got
+
+        def second():
+            if not first_done.wait(timeout=30):
+                raise TimeoutError("the first reader did not finish")
+            return [samples.get(i).a[0, 0].real for i in range(count)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _, got_first, got_second = harness._run_tasks(
+                3, [lambda: samples.produce(solve), first, second])
+        finally:
+            sys.setswitchinterval(interval)
+        assert got_first == got_second == list(range(count))
+        assert held_after_first == [True] * count
         assert all(ref() is None for ref in refs[:-1])
         assert samples.get(count - 1) is refs[-1]()
 

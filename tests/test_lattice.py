@@ -1,4 +1,4 @@
-"""Tests for the FPUT lattice right-hand sides, integrator, and diagnostics."""
+"""Tests for the FPUT lattice force, integrator, and diagnostics."""
 
 import re
 import tracemalloc
@@ -18,7 +18,6 @@ from fput2d.lattice import (
     energy,
     integrate,
     perturbed_force,
-    rhs_displacement,
     strain_from_displacement,
 )
 
@@ -52,8 +51,22 @@ def smooth_strain_state(n, seed, amplitude):
 
 
 def acceleration(state, force):
-    """rhs_displacement into work arrays built for this call."""
-    return rhs_displacement(state, force, work_arrays(state.n_side))
+    """The force a march evaluates, at step h = 1, where it is the
+    displacement form's acceleration: into work arrays built for this call."""
+    work = lattice._Work(state.n_side, force)
+    lattice._force_into_b(lattice._views(state.q), work, work.laws(force, 1.0)[1])
+    return work.b
+
+
+def bond_force(force, u, direction):
+    """W'(u) written out: the oracle of the march's bond law (cubes as
+    products: u**3 of an array is a slow scalar pow loop)."""
+    u3 = u * u * u
+    if force.kind == "cubic_baseline":
+        return u - u3
+    a, b, g = (getattr(force, f"{name}_{direction}") for name in ("alpha", "beta", "gamma"))
+    e = force.eps
+    return u + a * e**3 * u + b * e**2 * u * u - u3 + g * e * u3
 
 
 def forward_diff(f, axis):
@@ -71,8 +84,8 @@ def strain_accelerations(state, force):
 def second_difference_rhs_strain(u, v, force):
     """The strain accelerations written out as second differences of the bond
     forces (the oracle for the differenced displacement acceleration)."""
-    fu = force.w_prime(u, "x", np.empty_like(u))
-    fv = force.w_prime(v, "y", np.empty_like(v))
+    fu = bond_force(force, u, "x")
+    fv = bond_force(force, v, "y")
     d2u = (
         np.roll(fu, -1, axis=0) - 2.0 * fu + np.roll(fu, 1, axis=0)
         + np.roll(fv, -1, axis=0) - np.roll(fv, (-1, 1), axis=(0, 1))
@@ -128,17 +141,22 @@ class TestRhsDisplacement:
         a = acceleration(displacement_state(q=2.7 * np.ones((16, 16))), BASE)
         assert np.all(a == 0.0)
 
-    def test_form_mismatch(self):
+    def test_form_mismatch(self, monkeypatch):
+        # the force is the displacement form's: integrate refuses a strain
+        # state before it evaluates one
+        calls = []
+        monkeypatch.setattr(lattice, "_add_force", lambda *args: calls.append(1))
         s = LatticeState("strain", u=np.zeros((8, 8)), v=np.zeros((8, 8)),
                          ut=np.zeros((8, 8)), vt=np.zeros((8, 8)))
         with pytest.raises(FormMismatch):
-            acceleration(s, BASE)
+            integrate(s, BASE, 0.1, [0.5], lambda st: None)
+        assert calls == []
 
 
 class TestRhsStrain:
     """The strain flow is the forward difference of the displacement flow:
-    its accelerations, the differences of rhs_displacement, against the
-    second-difference oracle."""
+    its accelerations, the differences of the march's force at h = 1,
+    against the second-difference oracle."""
 
     def test_zero(self):
         d2u, d2v = strain_accelerations(displacement_state(8), BASE)
@@ -180,13 +198,16 @@ class TestRhsStrain:
             assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
 
     def test_out_buffers_receive_the_result(self):
-        # the acceleration lands in the last work array and does not depend
-        # on what the arrays held before
+        # the force lands in work.b and does not depend on what the work
+        # arrays held before
         s = smooth_displacement_state(16, 13, 0.2)
-        out = tuple(np.full((16, 16), np.nan) for _ in range(3))
-        a = rhs_displacement(s, BASE, out)
-        assert a is out[2]
-        assert np.array_equal(a, acceleration(s, BASE))
+        for make in FORCE_LAWS.values():
+            force = make(16)
+            work = lattice._Work(16, force)
+            for a in (work.a, work.b, work.rows, work.col):
+                a.fill(np.nan)
+            lattice._force_into_b(lattice._views(s.q), work, work.laws(force, 1.0)[1])
+            assert np.array_equal(work.b, acceleration(s, force))
 
     def test_plane_wave_linear_part(self):
         # small-amplitude plane wave: d2u ~ -omega^2 u + O(amp^3)
@@ -336,16 +357,16 @@ class TestVerlet:
     def test_one_force_evaluation_per_step(self, form, monkeypatch):
         # a strain run steps (q, w) too and is observed through the differences
         calls = []
-        original = lattice.rhs_displacement
+        original = lattice._add_force
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(lattice, "rhs_displacement", counted)
+        monkeypatch.setattr(lattice, "_add_force", counted)
         seen = []
         view = strain_from_displacement if form == "strain" else LatticeState.copy
-        # 3 + 4 + 5 steps over three sample segments, plus the sample at t0
+        # 3 + 4 + 5 steps over three sample segments, plus the force at t0
         final = integrate(smooth_displacement_state(16, 17, 0.1), BASE, 0.1,
                           [0.0, 0.3, 0.7, 1.2], lambda st: seen.append(view(st)))
         assert final.time == pytest.approx(1.2)
@@ -354,22 +375,67 @@ class TestVerlet:
 
     @pytest.mark.parametrize("law", sorted(FORCE_LAWS))
     def test_march_allocates_no_lattice_array(self, law):
-        # a step works in the state and its three buffers; a flat pass through
-        # a ravel() copy, or any N x N temporary, would show as a peak of at
-        # least one N x N float64 array
+        # a march works in the state, its two work arrays and the block of
+        # rows; a flat pass through a ravel() copy, or any N x N temporary,
+        # would show as a peak of at least one N x N float64 array
         n = 64
         state = smooth_displacement_state(n, 19, 0.1)
         force = FORCE_LAWS[law](n)
-        buffers = lattice._buffers(state)
-        accel = lattice.rhs_displacement(state, force, buffers)
-        accel = lattice._march(state, force, 0.1, 1, accel, buffers)  # warm-up
+        work = lattice._Work(n, force)
+        lattice._force_into_b(lattice._views(state.q), work, work.laws(force, 1.0)[1])
+        lattice._march(state, force, 0.1, 1, work)  # warm-up
         tracemalloc.start()
         try:
-            lattice._march(state, force, 0.1, 50, accel, buffers)
+            lattice._march(state, force, 0.1, 50, work)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8
+
+    def test_work_arrays_are_two_and_aligned(self):
+        # two N x N work arrays and a block of at most N/2 rows, each starting
+        # on a cache line, as the march's copy of the state does
+        n = 200
+        work = lattice._Work(n, perturbed_force(n, 0.2, 1.0, seed=1))
+        arrays = [a for a in vars(work).values()
+                  if isinstance(a, np.ndarray) and a.shape == (n, n)]
+        assert len(arrays) == 2 and work.rows.shape[0] <= n // 2
+        assert all(a.ctypes.data % 64 == 0 for a in (*arrays, work.rows))
+
+    @pytest.mark.parametrize("layout", ["fortran", "complex_real", "padded_rows"])
+    def test_state_of_any_layout_steps_alike(self, layout):
+        # integrate steps an aligned C-ordered copy, whatever the input layout
+        same_values = {"fortran": np.asfortranarray, "complex_real": lambda a: (a + 1j).real,
+                       "padded_rows": lambda a: np.pad(a, ((0, 0), (0, 3)))[:, :a.shape[1]]}
+        s = smooth_displacement_state(16, 20, 0.3)
+        other = displacement_state(16, q=same_values[layout](s.q), w=same_values[layout](s.w))
+        assert not other.q.flags.c_contiguous
+        got, want = (integrate(st, BASE, 0.05, [1.0], lambda st: None) for st in (other, s))
+        for g, w in zip(got.arrays(), want.arrays(), strict=True):
+            assert np.array_equal(g, w)
+
+    def test_finite_overflow_is_reported_in_the_state_units(self):
+        # 2e6 planted in q at (15, 15) at t = 10 dt: with dt = 1e-10 its force
+        # drives w there past the guard at once but moves q by less than 20 in
+        # CHECK_EVERY steps.  The march holds r = dt q and p = dt^2 w, where
+        # that q reads 2e-4; the guard, checked every CHECK_EVERY steps, still
+        # reports q, the first array, in its own units, at the planted site
+        dt, k = 1e-10, lattice.CHECK_EVERY
+
+        def plant(st):
+            if st.time > 0.0:
+                st.q[15, 15] = 2e6
+
+        with pytest.raises(UnstableStep) as info:
+            integrate(smooth_displacement_state(32, 16, 0.1), BASE, dt,
+                      [0.0, k * dt, 4 * k * dt], plant)
+        found = re.search(r"^q = (\S+) at site \(m, n\) = \((\d+), (\d+)\), t = (\S+):",
+                          str(info.value))
+        assert found is not None, str(info.value)
+        value, site, t = float(found[1]), (int(found[2]), int(found[3])), float(found[4])
+        assert site == (15, 15)
+        assert abs(value - 2e6) < 100
+        assert k * dt < t <= 2 * k * dt * (1 + 1e-9)
 
     def test_integrate_takes_displacement_form_only(self):
         with pytest.raises(FormMismatch):
@@ -465,7 +531,7 @@ class TestEnergy:
                      + sum(np.sum(force.w_potential(np.roll(state.q, -1, axis) - state.q, d,
                                                     work_arrays(n)[:2]))
                            for axis, d in ((0, "x"), (1, "y"))))
-        assert energy(state, force, lattice._buffers(state)) == want
+        assert energy(state, force, work_arrays(n)) == want
 
 
 class TestCompatibility:
@@ -492,7 +558,7 @@ class TestCompatibility:
         want = float(np.max(np.abs((np.roll(s.u, -1, 1) - s.u) - (np.roll(s.v, -1, 0) - s.v)))
                      + np.max(np.abs((np.roll(s.ut, -1, 1) - s.ut)
                                      - (np.roll(s.vt, -1, 0) - s.vt))))
-        assert compatibility_defect(s, lattice._buffers(s)) == want
+        assert compatibility_defect(s, work_arrays(16)) == want
 
     def test_defect_invariant_short_run(self):
         # the strain-form oracle flow keeps the constraint, and the strain
@@ -603,8 +669,13 @@ class TestPerturbedForce:
             force = u + a * eps**3 * u + b * eps**2 * u**2 - u**3 + g * eps * u**3
             potential = (u**2 / 2 + a * eps**3 * u**2 / 2 + b * eps**2 * u**3 / 3
                          - u**4 / 4 + g * eps * u**4 / 4)
-            np.testing.assert_allclose(f.w_prime(u, d, np.empty_like(u)), force,
-                                       rtol=1e-12, atol=0)
+            for h in (1.0, 0.05):
+                # the march's law on the scaled strains h u is h^3 W'(u)
+                beta = h * u
+                work = lattice._Work(16, f)
+                k = f.scaled_coefficients(h, work.k)["xy".index(d)]
+                lattice._bond_law([(beta, np.empty_like(u), k)])
+                np.testing.assert_allclose(beta, h**3 * force, rtol=1e-12, atol=0)
             np.testing.assert_allclose(f.w_potential(u, d, work_arrays(16)[:2]), potential,
                                        rtol=1e-12, atol=0)
 
@@ -617,6 +688,29 @@ class TestPerturbedForce:
         q = smooth_random_field(n, rng, 0.3)
         s = displacement_state(n, q=q)
         assert np.array_equal(acceleration(s, pert), acceleration(s, BASE))
+
+    @pytest.mark.parametrize("h", [1.0, 0.05, 0.0123])
+    def test_scaled_zero_coefficients_bitwise_cubic(self, h):
+        # the Horner form at (h^2 (1 + 0), h 0, 0 eps - 1) rounds as the cubic
+        # law's beta (h^2 - beta^2), bit for bit, and so do whole runs
+        n = 16
+        z = np.zeros((n, n))
+        pert = ForceLaw(kind="perturbed", eps=0.1, alpha_x=z, beta_x=z, gamma_x=z,
+                        alpha_y=z, beta_y=z, gamma_y=z)
+        beta = np.random.default_rng(8).uniform(-0.5, 0.5, size=(n, n)) * h
+        laws = []
+        for force in (BASE, pert):
+            work = lattice._Work(n, force)
+            for k in force.scaled_coefficients(h, work.k):
+                out = beta.copy()
+                lattice._bond_law([(out, np.empty((n, n)), k)])
+                laws.append(out)
+        assert np.array_equal(laws[0], laws[2]) and np.array_equal(laws[1], laws[3])
+        s = smooth_displacement_state(n, 21, 0.3)
+        runs = [integrate(s, force, 0.05, [0.0, 0.5, 1.2], lambda st: None)
+                for force in (BASE, pert)]
+        for a, b in zip(runs[0].arrays(), runs[1].arrays()):
+            assert np.array_equal(a, b)
 
     def test_bound_enforced(self):
         n = 8
