@@ -17,6 +17,9 @@ field is thus a scalar weight times one of four harmonic basis fields of the
 one envelope Q on the envelope grid: Q, Q conj(Q)^2, Q^3 and conj(Q)^3 for
 j = 1, -1, 3, -3.  Each is transformed and resampled once (without
 corrections: two FFTs on the envelope grid, two inverse FFTs on the lattice).
+The three correction products have three times Q's bandwidth; they are
+formed on the envelope grid zero-padded to 2M points, where they do not
+alias onto Q's M modes, and resampled from there.
 sample_ansatz returns a LatticeState whose positions are the fields and whose
 velocities are their exact first time derivatives, assembled by the chain
 rule in Fourier space with dQ/dT from the envelope equation's right-hand
@@ -43,15 +46,16 @@ velocity term of the time derivative, the index blocks of the resampling,
 the carrier phase along n, the harmonic weights and the residual's lattice
 multipliers, all on the lattice's modes) and the buffers every sample is
 written into (one envelope-grid array, four lattice-grid complex arrays
-and the state's real arrays).  Between the envelope FFTs
-and the lattice inverse FFTs all arithmetic runs on the lattice's modes,
-in place, with the same floating-point operations per mode as on the
-envelope grid.  sample_ansatz, residual_norm and build_initial_data take it
-as their first argument and read the carrier, eps, lattice side and form
-from it; the envelope they are given must have its grid side and box.  The
-state sample_ansatz returns is live: its arrays are the workspace's, and
-the next call on that workspace (residual_norm too) overwrites them, so a
-caller copies what it keeps.  A workspace serves one thread.
+and the state's real arrays, all on 64-byte cache lines).  Between the
+envelope FFTs and the lattice inverse FFTs all arithmetic runs on the
+lattice's modes, in place, with the same floating-point operations per mode
+as on the envelope grid.  sample_ansatz, residual_norm and
+build_initial_data take it as their first argument and read the carrier,
+eps, lattice side and form from it; the envelope they are given must have
+its grid side and box.  The state sample_ansatz returns is live: its arrays
+are the workspace's, and the next call on that workspace (residual_norm
+too) overwrites them, so a caller copies what it keeps.  A workspace serves
+one thread.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ from .dispersion import DispersionData, correction_coefficients
 from .lattice import (
     _ARRAY_NAMES,
     LatticeState,
+    _aligned_empty,
     _divergence,
     _forward_diff,
     strain_from_displacement,
@@ -76,8 +81,8 @@ class FootprintExceeded(ValueError):
 
 
 def _correction_products(a: np.ndarray, a_t: np.ndarray) -> dict[int, tuple]:
-    """The envelope-grid basis fields B_j of the correction harmonics j = -1,
-    3, -3, Q conj(Q)^2, Q^3 and conj(Q)^3, and dB_j/dT, from Q and dQ/dT."""
+    """The basis fields B_j of the correction harmonics j = -1, 3, -3, Q
+    conj(Q)^2, Q^3 and conj(Q)^3, and dB_j/dT, from Q and dQ/dT on one grid."""
     ac, ac_t = np.conj(a), np.conj(a_t)
     return {-1: (a * ac**2, a_t * ac**2 + 2 * a * ac * ac_t),
             3: (a**3, 3 * a * a * a_t),
@@ -177,12 +182,17 @@ class AnsatzWorkspace:
         m, n = env.grid_side, n_side
         self.disp, self.eps, self.n_side, self.form = disp, eps, n, form
         self._grid = (m, env.box_length)
-        self._blocks, self._pad, reads = _resample_map(m, n)
+        self._blocks, self._pad, _ = _resample_map(m, n)
+        # the correction products' grid, the envelope grid padded to 2M points
+        # (see _corrections): from the M modes to it, and from it to the lattice
+        self._pad_blocks = _resample_map(m, 2 * m)[0]
+        self._wide_blocks, self._wide_pad, reads = _resample_map(2 * m, n)
         self._prob = NlsProblem(disp.hessian, disp.gamma_q)
-        # per lattice mode: the envelope wavenumber it carries, and i times the
-        # envelope equation's linear symbol and the group-velocity symbol c . K
+        # per lattice mode: the envelope wavenumber it carries (the M- and
+        # 2M-point grids of one box share theirs), and i times the envelope
+        # equation's linear symbol and the group-velocity symbol c . K
         # (complex, so that no product with them casts a real array)
-        self._k = env.wavenumbers_1d()[reads]
+        self._k = 2 * np.pi * np.fft.fftfreq(2 * m, d=env.spacing / 2)[reads]
         symbol = _respec(linear_symbol(env, self._prob), np.zeros((n, n)), self._blocks)
         self._i_symbol = 1j * symbol
         cx, cy = disp.group_velocity
@@ -195,11 +205,14 @@ class AnsatzWorkspace:
         self._coefficients: dict[bool, dict[str, dict[int, complex]]] = {}
         w, self._inv_8iw = _lattice_multipliers(n)
         self._iw = 1j * w
-        self._env = np.empty((m, m), dtype=complex)
-        # lattice grid: harmonic 1's field and time derivative, and two scratch arrays
+        self._env = _aligned_empty((m, m), complex)
+        # lattice grid: harmonic 1's field and time derivative, and two scratch
+        # arrays; a sample reads the first two's pad modes before it zeroes them
         self._pos, self._vel, self._tmp, self._spare = (
-            np.zeros((n, n), dtype=complex) for _ in range(4))
-        self.arrays = tuple(np.empty((n, n)) for _ in _ARRAY_NAMES[form])
+            _aligned_empty((n, n), complex) for _ in range(4))
+        self._pos.fill(0.0)
+        self._vel.fill(0.0)
+        self.arrays = tuple(_aligned_empty((n, n)) for _ in _ARRAY_NAMES[form])
 
     def coefficients(self, corrections: bool) -> dict[str, dict[int, complex]]:
         """Per position array, eps^p times the weight of each harmonic (p = 1
@@ -242,18 +255,15 @@ class AnsatzWorkspace:
         a_hat = _fft2(e)
         _respec(a_hat, self._pos, self._blocks)
         self._vel += np.multiply(self._i_symbol, self._pos, out=self._tmp)
-        basis = [(1, (self._pos, self._vel))]
+        basis = [(1, self._scale, self._pad, (self._pos, self._vel))]
         if corrections:
             cubic_hat += 1j * linear_symbol(env, self._prob) * a_hat
-            a_t = _ifft2(cubic_hat)
-            basis += [(j, tuple(_respec(_fft2(f), np.zeros_like(self._pos), self._blocks)
-                                for f in fields))
-                      for j, fields in _correction_products(a, a_t).items()]
+            basis += self._corrections(a_hat, cubic_hat)
         w0 = self.disp.omega0
         harmonics = []
-        for j, (b_hat, b_t_hat) in basis:
+        for j, scale, pad, (b_hat, b_t_hat) in basis:
             self._time_derivative(j, b_hat, b_t_hat)
-            field, derivative = self.resample([b_hat, b_t_hat], t)
+            field, derivative = self.resample([b_hat, b_t_hat], t, scale, pad)
             # times the carrier phase e^{i j theta}, an outer product over m and n
             phase = np.outer(np.exp(1j * j * (self._km + w0 * t)), self._phase_n[j],
                              out=self._tmp)
@@ -261,6 +271,27 @@ class AnsatzWorkspace:
             derivative *= phase
             harmonics.append((j, (field, derivative)))
         return harmonics
+
+    def _corrections(self, a_hat: np.ndarray, a_t_hat: np.ndarray) -> list:
+        """(j, scale, pad, (DFT of B_j, DFT of dB_j/dT)) of the correction
+        harmonics, from the DFTs of Q and dQ/dT on the envelope grid.
+
+        Q and dQ/dT are evaluated on the envelope grid zero-padded to 2M
+        points, where a cubic product of Q's M modes does not alias onto them
+        (Orszag's rule, at twice the size for cubic products); its modes
+        beyond them, up to the 2M-point band, are kept too, and only its tail
+        past that band folds onto them.  Each product's DFT moves to the
+        lattice's modes, to be resampled with the 2M-point grid's scale and
+        pad modes."""
+        m = self._grid[0]
+        # the 2M-point inverse DFT's 1/size is a quarter of the M-point one's
+        a, a_t = (4 * _ifft2(_respec(f, np.zeros((2 * m, 2 * m), dtype=complex),
+                                     self._pad_blocks))
+                  for f in (a_hat, a_t_hat))
+        return [(j, self._scale / 4, self._wide_pad,
+                 tuple(_respec(_fft2(f), np.zeros_like(self._pos), self._wide_blocks)
+                       for f in fields))
+                for j, fields in _correction_products(a, a_t).items()]
 
     def _time_derivative(self, j: int, b_hat: np.ndarray, b_t_hat: np.ndarray) -> None:
         """b_t_hat, the DFT of dB_j/dT, becomes in place the DFT of
@@ -275,20 +306,23 @@ class AnsatzWorkspace:
         tmp *= b_hat
         b_t_hat += tmp
 
-    def resample(self, spectra: list[np.ndarray], t: float) -> list[np.ndarray]:
+    def resample(self, spectra: list[np.ndarray], t: float, scale: float,
+                 pad: np.ndarray | None) -> list[np.ndarray]:
         """Envelope-grid fields, given by their DFTs already moved to the
         lattice's modes, evaluated at the lattice's scaled moving-frame points
         at time t: the frame's phase shift and the pad modes zeroed in place,
-        then the inverse FFT, in the spectrum's own array."""
+        then the inverse FFT, in the spectrum's own array.  scale is N^2 over
+        the size of the grid the DFTs were taken on, and pad the mask of the
+        lattice modes that grid does not reach (None when it reaches all)."""
         eps, k = self.eps, self._k
         cx, cy = self.disp.group_velocity
-        shift = np.outer(self._scale * np.exp(1j * eps * cx * t * k),
+        shift = np.outer(scale * np.exp(1j * eps * cx * t * k),
                          np.exp(1j * eps * cy * t * k), out=self._tmp)
         fields = []
         for s in spectra:
             s *= shift
-            if self._pad is not None:
-                s[self._pad] = s[:, self._pad] = 0.0
+            if pad is not None:
+                s[pad] = s[:, pad] = 0.0
             fields.append(_ifft2(s))
         return fields
 

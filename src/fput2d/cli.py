@@ -107,9 +107,10 @@ def cmd_coeffs(plan: ExperimentPlan) -> int:
     return EXIT_OK
 
 
-def _boxes(plan: ExperimentPlan, eps_values) -> list[tuple[float, float]]:
-    """(eps, envelope box length eps*N) of each eps a command runs."""
-    return [(eps, envelope_box(plan, eps)) for eps in eps_values]
+def _boxes(plan: ExperimentPlan, eps_values) -> list[tuple[float, float, int]]:
+    """(eps, envelope box length eps*N, envelope grid side) of each eps a
+    command runs."""
+    return [(eps, envelope_box(plan, eps), plan.resolved_grid_side()) for eps in eps_values]
 
 
 def cmd_simulate(plan: ExperimentPlan, out_dir: Path) -> int:
@@ -136,7 +137,7 @@ def cmd_simulate(plan: ExperimentPlan, out_dir: Path) -> int:
                           d if d is not None else nan, amp)
     files.append(path.name)
     path = out_dir / "envelope_diag.csv"
-    with DiagnosticsCsv(path, ["T", "mass", "h4proxy", "max_amp"]) as csv_out:
+    with DiagnosticsCsv(path, ["T", "mass", "h4proxy", "max_amp", "spectral_tail"]) as csv_out:
         for row in record["envelope_diag"]:
             csv_out.write(*row)
     files.append(path.name)

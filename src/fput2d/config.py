@@ -6,9 +6,10 @@ of ExperimentPlan; each field's metadata carries its help text and, where
 one applies, the rule its value must meet.  load_plan converts every value
 to the type of the field's default and rejects unknown keys, unreadable
 values and broken rules with ConfigError, before any work starts; two rules
-span several keys: the envelope grid spacing eps*n_side/grid_side must not
-exceed 0.5 at eps and at every eps_list value, and an explicit n_side must be
-at least 8 and a multiple of the carrier's lattice periods.  Carrier
+span several keys: an explicit grid_side must keep the envelope grid spacing
+eps*n_side/grid_side at or below 0.5 at eps and at every eps_list value (at
+grid_side = 0 the smallest power of two that does is taken), and an explicit
+n_side must be at least 8 and a multiple of the carrier's lattice periods.  Carrier
 components are given in multiples of pi so that the standard quarter-pi
 carriers are exact in config text; each must have a small lattice period
 (carrier_period), which the lattice side N is then a multiple of.
@@ -79,9 +80,10 @@ class ExperimentPlan:
     eps_list: tuple = _key((0.2, 0.14, 0.1), "strictly descending sweep values in (0, 0.5)")
     t0: float = _key(1.0, "slow-time horizon T0", *_POSITIVE)
     box_length: float = _key(40.0, "envelope box side L", *_POSITIVE)
-    grid_side: int = _key(256, "envelope grid side M; needs eps*N/M <= 0.5 at every eps",
-                          "a power of two",
-                          lambda m: m >= 2 and m & (m - 1) == 0)
+    grid_side: int = _key(0, "envelope grid side M; 0 = rule: the smallest power of two "
+                             "with eps*N/M <= 0.5 at every eps; else one that meets that",
+                          "0 or a power of two",
+                          lambda m: m == 0 or (m >= 2 and m & (m - 1) == 0))
     n_side: int = _key(0, "lattice side; 0 = rule ceil(L/eps) to a multiple of 4 and of "
                           "the carrier's lattice periods; else >= 8 and a multiple of "
                           "those periods",
@@ -139,6 +141,18 @@ class ExperimentPlan:
             return self.n_side
         step = math.lcm(4, carrier_period(self.carrier_k_pi), carrier_period(self.carrier_l_pi))
         return int(np.ceil(self.box_length / eps / step) * step)
+
+    def resolved_grid_side(self) -> int:
+        """The envelope grid side M: grid_side, or at 0 the smallest power of
+        two with eps*N/M <= 0.5 at eps and at every eps_list value (128 at
+        the default box 40).  The rule reads no envelope, so a solve on its
+        grid is held to a tighter spectral tail (harness.RULE_TAIL)."""
+        if self.grid_side:
+            return self.grid_side
+        m = 2
+        while any(eps * self.n_side_for(eps) / m > 0.5 for eps in (self.eps, *self.eps_list)):
+            m *= 2
+        return m
 
     def dt_for(self, eps: float) -> float:
         # integrator phase error over T0/eps^2 steps then scales as eps^3,
@@ -249,8 +263,9 @@ def load_plan(path: str | None = None, overrides=()) -> ExperimentPlan:
             f"of {period}, the carrier's lattice period"
         )
     for eps in (plan.eps, *plan.eps_list):
-        # the envelope box is eps * n_side, sampled on grid_side points
-        spacing = eps * plan.n_side_for(eps) / plan.grid_side
+        # the envelope box is eps * n_side, sampled on grid_side points (the
+        # rule's side, at grid_side = 0, meets the bound by construction)
+        spacing = eps * plan.n_side_for(eps) / plan.resolved_grid_side()
         if spacing > 0.5:
             raise ConfigError(
                 f"config key 'grid_side': {plan.grid_side} is too coarse at eps = {eps}: "

@@ -63,9 +63,22 @@ from .lattice import (
     perturbed_force,
     strain_from_displacement,
 )
-from .nls import EnvelopeField, NlsProblem, edge_mass_fraction, evolve, gaussian_field, mass
+from .nls import (
+    TAIL_BOUND,
+    EnvelopeField,
+    NlsProblem,
+    edge_mass_fraction,
+    evolve,
+    gaussian_field,
+    mass,
+)
 
 DEFAULT_ERROR_FLOOR = 1e-10
+# the largest spectral tail a solve on the grid_side rule's grid may reach: a
+# grid the plan names is held only to nls.TAIL_BOUND.  At amplitude 1.5 the
+# default envelope reaches 7e-12 on 128 points, and its final sample differs
+# from a 256-point solve's by 2e-9 of its peak; at amplitude 2, 7e-8 and 7e-7
+RULE_TAIL = 1e-10
 
 
 class DegenerateFit(RuntimeError):
@@ -115,13 +128,12 @@ def _initial_envelope(plan: ExperimentPlan, eps: float) -> EnvelopeField:
     """The T = 0 displacement envelope Q on the torus that matches the lattice
     at eps.  plan.amplitude is the peak of Q in the displacement form and of
     the strain envelope (e^{ik0} - 1) Q in the strain form."""
-    box = envelope_box(plan, eps)
+    box, m = envelope_box(plan, eps), plan.resolved_grid_side()
     if plan.envelope_kind == "gaussian":
-        env = gaussian_field(box, plan.grid_side, plan.amplitude, plan.sigma)
+        env = gaussian_field(box, m, plan.amplitude, plan.sigma)
     elif plan.envelope_kind == "constant":
         # spatially uniform envelope: the ansatz reduces to a plane wave
-        env = EnvelopeField(box, np.full((plan.grid_side, plan.grid_side), plan.amplitude,
-                                         dtype=complex))
+        env = EnvelopeField(box, np.full((m, m), plan.amplitude, dtype=complex))
     else:
         raise ValueError(f"unknown envelope kind {plan.envelope_kind!r}")
     if plan.variant == "strain":
@@ -144,10 +156,14 @@ def _by_box(plan: ExperimentPlan, eps_values) -> list[list[float]]:
 def _solve_envelope(plan: ExperimentPlan, disp, env0: EnvelopeField,
                     sample_times, on_sample=None) -> list[EnvelopeField]:
     """The envelope equation solved from env0, captured at sample_times
-    (handed to on_sample as they are captured, when given)."""
+    (handed to on_sample as they are captured, when given).  On the grid the
+    grid_side rule chose, a spectral tail above RULE_TAIL stops it with
+    nls.EnvelopeUnresolved: the rule reads only the grid spacing, so a
+    narrower or stronger envelope than it suits must name its grid_side."""
     prob = NlsProblem(disp.hessian, disp.gamma_q, plan.dt_slow)
     return evolve(env0, prob, plan.t0, sample_times=sample_times,
-                  blowup_guard=plan.blowup_guard, on_sample=on_sample)
+                  blowup_guard=plan.blowup_guard, on_sample=on_sample,
+                  tail_bound=RULE_TAIL if plan.grid_side == 0 else TAIL_BOUND)
 
 
 def _sample_times(plan: ExperimentPlan) -> np.ndarray:
@@ -161,8 +177,9 @@ class _EnvelopeSamples:
 
     The solve calls put; an observer's get blocks only until its own sample
     is in.  Each sample but the final one is dropped once all `readers`
-    runs of the group have read it.  Each sample's envelope_diag row is
-    taken at capture, with the H^4 proxy the solve's guard read.
+    runs of the group have read it.  Each sample's envelope_diag row (T,
+    mass, H^4 proxy, max |Q|, spectral tail) is taken at capture, with the
+    H^4 proxy and the tail the solve's guards read.
     """
 
     def __init__(self, count: int, readers: int):
@@ -176,8 +193,8 @@ class _EnvelopeSamples:
         self._changed = threading.Condition()
         self.started: float | None = None  # wall clock at the start of the solve
 
-    def put(self, field: EnvelopeField, h4: float) -> None:
-        row = [field.slow_time, mass(field), h4, float(np.max(np.abs(field.a)))]
+    def put(self, field: EnvelopeField, h4: float, tail: float) -> None:
+        row = [field.slow_time, mass(field), h4, float(np.max(np.abs(field.a))), tail]
         with self._changed:
             self._fields.append(field)
             self._reads.append(0)

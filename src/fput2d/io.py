@@ -17,7 +17,7 @@ strain-form envelope held the strain envelope (e^{ik0} - 1) Q instead), and
 a file that ends before its header or payload does raises SnapshotTruncated.
 
 Diagnostics are plain CSV streams: lattice (t, energy, compat_defect,
-max_amp) and envelope (T, mass, h4proxy, max_amp).
+max_amp) and envelope (T, mass, h4proxy, max_amp, spectral_tail).
 """
 
 from __future__ import annotations
@@ -130,15 +130,17 @@ class DiagnosticsCsv:
 
 def write_manifest(out_dir, command: str, config_hash: str, files, envelope_boxes) -> Path:
     """Write manifest.json: the command, the plan hash, the package, Python,
-    numpy and scipy versions, the envelope box length of each (eps, box) pair
-    in envelope_boxes, and the files of the output directory."""
+    numpy and scipy versions, the envelope box length and grid side of each
+    (eps, box, grid side) in envelope_boxes, and the files of the output
+    directory."""
     path = Path(out_dir) / "manifest.json"
     manifest = {
         "command": command,
         "config_hash": config_hash,
         "versions": {"fput2d": __version__, "python": platform.python_version(),
                      "numpy": np.__version__, "scipy": scipy.__version__},
-        "envelope_boxes": [{"eps": eps, "box_length": box} for eps, box in envelope_boxes],
+        "envelope_boxes": [{"eps": eps, "box_length": box, "grid_side": side}
+                           for eps, box, side in envelope_boxes],
         "files": sorted(str(f) for f in files),
     }
     path.write_text(json.dumps(manifest, indent=2))

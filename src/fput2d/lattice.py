@@ -313,18 +313,18 @@ def _check_amplitude(state: LatticeState, scales=None) -> None:
                            f"t = {state.time}: outside the overflow guard |x| <= {g:g}")
 
 
-def _aligned_empty(shape: tuple[int, int]) -> np.ndarray:
-    """A new float64 array whose data starts on a 64-byte boundary, a cache
+def _aligned_empty(shape: tuple[int, int], dtype=np.float64) -> np.ndarray:
+    """A new array of dtype whose data starts on a 64-byte boundary, a cache
     line: a pass that writes into a misaligned array splits its vector
     stores across lines and can take twice as long."""
-    size = shape[0] * shape[1]
-    buf = np.empty(size + 7)
-    start = -buf.ctypes.data % 64 // 8
-    return buf[start:start + size].reshape(shape)
+    nbytes = shape[0] * shape[1] * np.dtype(dtype).itemsize
+    buf = np.empty(nbytes + 63, dtype=np.uint8)
+    start = -buf.ctypes.data % 64
+    return buf[start:start + nbytes].view(dtype).reshape(shape)
 
 
 def _aligned_copy(f: np.ndarray) -> np.ndarray:
-    out = _aligned_empty(f.shape)
+    out = _aligned_empty(f.shape, f.dtype)
     np.copyto(out, f)
     return out
 
@@ -502,7 +502,8 @@ def integrate(state: LatticeState, force: ForceLaw, dt_max_step: float,
 def energy(state: LatticeState, force: ForceLaw, buffers) -> float:
     """Total energy sum(w^2)/2 + sum of bond potentials (displacement form).
 
-    buffers holds three N x N work arrays (as _buffers makes them).
+    buffers holds three N x N float work arrays: the bond strains, the
+    summed terms and the bond potential's scratch.
     """
     if state.form != "displacement":
         raise FormMismatch("energy is defined for the displacement form")

@@ -23,6 +23,7 @@ from fput2d.lattice import (
 )
 from fput2d.nls import (
     DEFAULT_BLOWUP_GUARD,
+    TAIL_BOUND,
     EnvelopeField,
     NlsProblem,
     evolve,
@@ -163,14 +164,14 @@ def test_criterion_05_nls_solver():
     f = gaussian_field(40.0, 128, 1.0, 4.0)
     m0 = mass(f)
     f_end = evolve(f, NlsProblem(h, -3j, dT=1e-3), 1.0, sample_times=[1.0],
-                   blowup_guard=DEFAULT_BLOWUP_GUARD)[-1]
+                   blowup_guard=DEFAULT_BLOWUP_GUARD, tail_bound=TAIL_BOUND)[-1]
     mass_drift = abs(mass(f_end) - m0) / m0
 
     # linear Gaussian flow against the closed-form anisotropic evolution
     sigma, amp = 4.0, 1.0
     f0 = gaussian_field(40.0, 256, amp, sigma)
     lin = evolve(f0, NlsProblem(h, 0j, dT=1e-2), 1.0, sample_times=[1.0],
-                 blowup_guard=DEFAULT_BLOWUP_GUARD)[-1]
+                 blowup_guard=DEFAULT_BLOWUP_GUARD, tail_bound=TAIL_BOUND)[-1]
     evals, evecs = np.linalg.eigh(h)
     x = f0.coords_1d()
     xx, yy = np.meshgrid(x, x, indexing="ij")
@@ -187,7 +188,7 @@ def test_criterion_05_nls_solver():
 
     def run(dt):
         return evolve(f1, NlsProblem(h, -3j, dT=dt), 0.5, sample_times=[0.5],
-                      blowup_guard=DEFAULT_BLOWUP_GUARD)[-1].a
+                      blowup_guard=DEFAULT_BLOWUP_GUARD, tail_bound=TAIL_BOUND)[-1].a
 
     ref = run(base / 16)
     order = np.log2(np.max(np.abs(run(base) - ref)) / np.max(np.abs(run(base / 2) - ref)))

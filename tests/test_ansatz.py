@@ -26,6 +26,7 @@ from fput2d.dispersion import WaveVector, nls_coefficients
 from fput2d.lattice import LatticeState, compatibility_defect, strain_from_displacement
 from fput2d.nls import (
     DEFAULT_BLOWUP_GUARD,
+    TAIL_BOUND,
     EnvelopeField,
     NlsProblem,
     _fft2,
@@ -71,7 +72,7 @@ def eval_envelope(spectra, env, eps, t, n):
     points at time t (DISP's group velocity)."""
     work = AnsatzWorkspace(env, DISP, eps, n, "displacement")
     return work.resample([_respec(s, np.zeros((n, n), dtype=complex), work._blocks)
-                          for s in spectra], t)
+                          for s in spectra], t, work._scale, work._pad)
 
 
 def evolved_copy(env, disp, dT_target):
@@ -82,13 +83,13 @@ def evolved_copy(env, disp, dT_target):
     if dT_target > 0:
         return evolve(env, prob, env.slow_time + dT_target,
                       sample_times=[env.slow_time + dT_target],
-                      blowup_guard=DEFAULT_BLOWUP_GUARD)[-1]
+                      blowup_guard=DEFAULT_BLOWUP_GUARD, tail_bound=TAIL_BOUND)[-1]
     # step backwards: Q(T0 - s) solves the equation with negated Hessian and
     # conjugated cubic coefficient, integrated forward by |dT|
     prob_b = NlsProblem(-prob.hessian, np.conj(prob.nonlin_coeff), prob.dT)
     start = EnvelopeField(env.box_length, env.a.copy(), 0.0)
     out = evolve(start, prob_b, -dT_target, sample_times=[-dT_target],
-                 blowup_guard=DEFAULT_BLOWUP_GUARD)[-1]
+                 blowup_guard=DEFAULT_BLOWUP_GUARD, tail_bound=TAIL_BOUND)[-1]
     out.slow_time = env.slow_time + dT_target
     return out
 
@@ -157,7 +158,8 @@ class TestExactDerivatives:
         eps, n, t0 = 0.2, 200, 1.3
         env0 = gaussian_field(40.0, 128, amplitude=0.8, sigma=4.0)
         env = evolve(env0, NlsProblem(DISP.hessian, DISP.gamma_q, 1e-3), eps**2 * t0,
-                     sample_times=[eps**2 * t0], blowup_guard=DEFAULT_BLOWUP_GUARD)[-1]
+                     sample_times=[eps**2 * t0], blowup_guard=DEFAULT_BLOWUP_GUARD,
+                     tail_bound=TAIL_BOUND)[-1]
         h = 1e-4
         env_p = evolved_copy(env, DISP, eps**2 * h)
         env_m = evolved_copy(env, DISP, -(eps**2) * h)
@@ -480,7 +482,8 @@ class TestResidual:
         env0 = gaussian_field(40.0, 256, 1.0, 4.0)
         t = 2.0
         env = evolve(env0, NlsProblem(DISP.hessian, DISP.gamma_q, 1e-3), eps**2 * t,
-                     sample_times=[eps**2 * t], blowup_guard=DEFAULT_BLOWUP_GUARD)[-1]
+                     sample_times=[eps**2 * t], blowup_guard=DEFAULT_BLOWUP_GUARD,
+                     tail_bound=TAIL_BOUND)[-1]
         r_without = residual(env, DISP, eps, t, n, "strain", False)
         r_with = residual(env, DISP, eps, t, n, "strain", True)
         assert r_with < 0.5 * r_without
@@ -521,34 +524,42 @@ def reference_branches(env, disp, eps, t, n, form, corrections):
     # dQ/dT's DFT as test_nls.envelope_rhs_spectrum gives it, with the cubic
     # term's DFT taken by the package's FFT
     a_t_hat = 1j * linear_symbol(env, prob) * a_hat + fft2(prob.nonlin_coeff * np.abs(a) ** 2 * a)
-    basis = {1: (a_hat, a_t_hat)}
+    m = env.grid_side
+    basis = {1: (m, a_hat, a_t_hat)}
     if corrections:
-        a_t = ifft2(a_t_hat)
-        basis.update({j: (fft2(b), fft2(b_t))
-                      for j, (b, b_t) in _correction_products(a, a_t).items()})
-    m, k = env.grid_side, env.wavenumbers_1d()
-    (cx, cy), kv, w0 = disp.group_velocity, disp.carrier, disp.omega0
-    i_mu = 1j * (cx * k[:, None] + cy * k[None, :])
-    shift = np.outer(n**2 / m**2 * np.exp(1j * eps * cx * t * k), np.exp(1j * eps * cy * t * k))
-    c = min(m, n)
-    r = np.arange(c)
-    dst = (r + (n - c) // 2 - n // 2) % n
-    src = np.zeros(n, dtype=int)
-    src[dst] = (r + (m - c) // 2 - m // 2) % m
-    pad = np.ones(n, dtype=bool)
-    pad[dst] = False
+        # Q and dQ/dT on the grid zero-padded to 2M points, and each
+        # product's DFT on it
+        def padded(spectrum):
+            return ifft2(np.fft.ifftshift(np.pad(np.fft.fftshift(spectrum), m // 2))) * 4
 
-    def resample(spectrum):
+        basis.update({j: (2 * m, fft2(b), fft2(b_t)) for j, (b, b_t) in
+                      _correction_products(padded(a_hat), padded(a_t_hat)).items()})
+    (cx, cy), kv, w0 = disp.group_velocity, disp.carrier, disp.omega0
+
+    def resample(spectrum, g, k):
+        """The g-point spectrum shifted to the moving frame, gathered to the
+        lattice's modes and inverse transformed."""
+        c = min(g, n)
+        r = np.arange(c)
+        dst = (r + (n - c) // 2 - n // 2) % n
+        src = np.zeros(n, dtype=int)
+        src[dst] = (r + (g - c) // 2 - g // 2) % g
+        pad = np.ones(n, dtype=bool)
+        pad[dst] = False
+        shift = np.outer(n**2 / g**2 * np.exp(1j * eps * cx * t * k),
+                         np.exp(1j * eps * cy * t * k))
         out = (spectrum * shift).take(src, axis=0).take(src, axis=1)
         out[pad] = out[:, pad] = 0.0
         return ifft2(out)
 
     mvals = np.arange(n) - n // 2
     terms = {}
-    for j, (b_hat, b_t_hat) in basis.items():
+    for j, (g, b_hat, b_t_hat) in basis.items():
+        k = EnvelopeField(env.box_length, np.zeros((g, g))).wavenumbers_1d()
+        i_mu = 1j * (cx * k[:, None] + cy * k[None, :])
         phase = np.outer(np.exp(1j * j * (kv.k * mvals + w0 * t)), np.exp(1j * j * kv.l * mvals))
-        terms[j] = [resample(b_hat) * phase,
-                    resample((1j * j * w0 + eps * i_mu) * b_hat + eps**2 * b_t_hat) * phase]
+        terms[j] = [resample(b_hat, g, k) * phase,
+                    resample((1j * j * w0 + eps * i_mu) * b_hat + eps**2 * b_t_hat, g, k) * phase]
     return {name: [sum(eps ** (1 if j == 1 else 3) * wj * terms[j][d] for j, wj in w.items())
                    for d in range(2)]
             for name, w in _weights(disp, form, corrections).items()}
@@ -586,7 +597,8 @@ class TestWorkspace:
         env0 = gaussian_field(eps * n, grid_side, amplitude=0.8, sigma=4.0)
         env0.a = env0.a * np.exp(0.3j)
         envs = evolve(env0, NlsProblem(DISP.hessian, DISP.gamma_q), 0.1,
-                      sample_times=[0.0, 0.05, 0.1], blowup_guard=DEFAULT_BLOWUP_GUARD)
+                      sample_times=[0.0, 0.05, 0.1], blowup_guard=DEFAULT_BLOWUP_GUARD,
+                      tail_bound=TAIL_BOUND)
         work = AnsatzWorkspace(env0, DISP, eps, n, variant)
         for env in envs:
             t = env.slow_time / eps**2

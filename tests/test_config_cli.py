@@ -31,7 +31,7 @@ TINY = [
 
 def check_manifest(out_dir, command, overrides, eps_values):
     """The manifest names the command, the four versions and, per eps run,
-    the envelope box length eps*N."""
+    the envelope box length eps*N and the envelope grid side."""
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["command"] == command
     assert manifest["versions"] == {
@@ -39,7 +39,8 @@ def check_manifest(out_dir, command, overrides, eps_values):
         "numpy": np.__version__, "scipy": scipy.__version__}
     plan = load_plan(None, overrides[1::2])
     assert manifest["envelope_boxes"] == [
-        {"eps": eps, "box_length": eps * plan.n_side_for(eps)} for eps in eps_values]
+        {"eps": eps, "box_length": eps * plan.n_side_for(eps),
+         "grid_side": plan.resolved_grid_side()} for eps in eps_values]
     assert "manifest.json" in manifest["files"]
     return manifest
 
@@ -51,6 +52,20 @@ class TestConfig:
         assert plan.eps == 0.2
         assert plan.carrier.k == np.pi / 2 and plan.carrier.l == np.pi / 2
         assert plan.variant == "strain"
+
+    def test_grid_side_rule(self):
+        # grid_side 0 is the rule: the smallest power of two with eps*N/M <=
+        # 0.5 at every eps; the default boxes, 40 at eps 0.2 and 0.1 and 40.32
+        # at 0.14, take 128, and an explicit side is kept
+        plan = load_plan()
+        assert plan.grid_side == 0
+        assert [eps * plan.n_side_for(eps) for eps in plan.eps_list] == pytest.approx(
+            [40.0, 40.32, 40.0], rel=1e-12)
+        assert plan.resolved_grid_side() == 128
+        assert load_plan(None, ["grid_side=256"]).resolved_grid_side() == 256
+        assert load_plan(None, ["grid_side=128"]).resolved_grid_side() == 128
+        # a box past 64 needs 256 at the same spacing bound
+        assert load_plan(None, ["box_length=64.5"]).resolved_grid_side() == 256
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "c.json"
@@ -120,7 +135,7 @@ VALID_VALUES = {
     "eps_list": st.lists(_finite(1e-3, 0.499), min_size=1, max_size=5, unique=True).map(
         lambda xs: tuple(sorted(xs, reverse=True))),
     "t0": _finite(1e-3, 10),
-    "grid_side": st.sampled_from([8, 32, 256]),
+    "grid_side": st.sampled_from([0, 8, 32, 256]),
     "n_side": st.integers(0, 1000),
     "dt": _finite(0, DT_MAX),
     "corrections": st.booleans(),
@@ -145,10 +160,11 @@ class TestConfigProperties:
         (tmp / "p.json").write_text(json.dumps(data))
         (tmp / "p.yaml").write_text(yaml.safe_dump(data))
         # the rules across keys: an explicit n_side closes the carrier on the
-        # torus, and the envelope grid spacing holds at every eps
+        # torus, and an explicit grid side keeps the envelope grid spacing at
+        # every eps (grid_side 0 takes the smallest power of two that does)
         period = math.lcm(carrier_period(plan.carrier_k_pi), carrier_period(plan.carrier_l_pi))
         side_ok = plan.n_side == 0 or (plan.n_side >= 8 and plan.n_side % period == 0)
-        fine = side_ok and all(e * plan.n_side_for(e) / plan.grid_side <= 0.5
+        fine = side_ok and all(e * plan.n_side_for(e) / plan.resolved_grid_side() <= 0.5
                                for e in (plan.eps, *plan.eps_list))
         for name in ("p.json", "p.yaml"):
             if not fine:
@@ -378,7 +394,7 @@ class TestSimulateCommand:
         lat = (tmp_path / "lattice_diag.csv").read_text().splitlines()
         assert lat[0] == "t,energy,compat_defect,max_amp"
         env = (tmp_path / "envelope_diag.csv").read_text().splitlines()
-        assert env[0] == "T,mass,h4proxy,max_amp"
+        assert env[0] == "T,mass,h4proxy,max_amp,spectral_tail"
         assert (tmp_path / "envelope_final.snap").exists()
 
     def test_snapshots_readable(self, tmp_path, capsys):
@@ -512,7 +528,8 @@ BAD_INPUTS = [
     ("sweep", [], {"FPUT2D_THREADS": "abc"}),
     ("sweep", [], {"FPUT2D_THREADS": "0"}),
     ("simulate", ["grid_side=8"], {}),  # spacing eps*N/M = 5 at the default eps
-    ("sweep", ["n_side=400", "eps_list=0.4,0.3,0.2"], {}),  # too coarse at 0.4 only
+    # an explicit grid side too coarse at 0.4 only (the rule would take 512)
+    ("sweep", ["n_side=400", "eps_list=0.4,0.3,0.2", "grid_side=256"], {}),
     ("sweep", ["force_kind=linear"], {}),
     ("sweep", ["projection=oblique"], {}),
     ("sweep", ["eps_list=0.2,0.2,0.1"], {}),
@@ -565,6 +582,31 @@ def test_inadmissible_carrier_refused_before_work(tmp_path, capsys, command, car
 
 
 class TestResidualCommand:
+    def test_manifest_records_the_resolved_grid_side(self, tmp_path, capsys):
+        # TINY at box 16 and sigma 2 without its grid_side: the rule takes 64
+        # at its largest box, 16.64 at eps 0.32, the envelope's tail stays
+        # near 1e-15 there, and the manifest records 64, not the 0 of the plan
+        overrides = [a for pair in zip(TINY[::2], TINY[1::2]) if pair[1] != "grid_side=32"
+                     for a in pair] + ["--set", "box_length=16", "--set", "sigma=2.0"]
+        assert main(["residual", "--out", str(tmp_path)] + overrides) in (0, 4)
+        manifest = check_manifest(tmp_path, "residual", overrides, [0.4, 0.32, 0.25])
+        assert load_plan(None, overrides[1::2]).grid_side == 0
+        assert {box["grid_side"] for box in manifest["envelope_boxes"]} == {64}
+
+    def test_rule_grid_that_misses_the_envelope_exits_3(self, tmp_path, capsys):
+        # TINY without its grid_side: the rule's 32 points hold 1e-8 of the
+        # sigma-1.5 envelope's power in the outer band at T = 0, over
+        # harness.RULE_TAIL; the grid TINY names runs (test_writes_report)
+        overrides = [a for pair in zip(TINY[::2], TINY[1::2]) if pair[1] != "grid_side=32"
+                     for a in pair]
+        assert main(["residual", "--out", str(tmp_path)] + overrides) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)
+        assert error["error"] == "EnvelopeUnresolved"
+        assert "exceeded 1e-10 at T = 0.000000: the 32-point grid" in error["message"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_writes_report(self, tmp_path, capsys):
         code = main(["residual", "--out", str(tmp_path)] + TINY)
         report = json.loads((tmp_path / "residual_report.json").read_text())

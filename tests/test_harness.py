@@ -1,5 +1,7 @@
 """Tests for the experiment driver and order fitting."""
 
+import dataclasses
+import json
 import multiprocessing
 import os
 import subprocess
@@ -27,7 +29,7 @@ from fput2d.harness import (
     run_sweep,
 )
 from fput2d.lattice import UnstableStep
-from fput2d.nls import EnvelopeBlowup, EnvelopeField
+from fput2d.nls import EnvelopeBlowup, EnvelopeField, EnvelopeUnresolved
 
 PIH = np.pi / 2
 
@@ -139,6 +141,36 @@ class TestPlanRules:
         for bad in (0.37, 0.333333333, float("nan"), 1e308):
             with pytest.raises(ValueError, match="lattice period"):
                 carrier_period(bad)
+
+    @pytest.mark.parametrize("variant", ["strain", "displacement"])
+    def test_default_grid_residuals_match_grid_256(self, variant):
+        # the rule's 128-point envelope grid against 256 points, at boxes 40
+        # and 40.32: the correction products are formed on the grid padded to
+        # 256 points, so the corrected residuals move no more than the
+        # uncorrected ones (formed unpadded, they move by up to 1e-4)
+        plan = ExperimentPlan(variant=variant, eps_list=(0.2, 0.16))
+        assert plan.resolved_grid_side() == 128
+        coarse = residual_sweep(plan)
+        fine = residual_sweep(dataclasses.replace(plan, grid_side=256))
+        for got, want in zip(coarse, fine, strict=True):
+            for label in ("with", "without"):
+                np.testing.assert_allclose(got["per_time"][label], want["per_time"][label],
+                                           rtol=1e-9, atol=0)
+
+    def test_rule_grid_is_held_to_the_rule_tail(self):
+        # at sigma 2 the default envelope starts with a tail of 2e-32 on the
+        # rule's 128 points and spreads past 1e-10 within T0: the solve on
+        # the rule's grid stops there, and the same grid named by the plan is
+        # held only to the hard stop
+        plan = ExperimentPlan(sigma=2.0, sample_count=3)
+        disp = harness.checked_dispersion(plan)
+        env0 = harness._initial_envelope(plan, 0.2)
+        assert env0.grid_side == 128
+        with pytest.raises(EnvelopeUnresolved, match="exceeded 1e-10 at T = 0.[1-9]"):
+            harness._solve_envelope(plan, disp, env0, harness._sample_times(plan))
+        named = dataclasses.replace(plan, grid_side=128)
+        assert len(harness._solve_envelope(named, disp, harness._initial_envelope(named, 0.2),
+                                           harness._sample_times(named))) == 3
 
     def test_dt_rules(self):
         assert ExperimentPlan().dt_for(0.16) == 0.16**1.5 / 4
@@ -510,11 +542,11 @@ class TestEnvelopeSharing:
                         asked[i].set()
                         return real_get(samples, i)
 
-                    def put(samples, field, h4):
+                    def put(samples, field, h4, tail):
                         k = len(samples.diag)
                         if not asked[k].wait(timeout=30):
                             raise TimeoutError(f"sample {k} was put before a run asked for it")
-                        real_put(samples, field, h4)
+                        real_put(samples, field, h4, tail)
 
                     m.setattr(harness._EnvelopeSamples, "get", get)
                     m.setattr(harness._EnvelopeSamples, "put", put)
@@ -702,6 +734,33 @@ class TestOverlappedSolve:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert threading.active_count() == before
 
+    def test_simulate_exits_3_on_an_unresolved_envelope(self, monkeypatch, tmp_path, capsys):
+        # a checkerboard planted at the Nyquist modes of the 32-point grid
+        # carries ~2 % of the power: the tail guard trips at T = 0, under an
+        # H^4 proxy still inside its guard, and no record is written
+        real_initial = harness._initial_envelope
+
+        def planted(plan, eps):
+            env = real_initial(plan, eps)
+            env.a += 0.02 * (-1.0) ** np.add.outer(np.arange(32), np.arange(32))
+            return env
+
+        monkeypatch.setattr(harness, "_initial_envelope", planted)
+        monkeypatch.setenv("FPUT2D_THREADS", "2")
+        before = threading.active_count()
+        code = main(["simulate", "--out", str(tmp_path), "--set", "eps=0.25",
+                     "--set", "eps_list=0.4,0.32,0.25", "--set", "t0=0.2",
+                     "--set", "box_length=8", "--set", "grid_side=32",
+                     "--set", "sigma=1.5", "--set", "amplitude=0.8", "--set", "sample_count=5"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)
+        assert error["error"] == "EnvelopeUnresolved"
+        assert "spectral tail" in error["message"] and "at T = 0.000000" in error["message"]
+        assert list(tmp_path.iterdir()) == []
+        assert threading.active_count() == before
+
     @staticmethod
     def _sample(k: int) -> EnvelopeField:
         return EnvelopeField(2.0, np.full((4, 4), k, dtype=complex), 0.01 * k)
@@ -711,10 +770,10 @@ class TestOverlappedSolve:
         observed = threading.Event()
 
         def solve(on_sample):
-            on_sample(self._sample(0), 0.0)
+            on_sample(self._sample(0), 0.0, 0.0)
             if not observed.wait(timeout=30):
                 raise TimeoutError("sample 0 was not handed over before sample 1")
-            on_sample(self._sample(1), 0.0)
+            on_sample(self._sample(1), 0.0, 0.0)
 
         def observe():
             assert samples.get(0).slow_time == 0.0
@@ -734,7 +793,7 @@ class TestOverlappedSolve:
             for k in range(count):
                 field = self._sample(k)
                 refs.append(weakref.ref(field))
-                on_sample(field, float(k))
+                on_sample(field, float(k), 0.0)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -765,7 +824,7 @@ class TestOverlappedSolve:
             for k in range(count):
                 field = self._sample(k)
                 refs.append(weakref.ref(field))
-                on_sample(field, float(k))
+                on_sample(field, float(k), 0.0)
 
         def first():
             got = [samples.get(i).a[0, 0].real for i in range(count)]

@@ -16,8 +16,10 @@ from fput2d.dispersion import WaveVector, hessian, nls_coefficients
 from fput2d import nls
 from fput2d.nls import (
     DEFAULT_BLOWUP_GUARD,
+    TAIL_BOUND,
     EnvelopeBlowup,
     EnvelopeField,
+    EnvelopeUnresolved,
     NlsProblem,
     _fft2,
     _ifft2,
@@ -50,13 +52,25 @@ def envelope_rhs_spectrum(a: np.ndarray, a_hat: np.ndarray, symbol: np.ndarray,
     return 1j * symbol * a_hat + scipy_fft.fft2(gamma * np.abs(a) ** 2 * a)
 
 
+def spectral_tail(field: EnvelopeField) -> float:
+    """The oracle of evolve's tail guard, from the field's own samples: the
+    share of sum |a_hat|^2 in the modes with |index| >= 3M/8 on either axis."""
+    power = np.abs(np.fft.fft2(field.a)) ** 2
+    m = field.grid_side
+    outer = np.abs(np.fft.fftfreq(m) * m) >= 3 * m / 8
+    outer = outer[:, None] | outer[None, :]
+    return float(power[outer].sum() / power.sum())
+
+
 def flow(field: EnvelopeField, prob: NlsProblem, span: float) -> EnvelopeField:
     """The field after evolve marches it by span from its current slow time.
 
-    The smooth-norm guard is off: white-noise fields exceed it at once.
+    The smooth-norm and tail guards are off: white-noise fields exceed both
+    at once.
     """
     t_end = field.slow_time + span
-    return evolve(field, prob, t_end, sample_times=[t_end], blowup_guard=np.inf)[-1]
+    return evolve(field, prob, t_end, sample_times=[t_end], blowup_guard=np.inf,
+                  tail_bound=np.inf)[-1]
 
 
 def gaussian_free_oracle(field0: EnvelopeField, hess: np.ndarray, sigma: float,
@@ -149,7 +163,8 @@ class TestLinearHalfstep:
         sigma, amp = 4.0, 1.0
         f = gaussian_field(40.0, 256, amp, sigma)
         prob = NlsProblem(H_CENTER, 0j, dT=0.01)
-        traj = evolve(f, prob, 1.0, sample_times=[1.0], blowup_guard=DEFAULT_BLOWUP_GUARD)
+        traj = evolve(f, prob, 1.0, sample_times=[1.0], blowup_guard=DEFAULT_BLOWUP_GUARD,
+                      tail_bound=TAIL_BOUND)
         oracle = gaussian_free_oracle(f, H_CENTER, sigma, amp, 1.0)
         assert np.max(np.abs(traj[-1].a - oracle)) < 1e-6
 
@@ -159,7 +174,8 @@ class TestLinearHalfstep:
         sigma, amp = 3.0, 0.7
         f = gaussian_field(40.0, 256, amp, sigma)
         prob = NlsProblem(h, 0j, dT=0.01)
-        traj = evolve(f, prob, 1.0, sample_times=[1.0], blowup_guard=DEFAULT_BLOWUP_GUARD)
+        traj = evolve(f, prob, 1.0, sample_times=[1.0], blowup_guard=DEFAULT_BLOWUP_GUARD,
+                      tail_bound=TAIL_BOUND)
         oracle = gaussian_free_oracle(f, h, sigma, amp, 1.0)
         assert np.max(np.abs(traj[-1].a - oracle)) < 1e-6
 
@@ -204,7 +220,7 @@ class TestStrang:
         def run(dt):
             prob = NlsProblem(H_CENTER, -3j, dT=dt)
             return evolve(f0, prob, 0.5, sample_times=[0.5],
-                          blowup_guard=DEFAULT_BLOWUP_GUARD)[-1].a
+                          blowup_guard=DEFAULT_BLOWUP_GUARD, tail_bound=TAIL_BOUND)[-1].a
 
         ref = run(base / 16)
         e1 = np.max(np.abs(run(base) - ref))
@@ -215,7 +231,8 @@ class TestStrang:
     def test_against_rk4(self):
         f0 = gaussian_field(32.0, 64, amplitude=0.5, sigma=4.0)
         prob = NlsProblem(H_CENTER, -3j, dT=1e-4)
-        got = evolve(f0, prob, 0.5, sample_times=[0.5], blowup_guard=DEFAULT_BLOWUP_GUARD)[-1].a
+        got = evolve(f0, prob, 0.5, sample_times=[0.5], blowup_guard=DEFAULT_BLOWUP_GUARD,
+                     tail_bound=TAIL_BOUND)[-1].a
         oracle = rk4_oracle(f0, NlsProblem(H_CENTER, -3j, dT=1e-3), 0.5, 1e-3)
         assert np.max(np.abs(got - oracle)) < 1e-8
 
@@ -224,7 +241,7 @@ class TestEvolve:
     def test_zero_data(self):
         f = EnvelopeField(32.0, np.zeros((64, 64), dtype=complex))
         traj = evolve(f, NlsProblem(H_CENTER, -3j), 1.0, sample_times=[0.5, 1.0],
-                      blowup_guard=DEFAULT_BLOWUP_GUARD)
+                      blowup_guard=DEFAULT_BLOWUP_GUARD, tail_bound=TAIL_BOUND)
         assert all(np.all(s.a == 0) for s in traj)
         assert [s.slow_time for s in traj] == [0.5, 1.0]
 
@@ -232,7 +249,7 @@ class TestEvolve:
         f = EnvelopeField(32.0, np.zeros((64, 64), dtype=complex))
         with pytest.raises(ValueError, match="ascending"):
             evolve(f, NlsProblem(H_CENTER, -3j), 1.0, sample_times=[1.0, 0.5],
-                   blowup_guard=DEFAULT_BLOWUP_GUARD)
+                   blowup_guard=DEFAULT_BLOWUP_GUARD, tail_bound=TAIL_BOUND)
 
     def test_plane_wave_modulus_constant(self):
         m, L = 64, 32.0
@@ -241,13 +258,13 @@ class TestEvolve:
         xx, yy = np.meshgrid(x, x, indexing="ij")
         f.a = 0.5 * np.exp(1j * 2 * np.pi * (2 * xx - yy) / L)
         traj = evolve(f, NlsProblem(H_CENTER, -3j, dT=1e-3), 1.0, sample_times=[1.0],
-                      blowup_guard=DEFAULT_BLOWUP_GUARD)
+                      blowup_guard=DEFAULT_BLOWUP_GUARD, tail_bound=TAIL_BOUND)
         assert np.max(np.abs(np.abs(traj[-1].a) - 0.5)) < 1e-10
 
     def test_small_gaussian_bounded(self):
         f = gaussian_field(40.0, 128, 1.0, 4.0)
         traj = evolve(f, NlsProblem(H_CENTER, -3j, dT=1e-3), 1.0, sample_times=[1.0],
-                      blowup_guard=DEFAULT_BLOWUP_GUARD)
+                      blowup_guard=DEFAULT_BLOWUP_GUARD, tail_bound=TAIL_BOUND)
         assert h4_proxy(traj[-1]) < 100 * h4_proxy(f)
 
     def test_phase_rotation_equivariance(self):
@@ -255,25 +272,29 @@ class TestEvolve:
         prob = NlsProblem(H_CENTER, -3j, dT=2e-3)
         theta = 0.7
         rotated = EnvelopeField(f0.box_length, np.exp(1j * theta) * f0.a)
-        a1 = evolve(rotated, prob, 0.2, sample_times=[0.2], blowup_guard=DEFAULT_BLOWUP_GUARD)[-1].a
+        a1 = evolve(rotated, prob, 0.2, sample_times=[0.2], blowup_guard=DEFAULT_BLOWUP_GUARD,
+                    tail_bound=TAIL_BOUND)[-1].a
         a2 = np.exp(1j * theta) * evolve(f0, prob, 0.2, sample_times=[0.2],
-                                         blowup_guard=DEFAULT_BLOWUP_GUARD)[-1].a
+                                         blowup_guard=DEFAULT_BLOWUP_GUARD,
+                                         tail_bound=TAIL_BOUND)[-1].a
         assert np.max(np.abs(a1 - a2)) < 1e-13
 
     def test_translation_equivariance(self):
         f0 = gaussian_field(32.0, 64, amplitude=0.6, sigma=4.0)
         prob = NlsProblem(H_CENTER, -3j, dT=2e-3)
         shifted = EnvelopeField(f0.box_length, np.roll(f0.a, (1, 0), axis=(0, 1)))
-        a1 = evolve(shifted, prob, 0.2, sample_times=[0.2], blowup_guard=DEFAULT_BLOWUP_GUARD)[-1].a
+        a1 = evolve(shifted, prob, 0.2, sample_times=[0.2], blowup_guard=DEFAULT_BLOWUP_GUARD,
+                    tail_bound=TAIL_BOUND)[-1].a
         a2 = np.roll(evolve(f0, prob, 0.2, sample_times=[0.2],
-                            blowup_guard=DEFAULT_BLOWUP_GUARD)[-1].a, (1, 0), axis=(0, 1))
+                            blowup_guard=DEFAULT_BLOWUP_GUARD,
+                            tail_bound=TAIL_BOUND)[-1].a, (1, 0), axis=(0, 1))
         assert np.max(np.abs(a1 - a2)) < 1e-13
 
     def test_blowup_guard_trips(self):
         f = gaussian_field(40.0, 128, amplitude=40.0, sigma=4.0)
         with pytest.raises(EnvelopeBlowup):
             evolve(f, NlsProblem(H_CENTER, -3j, dT=1e-3), 1.0, sample_times=[1.0],
-                   blowup_guard=DEFAULT_BLOWUP_GUARD)
+                   blowup_guard=DEFAULT_BLOWUP_GUARD, tail_bound=TAIL_BOUND)
 
     def test_blowup_reports_time_of_trip(self):
         # the guard sits just above the initial proxy, so the t = 0 check
@@ -282,7 +303,7 @@ class TestEvolve:
         guard = 1.01 * h4_proxy(f)
         with pytest.raises(EnvelopeBlowup) as info:
             evolve(f, NlsProblem(H_CENTER, -3j, dT=1e-3), 1.0, sample_times=[1.0],
-                   blowup_guard=guard)
+                   blowup_guard=guard, tail_bound=TAIL_BOUND)
         reported = float(re.search(r"T = ([-\d.]+)", str(info.value)).group(1))
         assert 0.0 < reported < 1.0
 
@@ -295,7 +316,7 @@ class TestEvolve:
         def trip_time(dT):
             with pytest.raises(EnvelopeBlowup) as info:
                 evolve(f, NlsProblem(H_CENTER, -3j, dT=dT), 1.0, sample_times=[1.0],
-                       blowup_guard=guard)
+                       blowup_guard=guard, tail_bound=TAIL_BOUND)
             return float(re.search(r"T = ([-\d.]+)", str(info.value)).group(1))
 
         assert trip_time(1e-2) <= trip_time(1e-3) + nls.CHECK_INTERVAL + 1e-2
@@ -305,23 +326,36 @@ class TestEvolve:
         a[3, 5] = np.nan
         with pytest.raises(EnvelopeBlowup):
             evolve(EnvelopeField(40.0, a), NlsProblem(H_CENTER, -3j, dT=1e-3), 0.1, [0.1],
-                   DEFAULT_BLOWUP_GUARD)
+                   DEFAULT_BLOWUP_GUARD, TAIL_BOUND)
 
     def test_on_sample_streams_the_captured_fields(self):
         # the streamed fields are the listed ones bit for bit, each with the
-        # H^4 proxy of its spectrum, and the solve keeps no list of its own
-        f = gaussian_field(40.0, 128, amplitude=0.8, sigma=4.0)
+        # H^4 proxy and the spectral tail of its spectrum, and the solve
+        # keeps no list of its own; a Gaussian this narrow on this grid keeps
+        # about 1e-7 of its power in the outer band
+        f = gaussian_field(32.0, 64, amplitude=0.8, sigma=1.2)
         prob = NlsProblem(H_CENTER, -3j, dT=1e-2)
         times = [0.0, 0.05, 0.1]
-        listed = evolve(f, prob, 0.1, sample_times=times, blowup_guard=DEFAULT_BLOWUP_GUARD)
+        listed = evolve(f, prob, 0.1, sample_times=times, blowup_guard=DEFAULT_BLOWUP_GUARD,
+                        tail_bound=TAIL_BOUND)
         streamed = []
         assert evolve(f, prob, 0.1, sample_times=times,
-                      on_sample=lambda g, h4: streamed.append((g, h4)),
-                      blowup_guard=DEFAULT_BLOWUP_GUARD) == []
-        assert [g.slow_time for g, _ in streamed] == times
-        for want, (got, h4) in zip(listed, streamed, strict=True):
+                      on_sample=lambda g, h4, tail: streamed.append((g, h4, tail)),
+                      blowup_guard=DEFAULT_BLOWUP_GUARD, tail_bound=TAIL_BOUND) == []
+        assert [g.slow_time for g, _, _ in streamed] == times
+        for want, (got, h4, tail) in zip(listed, streamed, strict=True):
             assert np.array_equal(got.a, want.a)
             assert abs(h4 - h4_proxy(want)) <= 1e-12 * h4_proxy(want)
+            assert tail > 1e-8 and abs(tail - spectral_tail(want)) <= 1e-12
+
+    def test_unresolved_envelope_trips_the_tail_guard(self):
+        # a checkerboard at the Nyquist modes holds about 1 % of the power:
+        # the H^4 proxy stays under its guard, the tail does not
+        f = gaussian_field(40.0, 128, amplitude=1.0, sigma=4.0)
+        f.a += 0.02 * (-1.0) ** np.add.outer(np.arange(128), np.arange(128))
+        assert spectral_tail(f) > TAIL_BOUND and h4_proxy(f) < DEFAULT_BLOWUP_GUARD
+        with pytest.raises(EnvelopeUnresolved, match=r"spectral tail .* at T = 0\.000000"):
+            evolve(f, NlsProblem(H_CENTER, -3j), 0.1, [0.1], DEFAULT_BLOWUP_GUARD, TAIL_BOUND)
 
     @pytest.mark.parametrize("k_pi, l_pi", [(1 / 2, 1 / 2), (1 / 2, 1 / 4), (3 / 4, 3 / 4),
                                             (1 / 4, 1 / 4), (1 / 2, 1 / 3)])
@@ -334,9 +368,9 @@ class TestEvolve:
         a0 = gaussian_field(40.0, 128, 1.0, 4.0)
         q0 = EnvelopeField(a0.box_length, a0.a / a)
         a_t = evolve(a0, NlsProblem(data.hessian, data.gamma_q / abs(a) ** 2), 1.0, [1.0],
-                     DEFAULT_BLOWUP_GUARD)[-1].a
+                     DEFAULT_BLOWUP_GUARD, TAIL_BOUND)[-1].a
         q_t = evolve(q0, NlsProblem(data.hessian, data.gamma_q), 1.0, [1.0],
-                     DEFAULT_BLOWUP_GUARD)[-1].a
+                     DEFAULT_BLOWUP_GUARD, TAIL_BOUND)[-1].a
         assert np.max(np.abs(a_t - a * q_t)) <= 1e-13 * np.max(np.abs(a_t))
 
 
@@ -359,8 +393,10 @@ class TestDiagnostics:
         field = EnvelopeField(f.box_length, np.fft.ifft2(spectrum))
         want = h4_proxy(field)
         for phase in (0.0, 0.37 * (kx**2 + ky**2)):
-            got = nls._h4_of_spectrum(spectrum * np.exp(1j * phase), nls._h4_weight(field), field)
+            got, tail = nls._spectral_norms(spectrum * np.exp(1j * phase), nls._h4_weight(field),
+                                            nls._outer_band(field), field)
             assert abs(got - want) <= 1e-12 * want
+            assert abs(tail - spectral_tail(field)) <= 1e-12
 
     def test_edge_mass_small_for_gaussian(self):
         f = gaussian_field(40.0, 128, 1.0, 4.0)
