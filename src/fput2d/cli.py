@@ -174,8 +174,9 @@ def cmd_sweep(plan: ExperimentPlan, out_dir: Path) -> int:
         files.append(path.name)
     write_manifest(out_dir, "sweep", plan.hash(), files + ["manifest.json"],
                    _boxes(plan, plan.eps_list))
-    order = report["fitted_order"]
+    order, ci = report["fitted_order"], report["fit_interval_95"]
     print(f"sweep: fitted_order={order if order is None else round(order, 4)} "
+          f"interval_95={ci if ci is None else [round(end, 4) for end in ci]} "
           f"pass={report['pass']} -> {report_path}")
     return EXIT_OK if report["pass"] else EXIT_ACCEPTANCE
 
@@ -190,6 +191,7 @@ def cmd_residual(plan: ExperimentPlan, out_dir: Path) -> int:
                            ("without_corrections", plan.residual_order_min_without)):
             slope, ci, _ = fit_order(eps_values, [r[label] for r in rows])
             report[f"order_{label}"] = slope
+            report[f"interval_95_{label}"] = list(ci)
             report[f"pass_{label}"] = bool(slope >= bar)
             if slope < bar:
                 code = EXIT_ACCEPTANCE

@@ -30,7 +30,6 @@ import struct
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .lattice import _ARRAY_NAMES, LatticeState
@@ -129,8 +128,8 @@ class DiagnosticsCsv:
 
 
 def write_manifest(out_dir, command: str, config_hash: str, files, envelope_boxes) -> Path:
-    """Write manifest.json: the command, the plan hash, the package, Python,
-    numpy and scipy versions, the envelope box length and grid side of each
+    """Write manifest.json: the command, the plan hash, the package, Python
+    and numpy versions, the envelope box length and grid side of each
     (eps, box, grid side) in envelope_boxes, and the files of the output
     directory."""
     path = Path(out_dir) / "manifest.json"
@@ -138,7 +137,7 @@ def write_manifest(out_dir, command: str, config_hash: str, files, envelope_boxe
         "command": command,
         "config_hash": config_hash,
         "versions": {"fput2d": __version__, "python": platform.python_version(),
-                     "numpy": np.__version__, "scipy": scipy.__version__},
+                     "numpy": np.__version__},
         "envelope_boxes": [{"eps": eps, "box_length": box, "grid_side": side}
                            for eps, box, side in envelope_boxes],
         "files": sorted(str(f) for f in files),

@@ -9,7 +9,6 @@ from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
-import scipy
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,13 +29,14 @@ TINY = [
 
 
 def check_manifest(out_dir, command, overrides, eps_values):
-    """The manifest names the command, the four versions and, per eps run,
-    the envelope box length eps*N and the envelope grid side."""
+    """The manifest names the command, the three versions (fput2d, Python
+    and numpy: no package module loads scipy) and, per eps run, the envelope
+    box length eps*N and the envelope grid side."""
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["command"] == command
     assert manifest["versions"] == {
         "fput2d": __version__, "python": platform.python_version(),
-        "numpy": np.__version__, "scipy": scipy.__version__}
+        "numpy": np.__version__}
     plan = load_plan(None, overrides[1::2])
     assert manifest["envelope_boxes"] == [
         {"eps": eps, "box_length": eps * plan.n_side_for(eps),
@@ -449,6 +449,10 @@ class TestSweepCommand:
         assert report["pass"] is True
         assert report["fitted_order"] == pytest.approx(2.0, abs=1e-9)
         assert (tmp_path / "order_fit.tsv").exists()
+        # the summary line carries the interval beside the order
+        lo, hi = (round(end, 4) for end in report["fit_interval_95"])
+        assert capsys.readouterr().out.startswith(
+            f"sweep: fitted_order=2.0 interval_95=[{lo}, {hi}] pass=True -> ")
 
     def test_synthetic_failing_order_exit_4(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(harness, "_run_groups",
@@ -614,3 +618,10 @@ class TestResidualCommand:
         assert len(report["per_eps"]) == 3
         for row in report["per_eps"]:
             assert row["with_corrections"] < row["without_corrections"]
+        # each order comes with the 95 % interval of its fit
+        eps_values = [row["eps"] for row in report["per_eps"]]
+        for label in ("with_corrections", "without_corrections"):
+            order, ci, _ = harness.fit_order(eps_values, [r[label] for r in report["per_eps"]])
+            assert report[f"order_{label}"] == order
+            assert report[f"interval_95_{label}"] == list(ci)
+            assert ci[0] < order < ci[1]

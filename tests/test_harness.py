@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fput2d import harness
 from fput2d.cli import main
@@ -34,19 +36,20 @@ from fput2d.nls import EnvelopeBlowup, EnvelopeField, EnvelopeUnresolved
 PIH = np.pi / 2
 
 
+SMALL_PLAN = dict(
+    eps_list=(0.4, 0.32, 0.25),
+    t0=0.2,
+    box_length=8.0,
+    grid_side=32,
+    amplitude=0.8,
+    sigma=1.5,
+    sample_count=5,
+    workers=1,
+)
+
+
 def small_plan(**kw):
-    base = dict(
-        eps_list=(0.4, 0.32, 0.25),
-        t0=0.2,
-        box_length=8.0,
-        grid_side=32,
-        amplitude=0.8,
-        sigma=1.5,
-        sample_count=5,
-        workers=1,
-    )
-    base.update(kw)
-    return ExperimentPlan(**base)
+    return ExperimentPlan(**{**SMALL_PLAN, **kw})
 
 
 class TestFitOrder:
@@ -87,9 +90,36 @@ class TestFitOrder:
         with pytest.raises(ValueError):
             fit_order([0.2, 0.14, 0.1], [0.04, bad, 0.01])
 
+    def test_t_quantile_matches_scipy_stdtrit(self):
+        from scipy import special
+
+        ours = np.array([harness._t_quantile(df, 0.975) for df in range(1, 1001)])
+        np.testing.assert_allclose(ours, special.stdtrit(np.arange(1, 1001), 0.975),
+                                   rtol=1e-13, atol=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(points=st.lists(
+        st.tuples(st.floats(0.01, 0.5), st.floats(-0.3, 0.3)),
+        min_size=3, max_size=12, unique_by=lambda p: p[0]),
+        order=st.floats(0.5, 4.0))
+    def test_fit_matches_linregress_and_t_ppf(self, points, order):
+        # oracle: scipy.stats' regression and t distribution, which share no
+        # code with the fit's quantile
+        from scipy import stats
+
+        eps = np.array([p[0] for p in points])
+        errors = eps**order * np.exp([p[1] for p in points])
+        ref = stats.linregress(np.log(eps), np.log(errors))
+        assume(abs(ref.slope) >= 0.1)
+        slope, (lo, hi), _ = fit_order(eps, errors)
+        half = stats.t.ppf(0.975, len(eps) - 2) * ref.stderr
+        scale = max(abs(ref.slope), half)
+        assert slope == pytest.approx(ref.slope, rel=1e-12)
+        assert lo == pytest.approx(ref.slope - half, rel=1e-12, abs=1e-12 * scale)
+        assert hi == pytest.approx(ref.slope + half, rel=1e-12, abs=1e-12 * scale)
 
     def test_cli_import_leaves_scipy_stats_out(self):
-        # the fit uses scipy.special only; scipy.stats is slow to import
+        # the fit computes its own t quantile; scipy.stats is slow to import
         src = str(Path(harness.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -99,7 +129,7 @@ class TestFitOrder:
         assert out.stdout.strip() == "False"
 
     def test_cli_import_and_run_single_leave_scipy_fft_and_special_out(self):
-        # every transform is numpy's; only a sweep's order fit imports scipy.special
+        # every transform is numpy's and the fit's quantile is the package's own
         src = str(Path(harness.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -115,6 +145,48 @@ class TestFitOrder:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=120)
         assert out.stdout.split("\n")[:2] == ["[]", "[]"]
+
+    def test_no_entry_point_loads_scipy(self):
+        # no package module imports scipy: after the CLI import, each public
+        # run entry point and each command, sys.modules holds no scipy module
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import json, sys, tempfile\n"
+            "found = []\n"
+            "def check(step, code=0):\n"
+            "    found.append([step, code, sorted(m for m in sys.modules\n"
+            "                                     if m == 'scipy' or m.startswith('scipy.'))])\n"
+            "import fput2d.cli\n"
+            "check('import fput2d.cli')\n"
+            "from fput2d.cli import main\n"
+            "from fput2d.harness import (ExperimentPlan, fit_order, residual_sweep,\n"
+            "                            run_single, run_sweep)\n"
+            f"kw = {SMALL_PLAN!r}\n"
+            "plan = ExperimentPlan(**kw)\n"
+            "run_single(plan, 0.4)\n"
+            "check('run_single')\n"
+            "run_sweep(plan)\n"
+            "check('run_sweep')\n"
+            "rows = residual_sweep(plan)\n"
+            "fit_order(plan.eps_list, [r['with_corrections'] for r in rows])\n"
+            "check('residual_sweep')\n"
+            "sets = [a for k, v in kw.items() for a in\n"
+            "        ('--set', f\"{k}={','.join(map(str, v)) if isinstance(v, tuple) else v}\")]\n"
+            "with tempfile.TemporaryDirectory() as out:\n"
+            "    for cmd in ('coeffs', 'simulate', 'sweep', 'residual'):\n"
+            "        check(cmd, main([cmd, *(['--out', out] if cmd != 'coeffs' else []), *sets]))\n"
+            "print(json.dumps(found))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=300)
+        steps = ["import fput2d.cli", "run_single", "run_sweep", "residual_sweep",
+                 "coeffs", "simulate", "sweep", "residual"]
+        found = json.loads(out.stdout.splitlines()[-1])
+        assert [step for step, _, _ in found] == steps
+        assert all(code in (0, 4) for _, code, _ in found)  # 4: the smoke grid's order
+        assert [modules for _, _, modules in found] == [[]] * len(steps)
 
 
 class TestPlanRules:
