@@ -41,21 +41,25 @@ inverse FFT gives the lattice field.  All transforms are nls._fft2 and
 nls._ifft2, in place.
 
 An AnsatzWorkspace holds what one lattice run's samples share: the
-constants (the envelope equation's symbol and cubic coefficient, the group
-velocity term of the time derivative, the index blocks of the resampling,
-the carrier phase along n, the harmonic weights and the residual's lattice
-multipliers, all on the lattice's modes) and the buffers every sample is
-written into (one envelope-grid array, four lattice-grid complex arrays
-and the state's real arrays, all on 64-byte cache lines).  Between the
-envelope FFTs and the lattice inverse FFTs all arithmetic runs on the
-lattice's modes, in place, with the same floating-point operations per mode
-as on the envelope grid.  sample_ansatz, residual_norm and
-build_initial_data take it as their first argument and read the carrier,
-eps, lattice side and form from it; the envelope they are given must have
-its grid side and box.  The state sample_ansatz returns is live: its arrays
-are the workspace's, and the next call on that workspace (residual_norm
-too) overwrites them, so a caller copies what it keeps.  A workspace serves
-one thread.
+constants (the envelope equation's cubic coefficient, the index blocks of
+the resampling, the carrier phase along n and the harmonic weights; on the
+lattice's modes, the linear symbol and eps times the group-velocity symbol
+as real N x N arrays, and the residual's frequency as a 1D factor) and the
+buffers every sample is written into (one envelope-grid array, four
+lattice-grid complex arrays and the state's real arrays, all on 64-byte
+cache lines).  Between the envelope FFTs and the lattice inverse FFTs all
+arithmetic runs on the lattice's modes, in place, with the same
+floating-point operations per mode as on the envelope grid.  The purely
+imaginary multipliers i sigma, i (eps c . K + j omega0), i omega and
+1/(8 i omega) are applied as their real factor times the exact rotation of
+the spectrum by i or -i, which gives each mode the products of the complex
+multiplication.  sample_ansatz, residual_norm and build_initial_data take it
+as their first argument and read the carrier, eps, lattice side and form
+from it; the envelope they are given must have its grid side and box.  The
+state sample_ansatz or build_initial_data returns is live: its arrays are
+the workspace's, and the next call on that workspace (residual_norm too)
+overwrites them, so a caller copies what it keeps.  A workspace serves one
+thread.
 """
 
 from __future__ import annotations
@@ -69,7 +73,6 @@ from .lattice import (
     _aligned_empty,
     _divergence,
     _forward_diff,
-    strain_from_displacement,
 )
 from .nls import EnvelopeField, NlsProblem, _fft2, _ifft2, linear_symbol
 
@@ -128,8 +131,9 @@ def _resample_map(m: int, n_out: int):
 
     Returns (blocks, pad, src): the (output, input) slice pairs along which
     both index runs are contiguous (each wraps at most once, so there are at
-    most three), the mask of the output modes no input mode reaches (None when
-    there are none), and per output mode the input mode it reads (0 on pads).
+    most three), the slice of the output modes no input mode reaches (the
+    band beyond the input's, one run; None when there are none), and per
+    output mode the input mode it reads (0 on pads).
     """
     c = min(m, n_out)
     r = np.arange(c)
@@ -143,7 +147,8 @@ def _resample_map(m: int, n_out: int):
     reads[dst] = src
     pad = np.ones(n_out, dtype=bool)
     pad[dst] = False
-    return blocks, (pad if pad.any() else None), reads
+    pad = np.flatnonzero(pad)
+    return blocks, (slice(pad[0], pad[-1] + 1) if pad.size else None), reads
 
 
 def _respec(coeffs: np.ndarray, out: np.ndarray, blocks) -> np.ndarray:
@@ -155,13 +160,34 @@ def _respec(coeffs: np.ndarray, out: np.ndarray, blocks) -> np.ndarray:
     return out
 
 
-def _lattice_multipliers(n: int):
-    wk2 = 2.0 - 2.0 * np.cos(2 * np.pi * np.fft.fftfreq(n))
-    w = np.sqrt(wk2[:, None] + wk2[None, :])
-    inv_8iw = np.zeros((n, n), dtype=complex)
-    live = w > 0
-    inv_8iw[live] = 1.0 / (8j * w[live])  # bounded combinations only; (0,0) -> 0
-    return w, inv_8iw
+def _i_times(factor: np.ndarray, z: np.ndarray, out: np.ndarray,
+             turn: complex = 1j) -> np.ndarray:
+    """(turn * factor) * z for a real factor and turn = 1j or -1j, into out
+    (z itself or another array): the exact rotation turn * z, (-Im z, Re z)
+    or (Im z, -Re z), then its real products with factor.  Each mode gets
+    the products the complex multiplication by the purely imaginary
+    turn * factor forms, up to the sign of a zero."""
+    return np.multiply(factor, np.multiply(turn, z, out=out), out=out)
+
+
+def _frequency(wk2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """omega = sqrt(wk2[a] + wk2[b]) on the lattice's modes (a, b), into out."""
+    return np.sqrt(np.add(wk2[:, None], wk2[None, :], out=out), out=out)
+
+
+def _inverse_8w(w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """1/(8 omega) on the lattice's modes, into out (not w): 0 at the mean
+    mode (0, 0), the only one where omega is 0."""
+    inverse = np.multiply(8.0, w, out=out)
+    inverse[0, 0] = np.inf
+    return np.divide(1.0, inverse, out=inverse)
+
+
+def _real_view(z: np.ndarray) -> np.ndarray:
+    """The first half of a C-contiguous complex N x N array's memory as a
+    C-contiguous real N x N array."""
+    n = z.shape[0]
+    return z.view(np.float64).reshape(2, n, n)[0]
 
 
 class AnsatzWorkspace:
@@ -189,22 +215,22 @@ class AnsatzWorkspace:
         self._wide_blocks, self._wide_pad, reads = _resample_map(2 * m, n)
         self._prob = NlsProblem(disp.hessian, disp.gamma_q)
         # per lattice mode: the envelope wavenumber it carries (the M- and
-        # 2M-point grids of one box share theirs), and i times the envelope
-        # equation's linear symbol and the group-velocity symbol c . K
-        # (complex, so that no product with them casts a real array)
+        # 2M-point grids of one box share theirs), the envelope equation's
+        # linear symbol and eps times the group-velocity symbol c . K; each
+        # multiplies i times a spectrum (see harmonics), so both are real
         self._k = 2 * np.pi * np.fft.fftfreq(2 * m, d=env.spacing / 2)[reads]
-        symbol = _respec(linear_symbol(env, self._prob), np.zeros((n, n)), self._blocks)
-        self._i_symbol = 1j * symbol
+        self._symbol = _respec(linear_symbol(env, self._prob), np.zeros((n, n)), self._blocks)
         cx, cy = disp.group_velocity
-        self._i_mu = 1j * (cx * self._k[:, None] + cy * self._k[None, :])
+        self._eps_mu = np.add(cx * self._k[:, None], cy * self._k[None, :])
+        self._eps_mu *= eps
         self._scale = n**2 / m**2
         mvals = np.arange(n) - n // 2
         kv = disp.carrier
         self._km = kv.k * mvals
         self._phase_n = {j: np.exp(1j * j * kv.l * mvals) for j in (1, -1, 3, -3)}
         self._coefficients: dict[bool, dict[str, dict[int, complex]]] = {}
-        w, self._inv_8iw = _lattice_multipliers(n)
-        self._iw = 1j * w
+        # the residual's 1D factor: omega^2 = wk2[a] + wk2[b] on the lattice's modes
+        self._wk2 = 2.0 - 2.0 * np.cos(2 * np.pi * np.fft.fftfreq(n))
         self._env = _aligned_empty((m, m), complex)
         # lattice grid: harmonic 1's field and time derivative, and two scratch
         # arrays; a sample reads the first two's pad modes before it zeroes them
@@ -225,8 +251,7 @@ class AnsatzWorkspace:
 
     def real_scratch(self) -> np.ndarray:
         """The spare complex array's memory as a C-contiguous real N x N array."""
-        n = self._spare.shape[0]
-        return self._spare.view(np.float64).reshape(2, n, n)[0]
+        return _real_view(self._spare)
 
     def harmonics(self, env: EnvelopeField, t: float,
                   corrections: bool) -> list[tuple[int, tuple[np.ndarray, np.ndarray]]]:
@@ -254,7 +279,7 @@ class AnsatzWorkspace:
         np.copyto(e, a)
         a_hat = _fft2(e)
         _respec(a_hat, self._pos, self._blocks)
-        self._vel += np.multiply(self._i_symbol, self._pos, out=self._tmp)
+        self._vel += _i_times(self._symbol, self._pos, out=self._tmp)
         basis = [(1, self._scale, self._pad, (self._pos, self._vel))]
         if corrections:
             cubic_hat += 1j * linear_symbol(env, self._prob) * a_hat
@@ -296,23 +321,20 @@ class AnsatzWorkspace:
     def _time_derivative(self, j: int, b_hat: np.ndarray, b_t_hat: np.ndarray) -> None:
         """b_t_hat, the DFT of dB_j/dT, becomes in place the DFT of
         g_t = i j omega0 B_j + eps (c . grad) B_j + eps^2 dB_j/dT, so that
-        d/dt of B_j(X, Y, T) e^{i j theta} = e^{i j theta} g_t."""
-        # complex products keep the operand order of the formula: with fused
-        # multiply-adds, a * b and b * a can differ in the last bit
-        tmp = self._tmp
+        d/dt of B_j(X, Y, T) e^{i j theta} = e^{i j theta} g_t.  The first two
+        terms are i (eps c . K + j omega0) B_j, whose real factor is built in
+        the scratch array's memory and whose product goes into the spare."""
         np.multiply(self.eps**2, b_t_hat, out=b_t_hat)
-        np.multiply(self.eps, self._i_mu, out=tmp)
-        tmp += 1j * j * self.disp.omega0
-        tmp *= b_hat
-        b_t_hat += tmp
+        g = np.add(self._eps_mu, j * self.disp.omega0, out=_real_view(self._tmp))
+        b_t_hat += _i_times(g, b_hat, out=self._spare)
 
     def resample(self, spectra: list[np.ndarray], t: float, scale: float,
-                 pad: np.ndarray | None) -> list[np.ndarray]:
+                 pad: slice | None) -> list[np.ndarray]:
         """Envelope-grid fields, given by their DFTs already moved to the
         lattice's modes, evaluated at the lattice's scaled moving-frame points
         at time t: the frame's phase shift and the pad modes zeroed in place,
         then the inverse FFT, in the spectrum's own array.  scale is N^2 over
-        the size of the grid the DFTs were taken on, and pad the mask of the
+        the size of the grid the DFTs were taken on, and pad the slice of the
         lattice modes that grid does not reach (None when it reaches all)."""
         eps, k = self.eps, self._k
         cx, cy = self.disp.group_velocity
@@ -377,34 +399,55 @@ def _lift(u_hat: np.ndarray, v_hat: np.ndarray, e, keep) -> np.ndarray:
     differences (a s, b s) are the projection of the strain pair (U, V): on
     kept modes s = (a U + b V)/(a^2 + b^2); on the degenerate modes other than
     (0, 0), which are (pi/2, -pi/2) and (-pi/2, pi/2) when 4 divides N, U/a
-    (V/b where a = 0), so U stays and V becomes (b/a) U."""
+    (V/b where a = 0), so U stays and V becomes (b/a) U.  s is written over
+    u_hat, with v_hat as scratch."""
     a, b = e[:, None], e[None, :]
-    q = (a * u_hat + b * v_hat) / np.where(keep, a * a + b * b, 1.0)
-    for m, n in np.argwhere(~keep):  # (0, 0), where a = b = 0, is the mean
-        q[m, n] = u_hat[m, n] / e[m] if e[m] else v_hat[m, n] / e[n] if e[n] else 0.0
+    # the degenerate modes' inputs, before the products overwrite them;
+    # (0, 0), where a = b = 0, is the mean
+    lone = [(m, n, u_hat[m, n], v_hat[m, n]) for m, n in np.argwhere(~keep)]
+    q = np.multiply(a, u_hat, out=u_hat)
+    q += np.multiply(b, v_hat, out=v_hat)
+    denominator = np.add(a * a, b * b, out=v_hat)
+    denominator[~keep] = 1.0
+    q /= denominator
+    for m, n, u, v in lone:
+        q[m, n] = u / e[m] if e[m] else v / e[n] if e[n] else 0.0
     return q
 
 
 def build_initial_data(work: AnsatzWorkspace, env: EnvelopeField, corrections: bool):
     """Displacement-form lattice initial data matching the ansatz at t = 0.
 
-    The sampled ansatz at t = 0.  Displacement form takes a copy of it (no
+    The sampled ansatz at t = 0.  Displacement form takes it as it is (no
     constraint).  Strain form lifts the spectra of its four arrays to the
     (q, w) whose forward differences are their projection onto compatible
     pairs (see the module docstring); the projection moves the strain state
-    by O(eps^2) in sup norm.  The state owns its arrays.  Returns (state,
+    by O(eps^2) in sup norm.  The lift runs in the workspace's complex
+    arrays and writes q and w over the sample's u and v.  The state is live,
+    as sample_ansatz's is (see the module docstring).  Returns (state,
     diagnostics).
     """
     s = sample_ansatz(work, env, 0.0, corrections)
     if work.form == "displacement":
-        return s.copy(), {"degenerate_modes": 0, "max_projection_displacement": 0.0}
+        return s, {"degenerate_modes": 0, "max_projection_displacement": 0.0}
     e, keep = _difference_symbol(work.n_side)
-    u_hat, v_hat, ut_hat, vt_hat = (_fft2(f.astype(complex)) for f in s.arrays())
-    state = LatticeState("displacement", 0.0,
-                         q=_ifft2(_lift(u_hat, v_hat, e, keep)).real.copy(),
-                         w=_ifft2(_lift(ut_hat, vt_hat, e, keep)).real.copy())
-    moved = max(float(np.max(np.abs(p - r)))
-                for p, r in zip(strain_from_displacement(state).arrays(), s.arrays()))
+    sampled = s.arrays()
+    spectra = (work._pos, work._vel, work._tmp, work._spare)
+    for f, spectrum in zip(sampled, spectra):
+        np.copyto(spectrum, f)
+        _fft2(spectrum)
+    moved = 0.0
+    # (U, V) lifts to q, written over u; (Ut, Vt) to w, over v
+    for i, (u_hat, v_hat) in enumerate(zip(spectra[::2], spectra[1::2])):
+        lifted = _ifft2(_lift(u_hat, v_hat, e, keep)).real
+        # its differences against the pair, in v_hat's memory
+        field, difference = v_hat.view(np.float64).reshape(2, *v_hat.shape)
+        np.copyto(field, lifted)
+        for axis, r in enumerate(sampled[2 * i:2 * i + 2]):
+            d = np.subtract(_forward_diff(field, axis, out=difference), r, out=difference)
+            moved = max(moved, float(np.max(np.abs(d, out=d))))
+        np.copyto(sampled[i], field)
+    state = LatticeState("displacement", 0.0, q=sampled[0], w=sampled[1])
     return state, {"degenerate_modes": int(np.count_nonzero(~keep)),
                    "max_projection_displacement": moved}
 
@@ -456,16 +499,17 @@ def residual_norm(work: AnsatzWorkspace, env: EnvelopeField, t: float,
     div = _divergence(bonds[0], bonds[1], div)
     cubic = [div] if form == "displacement" else [_forward_diff(div, 0, out=real[0]),
                                                   _forward_diff(div, 1, out=real[1])]
+    w = _frequency(work._wk2, out=real[len(names)])  # the array after the cubic terms
     norm = 0.0
     for name, n_cubic in zip(names, cubic):
         spectrum = _fft2(_branch(coefficients[name], basis, 1, work._tmp))
         np.negative(spectrum, out=spectrum)
         psi1_hat = _fft2(_branch(coefficients[name], basis, 0, work._spare))
-        np.multiply(work._iw, psi1_hat, out=psi1_hat)
-        spectrum += psi1_hat
+        spectrum += _i_times(w, psi1_hat, out=psi1_hat)
         # the cubic term's DFT, in the spare array psi1_hat no longer needs
         np.copyto(work._spare, n_cubic)
         cubic_hat = _fft2(work._spare)
-        spectrum += np.multiply(work._inv_8iw, cubic_hat, out=cubic_hat)
-        norm += l1_dft_norm(spectrum, out=real[-1])
+        # N/(8 i omega) = (-i/(8 omega)) N, with 1/(8 omega) in n_cubic's array
+        spectrum += _i_times(_inverse_8w(w, out=n_cubic), cubic_hat, out=cubic_hat, turn=-1j)
+        norm += l1_dft_norm(spectrum, out=n_cubic)
     return 2 * norm

@@ -17,7 +17,6 @@ carriers are exact in config text; each must have a small lattice period
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -25,7 +24,6 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .dispersion import DEFAULT_RESONANCE_MARGIN, WaveVector
 from .lattice import DT_MAX
@@ -160,6 +158,8 @@ class ExperimentPlan:
         return self.dt or eps**1.5 / 4
 
     def hash(self) -> str:
+        import hashlib  # only a sweep's report asks for it
+
         payload = json.dumps(asdict(self), sort_keys=True, default=float)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -223,10 +223,15 @@ def _read_file(path: str) -> dict:
     try:
         text = p.read_text()
         if p.suffix in (".yaml", ".yml"):
-            data = yaml.safe_load(text) or {}
+            import yaml  # only a YAML config file needs it
+
+            try:
+                data = yaml.safe_load(text) or {}
+            except yaml.YAMLError as e:
+                raise ValueError(e) from None
         else:
             data = json.loads(text)
-    except (OSError, ValueError, yaml.YAMLError) as e:
+    except (OSError, ValueError) as e:
         raise ConfigError(f"{path}: {e}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a mapping")

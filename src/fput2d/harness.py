@@ -10,8 +10,11 @@ deviation
 
 against the leading-order ansatz s, sampled as a lattice state, at ~20
 sample times (the displacement form sums |q - s.q| + |w - s.w|).  A run
-samples through one ansatz workspace (ansatz.AnsatzWorkspace) and writes
-its strain view and diagnostics into arrays it builds once.  A sweep
+holds one set of lattice arrays: its ansatz workspace
+(ansatz.AnsatzWorkspace), whose live initial state integrate copies into
+the only lattice state the run steps, the integrator's work arrays, and a
+strain run's strain view.  Its energy and compatibility diagnostics borrow
+workspace arrays the deviation has just freed.  A sweep
 runs several eps values, fits the log-log slope of the max-in-time error, and
 reports pass/fail against the expected quadratic order.
 
@@ -49,7 +52,6 @@ import time
 # ProcessPoolExecutor runs nothing here; bench/workloads.py:pool_peaks patches the name
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor  # noqa: F401
 from dataclasses import asdict
-from statistics import NormalDist
 
 import numpy as np
 
@@ -237,16 +239,20 @@ def _run_lattice(plan: ExperimentPlan, disp, eps: float, env0: EnvelopeField,
     """The lattice run at eps against the envelope samples; its record has no
     wall time.
 
-    The run's ansatz workspace, strain view and diagnostic work arrays are
-    built once and rewritten at every observation, so an observation after
-    the first allocates no lattice-sized array.
+    The initial state is the workspace's live state: integrate copies it
+    before the first observation overwrites it, and the energy at t = 0,
+    the first observation's, is the reference of the energy drift.  The
+    run's ansatz workspace and strain view are built once and rewritten at
+    every observation; the energy and the compatibility defect work in the
+    sample's arrays, free once the deviation is taken, and the real view of
+    the workspace's spare array.  So an observation after the first
+    allocates no lattice-sized array.
     """
     n = plan.n_side_for(eps)
     dt = plan.dt_for(eps)
     work = AnsatzWorkspace(env0, disp, eps, n, plan.variant)
     state, proj_diag = build_initial_data(work, env0, plan.corrections)
     force = _force_for(plan, eps, n)
-    scratch = tuple(np.empty((n, n)) for _ in range(3))
 
     residual_at = {
         int(round(f * (plan.sample_count - 1))) for f in plan.residual_fractions
@@ -274,6 +280,7 @@ def _run_lattice(plan: ExperimentPlan, disp, eps: float, env0: EnvelopeField,
         err = float(np.max(deviations[0]))
         times.append(float(st.time))
         sup_errors.append(err)
+        scratch = (*s.arrays(), work.real_scratch())[:3]
         lattice_diag.append([float(st.time), energy(st, force, scratch),
                              compatibility_defect(view, scratch) if strain else None,
                              view.max_amplitude()])
@@ -289,7 +296,7 @@ def _run_lattice(plan: ExperimentPlan, disp, eps: float, env0: EnvelopeField,
     env_final = samples.get(plan.sample_count - 1)
 
     max_err = max(sup_errors)
-    e0 = energy(state, force, scratch)
+    e0 = lattice_diag[0][1]
     record = {
         "eps": eps,
         "n_side": n,
@@ -395,6 +402,8 @@ def _t_quantile(df: int, p: float) -> float:
     its square; evaluating I_x is noisy at about 1e-14 of t, so a tighter
     stop could cycle.
     """
+    from statistics import NormalDist  # only an order fit needs it
+
     a, tail = df / 2, 2 * (1 - p)
     a0 = 0.5 if df % 2 else 1.0
     beta = (math.pi if df % 2 else 2.0) * math.prod(

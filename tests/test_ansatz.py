@@ -13,6 +13,9 @@ from fput2d.ansatz import (
     FootprintExceeded,
     _correction_products,
     _difference_symbol,
+    _frequency,
+    _i_times,
+    _inverse_8w,
     _lift,
     _resample_map,
     _respec,
@@ -59,9 +62,11 @@ def constant_env(value, box, m=8):
 def run_projection(u_hat, v_hat, ut_hat, vt_hat):
     """The projection build_initial_data makes, on spectra of real fields in
     LatticeState.arrays() order: each strain pair lifted to a displacement
-    spectrum, then the spectra of the lifted state's forward differences."""
+    spectrum, then the spectra of the lifted state's forward differences.
+    The lift writes over its inputs, so it is given copies."""
     e, keep = _difference_symbol(u_hat.shape[0])
-    q, w = (np.fft.ifft2(_lift(f, g, e, keep)).real for f, g in ((u_hat, v_hat), (ut_hat, vt_hat)))
+    q, w = (np.fft.ifft2(_lift(f.copy(), g.copy(), e, keep)).real
+            for f, g in ((u_hat, v_hat), (ut_hat, vt_hat)))
     lifted = LatticeState("displacement", q=q, w=w)
     return [np.fft.fft2(f) for f in strain_from_displacement(lifted).arrays()]
 
@@ -224,7 +229,9 @@ class TestEnvelopeEvaluation:
         blocks, pad, _ = _resample_map(m, n_out)
         assert len(blocks) <= 3 and (pad is None) == (n_out <= m)
         got = _respec(coeffs, np.full((n_out, n_out), np.nan + 0j), blocks)
-        padded = np.zeros(n_out, dtype=bool) if pad is None else pad
+        padded = np.zeros(n_out, dtype=bool)
+        if pad is not None:
+            padded[pad] = True
         unreached = padded[:, None] | padded[None, :]
         assert np.all(np.isnan(got[unreached])) and not np.any(np.isnan(got[~unreached]))
         got[unreached] = 0.0
@@ -641,17 +648,17 @@ class TestWorkspace:
         assert not np.array_equal(first.u, kept.u)  # overwritten by the next call
 
     @pytest.mark.parametrize("variant", ["strain", "displacement"])
-    def test_initial_state_owns_its_arrays(self, variant):
+    def test_initial_state_is_live(self, variant):
+        # the initial state's arrays are the workspace's, as a sample's are
+        # (integrate steps a copy), and the next call on it overwrites them
         env = gaussian_field(20.0, 64, 1.0, 4.0)
         work = AnsatzWorkspace(env, DISP, 0.25, 80, variant)
         state, _ = build_initial_data(work, env, False)
+        assert [a is b for a, b in zip(state.arrays(), work.arrays)] == [True, True]
         kept = state.copy()
-        for a in state.arrays():
-            assert a.flags.owndata and a.flags.c_contiguous
         sample_ansatz(work, env, 30.0)
-        residual_norm(work, env, 30.0, True)
         for a, b in zip(state.arrays(), kept.arrays()):
-            assert np.array_equal(a, b)
+            assert not np.array_equal(a, b)
 
     # envelopes of other runs: two finer grids, another box, a box one ulp
     # off, and another grid and box
@@ -668,6 +675,69 @@ class TestWorkspace:
                      lambda: build_initial_data(work, env, False)):
             with pytest.raises(ValueError, match="grid side or box differs"):
                 call()
+
+
+def _hex(z):
+    """Float hex of each real and imaginary part, with -0.0 read as 0.0."""
+    return [v.hex() for v in (np.asarray(z).view(np.float64) + 0.0).ravel().tolist()]
+
+
+class TestImaginaryMultipliers:
+    """The workspace applies each purely imaginary multiplier as its real
+    factor times the exact rotation of the spectrum by i or -i; on random
+    spectra every product equals, float hex for float hex, the one the
+    complex constant of the formula forms, the modes where the factor is 0
+    included."""
+
+    eps, n = 0.2, 100  # eps not a power of 2, so eps times a product rounds
+
+    def spectra(self, seed):
+        return np.random.default_rng(seed).normal(size=(self.n, self.n, 2)) @ [1, 1j]
+
+    def test_symbol_term(self):
+        # (i sigma) Q; M = 64 < N, so sigma is 0 at K = 0 and on the pad modes
+        env = gaussian_field(self.eps * self.n, 64, 0.8, 4.0)
+        disp = nls_coefficients(KV_R)
+        work = AnsatzWorkspace(env, disp, self.eps, self.n, "displacement")
+        symbol = _respec(linear_symbol(env, NlsProblem(disp.hessian, disp.gamma_q)),
+                         np.zeros((self.n, self.n)), work._blocks)
+        assert np.array_equal(work._symbol, symbol)
+        assert np.count_nonzero(symbol == 0) > 2 * self.n
+        x = self.spectra(1)
+        assert _hex(_i_times(work._symbol, x, out=np.empty_like(x))) == _hex((1j * symbol) * x)
+
+    @pytest.mark.parametrize("j", [1, -1, 3, -3])
+    def test_group_velocity_term(self, j):
+        # eps^2 dB/dT + (i j omega0 + eps i c . K) B, c . K = 0 at K = 0
+        env = gaussian_field(self.eps * self.n, 64, 0.8, 4.0)
+        disp = nls_coefficients(KV_R)
+        work = AnsatzWorkspace(env, disp, self.eps, self.n, "strain")
+        b_hat, b_t_hat = self.spectra(20 + j), self.spectra(30 + j)
+        (cx, cy), k = disp.group_velocity, work._k
+        i_mu = 1j * (cx * k[:, None] + cy * k[None, :])
+        want = np.multiply(self.eps**2, b_t_hat)
+        want += (np.multiply(self.eps, i_mu) + 1j * j * disp.omega0) * b_hat
+        got = b_t_hat.copy()
+        work._time_derivative(j, b_hat, got)
+        assert _hex(got) == _hex(want)
+
+    def test_residual_multipliers(self):
+        # (i omega) Psi_1 and (1/(8 i omega)) N, the latter 0 at omega = 0
+        n = self.n
+        wk2 = 2.0 - 2.0 * np.cos(2 * np.pi * np.fft.fftfreq(n))
+        w = np.sqrt(wk2[:, None] + wk2[None, :])
+        inv_8iw = np.zeros((n, n), dtype=complex)
+        inv_8iw[w > 0] = 1.0 / (8j * w[w > 0])
+        work = AnsatzWorkspace(gaussian_field(self.eps * n, 64, 0.8, 4.0), DISP,
+                               self.eps, n, "displacement")
+        omega = _frequency(work._wk2, out=np.empty((n, n)))
+        assert np.array_equal(omega, w) and np.count_nonzero(omega == 0) == 1
+        x = self.spectra(3)
+        assert _hex(_i_times(omega, x, out=np.empty_like(x))) == _hex((1j * w) * x)
+        inverse = _inverse_8w(omega, out=np.empty((n, n)))
+        assert inverse[0, 0] == 0.0
+        assert (_hex(_i_times(inverse, x, out=x.copy(), turn=-1j))
+                == _hex(inv_8iw * x))
 
 
 class TestL1Bridge:

@@ -188,6 +188,44 @@ class TestFitOrder:
         assert all(code in (0, 4) for _, code, _ in found)  # 4: the smoke grid's order
         assert [modules for _, _, modules in found] == [[]] * len(steps)
 
+    def test_cli_import_and_run_single_leave_yaml_hashlib_and_statistics_out(self):
+        # each is imported where it is used: yaml by a YAML config file,
+        # hashlib by a report's config hash, statistics by an order fit
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import json, sys, tempfile\n"
+            "from pathlib import Path\n"
+            "found = []\n"
+            "def check(step):\n"
+            "    found.append([step, [m for m in ('yaml', 'hashlib', '_hashlib', 'statistics')\n"
+            "                         if m in sys.modules]])\n"
+            "import fput2d.cli\n"
+            "check('import fput2d.cli')\n"
+            "from fput2d.config import load_plan\n"
+            "from fput2d.harness import ExperimentPlan, run_single, run_sweep\n"
+            f"plan = ExperimentPlan(**{SMALL_PLAN!r})\n"
+            "run_single(plan, 0.4)\n"
+            "check('run_single')\n"
+            "with tempfile.TemporaryDirectory() as d:\n"
+            "    Path(d, 'plan.json').write_text('{\"eps\": 0.2}')\n"
+            "    load_plan(str(Path(d, 'plan.json')))\n"
+            "    check('json config')\n"
+            "    run_sweep(plan)\n"
+            "    check('run_sweep')\n"
+            "    Path(d, 'plan.yaml').write_text('eps: 0.2\\n')\n"
+            "    load_plan(str(Path(d, 'plan.yaml')))\n"
+            "    check('yaml config')\n"
+            "print(json.dumps(found))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        found = dict(json.loads(out.stdout.splitlines()[-1]))
+        assert found["import fput2d.cli"] == found["run_single"] == found["json config"] == []
+        assert {"hashlib", "statistics"} <= set(found["run_sweep"])
+        assert "yaml" not in found["run_sweep"] and "yaml" in found["yaml config"]
+
 
 class TestPlanRules:
     def test_n_side_multiple_of_four(self):
@@ -335,13 +373,14 @@ class TestRunSingle:
     @pytest.mark.parametrize("variant, grid_side", [("strain", 256), ("displacement", 128)])
     def test_observations_allocate_no_lattice_array(self, monkeypatch, variant, grid_side):
         # an observation works in the run's ansatz workspace (N = 200 against
-        # an envelope grid of 256, then 128: truncation, then padding), its
-        # strain view and its work arrays, so after the first one any N x N
-        # float64 temporary would show as a peak of at least one such array,
-        # residual observations included: the DFT of each cubic term goes into
-        # the workspace's spare complex array.  numpy buffers the
-        # two broadcast operands of an outer product in 8192-element buffers
-        # (256 KiB complex, whatever N), which N = 200 puts below one array
+        # an envelope grid of 256, then 128: truncation, then padding) and
+        # its strain view, the diagnostics in the workspace's arrays, so
+        # after the first one any N x N float64 temporary would show as a
+        # peak of at least one such array, residual observations included:
+        # the DFT of each cubic term goes into the workspace's spare complex
+        # array.  numpy buffers the two broadcast operands of an outer
+        # product in 8192-element buffers (256 KiB complex, whatever N),
+        # which N = 200 puts below one array
         plan = small_plan(variant=variant, box_length=40.0, grid_side=grid_side)
         n = plan.n_side_for(0.2)
         assert n == 200
@@ -366,6 +405,48 @@ class TestRunSingle:
         assert len(peaks) == 5
         for i, peak in enumerate(peaks[1:], start=1):
             assert peak < lattice_array, (i, peak)
+
+    @pytest.mark.parametrize("variant, budget", [("displacement", 18.0), ("strain", 24.0)])
+    def test_run_holds_one_set_of_lattice_arrays(self, monkeypatch, variant, budget):
+        # at its last observation a run holds, besides its envelope samples
+        # and in N x N float64 units: the ansatz workspace's four complex
+        # arrays (8), its state arrays (2, strain 4) and its two real symbols
+        # (2), the stepped state (2), the integrator's work arrays (2) and
+        # block of rows (0.5), and a strain run's strain view (4): 16.5, strain
+        # 22.5, plus the initial envelope and the workspace's envelope array,
+        # 0.2 each on M = 64 points.  A kept initial state (2), work arrays of
+        # the diagnostics' own (3) or a complex N x N constant (2) would each
+        # take it over the budget
+        plan = small_plan(variant=variant, box_length=20.0, grid_side=64, sigma=2.0,
+                          t0=0.02)
+        n = plan.n_side_for(0.1)
+        assert n == 200
+        handoffs = []
+
+        class Recorded(harness._EnvelopeSamples):
+            def __init__(self, *args):
+                super().__init__(*args)
+                handoffs.append(self)
+
+        real_integrate = harness.integrate
+        held = []
+
+        def integrate(state, force, dt, times, observer):
+            def measured(st):
+                observer(st)
+                samples = sum(f.a.nbytes for f in handoffs[0]._fields if f is not None)
+                held.append(tracemalloc.get_traced_memory()[0] - samples)
+            return real_integrate(state, force, dt, times, measured)
+
+        monkeypatch.setattr(harness, "_EnvelopeSamples", Recorded)
+        monkeypatch.setattr(harness, "integrate", integrate)
+        tracemalloc.start()
+        try:
+            run_single(plan, 0.1)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == plan.sample_count
+        assert held[-1] / (n * n * 8) <= budget
 
     def test_strain_displacement_same_scale(self):
         rs = run_single(small_plan(), 0.25)
