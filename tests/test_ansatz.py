@@ -8,9 +8,13 @@ projection example against direct complex arithmetic.
 import numpy as np
 import pytest
 
+import tracemalloc
+
 from fput2d.ansatz import (
+    CORRECTIONS,
     AnsatzWorkspace,
     FootprintExceeded,
+    _add_i_times,
     _correction_products,
     _difference_symbol,
     _frequency,
@@ -72,12 +76,16 @@ def run_projection(u_hat, v_hat, ut_hat, vt_hat):
 
 
 def eval_envelope(spectra, env, eps, t, n):
-    """The resampling a sample runs: each envelope-grid DFT's central modes
-    moved to the lattice's modes, then evaluated at the lattice's moving-frame
-    points at time t (DISP's group velocity)."""
+    """The resampling a sample runs, without the carrier's roll: each
+    envelope-grid DFT times the workspace's moving-frame factors at time t
+    (DISP's group velocity), its central modes moved to the lattice's modes,
+    then inverse transformed."""
     work = AnsatzWorkspace(env, DISP, eps, n, "displacement")
-    return work.resample([_respec(s, np.zeros((n, n), dtype=complex), work._blocks)
-                          for s in spectra], t, work._scale, work._pad)
+    fx, fy = work._frame(work._k, t, work._scale)
+    blocks = _resample_map(env.grid_side, n)[0]
+    return [_ifft2(_respec(s * fx[:, None] * fy[None, :], np.zeros((n, n), dtype=complex),
+                           blocks, blocks))
+            for s in spectra]
 
 
 def evolved_copy(env, disp, dT_target):
@@ -215,8 +223,9 @@ class TestEnvelopeEvaluation:
     @pytest.mark.parametrize("m, n_out", [(16, 10), (16, 9), (16, 16), (16, 24), (16, 25),
                                           (9, 4), (9, 9), (9, 16)])
     def test_respec_matches_shift_formula(self, m, n_out):
-        # the fftshift / pad-or-crop / ifftshift formula, bit for bit; the
-        # blocks write every mode but the pad modes, which stay as they were
+        # the fftshift / pad-or-crop / ifftshift formula, then np.roll of the
+        # rows and columns by the carrier's modes, bit for bit; the blocks
+        # write every mode but the pad modes, which stay as they were
         coeffs = np.random.default_rng(m * n_out).normal(size=(m, m, 2)) @ [1, 1j]
         cs = np.fft.fftshift(coeffs)
         if n_out >= m:
@@ -226,16 +235,21 @@ class TestEnvelopeEvaluation:
         else:
             lo = (m - n_out) // 2
             want = cs[lo:lo + n_out, lo:lo + n_out]
-        blocks, pad, _ = _resample_map(m, n_out)
-        assert len(blocks) <= 3 and (pad is None) == (n_out <= m)
-        got = _respec(coeffs, np.full((n_out, n_out), np.nan + 0j), blocks)
-        padded = np.zeros(n_out, dtype=bool)
-        if pad is not None:
-            padded[pad] = True
-        unreached = padded[:, None] | padded[None, :]
-        assert np.all(np.isnan(got[unreached])) and not np.any(np.isnan(got[~unreached]))
-        got[unreached] = 0.0
-        assert np.array_equal(got, np.fft.ifftshift(want))
+        for roll_x, roll_y in ((0, 0), (3, -5), (-n_out // 2, 1)):
+            (rows, row_pads), (cols, col_pads) = (_resample_map(m, n_out, r)
+                                                  for r in (roll_x, roll_y))
+            assert len(rows) <= 3 and len(cols) <= 3 and len(row_pads) <= 2
+            assert (not row_pads) == (not col_pads) == (n_out <= m)
+            got = _respec(coeffs, np.full((n_out, n_out), np.nan + 0j), rows, cols)
+            unreached = np.zeros((n_out, n_out), dtype=bool)
+            for pad in row_pads:
+                unreached[pad] = True
+            for pad in col_pads:
+                unreached[:, pad] = True
+            assert np.all(np.isnan(got[unreached])) and not np.any(np.isnan(got[~unreached]))
+            got[unreached] = 0.0
+            assert np.array_equal(got, np.roll(np.fft.ifftshift(want), (roll_x, roll_y),
+                                               axis=(0, 1)))
 
     def test_fft_requires_commensurate(self):
         env = gaussian_field(40.0, 128, 1.0, 4.0)
@@ -343,9 +357,10 @@ class TestCompatProjection:
 
     def test_degenerate_mode_count(self):
         # (0, 0) always; the two lone modes (pi/2, -pi/2), (-pi/2, pi/2) when 4 | N
-        for n_side, count in ((16, 3), (18, 1)):
+        # (at N = 18, a carrier the 18-point lattice fits)
+        for n_side, count, kv in ((16, 3, KV), (18, 1, WaveVector(np.pi / 3, np.pi / 3))):
             env = constant_env(0.0, 0.2 * n_side)
-            _, diag = initial_data(env, DISP, 0.2, n_side, "strain")
+            _, diag = initial_data(env, nls_coefficients(kv), 0.2, n_side, "strain")
             assert diag["degenerate_modes"] == count
 
 
@@ -439,8 +454,7 @@ class TestCorrectionSet:
         for kv in (KV, KV_R):
             disp = nls_coefficients(kv)
             # the basis fields of the harmonics 1, -1, 3, -3 on the envelope grid
-            basis = {1: env.a, **{j: b for j, (b, _) in
-                                  _correction_products(env.a, np.zeros_like(env.a)).items()}}
+            basis = {1: env.a, **{j: _correction_products(j, env.a, None)[0] for j in CORRECTIONS}}
             weights = _weights(disp, "strain", True)
             for name, kv_coeffs, ratio in (("u", kv, 1.0),
                                            ("v", WaveVector(kv.l, kv.k), ratio_b_over_a(kv))):
@@ -465,7 +479,7 @@ class TestCorrectionSet:
     def test_sampled_v_difference_matches_manual(self):
         # at (pi/2, pi/3) the strain-v envelope is B = r A with r != 1, so
         # the closed form checks the r-weights of the v corrections
-        eps, n = 0.05, 16
+        eps, n = 0.05, 24  # N a multiple of l0's lattice period 6
         c = 0.6 + 0.2j
         disp = nls_coefficients(KV_R)
         r = ratio_b_over_a(KV_R)
@@ -506,41 +520,59 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-def fft2(x):
-    """The package's 2D DFT of a copy of x cast to complex."""
-    return _fft2(np.array(x, dtype=complex))
+def fft2(x, dtype=complex):
+    """The package's 2D DFT of a copy of x cast to complex; for another
+    dtype, numpy's in that dtype."""
+    if dtype is complex:
+        return _fft2(np.array(x, dtype=complex))
+    return np.fft.fft2(np.asarray(x, dtype=dtype))
 
 
-def ifft2(x):
-    """The package's inverse 2D DFT of a copy of x cast to complex."""
-    return _ifft2(np.array(x, dtype=complex))
+def ifft2(x, dtype=complex):
+    """The package's inverse 2D DFT of a copy of x cast to complex; for
+    another dtype, numpy's in that dtype."""
+    if dtype is complex:
+        return _ifft2(np.array(x, dtype=complex))
+    return np.fft.ifft2(np.asarray(x, dtype=dtype))
 
 
-def reference_branches(env, disp, eps, t, n, form, corrections):
+def reference_products(a, a_t):
+    """The correction harmonics' basis fields B_j, Q conj(Q)^2, Q^3 and
+    conj(Q)^3, and dB_j/dT, from Q and dQ/dT, by their formulas."""
+    ac, ac_t = np.conj(a), np.conj(a_t)
+    return {-1: (a * ac**2, a_t * ac**2 + 2 * a * ac * ac_t),
+            3: (a**3, 3 * a * a * a_t),
+            -3: (ac**3, 3 * ac * ac * ac_t)}
+
+
+def reference_branches(env, disp, eps, t, n, form, corrections, dtype=complex):
     """Per position array, the complex branch sum and its time derivative in
     the expression form on the envelope grid: every harmonic's spectra
     shifted to the moving frame, gathered to the lattice grid by np.take and
-    inverse transformed, times the carrier phase, weighted and summed.  The
-    workspace's in-place arithmetic on the lattice's modes must match it bit
-    for bit (complex products in the same operand order).  It transforms with
-    the package's FFT, so it checks that arithmetic, not the FFT library;
-    tests/test_nls.py checks the FFT against scipy.fft."""
+    inverse transformed, times the carrier phase as a field, weighted and
+    summed.  The workspace assembles the same sums on the lattice's modes,
+    with the carrier as a roll of the modes, so they agree to rounding.  It
+    transforms with the package's FFT, so it checks that assembly, not the
+    FFT library; tests/test_nls.py checks the FFT against scipy.fft.  With
+    dtype np.clongdouble it runs in long double from the float64 envelope
+    and coefficients."""
     prob = NlsProblem(disp.hessian, disp.gamma_q)
-    a = env.a
-    a_hat = fft2(a)
+    a = env.a.astype(dtype)
+    a_hat = fft2(a, dtype)
     # dQ/dT's DFT as test_nls.envelope_rhs_spectrum gives it, with the cubic
     # term's DFT taken by the package's FFT
-    a_t_hat = 1j * linear_symbol(env, prob) * a_hat + fft2(prob.nonlin_coeff * np.abs(a) ** 2 * a)
+    a_t_hat = (1j * linear_symbol(env, prob) * a_hat
+               + fft2(prob.nonlin_coeff * np.abs(a) ** 2 * a, dtype))
     m = env.grid_side
     basis = {1: (m, a_hat, a_t_hat)}
     if corrections:
         # Q and dQ/dT on the grid zero-padded to 2M points, and each
         # product's DFT on it
         def padded(spectrum):
-            return ifft2(np.fft.ifftshift(np.pad(np.fft.fftshift(spectrum), m // 2))) * 4
+            return ifft2(np.fft.ifftshift(np.pad(np.fft.fftshift(spectrum), m // 2)), dtype) * 4
 
-        basis.update({j: (2 * m, fft2(b), fft2(b_t)) for j, (b, b_t) in
-                      _correction_products(padded(a_hat), padded(a_t_hat)).items()})
+        basis.update({j: (2 * m, fft2(b, dtype), fft2(b_t, dtype)) for j, (b, b_t) in
+                      reference_products(padded(a_hat), padded(a_t_hat)).items()})
     (cx, cy), kv, w0 = disp.group_velocity, disp.carrier, disp.omega0
 
     def resample(spectrum, g, k):
@@ -557,9 +589,9 @@ def reference_branches(env, disp, eps, t, n, form, corrections):
                          np.exp(1j * eps * cy * t * k))
         out = (spectrum * shift).take(src, axis=0).take(src, axis=1)
         out[pad] = out[:, pad] = 0.0
-        return ifft2(out)
+        return ifft2(out, dtype)
 
-    mvals = np.arange(n) - n // 2
+    mvals = (np.arange(n) - n // 2).astype(np.real(np.zeros(1, dtype)).dtype)
     terms = {}
     for j, (g, b_hat, b_t_hat) in basis.items():
         k = EnvelopeField(env.box_length, np.zeros((g, g))).wavenumbers_1d()
@@ -572,9 +604,9 @@ def reference_branches(env, disp, eps, t, n, form, corrections):
             for name, w in _weights(disp, form, corrections).items()}
 
 
-def reference_residual(env, disp, eps, t, n, form, corrections):
+def reference_residual(env, disp, eps, t, n, form, corrections, dtype=complex):
     """residual_norm in the expression form, on reference_branches."""
-    acc = reference_branches(env, disp, eps, t, n, form, corrections)
+    acc = reference_branches(env, disp, eps, t, n, form, corrections, dtype)
     wk2 = 2.0 - 2.0 * np.cos(2 * np.pi * np.fft.fftfreq(n))
     w = np.sqrt(wk2[:, None] + wk2[None, :])
     inv_8iw = np.zeros((n, n), dtype=complex)
@@ -585,9 +617,27 @@ def reference_residual(env, disp, eps, t, n, form, corrections):
     fx, fy = (-b * (b * b) for b in bonds)  # -b^3 as residual_norm rounds it
     div = fx - np.roll(fx, 1, axis=0) + fy - np.roll(fy, 1, axis=1)
     cubic = [div] if form == "displacement" else [np.roll(div, -1, axis) - div for axis in (0, 1)]
-    return 2 * sum(l1_dft_norm(-fft2(dpsi1) + 1j * w * fft2(psi1)
-                               + inv_8iw * fft2(n_cubic), np.empty((n, n)))
+    return 2 * sum(l1_dft_norm(-fft2(dpsi1, dtype) + 1j * w * fft2(psi1, dtype)
+                               + inv_8iw * fft2(n_cubic, dtype), np.empty((n, n)))
                    for (psi1, dpsi1), n_cubic in zip(acc.values(), cubic))
+
+
+def reference_initial_data(env, disp, eps, n, form, corrections):
+    """build_initial_data on reference_branches at t = 0: the sample, and in
+    strain form the lift of each pair of its spectra."""
+    sampled = [f(psi).real for f in (lambda p: p[0], lambda p: p[1])
+               for psi in reference_branches(env, disp, eps, 0.0, n, form,
+                                             corrections).values()]
+    if form == "displacement":
+        return sampled
+    e, keep = _difference_symbol(n)
+    return [ifft2(_lift(fft2(u), fft2(v), e, keep)).real
+            for u, v in (sampled[:2], sampled[2:])]
+
+
+def assert_close(got, want, rel=1e-13):
+    """got within rel of want's sup norm."""
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
 
 
 class TestWorkspace:
@@ -621,23 +671,34 @@ class TestWorkspace:
                 assert r_got.hex() == r_want.hex()
 
     @pytest.mark.parametrize("corrections", [False, True])
-    @pytest.mark.parametrize("grid_side", [128, 64])
+    @pytest.mark.parametrize("grid_side", [128, 64])  # N = 96 truncates, then pads
     @pytest.mark.parametrize("variant", ["strain", "displacement"])
     def test_matches_the_expression_form(self, variant, grid_side, corrections):
-        eps, n, t = 0.25, 80, 7.3
+        # samples, initial data and residuals at the default carrier, one
+        # whose v envelope is not its u envelope, an elliptic and a hyperbolic
+        # one agree with the oracle to 1e-13 of each array's sup (N = 96 is a
+        # multiple of every carrier's lattice period)
+        eps, n, t = 0.25, 96, 7.3
         env = gaussian_field(eps * n, grid_side, amplitude=0.8, sigma=4.0)
         env.a = env.a * np.exp(0.3j)
-        disp = nls_coefficients(KV_R)
-        work = AnsatzWorkspace(env, disp, eps, n, variant)
-        want = reference_branches(env, disp, eps, t, n, variant, corrections)
-        for _ in range(2):  # a fresh workspace, then a used one
-            got = sample_ansatz(work, env, t, corrections)
-            half = len(got.arrays()) // 2
-            for i, (psi1, dpsi1) in enumerate(want.values()):
-                assert np.array_equal(_bits(got.arrays()[i]), _bits(psi1.real))
-                assert np.array_equal(_bits(got.arrays()[half + i]), _bits(dpsi1.real))
-            assert (residual_norm(work, env, t, corrections).hex()
-                    == reference_residual(env, disp, eps, t, n, variant, corrections).hex())
+        for kv in (KV, KV_R, WaveVector(3 * np.pi / 4, 3 * np.pi / 4),
+                   WaveVector(np.pi / 4, np.pi / 4)):
+            disp = nls_coefficients(kv)
+            work = AnsatzWorkspace(env, disp, eps, n, variant)
+            want = reference_branches(env, disp, eps, t, n, variant, corrections)
+            r_want = reference_residual(env, disp, eps, t, n, variant, corrections)
+            for _ in range(2):  # a fresh workspace, then a used one
+                got = sample_ansatz(work, env, t, corrections).arrays()
+                half = len(got) // 2
+                for i, (psi1, dpsi1) in enumerate(want.values()):
+                    assert_close(got[i], psi1.real)
+                    assert_close(got[half + i], dpsi1.real)
+                assert abs(residual_norm(work, env, t, corrections) - r_want) <= 1e-13 * r_want
+            state, _ = build_initial_data(work, env, corrections)
+            for got, want_0 in zip(state.arrays(),
+                                   reference_initial_data(env, disp, eps, n, variant,
+                                                          corrections)):
+                assert_close(got, want_0)
 
     def test_state_is_live(self):
         env = gaussian_field(20.0, 64, 1.0, 4.0)
@@ -677,48 +738,120 @@ class TestWorkspace:
                 call()
 
 
+    @pytest.mark.parametrize("variant", ["strain", "displacement"])
+    def test_residual_matches_a_long_double_oracle(self, variant):
+        # with corrections the residual at eps 0.1 is about eps^3 of the
+        # terms it sums, so their rounding shows 1e3 larger in it; assembled
+        # on the lattice's modes it is 1.6e-13 (strain 2.8e-13) from the
+        # expression form in long double; forward DFTs of the assembled fields
+        # put it 9e-12 off
+        eps, n = 0.1, 400
+        env = gaussian_field(eps * n, 128, 1.0, 4.0)
+        work = AnsatzWorkspace(env, DISP, eps, n, variant)
+        want = reference_residual(env, DISP, eps, 0.0, n, variant, True, np.clongdouble)
+        assert abs(residual_norm(work, env, 0.0, True) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("n", [80, 100])
+    def test_carrier_off_the_lattice_rejected(self, n):
+        # the roll needs j k0 and j l0 to be lattice wavenumbers: l0 = pi/3
+        # is one only when 6 divides N
+        env = gaussian_field(0.25 * n, 64, 1.0, 4.0)
+        with pytest.raises(ValueError, match=rf"carrier \(.*\) does not fit the N = {n} lattice"):
+            AnsatzWorkspace(env, nls_coefficients(KV_R), 0.25, n, "strain")
+
+    @pytest.mark.parametrize("variant", ["strain", "displacement"])
+    def test_two_complex_lattice_arrays(self, variant):
+        # the workspace's lattice-sized arrays are its two complex spectra and
+        # the state's arrays, and after the first call a sample or a residual
+        # allocates no array of one real N x N array's size
+        env = gaussian_field(40.0, 128, 1.0, 4.0)
+        n = 200
+        work = AnsatzWorkspace(env, DISP, 0.2, n, variant)
+        held = [a for v in vars(work).values() for a in (v if isinstance(v, tuple) else (v,))
+                if isinstance(a, np.ndarray) and a.size >= n * n]
+        assert sorted(a.dtype.str for a in held) == ["<c16"] * 2 + ["<f8"] * len(work.arrays)
+        assert all(a.shape == (n, n) for a in held)
+        sample_ansatz(work, env, 1.0)
+        residual_norm(work, env, 1.0, False)
+        tracemalloc.start()
+        try:
+            for call in (lambda: sample_ansatz(work, env, 2.0),
+                         lambda: residual_norm(work, env, 2.0, False)):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                call()
+                assert tracemalloc.get_traced_memory()[1] - before < n * n * 8
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("variant", ["strain", "displacement"])
+    def test_corrected_call_allocates_no_lattice_spectra(self, variant):
+        # a corrected sample or residual forms Q, dQ/dT and one correction
+        # harmonic's products at a time on the 2M = 256 grid, and adds each
+        # harmonic onto the workspace's two spectra in the mode copy: no
+        # N x N spectrum of its own (six of them took a call to 12.5 MB)
+        env = gaussian_field(40.0, 128, 1.0, 4.0)
+        work = AnsatzWorkspace(env, DISP, 0.2, 200, variant)
+        sample_ansatz(work, env, 1.0, True)
+        tracemalloc.start()
+        try:
+            for call in (lambda: sample_ansatz(work, env, 2.0, True),
+                         lambda: residual_norm(work, env, 2.0, True)):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                call()
+                assert tracemalloc.get_traced_memory()[1] - before <= 8.7e6
+        finally:
+            tracemalloc.stop()
+
 def _hex(z):
     """Float hex of each real and imaginary part, with -0.0 read as 0.0."""
     return [v.hex() for v in (np.asarray(z).view(np.float64) + 0.0).ravel().tolist()]
 
 
 class TestImaginaryMultipliers:
-    """The workspace applies each purely imaginary multiplier as its real
-    factor times the exact rotation of the spectrum by i or -i; on random
-    spectra every product equals, float hex for float hex, the one the
-    complex constant of the formula forms, the modes where the factor is 0
-    included."""
+    """The workspace applies each purely imaginary multiplier i s as the
+    real products of s with the spectrum's parts, by real arithmetic or after
+    the exact rotation of the spectrum by i or -i; on random spectra every
+    product equals, float hex for float hex, the one the complex constant of
+    the formula forms, the modes where s is 0 included."""
 
-    eps, n = 0.2, 100  # eps not a power of 2, so eps times a product rounds
+    eps, n = 0.2, 120  # eps not a power of 2, so eps times a product rounds
 
-    def spectra(self, seed):
-        return np.random.default_rng(seed).normal(size=(self.n, self.n, 2)) @ [1, 1j]
+    @staticmethod
+    def spectra(seed, m):
+        return np.random.default_rng(seed).normal(size=(m, m, 2)) @ [1, 1j]
 
     def test_symbol_term(self):
-        # (i sigma) Q; M = 64 < N, so sigma is 0 at K = 0 and on the pad modes
+        # harmonic 1's velocity spectrum eps^2 C + (i S) Q on the envelope
+        # grid (M = 64), S = eps c . K + omega0 + eps^2 sigma
         env = gaussian_field(self.eps * self.n, 64, 0.8, 4.0)
         disp = nls_coefficients(KV_R)
         work = AnsatzWorkspace(env, disp, self.eps, self.n, "displacement")
-        symbol = _respec(linear_symbol(env, NlsProblem(disp.hessian, disp.gamma_q)),
-                         np.zeros((self.n, self.n)), work._blocks)
+        (cx, cy), k = disp.group_velocity, env.wavenumbers_1d()
+        sigma = linear_symbol(env, NlsProblem(disp.hessian, disp.gamma_q))
+        symbol = ((cx * k[:, None] + cy * k[None, :]) * self.eps + disp.omega0
+                  + self.eps**2 * sigma)
         assert np.array_equal(work._symbol, symbol)
-        assert np.count_nonzero(symbol == 0) > 2 * self.n
-        x = self.spectra(1)
-        assert _hex(_i_times(work._symbol, x, out=np.empty_like(x))) == _hex((1j * symbol) * x)
+        q, c = self.spectra(1, 64), self.spectra(2, 64)
+        got = c.copy()
+        _add_i_times(work._symbol, q, got, np.empty((64, 64)))
+        assert _hex(got) == _hex(c + (1j * symbol) * q)
 
     @pytest.mark.parametrize("j", [1, -1, 3, -3])
     def test_group_velocity_term(self, j):
-        # eps^2 dB/dT + (i j omega0 + eps i c . K) B, c . K = 0 at K = 0
+        # eps^2 dB/dT + (i j omega0 + eps i c . K) B on the 2M-point grid, as
+        # the correction harmonics form it; c . K = 0 at K = 0
         env = gaussian_field(self.eps * self.n, 64, 0.8, 4.0)
         disp = nls_coefficients(KV_R)
         work = AnsatzWorkspace(env, disp, self.eps, self.n, "strain")
-        b_hat, b_t_hat = self.spectra(20 + j), self.spectra(30 + j)
-        (cx, cy), k = disp.group_velocity, work._k
+        b_hat, b_t_hat = self.spectra(20 + j, 128), self.spectra(30 + j, 128)
+        (cx, cy), k = disp.group_velocity, work._k2
         i_mu = 1j * (cx * k[:, None] + cy * k[None, :])
         want = np.multiply(self.eps**2, b_t_hat)
         want += (np.multiply(self.eps, i_mu) + 1j * j * disp.omega0) * b_hat
-        got = b_t_hat.copy()
-        work._time_derivative(j, b_hat, got)
+        got = np.multiply(self.eps**2, b_t_hat)
+        got += _i_times(work._velocity_symbol(k, j), b_hat, out=b_hat)
         assert _hex(got) == _hex(want)
 
     def test_residual_multipliers(self):
@@ -732,7 +865,7 @@ class TestImaginaryMultipliers:
                                self.eps, n, "displacement")
         omega = _frequency(work._wk2, out=np.empty((n, n)))
         assert np.array_equal(omega, w) and np.count_nonzero(omega == 0) == 1
-        x = self.spectra(3)
+        x = self.spectra(3, n)
         assert _hex(_i_times(omega, x, out=np.empty_like(x))) == _hex((1j * w) * x)
         inverse = _inverse_8w(omega, out=np.empty((n, n)))
         assert inverse[0, 0] == 0.0
