@@ -73,15 +73,19 @@ import numpy as np
 from .dispersion import DispersionData, correction_coefficients
 from .lattice import (
     _ARRAY_NAMES,
+    ForceLaw,
     LatticeState,
+    _add_divergence,
+    _add_force,
     _aligned_empty,
-    _divergence,
     _forward_diff,
+    _views,
 )
 from .nls import EnvelopeField, NlsProblem, _fft2, _ifft2, linear_symbol
 
 DELTA_PROJ = 1e-9
 CORRECTIONS = (-1, 3, -3)
+CUBIC_PART = ForceLaw().scaled_coefficients(0.0, None)  # h^3 W'(b / h) at h = 0: -b^3
 
 
 class FootprintExceeded(ValueError):
@@ -564,9 +568,10 @@ def residual_norm(work: AnsatzWorkspace, env: EnvelopeField, t: float,
     The diagonalized system splits each field into branches evolving by
     +-i omega; the ansatz assigns every harmonic to the positive branch whose
     residual is  -d(Psi_1)/dt + i omega Psi_1 + N/(8 i omega),  measured in
-    the cell-scaled l1 norm of its DFT.  N is the cubic lattice term: the
-    divergence of the bond forces -b^3 for displacement, its forward
-    differences for strain, on the fields 2 Re Psi_1 = Psi_1 + Psi_-1.  The
+    the cell-scaled l1 norm of its DFT.  N is the cubic lattice term on the
+    fields 2 Re Psi_1 = Psi_1 + Psi_-1: the march's force at h = 0, where
+    the cubic law is -b^3, for displacement; for strain the forward
+    differences of that law's divergence on (u, v).  The
     negative branch is the complex conjugate, contributing a factor 2.  (A
     naive second-order defect d2(psi)/dt2 - RHS(psi) cannot see the branch
     structure: the first-harmonic correction rides the carrier's own
@@ -588,23 +593,23 @@ def residual_norm(work: AnsatzWorkspace, env: EnvelopeField, t: float,
         _ifft2(p)
         for i, factor in fields:
             _real_part(p, 2 * factor, real[i], real[len(names) + i])
-    fields = real[:len(names)]
+    # N, with the bond strains and the law's scratch in the spectra's memory,
+    # free until the next assemble; free is the real array N leaves
+    bonds, temp, col = work.real_scratch(), _real_view(p), np.empty(work.n_side)
     if form == "displacement":
-        bonds = [_forward_diff(fields[0], 0, out=real[1]),
-                 _forward_diff(fields[0], 1, out=work.real_scratch())]
+        div, free = real[1], real[0]
+        div.fill(0.0)
+        laws = [[(bonds, temp, k)] for k in CUBIC_PART]
+        _add_force(_views(div), _views(real[0]), _views(bonds), laws, col)
+        cubic = [div]
     else:
-        bonds = fields
-    # -b^3 as b^2 times -b (np.power is a scalar pow loop), with the array
-    # the divergence takes next as scratch: the bonds have left it free
-    div = real[0] if form == "displacement" else real[2]
-    for b in bonds:
-        np.square(b, out=div)
-        np.negative(b, out=b)
-        b *= div
-    div = _divergence(bonds[0], bonds[1], div)
-    cubic = [div] if form == "displacement" else [_forward_diff(div, 0, out=real[0]),
-                                                  _forward_diff(div, 1, out=real[1])]
-    w = _frequency(work._wk2, out=real[len(names)])  # the array after the cubic terms
+        div = free = real[2]
+        div.fill(0.0)
+        for axis, (b, k) in enumerate(zip(real[:2], CUBIC_PART)):
+            ForceLaw._bond_law([(b, temp, k)])
+            _add_divergence(_views(div), _views(b), axis, col)
+        cubic = [_forward_diff(div, 0, out=real[0]), _forward_diff(div, 1, out=real[1])]
+    w = _frequency(work._wk2, out=free)
     norm = 0.0
     for weights, n_cubic in zip(work.coefficients(with_corrections).values(), cubic):
         work.assemble(weights, t, wide)

@@ -15,14 +15,17 @@ its accelerations are the forward differences of div, and it satisfies the
 discrete curl-free constraint u_{m,n+1} - u_{m,n} = v_{m+1,n} - v_{m,n},
 which compatibility_defect measures.
 
-The stencils write each difference straight into a preallocated buffer and
-are bit-identical to the np.roll formulas.  A shift along axis 0 is a row
-slice.  A shift along axis 1 is one unit-stride pass over the flattened
-arrays, each element against its neighbour in memory; that pass crosses each
-row end, and the periodic wrap column is written over those entries.  The
-pass needs C-contiguous arrays: an input that is not is read through
-np.ascontiguousarray, and an out that is not raises ValueError, since
-ravel() of one is a copy that the pass would fill and drop.
+The bond-force operator is written once, on the views _views takes of an
+array: one periodic forward difference (_difference), one bond law
+(ForceLaw._bond_law) and one divergence added into a target
+(_add_divergence), each bit-identical to its np.roll formula.  The march's
+force, the ansatz residual's cubic term (that force at h = 0) and energy (W
+of the same differences) share them.  A shift along axis 0 is a row slice,
+one along axis 1 a unit-stride pass over the flattened array that crosses
+each row end; the periodic wrap column is written over those entries.  The
+pass needs C-contiguous arrays: _forward_diff reads an input that is not
+through np.ascontiguousarray, and _views of one raises ValueError, since
+its ravel() is a copy that the pass would fill and drop.
 
 The integrator is velocity Verlet (symplectic, second order, time reversible)
 stepped in place in its leapfrog form: between two observations the closing
@@ -67,17 +70,19 @@ class UnstableStep(RuntimeError):
 
 @dataclass
 class ForceLaw:
-    """Bond force W'.
+    """Bond force W' and potential W, W(0) = 0, each law defined in one place.
 
-    kind "cubic_baseline" is W'(u) = u - u^3; "perturbed" applies per-bond
-    perturbed forces
+    kind "cubic_baseline" is W'(u) = u - u^3, W(u) = u^2/2 - u^4/4;
+    "perturbed" applies per-bond perturbed forces
 
         W'(u) = u + alpha*eps^3*u + beta*eps^2*u^2 - u^3 + gamma*eps*u^3
 
     with N x N coefficient arrays per bond direction, all bounded by
-    coeff_bound in absolute value, as W'(u) = u (1 + c1 + u (c2 + c3 u)) with
-    c1 = alpha*eps^3, c2 = beta*eps^2, c3 = gamma*eps - 1 built once; a march
-    evaluates it on scaled strains (scaled_coefficients).
+    coeff_bound in absolute value, as W'(u) = u (1 + c1 + u (c2 + c3 u)) and
+    W(u) = u^2 (0.5 + 0.5 c1 + u (c2/3 + 0.25 c3 u)), both from the one
+    triple c1 = alpha*eps^3, c2 = beta*eps^2, c3 = gamma*eps - 1 built once.
+    A march evaluates W' on scaled strains (scaled_coefficients, _bond_law),
+    energy W (w_potential).
     """
 
     kind: str = "cubic_baseline"
@@ -104,7 +109,7 @@ class ForceLaw:
             for a in arrays:
                 if a.shape != shape:
                     raise ValueError("coefficient arrays must share one shape")
-                if np.max(np.abs(a)) > self.coeff_bound + 1e-15:
+                if not np.max(np.abs(a)) <= self.coeff_bound + 1e-15:  # False for NaN
                     raise ValueError(f"coefficient magnitude exceeds bound {self.coeff_bound}")
             e = self.eps
             self._poly = {
@@ -133,13 +138,26 @@ class ForceLaw:
             coeffs.append((k1, k2, c3))
         return tuple(coeffs)
 
-    def w_potential(self, u: np.ndarray, direction: str, buffers) -> np.ndarray:
-        """Antiderivative of the bond force, W(0) = 0, on an array of bond
-        strains: 0.5 u^2 - 0.25 u^4, or u^2 (0.5 + 0.5 c1 + u (c2/3 + 0.25 c3 u)).
+    @staticmethod
+    def _bond_law(blocks) -> None:
+        """W' on scaled strains, h^3 W'(beta / h), in place block by block
+        for the (beta, temp, (k1, k2, k3)) blocks of scaled_coefficients:
+        the cubic law's beta (k1 - beta^2), -beta^3 at h = 0, when k2 is
+        None, else the perturbed law's beta (k1 + beta (k2 + k3 beta))."""
+        for beta, temp, (k1, k2, k3) in blocks:
+            if k2 is None:
+                np.square(beta, out=temp)
+                np.subtract(k1, temp, out=temp)
+            else:
+                np.multiply(k3, beta, out=temp)
+                temp += k2
+                temp *= beta
+                temp += k1
+            beta *= temp
 
-        buffers is (out, scratch), neither of them u; the value is written
-        into out and returned.
-        """
+    def w_potential(self, u: np.ndarray, direction: str, buffers) -> np.ndarray:
+        """W on an array of bond strains, into buffers = (out, scratch),
+        neither of them u; returns out."""
         out, scratch = buffers
         if self.kind == "cubic_baseline":
             u2 = np.multiply(u, u, out=scratch)
@@ -232,30 +250,10 @@ class LatticeState:
         return abs(float(np.max([np.maximum(a.max(), -a.min()) for a in self.arrays()])))
 
 
-def _c_contiguous_out(out: np.ndarray) -> np.ndarray:
-    """out, checked: a flat pass writes through out.ravel(), which is a
-    copy, not a view, unless out is C-contiguous."""
-    if not out.flags.c_contiguous:
-        raise ValueError("out must be a C-contiguous array")
-    return out
-
-
 def _forward_diff(f: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
-    """Periodic forward difference S+ f - f along axis, into out (not f).
-
-    Along axis 1 the difference is one pass over the flattened arrays, each
-    element minus its predecessor in memory; the pass crosses each row end,
-    and the wrap column f[:, 0] - f[:, -1] then overwrites those entries.
-    """
-    f = np.ascontiguousarray(f)
-    out = _c_contiguous_out(out)
-    if axis == 0:
-        np.subtract(f[1:], f[:-1], out=out[:-1])
-        np.subtract(f[0], f[-1], out=out[-1])  # the wrap row
-    else:
-        flat, o = f.ravel(), out.ravel()
-        np.subtract(flat[1:], flat[:-1], out=o[:-1])
-        np.subtract(f[:, 0], f[:, -1], out=out[:, -1])  # the wrap column
+    """Periodic forward difference S+ f - f along axis, into out (not f):
+    _difference on the arrays' views."""
+    _difference(_views(np.ascontiguousarray(f)), axis, _views(out))
     return out
 
 
@@ -272,25 +270,6 @@ def strain_from_displacement(state: LatticeState,
     for (f, axis), o in zip(differences, out.arrays()):
         _forward_diff(f, axis, out=o)
     out.time = state.time
-    return out
-
-
-def _divergence(fx: np.ndarray, fy: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Backward divergence fx - S-x fx + fy - S-y fy, the net bond force per site,
-    into out (neither fx nor fy).
-
-    The S-y fy term is one flat pass that subtracts from each element its
-    predecessor in memory; column 0, where that pass crosses a row end, is
-    computed first with the wrap column fy[:, -1] and written back after.
-    """
-    fx, fy = np.ascontiguousarray(fx), np.ascontiguousarray(fy)
-    out = _c_contiguous_out(out)
-    np.subtract(fx[1:], fx[:-1], out=out[1:])
-    np.subtract(fx[0], fx[-1], out=out[0])  # the wrap row
-    out += fy
-    wrap = out[:, 0] - fy[:, -1]  # the wrap column
-    out.ravel()[1:] -= fy.ravel()[:-1]
-    out[:, 0] = wrap
     return out
 
 
@@ -330,11 +309,39 @@ def _aligned_copy(f: np.ndarray) -> np.ndarray:
 
 
 def _views(f: np.ndarray) -> tuple:
-    """The views the march's stencils take of one C-contiguous N x N array:
-    f, rows 1: and :-1, rows 0 and -1, columns 0 and -1, and the flattened
-    array from 1 and up to -1."""
-    flat = _c_contiguous_out(f).ravel()
-    return f, f[1:], f[:-1], f[0], f[-1], f[:, 0], f[:, -1], flat[1:], flat[:-1]
+    """f and, per axis, the (next, previous, first, last) views a periodic
+    stencil pairs: rows 1: and :-1, rows 0 and -1; the flattened array from
+    1 and up to -1, columns 0 and -1.  f must be C-contiguous."""
+    if not f.flags.c_contiguous:
+        raise ValueError("stencil arrays must be C-contiguous")
+    flat = f.ravel()
+    return f, ((f[1:], f[:-1], f[0], f[-1]), (flat[1:], flat[:-1], f[:, 0], f[:, -1]))
+
+
+def _difference(r, axis: int, a) -> None:
+    """a <- S+ r - r along axis, on _views tuples (a not r): next minus
+    previous, then first minus last into the last row or column, which along
+    axis 1 overwrites the entries where the flat pass crossed a row end."""
+    nxt, prev, first, last = r[1][axis]
+    _, a_prev, _, a_last = a[1][axis]
+    np.subtract(nxt, prev, out=a_prev)
+    np.subtract(first, last, out=a_last)
+
+
+def _add_divergence(t, f, axis: int, col: np.ndarray) -> None:
+    """t += f - S- f along axis, on _views tuples (t not f).  Along axis 1
+    col, a vector of N, carries t's column 0 less the wrap column across the
+    flat pass."""
+    t_, (t_next, _, t_first, _) = t[0], t[1][axis]
+    f_, (_, f_prev, _, f_last) = f[0], f[1][axis]
+    t_ += f_
+    if axis == 0:
+        t_next -= f_prev
+        t_first -= f_last
+    else:
+        np.subtract(t_first, f_last, out=col)
+        t_next -= f_prev
+        t_first[...] = col
 
 
 class _Work:
@@ -345,9 +352,9 @@ class _Work:
     from the end of one march to the start of the next, scaled for step h.
     The bond law runs in blocks of at most LAW_BLOCK_BYTES of rows, so that
     its three passes over a block stay in cache; while b takes a force, its
-    scratch is rows, at most half of an N x N array.  col takes the wrap
-    column of the y-bond pass, and k the perturbed law's coefficients
-    scaled for the march's step.
+    scratch is rows, at most half of an N x N array.  col is the
+    divergence's column (_add_divergence), and k the perturbed law's
+    coefficients scaled for the march's step.
     """
 
     def __init__(self, n: int, force: ForceLaw):
@@ -376,47 +383,15 @@ def _blocks(beta: np.ndarray, temp: np.ndarray, coeffs, rows: int) -> list:
              for i in range(0, n, rows)] for k in coeffs]
 
 
-def _bond_law(blocks) -> None:
-    """beta <- beta (k1 + beta (k2 + k3 beta)) in place, block by block, or
-    beta (k1 - beta^2) when k2 is None (the cubic law)."""
-    for beta, temp, (k1, k2, k3) in blocks:
-        if k2 is None:
-            np.square(beta, out=temp)
-            np.subtract(k1, temp, out=temp)
-        else:
-            np.multiply(k3, beta, out=temp)
-            temp += k2
-            temp *= beta
-            temp += k1
-        beta *= temp
-
-
 def _add_force(t, r, a, laws, col: np.ndarray) -> None:
-    """t += div F(beta), the force h^3 a(q) at positions r = h q: the bond
-    strains beta = S+ r - r go through a, which the bond laws (one per
-    direction) turn into the bond forces F, and F - S- F is added into t.
-
-    t, r and a are _views tuples.  Along axis 1 each difference is one flat
-    pass; the wrap column is written over the entries where the pass
-    crossed a row end, and col carries the target's column 0 across it.
-    """
-    t_, t1, _, t0, _, tc0, _, tf1, _ = t
-    _, r1, r_1, r0, rl, rc0, rcl, rf1, rf_1 = r
-    a_, _, a_1, _, al, _, acl, _, af_1 = a
-    law_x, law_y = laws
-    np.subtract(r1, r_1, out=a_1)
-    np.subtract(r0, rl, out=al)  # the wrap row
-    _bond_law(law_x)
-    t_ += a_
-    t1 -= a_1
-    t0 -= al
-    np.subtract(rf1, rf_1, out=af_1)
-    np.subtract(rc0, rcl, out=acl)  # the wrap column
-    _bond_law(law_y)
-    t_ += a_
-    np.subtract(tc0, acl, out=col)
-    tf1 -= af_1
-    tc0[...] = col
+    """t += div F(beta), the force h^3 a(q) at positions r = h q: per
+    direction, the bond strains beta = S+ r - r go into a, the direction's
+    law blocks turn them into the bond forces F, and F - S- F is added into
+    t.  t, r and a are _views tuples, col the divergence's column."""
+    for axis, law in enumerate(laws):
+        _difference(r, axis, a)
+        ForceLaw._bond_law(law)
+        _add_divergence(t, a, axis, col)
 
 
 def _force_into_b(r, work: _Work, laws) -> None:

@@ -595,6 +595,26 @@ LAYOUTS = {
 }
 
 
+def real_half(a):
+    """a copied into the first half of a complex array's memory, a
+    C-contiguous real array, as the residual's scratch is."""
+    half = np.empty(a.shape, complex).view(np.float64).reshape(2, *a.shape)[0]
+    half[...] = a
+    return half
+
+
+# the C-contiguous layouts the divergence-add's callers pass
+DIVERGENCE_LAYOUTS = {"c": lambda a: a, "aligned": lattice._aligned_copy, "real_half": real_half}
+
+
+def add_divergence(fx, fy, out):
+    """out += fx - S-x fx + fy - S-y fy through lattice._add_divergence."""
+    col = np.empty(out.shape[0])
+    for axis, f in enumerate((fx, fy)):
+        lattice._add_divergence(lattice._views(out), lattice._views(f), axis, col)
+    return out
+
+
 class TestStencil:
     """The slice-based stencils against their np.roll formulas, bit for bit,
     on each input layout."""
@@ -622,13 +642,28 @@ class TestStencil:
 
     @pytest.mark.parametrize("n", [8, 9, 32])
     def test_divergence_matches_roll(self, n):
+        # the one divergence-add, both directions into a zeroed target, on
+        # the layouts its callers pass: plain C arrays, the march's aligned
+        # ones and the residual's real half of a complex array
         fields = np.random.default_rng(n).normal(size=(2, n, n))
-        for layout, view in LAYOUTS.items():
+        for layout, view in DIVERGENCE_LAYOUTS.items():
             fx, fy = view(fields[0]), view(fields[1])
             expected = fx - np.roll(fx, 1, axis=0) + fy - np.roll(fy, 1, axis=1)
-            out = np.full((n, n), np.nan)
-            assert lattice._divergence(fx, fy, out) is out
-            assert np.array_equal(out, expected), layout
+            out = view(np.zeros((n, n)))
+            assert np.array_equal(add_divergence(fx, fy, out), expected), layout
+
+    def test_force_at_h0_is_the_cubic_divergence(self):
+        # the residual's cubic term: the march's force kernel at h = 0, where
+        # the cubic law is -b^3, into a zeroed target
+        n = 32
+        q = np.random.default_rng(5).normal(size=(n, n))
+        fx, fy = (-(b * b * b) for b in (np.roll(q, -1, 0) - q, np.roll(q, -1, 1) - q))
+        expected = fx - np.roll(fx, 1, axis=0) + fy - np.roll(fy, 1, axis=1)
+        t, bonds, temp = np.zeros((n, n)), np.empty((n, n)), np.empty((n, n))
+        laws = [[(bonds, temp, k)] for k in BASE.scaled_coefficients(0.0, None)]
+        lattice._add_force(lattice._views(t), lattice._views(q), lattice._views(bonds), laws,
+                           np.empty(n))
+        assert np.array_equal(t, expected)
 
     @pytest.mark.parametrize("layout", ["fortran", "transposed", "complex_real"])
     def test_out_that_is_not_c_contiguous_raises(self, layout):
@@ -637,8 +672,9 @@ class TestStencil:
         for axis in (0, 1):
             with pytest.raises(ValueError, match="C-contiguous"):
                 lattice._forward_diff(f, axis, out=out)
+        # the divergence-add's target, through the views it takes
         with pytest.raises(ValueError, match="C-contiguous"):
-            lattice._divergence(f, f, out)
+            lattice._views(out)
 
     def test_strain_stencil_fourier_symbols(self):
         # the strain form's cubic residual term: forward differences of the
@@ -652,7 +688,7 @@ class TestStencil:
         rho_u = (ex - 1) * (1 - 1 / ey)
         rho_v = (ey - 1) * (1 - 1 / ex)
         fx_hat, fy_hat = np.fft.fft2(fx), np.fft.fft2(fy)
-        div = lattice._divergence(fx, fy, np.empty((n, n)))
+        div = add_divergence(fx, fy, np.zeros((n, n)))
         for axis, (sx, sy) in enumerate([(-wx2, rho_u), (rho_v, -wy2)]):
             got = np.fft.fft2(forward_diff(div, axis))
             want = sx * fx_hat + sy * fy_hat
@@ -674,7 +710,7 @@ class TestPerturbedForce:
                 beta = h * u
                 work = lattice._Work(16, f)
                 k = f.scaled_coefficients(h, work.k)["xy".index(d)]
-                lattice._bond_law([(beta, np.empty_like(u), k)])
+                ForceLaw._bond_law([(beta, np.empty_like(u), k)])
                 np.testing.assert_allclose(beta, h**3 * force, rtol=1e-12, atol=0)
             np.testing.assert_allclose(f.w_potential(u, d, work_arrays(16)[:2]), potential,
                                        rtol=1e-12, atol=0)
@@ -703,7 +739,7 @@ class TestPerturbedForce:
             work = lattice._Work(n, force)
             for k in force.scaled_coefficients(h, work.k):
                 out = beta.copy()
-                lattice._bond_law([(out, np.empty((n, n)), k)])
+                ForceLaw._bond_law([(out, np.empty((n, n)), k)])
                 laws.append(out)
         assert np.array_equal(laws[0], laws[2]) and np.array_equal(laws[1], laws[3])
         s = smooth_displacement_state(n, 21, 0.3)
@@ -712,13 +748,17 @@ class TestPerturbedForce:
         for a, b in zip(runs[0].arrays(), runs[1].arrays()):
             assert np.array_equal(a, b)
 
-    def test_bound_enforced(self):
+    @pytest.mark.parametrize("alpha, bound", [(2.0, 1.0), (np.nan, 1.0), (0.5, np.nan)],
+                             ids=["too_large", "nan_coefficient", "nan_bound"])
+    def test_bound_enforced(self, alpha, bound):
+        # a NaN coefficient or bound fails the check as a too large one does
         n = 8
-        big = np.full((n, n), 2.0)
+        a = np.zeros((n, n))
+        a[3, 4] = alpha
         z = np.zeros((n, n))
-        with pytest.raises(ValueError):
-            ForceLaw(kind="perturbed", eps=0.1, alpha_x=big, beta_x=z, gamma_x=z,
-                     alpha_y=z, beta_y=z, gamma_y=z, coeff_bound=1.0)
+        with pytest.raises(ValueError, match="bound"):
+            ForceLaw(kind="perturbed", eps=0.1, alpha_x=a, beta_x=z, gamma_x=z,
+                     alpha_y=z, beta_y=z, gamma_y=z, coeff_bound=bound)
 
     def test_seeded_sampling_deterministic(self):
         f1 = perturbed_force(8, 0.1, 1.0, seed=42)

@@ -3,9 +3,10 @@
 coefficients_table.py runs in full (it is cheap), and so does
 residual_orders.py on a coarse eps sweep off the default carrier; the sweep
 scripts otherwise only parse their arguments, which still imports every name
-they use, and refuse a plan the config rejects with a usage error.  Two more
-checks read the package's source: program code reaches every public
-function, and omits every parameter default in some call.
+they use, and refuse a plan the config rejects with a usage error.  Three
+more checks read the package's source: program code reaches every public
+function, every private function and every method, and omits every
+parameter default in some call.
 """
 
 import ast
@@ -72,22 +73,47 @@ def test_residual_orders_off_default_carrier(variant):
 USER_ENTRY_POINTS = {"read_snapshot"}
 
 
-def test_every_public_function_is_reached_by_program_code():
-    # a public function only tests reach is a second path that runs never take
-    package = ROOT / "src" / "fput2d"
-    defined = {node.name: path.name
-               for path in package.glob("*.py")
-               for node in ast.parse(path.read_text()).body
-               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+PACKAGE = ROOT / "src" / "fput2d"
+
+
+def _reached_by_program_code() -> set[str]:
+    """Every name program code (the package and scripts/) reads, and the
+    functions of pyproject.toml's entry points; tests do not count."""
     referenced = {node.id if isinstance(node, ast.Name) else node.attr
-                  for path in [*package.glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+                  for path in [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py")]
                   for node in ast.walk(ast.parse(path.read_text()))
                   if isinstance(node, (ast.Name, ast.Attribute))}
     # pyproject.toml's entry points, name = "module:function"
-    referenced |= set(re.findall(r'^\w+ = "[\w.]+:(\w+)"$',
-                                 (ROOT / "pyproject.toml").read_text(), flags=re.M))
+    return referenced | set(re.findall(r'^\w+ = "[\w.]+:(\w+)"$',
+                                       (ROOT / "pyproject.toml").read_text(), flags=re.M))
+
+
+def test_every_public_function_is_reached_by_program_code():
+    # a public function only tests reach is a second path that runs never take
+    defined = {node.name: path.name
+               for path in PACKAGE.glob("*.py")
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    reached = _reached_by_program_code() | USER_ENTRY_POINTS
+    unreached = {name: module for name, module in defined.items() if name not in reached}
+    assert unreached == {}
+
+
+def test_every_private_function_and_method_is_reached_by_program_code():
+    # a private helper or a method kept only for its tests is code no run
+    # executes; dunder methods are called by Python itself
+    defined = {}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                defined[node.name] = path.name
+            elif isinstance(node, ast.ClassDef):
+                defined.update({f"{node.name}.{f.name}": path.name for f in node.body
+                                if isinstance(f, ast.FunctionDef)
+                                and not f.name.startswith("__")})
+    reached = _reached_by_program_code()
     unreached = {name: module for name, module in defined.items()
-                 if name not in referenced | USER_ENTRY_POINTS}
+                 if name.rpartition(".")[2] not in reached}
     assert unreached == {}
 
 
