@@ -152,7 +152,7 @@ def nonresonance_check(kv: WaveVector, delta_res: float) -> bool:
     return bool(abs(3.0 * omega(kv) - w3) > delta_res)
 
 
-def nls_coefficients(kv: WaveVector, delta_res: float = DEFAULT_RESONANCE_MARGIN) -> DispersionData:
+def nls_coefficients(kv: WaveVector, delta_res: float) -> DispersionData:
     """Assemble the full DispersionData record at a carrier wave vector."""
     w0 = omega(kv)
     if w0 == 0.0:

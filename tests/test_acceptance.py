@@ -11,7 +11,7 @@ import pytest
 from conftest import initial_data, measure_mode_frequencies, smooth_random_field, work_arrays
 from test_ansatz import run_projection
 from test_lattice import reference_verlet, reverse, step
-from fput2d.dispersion import WaveVector, nls_coefficients, omega
+from fput2d.dispersion import DEFAULT_RESONANCE_MARGIN, WaveVector, nls_coefficients, omega
 from fput2d.harness import ExperimentPlan, fit_order, residual_sweep, run_sweep
 from fput2d.lattice import (
     ForceLaw,
@@ -62,7 +62,7 @@ def _line(num: int, ok: bool, text: str):
 
 
 def test_criterion_01_coefficient_goldens():
-    data = nls_coefficients(KV)
+    data = nls_coefficients(KV, DEFAULT_RESONANCE_MARGIN)
     # independent evaluation of the closed forms
     w0 = np.sqrt(4 - 2 * np.cos(PIH) - 2 * np.cos(PIH))
     wx2 = 2 - 2 * np.cos(PIH)
@@ -159,7 +159,7 @@ def test_criterion_04_symplectic_diagnostics():
 
 
 def test_criterion_05_nls_solver():
-    h = nls_coefficients(KV).hessian
+    h = nls_coefficients(KV, DEFAULT_RESONANCE_MARGIN).hessian
     # mass conservation over 1000 steps
     f = gaussian_field(40.0, 128, 1.0, 4.0)
     m0 = mass(f)
@@ -250,7 +250,7 @@ def test_criterion_10_projection_contract():
     scale = max(np.max(np.abs(a)) for a in once)
     idem = max(np.max(np.abs(a - b)) for a, b in zip(once, twice)) / scale
 
-    disp = nls_coefficients(KV)
+    disp = nls_coefficients(KV, DEFAULT_RESONANCE_MARGIN)
     env = gaussian_field(40.0, 256, 1.0, 4.0)
     moved = []
     eps_values = (0.2, 0.1, 0.05)

@@ -29,7 +29,7 @@ from fput2d.ansatz import (
     residual_norm,
     sample_ansatz,
 )
-from fput2d.dispersion import WaveVector, nls_coefficients
+from fput2d.dispersion import DEFAULT_RESONANCE_MARGIN, WaveVector, nls_coefficients
 from fput2d.lattice import LatticeState, compatibility_defect, strain_from_displacement
 from fput2d.nls import (
     DEFAULT_BLOWUP_GUARD,
@@ -47,7 +47,7 @@ from test_dispersion import ratio_b_over_a, strain_correction_oracle
 
 PIH = np.pi / 2
 KV = WaveVector(PIH, PIH)
-DISP = nls_coefficients(KV)
+DISP = nls_coefficients(KV, DEFAULT_RESONANCE_MARGIN)
 A_KV = np.exp(1j * KV.k) - 1  # the strain envelope of u is A_KV Q
 KV_R = WaveVector(PIH, np.pi / 3)  # B/A ratio r != 1
 
@@ -145,7 +145,7 @@ class TestSampling:
             sample(env, DISP, 0.2, 0.0, 256, "strain")
 
     def test_degenerate_axis_l_no_v(self):
-        disp = nls_coefficients(WaveVector(PIH, 0.0))
+        disp = nls_coefficients(WaveVector(PIH, 0.0), DEFAULT_RESONANCE_MARGIN)
         env = gaussian_field(40.0, 128, 1.0, 4.0)
         s = sample(env, disp, 0.2, 0.0, 200, "strain", corrections=True)
         assert np.all(s.v == 0.0)
@@ -157,7 +157,7 @@ class TestSampling:
         env = gaussian_field(40.0, 128, amplitude=0.8, sigma=4.0)
         env.a = env.a * np.exp(0.4j)  # give the envelope a nontrivial phase
         s1 = sample(env, DISP, 0.2, 0.0, 200, "strain", corrections=True)
-        disp_neg = nls_coefficients(KV.negated())
+        disp_neg = nls_coefficients(KV.negated(), DEFAULT_RESONANCE_MARGIN)
         env_c = EnvelopeField(env.box_length, np.conj(env.a))
         s2 = sample(env_c, disp_neg, 0.2, 0.0, 200, "strain", corrections=True)
         assert np.allclose(s1.u, s2.u, atol=1e-13)
@@ -360,7 +360,8 @@ class TestCompatProjection:
         # (at N = 18, a carrier the 18-point lattice fits)
         for n_side, count, kv in ((16, 3, KV), (18, 1, WaveVector(np.pi / 3, np.pi / 3))):
             env = constant_env(0.0, 0.2 * n_side)
-            _, diag = initial_data(env, nls_coefficients(kv), 0.2, n_side, "strain")
+            _, diag = initial_data(env, nls_coefficients(kv, DEFAULT_RESONANCE_MARGIN), 0.2,
+                                   n_side, "strain")
             assert diag["degenerate_modes"] == count
 
 
@@ -405,7 +406,7 @@ class TestInitialData:
 
     def test_displacement_form_direct(self):
         env = gaussian_field(40.0, 128, 1.0, 4.0)
-        disp_dd = nls_coefficients(KV)
+        disp_dd = nls_coefficients(KV, DEFAULT_RESONANCE_MARGIN)
         state, diag = initial_data(env, disp_dd, 0.2, 200, "displacement")
         s = sample(env, disp_dd, 0.2, 0.0, 200, "displacement")
         assert np.array_equal(state.q, s.q)
@@ -452,7 +453,7 @@ class TestCorrectionSet:
         env = gaussian_field(32.0, 64, amplitude=0.7, sigma=4.0)
         env.a = env.a * np.exp(0.2j)
         for kv in (KV, KV_R):
-            disp = nls_coefficients(kv)
+            disp = nls_coefficients(kv, DEFAULT_RESONANCE_MARGIN)
             # the basis fields of the harmonics 1, -1, 3, -3 on the envelope grid
             basis = {1: env.a, **{j: _correction_products(j, env.a, None)[0] for j in CORRECTIONS}}
             weights = _weights(disp, "strain", True)
@@ -481,7 +482,7 @@ class TestCorrectionSet:
         # the closed form checks the r-weights of the v corrections
         eps, n = 0.05, 24  # N a multiple of l0's lattice period 6
         c = 0.6 + 0.2j
-        disp = nls_coefficients(KV_R)
+        disp = nls_coefficients(KV_R, DEFAULT_RESONANCE_MARGIN)
         r = ratio_b_over_a(KV_R)
         assert abs(r - 1) > 0.1
         env = constant_env(c / (np.exp(1j * KV_R.k) - 1), eps * n)
@@ -683,7 +684,7 @@ class TestWorkspace:
         env.a = env.a * np.exp(0.3j)
         for kv in (KV, KV_R, WaveVector(3 * np.pi / 4, 3 * np.pi / 4),
                    WaveVector(np.pi / 4, np.pi / 4)):
-            disp = nls_coefficients(kv)
+            disp = nls_coefficients(kv, DEFAULT_RESONANCE_MARGIN)
             work = AnsatzWorkspace(env, disp, eps, n, variant)
             want = reference_branches(env, disp, eps, t, n, variant, corrections)
             r_want = reference_residual(env, disp, eps, t, n, variant, corrections)
@@ -757,7 +758,8 @@ class TestWorkspace:
         # is one only when 6 divides N
         env = gaussian_field(0.25 * n, 64, 1.0, 4.0)
         with pytest.raises(ValueError, match=rf"carrier \(.*\) does not fit the N = {n} lattice"):
-            AnsatzWorkspace(env, nls_coefficients(KV_R), 0.25, n, "strain")
+            AnsatzWorkspace(env, nls_coefficients(KV_R, DEFAULT_RESONANCE_MARGIN), 0.25, n,
+                            "strain")
 
     @pytest.mark.parametrize("variant", ["strain", "displacement"])
     def test_two_complex_lattice_arrays(self, variant):
@@ -826,7 +828,7 @@ class TestImaginaryMultipliers:
         # harmonic 1's velocity spectrum eps^2 C + (i S) Q on the envelope
         # grid (M = 64), S = eps c . K + omega0 + eps^2 sigma
         env = gaussian_field(self.eps * self.n, 64, 0.8, 4.0)
-        disp = nls_coefficients(KV_R)
+        disp = nls_coefficients(KV_R, DEFAULT_RESONANCE_MARGIN)
         work = AnsatzWorkspace(env, disp, self.eps, self.n, "displacement")
         (cx, cy), k = disp.group_velocity, env.wavenumbers_1d()
         sigma = linear_symbol(env, NlsProblem(disp.hessian, disp.gamma_q))
@@ -843,7 +845,7 @@ class TestImaginaryMultipliers:
         # eps^2 dB/dT + (i j omega0 + eps i c . K) B on the 2M-point grid, as
         # the correction harmonics form it; c . K = 0 at K = 0
         env = gaussian_field(self.eps * self.n, 64, 0.8, 4.0)
-        disp = nls_coefficients(KV_R)
+        disp = nls_coefficients(KV_R, DEFAULT_RESONANCE_MARGIN)
         work = AnsatzWorkspace(env, disp, self.eps, self.n, "strain")
         b_hat, b_t_hat = self.spectra(20 + j, 128), self.spectra(30 + j, 128)
         (cx, cy), k = disp.group_velocity, work._k2

@@ -5,7 +5,8 @@ import math
 import platform
 import re
 import struct
-from dataclasses import asdict, fields
+import time
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -547,6 +548,8 @@ BAD_INPUTS = [
     ("simulate", ["amplitude=nan"], {}),
     ("sweep", ["pass_threshold=nan"], {}),
     ("simulate", ["seed=-1", "force_kind=perturbed"], {}),
+    ("evidence", ["eps_list=0.1,0.14,0.2"], {}),
+    ("evidence", ["eps_list=0.2,0.1"], {}),
 ]
 
 
@@ -572,7 +575,7 @@ INADMISSIBLE_CARRIERS = {
 
 
 @pytest.mark.parametrize("carrier", INADMISSIBLE_CARRIERS)
-@pytest.mark.parametrize("command", ["simulate", "sweep", "residual"])
+@pytest.mark.parametrize("command", ["simulate", "sweep", "residual", "evidence"])
 def test_inadmissible_carrier_refused_before_work(tmp_path, capsys, command, carrier):
     out = tmp_path / "out"
     args = [command, "--out", str(out)]
@@ -614,6 +617,15 @@ class TestResidualCommand:
     def test_writes_report(self, tmp_path, capsys):
         code = main(["residual", "--out", str(tmp_path)] + TINY)
         report = json.loads((tmp_path / "residual_report.json").read_text())
+        # the summary line carries both intervals beside the orders
+        (with_lo, with_hi), (without_lo, without_hi) = (
+            (round(end, 4) for end in report[f"interval_95_{label}"])
+            for label in ("with_corrections", "without_corrections"))
+        assert capsys.readouterr().out == (
+            f"residual: orders with={report['order_with_corrections']} "
+            f"without={report['order_without_corrections']} interval_95 "
+            f"with=[{with_lo}, {with_hi}] without=[{without_lo}, {without_hi}] "
+            f"-> {tmp_path / 'residual_report.json'}\n")
         assert code in (0, 4)  # the coarse smoke grid need not meet the bars
         assert len(report["per_eps"]) == 3
         for row in report["per_eps"]:
@@ -625,3 +637,87 @@ class TestResidualCommand:
             assert report[f"order_{label}"] == order
             assert report[f"interval_95_{label}"] == list(ci)
             assert ci[0] < order < ci[1]
+
+
+# the quick evidence plan, off the default carrier: at (pi/2, pi/3) the
+# residual's v field has a live cross term
+QUICK = ["--set", "eps_list=0.25,0.2,0.16", "--set", "t0=0.25",
+         "--set", "carrier_l_pi=0.3333333333333333"]
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and the infinities, as strict JSON does."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestEvidenceCommand:
+    @pytest.mark.parametrize("variant", ["strain", "displacement"])
+    def test_quick_run(self, tmp_path, capsys, variant):
+        overrides = QUICK + ["--set", f"variant={variant}"]
+        start = time.perf_counter()
+        code = main(["evidence", "--out", str(tmp_path)] + overrides)
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.partition(":")[0] for line in lines] == [
+            "convergence strain", "convergence displacement", "convergence perturbed",
+            "residual", "coefficients", "evidence"]
+        assert lines[-1] == f"evidence: pass=True -> {tmp_path / 'evidence.json'}"
+        evidence = strict_json((tmp_path / "evidence.json").read_text())
+        plan = load_plan(None, overrides[1::2])
+        manifest = check_manifest(tmp_path, "evidence", overrides, [0.25, 0.2, 0.16])
+        assert manifest["files"] == ["evidence.json", "manifest.json"]
+        assert evidence["config_hash"] == manifest["config_hash"] == plan.hash()
+        sections = evidence["sections"]
+        assert list(sections) == ["convergence", "residual", "coefficients"]
+        for section in sections.values():
+            assert list(section) == ["plans", "results", "gate", "wall_time_s"]
+
+        convergence = sections["convergence"]
+        assert convergence["plans"] == {
+            "strain": replace(plan, variant="strain").hash(),
+            "displacement": replace(plan, variant="displacement").hash(),
+            "perturbed": replace(plan, variant="displacement",
+                                 force_kind="perturbed").hash()}
+        for result in convergence["results"].values():
+            assert [rec["eps"] for rec in result["per_eps"]] == [0.25, 0.2, 0.16]
+            assert result["pass"] is True
+        assert convergence["gate"]["pass"] is True
+
+        # criterion 6's bars, off the default carrier, in the plan's form
+        residual = sections["residual"]
+        assert residual["plans"] == {"residual": plan.hash()}
+        assert residual["results"]["order_with_corrections"] >= 3.6
+        assert residual["results"]["order_without_corrections"] >= 2.7
+        assert residual["gate"]["pass"] is True
+
+        coefficients = sections["coefficients"]
+        assert coefficients["gate"] is None
+        rows = coefficients["results"]
+        assert len(rows) == 24
+        assert {(row["k0_pi"], row["l0_pi"]) for row in rows} == {
+            (i / 4, j / 4) for i in range(5) for j in range(5)} - {(0.0, 0.0)}
+        assert main(["coeffs"]) == 0
+        centre = json.loads(capsys.readouterr().out)
+        assert [{"k0_pi": 0.5, "l0_pi": 0.5, **centre}] == [
+            row for row in rows if row["k0_pi"] == row["l0_pi"] == 0.5]
+
+    def test_failed_gate_exits_4(self, tmp_path, capsys):
+        code = main(["evidence", "--out", str(tmp_path)] + QUICK
+                    + ["--set", "pass_threshold=9"])
+        assert code == 4
+        sections = strict_json((tmp_path / "evidence.json").read_text())["sections"]
+        assert sections["convergence"]["gate"]["pass"] is False
+        assert sections["residual"]["gate"]["pass"] is True
+        assert capsys.readouterr().out.splitlines()[-1].startswith("evidence: pass=False -> ")
+
+    def test_carrier_of_the_strain_sweep_refused_before_work(self, tmp_path, capsys):
+        # a displacement plan may take k0 = 0; the strain sweep it runs may not
+        out = tmp_path / "out"
+        assert main(["evidence", "--out", str(out), "--set", "variant=displacement",
+                     "--set", "carrier_k_pi=0"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("carrier error:")
+        assert not out.exists()

@@ -237,13 +237,14 @@ class TestNlsCoefficients:
         wx2 = 2.0 - 2.0 * np.cos(PIH)
         wy2 = 2.0 - 2.0 * np.cos(PIH)
         expected = 3 * wx2 / (8j * w0) + 3 * wy2**2 / (8j * wx2 * w0)
-        gamma_a = nls_coefficients(WaveVector(PIH, PIH)).gamma_q / (4 * wx2)
+        gamma_a = (nls_coefficients(WaveVector(PIH, PIH), DEFAULT_RESONANCE_MARGIN).gamma_q
+                   / (4 * wx2))
         assert gamma_a == pytest.approx(expected, abs=1e-15)
         assert gamma_a == pytest.approx(-0.75j, abs=1e-14)
         assert printed_coeffs(capsys, 0.5, 0.5)["gamma_a_im"] == pytest.approx(-0.75, abs=1e-14)
 
     def test_gamma_q_center(self):
-        data = nls_coefficients(WaveVector(PIH, PIH))
+        data = nls_coefficients(WaveVector(PIH, PIH), DEFAULT_RESONANCE_MARGIN)
         # -3i (wx^4 + wy^4) / (2 w0) with wx^4 = wy^4 = 4, w0 = 2
         assert data.gamma_q == pytest.approx(-6.0j, abs=1e-14)
 
@@ -254,7 +255,7 @@ class TestNlsCoefficients:
     def test_gammas_purely_imaginary(self):
         rng = np.random.default_rng(3)
         for kv in random_carriers(300, rng):
-            assert nls_coefficients(kv).gamma_q.real == 0.0
+            assert nls_coefficients(kv, DEFAULT_RESONANCE_MARGIN).gamma_q.real == 0.0
 
     def test_gamma_cross_relation(self, capsys):
         # coeffs prints Im(gamma_q) / (4 wx^2) and Im(gamma_q) / (4 wy^2), so
@@ -271,22 +272,22 @@ class TestNlsCoefficients:
                 assert out["gamma_a_im"] * wx2 == pytest.approx(out["gamma_q_im"] / 4, rel=1e-12)
 
     def test_axis_degenerate_flags(self):
-        data = nls_coefficients(WaveVector(PIH, 0.0))
+        data = nls_coefficients(WaveVector(PIH, 0.0), DEFAULT_RESONANCE_MARGIN)
         assert data.axis_degenerate_l and not data.axis_degenerate_k
-        data = nls_coefficients(WaveVector(0.0, PIH))
+        data = nls_coefficients(WaveVector(0.0, PIH), DEFAULT_RESONANCE_MARGIN)
         assert data.axis_degenerate_k and not data.axis_degenerate_l
 
     def test_zero_carrier_rejected(self):
         with pytest.raises(ZeroFrequency):
-            nls_coefficients(WaveVector(0.0, 0.0))
+            nls_coefficients(WaveVector(0.0, 0.0), DEFAULT_RESONANCE_MARGIN)
         # 2 - 2 cos k rounds to 0 below |k| ~ 1e-8: refused, not divided by
         with pytest.raises(ZeroFrequency):
-            nls_coefficients(WaveVector(1e-9, -1e-9))
+            nls_coefficients(WaveVector(1e-9, -1e-9), DEFAULT_RESONANCE_MARGIN)
 
     def test_omega0_positive(self):
         rng = np.random.default_rng(5)
         for kv in random_carriers(100, rng):
-            assert nls_coefficients(kv).omega0 > 0
+            assert nls_coefficients(kv, DEFAULT_RESONANCE_MARGIN).omega0 > 0
 
 
 class TestNonresonance:
@@ -326,7 +327,7 @@ class TestNonresonance:
 
 def first_harmonic_ratio(kv):
     """The v field's first-harmonic weight over the u field's."""
-    w = _weights(nls_coefficients(kv), "strain", False)
+    w = _weights(nls_coefficients(kv, DEFAULT_RESONANCE_MARGIN), "strain", False)
     return w["v"][1] / w["u"][1]
 
 
@@ -346,7 +347,8 @@ class TestAmplitudeRatio:
     def test_degenerate_k_zero_u(self):
         # at k0 = 0 every u weight e^{ij0} - 1 is 0: u and ut vanish exactly
         env = EnvelopeField(1.6, np.ones((8, 8), dtype=complex))
-        s = sample(env, nls_coefficients(WaveVector(0.0, PIH)), 0.1, 0.0, 16, "strain")
+        s = sample(env, nls_coefficients(WaveVector(0.0, PIH), DEFAULT_RESONANCE_MARGIN), 0.1,
+                   0.0, 16, "strain")
         assert np.all(s.u == 0.0) and np.all(s.ut == 0.0)
         assert np.max(np.abs(s.v)) > 0.1
 
@@ -366,7 +368,7 @@ class TestCorrectionCoefficients:
         for kv in random_carriers(50, rng):
             if not nonresonance_check(kv, DEFAULT_RESONANCE_MARGIN):
                 continue
-            data = nls_coefficients(kv)
+            data = nls_coefficients(kv, DEFAULT_RESONANCE_MARGIN)
             if data.axis_degenerate_k or data.axis_degenerate_l:
                 continue
             co = correction_coefficients(kv, DEFAULT_RESONANCE_MARGIN)
@@ -399,7 +401,7 @@ class TestCorrectionCoefficients:
         # resonant at the default margin 1e-8, non-resonant at 1e-10, and the
         # correction weights must be solved at the margin that admitted it
         kv = WaveVector(1e-3, 0.0)
-        assert not nls_coefficients(kv).nonresonant
+        assert not nls_coefficients(kv, DEFAULT_RESONANCE_MARGIN).nonresonant
         data = nls_coefficients(kv, 1e-10)
         assert data.nonresonant and data.delta_res == 1e-10
         with pytest.raises(Resonant):
@@ -434,7 +436,7 @@ class TestStrainWeights:
         checked = 0
         while checked < 300 + len(NAMED_CARRIERS):
             kv = carriers.pop(0) if carriers else random_carriers(1, rng)[0]
-            data = nls_coefficients(kv)
+            data = nls_coefficients(kv, DEFAULT_RESONANCE_MARGIN)
             if not data.nonresonant or data.axis_degenerate_k or data.axis_degenerate_l:
                 continue
             try:
@@ -450,7 +452,7 @@ class TestStrainWeights:
 
     def test_v_weights_vanish_at_l0_zero(self):
         kv = WaveVector(PIH, 0.0)
-        got = _weights(nls_coefficients(kv), "strain", True)
+        got = _weights(nls_coefficients(kv, DEFAULT_RESONANCE_MARGIN), "strain", True)
         want = strain_weights_oracle(kv)
         assert got["v"] == want["v"]  # every weight exactly 0
         for j, wj in want["u"].items():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import fft as scipy_fft
 
-from fput2d.dispersion import WaveVector, hessian, nls_coefficients
+from fput2d.dispersion import DEFAULT_RESONANCE_MARGIN, WaveVector, hessian, nls_coefficients
 from fput2d import nls
 from fput2d.nls import (
     DEFAULT_BLOWUP_GUARD,
@@ -363,7 +363,7 @@ class TestEvolve:
         # the strain envelope A = a Q, a = e^{ik0} - 1, solves the Q equation
         # with the cubic coefficient gamma_q / |a|^2, so every run solves Q:
         # evolving A0 and Q0 = A0 / a gives A = a Q to round-off
-        data = nls_coefficients(WaveVector(k_pi * np.pi, l_pi * np.pi))
+        data = nls_coefficients(WaveVector(k_pi * np.pi, l_pi * np.pi), DEFAULT_RESONANCE_MARGIN)
         a = np.exp(1j * k_pi * np.pi) - 1
         a0 = gaussian_field(40.0, 128, 1.0, 4.0)
         q0 = EnvelopeField(a0.box_length, a0.a / a)

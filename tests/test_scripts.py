@@ -1,71 +1,48 @@
-"""Smoke tests for scripts/: each one runs, in a subprocess, against the package.
+"""The evidence sections that replace the experiment scripts, and
+program-wide checks on the package's source.
 
-coefficients_table.py runs in full (it is cheap), and so does
-residual_orders.py on a coarse eps sweep off the default carrier; the sweep
-scripts otherwise only parse their arguments, which still imports every name
-they use, and refuse a plan the config rejects with a usage error.  Three
-more checks read the package's source: program code reaches every public
-function, every private function and every method, and omits every
-parameter default in some call.
+The coefficient table runs in full (it is cheap), and so do the residual
+orders on a coarse eps sweep off the default carrier.  Three more checks read
+the package's source: program code (the package and pyproject.toml's entry
+points) reaches every public function, every private function and every
+method, and some call in the package or the benchmark omits every parameter
+default.
 """
 
 import ast
-import os
+import json
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import fput2d
+from fput2d.cli import _coefficient_section, _residual_section, main
+from fput2d.config import load_plan
 
 ROOT = Path(__file__).resolve().parents[1]
-SRC = str(Path(fput2d.__file__).resolve().parents[1])
 
 
-def run_script(name, *args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], env=env,
-                          capture_output=True, text=True, timeout=120)
-
-
-def test_coefficients_table_runs():
-    out = run_script("coefficients_table.py", "--steps", "4")
-    assert out.returncode == 0, out.stderr
-    lines = out.stdout.splitlines()
-    assert len(lines) == 1 + 5 * 5 - 1  # header, then every carrier but (0, 0)
-    assert lines[0].split()[:2] == ["k0/pi", "l0/pi"]
-
-
-@pytest.mark.parametrize("name", ["residual_orders.py", "run_convergence_sweeps.py"])
-def test_sweep_script_help(name):
-    out = run_script(name, "--help")
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.startswith("usage:")
-
-
-@pytest.mark.parametrize("name", ["residual_orders.py", "run_convergence_sweeps.py"])
-def test_sweep_script_rejects_bad_eps(name, tmp_path):
-    out = run_script(name, "--eps", "0.1", "0.2", "0.3", *(
-        ["--out", str(tmp_path / "out")] if name == "run_convergence_sweeps.py" else []))
-    assert out.returncode == 2
-    err = out.stderr.splitlines()
-    assert err[0].startswith("usage:") and "strictly descending" in err[-1]
-    assert "Traceback" not in out.stderr
-    assert not (tmp_path / "out").exists()
+def test_coefficients_table_runs(capsys):
+    _, rows, gate = _coefficient_section(load_plan())
+    assert gate is None
+    assert capsys.readouterr().out.startswith("coefficients: 24 carriers, ")
+    assert main(["coeffs"]) == 0
+    keys = list(json.loads(capsys.readouterr().out))
+    # every carrier (pi i/4, pi j/4) but (0, 0), each with coeffs' keys
+    assert [(row["k0_pi"], row["l0_pi"]) for row in rows] == [
+        (i / 4, j / 4) for i in range(5) for j in range(5) if i or j]
+    assert all(list(row) == ["k0_pi", "l0_pi", *keys] for row in rows)
 
 
 @pytest.mark.parametrize("variant", ["strain", "displacement"])
 def test_residual_orders_off_default_carrier(variant):
     # criterion 6's bars at (pi/2, pi/3), where the v field's cross term is live
-    out = run_script("residual_orders.py", "--eps", "0.45", "0.4", "0.35", "--variant", variant,
-                     "--carrier", "0.5", "0.3333333333333333")
-    assert out.returncode == 0, out.stderr
-    orders = dict(re.findall(r"order (with|without) corrections: ([-\d.]+)", out.stdout))
-    assert float(orders["with"]) >= 3.6
-    assert float(orders["without"]) >= 2.7
+    plan = load_plan(None, ["eps_list=0.45,0.4,0.35", f"variant={variant}",
+                            "carrier_k_pi=0.5", "carrier_l_pi=0.3333333333333333"])
+    _, report, gate = _residual_section(plan)
+    assert report["order_with_corrections"] >= 3.6
+    assert report["order_without_corrections"] >= 2.7
+    assert gate["pass"] is True
 
 
 # io.read_snapshot is the snapshot format's reader for users: the program
@@ -77,10 +54,10 @@ PACKAGE = ROOT / "src" / "fput2d"
 
 
 def _reached_by_program_code() -> set[str]:
-    """Every name program code (the package and scripts/) reads, and the
-    functions of pyproject.toml's entry points; tests do not count."""
+    """Every name the package reads, and the functions of pyproject.toml's
+    entry points; tests do not count."""
     referenced = {node.id if isinstance(node, ast.Name) else node.attr
-                  for path in [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+                  for path in PACKAGE.glob("*.py")
                   for node in ast.walk(ast.parse(path.read_text()))
                   if isinstance(node, (ast.Name, ast.Attribute))}
     # pyproject.toml's entry points, name = "module:function"
@@ -162,11 +139,9 @@ def test_every_parameter_default_is_omitted_by_program_code():
     # a default that every call overrides is a second call shape only tests
     # take; calls are matched by name, so a method's calls are those of any
     # attribute of that name
-    package = ROOT / "src" / "fput2d"
-    defaults = [d for path in package.glob("*.py") for d in _defaults(ast.parse(path.read_text()))]
+    defaults = [d for path in PACKAGE.glob("*.py") for d in _defaults(ast.parse(path.read_text()))]
     calls = {}
-    for path in [*package.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
-                 *(ROOT / "bench").glob("*.py")]:
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "bench").glob("*.py")]:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 func = node.func
