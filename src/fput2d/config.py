@@ -276,6 +276,14 @@ def load_plan(path: str | None = None, overrides=()) -> ExperimentPlan:
                 f"config key 'grid_side': {plan.grid_side} is too coarse at eps = {eps}: "
                 f"envelope grid spacing eps*n_side/grid_side = {spacing:.4g} exceeds 0.5"
             )
+    # the envelope solve and each lattice run take the ceiling of their step
+    # count as an int, which an infinite count cannot give
+    steps = {"'dt_slow': T0 / dt_slow": plan.dt_slow,
+             **{f"'dt': T0 / (eps^2 dt) at eps = {eps}": eps**2 * plan.dt_for(eps)
+                for eps in (plan.eps, *plan.eps_list)}}
+    for name, step in steps.items():
+        if not (step > 0 and math.isfinite(plan.t0 / step)):
+            raise ConfigError(f"config keys 't0' and {name} is not a finite step count")
     return plan
 
 

@@ -12,11 +12,13 @@ against the leading-order ansatz s, sampled as a lattice state, at ~20
 sample times (the displacement form sums |q - s.q| + |w - s.w|).  A run
 holds one set of lattice arrays: its ansatz workspace
 (ansatz.AnsatzWorkspace), whose live initial state integrate copies into
-the only lattice state the run steps, the integrator's work arrays, and a
-strain run's strain view.  Its energy and compatibility diagnostics borrow
-workspace arrays the deviation has just freed.  A sweep
-runs several eps values, fits the log-log slope of the max-in-time error, and
-reports pass/fail against the expected quadratic order.
+the only lattice state the run steps, and the integrator's work arrays.  A
+strain run keeps no strain view: each strain array is formed in the
+workspace's spare array just before its deviation is taken.  The energy and
+compatibility diagnostics borrow workspace arrays the deviation has just
+freed.  A sweep runs several eps values, fits the log-log slope of the
+max-in-time error, and reports pass/fail against the expected quadratic
+order.
 
 Deterministic by construction: a plan plus seed fixes every array ever drawn.
 The envelope depends on eps only through its box eps*N, so within one sweep
@@ -31,15 +33,22 @@ hands each sample over as it is captured, then the runs, smallest eps first,
 each waiting only for a sample it needs that is not in yet.  A sample is
 dropped once every run of its group has read it.  The pool takes tasks first
 in, first out, so a run never waits on a solve that has not started; with
-one thread each solve runs to the end before its runs start.  numpy releases
-the GIL inside its array loops and FFTs, so the threads share the cores, but
-their many short numpy calls still contend for it.  A sweep queues its
-groups smallest eps first, so its costliest run starts first, and a thread
-that ends a solve takes the next queued run, of any group.  The records are
-bit-identical at every width.  The first task to fail cancels every task not
-yet started, and the call raises the first failure in submission order: a
-failing envelope takes precedence over its failing runs, as when the solve
-runs first.  Every thread is joined before the call returns or raises.
+one thread each solve runs to the end before its runs start.  When every
+task of a call has a thread of its own (run_single at 2 threads or more),
+each solve is paced: it captures at most SOLVE_LEAD samples beyond the last
+one every run of its group has read, so that it holds a few samples rather
+than all those it would get ahead of its runs.  A call with more tasks than
+threads, such as a sweep on fewer threads than its solves and runs, leaves
+its solves to run ahead: a paced solve would hold a thread that a queued
+run of its group needs.  numpy releases the GIL inside its array loops and
+FFTs, so the threads share the cores, but their many short numpy calls
+still contend for it.  A sweep queues its groups smallest eps first, so its
+costliest run starts first, and a thread that ends a solve takes the next
+queued run, of any group.  The records are bit-identical at every width.  The first task to fail lifts the pacing, so
+every started solve runs to its end, and cancels every task not yet
+started; the call raises the first failure in submission order: a failing
+envelope takes precedence over its failing runs, as when the solve runs
+first.  Every thread is joined before the call returns or raises.
 """
 
 from __future__ import annotations
@@ -64,8 +73,11 @@ from .lattice import (
     compatibility_defect,
     energy,
     integrate,
+    max_amplitude,
+    peak,
     perturbed_force,
     strain_from_displacement,
+    strains,
 )
 from .nls import (
     TAIL_BOUND,
@@ -83,6 +95,9 @@ DEFAULT_ERROR_FLOOR = 1e-10
 # default envelope reaches 7e-12 on 128 points, and its final sample differs
 # from a 256-point solve's by 2e-9 of its peak; at amplitude 2, 7e-8 and 7e-7
 RULE_TAIL = 1e-10
+# a paced solve captures at most this many samples beyond the last one that
+# every run of its group has read
+SOLVE_LEAD = 2
 
 
 class DegenerateFit(RuntimeError):
@@ -181,15 +196,21 @@ class _EnvelopeSamples:
 
     The solve calls put; an observer's get blocks only until its own sample
     is in.  Each sample but the final one is dropped once all `readers`
-    runs of the group have read it.  Each sample's envelope_diag row (T,
-    mass, H^4 proxy, max |Q|, spectral tail) is taken at capture, with the
-    H^4 proxy and the tail the solve's guards read.
+    runs of the group have read it.  With a lead, the solve is paced: put
+    waits until its sample is at most `lead` samples beyond the last one
+    every reader has read, which holds a deadlock off only while every
+    reader has a thread of its own; with None it runs ahead.  unpace lets
+    a paced solve run ahead from then on.  Each sample's envelope_diag row
+    (T, mass, H^4 proxy, max |Q|, spectral tail) is taken at capture, with
+    the H^4 proxy and the tail the solve's guards read.
     """
 
-    def __init__(self, count: int, readers: int):
+    def __init__(self, count: int, readers: int, lead: int | None):
         self.diag: list[list[float]] = []
         self._last = count - 1
         self._readers = readers
+        self._lead = lead
+        self._read = 0  # samples every reader has read
         self._reads: list[int] = []
         self._error: Exception | None = None
         self._fields: list[EnvelopeField | None] = []
@@ -200,6 +221,8 @@ class _EnvelopeSamples:
     def put(self, field: EnvelopeField, h4: float, tail: float) -> None:
         row = [field.slow_time, mass(field), h4, float(np.max(np.abs(field.a))), tail]
         with self._changed:
+            self._changed.wait_for(
+                lambda: self._lead is None or len(self._fields) < self._read + self._lead)
             self._fields.append(field)
             self._reads.append(0)
             self.diag.append(row)
@@ -214,9 +237,20 @@ class _EnvelopeSamples:
                 raise self._error
             field = self._fields[i]
             self._reads[i] += 1
-            if self._reads[i] == self._readers and i < self._last:
-                self._fields[i] = None
+            if self._reads[i] == self._readers:
+                # each reader reads the samples in order, so i is the next
+                # one that all have read
+                self._read = i + 1
+                if i < self._last:
+                    self._fields[i] = None
+                self._changed.notify_all()
         return field
+
+    def unpace(self) -> None:
+        """Let the solve run ahead of the readers from now on."""
+        with self._changed:
+            self._lead = None
+            self._changed.notify_all()
 
     def produce(self, solve) -> None:
         """Run solve(put) to fill the hand-off.  Its error is raised here and,
@@ -242,11 +276,13 @@ def _run_lattice(plan: ExperimentPlan, disp, eps: float, env0: EnvelopeField,
     The initial state is the workspace's live state: integrate copies it
     before the first observation overwrites it, and the energy at t = 0,
     the first observation's, is the reference of the energy drift.  The
-    run's ansatz workspace and strain view are built once and rewritten at
-    every observation; the energy and the compatibility defect work in the
-    sample's arrays, free once the deviation is taken, and the real view of
-    the workspace's spare array.  So an observation after the first
-    allocates no lattice-sized array.
+    run's ansatz workspace is built once and rewritten at every
+    observation.  A strain run keeps no strain view: each strain array is
+    formed in the real view of the workspace's spare array just before its
+    deviation is taken.  The energy and the compatibility defect work in
+    the sample's arrays, free once the deviation is taken, and that spare
+    array.  So an observation after the first allocates no lattice-sized
+    array.
     """
     n = plan.n_side_for(eps)
     dt = plan.dt_for(eps)
@@ -261,31 +297,34 @@ def _run_lattice(plan: ExperimentPlan, disp, eps: float, env0: EnvelopeField,
     times, sup_errors, residuals = [], [], []
     lattice_diag = []  # rows: t, energy, compat_defect (strain only), max_amp
     strain = plan.variant == "strain"
-    strain_view = strain_from_displacement(state) if strain else None
     idx = [0]
 
     def observe(st):
         i = idx[0]
         idx[0] += 1
         env_i = samples.get(i)
-        # the run steps (q, w); a strain run is observed through its differences
-        view = strain_from_displacement(st, out=strain_view) if strain else st
         s = sample_ansatz(work, env_i, st.time)
-        # the sample is the workspace's live state: its arrays take |view - s|,
-        # summed into the first in the order of the arrays
-        deviations = [np.abs(np.subtract(a, b, out=b), out=b)
-                      for a, b in zip(view.arrays(), s.arrays())]
-        for d in deviations[1:]:
-            deviations[0] += d
-        err = float(np.max(deviations[0]))
+        # the run steps (q, w); a strain run is observed through its forward
+        # differences, each valid until the next is formed.  The sample is
+        # the workspace's live state: its arrays take |x - s|, summed into
+        # the first in the order of the arrays
+        observed = strains(st, work.real_scratch()) if strain else st.arrays()
+        total = s.arrays()[0]
+        peaks = []
+        for k, (x, d) in enumerate(zip(observed, s.arrays())):
+            peaks.append(peak(x))
+            np.abs(np.subtract(x, d, out=d), out=d)
+            if k:
+                total += d
+        err = float(np.max(total))
         times.append(float(st.time))
         sup_errors.append(err)
         scratch = (*s.arrays(), work.real_scratch())[:3]
         lattice_diag.append([float(st.time), energy(st, force, scratch),
-                             compatibility_defect(view, scratch) if strain else None,
-                             view.max_amplitude()])
+                             compatibility_defect(st, scratch) if strain else None,
+                             max_amplitude(peaks)])
         if i in keep_state_indices:
-            kept_states[i] = view.copy()
+            kept_states[i] = strain_from_displacement(st) if strain else st.copy()
         if i in residual_at:
             residuals.append(
                 [float(st.time), residual_norm(work, env_i, st.time, plan.corrections)])
@@ -322,14 +361,14 @@ def _run_lattice(plan: ExperimentPlan, disp, eps: float, env0: EnvelopeField,
     return record
 
 
-def _group_tasks(plan: ExperimentPlan, disp, eps_values, keep_state_indices) -> list:
+def _group_tasks(plan: ExperimentPlan, disp, eps_values, samples: _EnvelopeSamples,
+                 keep_state_indices) -> list:
     """The tasks of eps runs that share one envelope box: the solve, which
-    returns no records, then one task per lattice run, in the order of
-    eps_values, each returning its record in a list.  A sample is dropped
-    once every run has read it.  Each record's wall_time_s runs from the
-    start of the solve to the end of its own run."""
+    hands its samples over in `samples` and returns no records, then one
+    task per lattice run, in the order of eps_values, each returning its
+    record in a list.  Each record's wall_time_s runs from the start of the
+    solve to the end of its own run."""
     env0 = _initial_envelope(plan, eps_values[0])
-    samples = _EnvelopeSamples(plan.sample_count, len(eps_values))
 
     def solve():
         samples.produce(
@@ -345,11 +384,13 @@ def _group_tasks(plan: ExperimentPlan, disp, eps_values, keep_state_indices) -> 
     return [solve, *(functools.partial(run, eps) for eps in eps_values)]
 
 
-def _run_tasks(width: int, tasks) -> list:
+def _run_tasks(width: int, tasks, handoffs) -> list:
     """The tasks' results, run in submission order on a pool `width` threads wide.
 
-    The first task to fail cancels every task not yet started; once the
-    started ones have ended, the first failure in submission order is raised.
+    The first task to fail unpaces the hand-offs, so that no solve waits on
+    a run that failed or will not start, and cancels every task not yet
+    started; once the started ones have ended, the first failure in
+    submission order is raised.
     """
     submitting = threading.Lock()  # a failure cancels only once all are queued
     with ThreadPoolExecutor(max_workers=width, thread_name_prefix="fput2d") as pool:
@@ -357,6 +398,8 @@ def _run_tasks(width: int, tasks) -> list:
             try:
                 return task()
             except Exception:
+                for samples in handoffs:
+                    samples.unpace()
                 with submitting:
                     pool.shutdown(wait=False, cancel_futures=True)
                 raise
@@ -371,11 +414,14 @@ def _run_tasks(width: int, tasks) -> list:
 
 def _run_groups(plan: ExperimentPlan, groups, width: int, keep_state_indices=()) -> list[dict]:
     """Records of the eps groups, in group order, each group on one envelope
-    solve, all on one pool `width` threads wide (see the module docstring)."""
+    solve, all on one pool `width` threads wide (see the module docstring).
+    The solves are paced by their runs when every task has a thread."""
     disp = checked_dispersion(plan)
-    tasks = [task for group in groups
-             for task in _group_tasks(plan, disp, group, keep_state_indices)]
-    return [record for records in _run_tasks(width, tasks) for record in records]
+    lead = SOLVE_LEAD if sum(len(group) + 1 for group in groups) <= width else None
+    handoffs = [_EnvelopeSamples(plan.sample_count, len(group), lead) for group in groups]
+    tasks = [task for group, samples in zip(groups, handoffs)
+             for task in _group_tasks(plan, disp, group, samples, keep_state_indices)]
+    return [record for records in _run_tasks(width, tasks, handoffs) for record in records]
 
 
 def run_single(plan: ExperimentPlan, eps: float, keep_state_indices=()) -> dict:

@@ -10,10 +10,11 @@ the backward divergence div = fx - S-x fx + fy - S-y fy of the bond forces
 fx = W'(x-bond strain), fy = W'(y-bond strain), (S-x f)_{m,n} = f_{m-1,n}.
 Array axis 0 is the m (x) index, axis 1 the n (y) index.  The strain form
 (u, v, du/dt, dv/dt), u_{m,n} = q_{m+1,n}-q_{m,n}, v_{m,n} = q_{m,n+1}-q_{m,n},
-is the forward difference of a displacement state (strain_from_displacement):
-its accelerations are the forward differences of div, and it satisfies the
-discrete curl-free constraint u_{m,n+1} - u_{m,n} = v_{m+1,n} - v_{m,n},
-which compatibility_defect measures.
+is the forward difference of a displacement state (strains forms its arrays
+one at a time, strain_from_displacement all four): its accelerations are
+the forward differences of div, and it satisfies the discrete curl-free
+constraint u_{m,n+1} - u_{m,n} = v_{m+1,n} - v_{m,n}, which
+compatibility_defect measures.
 
 The bond-force operator is written once, on the views _views takes of an
 array: one periodic forward difference (_difference), one bond law
@@ -240,14 +241,17 @@ class LatticeState:
     def copy(self) -> "LatticeState":
         return LatticeState.from_arrays(self.form, self.time, [a.copy() for a in self.arrays()])
 
-    def max_amplitude(self) -> float:
-        """Largest |value| over the state arrays; NaN if any entry is NaN.
 
-        max |x| is max(max x, -min x), so no |x| array is made; both
-        reductions and np.maximum pass NaN on, and abs() turns the -0.0 of an
-        all-zero state into 0.0.
-        """
-        return abs(float(np.max([np.maximum(a.max(), -a.min()) for a in self.arrays()])))
+def peak(a: np.ndarray) -> np.floating:
+    """max |a| as max(max a, -min a), so no |a| array is made; both
+    reductions and np.maximum pass NaN on."""
+    return np.maximum(a.max(), -a.min())
+
+
+def max_amplitude(peaks) -> float:
+    """Largest |value| over a state's arrays, from the peak of each; NaN if
+    any is NaN.  abs() turns the -0.0 of an all-zero state into 0.0."""
+    return abs(float(np.max(peaks)))
 
 
 def _forward_diff(f: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
@@ -257,20 +261,23 @@ def _forward_diff(f: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def strain_from_displacement(state: LatticeState,
-                             out: LatticeState | None = None) -> LatticeState:
-    """Forward-difference a displacement state into the equivalent strain
-    state: into out's arrays and time if given (a strain state), else new ones."""
+def strains(state: LatticeState, out: np.ndarray):
+    """The strain arrays u, v, ut, vt of a displacement state, the forward
+    differences of q and w, formed one at a time into out: each is valid
+    until the next is drawn."""
     if state.form != "displacement":
         raise FormMismatch("expected displacement form")
-    if out is None:
-        n = state.n_side
-        out = LatticeState.from_arrays("strain", state.time, [np.empty((n, n)) for _ in range(4)])
-    differences = [(f, axis) for f in (state.q, state.w) for axis in (0, 1)]  # u, v, ut, vt
-    for (f, axis), o in zip(differences, out.arrays()):
-        _forward_diff(f, axis, out=o)
-    out.time = state.time
-    return out
+    for f in (state.q, state.w):
+        for axis in (0, 1):
+            yield _forward_diff(f, axis, out=out)
+
+
+def strain_from_displacement(state: LatticeState) -> LatticeState:
+    """Forward-difference a displacement state into the equivalent strain
+    state, in new arrays."""
+    n = state.n_side
+    return LatticeState.from_arrays("strain", state.time,
+                                    [x.copy() for x in strains(state, np.empty((n, n)))])
 
 
 def _check_amplitude(state: LatticeState, scales=None) -> None:
@@ -288,7 +295,8 @@ def _check_amplitude(state: LatticeState, scales=None) -> None:
         if a.max() <= bound and a.min() >= -bound:  # False for NaN
             continue
         m, n = np.unravel_index(np.argmax(~(np.abs(a) <= bound)), a.shape)
-        raise UnstableStep(f"{name} = {float(a[m, n]) / scale!r} at site (m, n) = ({m}, {n}), "
+        # a march's scale is a numpy float: the value is made a Python one
+        raise UnstableStep(f"{name} = {float(a[m, n] / scale)!r} at site (m, n) = ({m}, {n}), "
                            f"t = {state.time}: outside the overflow guard |x| <= {g:g}")
 
 
@@ -491,16 +499,19 @@ def energy(state: LatticeState, force: ForceLaw, buffers) -> float:
 
 
 def compatibility_defect(state: LatticeState, buffers) -> float:
-    """Max defect of the curl-free constraint, fields plus velocities.
+    """Max defect of the curl-free constraint, fields plus velocities, of a
+    strain state or of a displacement state's strains.
 
-    buffers holds at least two N x N work arrays.
+    buffers holds at least two N x N work arrays; a displacement state's
+    strains are formed one at a time in a third.
     """
-    if state.form != "strain":
-        raise FormMismatch("compatibility defect is defined for the strain form")
     a, b = buffers[:2]
+    xs = iter(state.arrays()) if state.form == "strain" else strains(state, buffers[2])
 
-    def defect(f, g):
-        d = np.subtract(_forward_diff(f, 1, out=a), _forward_diff(g, 0, out=b), out=a)
+    def defect():
+        # (S+y u - u) - (S+x v - v), u differenced before v is drawn
+        d = _forward_diff(next(xs), 1, out=a)
+        np.subtract(d, _forward_diff(next(xs), 0, out=b), out=d)
         return np.max(np.abs(d, out=d))
 
-    return float(defect(state.u, state.v) + defect(state.ut, state.vt))
+    return float(defect() + defect())

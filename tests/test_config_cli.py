@@ -550,6 +550,11 @@ BAD_INPUTS = [
     ("simulate", ["seed=-1", "force_kind=perturbed"], {}),
     ("evidence", ["eps_list=0.1,0.14,0.2"], {}),
     ("evidence", ["eps_list=0.2,0.1"], {}),
+    # finite keys whose step count T0 / dt_slow or T0 / (eps^2 dt) overflows
+    # a float: the solve or the run would take the ceiling of infinity
+    ("simulate", ["t0=1e308"], {}),
+    ("simulate", ["dt_slow=1e-310"], {}),
+    ("sweep", ["dt=1e-323"], {}),
 ]
 
 

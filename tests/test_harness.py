@@ -373,9 +373,9 @@ class TestRunSingle:
     @pytest.mark.parametrize("variant, grid_side", [("strain", 256), ("displacement", 128)])
     def test_observations_allocate_no_lattice_array(self, monkeypatch, variant, grid_side):
         # an observation works in the run's ansatz workspace (N = 200 against
-        # an envelope grid of 256, then 128: truncation, then padding) and
-        # its strain view, the diagnostics in the workspace's arrays, so
-        # after the first one any N x N float64 temporary would show as a
+        # an envelope grid of 256, then 128: truncation, then padding), and
+        # forms a strain run's strains and the diagnostics in the workspace's
+        # arrays, so after the first one any N x N float64 temporary would show as a
         # peak of at least one such array, residual observations included:
         # the DFT of each cubic term goes into the workspace's first complex
         # array once the field it held is taken
@@ -404,17 +404,17 @@ class TestRunSingle:
         for i, peak in enumerate(peaks[1:], start=1):
             assert peak < lattice_array, (i, peak)
 
-    @pytest.mark.parametrize("variant, budget", [("displacement", 12.0), ("strain", 17.9)])
+    @pytest.mark.parametrize("variant, budget", [("displacement", 12.0), ("strain", 13.6)])
     def test_run_holds_one_set_of_lattice_arrays(self, monkeypatch, variant, budget):
         # at its last observation a run holds, besides its envelope samples
         # and in N x N float64 units: the ansatz workspace's two complex
         # arrays (4) and its state arrays (2, strain 4), the stepped state
-        # (2), the integrator's work arrays (2) and block of rows (0.5), and a
-        # strain run's strain view (4): 10.5, strain 16.5, plus on M = 64
-        # points the initial envelope (0.2) and the workspace's two complex
-        # and two real arrays (0.6); measured 11.85 and 17.46.  A kept
-        # initial state (2), a third complex N x N array (2) or a real N x N
-        # symbol (1) would each take it over the budget
+        # (2), the integrator's work arrays (2) and block of rows (0.5):
+        # 10.5, strain 12.5, plus on M = 64 points the initial envelope (0.2)
+        # and the workspace's two complex and two real arrays (0.6); measured
+        # 11.84 and 13.45.  A kept initial state (2), a third complex N x N
+        # array (2), a real N x N symbol (1) or a strain view (4) would each
+        # take it over the budget
         plan = small_plan(variant=variant, box_length=20.0, grid_side=64, sigma=2.0,
                           t0=0.02)
         n = plan.n_side_for(0.1)
@@ -655,9 +655,10 @@ class TestEnvelopeSharing:
     def test_sweep_records_match_at_every_width(self, monkeypatch, variant):
         # the benchmark's eps 0.25/0.2/0.16: the group [0.2, 0.25] on box 40
         # is three tasks, and widths 1, 2 and 3 run them one after another,
-        # beside one other task or all at once
+        # beside one other task or all at once; at width 5 every task of the
+        # sweep has a thread, and both solves are paced
         texts = set()
-        for width in (1, 2, 3):
+        for width in (1, 2, 3, 5):
             monkeypatch.setenv("FPUT2D_THREADS", str(width))
             report = run_sweep(self.quick_plan(variant=variant, workers=width,
                                                eps_list=(0.25, 0.2, 0.16)))
@@ -719,6 +720,41 @@ def _threads_left_by(run):
     except Exception as exc:
         raised = exc
     return threading.active_count() - before, raised
+
+
+def _ends_within(seconds: float, run):
+    """_threads_left_by(run), called on a thread of its own that must end
+    within `seconds`: a call that hangs fails the test instead of the suite."""
+    outcome = []
+    caller = threading.Thread(target=lambda: outcome.append(_threads_left_by(run)),
+                              daemon=True)
+    caller.start()
+    caller.join(timeout=seconds)
+    assert not caller.is_alive(), f"the call did not end within {seconds} s"
+    return outcome[0]
+
+
+def _record_hand_offs(monkeypatch) -> list:
+    """Make the harness list each hand-off it builds, noting when it is
+    first unpaced how many samples its solve had captured and how many every
+    reader had read (at_unpace); returns the list."""
+    made = []
+
+    class Recorded(harness._EnvelopeSamples):
+        at_unpace = None
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+        def unpace(self):
+            with self._changed:
+                if self.at_unpace is None:
+                    self.at_unpace = (len(self.diag), self._read)
+            super().unpace()
+
+    monkeypatch.setattr(harness, "_EnvelopeSamples", Recorded)
+    return made
 
 
 class TestOverlappedSolve:
@@ -828,14 +864,116 @@ class TestOverlappedSolve:
 
         monkeypatch.setattr(harness, "evolve", late_evolve)
         monkeypatch.setattr(harness, "integrate", integrate)
+        made = _record_hand_offs(monkeypatch)
         monkeypatch.setenv("FPUT2D_THREADS", "2")
-        left, raised = _threads_left_by(
-            lambda: run_single(small_plan(amplitude=3.0, blowup_guard=300.0, workers=2),
-                               0.25))
+        left, raised = _ends_within(60, lambda: run_single(
+            small_plan(amplitude=3.0, blowup_guard=300.0, workers=2), 0.25))
         assert lattice_failed.is_set()
         assert left == 0
         assert type(raised) is EnvelopeBlowup
         assert "exceeded 300.0" in str(raised)
+        # the solve was paced: when the run failed, it had captured at most
+        # SOLVE_LEAD samples beyond those the run had read, and so stopped
+        # short of its own failure after sample 3
+        [samples] = made
+        captured, read = samples.at_unpace
+        assert read == 1 and captured <= read + harness.SOLVE_LEAD
+
+    def test_paced_lattice_failure_lets_the_solve_end(self, monkeypatch):
+        # a healthy envelope: the run trips its guard on the way to sample 1
+        # (t = 0.8), having read sample 0, while the solve is paced; the
+        # failure unpaces it, so it captures the rest and the call raises
+        # the run's error without waiting on a reader
+        made = _record_hand_offs(monkeypatch)
+        monkeypatch.setenv("FPUT2D_THREADS", "2")
+        left, raised = _ends_within(60, lambda: run_single(
+            small_plan(amplitude=3.0, workers=2), 0.25))
+        assert (left, type(raised)) == (0, UnstableStep)
+        [samples] = made
+        captured, read = samples.at_unpace
+        assert read == 1 and captured <= read + harness.SOLVE_LEAD
+        assert len(samples.diag) == 5
+
+    def test_failure_unpaces_a_solve_whose_reader_never_reads(self):
+        # as when the failure cancels the reader before it starts: the solve
+        # waits to hand over sample SOLVE_LEAD, and the failing task lets it
+        # run to its end
+        count, lead = 10, harness.SOLVE_LEAD
+        samples = harness._EnvelopeSamples(count, 1, lead)
+        held = threading.Event()
+
+        def solve(on_sample):
+            for k in range(count):
+                if k == lead:
+                    held.set()
+                on_sample(self._sample(k), 0.0, 0.0)
+
+        def fail():
+            held.wait(timeout=30)
+            raise RuntimeError("the run failed")
+
+        left, raised = _ends_within(60, lambda: harness._run_tasks(
+            2, [lambda: samples.produce(solve), fail], [samples]))
+        assert (left, str(raised)) == (0, "the run failed")
+        assert len(samples.diag) == count
+
+    def test_paced_hand_off_under_frequent_switches(self):
+        # two readers beside a paced solve, three threads on two cores, with
+        # a short switch interval: each reader gets every sample in order,
+        # and no put returns with the solve more than SOLVE_LEAD samples
+        # beyond those both have read
+        count, lead = 300, harness.SOLVE_LEAD
+        samples = harness._EnvelopeSamples(count, 2, lead)
+        ahead = []
+
+        def solve(on_sample):
+            for k in range(count):
+                on_sample(self._sample(k), float(k), 0.0)
+                with samples._changed:
+                    ahead.append(len(samples.diag) - samples._read)
+
+        def read():
+            return [samples.get(i).a[0, 0].real for i in range(count)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = []
+            left, raised = _ends_within(60, lambda: got.extend(harness._run_tasks(
+                3, [lambda: samples.produce(solve), read, read], [samples])))
+        finally:
+            sys.setswitchinterval(interval)
+        assert (left, raised) == (0, None)
+        assert got[1] == got[2] == list(range(count))
+        assert len(ahead) == count and max(ahead) <= lead
+
+    def test_paced_hand_off_holds_four_samples(self, monkeypatch):
+        # run_single on 2 threads paces the solve: at every observation the
+        # run holds its own sample, the hand-off the two captured after it,
+        # and the solve at most one more, waiting to hand it over.  This
+        # solve, on 64 points, is done long before the run observes sample
+        # 0: run ahead, it would hold all 21 at once
+        plan = small_plan(box_length=20.0, grid_side=64, sigma=2.0, t0=0.02,
+                          sample_count=21, workers=2)
+        finalizers = []
+        real_put, real_sample = harness._EnvelopeSamples.put, harness.sample_ansatz
+
+        def put(samples, field, h4, tail):
+            finalizers.append(weakref.finalize(field, lambda: None))
+            real_put(samples, field, h4, tail)
+
+        held = []
+
+        def sample_ansatz(work, env, t):
+            held.append(sum(f.alive for f in finalizers))
+            return real_sample(work, env, t)
+
+        monkeypatch.setattr(harness._EnvelopeSamples, "put", put)
+        monkeypatch.setattr(harness, "sample_ansatz", sample_ansatz)
+        monkeypatch.setenv("FPUT2D_THREADS", "2")
+        run_single(plan, 0.1)
+        assert len(held) == plan.sample_count
+        assert max(held) <= 4, held
 
     def test_failing_envelope_takes_precedence_over_its_runs(self, monkeypatch):
         # small_plan's 0.25 and 0.4 share one solve, and on three threads both
@@ -917,7 +1055,7 @@ class TestOverlappedSolve:
         return EnvelopeField(2.0, np.full((4, 4), k, dtype=complex), 0.01 * k)
 
     def test_observer_waits_only_for_its_own_sample(self):
-        samples = harness._EnvelopeSamples(2, 1)
+        samples = harness._EnvelopeSamples(2, 1, None)
         observed = threading.Event()
 
         def solve(on_sample):
@@ -931,13 +1069,13 @@ class TestOverlappedSolve:
             observed.set()
             assert samples.get(1).slow_time == 0.01
 
-        harness._run_tasks(2, [lambda: samples.produce(solve), observe])
+        harness._run_tasks(2, [lambda: samples.produce(solve), observe], [samples])
 
     def test_hand_off_under_frequent_switches_releases_samples(self):
         # a short switch interval interleaves the solve and the observer at
         # many more points than a run does
         count = 300
-        samples = harness._EnvelopeSamples(count, 1)
+        samples = harness._EnvelopeSamples(count, 1, None)
         refs = []
 
         def solve(on_sample):
@@ -951,7 +1089,7 @@ class TestOverlappedSolve:
         try:
             _, got = harness._run_tasks(2, [
                 lambda: samples.produce(solve),
-                lambda: [samples.get(i).a[0, 0].real for i in range(count)]])
+                lambda: [samples.get(i).a[0, 0].real for i in range(count)]], [samples])
         finally:
             sys.setswitchinterval(interval)
         assert got == list(range(count))
@@ -967,7 +1105,7 @@ class TestOverlappedSolve:
         # second reads them under frequent switches, and all but the final
         # one are gone
         count = 300
-        samples = harness._EnvelopeSamples(count, 2)
+        samples = harness._EnvelopeSamples(count, 2, None)
         refs, first_done = [], threading.Event()
         held_after_first = []
 
@@ -992,7 +1130,7 @@ class TestOverlappedSolve:
         sys.setswitchinterval(1e-6)
         try:
             _, got_first, got_second = harness._run_tasks(
-                3, [lambda: samples.produce(solve), first, second])
+                3, [lambda: samples.produce(solve), first, second], [samples])
         finally:
             sys.setswitchinterval(interval)
         assert got_first == got_second == list(range(count))

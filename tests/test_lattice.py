@@ -17,8 +17,11 @@ from fput2d.lattice import (
     compatibility_defect,
     energy,
     integrate,
+    max_amplitude,
+    peak,
     perturbed_force,
     strain_from_displacement,
+    strains,
 )
 
 BASE = ForceLaw()
@@ -264,19 +267,20 @@ class TestVerlet:
         q = np.zeros((8, 8))
         q[1, 2] = -0.75
         w = np.full((8, 8), 0.5)
-        assert displacement_state(8, q=q, w=w).max_amplitude() == 0.75
+        assert max_amplitude([peak(q), peak(w)]) == 0.75
         # an all-zero state reads 0.0, never -0.0
         for zero in (0.0, -0.0):
-            state = displacement_state(8, q=np.full((8, 8), zero), w=np.full((8, 8), zero))
-            assert str(state.max_amplitude()) == "0.0"
+            z = np.full((8, 8), zero)
+            assert str(max_amplitude([peak(z), peak(z)])) == "0.0"
         q[3, 3] = np.nan
-        assert np.isnan(displacement_state(8, q=q, w=w).max_amplitude())
+        assert np.isnan(max_amplitude([peak(q), peak(w)]))
 
     def test_nan_state_trips_guard(self):
         w = np.zeros((8, 8))
         w[2, 3] = np.nan
         state = displacement_state(8, w=w)
-        assert np.isnan(state.max_amplitude())  # NaN in the last array counts too
+        # NaN in the last array counts too
+        assert np.isnan(max_amplitude([peak(a) for a in state.arrays()]))
         with pytest.raises(UnstableStep):
             step(state, BASE, 0.1)
 
@@ -413,6 +417,20 @@ class TestVerlet:
         got, want = (integrate(st, BASE, 0.05, [1.0], lambda st: None) for st in (other, s))
         for g, w in zip(got.arrays(), want.arrays(), strict=True):
             assert np.array_equal(g, w)
+
+    def test_overflow_in_a_march_names_a_python_float(self):
+        # one site at 50 on a zero state overflows q inside the march, at a
+        # guard check between observations; sample times from an array, as
+        # a run's are, make the march's step a numpy float, and the message
+        # gives the value as a Python float, not in numpy's repr
+        q = np.zeros((16, 16))
+        q[8, 8] = 50.0
+        with pytest.raises(UnstableStep) as info:
+            integrate(displacement_state(16, q=q), BASE, 0.1, np.array([5.0]), lambda st: None)
+        message = str(info.value)
+        assert re.match(r"q = (-?inf|nan) at site \(m, n\) = \(\d+, \d+\), t = 0\.99", message), \
+            message
+        assert "np." not in message
 
     def test_finite_overflow_is_reported_in_the_state_units(self):
         # 2e6 planted in q at (15, 15) at t = 10 dt: with dt = 1e-10 its force
@@ -560,6 +578,13 @@ class TestCompatibility:
                                      - (np.roll(s.vt, -1, 0) - s.vt))))
         assert compatibility_defect(s, work_arrays(16)) == want
 
+    def test_displacement_state_matches_its_strain_view(self):
+        # the defect of a displacement state's strains, formed one at a time
+        # in the third buffer, is the one of its strain view, bit for bit
+        disp = smooth_displacement_state(16, 13, 0.3)
+        want = compatibility_defect(strain_from_displacement(disp), work_arrays(16))
+        assert compatibility_defect(disp, work_arrays(16)) == want > 0
+
     def test_defect_invariant_short_run(self):
         # the strain-form oracle flow keeps the constraint, and the strain
         # run, the differenced displacement run, follows it
@@ -630,15 +655,23 @@ class TestStencil:
             assert lattice._forward_diff(f, axis, out=out) is out
             assert np.array_equal(out, expected), layout
 
-    def test_strain_view_written_into_out(self):
+    def test_strains_written_into_out(self):
+        # strains forms u, v, ut, vt one at a time in out;
+        # strain_from_displacement gives the same four in new arrays
         disp = smooth_displacement_state(16, 12, 0.3)
         disp.time = 1.5
-        out = strain_from_displacement(displacement_state(16))
-        arrays = out.arrays()
-        assert strain_from_displacement(disp, out=out) is out and out.time == 1.5
         want = [np.roll(f, -1, axis) - f for f in (disp.q, disp.w) for axis in (0, 1)]
-        for got, same, w in zip(out.arrays(), arrays, want):
-            assert got is same and np.array_equal(got, w)
+        out = np.full((16, 16), np.nan)
+        got = []
+        for x in strains(disp, out):
+            assert x is out
+            got.append(x.copy())
+        view = strain_from_displacement(disp)
+        assert view.form == "strain" and view.time == 1.5
+        for g, v, w in zip(got, view.arrays(), want, strict=True):
+            assert np.array_equal(g, w) and np.array_equal(v, w)
+        with pytest.raises(FormMismatch):
+            next(strains(view, out))
 
     @pytest.mark.parametrize("n", [8, 9, 32])
     def test_divergence_matches_roll(self, n):
